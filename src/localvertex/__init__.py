@@ -7,7 +7,7 @@ their q- and Q-functional equations.
 
 from .partitions import Partition, partitions_of, partition_count
 from .qfield import QRat, QFieldError
-from .series import GaussianRational, SeriesError, TruncSeries
+from .series import SeriesError, TruncSeries
 from .vertex import SCache, ToricSurface, VertexError, pt_invariants, pt_series
 from .rationality import FitError, RationalFit, fit_rational, normalized_pt
 from .gwtheory import GWTable, RealityError, gw_extract, tilde_pt0, verify_R
@@ -20,7 +20,6 @@ __all__ = [
     "partition_count",
     "QRat",
     "QFieldError",
-    "GaussianRational",
     "SeriesError",
     "TruncSeries",
     "SCache",

@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--cache-dir", default=None,
             help="S-series disk cache directory (default: $%s)" % CACHE_ENV,
         )
-        p.add_argument("--jobs", type=int, default=1, help="reserved; runs are serial")
         p.add_argument("--no-cache", action="store_true", help="disable the disk cache")
 
     p_pt = sub.add_parser("pt", help="table of stable-pairs invariants PT_{mc+jb,n}")

@@ -2,10 +2,13 @@
 
 A rational function of q with a pole at q = 1 becomes a Laurent series in
 u; the logarithm of the vertex partition function then exposes the
-GW invariants as the coefficients of u^(2g-2) Q_c^m Q^j.  All expansion
-is exact (Gaussian-rational Taylor coefficients of e^(iu)), never
-numerical, and every extracted value is asserted to be real and to sit
-on an even u-power.
+GW invariants as the coefficients of u^(2g-2) Q_c^m Q^j.  Every function
+expanded here has integer coefficients in q, so its expansion is C(iu)
+with C real.  The expansion therefore runs in x = iu over Fractions,
+exactly, and the factor i^h that turns an x^h coefficient into a u^h
+coefficient is applied only where values are reported (``gw_extract``,
+``tilde_pt0``).  Every extracted value is asserted to sit on an even
+u-power.
 """
 
 from __future__ import annotations
@@ -19,74 +22,59 @@ from math import factorial
 
 from .qfield import QRat
 from .rationality import FitError, RationalFit, check_Q_functional, fit_rational
-from .series import GaussianRational, TruncSeries, polylog_series
+from .series import TruncSeries, polylog_series
 from .vertex import SCache, VertexError, pt_series, z_hirzebruch
-
-G = GaussianRational
 
 
 class RealityError(ArithmeticError):
-    """A value that must be real (or an even u-power) is not; a bug."""
+    """A value that must sit on an even u-power does not; a bug."""
 
 
 # ---------------------------------------------------------------------------
 # q = e^(iu) expansion of a single rational function
 
 
-def _t_multiplicity_at_one(poly) -> int:
-    """Multiplicity of the root t = 1 of a dense (high-first) ZZ poly."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.densearith import dup_exquo
-    from sympy.polys.densetools import dup_eval
-
-    count = 0
-    while poly and dup_eval(poly, ZZ(1), ZZ) == 0:
-        poly = dup_exquo(poly, [ZZ(1), ZZ(-1)], ZZ)
-        count += 1
-    return count
-
-
-def _poly_u_series(poly, shift: int, n_terms: int):
-    """u-Taylor coefficients of t^shift * poly(t) under t = e^(iu/2).
-
-    Each monomial c*t^k contributes c * (ik/2)^n / n! at u^n.
-    """
-    out = [G(0)] * n_terms
+def _moments(poly, shift: int):
+    """Yield the integer moments sum_k c_k k^n, n = 0, 1, ..., of the
+    Laurent polynomial t^shift * poly(t) (dense, high-first)."""
     degree = len(poly) - 1
-    for pos, c in enumerate(poly):
-        if not c:
-            continue
-        k = shift + degree - pos
-        c = int(c)
-        power = G(c)
-        out[0] += power
-        for n in range(1, n_terms):
-            power = power * G(0, Fraction(k, 2))
-            out[n] += power * Fraction(1, factorial(n))
-    return out
+    terms = [(shift + degree - pos, int(c)) for pos, c in enumerate(poly) if c]
+    ks = [k for k, _ in terms]
+    vals = [c for _, c in terms]
+    while True:
+        yield sum(vals)
+        vals = [c * k for c, k in zip(vals, ks)]
+
+
+def _x_coefficients(moments):
+    """x-Taylor coefficients under t = e^(x/2): the n-th is moment_n / (2^n n!)."""
+    return [Fraction(m, 2**n * factorial(n)) for n, m in enumerate(moments)]
 
 
 def to_u_series(a: QRat, u_order: int) -> TruncSeries:
-    """Expand a(q) around q = 1 as a Laurent series in u, q = e^(iu).
+    """Expand a(q) around q = 1 with q = e^(iu), in the variable x = iu.
 
-    The pole order at q = 1 becomes the (finite) Laurent depth.  Returns
-    a TruncSeries in u with GaussianRational coefficients.
+    Returns the Laurent series sum_h C_h x^h through x^u_order with
+    Fraction coefficients, so that a(e^(iu)) = sum_h C_h (iu)^h; the u^h
+    coefficient is C_h * i^h.  The pole order v at q = 1 is the index of
+    the first nonzero moment of the denominator.
     """
     if a.is_zero():
         return TruncSeries(u_order)
-    v = _t_multiplicity_at_one(a.den)
-    # the quotient needs u-degrees up to u_order + v of numerator and
-    # denominator to pin the result through u^u_order
+    den_moments = _moments(a.den, 0)
+    den = [next(den_moments)]
+    while not den[-1]:
+        den.append(next(den_moments))
+    v = len(den) - 1
+    # the quotient needs x-degrees up to u_order + v of numerator and
+    # denominator to pin the result through x^u_order
     n_terms = u_order + 2 * v + 1
-    num = _poly_u_series(a.num, a.shift, n_terms)
-    den = _poly_u_series(a.den, 0, n_terms)
-    for n in range(v):
-        if den[n]:
-            raise RealityError("denominator valuation mismatch at u^%d" % n)
+    den += [next(den_moments) for _ in range(n_terms - len(den))]
+    num_moments = _moments(a.num, a.shift)
+    num = _x_coefficients([next(num_moments) for _ in range(n_terms)])
+    den = _x_coefficients(den)
     lead = den[v]
-    if not lead:
-        raise RealityError("denominator vanishes to higher order than expected")
-    # solve num = den * result for result with u-valuation >= -v
+    # solve num = den * result for result with x-valuation >= -v
     result = {}
     res_list = []
     for k in range(u_order + v + 1):
@@ -101,8 +89,8 @@ def to_u_series(a: QRat, u_order: int) -> TruncSeries:
 
 
 def qseries_to_u(series: TruncSeries, u_order: int) -> TruncSeries:
-    """Transpose a Q-series with QRat coefficients into a u-series whose
-    coefficients are Q-series over Gaussian rationals."""
+    """Transpose a Q-series with QRat coefficients into an x-series (x = iu,
+    as in ``to_u_series``) whose coefficients are Q-series over Fractions."""
     outer = {}
     for j in series.degrees():
         u_ser = to_u_series(series.coeffs[j], u_order)
@@ -113,17 +101,9 @@ def qseries_to_u(series: TruncSeries, u_order: int) -> TruncSeries:
     )
 
 
-def u_coefficient_real(inner: TruncSeries) -> TruncSeries:
-    """Convert a Q-series over Gaussian rationals to Fractions, asserting realness."""
-    out = {}
-    for d, c in inner.coeffs.items():
-        if isinstance(c, G):
-            if not c.is_real():
-                raise RealityError("imaginary part survives at Q^%d" % d)
-            out[d] = c.re
-        else:
-            out[d] = Fraction(c)
-    return TruncSeries(inner.order, out)
+def _i_power(h: int) -> int:
+    """i^h for even h."""
+    return -1 if h % 4 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +191,9 @@ def gw_extract(
     """Read GW_{g, m*c + j*b} off the logarithm of the partition function.
 
     The coefficient of u^(2g-2) Q_c^m Q^j of log Z after q = e^(iu) is the
-    invariant; realness and vanishing of odd u-powers are hard assertions.
-    The empty slot (g, beta) = (0, 0) never carries a value.
+    invariant: C_h * i^h for the x^h coefficient C_h (x = iu), which is
+    real because odd powers are rejected by a hard assertion.  The empty
+    slot (g, beta) = (0, 0) never carries a value.
     """
     u_order = 2 * g_max - 2
     logs = log_z(r, m_max, order, cache=cache)
@@ -225,16 +206,12 @@ def gw_extract(
                     raise RealityError(
                         "odd u-power u^%d at Q_c^%d Q^%d" % (h, m, j)
                     )
-                if not c.is_real():
-                    raise RealityError(
-                        "imaginary GW value at (h=%d, m=%d, j=%d)" % (h, m, j)
-                    )
                 if h < -2:
                     raise RealityError(
                         "u-pole deeper than genus 0 at Q_c^%d Q^%d" % (m, j)
                     )
                 g = (h + 2) // 2
-                table.entries[(g, m, j)] = c.re
+                table.entries[(g, m, j)] = c * _i_power(h)
     return table
 
 
@@ -247,8 +224,10 @@ def tilde_pt0(order: int, u_order: int, cache: SCache = None) -> TruncSeries:
 
     The exponential factor cancels the genus-0 and genus-1 fiber
     contributions; the result has no u-poles and no odd u-powers, which
-    is asserted.  Returned as a u-series whose coefficients are Q-series
-    over Gaussian rationals.
+    is asserted.  The product runs in x = iu, where the correction reads
+    -2/x^2 Li_3(Q) + 1/6 Li_1(Q); the factor i^h is applied to each
+    surviving even power at the end.  Returned as a u-series whose
+    coefficients are Q-series over Fractions.
     """
     # deep u-poles of the correction factor couple high u-degrees of PT_0
     # down into the reported window, so expand PT_0 further in u
@@ -257,16 +236,14 @@ def tilde_pt0(order: int, u_order: int, cache: SCache = None) -> TruncSeries:
     li3 = polylog_series(3, order)
     li1 = polylog_series(1, order)
     correction = TruncSeries(
-        inner_u_order, {-2: li3 * 2, 0: li1 * Fraction(1, 6)}
+        inner_u_order, {-2: li3 * -2, 0: li1 * Fraction(1, 6)}
     )
     product = pt0_u * _exp_u_mixed(correction, order)
     result = product.truncate(u_order)
-    for h, c in result.coeffs.items():
+    for h in result.coeffs:
         if h < 0 or h % 2:
-            inner = c if isinstance(c, TruncSeries) else None
-            if inner is None or inner:
-                raise RealityError("residual singular/odd term at u^%d" % h)
-    return result
+            raise RealityError("residual singular/odd term at u^%d" % h)
+    return TruncSeries(u_order, {h: c * _i_power(h) for h, c in result.coeffs.items()})
 
 
 def _exp_u_mixed(series: TruncSeries, q_order: int) -> TruncSeries:
@@ -333,14 +310,13 @@ def verify_R(
             continue
         row = {"fit_ok": False, "symmetry_ok": False, "fit": None}
         try:
-            f_h = u_coefficient_real(coeff)
             power = b + h
             denom_spec = ((1, power),) if power > 0 else ()
-            fit = fit_rational(f_h, denom_spec)
+            fit = fit_rational(coeff, denom_spec)
             row["fit"] = fit
             row["fit_ok"] = True
             row["symmetry_ok"] = check_Q_functional(fit, a, sign=(-1) ** h)
-        except (FitError, RealityError) as err:
+        except FitError as err:
             row["error"] = str(err)
         result.per_h[h] = row
     return result

@@ -8,8 +8,9 @@ with positive constant term) so that equality is structural and values
 can serve as cache keys.
 
 The dense polynomial kernel is sympy's low-level ``dup_*`` machinery over
-ZZ, which is gmpy2-backed.  Lists are in sympy's convention: highest
-degree first.
+ZZ.  sympy's ZZ is backed by gmpy2 only when gmpy2 is installed; without
+it, ZZ elements are plain Python ints.  Lists are in sympy's convention:
+highest degree first.
 """
 
 from __future__ import annotations

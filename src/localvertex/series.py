@@ -3,12 +3,15 @@
 The single class here is generic over the coefficient ring: coefficients
 may be ints, Fractions, QRat values, or nested TruncSeries, as long as
 they support ring arithmetic with each other and with ints/Fractions.
-Absent degrees denote zero; all stored degrees are <= order.
+Absent degrees denote zero; all stored degrees are <= order.  There is
+no complex coefficient type: the q = e^(iu) expansion in ``gwtheory``
+keeps its series in x = iu over Fractions and applies i^h itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .qfield import QRat
 
@@ -35,10 +38,6 @@ class TruncSeries:
     def one(cls, order: int):
         return cls(order, {0: 1})
 
-    @classmethod
-    def monomial(cls, order: int, degree: int, coeff=1):
-        return cls(order, {degree: coeff})
-
     def __getitem__(self, degree: int):
         if degree > self.order:
             raise SeriesError(
@@ -58,9 +57,12 @@ class TruncSeries:
         return sorted(self.coeffs)
 
     def truncate(self, order: int) -> "TruncSeries":
-        if order >= self.order:
-            return TruncSeries(order if order == self.order else self.order, self.coeffs)
-        return TruncSeries(order, {d: c for d, c in self.coeffs.items() if d <= order})
+        """The same series cut at a lower (or equal) order; never extends."""
+        if order > self.order:
+            raise SeriesError(
+                "cannot truncate order %d up to %d" % (self.order, order)
+            )
+        return TruncSeries(order, self.coeffs)
 
     def map_coeffs(self, fn) -> "TruncSeries":
         return TruncSeries(self.order, {d: fn(c) for d, c in self.coeffs.items()})
@@ -88,7 +90,7 @@ class TruncSeries:
         return TruncSeries(self.order, {d: -c for d, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncSeries) else -_as_coeff(other))
+        return self + -other
 
     def __rsub__(self, other):
         return -(self - other)
@@ -139,7 +141,7 @@ class TruncSeries:
                 geom = geom + power
         return TruncSeries(
             self.order - 2 * v, {d - v: c * lead_inv for d, c in geom.coeffs.items()}
-        ).truncate(self.order - 2 * v)
+        )
 
     def pow_int(self, k: int) -> "TruncSeries":
         if k == 0:
@@ -208,105 +210,6 @@ class TruncSeries:
         return result
 
 
-class GaussianRational:
-    """An exact complex number re + im*i with Fraction components.
-
-    Used for the q = e^(iu) substitution; final outputs are asserted real,
-    which doubles as a pipeline correctness check.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __reduce__(self):
-        return (GaussianRational, (self.re, self.im))
-
-    @classmethod
-    def i_power(cls, n: int):
-        """i**n for integer n."""
-        return (cls(1), cls(0, 1), cls(-1), cls(0, -1))[n % 4]
-
-    @classmethod
-    def _coerce(cls, x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def is_real(self) -> bool:
-        return not self.im
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def __add__(self, other):
-        other = GaussianRational._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = GaussianRational._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = GaussianRational._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        norm = self.re * self.re + self.im * self.im
-        if not norm:
-            raise ZeroDivisionError("inverting zero Gaussian rational")
-        return GaussianRational(self.re / norm, -self.im / norm)
-
-    def __truediv__(self, other):
-        other = GaussianRational._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        other = GaussianRational._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        if not self.im:
-            return "G(%s)" % self.re
-        return "G(%s, %s)" % (self.re, self.im)
-
-
 def _is_zero(c):
     if isinstance(c, (int, Fraction)):
         return c == 0
@@ -333,24 +236,10 @@ def _coeff_inverse(c):
     return c.inverse()
 
 
-def _as_coeff(x):
-    return x
-
-
 def _scalar_series(x, order):
     if isinstance(x, (int, Fraction, QRat)):
         return TruncSeries(order, {0: x})
     return NotImplemented
-
-
-def geometric_inverse_factor(order: int, coeff, degree: int = 1) -> TruncSeries:
-    """(1 - coeff*x^degree)^(-1) truncated at the given order."""
-    out = {0: 1}
-    c = 1
-    for d in range(degree, order + 1, degree):
-        c = c * coeff
-        out[d] = c
-    return TruncSeries(order, out)
 
 
 def binomial_factor(order: int, coeff, degree: int, exponent: int) -> TruncSeries:
@@ -380,45 +269,17 @@ def polylog_neg(n: int) -> QRat:
 
     Computed by the ladder Li_{s-1}(Q) = Q * d/dQ Li_s(Q) starting from
     Li_0(Q) = Q/(1-Q).  Writing Li_{1-n} = p_n(Q)/(1-Q)^n, the ladder
-    becomes p_{n+1} = Q*(p_n'*(1-Q) + n*p_n), which keeps the prescribed
-    cyclotomic denominator explicit.  The returned QRat reads t as Q.
+    becomes p_{n+1} = Q*(p_n'*(1-Q) + n*p_n), an integer recurrence on
+    the coefficients: p_{n+1}[k+1] = (k+1)*p_n[k+1] + (n-k)*p_n[k].  The
+    returned QRat reads t as Q.
     """
     if n < 1:
         raise ValueError("polylog_neg requires n >= 1")
-    p = [Fraction(0), Fraction(1)]  # p_1 = Q
+    p = [0, 1, 0]  # p_1 = Q, ascending, with one zero of headroom
     for m in range(1, n):
-        dp = [k * c for k, c in enumerate(p)][1:] or [Fraction(0)]
-        term = _poly_sub(_poly_mul(dp, [Fraction(1), Fraction(-1)]), [-m * c for c in p])
-        p = [Fraction(0)] + term  # multiply by Q
-    den = [Fraction(1)]
-    for _ in range(n):
-        den = _poly_mul(den, [Fraction(1), Fraction(-1)])
-    return _qrat_from_ascending(p) / _qrat_from_ascending(den)
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)
-    ]
-
-
-def _qrat_from_ascending(coeffs):
-    acc = QRat.zero()
-    for k, c in enumerate(coeffs):
-        if c:
-            acc = acc + QRat.from_rational(c) * QRat.t_power(k)
-    return acc
+        p = [0] + [(k + 1) * p[k + 1] + (m - k) * p[k] for k in range(len(p) - 1)] + [0]
+    den = [comb(n, k) * (-1) ** k for k in range(n, -1, -1)]
+    return QRat(0, p[::-1], den)
 
 
 def polylog_series(s: int, order: int) -> TruncSeries:

@@ -92,7 +92,8 @@ def test_criterion_05_genus_columns_r0(gw_table_r0):
 def test_criterion_06_exponent_resolution_r1(gw_table_r1):
     """For r = 1, m = 1: find_exponent returns a unique exponent per genus.
     Record, per genus, how it compares with the two candidate weights
-    m(2-r) = 1 and 2m = 2 (as Q-powers moved to the f(1/Q) side)."""
+    m(2-r) = 1 and 2m = 2 (as Q-powers moved to the f(1/Q) side), and
+    check the record against the checked-in exponent_resolution.json."""
     record = {"r": 1, "m": 1, "per_genus": {}}
     for g in range(4):
         column = gw_table_r1.column(g, 1)
@@ -113,8 +114,10 @@ def test_criterion_06_exponent_resolution_r1(gw_table_r1):
         "genus; the alternative 2m = 2 matches no genus"
     )
     path = os.path.join(os.path.dirname(__file__), "..", "exponent_resolution.json")
-    with open(os.path.abspath(path), "w") as fh:
-        json.dump(record, fh, indent=2)
+    with open(os.path.abspath(path)) as fh:
+        recorded = json.load(fh)
+    # JSON turns the per-genus int keys into strings
+    assert json.loads(json.dumps(record)) == recorded
 
 
 def test_criterion_07_exceptional_membership(tilde_series):

@@ -1,4 +1,4 @@
-"""Truncated series ring, Gaussian rationals, polylogarithms."""
+"""Truncated series ring and polylogarithms."""
 
 from fractions import Fraction
 
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from localvertex.qfield import QRat
 from localvertex.series import (
-    GaussianRational,
     SeriesError,
     TruncSeries,
     cyclo_product,
@@ -15,7 +14,6 @@ from localvertex.series import (
     polylog_series,
 )
 
-G = GaussianRational
 Q_ONE = QRat.one()
 Q_VAR = QRat.q_power(1)
 
@@ -55,8 +53,9 @@ class TestRing:
 
     def test_truncate_never_extends(self):
         a = series_of(3, 1, 1)
-        assert a.truncate(5) == a
-        assert a.truncate(5).order == 3
+        with pytest.raises(SeriesError):
+            a.truncate(5)
+        assert a.truncate(3) == a
         assert a.truncate(2).order == 2
 
     def test_getitem_beyond_order(self):
@@ -168,35 +167,3 @@ class TestPolylog:
                 got = coeffs[pos] if 0 <= pos < len(coeffs) else Fraction(0)
                 assert got == series[k]
 
-
-class TestGaussianRational:
-    def test_arithmetic(self):
-        i = G(0, 1)
-        assert i * i == G(-1)
-        assert (G(1, 2) + G(3, -2)) == G(4)
-        assert G(1, 1) * G(1, -1) == G(2)
-
-    def test_division(self):
-        assert G(1) / G(0, 1) == G(0, -1)
-        assert G(2, 2) / G(1, 1) == G(2)
-
-    def test_i_power_cycle(self):
-        assert [G.i_power(n) for n in range(4)] == [G(1), G(0, 1), G(-1), G(0, -1)]
-        assert G.i_power(7) == G.i_power(3)
-
-    def test_realness(self):
-        assert G(Fraction(1, 2)).is_real()
-        assert not G(0, Fraction(1, 3)).is_real()
-
-    def test_conjugate_norm(self):
-        z = G(3, 4)
-        assert z * z.conjugate() == G(25)
-
-    def test_coercion(self):
-        assert G(1, 1) + 1 == G(2, 1)
-        assert G(1, 1) * Fraction(1, 2) == G(Fraction(1, 2), Fraction(1, 2))
-
-    def test_immutability(self):
-        z = G(1, 2)
-        with pytest.raises(AttributeError):
-            z.re = Fraction(5)
