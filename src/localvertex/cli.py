@@ -3,8 +3,9 @@
 Computes PT/GW tables, runs the verification suites, and emits
 machine-readable reports.  JSON is the canonical output (exact rationals
 need num/den fields); CSV is a lossy projection for spreadsheets.  Exit
-status is nonzero iff any verification fails or an internal invariant
-(parity, realness, integrality) trips.
+status: 0 on success, 1 if a verification fails, 2 if an internal
+invariant (parity, realness, integrality) trips, 3 if a disk-cache file is
+unreadable.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import gwtheory as gw
 from . import rationality as rat
@@ -110,10 +110,6 @@ def _report(task, args) -> dict:
             "g_max": args.g_max,
         },
     }
-
-
-def _frac_json(v: Fraction) -> dict:
-    return {"num": v.numerator, "den": v.denominator}
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +209,7 @@ def run_verify(args) -> int:
     checks["integrality"] = integrality
 
     # membership of the modified exceptional series in R_{0,0}
-    tp = gw.tilde_pt0(args.Q_order, min(args.u_order, 6), cache=cache)
+    tp = gw.tilde_pt0(args.Q_order, min(args.u_order, 6))
     membership = gw.verify_R(tp, 0, 0, min(args.u_order, 6))
     checks["exceptional_membership"] = membership.to_json()
 
@@ -339,6 +335,9 @@ def main(argv=None) -> int:
     except (vx.VertexError, gw.RealityError) as err:
         sys.stderr.write("invariant violation: %s\n" % err)
         return 2
+    except vx.CacheError as err:
+        sys.stderr.write("%s\ndelete %s or pass --no-cache\n" % (err, err.path))
+        return 3
 
 
 if __name__ == "__main__":

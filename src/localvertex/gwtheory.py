@@ -2,7 +2,8 @@
 
 A rational function of q with a pole at q = 1 becomes a Laurent series in
 u; the logarithm of the vertex partition function then exposes the
-GW invariants as the coefficients of u^(2g-2) Q_c^m Q^j.  Every function
+GW invariants as the coefficients of u^(2g-2) Q_c^m Q^j.  The logarithm
+is log Z_0, closed-form, plus log(1 + sum_m (Z_m/Z_0) Q_c^m).  Every function
 expanded here has integer coefficients in q, so its expansion is C(iu)
 with C real.  The expansion therefore runs in x = iu over Fractions,
 exactly, and the factor i^h that turns an x^h coefficient into a u^h
@@ -15,15 +16,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
 from .qfield import QRat
-from .rationality import FitError, RationalFit, check_Q_functional, fit_rational
+from .rationality import FitError, check_Q_functional, fit_rational
 from .series import TruncSeries, polylog_series
-from .vertex import SCache, VertexError, pt_series, z_hirzebruch
+from .vertex import SCache, log_z0, z_ratios
 
 
 class RealityError(ArithmeticError):
@@ -157,12 +157,12 @@ class GWTable:
 
 
 def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
-    """Coefficients [Q_c^m] log Z as Q-series with QRat coefficients."""
-    z = z_hirzebruch(r, m_max, order, cache=cache)
-    logs = {0: z[0].log()}
+    """Coefficients [Q_c^m] log Z as Q-series with QRat coefficients: log Z_0
+    (vertex.log_z0), then log(1 + sum_{m>=1} x_m Q_c^m), x_m = Z_m/Z_0."""
+    logs = {0: log_z0(order)}
     if m_max >= 1:
-        z0_inv = z[0].inverse()
-        x = {m: z[m] * z0_inv for m in range(1, m_max + 1)}
+        x = z_ratios(r, m_max, order, cache=cache)
+        del x[0]
         acc = {m: TruncSeries(order) for m in range(1, m_max + 1)}
         power = dict(x)
         for n in range(1, m_max + 1):
@@ -222,44 +222,23 @@ def gw_extract(
 def tilde_pt0(order: int, u_order: int, cache: SCache = None) -> TruncSeries:
     """PT_0(e^(iu), Q) * exp(2/u^2 Li_3(Q) + 1/6 Li_1(Q)).
 
-    The exponential factor cancels the genus-0 and genus-1 fiber
-    contributions; the result has no u-poles and no odd u-powers, which
-    is asserted.  The product runs in x = iu, where the correction reads
-    -2/x^2 Li_3(Q) + 1/6 Li_1(Q); the factor i^h is applied to each
-    surviving even power at the end.  Returned as a u-series whose
-    coefficients are Q-series over Fractions.
+    PT_0 = exp(log Z_0), so in x = iu this is exp(log Z_0 - 2/x^2 Li_3(Q)
+    + 1/6 Li_1(Q)).  The correction cancels the genus-0 and genus-1 fiber
+    contributions, the x^-2 and x^0 parts of log Z_0, so the exponent must
+    hold only even x-powers >= 2, which is asserted; i^h is applied at the
+    end.  Returned as a u-series whose coefficients are Q-series over
+    Fractions.  ``cache`` is unused.
     """
-    # deep u-poles of the correction factor couple high u-degrees of PT_0
-    # down into the reported window, so expand PT_0 further in u
-    inner_u_order = u_order + 2 * order
-    pt0_u = qseries_to_u(pt_series(0, 0, order, cache=cache), inner_u_order)
-    li3 = polylog_series(3, order)
-    li1 = polylog_series(1, order)
-    correction = TruncSeries(
-        inner_u_order, {-2: li3 * -2, 0: li1 * Fraction(1, 6)}
+    exponent = qseries_to_u(log_z0(order), u_order) + TruncSeries(
+        u_order,
+        {-2: polylog_series(3, order) * -2, 0: polylog_series(1, order) * Fraction(1, 6)},
     )
-    product = pt0_u * _exp_u_mixed(correction, order)
-    result = product.truncate(u_order)
-    for h in result.coeffs:
-        if h < 0 or h % 2:
-            raise RealityError("residual singular/odd term at u^%d" % h)
+    for h in exponent.coeffs:
+        if h < 2 or h % 2:
+            raise RealityError("residual u^%d term in the exponent of tilde PT_0" % h)
+    # the x^0 coefficient of the exponential is the scalar 1; report it as a Q-series
+    result = TruncSeries(u_order, {0: TruncSeries.one(order)}) * exponent.exp()
     return TruncSeries(u_order, {h: c * _i_power(h) for h, c in result.coeffs.items()})
-
-
-def _exp_u_mixed(series: TruncSeries, q_order: int) -> TruncSeries:
-    """exp of a u-Laurent series whose coefficients have Q-valuation >= 1.
-
-    Convergence is Q-adic: the n-th power has Q-valuation >= n, so the
-    sum stops after q_order terms regardless of u-poles.
-    """
-    result = TruncSeries(series.order, {0: TruncSeries(q_order, {0: 1})})
-    term = result
-    for n in range(1, q_order + 1):
-        term = term * series * Fraction(1, n)
-        if not any(term.coeffs.values()):
-            break
-        result = result + term
-    return result
 
 
 @dataclass
@@ -287,6 +266,7 @@ class RMembership:
                     "symmetry_ok": row["symmetry_ok"],
                     "error": row.get("error"),
                     "fit": row["fit"].to_json() if row.get("fit") else None,
+                    **({"skipped": row["skipped"]} if "skipped" in row else {}),
                 }
                 for h, row in sorted(self.per_h.items())
             },
@@ -299,7 +279,9 @@ def verify_R(
     """Check each u-coefficient f_h against denominator (1-Q)^(b+h) and the
     symmetry Q^a f_h(1/Q) = (-1)^h f_h(Q).
 
-    Fit failures are recorded per h, not fatal.
+    Fit failures are recorded per h, not fatal.  A degree h whose Q-order
+    leaves no 3-coefficient surplus beyond the numerator window (order
+    < b + h + 3) is marked "skipped" with the reason, not failed.
     """
     result = RMembership(a=a, b=b)
     lo = h_min if h_min is not None else min(0, useries.valuation() or 0)
@@ -308,9 +290,14 @@ def verify_R(
         if coeff is None or not coeff:
             result.per_h[h] = {"fit_ok": True, "symmetry_ok": True, "fit": None}
             continue
+        power = b + h
+        if coeff.order < power + 3:
+            reason = "Q-order %d leaves no surplus for denominator power %d"
+            result.per_h[h] = {"fit_ok": True, "symmetry_ok": True, "fit": None,
+                               "skipped": reason % (coeff.order, power)}
+            continue
         row = {"fit_ok": False, "symmetry_ok": False, "fit": None}
         try:
-            power = b + h
             denom_spec = ((1, power),) if power > 0 else ()
             fit = fit_rational(coeff, denom_spec)
             row["fit"] = fit

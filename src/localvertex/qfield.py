@@ -152,9 +152,6 @@ class QRat:
     def __bool__(self):
         return bool(self.num)
 
-    def is_one(self) -> bool:
-        return self.shift == 0 and self.num == _ONE and self.den == _ONE
-
     def is_polynomial(self) -> bool:
         """True if the denominator is 1 (Laurent polynomial in t)."""
         return self.den == _ONE

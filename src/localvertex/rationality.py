@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .qfield import QRat
 from .series import TruncSeries, _is_zero
-from .vertex import SCache, pt_series
+from .vertex import SCache, z_ratios
 
 
 class FitError(ArithmeticError):
@@ -179,8 +179,7 @@ def normalized_pt(r: int, m: int, order: int, cache: SCache = None) -> TruncSeri
     """PT_{mc}/PT_0 in the truncated ring (Theorem `wall-crossing` quotient)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    numerator = pt_series(r, m, order, cache=cache)
-    return numerator * pt_series(r, 0, order, cache=cache).inverse()
+    return z_ratios(r, m, order, cache=cache)[m]
 
 
 # ---------------------------------------------------------------------------

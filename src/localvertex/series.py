@@ -64,9 +64,6 @@ class TruncSeries:
             )
         return TruncSeries(order, self.coeffs)
 
-    def map_coeffs(self, fn) -> "TruncSeries":
-        return TruncSeries(self.order, {d: fn(c) for d, c in self.coeffs.items()})
-
     def shifted(self, k: int) -> "TruncSeries":
         """Multiplication by the monomial x^k (order shifts along)."""
         return TruncSeries(self.order + k, {d + k: c for d, c in self.coeffs.items()})
@@ -190,38 +187,11 @@ class TruncSeries:
             result = result + term
         return result
 
-    def log(self) -> "TruncSeries":
-        """Truncated logarithm; requires constant term 1."""
-        if not _is_one(self[0] if 0 <= self.order else 0):
-            raise SeriesError("log requires constant term 1")
-        x = self - 1
-        v = x.valuation()
-        result = TruncSeries(self.order)
-        if v is None:
-            return result
-        if v < 1:
-            raise SeriesError("log requires constant term 1")
-        power = TruncSeries.one(self.order)
-        for n in range(1, self.order // v + 1):
-            power = power * x
-            if not power:
-                break
-            result = result + power * Fraction((-1) ** (n + 1), n)
-        return result
-
 
 def _is_zero(c):
     if isinstance(c, (int, Fraction)):
         return c == 0
     return not c
-
-
-def _is_one(c):
-    if isinstance(c, QRat):
-        return c.is_one()
-    if isinstance(c, TruncSeries):
-        return c == TruncSeries.one(c.order)
-    return c == 1
 
 
 def _coeff_inverse(c):

@@ -8,6 +8,10 @@ The raw quadruple vertex sum is never materialized: summing out the two
 fiber legs turns the partition function into a sum over pairs
 (mu2, mu4) weighted by S_{mu2,mu4}^2, which drops the complexity from
 quartic to quadratic in the number of partitions.
+
+The partition function is defined by the exponent A_{mu,nu} of
+S_{mu,nu} = W_mu W_nu exp(A_{mu,nu}) and runs in log space:
+log Z_0 = 2 A_{empty,empty}, and Z_m/Z_0 sums (S_{mu2,mu4}/S_{empty,empty})^2.
 """
 
 from __future__ import annotations
@@ -20,14 +24,23 @@ from fractions import Fraction
 
 from .partitions import Partition, partitions_of, partitions_up_to
 from .qfield import QRat
-from .series import TruncSeries, cyclo_product
+from .series import TruncSeries
 from .symmfun import p_shifted, w_one, w_two
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_EMPTY = Partition()
 
 
 class VertexError(ArithmeticError):
     """An internal invariant (parity, clearing) failed; implementation bug."""
+
+
+class CacheError(Exception):
+    """A disk-cache file is unreadable or holds another key; not a maths bug."""
+
+    def __init__(self, message, path):
+        super().__init__(message)
+        self.path = path
 
 
 # ---------------------------------------------------------------------------
@@ -47,20 +60,39 @@ def s_direct(mu: Partition, nu: Partition, order: int) -> TruncSeries:
     return TruncSeries(order, coeffs)
 
 
-def s_closed(mu: Partition, nu: Partition, order: int) -> TruncSeries:
-    """S_{mu,nu} via the exponential closed formula.
+def _exponent(mu: Partition, nu: Partition, order: int) -> TruncSeries:
+    """A_{mu,nu} = sum_{k<=order} p_mu(q^k) p_nu(q^k) (qQ)^k / k.
 
-    S = W_mu W_nu exp(sum_{k>=1} p_mu(q^k) p_nu(q^k) (qQ)^k / k); the
-    k-sum truncates at k = order since higher terms sit above Q^order.
+    Higher k sit above Q^order, so the truncated sum is exact.
     """
-    arg = TruncSeries(
+    return TruncSeries(
         order,
         {
             k: p_shifted(mu, k) * p_shifted(nu, k) * QRat.q_power(k) * Fraction(1, k)
             for k in range(1, order + 1)
         },
     )
-    return arg.exp() * (w_one(mu) * w_one(nu))
+
+
+def s_closed(mu: Partition, nu: Partition, order: int) -> TruncSeries:
+    """S_{mu,nu} = W_mu W_nu exp(A_{mu,nu}); the oracle the other routes
+    are compared against (the partition function uses only A)."""
+    return _exponent(mu, nu, order).exp() * (w_one(mu) * w_one(nu))
+
+
+def log_z0(order: int) -> TruncSeries:
+    """log Z_0 = log S_{empty,empty}^2 = 2 A_{empty,empty}, the same for every r."""
+    return _exponent(_EMPTY, _EMPTY, order) * 2
+
+
+def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> TruncSeries:
+    """(S_{mu,nu}/S_{empty,empty})^2 = (W_mu W_nu)^2 exp(2(A_{mu,nu} - A_{empty,empty})).
+
+    The difference of exponents has denominators (1-q^k), not (1-q^k)^2.
+    """
+    diff = _exponent(mu, nu, order) - _exponent(_EMPTY, _EMPTY, order)
+    w = w_one(mu) * w_one(nu)
+    return (diff * 2).exp() * (w * w)
 
 
 @dataclass(frozen=True)
@@ -122,13 +154,14 @@ def s_product(mu: Partition, nu: Partition, order: int) -> TruncSeries:
 
 
 # ---------------------------------------------------------------------------
-# Memoized S with optional disk persistence
+# Memoized (S/S_empty)^2 with optional disk persistence
 
 
 class SCache:
-    """In-process (and optionally on-disk) cache of S_{mu,nu} series.
+    """In-process (and optionally on-disk) cache of s_ratio_squared series.
 
-    Entries computed at a larger truncation order serve smaller orders by
+    Disk format 2; format-1 files held S and are never read.  Entries
+    computed at a larger truncation order serve smaller orders by
     truncation.  Disk entries are one JSON document per (mu, nu) pair
     under a content-addressed filename; concurrent writers of the same
     key produce identical content, so writes are idempotent.
@@ -156,7 +189,7 @@ class SCache:
                 if series is not None and series.order >= order:
                     self._mem[(mu, nu)] = series
                     return series.truncate(order)
-        series = s_closed(mu, nu, order)
+        series = s_ratio_squared(mu, nu, order)
         self._mem[(mu, nu)] = series
         if self.directory:
             self._store(mu, nu, series)
@@ -166,14 +199,14 @@ class SCache:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except (OSError, ValueError):
-            raise VertexError("corrupt cache file: %s" % path)
-        if doc.get("version") != FORMAT_VERSION:
-            return None
-        if doc.get("mu") != list(mu.parts) or doc.get("nu") != list(nu.parts):
-            raise VertexError("cache key collision in %s" % path)
-        coeffs = {int(d): QRat.from_json(c) for d, c in doc["coeffs"].items()}
-        return TruncSeries(doc["N"], coeffs)
+            if doc.get("version") != FORMAT_VERSION:
+                return None
+            if doc.get("mu") != list(mu.parts) or doc.get("nu") != list(nu.parts):
+                raise CacheError("cache key collision in %s" % path, path)
+            coeffs = {int(d): QRat.from_json(c) for d, c in doc["coeffs"].items()}
+            return TruncSeries(doc["N"], coeffs)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            raise CacheError("corrupt cache file: %s" % path, path)
 
     def _store(self, mu, nu, series):
         doc = {
@@ -197,13 +230,13 @@ _default_cache = SCache()
 # Partition functions
 
 
-def z_hirzebruch(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
-    """Coefficients [Q_c^m] Z^(K_{F_r}) for 0 <= m <= m_max, as Q-series.
+def z_ratios(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
+    """The quotients [Q_c^m] Z / Z_0 of K_{F_r} for 0 <= m <= m_max, as Q-series.
 
-    [Q_c^m] Z = (-1)^(rm) sum over |mu2|+|mu4|=m of
-    q^(r(k(mu2)-k(mu4))/2) Q^(r|mu2|) S_{mu2,mu4}(q,Q)^2, truncated at
-    Q^order.  Every resulting coefficient must lie in Q(q): a surviving
-    odd t-power is a hard error.
+    [Q_c^m] Z / Z_0 = (-1)^(rm) sum over |mu2|+|mu4|=m of
+    q^(r(k(mu2)-k(mu4))/2) Q^(r|mu2|) (S_{mu2,mu4}/S_{empty,empty})^2,
+    truncated at Q^order.  Every resulting coefficient must lie in Q(q):
+    a surviving odd t-power is a hard error.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -214,10 +247,8 @@ def z_hirzebruch(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
         for a in range(m + 1):
             for mu2 in partitions_of(a):
                 for mu4 in partitions_of(m - a):
-                    s = cache.get(mu2, mu4, order)
-                    term = (s * s).truncate(order)
-                    prefactor = QRat.t_power(r * (mu2.kappa() - mu4.kappa()))
-                    term = term * prefactor
+                    term = cache.get(mu2, mu4, order)
+                    term = term * QRat.t_power(r * (mu2.kappa() - mu4.kappa()))
                     if r * mu2.size:
                         term = term.shifted(r * mu2.size).truncate(order)
                     total = total + term
@@ -228,11 +259,19 @@ def z_hirzebruch(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
     return out
 
 
+def z_hirzebruch(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
+    """Coefficients [Q_c^m] Z^(K_{F_r}) for 0 <= m <= m_max, as Q-series:
+    exp(log Z_0) times the quotients of z_ratios."""
+    ratios = z_ratios(r, m_max, order, cache=cache)
+    z0 = log_z0(order).exp()
+    return {m: z0 * ratio for m, ratio in ratios.items()}
+
+
 def _assert_even_powers(series: TruncSeries, r, m):
     for d in series.degrees():
         if not series.coeffs[d].has_even_t_powers():
             raise VertexError(
-                "odd t-power survives in [Q_c^%d]Z at Q^%d (r=%d)" % (m, d, r)
+                "odd t-power survives in [Q_c^%d]Z/Z_0 at Q^%d (r=%d)" % (m, d, r)
             )
 
 

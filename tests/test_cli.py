@@ -92,6 +92,25 @@ class TestVerify:
             doc.pop("generated_at")
         assert first == second == third
 
+    def test_q_order_8_skips_unfittable_degree(self, capsys):
+        code, doc = run_json(
+            capsys, "verify", "--all", "--r", "0", "--m-max", "1", "--Q-order", "8",
+        )
+        assert code == 0
+        per_h = doc["checks"]["exceptional_membership"]["per_h"]
+        assert "skipped" in per_h["6"]
+        assert "skipped" not in per_h["4"]
+
+    def test_corrupt_cache_exits_3(self, capsys, tmp_path):
+        argv = ["pt", "--m", "0", "--Q-order", "1", "--cache-dir", str(tmp_path)]
+        assert run(capsys, *argv)[0] == 0
+        for path in tmp_path.iterdir():
+            path.write_text("not json")
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err
+        assert "--no-cache" in err
+
 
 class TestFit:
     def test_reports_exponent(self, capsys):

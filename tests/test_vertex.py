@@ -10,6 +10,7 @@ from localvertex.series import TruncSeries
 from localvertex.symmfun import w_one
 from localvertex.vertex import (
     AICoeffs,
+    CacheError,
     SCache,
     ToricSurface,
     VertexError,
@@ -20,6 +21,7 @@ from localvertex.vertex import (
     s_closed,
     s_direct,
     s_product,
+    s_ratio_squared,
     z_hirzebruch,
     z_toric,
 )
@@ -105,8 +107,15 @@ class TestSCache:
         (path,) = list(tmp_path.iterdir())
         path.write_text("not json")
         fresh = SCache(str(tmp_path))
-        with pytest.raises(VertexError):
+        with pytest.raises(CacheError) as err:
             fresh.get(EMPTY, EMPTY, 2)
+        assert err.value.path == str(path)
+        assert not isinstance(err.value, VertexError)
+
+    def test_stores_ratio_squared(self, tmp_path):
+        cache = SCache(str(tmp_path))
+        assert cache.get(P(1), EMPTY, 3) == s_ratio_squared(P(1), EMPTY, 3)
+        assert cache.get(EMPTY, EMPTY, 3) == TruncSeries.one(3)
 
 
 class TestPartitionFunctions:
@@ -117,18 +126,20 @@ class TestPartitionFunctions:
             assert got == (s * s).truncate(5)
 
     def test_toric_agreement_r0(self, scache):
-        surface = ToricSurface.hirzebruch(0)
-        toric = z_toric(surface, 1, 3)
-        z = z_hirzebruch(0, 1, 3, cache=scache)
-        for (m, n), value in toric.items():
-            assert z[m][n] == value
+        _assert_toric_agreement(0, 1, 3, scache)
 
     def test_toric_agreement_r1(self, scache):
-        surface = ToricSurface.hirzebruch(1)
-        toric = z_toric(surface, 1, 3)
-        z = z_hirzebruch(1, 1, 3, cache=scache)
-        for (m, n), value in toric.items():
-            assert z[m][n] == value
+        _assert_toric_agreement(1, 1, 3, scache)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_toric_agreement_m2(self, r, scache):
+        _assert_toric_agreement(r, 2, 2, scache)
+
+    def test_ratio_squared_matches_s_closed(self):
+        s0 = s_closed(EMPTY, EMPTY, 3)
+        for mu, nu in ((P(1), EMPTY), (P(2), P(1)), (P(1, 1), P(1))):
+            s = s_closed(mu, nu, 3)
+            assert s_ratio_squared(mu, nu, 3) * s0 * s0 == s * s
 
     def test_toric_zero_bounds(self):
         got = z_toric(ToricSurface.hirzebruch(0), 0, 0)
@@ -143,6 +154,14 @@ class TestPartitionFunctions:
     def test_rejects_negative_r(self):
         with pytest.raises(ValueError):
             z_hirzebruch(-1, 0, 2)
+
+
+def _assert_toric_agreement(r, c_bound, b_bound, scache):
+    """The N-leg oracle z_toric against z_hirzebruch (so against z_ratios)."""
+    toric = z_toric(ToricSurface.hirzebruch(r), c_bound, b_bound)
+    z = z_hirzebruch(r, c_bound, b_bound, cache=scache)
+    for (m, n), value in toric.items():
+        assert z[m][n] == value, (r, m, n)
 
 
 class TestPT:
