@@ -7,32 +7,237 @@ polynomial ring over the integers.  Values are kept in a canonical form
 with positive constant term) so that equality is structural and values
 can serve as cache keys.
 
-The dense polynomial kernel is sympy's low-level ``dup_*`` machinery over
-ZZ.  sympy's ZZ is backed by gmpy2 only when gmpy2 is installed; without
-it, ZZ elements are plain Python ints.  Lists are in sympy's convention:
-highest degree first.
+The dense polynomial kernel is in this module and uses only the standard
+library: a polynomial is a list of Python ints, highest degree first,
+with no leading zeros ([] is zero).  Long products go through Kronecker
+substitution (one big-int product, which CPython does by Karatsuba), and
+the gcd is the heuristic GCD of Char, Geddes and Gonnet (1989), checked
+by exact multiplication, with a primitive-PRS Euclid behind it.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from math import gcd
 
-from sympy.polys.domains import ZZ
-from sympy.polys.densearith import (
-    dup_add,
-    dup_exquo,
-    dup_mul,
-    dup_neg,
-)
-from sympy.polys.densebasic import dup_degree, dup_strip
-from sympy.polys.densetools import dup_eval
-from sympy.polys.euclidtools import dup_gcd
+_ONE = [1]
 
-_ONE = [ZZ(1)]
+# below this length of the shorter factor, schoolbook beats packing
+_KRONECKER_MIN = 6
+# evaluation points tried by the heuristic gcd before the PRS fallback
+_HEU_TRIES = 4
+_WORD_MASK = (1 << 64) - 1
 
 
 class QFieldError(ArithmeticError):
     """Division by zero or evaluation at a pole."""
+
+
+# -- dense integer polynomials -----------------------------------------------
+
+
+def _strip(p):
+    """Drop leading zeros."""
+    for i, c in enumerate(p):
+        if c:
+            return p[i:] if i else p
+    return []
+
+
+def _add(f, g):
+    n = len(f) - len(g)
+    if n < 0:
+        f, g, n = g, f, -n
+    if n:
+        return f[:n] + [a + b for a, b in zip(f[n:], g)]
+    return _strip([a + b for a, b in zip(f, g)])
+
+
+def _neg(p):
+    return [-c for c in p]
+
+
+def _eval(p, x):
+    acc = 0
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
+def _norm(p):
+    """Max-norm of a nonzero polynomial."""
+    return max(max(p), -min(p))
+
+
+def _digit_words(bound):
+    """64-bit words per balanced digit, so that digits hold |c| <= bound."""
+    return (bound.bit_length() + 64) // 64
+
+
+def _struct_format(n, m):
+    return ">" + ("q" + "Q" * (m - 1)) * n
+
+
+def _half_digits(n, m):
+    """The sum of 2^(64*m-1) * 2^(64*m*i) over i < n.
+
+    XOR with it turns the two's-complement encodings of n digits, read
+    as one unsigned integer, into the offset digits d_i + 2^(64*m-1), all
+    nonnegative, of the same integer plus this constant; and back.
+    """
+    return int.from_bytes((b"\x80" + bytes(8 * m - 1)) * n, "big")
+
+
+def _pack(p, m):
+    """p(2^(64*m)), for coefficients of absolute value below 2^(64*m-1)."""
+    n = len(p)
+    if m == 1:
+        words = p
+    else:
+        words = [0] * (n * m)
+        words[::m] = [c >> (64 * m - 64) for c in p]
+        for j in range(1, m):
+            words[j::m] = [c >> (64 * (m - 1 - j)) & _WORD_MASK for c in p]
+    half = _half_digits(n, m)
+    return (int.from_bytes(struct.pack(_struct_format(n, m), *words), "big") ^ half) - half
+
+
+def _unpack(x, m, n):
+    """The n balanced base-2^(64*m) digits of x, most significant first.
+
+    Inverts ``_pack``: x must be a sum of n digits in [-2^(64*m-1), 2^(64*m-1)).
+    """
+    half = _half_digits(n, m)
+    words = struct.unpack(_struct_format(n, m), ((x + half) ^ half).to_bytes(8 * m * n, "big"))
+    digits = list(words[::m])
+    for j in range(1, m):
+        digits = [d << 64 | w for d, w in zip(digits, words[j::m])]
+    return digits
+
+
+def _interpolate(x, m):
+    """The polynomial p with p(2^(64*m)) = x and balanced coefficients."""
+    return _strip(_unpack(x, m, x.bit_length() // (64 * m) + 2))
+
+
+def _mul(f, g):
+    if not f or not g:
+        return []
+    if min(len(f), len(g)) < _KRONECKER_MIN:
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g, i):
+                    out[j] += a * b
+        return out
+    m = _digit_words(min(len(f), len(g)) * _norm(f) * _norm(g))
+    return _unpack(_pack(f, m) * _pack(g, m), m, len(f) + len(g) - 1)
+
+
+def _exquo(f, g):
+    """f / g when g divides f in Z[t], else None (g nonzero)."""
+    n = len(f) - len(g) + 1
+    if n <= 0:
+        return None if f else []
+    r = list(f)
+    lc = g[0]
+    q = []
+    for i in range(n):
+        c, m = divmod(r[i], lc)
+        if m:
+            return None
+        q.append(c)
+        if c:
+            for j, b in enumerate(g[1:], i + 1):
+                r[j] -= c * b
+    return q if not any(r[n:]) else None
+
+
+def _prem(f, g):
+    """Pseudo-remainder of f by g: lc(g)^(deg f - deg g + 1) f mod g."""
+    r = list(f)
+    lc = g[0]
+    dg = len(g) - 1
+    for _ in range(len(f) - dg):
+        c = r[0]
+        r = [lc * a - c * b for a, b in zip(r[1:], g[1:])] + [lc * a for a in r[dg + 1:]]
+    return _strip(r)
+
+
+def _primitive(p):
+    """(content, primitive part) of a nonzero polynomial, with the sign of
+    its leading coefficient moved into the content."""
+    c = gcd(*p)
+    if p[0] < 0:
+        c = -c
+    return c, (p if c == 1 else [a // c for a in p])
+
+
+def _gcd_heu(f, g):
+    """(h, f/h, g/h) for primitive f, g of positive degree, or None.
+
+    At xi = 2^(64*m) >= 2*min(|f|, |g|) + 2 the GCDHEU theorem makes any
+    primitive h interpolated from igcd(f(xi), g(xi)) that divides both f
+    and g their gcd.  Divisibility is proved by multiplying back the
+    cofactors interpolated from f(xi)/h(xi) and g(xi)/h(xi).  xi is sized
+    by the larger norm, so both inputs pack digit by digit and cofactors
+    no larger than their multiples interpolate at the first xi.
+    """
+    m = _digit_words(max(_norm(f), _norm(g)))
+    for _ in range(_HEU_TRIES):
+        ff, gg = _pack(f, m), _pack(g, m)
+        hh = gcd(ff, gg)
+        c, h = _primitive(_interpolate(hh, m))
+        hh //= c
+        cf = _interpolate(ff // hh, m)
+        if _mul(h, cf) == f:
+            cg = _interpolate(gg // hh, m)
+            if _mul(h, cg) == g:
+                return h, cf, cg
+        m *= 2
+    return None
+
+
+def _gcd_prs(f, g):
+    """(h, f/h, g/h) for primitive f, g by the primitive-PRS Euclid."""
+    a, b = f, g
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _prem(a, b)
+        if b:
+            b = _primitive(b)[1]
+    h = _primitive(a)[1]
+    return h, _exquo(f, h), _exquo(g, h)
+
+
+def _gcd(f, g):
+    """(h, f/h, g/h) with h = gcd(f, g) in Z[t], integer content included,
+    and the leading coefficient of h positive."""
+    if not f or not g:
+        p = f or g
+        if not p:
+            return [], [], []
+        sign = [1] if p[0] > 0 else [-1]
+        h = p if p[0] > 0 else _neg(p)
+        return (h, [], sign) if not f else (h, sign, [])
+    cf, cg = gcd(*f), gcd(*g)
+    c = gcd(cf, cg)
+    if len(f) == 1 or len(g) == 1:
+        if c == 1:
+            return _ONE, f, g
+        return [c], [a // c for a in f], [b // c for b in g]
+    pf = f if cf == 1 else [a // cf for a in f]
+    pg = g if cg == 1 else [b // cg for b in g]
+    h, qf, qg = _gcd_heu(pf, pg) or _gcd_prs(pf, pg)
+    if c != 1:
+        h = [c * a for a in h]
+    if cf != c:
+        qf = [cf // c * a for a in qf]
+    if cg != c:
+        qg = [cg // c * a for a in qg]
+    return h, qf, qg
 
 
 def _trailing_zeros(p):
@@ -45,15 +250,10 @@ def _trailing_zeros(p):
     return n
 
 
-def _reverse(p):
-    """Coefficient reversal; realizes p(t) -> t^deg(p) * p(1/t)."""
-    return dup_strip(list(reversed(p)))
-
-
 def _flip_sign_odd(p):
     """p(-t): negate coefficients of odd t-degree."""
-    d = dup_degree(p)
-    return dup_strip([c if (d - i) % 2 == 0 else -c for i, c in enumerate(p)])
+    d = len(p) - 1
+    return [c if (d - i) % 2 == 0 else -c for i, c in enumerate(p)]
 
 
 class QRat:
@@ -73,8 +273,8 @@ class QRat:
 
     @staticmethod
     def _canonicalize(shift, num, den):
-        num = dup_strip([ZZ(c) for c in num])
-        den = dup_strip([ZZ(c) for c in den])
+        num = _strip([int(c) for c in num])
+        den = _strip([int(c) for c in den])
         if not den:
             raise QFieldError("zero denominator")
         if not num:
@@ -86,14 +286,18 @@ class QRat:
         if zd:
             den = den[:-zd]
         shift += zn - zd
-        g = dup_gcd(num, den, ZZ)
-        if dup_degree(g) > 0 or g != _ONE:
-            num = dup_exquo(num, g, ZZ)
-            den = dup_exquo(den, g, ZZ)
+        _, num, den = _gcd(num, den)
         if den[-1] < 0:
-            num = dup_neg(num, ZZ)
-            den = dup_neg(den, ZZ)
+            num, den = _neg(num), _neg(den)
         return shift, num, den
+
+    @classmethod
+    def _coprime(cls, shift, num, den):
+        """The value from coprime num, den with nonzero constant terms, for
+        which canonical form only asks a positive constant term of den."""
+        if den[-1] < 0:
+            num, den = _neg(num), _neg(den)
+        return cls(shift, num, den, _canonical=True)
 
     # -- constructors ------------------------------------------------------
 
@@ -107,7 +311,7 @@ class QRat:
 
     @classmethod
     def from_int(cls, n):
-        n = ZZ(int(n))
+        n = int(n)
         if not n:
             return cls.zero()
         return cls(0, [n], _ONE, _canonical=True)
@@ -117,7 +321,7 @@ class QRat:
         x = Fraction(x)
         if not x:
             return cls.zero()
-        return cls(0, [ZZ(x.numerator)], [ZZ(x.denominator)])
+        return cls(0, [x.numerator], [x.denominator])
 
     @classmethod
     def t_power(cls, k: int):
@@ -173,13 +377,23 @@ class QRat:
         s = min(self.shift, other.shift)
         a = _shift_poly(self.num, self.shift - s)
         b = _shift_poly(other.num, other.shift - s)
-        num = dup_add(dup_mul(a, other.den, ZZ), dup_mul(b, self.den, ZZ), ZZ)
-        return QRat(s, num, dup_mul(self.den, other.den, ZZ))
+        # Henrici: with g = gcd(den1, den2) = den1/d1 = den2/d2, the sum is
+        # (a*d2 + b*d1) / (d1*d2*g), and a*d2 + b*d1 is coprime to d1*d2
+        # because both operands are canonical; only g can cancel.
+        g, d1, d2 = _gcd(self.den, other.den)
+        num = _add(_mul(a, d2), _mul(b, d1))
+        if not num:
+            return QRat.zero()
+        zn = _trailing_zeros(num)
+        if zn:
+            num = num[:-zn]
+        _, num, g = _gcd(num, g)
+        return QRat._coprime(s + zn, num, _mul(_mul(d1, d2), g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QRat(self.shift, dup_neg(self.num, ZZ), self.den, _canonical=True)
+        return QRat(self.shift, _neg(self.num), self.den, _canonical=True)
 
     def __sub__(self, other):
         other = QRat._coerce(other)
@@ -196,25 +410,18 @@ class QRat:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return QRat.zero()
-        # cross-cancel first; keeps intermediate products small
-        g1 = dup_gcd(self.num, other.den, ZZ)
-        g2 = dup_gcd(other.num, self.den, ZZ)
-        n1 = dup_exquo(self.num, g1, ZZ)
-        d2 = dup_exquo(other.den, g1, ZZ)
-        n2 = dup_exquo(other.num, g2, ZZ)
-        d1 = dup_exquo(self.den, g2, ZZ)
-        return QRat(
-            self.shift + other.shift,
-            dup_mul(n1, n2, ZZ),
-            dup_mul(d1, d2, ZZ),
-        )
+        # Cross-cancel.  Both operands are canonical, so n1 and n2 are each
+        # coprime to d1 and d2, and n1*n2 / (d1*d2) is already reduced.
+        _, n1, d2 = _gcd(self.num, other.den)
+        _, n2, d1 = _gcd(other.num, self.den)
+        return QRat._coprime(self.shift + other.shift, _mul(n1, n2), _mul(d1, d2))
 
     __rmul__ = __mul__
 
     def reciprocal(self):
         if self.is_zero():
             raise QFieldError("division by zero")
-        return QRat(-self.shift, self.den, self.num)
+        return QRat._coprime(-self.shift, self.den, self.num)
 
     def __truediv__(self, other):
         other = QRat._coerce(other)
@@ -253,17 +460,21 @@ class QRat:
         """The rational function a(1/t); realizes q -> 1/q."""
         if self.is_zero():
             return self
-        dn, dd = dup_degree(self.num), dup_degree(self.den)
-        return QRat(-self.shift - dn + dd, _reverse(self.num), _reverse(self.den))
+        # canonical num and den have nonzero constant terms, so reversal
+        # keeps them coprime
+        shift = -self.shift - len(self.num) + len(self.den)
+        return QRat._coprime(shift, self.num[::-1], self.den[::-1])
 
     def subs_neg_t(self):
         """The rational function a(-t)."""
         if self.is_zero():
             return self
+        # t -> -t is a ring automorphism fixing constant terms: the result
+        # is canonical as it stands.
         num = _flip_sign_odd(self.num)
         if self.shift % 2:
-            num = dup_neg(num, ZZ)
-        return QRat(self.shift, num, _flip_sign_odd(self.den))
+            num = _neg(num)
+        return QRat(self.shift, num, _flip_sign_odd(self.den), _canonical=True)
 
     def eval_at(self, t0) -> Fraction:
         """Exact evaluation at a rational point; raises at a pole."""
@@ -292,24 +503,24 @@ class QRat:
             return 0, [Fraction(0)] * n_terms
         num = list(reversed(self.num))  # ascending
         den = list(reversed(self.den))
-        d0 = Fraction(int(den[0]))
+        d0 = Fraction(den[0])
         coeffs = []
-        state = [Fraction(int(c)) for c in num] + [Fraction(0)] * n_terms
+        state = [Fraction(c) for c in num] + [Fraction(0)] * n_terms
         for k in range(n_terms):
             c = state[k] / d0
             coeffs.append(c)
             if c:
                 for j in range(1, len(den)):
                     if k + j < len(state):
-                        state[k + j] -= c * int(den[j])
+                        state[k + j] -= c * den[j]
         return self.shift, coeffs
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
         return {
-            "num": {"off": self.shift, "coeffs": [int(c) for c in reversed(self.num)]},
-            "den": {"off": 0, "coeffs": [int(c) for c in reversed(self.den)]},
+            "num": {"off": self.shift, "coeffs": self.num[::-1]},
+            "den": {"off": 0, "coeffs": self.den[::-1]},
         }
 
     @classmethod
@@ -333,20 +544,20 @@ def _shift_poly(p, k):
     """Multiply by t^k (k >= 0) in dense high-first representation."""
     if not p or k == 0:
         return p
-    return p + [ZZ(0)] * k
+    return p + [0] * k
 
 
 def _eval_frac(p, t0: Fraction) -> Fraction:
     if t0.denominator == 1:
-        return Fraction(int(dup_eval(p, ZZ(t0.numerator), ZZ)))
+        return Fraction(_eval(p, t0.numerator))
     acc = Fraction(0)
     for c in p:
-        acc = acc * t0 + int(c)
+        acc = acc * t0 + c
     return acc
 
 
 def _poly_str(p):
-    d = dup_degree(p)
+    d = len(p) - 1
     terms = []
     for i, c in enumerate(p):
         if not c:

@@ -1,11 +1,17 @@
 """Exact rational-function field in t = q^(1/2)."""
 
+import itertools
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localvertex.qfield import QFieldError, QRat
+import localvertex
+from localvertex.qfield import QFieldError, QRat, _add, _exquo, _gcd, _gcd_prs, _mul
 
 T = QRat.t_power(1)
 Q = QRat.q_power(1)
@@ -131,6 +137,51 @@ class TestParity:
         assert Q.subs_neg_t() == Q
 
 
+def _fields(a):
+    return a.shift, a.num, a.den
+
+
+class TestCanonicalShortcuts:
+    """Results built without a gcd equal the fully canonicalised ones."""
+
+    @given(qrats())
+    @settings(max_examples=60, deadline=None)
+    def test_subs_neg_t(self, a):
+        b = a.subs_neg_t()
+        sign = -1 if a.shift % 2 else 1
+        num = [sign * c * (-1) ** (len(a.num) - 1 - i) for i, c in enumerate(a.num)]
+        den = [c * (-1) ** (len(a.den) - 1 - i) for i, c in enumerate(a.den)]
+        assert _fields(b) == _fields(QRat(a.shift, num, den))
+
+    @given(qrats())
+    @settings(max_examples=60, deadline=None)
+    def test_invert_t(self, a):
+        b = a.invert_t()
+        shift = -a.shift - len(a.num) + len(a.den)
+        assert _fields(b) == _fields(QRat(shift, a.num[::-1], a.den[::-1]))
+
+    @given(qrats())
+    @settings(max_examples=60, deadline=None)
+    def test_reciprocal(self, a):
+        if not a.is_zero():
+            assert _fields(a.reciprocal()) == _fields(QRat(-a.shift, a.den, a.num))
+
+    @given(qrats(), qrats())
+    @settings(max_examples=60, deadline=None)
+    def test_add(self, a, b):
+        s = min(a.shift, b.shift)
+        num_a = a.num + [0] * (a.shift - s)
+        num_b = b.num + [0] * (b.shift - s)
+        full = QRat(s, _add(_mul(num_a, b.den), _mul(num_b, a.den)), _mul(a.den, b.den))
+        assert _fields(a + b) == _fields(full)
+
+    @given(qrats(), qrats())
+    @settings(max_examples=60, deadline=None)
+    def test_mul(self, a, b):
+        full = QRat(a.shift + b.shift, _mul(a.num, b.num), _mul(a.den, b.den))
+        assert _fields(a * b) == _fields(full)
+
+
 class TestEvaluation:
     def test_eval_examples(self):
         a = ONE / (ONE - Q)
@@ -180,3 +231,113 @@ class TestSerialization:
         doc = (T / (ONE - Q)).to_json()
         assert set(doc) == {"num", "den"}
         assert set(doc["num"]) == {"off", "coeffs"}
+
+
+def test_import_leaves_sympy_out():
+    """The kernel is stdlib only: importing the package pulls in no sympy."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = "import sys, localvertex; print(sorted(m for m in sys.modules if m.startswith('sympy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def zz():
+    """sympy's dense arithmetic over ZZ, the oracle for the kernel."""
+    pytest.importorskip("sympy")
+    from types import SimpleNamespace
+
+    from sympy.polys import densearith, euclidtools, factortools
+    from sympy.polys.domains import ZZ
+    from sympy.polys.polyerrors import ExactQuotientFailed
+
+    def exquo(f, g):
+        try:
+            return densearith.dup_exquo(f, g, ZZ)
+        except ExactQuotientFailed:
+            return None
+
+    return SimpleNamespace(
+        mul=lambda f, g: densearith.dup_mul(f, g, ZZ),
+        exquo=exquo,
+        gcd=lambda f, g: euclidtools.dup_gcd(f, g, ZZ),
+        inner_gcd=lambda f, g: euclidtools.dup_inner_gcd(f, g, ZZ),
+        cyclotomic=lambda d: factortools.dup_zz_cyclotomic_poly(d, ZZ),
+    )
+
+
+def _int_polys(min_size=0, max_size=30, bits=40):
+    """Dense integer polynomials, highest degree first, no leading zeros."""
+    coeffs = st.integers(min_value=-(2**bits), max_value=2**bits)
+    return st.lists(coeffs, min_size=min_size, max_size=max_size).map(
+        lambda p: list(itertools.dropwhile(lambda c: c == 0, p))
+    )
+
+
+def _nonzero_polys(**kw):
+    return _int_polys(min_size=1, **kw).filter(bool)
+
+
+@st.composite
+def _cyclotomic_pairs(draw):
+    """Orders of cyclotomic factors (shared, only in f, only in g) and a
+    small numerator-like factor of f; f and g come out near degree 360, the
+    size of the denominators the engine meets."""
+    orders = st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8)
+    return draw(orders), draw(orders), draw(orders), draw(_nonzero_polys(max_size=12, bits=30))
+
+
+def _cyclotomic_product(zz, orders, degree):
+    p = [1]
+    for d in itertools.cycle(orders):
+        if len(p) > degree:
+            return p
+        p = zz.mul(p, zz.cyclotomic(d))
+
+
+class TestKernelOracle:
+    """The dense kernel against sympy's dup_* arithmetic."""
+
+    @given(_int_polys(), _int_polys())
+    @settings(max_examples=80, deadline=None)
+    def test_mul_random(self, zz, f, g):
+        assert _mul(f, g) == zz.mul(f, g)
+
+    @given(_int_polys(), _nonzero_polys())
+    @settings(max_examples=80, deadline=None)
+    def test_exquo_random(self, zz, f, g):
+        assert _exquo(f, g) == zz.exquo(f, g)
+        assert _exquo(zz.mul(f, g), g) == f
+
+    @given(_int_polys(max_size=12), _int_polys(max_size=12), _int_polys(max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_gcd_random(self, zz, a, b, c):
+        f, g = zz.mul(a, c), zz.mul(b, c)
+        assert _gcd(f, g) == tuple(zz.inner_gcd(f, g))
+        assert _gcd(f, g)[0] == zz.gcd(f, g)
+
+    @given(_cyclotomic_pairs())
+    @settings(max_examples=20, deadline=None)
+    def test_cyclotomic_products(self, zz, drawn):
+        common, only_f, only_g, extra = drawn
+        shared = _cyclotomic_product(zz, common, 180)
+        f = zz.mul(zz.mul(shared, _cyclotomic_product(zz, only_f, 180)), extra)
+        g = zz.mul(shared, _cyclotomic_product(zz, only_g, 180))
+        assert _mul(f, g) == zz.mul(f, g)
+        assert _exquo(f, shared) == zz.exquo(f, shared)
+        assert _exquo(g, extra) == zz.exquo(g, extra)
+        assert _gcd(f, g) == tuple(zz.inner_gcd(f, g))
+
+    @given(_nonzero_polys(max_size=10, bits=20), _nonzero_polys(max_size=10, bits=20),
+           _nonzero_polys(max_size=10, bits=20))
+    @settings(max_examples=60, deadline=None)
+    def test_prs_fallback(self, zz, a, b, c):
+        """The Euclid the heuristic falls back to, called directly on
+        primitive inputs of either leading sign."""
+        f, g = zz.mul(a, c), zz.mul(b, c)
+        f, g = [x // math.gcd(*f) for x in f], [x // math.gcd(*g) for x in g]
+        assert _gcd_prs(f, g) == tuple(zz.inner_gcd(f, g))
