@@ -201,8 +201,8 @@ def run_verify(args) -> int:
     # integrality of the PT coefficients
     integrality = {}
     for r in args.r:
-        for m in range(args.m_max + 1):
-            series = vx.pt_series(r, m, args.Q_order, cache=cache)
+        z = vx.z_hirzebruch(r, args.m_max, args.Q_order, cache=cache)
+        for m, series in z.items():
             integrality["r=%d,m=%d" % (r, m)] = {
                 "passed": vx.check_integrality(series)
             }
@@ -215,8 +215,9 @@ def run_verify(args) -> int:
 
     # per-genus functional-equation exponents of the GW columns
     exponents = {}
+    tables = {}
     for r in args.r:
-        table = gw.gw_extract(r, 1, args.Q_order, args.g_max, cache=cache)
+        table = tables[r] = gw.gw_extract(r, 1, args.Q_order, args.g_max, cache=cache)
         per_genus = {}
         for g in range(args.g_max + 1):
             column = table.column(g, 1)
@@ -245,7 +246,12 @@ def run_verify(args) -> int:
         poly = {}
         order = max(args.Q_order, 9)
         for r in args.r:
-            table = gw.gw_extract(r, 1, order, 1, cache=cache)
+            # the column tables hold the same g <= 1 values when they reach
+            # this order and genus 1
+            if order == args.Q_order and args.g_max >= 1:
+                table = tables[r]
+            else:
+                table = gw.gw_extract(r, 1, order, 1, cache=cache)
             for g in (0, 1):
                 passed, details = gw.polynomiality_check(table, g, 1, 3, 9)
                 poly["r=%d,g=%d" % (r, g)] = details
@@ -321,12 +327,11 @@ TASKS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "r", None) is not None or hasattr(args, "r"):
-        if getattr(args, "r", None) is None:
-            args.r = [0]
-        for r in args.r:
-            if r < 0:
-                raise SystemExit("--r must be >= 0")
+    if args.r is None:
+        args.r = [0]
+    for r in args.r:
+        if r < 0:
+            raise SystemExit("--r must be >= 0")
     for name in ("Q_order", "u_order", "g_max"):
         if getattr(args, name, 1) < 0:
             raise SystemExit("--%s must be >= 0" % name.replace("_", "-"))

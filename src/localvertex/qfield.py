@@ -20,6 +20,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 _ONE = [1]
 
@@ -498,22 +499,24 @@ class QRat:
 
         Returns (lowest_degree, [c_0, c_1, ...]) with n_terms coefficients
         as Fractions, starting at t^lowest_degree.
+
+        Only the window of the first n_terms ascending coefficients of num
+        and den enters: c_k = (num_k - sum_{j=1..k} den_j c_{k-j}) / den_0.
+        When den_0 = 1, as for every vertex quantity, the recurrence runs
+        in Python ints; otherwise in Fractions.
         """
         if self.is_zero():
             return 0, [Fraction(0)] * n_terms
-        num = list(reversed(self.num))  # ascending
-        den = list(reversed(self.den))
-        d0 = Fraction(den[0])
+        num = self.num[::-1][:n_terms]  # ascending
+        num += [0] * (n_terms - len(num))
+        den = self.den[::-1]
+        d0, tail = den[0], den[1:n_terms]
         coeffs = []
-        state = [Fraction(c) for c in num] + [Fraction(0)] * n_terms
         for k in range(n_terms):
-            c = state[k] / d0
-            coeffs.append(c)
-            if c:
-                for j in range(1, len(den)):
-                    if k + j < len(state):
-                        state[k + j] -= c * den[j]
-        return self.shift, coeffs
+            # tail[j-1] * coeffs[k-j] for j = 1..k; map stops at the shorter
+            c = num[k] - sum(map(mul, tail, reversed(coeffs)))
+            coeffs.append(c if d0 == 1 else Fraction(c, d0))
+        return self.shift, [Fraction(c) for c in coeffs]
 
     # -- serialization -----------------------------------------------------
 

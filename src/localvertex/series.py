@@ -116,29 +116,23 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; the lowest coefficient must be a unit."""
+        """Multiplicative inverse; the lowest coefficient must be a unit.
+
+        For a = x^v * sum_k a_{v+k} x^k, a*b = 1 gives b = x^-v * sum_n c_n x^n
+        with c_0 = 1/a_v and c_n = -c_0 * sum_{k=1..n} a_{v+k} c_{n-k}, for
+        n <= order - v; the result has order order - 2v.
+        """
         v = self.valuation()
         if v is None:
             raise SeriesError("inverting the zero series")
-        lead = self.coeffs[v]
-        lead_inv = _coeff_inverse(lead)
-        # a = lead*x^v * (1 + x), invert the unit part by geometric series
-        rest = TruncSeries(
-            self.order - v,
-            {d - v: c * lead_inv for d, c in self.coeffs.items() if d != v},
-        )
-        geom = TruncSeries.one(self.order - v)
-        power = TruncSeries.one(self.order - v)
-        n = rest.valuation()
-        if n is not None:
-            for _ in range(0, (self.order - v) // n + 1):
-                power = power * (-rest)
-                if not power:
-                    break
-                geom = geom + power
-        return TruncSeries(
-            self.order - 2 * v, {d - v: c * lead_inv for d, c in geom.coeffs.items()}
-        )
+        c0 = _coeff_inverse(self.coeffs[v])
+        terms = [(d - v, c) for d, c in sorted(self.coeffs.items()) if d != v]
+        out = {0: c0}
+        for n in range(1, self.order - v + 1):
+            acc = _convolve(terms, out, n)
+            if acc is not None and not _is_zero(acc):
+                out[n] = -c0 * acc
+        return TruncSeries(self.order - 2 * v, {n - v: c for n, c in out.items()})
 
     def pow_int(self, k: int) -> "TruncSeries":
         if k == 0:
@@ -172,20 +166,35 @@ class TruncSeries:
     # -- transcendental operations ----------------------------------------
 
     def exp(self) -> "TruncSeries":
-        """Truncated exponential; requires valuation >= 1."""
+        """Truncated exponential; requires valuation >= 1.
+
+        b = exp(a) solves b' = a'b, so b_0 = 1 and
+        n*b_n = sum_{k=1..n} k*a_k*b_{n-k}: O(order^2) coefficient products.
+        """
         v = self.valuation()
         if v is not None and v < 1:
             raise SeriesError("exp requires vanishing constant term")
-        result = TruncSeries.one(self.order)
-        term = TruncSeries.one(self.order)
-        if v is None:
-            return result
-        for n in range(1, self.order // v + 1):
-            term = term * self * Fraction(1, n)
-            if not term:
-                break
-            result = result + term
-        return result
+        terms = [(k, c * k) for k, c in sorted(self.coeffs.items())]
+        out = {0: 1}
+        for n in range(1, self.order + 1):
+            acc = _convolve(terms, out, n)
+            if acc is not None and not _is_zero(acc):
+                out[n] = acc * Fraction(1, n)
+        return TruncSeries(self.order, out)
+
+
+def _convolve(terms, coeffs, n):
+    """sum of c * coeffs[n - k] over (k, c) in terms (ascending k >= 1);
+    None when no product is present."""
+    acc = None
+    for k, c in terms:
+        if k > n:
+            break
+        b = coeffs.get(n - k)
+        if b is not None:
+            term = c * b
+            acc = term if acc is None else acc + term
+    return acc
 
 
 def _is_zero(c):

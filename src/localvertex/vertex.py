@@ -375,7 +375,7 @@ def pt_series(r: int, m: int, order: int, cache: SCache = None) -> TruncSeries:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return z_hirzebruch(r, m, order, cache=cache)[m]
+    return log_z0(order).exp() * z_ratios(r, m, order, cache=cache)[m]
 
 
 def pt_invariants(r: int, m: int, order: int, q_terms: int = 24, cache: SCache = None):

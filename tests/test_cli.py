@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from localvertex import gwtheory as gw
 from localvertex.cli import main
 
 
@@ -100,6 +101,20 @@ class TestVerify:
         per_h = doc["checks"]["exceptional_membership"]["per_h"]
         assert "skipped" in per_h["6"]
         assert "skipped" not in per_h["4"]
+
+    @pytest.mark.parametrize("g_max", ["0", "3"])
+    def test_polynomiality_at_q_order_9(self, capsys, g_max):
+        """At Q-order 9 with g_max >= 1 the polynomiality check reads the
+        column_exponents table; with g_max 0 it extracts its own."""
+        code, doc = run_json(
+            capsys, "verify", "--all", "--r", "0", "--m-max", "1",
+            "--Q-order", "9", "--g-max", g_max,
+        )
+        assert code == 0
+        table = gw.gw_extract(0, 1, 9, 1)
+        for g in (0, 1):
+            expected = gw.polynomiality_check(table, g, 1, 3, 9)[1]
+            assert doc["checks"]["polynomiality"]["r=0,g=%d" % g] == expected
 
     def test_corrupt_cache_exits_3(self, capsys, tmp_path):
         argv = ["pt", "--m", "0", "--Q-order", "1", "--cache-dir", str(tmp_path)]

@@ -221,6 +221,79 @@ class TestEvaluation:
         assert abs(exact - approx) < Fraction(1, 10) ** 20
 
 
+def long_division_expansion(a, n_terms):
+    """The t-expansion of a by long division over Fraction, with a state
+    spanning the whole numerator and steps walking the whole denominator:
+    the oracle for QRat.t_expansion."""
+    if a.is_zero():
+        return 0, [Fraction(0)] * n_terms
+    num = list(reversed(a.num))  # ascending
+    den = list(reversed(a.den))
+    d0 = Fraction(den[0])
+    coeffs = []
+    state = [Fraction(c) for c in num] + [Fraction(0)] * n_terms
+    for k in range(n_terms):
+        c = state[k] / d0
+        coeffs.append(c)
+        if c:
+            for j in range(1, len(den)):
+                if k + j < len(state):
+                    state[k + j] -= c * den[j]
+    return a.shift, coeffs
+
+
+@st.composite
+def raw_qrats(draw, unit_den=False):
+    """Values canonicalised from raw integer lists of up to 12 coefficients,
+    so num and den can be longer or shorter than the expansion; with
+    ``unit_den`` the denominator's constant term is 1."""
+    coeff = st.integers(min_value=-20, max_value=20)
+    num = draw(st.lists(coeff, max_size=12))
+    den = draw(st.lists(coeff, min_size=1, max_size=12).filter(any))  # ascending
+    if unit_den:
+        den[0] = 1
+    shift = draw(st.integers(min_value=-5, max_value=5))
+    return QRat(shift, num[::-1], den[::-1])
+
+
+class TestTExpansionOracle:
+    """The windowed t-expansion against full-length long division."""
+
+    @staticmethod
+    def _check(a, n_terms):
+        got = a.t_expansion(n_terms)
+        assert got == long_division_expansion(a, n_terms)
+        assert all(type(c) is Fraction for c in got[1])
+
+    @given(raw_qrats(), st.integers(min_value=0, max_value=16))
+    @settings(max_examples=150, deadline=None)
+    def test_any_denominator(self, a, n_terms):
+        self._check(a, n_terms)
+
+    @given(raw_qrats(unit_den=True), st.integers(min_value=0, max_value=16))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_path(self, a, n_terms):
+        assert a.is_zero() or a.den[-1] == 1
+        self._check(a, n_terms)
+
+    @given(
+        st.fractions(max_denominator=50).filter(lambda x: x.denominator > 1),
+        raw_qrats(unit_den=True),
+        st.integers(min_value=0, max_value=16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_from_rational_scaling(self, x, a, n_terms):
+        """Rational multiples: the denominator's constant term need not be 1."""
+        self._check(QRat.from_rational(x), n_terms)
+        self._check(QRat.from_rational(x) * a, n_terms)
+
+    def test_window_shorter_than_num_and_den(self):
+        a = QRat(3, [5, 0, -2, 7, 1], [2, 0, 1, -3, 1])
+        assert len(a.num) > 2 and len(a.den) > 2
+        self._check(a, 2)
+        self._check(a, 0)
+
+
 class TestSerialization:
     @given(qrats())
     @settings(max_examples=40, deadline=None)

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localvertex.gwtheory import qseries_to_u
+from localvertex.partitions import Partition
 from localvertex.qfield import QRat
 from localvertex.series import (
     SeriesError,
@@ -13,6 +15,7 @@ from localvertex.series import (
     polylog_neg,
     polylog_series,
 )
+from localvertex.vertex import _exponent, log_z0
 
 Q_ONE = QRat.one()
 Q_VAR = QRat.q_power(1)
@@ -32,6 +35,49 @@ def rational_series(draw, order=6):
         )
     )
     return TruncSeries(order, {d: c for d, c in enumerate(coeffs) if c})
+
+
+def power_iteration_exp(a):
+    """exp(a) as sum_n a^n/n!, one series product per term: the oracle
+    for TruncSeries.exp."""
+    result = TruncSeries.one(a.order)
+    term = TruncSeries.one(a.order)
+    v = a.valuation()
+    if v is None:
+        return result
+    for n in range(1, a.order // v + 1):
+        term = term * a * Fraction(1, n)
+        if not term:
+            break
+        result = result + term
+    return result
+
+
+def geometric_inverse(a):
+    """1/a as x^-v/lead * sum_n (-rest)^n for a = lead*x^v*(1 + rest): the
+    oracle for TruncSeries.inverse."""
+    v = a.valuation()
+    lead = a.coeffs[v]
+    lead_inv = lead.reciprocal() if isinstance(lead, QRat) else 1 / Fraction(lead)
+    rest = TruncSeries(
+        a.order - v, {d - v: c * lead_inv for d, c in a.coeffs.items() if d != v}
+    )
+    geom = TruncSeries.one(a.order - v)
+    power = TruncSeries.one(a.order - v)
+    n = rest.valuation()
+    if n is not None:
+        for _ in range(0, (a.order - v) // n + 1):
+            power = power * (-rest)
+            if not power:
+                break
+            geom = geom + power
+    return TruncSeries(
+        a.order - 2 * v, {d - v: c * lead_inv for d, c in geom.coeffs.items()}
+    )
+
+
+def _drop_constant(a):
+    return a - TruncSeries(a.order, {0: a.coeffs.get(0, 0)})
 
 
 class TestRing:
@@ -73,6 +119,17 @@ class TestRing:
         assert inv.valuation() == -1
         assert (a * inv).truncate(inv.order) == TruncSeries.one(inv.order)
 
+    @given(rational_series(), st.integers(min_value=-2, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_matches_geometric_oracle(self, a, shift):
+        if a:
+            a = a.shifted(shift)
+            assert a.inverse() == geometric_inverse(a)
+
+    def test_inverse_qrat_matches_geometric_oracle(self):
+        a = TruncSeries(5, {1: Q_ONE - Q_VAR, 2: Q_VAR * 3, 4: Q_ONE / (Q_ONE + Q_VAR)})
+        assert a.inverse() == geometric_inverse(a)
+
     def test_inverse_of_zero_rejected(self):
         with pytest.raises(SeriesError):
             TruncSeries(3).inverse()
@@ -103,6 +160,27 @@ class TestExpLog:
         a = a - TruncSeries(a.order, {0: a.coeffs.get(0, 0)})  # valuation >= 1
         b = b - TruncSeries(b.order, {0: b.coeffs.get(0, 0)})
         assert (a + b).exp() == a.exp() * b.exp()
+
+    @given(rational_series(), st.integers(min_value=0, max_value=2))
+    @settings(max_examples=40, deadline=None)
+    def test_exp_matches_power_iteration(self, a, shift):
+        a = _drop_constant(a).shifted(shift).truncate(6)
+        assert a.exp() == power_iteration_exp(a)
+
+    def test_exp_qrat_matches_power_iteration(self):
+        for mu, nu in ((Partition([1]), Partition()), (Partition([2]), Partition([1]))):
+            a = _exponent(mu, nu, 4)
+            assert a.exp() == power_iteration_exp(a)
+
+    def test_exp_nested_valuation_two_matches_power_iteration(self):
+        """The shape tilde_pt0 exponentiates: an x-series of valuation 2
+        whose coefficients are Q-series over Fractions."""
+        a = qseries_to_u(log_z0(4), 6)
+        a = TruncSeries(6, {h: c for h, c in a.coeffs.items() if h >= 2})
+        assert a.valuation() == 2
+        got = a.exp()
+        assert got == power_iteration_exp(a)
+        assert all(got.coeffs[h].order == 4 for h in got.degrees() if h)
 
     def test_exp_requires_positive_valuation(self):
         with pytest.raises(SeriesError):

@@ -178,6 +178,12 @@ class TestPT:
         assert check_integrality(pt_series(0, 0, 4, cache=scache))
         assert check_integrality(pt_series(1, 1, 4, cache=scache))
 
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_pt_series_is_z_hirzebruch_entry(self, r, scache):
+        z = z_hirzebruch(r, 2, 3, cache=scache)
+        for m in range(3):
+            assert pt_series(r, m, 3, cache=scache) == z[m]
+
     def test_integrality_detects_fractions(self):
         bad = TruncSeries(1, {1: QRat.from_rational(Fraction(1, 2))})
         assert not check_integrality(bad)
