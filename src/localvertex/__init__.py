@@ -9,7 +9,7 @@ from .partitions import Partition, partitions_of, partition_count
 from .qfield import QRat, QFieldError
 from .series import SeriesError, TruncSeries
 from .vertex import SCache, ToricSurface, VertexError, pt_invariants, pt_series
-from .rationality import FitError, RationalFit, fit_rational, normalized_pt
+from .rationality import FitError, RationalFit, fit_rational
 from .gwtheory import GWTable, RealityError, gw_extract, tilde_pt0, verify_R
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "FitError",
     "RationalFit",
     "fit_rational",
-    "normalized_pt",
     "GWTable",
     "RealityError",
     "gw_extract",

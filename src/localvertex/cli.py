@@ -3,9 +3,9 @@
 Computes PT/GW tables, runs the verification suites, and emits
 machine-readable reports.  JSON is the canonical output (exact rationals
 need num/den fields); CSV is a lossy projection for spreadsheets.  Exit
-status: 0 on success, 1 if a verification fails, 2 if an internal
-invariant (parity, realness, integrality) trips, 3 if a disk-cache file is
-unreadable.
+status: 0 on success, 1 if a verification fails, 2 on a usage error or
+if an internal invariant (parity, realness, integrality) trips, 3 if a
+disk-cache file is unreadable.
 """
 
 from __future__ import annotations
@@ -33,6 +33,13 @@ DEFAULT_M_MAX = 2
 DEFAULT_G_MAX = 3
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localvertex",
@@ -42,16 +49,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, m_flag):
         p.add_argument(
-            "--r", action="append", type=int, default=None,
+            "--r", action="append", type=_non_negative, default=None,
             help="surface parameter r of F_r; repeatable (default: 0)",
         )
         if m_flag == "m":
-            p.add_argument("--m", type=int, default=1, help="curve class multiple of c")
+            p.add_argument(
+                "--m", type=_non_negative, default=1, help="curve class multiple of c"
+            )
         elif m_flag == "m-max":
-            p.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
-        p.add_argument("--Q-order", type=int, default=DEFAULT_Q_ORDER)
-        p.add_argument("--u-order", type=int, default=DEFAULT_U_ORDER)
-        p.add_argument("--g-max", type=int, default=DEFAULT_G_MAX)
+            p.add_argument("--m-max", type=_non_negative, default=DEFAULT_M_MAX)
+        p.add_argument("--Q-order", type=_non_negative, default=DEFAULT_Q_ORDER)
+        p.add_argument("--u-order", type=_non_negative, default=DEFAULT_U_ORDER)
+        p.add_argument("--g-max", type=_non_negative, default=DEFAULT_G_MAX)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument(
@@ -157,23 +166,24 @@ def run_fit(args) -> int:
     for r in args.r:
         table = gw.gw_extract(r, args.m, args.Q_order, args.g_max, cache=cache)
         per_genus = {}
+        a = rat.w_dot_beta(args.m, 0, r)
         for g in range(args.g_max + 1):
             column = table.column(g, args.m)
+            power = gw.column_power(args.m, g)
             entry = {"denominator_power": None, "fit": None, "exponent": None}
-            power = 2 + 2 * g
-            if column.order < power + 3:
-                entry["skipped"] = (
-                    "Q-order %d leaves no surplus for denominator power %d"
-                    % (column.order, power)
-                )
-                per_genus[str(g)] = entry
-                continue
             try:
-                fit = rat.fit_rational(column, ((1, power),))
-                entry["denominator_power"] = power
-                entry["fit"] = fit.to_json()
-                entry["exponent"] = rat.find_exponent(fit, -8, 8)
-            except (rat.FitError, ArithmeticError) as err:
+                certified = rat.certify_column(column, power, a)
+                if certified is None:
+                    entry["skipped"] = (
+                        "Q-order %d leaves no surplus for denominator power %d"
+                        % (column.order, power)
+                    )
+                else:
+                    fit = certified[0]
+                    entry["denominator_power"] = power
+                    entry["fit"] = fit.to_json()
+                    entry["exponent"] = rat.find_exponent(fit, -8, 8)
+            except ArithmeticError as err:
                 entry["error"] = str(err)
                 failed = True
             per_genus[str(g)] = entry
@@ -189,23 +199,20 @@ def run_verify(args) -> int:
     report = _report("verify", args)
     checks = {}
 
-    # q -> 1/q invariance of the normalized PT series
+    # q -> 1/q invariance of the normalized PT series Z_m/Z_0, and
+    # integrality of the PT coefficients Z_m, from one assembly per r
     q_inversion = {}
-    for r in args.r:
-        for m in range(1, args.m_max + 1):
-            series = rat.normalized_pt(r, m, args.Q_order, cache=cache)
-            ok, witness = rat.check_q_inversion(series)
-            q_inversion["r=%d,m=%d" % (r, m)] = {"passed": ok, "witness": witness}
-    checks["q_inversion"] = q_inversion
-
-    # integrality of the PT coefficients
     integrality = {}
+    z0 = vx.log_z0(args.Q_order).exp()
     for r in args.r:
-        z = vx.z_hirzebruch(r, args.m_max, args.Q_order, cache=cache)
-        for m, series in z.items():
-            integrality["r=%d,m=%d" % (r, m)] = {
-                "passed": vx.check_integrality(series)
-            }
+        ratios = vx.z_ratios(r, args.m_max, args.Q_order, cache=cache)
+        for m, ratio in ratios.items():
+            key = "r=%d,m=%d" % (r, m)
+            if m:
+                ok, witness = rat.check_q_inversion(ratio)
+                q_inversion[key] = {"passed": ok, "witness": witness}
+            integrality[key] = {"passed": vx.check_integrality(z0 * ratio)}
+    checks["q_inversion"] = q_inversion
     checks["integrality"] = integrality
 
     # membership of the modified exceptional series in R_{0,0}
@@ -213,29 +220,27 @@ def run_verify(args) -> int:
     membership = gw.verify_R(tp, 0, 0, min(args.u_order, 6))
     checks["exceptional_membership"] = membership.to_json()
 
-    # per-genus functional-equation exponents of the GW columns
+    # per-genus Weyl functional equation of the GW columns of class c + jb:
+    # weight w.c = r - 2
     exponents = {}
     tables = {}
     for r in args.r:
         table = tables[r] = gw.gw_extract(r, 1, args.Q_order, args.g_max, cache=cache)
+        a = rat.w_dot_beta(1, 0, r)
         per_genus = {}
         for g in range(args.g_max + 1):
-            column = table.column(g, 1)
             entry = {"exponent": None, "passed": False}
-            if column.order < 2 + 2 * g + 3:
-                entry["passed"] = True
-                entry["skipped"] = "Q-order too small for this genus"
-                per_genus[str(g)] = entry
-                continue
             try:
-                fit = rat.fit_rational(column, ((1, 2 + 2 * g),))
-                if fit.is_zero():
+                certified = rat.certify_column(
+                    table.column(g, 1), gw.column_power(1, g), a
+                )
+                if certified is None:
                     entry["passed"] = True
-                else:
-                    a = rat.find_exponent(fit, -8, 8)
+                    entry["skipped"] = "Q-order too small for this genus"
+                elif certified[1]:
                     entry["exponent"] = a
-                    entry["passed"] = a is not None
-            except (rat.FitError, ArithmeticError) as err:
+                    entry["passed"] = True
+            except rat.FitError as err:
                 entry["error"] = str(err)
             per_genus[str(g)] = entry
         exponents["r=%d" % r] = per_genus
@@ -329,12 +334,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.r is None:
         args.r = [0]
-    for r in args.r:
-        if r < 0:
-            raise SystemExit("--r must be >= 0")
-    for name in ("Q_order", "u_order", "g_max"):
-        if getattr(args, name, 1) < 0:
-            raise SystemExit("--%s must be >= 0" % name.replace("_", "-"))
     try:
         return TASKS[args.task](args)
     except (vx.VertexError, gw.RealityError) as err:

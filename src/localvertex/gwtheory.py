@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .qfield import QRat
-from .rationality import FitError, check_Q_functional, fit_rational
+from .rationality import FitError, certify_column
 from .series import TruncSeries, polylog_series
 from .vertex import SCache, log_z0, z_ratios
 
@@ -156,6 +156,11 @@ class GWTable:
         }
 
 
+def column_power(m: int, g: int) -> int:
+    """The power of (1-Q) that clears the GW column sum_j GW_{g, m*c + j*b} Q^j."""
+    return 4 * m + 2 * g - 2
+
+
 def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
     """Coefficients [Q_c^m] log Z as Q-series with QRat coefficients: log Z_0
     (vertex.log_z0), then log(1 + sum_{m>=1} x_m Q_c^m), x_m = Z_m/Z_0."""
@@ -277,11 +282,10 @@ def verify_R(
     useries: TruncSeries, a: int, b: int, h_max: int, h_min: int = None
 ) -> RMembership:
     """Check each u-coefficient f_h against denominator (1-Q)^(b+h) and the
-    symmetry Q^a f_h(1/Q) = (-1)^h f_h(Q).
+    symmetry Q^a f_h(1/Q) = (-1)^h f_h(Q), by ``certify_column``.
 
     Fit failures are recorded per h, not fatal.  A degree h whose Q-order
-    leaves no 3-coefficient surplus beyond the numerator window (order
-    < b + h + 3) is marked "skipped" with the reason, not failed.
+    leaves no surplus is marked "skipped" with the reason, not failed.
     """
     result = RMembership(a=a, b=b)
     lo = h_min if h_min is not None else min(0, useries.valuation() or 0)
@@ -291,18 +295,16 @@ def verify_R(
             result.per_h[h] = {"fit_ok": True, "symmetry_ok": True, "fit": None}
             continue
         power = b + h
-        if coeff.order < power + 3:
-            reason = "Q-order %d leaves no surplus for denominator power %d"
-            result.per_h[h] = {"fit_ok": True, "symmetry_ok": True, "fit": None,
-                               "skipped": reason % (coeff.order, power)}
-            continue
         row = {"fit_ok": False, "symmetry_ok": False, "fit": None}
         try:
-            denom_spec = ((1, power),) if power > 0 else ()
-            fit = fit_rational(coeff, denom_spec)
-            row["fit"] = fit
-            row["fit_ok"] = True
-            row["symmetry_ok"] = check_Q_functional(fit, a, sign=(-1) ** h)
+            certified = certify_column(coeff, power, a, sign=(-1) ** h)
+            if certified is None:
+                reason = "Q-order %d leaves no surplus for denominator power %d"
+                row = {"fit_ok": True, "symmetry_ok": True, "fit": None,
+                       "skipped": reason % (coeff.order, power)}
+            else:
+                row["fit"], row["symmetry_ok"] = certified
+                row["fit_ok"] = True
         except FitError as err:
             row["error"] = str(err)
         result.per_h[h] = row
@@ -323,12 +325,13 @@ def finite_differences(values, depth: int):
 
 def polynomiality_check(table: GWTable, g: int, m: int, j_lo: int, j_hi: int):
     """Check that j -> GW_{g, m*c + j*b} is a polynomial of degree
-    < 4m + 2g - 2 across [j_lo, j_hi], via vanishing finite differences.
+    < column_power(m, g) across [j_lo, j_hi], via vanishing finite
+    differences.
 
     Returns (passed, report) where the report carries the difference
     order, the window, and the detected polynomial degree.
     """
-    depth = 4 * m + 2 * g - 2
+    depth = column_power(m, g)
     length = j_hi - j_lo + 1
     if length < depth + 1:
         raise ValueError(

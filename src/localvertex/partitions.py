@@ -122,11 +122,6 @@ def _parts_rec(n, bound):
             yield (first,) + rest
 
 
-def enumerate_partitions(n: int) -> list:
-    """All partitions of n as a list, reverse-lexicographic."""
-    return list(partitions_of(n))
-
-
 def partitions_up_to(n: int) -> Iterator[Partition]:
     """All partitions of 0, 1, ..., n, each block in reverse-lex order."""
     for m in range(n + 1):

@@ -32,7 +32,7 @@ _WORD_MASK = (1 << 64) - 1
 
 
 class QFieldError(ArithmeticError):
-    """Division by zero or evaluation at a pole."""
+    """Division by zero or a zero denominator."""
 
 
 # -- dense integer polynomials -----------------------------------------------
@@ -57,13 +57,6 @@ def _add(f, g):
 
 def _neg(p):
     return [-c for c in p]
-
-
-def _eval(p, x):
-    acc = 0
-    for c in p:
-        acc = acc * x + c
-    return acc
 
 
 def _norm(p):
@@ -335,11 +328,6 @@ class QRat:
         return cls.t_power(2 * k)
 
     @classmethod
-    def q_monomial(cls, k_half: int):
-        """q^(k_half/2) = t^k_half; the vertex half-power convention."""
-        return cls.t_power(k_half)
-
-    @classmethod
     def _coerce(cls, x):
         if isinstance(x, QRat):
             return x
@@ -477,23 +465,6 @@ class QRat:
             num = _neg(num)
         return QRat(self.shift, num, _flip_sign_odd(self.den), _canonical=True)
 
-    def eval_at(self, t0) -> Fraction:
-        """Exact evaluation at a rational point; raises at a pole."""
-        t0 = Fraction(t0)
-        den = _eval_frac(self.den, t0)
-        if den == 0:
-            raise QFieldError("pole at t = %s" % t0)
-        num = _eval_frac(self.num, t0)
-        if num == 0:
-            return Fraction(0)
-        if t0 == 0:
-            if self.shift > 0:
-                return Fraction(0)
-            if self.shift < 0:
-                raise QFieldError("pole at t = 0")
-            return num / den
-        return t0**self.shift * num / den
-
     def t_expansion(self, n_terms: int):
         """Power-series expansion in ascending powers of t.
 
@@ -548,15 +519,6 @@ def _shift_poly(p, k):
     if not p or k == 0:
         return p
     return p + [0] * k
-
-
-def _eval_frac(p, t0: Fraction) -> Fraction:
-    if t0.denominator == 1:
-        return Fraction(_eval(p, t0.numerator))
-    acc = Fraction(0)
-    for c in p:
-        acc = acc * t0 + c
-    return acc
 
 
 def _poly_str(p):

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .qfield import QRat
 from .series import TruncSeries, _is_zero
-from .vertex import SCache, z_ratios
 
 
 class FitError(ArithmeticError):
@@ -145,6 +144,22 @@ def check_Q_functional(fit: RationalFit, a: int, sign: int = 1) -> bool:
     return True
 
 
+def certify_column(column: TruncSeries, power: int, a: int, sign: int = 1):
+    """Fit column = num(Q)/(1-Q)^power and check Q^a f(1/Q) = sign * f(Q).
+
+    By the functional equation the numerator lies in degrees
+    [0, power + max(a, 0)], so the fit takes that window a priori.
+    Returns None when the order leaves no surplus of 3 beyond it,
+    else (fit, holds); a series that is not rational with this
+    denominator raises FitError.
+    """
+    hi = power + max(a, 0)
+    if column.order < hi + 3:
+        return None
+    fit = fit_rational(column, ((1, power),) if power else (), window=(0, hi))
+    return fit, check_Q_functional(fit, a, sign)
+
+
 def find_exponent(fit: RationalFit, lo: int, hi: int, sign: int = 1):
     """The unique a in [lo, hi] with Q^a f(1/Q) = sign * f(Q), or None.
 
@@ -175,37 +190,11 @@ def check_q_inversion(series: TruncSeries):
     return True, None
 
 
-def normalized_pt(r: int, m: int, order: int, cache: SCache = None) -> TruncSeries:
-    """PT_{mc}/PT_0 in the truncated ring (Theorem `wall-crossing` quotient)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return z_ratios(r, m, order, cache=cache)[m]
-
-
-# ---------------------------------------------------------------------------
-# The class-level Weyl involution
-
-
-@dataclass(frozen=True)
-class WeylClass:
-    """A K-theory class slot (r*w, m*c + j*b, n)."""
-
-    r: int
-    m: int
-    j: int
-    n: int
-
-
 def w_dot_beta(m: int, j: int, r_surface: int) -> int:
     """The pairing w . (m*c + j*b) = K_W . beta on F_{r_surface}.
 
     Uses K_W = -2c - (r+2)b and the intersection table c^2 = -r,
-    b^2 = 0, b.c = 1.
+    b^2 = 0, b.c = 1.  For j = 0 it is the weight m(r-2) of the Weyl
+    functional equation of the GW column of class m*c + j*b.
     """
     return m * (r_surface - 2) - 2 * j
-
-
-def weyl_reflect(cls: WeylClass, r_surface: int) -> WeylClass:
-    """The involution (r*w, beta, n) -> (r*w, beta + (w.beta - 2r) b, -n)."""
-    shift = w_dot_beta(cls.m, cls.j, r_surface) - 2 * cls.r
-    return WeylClass(r=cls.r, m=cls.m, j=cls.j + shift, n=-cls.n)

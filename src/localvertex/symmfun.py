@@ -101,12 +101,6 @@ def w_two(mu: Partition, nu: Partition) -> QRat:
     return QRat.t_power(nu.size) * w_one(mu) * schur_shifted(nu, mu)
 
 
-@lru_cache(maxsize=None)
-def w_tilde(mu: Partition) -> QRat:
-    """The framing-normalized W; q -> 1/q multiplies it by (-1)^|mu|."""
-    return QRat.t_power(-mu.kappa() // 2) * w_one(mu)
-
-
 def det(matrix) -> QRat:
     """Determinant of a square QRat matrix by fraction elimination."""
     n = len(matrix)

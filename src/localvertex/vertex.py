@@ -223,9 +223,6 @@ class SCache:
         os.replace(tmp, path)
 
 
-_default_cache = SCache()
-
-
 # ---------------------------------------------------------------------------
 # Partition functions
 
@@ -236,11 +233,12 @@ def z_ratios(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
     [Q_c^m] Z / Z_0 = (-1)^(rm) sum over |mu2|+|mu4|=m of
     q^(r(k(mu2)-k(mu4))/2) Q^(r|mu2|) (S_{mu2,mu4}/S_{empty,empty})^2,
     truncated at Q^order.  Every resulting coefficient must lie in Q(q):
-    a surviving odd t-power is a hard error.
+    a surviving odd t-power is a hard error.  Without ``cache`` the call
+    builds its S-series in a fresh SCache.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    cache = cache or _default_cache
+    cache = cache or SCache()
     out = {}
     for m in range(m_max + 1):
         total = TruncSeries(order)
@@ -257,14 +255,6 @@ def z_ratios(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
         _assert_even_powers(total, r, m)
         out[m] = total
     return out
-
-
-def z_hirzebruch(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
-    """Coefficients [Q_c^m] Z^(K_{F_r}) for 0 <= m <= m_max, as Q-series:
-    exp(log Z_0) times the quotients of z_ratios."""
-    ratios = z_ratios(r, m_max, order, cache=cache)
-    z0 = log_z0(order).exp()
-    return {m: z0 * ratio for m, ratio in ratios.items()}
 
 
 def _assert_even_powers(series: TruncSeries, r, m):
@@ -314,8 +304,8 @@ def z_toric(surface: ToricSurface, c_bound: int, b_bound: int) -> dict:
     """The general N-leg vertex sum, truncated by (c, b) multidegree.
 
     Returns a map (m, n) -> QRat for the coefficient of Q_c^m Q^n.  Used
-    as a cross-check of z_hirzebruch on the Hirzebruch preset; the raw
-    product-sum is exponential in N and meant for small bounds only.
+    as a cross-check of exp(log Z_0) * z_ratios on the Hirzebruch preset;
+    the raw product-sum is exponential in N and meant for small bounds only.
     """
     n_div = len(surface.divisor_classes)
     out = {}

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from localvertex import gwtheory as gw
+from localvertex import rationality as rat
 from localvertex.cli import main
 
 
@@ -116,6 +117,37 @@ class TestVerify:
             expected = gw.polynomiality_check(table, g, 1, 3, 9)[1]
             assert doc["checks"]["polynomiality"]["r=0,g=%d" % g] == expected
 
+    @pytest.mark.parametrize(
+        "q_order, r_values, skipped",
+        [("9", (3,), {"2", "3"}), ("13", (3, 4), set())],
+    )
+    def test_column_exponent_is_weyl_weight(self, capsys, q_order, r_values, skipped):
+        """For r >= 3 every fitted column has exponent w.c = r - 2; a genus
+        whose window leaves no surplus at this Q-order is skipped."""
+        argv = ["verify", "--all", "--Q-order", q_order]
+        for r in r_values:
+            argv += ["--r", str(r)]
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        for r in r_values:
+            for g, entry in doc["checks"]["column_exponents"]["r=%d" % r].items():
+                assert entry["passed"] is True
+                if g in skipped:
+                    assert "skipped" in entry
+                else:
+                    assert entry["exponent"] == r - 2
+
+    def test_wrong_weight_fails(self, capsys, monkeypatch):
+        """A column checked against a weight other than m(r-2) fails."""
+        monkeypatch.setattr(rat, "w_dot_beta", lambda m, j, r: m * (r - 2) - 2 * j + 1)
+        code, doc = run_json(
+            capsys, "verify", "--r", "0", "--m-max", "1", "--Q-order", "8",
+            "--u-order", "4", "--g-max", "1",
+        )
+        assert code == 1
+        for entry in doc["checks"]["column_exponents"]["r=0"].values():
+            assert entry == {"exponent": None, "passed": False}
+
     def test_corrupt_cache_exits_3(self, capsys, tmp_path):
         argv = ["pt", "--m", "0", "--Q-order", "1", "--cache-dir", str(tmp_path)]
         assert run(capsys, *argv)[0] == 0
@@ -137,6 +169,16 @@ class TestFit:
         assert genus0["exponent"] == -2
         assert genus0["fit"]["numerator"] == {"0": {"num": -2, "den": 1}}
 
+    def test_m2_columns(self, capsys):
+        """Class 2c + jb: denominator (1-Q)^(6+2g), exponent w.(2c) = -4."""
+        code, doc = run_json(
+            capsys, "fit", "--r", "0", "--m", "2", "--Q-order", "13", "--g-max", "2"
+        )
+        assert code == 0
+        for g, entry in doc["fits"]["0"].items():
+            assert entry["denominator_power"] == 6 + 2 * int(g)
+            assert entry["exponent"] == -4
+
     def test_insufficient_order_is_skipped(self, capsys):
         code, doc = run_json(
             capsys, "fit", "--r", "0", "--m", "1", "--Q-order", "6", "--g-max", "2"
@@ -153,6 +195,23 @@ class TestUsage:
     def test_negative_r_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["pt", "--r", "-1", "--m", "0"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pt", "--m", "-1"],
+            ["verify", "--m-max", "-1"],
+            ["gw", "--r", "-1"],
+            ["fit", "--Q-order", "-1"],
+            ["verify", "--u-order", "-1"],
+            ["gw", "--g-max", "-1"],
+        ],
+    )
+    def test_negative_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
 
     def test_missing_task_rejected(self, capsys):
         with pytest.raises(SystemExit):

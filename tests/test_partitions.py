@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from localvertex.partitions import (
     Partition,
-    enumerate_partitions,
     partition_count,
     partitions_of,
     partitions_up_to,
@@ -85,19 +84,19 @@ class TestStatistics:
 
 class TestEnumeration:
     def test_zero(self):
-        assert enumerate_partitions(0) == [P()]
+        assert list(partitions_of(0)) == [P()]
 
     def test_counts(self):
-        assert len(enumerate_partitions(4)) == 5
-        assert len(enumerate_partitions(8)) == 22
+        assert len(list(partitions_of(4))) == 5
+        assert len(list(partitions_of(8))) == 22
 
     def test_counts_against_pentagonal(self):
         for n in range(21):
-            assert len(enumerate_partitions(n)) == partition_count(n)
+            assert len(list(partitions_of(n))) == partition_count(n)
 
     def test_no_duplicates_and_correct_size(self):
         for n in range(12):
-            seen = enumerate_partitions(n)
+            seen = list(partitions_of(n))
             assert len(set(seen)) == len(seen)
             assert all(mu.size == n for mu in seen)
 

@@ -1,4 +1,4 @@
-"""Rational reconstruction, functional equations, Weyl involution."""
+"""Rational reconstruction, functional equations, the Weyl weight."""
 
 from fractions import Fraction
 from math import factorial
@@ -6,19 +6,19 @@ from math import factorial
 import pytest
 
 from localvertex.qfield import QRat
+from localvertex.gwtheory import column_power
 from localvertex.rationality import (
     FitError,
-    WeylClass,
+    certify_column,
     check_Q_functional,
     check_q_inversion,
     denominator_series,
     find_exponent,
     fit_rational,
-    normalized_pt,
     w_dot_beta,
-    weyl_reflect,
 )
 from localvertex.series import TruncSeries
+from localvertex.vertex import pt_series, z_ratios
 
 
 def geometric(order):
@@ -117,18 +117,14 @@ class TestQInversion:
 
 
 class TestNormalizedPT:
-    def test_rejects_m0(self):
-        with pytest.raises(ValueError):
-            normalized_pt(0, 0, 2)
+    """PT_{mc}/PT_0 is the m-th entry of z_ratios."""
 
     def test_constant_term_matches_numerator(self, scache):
-        from localvertex.vertex import pt_series
-
-        norm = normalized_pt(0, 1, 4, cache=scache)
+        norm = z_ratios(0, 1, 4, cache=scache)[1]
         assert norm[0] == pt_series(0, 1, 4, cache=scache)[0]
 
     def test_q_inversion_small(self, scache):
-        ok, witness = check_q_inversion(normalized_pt(0, 1, 5, cache=scache))
+        ok, witness = check_q_inversion(z_ratios(0, 1, 5, cache=scache)[1])
         assert ok, witness
 
 
@@ -138,19 +134,27 @@ class TestWeyl:
         assert w_dot_beta(1, 0, 1) == -1
         assert w_dot_beta(2, 3, 0) == -10
 
-    def test_reflect_example(self):
-        got = weyl_reflect(WeylClass(r=0, m=1, j=0, n=5), r_surface=0)
-        assert got == WeylClass(r=0, m=1, j=-2, n=-5)
 
-    def test_zero_class_fixed_up_to_n(self):
-        got = weyl_reflect(WeylClass(r=0, m=0, j=0, n=3), r_surface=1)
-        assert got == WeylClass(r=0, m=0, j=0, n=-3)
+class TestCertifyColumn:
+    def test_skip_iff_no_surplus_beyond_window(self):
+        # the numerator window is [0, power + max(a, 0)] = [0, 3]
+        assert certify_column(geometric(5), 1, 2) is None
+        fit, holds = certify_column(geometric(6), 1, 2)
+        assert fit.denom_spec == ((1, 1),)
+        assert not holds
 
-    def test_involution(self):
-        for r_surface in (0, 1, 2):
-            for cls in (
-                WeylClass(0, 1, 2, 3),
-                WeylClass(1, 2, -1, -4),
-                WeylClass(2, 0, 5, 0),
-            ):
-                assert weyl_reflect(weyl_reflect(cls, r_surface), r_surface) == cls
+    def test_power_zero_has_no_factor(self):
+        fit, holds = certify_column(TruncSeries(5, {1: 1}), 0, 2)
+        assert fit.denom_spec == ()
+        assert holds  # Q^2 (1/Q) = Q
+
+    def test_not_rational_raises(self):
+        series = TruncSeries(8, {d: Fraction(1, factorial(d)) for d in range(9)})
+        with pytest.raises(FitError):
+            certify_column(series, 2, 0)
+
+    @pytest.mark.parametrize("a, holds", [(-2, True), (-1, False), (0, False)])
+    def test_r0_column_holds_only_at_its_weight(self, gw_table_r0, a, holds):
+        """GW_{1, c + jb} on P1 x P1 is symmetric with weight w.c = -2 only."""
+        column = gw_table_r0.column(1, 1)
+        assert certify_column(column, column_power(1, 1), a)[1] is holds

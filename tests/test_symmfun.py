@@ -13,7 +13,6 @@ from localvertex.symmfun import (
     schur_principal_jt,
     schur_shifted,
     w_one,
-    w_tilde,
     w_two,
 )
 
@@ -114,20 +113,6 @@ class TestW:
         for mu in pairs:
             for nu in pairs:
                 assert w_two(mu, nu) == w_two(nu, mu)
-
-    def test_w_tilde_examples(self):
-        assert w_tilde(EMPTY) == ONE
-        assert w_tilde(P(1)) == w_one(P(1))
-
-    def test_w_tilde_even_size_invariant(self):
-        w = w_tilde(P(2))
-        assert w.invert_t() == w
-
-    def test_w_tilde_q_inversion_sign(self):
-        """q -> 1/q multiplies the tilde-normalized W by (-1)^|mu|."""
-        for mu in partitions_up_to(6):
-            w = w_tilde(mu)
-            assert w.invert_t() == w * (-1) ** mu.size
 
 
 class TestDet:

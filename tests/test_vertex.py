@@ -16,13 +16,14 @@ from localvertex.vertex import (
     VertexError,
     ai_coeffs,
     check_integrality,
+    log_z0,
     pt_invariants,
     pt_series,
     s_closed,
     s_direct,
     s_product,
     s_ratio_squared,
-    z_hirzebruch,
+    z_ratios,
     z_toric,
 )
 
@@ -122,7 +123,7 @@ class TestPartitionFunctions:
     def test_m0_is_s_squared(self, scache):
         s = s_closed(EMPTY, EMPTY, 5)
         for r in (0, 1, 2):
-            got = z_hirzebruch(r, 0, 5, cache=scache)[0]
+            got = pt_series(r, 0, 5, cache=scache)
             assert got == (s * s).truncate(5)
 
     def test_toric_agreement_r0(self, scache):
@@ -153,13 +154,13 @@ class TestPartitionFunctions:
 
     def test_rejects_negative_r(self):
         with pytest.raises(ValueError):
-            z_hirzebruch(-1, 0, 2)
+            z_ratios(-1, 0, 2)
 
 
 def _assert_toric_agreement(r, c_bound, b_bound, scache):
-    """The N-leg oracle z_toric against z_hirzebruch (so against z_ratios)."""
+    """The N-leg oracle z_toric against pt_series (so against z_ratios)."""
     toric = z_toric(ToricSurface.hirzebruch(r), c_bound, b_bound)
-    z = z_hirzebruch(r, c_bound, b_bound, cache=scache)
+    z = [pt_series(r, m, b_bound, cache=scache) for m in range(c_bound + 1)]
     for (m, n), value in toric.items():
         assert z[m][n] == value, (r, m, n)
 
@@ -180,9 +181,12 @@ class TestPT:
 
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_pt_series_is_z_hirzebruch_entry(self, r, scache):
-        z = z_hirzebruch(r, 2, 3, cache=scache)
+        """pt_series(r, m) is the m-th entry of Z of K_{F_r} assembled once
+        up to m_max = 2 as exp(log Z_0) times z_ratios, as verify builds it."""
+        z0 = log_z0(3).exp()
+        ratios = z_ratios(r, 2, 3, cache=scache)
         for m in range(3):
-            assert pt_series(r, m, 3, cache=scache) == z[m]
+            assert pt_series(r, m, 3, cache=scache) == z0 * ratios[m]
 
     def test_integrality_detects_fractions(self):
         bad = TruncSeries(1, {1: QRat.from_rational(Fraction(1, 2))})
