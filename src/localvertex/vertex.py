@@ -10,8 +10,12 @@ fiber legs turns the partition function into a sum over pairs
 quartic to quadratic in the number of partitions.
 
 The partition function is defined by the exponent A_{mu,nu} of
-S_{mu,nu} = W_mu W_nu exp(A_{mu,nu}) and runs in log space:
-log Z_0 = 2 A_{empty,empty}, and Z_m/Z_0 sums (S_{mu2,mu4}/S_{empty,empty})^2.
+S_{mu,nu} = W_mu W_nu exp(A_{mu,nu}).  Only log Z_0 = 2 A_{empty,empty}
+stays in log space.  Z_m/Z_0 sums (S_{mu2,mu4}/S_{empty,empty})^2, and
+each of those is a finite product: with p_mu(q) p_nu(q) (1-q)^2 =
+sum_i a_i q^i and sum_i e_i q^i = (sum_i a_i q^i - 1)/(1-q)^2,
+
+    (S_{mu,nu}/S_{empty,empty})^2 = (W_mu W_nu)^2 prod_i (1 - q^(i+1) Q)^(-2 e_i).
 """
 
 from __future__ import annotations
@@ -86,13 +90,43 @@ def log_z0(order: int) -> TruncSeries:
 
 
 def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> TruncSeries:
-    """(S_{mu,nu}/S_{empty,empty})^2 = (W_mu W_nu)^2 exp(2(A_{mu,nu} - A_{empty,empty})).
+    """(S_{mu,nu}/S_{empty,empty})^2 = (W_mu W_nu)^2 prod_i (1 - q^(i+1) Q)^(-2 e_i).
 
-    The difference of exponents has denominators (1-q^k), not (1-q^k)^2.
+    A_{mu,nu} - A_{empty,empty} = -sum_i e_i log(1 - q^(i+1) Q) with the
+    integer e_i of ``e_coeffs``, so the ratio is a finite product.  It is
+    expanded over integer Laurent polynomials in q: the Q^k coefficient of
+    (1 - x)^(-n) is the generalized binomial b_k, with b_0 = 1 and
+    b_(k+1) = b_k (n + k)/(k + 1), exact for negative n too.  Each nonzero
+    Q-coefficient is then scaled once by the QRat (W_mu W_nu)^2.
     """
-    diff = _exponent(mu, nu, order) - _exponent(_EMPTY, _EMPTY, order)
+    e = e_coeffs(ai_coeffs(mu, nu).a)
+    # poly[k] is the Q^k coefficient as {q-exponent: integer}
+    poly = [{0: 1}] + [{} for _ in range(order)]
+    for i, ei in e.items():
+        n = 2 * ei
+        binom = [1]
+        for k in range(order):
+            binom.append(binom[-1] * (n + k) // (k + 1))
+        out = [{} for _ in range(order + 1)]
+        for k, src in enumerate(poly):
+            for j in range(order - k + 1):
+                b = binom[j]
+                dst = out[k + j]
+                shift = (i + 1) * j
+                for qe, c in src.items():
+                    key = qe + shift
+                    dst[key] = dst.get(key, 0) + b * c
+        poly = [{qe: c for qe, c in d.items() if c} for d in out]
     w = w_one(mu) * w_one(nu)
-    return (diff * 2).exp() * (w * w)
+    w2 = w * w
+    coeffs = {}
+    for k, d in enumerate(poly):
+        if d:
+            lo, hi = min(d), max(d)
+            num = [0] * (2 * (hi - lo) + 1)
+            num[::2] = [d.get(qe, 0) for qe in range(hi, lo - 1, -1)]
+            coeffs[k] = QRat(2 * lo, num) * w2
+    return TruncSeries(order, coeffs)
 
 
 @dataclass(frozen=True)
@@ -128,6 +162,30 @@ def ai_coeffs(mu: Partition, nu: Partition) -> AICoeffs:
         a[texp // 2] = int(c)
     s = max(abs(i) for i in a)
     return AICoeffs(s=s, a=a)
+
+
+def e_coeffs(a: dict) -> dict:
+    """The integer e_i with sum_i e_i q^i = (sum_i a_i q^i - 1)/(1-q)^2.
+
+    Two running sums divide by (1-q) twice; a nonzero remainder (a with
+    sum a_i != 1 or sum i*a_i != 0) raises VertexError.
+    """
+    f = dict(a)
+    f[0] = f.get(0, 0) - 1
+    f = {i: c for i, c in f.items() if c}
+    if not f:
+        return {}
+    lo, hi = min(f), max(f)
+    e = {}
+    g = s = 0
+    for i in range(lo, hi + 1):
+        g += f.get(i, 0)  # coefficient of (sum f_i q^i)/(1-q)
+        s += g  # coefficient of (sum f_i q^i)/(1-q)^2
+        if s:
+            e[i] = s
+    if g or e.get(hi - 1, 0):
+        raise VertexError("(1-q)^2 does not divide sum a_i q^i - 1: a = %r" % a)
+    return e
 
 
 def s_product(mu: Partition, nu: Partition, order: int) -> TruncSeries:

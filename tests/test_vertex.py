@@ -14,8 +14,10 @@ from localvertex.vertex import (
     SCache,
     ToricSurface,
     VertexError,
+    _exponent,
     ai_coeffs,
     check_integrality,
+    e_coeffs,
     log_z0,
     pt_invariants,
     pt_series,
@@ -86,6 +88,50 @@ class TestAICoeffs:
     def test_constraint_violation_rejected(self):
         with pytest.raises(VertexError):
             AICoeffs(s=1, a={0: 2})
+
+
+def exp_route_ratio_squared(mu, nu, order):
+    """The oracle: (W_mu W_nu)^2 exp(2(A_{mu,nu} - A_{empty,empty}))."""
+    diff = _exponent(mu, nu, order) - _exponent(EMPTY, EMPTY, order)
+    w = w_one(mu) * w_one(nu)
+    return (diff * 2).exp() * (w * w)
+
+
+def _bits(series):
+    return series.order, {
+        d: (c.shift, c.num, c.den) for d, c in sorted(series.coeffs.items())
+    }
+
+
+class TestClosedForm:
+    def test_e_golden(self):
+        assert e_coeffs(ai_coeffs(P(2, 1), P(1)).a) == {-3: 1, -1: 2, 1: 1}
+        assert e_coeffs(ai_coeffs(EMPTY, EMPTY).a) == {}
+
+    @pytest.mark.parametrize("a", [{0: 2}, {1: 1}, {-1: 1, 2: 1, 0: -1}])
+    def test_e_remainder_raises(self, a):
+        """a violating sum a_i = 1 or sum i*a_i = 0 leaves a remainder."""
+        with pytest.raises(VertexError):
+            e_coeffs(a)
+
+    def test_bit_identical_to_exp_route(self):
+        pairs = [
+            (mu, nu)
+            for mu in partitions_up_to(4)
+            for nu in partitions_up_to(4)
+            if mu.size + nu.size <= 4
+        ]
+        assert len(pairs) == 38
+        for mu, nu in pairs:
+            got = s_ratio_squared(mu, nu, 12)
+            assert _bits(got) == _bits(exp_route_ratio_squared(mu, nu, 12)), (mu, nu)
+
+    def test_takes_no_series_exp(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("s_ratio_squared took a series exp")
+
+        monkeypatch.setattr(TruncSeries, "exp", refuse)
+        assert s_ratio_squared(P(2, 1), P(1), 4)[4]
 
 
 class TestSCache:
