@@ -2,10 +2,11 @@
 
 Computes PT/GW tables, runs the verification suites, and emits
 machine-readable reports.  JSON is the canonical output (exact rationals
-need num/den fields); CSV is a lossy projection for spreadsheets.  Exit
-status: 0 on success, 1 if a verification fails, 2 on a usage error or
-if an internal invariant (parity, realness, integrality) trips, 3 if a
-disk-cache file is unreadable.
+need num/den fields); CSV, offered by pt and gw only, is a lossy
+projection of their tables for spreadsheets.  Exit status: 0 on success,
+1 if a verification fails, 2 on a usage error or if an internal
+invariant (parity, realness, integrality) trips, 3 if a disk-cache file
+is unreadable.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="task", required=True)
 
-    def common(p, m_flag):
+    def common(p, m_flag, formats=("json",)):
         p.add_argument(
             "--r", action="append", type=_non_negative, default=None,
             help="surface parameter r of F_r; repeatable (default: 0)",
@@ -61,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--Q-order", type=_non_negative, default=DEFAULT_Q_ORDER)
         p.add_argument("--u-order", type=_non_negative, default=DEFAULT_U_ORDER)
         p.add_argument("--g-max", type=_non_negative, default=DEFAULT_G_MAX)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument(
             "--cache-dir", default=None,
@@ -70,9 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-cache", action="store_true", help="disable the disk cache")
 
     p_pt = sub.add_parser("pt", help="table of stable-pairs invariants PT_{mc+jb,n}")
-    common(p_pt, "m")
+    common(p_pt, "m", ("json", "csv"))
     p_gw = sub.add_parser("gw", help="table of Gromov-Witten invariants GW_{g,mc+jb}")
-    common(p_gw, "m-max")
+    common(p_gw, "m-max", ("json", "csv"))
     p_verify = sub.add_parser("verify", help="run the verification suite")
     common(p_verify, "m-max")
     p_verify.add_argument("--all", action="store_true", help="run every check")
@@ -96,8 +97,6 @@ def _make_cache(args) -> vx.SCache:
 
 def _emit(args, document, csv_text=None):
     if args.format == "csv":
-        if csv_text is None:
-            raise SystemExit("this task has no CSV projection; use --format json")
         payload = csv_text
     else:
         payload = json.dumps(document, indent=2, sort_keys=True) + "\n"

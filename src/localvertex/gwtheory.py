@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -110,15 +109,15 @@ def _i_power(h: int) -> int:
 # GW tables
 
 
-@dataclass
 class GWTable:
     """Exact GW invariants GW_{g, m*c + j*b} of K_{F_r}."""
 
-    r: int
-    g_max: int
-    m_max: int
-    j_max: int
-    entries: dict = field(default_factory=dict)  # (g, m, j) -> Fraction
+    def __init__(self, r: int, g_max: int, m_max: int, j_max: int, entries: dict = None):
+        self.r = r
+        self.g_max = g_max
+        self.m_max = m_max
+        self.j_max = j_max
+        self.entries = {} if entries is None else entries  # (g, m, j) -> Fraction
 
     def value(self, g: int, m: int, j: int) -> Fraction:
         return self.entries.get((g, m, j), Fraction(0))
@@ -246,13 +245,14 @@ def tilde_pt0(order: int, u_order: int, cache: SCache = None) -> TruncSeries:
     return TruncSeries(u_order, {h: c * _i_power(h) for h, c in result.coeffs.items()})
 
 
-@dataclass
 class RMembership:
     """Per-u-degree verification of membership in the ring R_{a,b}."""
 
-    a: int
-    b: int
-    per_h: dict = field(default_factory=dict)  # h -> dict(fit, fit_ok, symmetry_ok)
+    def __init__(self, a: int, b: int, per_h: dict = None):
+        self.a = a
+        self.b = b
+        # h -> dict(fit, fit_ok, symmetry_ok)
+        self.per_h = {} if per_h is None else per_h
 
     @property
     def passed(self) -> bool:

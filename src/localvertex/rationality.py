@@ -13,7 +13,6 @@ is ill-defined on a one-sided expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .qfield import QRat
@@ -28,14 +27,15 @@ class FitError(ArithmeticError):
         self.offending_degree = offending_degree
 
 
-@dataclass
 class RationalFit:
     """A certified rational function num(Q)/prod (1-Q^a)^e."""
 
-    numerator: dict  # Q-degree -> coefficient (Fraction or QRat), Laurent
-    denom_spec: tuple  # ((a, e), ...) meaning prod (1 - Q^a)^e
-    surplus: int
-    order: int  # truncation order of the fitted input
+    def __init__(self, numerator: dict, denom_spec: tuple, surplus: int, order: int):
+        # Q-degree -> coefficient (Fraction or QRat), Laurent
+        self.numerator = numerator
+        self.denom_spec = denom_spec  # ((a, e), ...) meaning prod (1 - Q^a)^e
+        self.surplus = surplus
+        self.order = order  # truncation order of the fitted input
 
     def denominator_degree(self) -> int:
         return sum(a * e for a, e in self.denom_spec)

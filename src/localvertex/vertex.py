@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import Partition, partitions_of, partitions_up_to
@@ -129,20 +128,18 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> TruncSeries:
     return TruncSeries(order, coeffs)
 
 
-@dataclass(frozen=True)
 class AICoeffs:
     """The finite coefficient window of p_mu(q) p_nu(q) (1-q)^2."""
 
-    s: int
-    a: dict
-
-    def __post_init__(self):
-        total = sum(self.a.values())
-        weighted = sum(i * c for i, c in self.a.items())
+    def __init__(self, s: int, a: dict):
+        total = sum(a.values())
+        weighted = sum(i * c for i, c in a.items())
         if total != 1 or weighted != 0:
             raise VertexError(
                 "a_i constraints violated: sum=%s, weighted=%s" % (total, weighted)
             )
+        self.s = s
+        self.a = a
 
 
 def ai_coeffs(mu: Partition, nu: Partition) -> AICoeffs:
@@ -332,7 +329,6 @@ def check_integrality(series: TruncSeries, q_terms: int = 40) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class ToricSurface:
     """A smooth toric surface given by its cycle of toric divisors.
 
@@ -340,14 +336,13 @@ class ToricSurface:
     the H_2 basis {c, b}; self_intersections holds the s_j = D_j^2.
     """
 
-    divisor_classes: tuple
-    self_intersections: tuple
-
-    def __post_init__(self):
-        if len(self.divisor_classes) < 3:
+    def __init__(self, divisor_classes: tuple, self_intersections: tuple):
+        if len(divisor_classes) < 3:
             raise ValueError("a toric surface needs at least 3 divisors")
-        if len(self.divisor_classes) != len(self.self_intersections):
+        if len(divisor_classes) != len(self_intersections):
             raise ValueError("divisor/self-intersection length mismatch")
+        self.divisor_classes = divisor_classes
+        self.self_intersections = self_intersections
 
     @classmethod
     def hirzebruch(cls, r: int) -> "ToricSurface":

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from localvertex import cli
 from localvertex import gwtheory as gw
 from localvertex import rationality as rat
 from localvertex.cli import main
@@ -212,6 +213,19 @@ class TestUsage:
             main(argv)
         assert exit_info.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["verify", "fit", "selftest"])
+    def test_csv_only_on_table_tasks(self, capsys, monkeypatch, task):
+        """csv is a usage error, exit 2, before any work runs."""
+
+        def refuse(args):
+            raise AssertionError("%s ran before the usage error" % task)
+
+        monkeypatch.setitem(cli.TASKS, task, refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main([task, "--format", "csv"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
     def test_missing_task_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -312,6 +312,22 @@ def test_import_leaves_sympy_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_leaves_dataclasses_out():
+    """Importing the CLI pulls in neither dataclasses nor inspect, which with
+    ast, dis and tokenize would be the largest import of a short job."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, localvertex.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.fixture(scope="module")
 def zz():
     """sympy's dense arithmetic over ZZ, the oracle for the kernel."""
