@@ -1,19 +1,22 @@
 """Command-line entry point.
 
 Computes PT/GW tables, runs the verification suites, and emits
-machine-readable reports.  JSON is the canonical output (exact rationals
-need num/den fields); CSV, offered by pt and gw only, is a lossy
-projection of their tables for spreadsheets.  Exit status: 0 on success,
-1 if a verification fails, 2 on a usage error or if an internal
-invariant (parity, realness, integrality) trips, 3 if a disk-cache file
-is unreadable.
+machine-readable reports.  Each task takes only the flags it reads, and a
+report's "bounds" lists only the bounds its task reads.  JSON is the
+canonical output (exact rationals need num/den fields); CSV, offered by
+pt and gw only, is a lossy projection of their tables for spreadsheets.
+The S-series disk cache is used only where --cache-dir names it.  ``fit``
+and ``verify`` certify a GW genus column by one routine: a fit over
+(1-Q)^(4m+2g-2) and the Weyl functional equation at weight m(r-2).
+Exit status: 0 on success, 1 if a verification fails, 2 on a usage error
+or if an internal invariant (parity, realness, integrality) trips, 3 if a
+disk-cache file is unreadable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -26,12 +29,6 @@ from .series import polylog_neg
 from .symmfun import schur_principal, schur_principal_jt, w_two
 
 SCHEMA = 1
-CACHE_ENV = "LOCALVERTEX_CACHE_DIR"
-
-DEFAULT_Q_ORDER = 10
-DEFAULT_U_ORDER = 8
-DEFAULT_M_MAX = 2
-DEFAULT_G_MAX = 3
 
 
 def _non_negative(text: str) -> int:
@@ -41,65 +38,56 @@ def _non_negative(text: str) -> int:
     return value
 
 
+FLAGS = {
+    "--r": dict(
+        action="append", type=_non_negative, default=None,
+        help="surface parameter r of F_r; repeatable (default: 0)",
+    ),
+    "--m": dict(type=_non_negative, default=1, help="curve class multiple of c"),
+    "--m-max": dict(type=_non_negative, default=2),
+    "--Q-order": dict(type=_non_negative, default=10),
+    "--u-order": dict(type=_non_negative, default=8),
+    "--g-max": dict(type=_non_negative, default=3),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--all": dict(action="store_true", help="run every check"),
+    "--out": dict(default=None, help="output path (default: stdout)"),
+    "--cache-dir": dict(
+        default=None, help="S-series disk cache directory (default: memory only)"
+    ),
+}
+
+TASK_FLAGS = {
+    "pt": ("table of stable-pairs invariants PT_{mc+jb,n}",
+           "--r --m --Q-order --format --out --cache-dir"),
+    "gw": ("table of Gromov-Witten invariants GW_{g,mc+jb}",
+           "--r --m-max --Q-order --g-max --format --out --cache-dir"),
+    "verify": ("run the verification suite",
+               "--r --m-max --Q-order --u-order --g-max --all --out --cache-dir"),
+    "fit": ("rational reconstruction of GW genus columns, certified at weight m(r-2)",
+            "--r --m --Q-order --g-max --out --cache-dir"),
+    "selftest": ("oracle-equivalence and symmetry property suites", "--out"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localvertex",
         description="Exact vertex computations for local Hirzebruch surfaces.",
     )
     sub = parser.add_subparsers(dest="task", required=True)
-
-    def common(p, m_flag, formats=("json",)):
-        p.add_argument(
-            "--r", action="append", type=_non_negative, default=None,
-            help="surface parameter r of F_r; repeatable (default: 0)",
-        )
-        if m_flag == "m":
-            p.add_argument(
-                "--m", type=_non_negative, default=1, help="curve class multiple of c"
-            )
-        elif m_flag == "m-max":
-            p.add_argument("--m-max", type=_non_negative, default=DEFAULT_M_MAX)
-        p.add_argument("--Q-order", type=_non_negative, default=DEFAULT_Q_ORDER)
-        p.add_argument("--u-order", type=_non_negative, default=DEFAULT_U_ORDER)
-        p.add_argument("--g-max", type=_non_negative, default=DEFAULT_G_MAX)
-        p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument(
-            "--cache-dir", default=None,
-            help="S-series disk cache directory (default: $%s)" % CACHE_ENV,
-        )
-        p.add_argument("--no-cache", action="store_true", help="disable the disk cache")
-
-    p_pt = sub.add_parser("pt", help="table of stable-pairs invariants PT_{mc+jb,n}")
-    common(p_pt, "m", ("json", "csv"))
-    p_gw = sub.add_parser("gw", help="table of Gromov-Witten invariants GW_{g,mc+jb}")
-    common(p_gw, "m-max", ("json", "csv"))
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    common(p_verify, "m-max")
-    p_verify.add_argument("--all", action="store_true", help="run every check")
-    p_fit = sub.add_parser(
-        "fit", help="rational reconstruction of GW genus columns with exponent search"
-    )
-    common(p_fit, "m")
-    p_selftest = sub.add_parser(
-        "selftest", help="oracle-equivalence and symmetry property suites"
-    )
-    common(p_selftest, None)
+    for task, (help_text, flags) in TASK_FLAGS.items():
+        p = sub.add_parser(task, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
-def _make_cache(args) -> vx.SCache:
-    if getattr(args, "no_cache", False):
-        return vx.SCache()
-    directory = args.cache_dir or os.environ.get(CACHE_ENV)
-    return vx.SCache(directory)
-
-
 def _emit(args, document, csv_text=None):
-    if args.format == "csv":
-        payload = csv_text
-    else:
+    """Write the report as JSON, or ``csv_text`` when one is given."""
+    if csv_text is None:
         payload = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    else:
+        payload = csv_text
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
@@ -113,11 +101,38 @@ def _report(task, args) -> dict:
         "task": task,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "bounds": {
-            "Q_order": args.Q_order,
-            "u_order": args.u_order,
-            "g_max": args.g_max,
+            name: getattr(args, name)
+            for name in ("Q_order", "u_order", "g_max")
+            if name in args
         },
     }
+
+
+def _column_certificate(table, m: int, g: int):
+    """Certify the GW column sum_j GW_{g, m*c + j*b} Q^j of ``table``.
+
+    The column is fitted over (1-Q)^column_power(m, g) and checked against
+    the Weyl functional equation at weight w.(m*c) = m(r-2).  Returns
+    (entry, fit): the entry is {"exponent", "passed"}, plus "skipped" when
+    the Q-order leaves no surplus or "error" when the column does not fit;
+    ``fit`` is the RationalFit, or None.
+    """
+    a = rat.w_dot_beta(m, 0, table.r)
+    entry = {"exponent": None, "passed": False}
+    fit = None
+    try:
+        certified = rat.certify_column(table.column(g, m), gw.column_power(m, g), a)
+        if certified is None:
+            entry["passed"] = True
+            entry["skipped"] = "Q-order too small for this genus"
+        else:
+            fit, holds = certified
+            if holds:
+                entry["exponent"] = a
+                entry["passed"] = True
+    except rat.FitError as err:
+        entry["error"] = str(err)
+    return entry, fit
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +140,7 @@ def _report(task, args) -> dict:
 
 
 def run_pt(args) -> int:
-    cache = _make_cache(args)
+    cache = vx.SCache(args.cache_dir)
     report = _report("pt", args)
     report["m"] = args.m
     tables = {}
@@ -133,68 +148,50 @@ def run_pt(args) -> int:
         rows = vx.pt_invariants(r, args.m, args.Q_order, cache=cache)
         tables[str(r)] = [{"j": j, "n": n, "value": v} for j, n, v in rows]
     report["tables"] = tables
-    lines = ["r,m,j,n,value"]
-    for r in args.r:
-        for row in tables[str(r)]:
-            lines.append("%d,%d,%d,%d,%d" % (r, args.m, row["j"], row["n"], row["value"]))
-    _emit(args, report, "\n".join(lines) + "\n")
+    csv_text = None
+    if args.format == "csv":
+        lines = ["r,m,j,n,value"]
+        for r in args.r:
+            for row in tables[str(r)]:
+                lines.append("%d,%d,%d,%d,%d" % (r, args.m, row["j"], row["n"], row["value"]))
+        csv_text = "\n".join(lines) + "\n"
+    _emit(args, report, csv_text)
     return 0
 
 
 def run_gw(args) -> int:
-    cache = _make_cache(args)
+    cache = vx.SCache(args.cache_dir)
     report = _report("gw", args)
     report["m_max"] = args.m_max
-    tables = {}
-    csv_chunks = []
-    for r in args.r:
-        table = gw.gw_extract(r, args.m_max, args.Q_order, args.g_max, cache=cache)
-        tables[str(r)] = table.to_json()
-        csv_chunks.append(table.to_csv())
-    report["tables"] = tables
-    _emit(args, report, "".join(csv_chunks))
+    tables = [
+        gw.gw_extract(r, args.m_max, args.Q_order, args.g_max, cache=cache)
+        for r in args.r
+    ]
+    report["tables"] = {str(t.r): t.to_json() for t in tables}
+    csv_text = "".join(t.to_csv() for t in tables) if args.format == "csv" else None
+    _emit(args, report, csv_text)
     return 0
 
 
 def run_fit(args) -> int:
-    cache = _make_cache(args)
+    cache = vx.SCache(args.cache_dir)
     report = _report("fit", args)
     report["m"] = args.m
-    failed = False
     fits = {}
     for r in args.r:
         table = gw.gw_extract(r, args.m, args.Q_order, args.g_max, cache=cache)
-        per_genus = {}
-        a = rat.w_dot_beta(args.m, 0, r)
+        per_genus = fits[str(r)] = {}
         for g in range(args.g_max + 1):
-            column = table.column(g, args.m)
-            power = gw.column_power(args.m, g)
-            entry = {"denominator_power": None, "fit": None, "exponent": None}
-            try:
-                certified = rat.certify_column(column, power, a)
-                if certified is None:
-                    entry["skipped"] = (
-                        "Q-order %d leaves no surplus for denominator power %d"
-                        % (column.order, power)
-                    )
-                else:
-                    fit = certified[0]
-                    entry["denominator_power"] = power
-                    entry["fit"] = fit.to_json()
-                    entry["exponent"] = rat.find_exponent(fit, -8, 8)
-            except ArithmeticError as err:
-                entry["error"] = str(err)
-                failed = True
+            entry, fit = _column_certificate(table, args.m, g)
+            entry["denominator_power"] = gw.column_power(args.m, g)
+            entry["fit"] = fit.to_json() if fit else None
             per_genus[str(g)] = entry
-        fits[str(r)] = per_genus
     report["fits"] = fits
-    report["passed"] = not failed
-    _emit(args, report)
-    return 1 if failed else 0
+    return _verdict(args, report, fits)
 
 
 def run_verify(args) -> int:
-    cache = _make_cache(args)
+    cache = vx.SCache(args.cache_dir)
     report = _report("verify", args)
     checks = {}
 
@@ -225,24 +222,9 @@ def run_verify(args) -> int:
     tables = {}
     for r in args.r:
         table = tables[r] = gw.gw_extract(r, 1, args.Q_order, args.g_max, cache=cache)
-        a = rat.w_dot_beta(1, 0, r)
-        per_genus = {}
-        for g in range(args.g_max + 1):
-            entry = {"exponent": None, "passed": False}
-            try:
-                certified = rat.certify_column(
-                    table.column(g, 1), gw.column_power(1, g), a
-                )
-                if certified is None:
-                    entry["passed"] = True
-                    entry["skipped"] = "Q-order too small for this genus"
-                elif certified[1]:
-                    entry["exponent"] = a
-                    entry["passed"] = True
-            except rat.FitError as err:
-                entry["error"] = str(err)
-            per_genus[str(g)] = entry
-        exponents["r=%d" % r] = per_genus
+        exponents["r=%d" % r] = {
+            str(g): _column_certificate(table, 1, g)[0] for g in range(args.g_max + 1)
+        }
     checks["column_exponents"] = exponents
 
     # eventual polynomiality in j of the genus columns
@@ -262,10 +244,15 @@ def run_verify(args) -> int:
         checks["polynomiality"] = poly
 
     report["checks"] = checks
-    passed = _all_passed(checks)
-    report["passed"] = passed
+    return _verdict(args, report, checks)
+
+
+def _verdict(args, report, node) -> int:
+    """Set "passed" to whether every check under ``node`` passed, emit the
+    report, and return the exit status."""
+    report["passed"] = _all_passed(node)
     _emit(args, report)
-    return 0 if passed else 1
+    return 0 if report["passed"] else 1
 
 
 def _all_passed(node) -> bool:
@@ -314,10 +301,7 @@ def run_selftest(args) -> int:
     checks["polylog_identities"] = {"passed": poly_ok}
 
     report["checks"] = checks
-    passed = _all_passed(checks)
-    report["passed"] = passed
-    _emit(args, report)
-    return 0 if passed else 1
+    return _verdict(args, report, checks)
 
 
 TASKS = {
@@ -331,7 +315,7 @@ TASKS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.r is None:
+    if "r" in args and args.r is None:
         args.r = [0]
     try:
         return TASKS[args.task](args)
@@ -339,7 +323,7 @@ def main(argv=None) -> int:
         sys.stderr.write("invariant violation: %s\n" % err)
         return 2
     except vx.CacheError as err:
-        sys.stderr.write("%s\ndelete %s or pass --no-cache\n" % (err, err.path))
+        sys.stderr.write("%s\ndelete %s or run without --cache-dir\n" % (err, err.path))
         return 3
 
 

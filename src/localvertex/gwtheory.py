@@ -162,31 +162,19 @@ def column_power(m: int, g: int) -> int:
 
 def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
     """Coefficients [Q_c^m] log Z as Q-series with QRat coefficients: log Z_0
-    (vertex.log_z0), then log(1 + sum_{m>=1} x_m Q_c^m), x_m = Z_m/Z_0."""
+    (vertex.log_z0), then L = log(1 + sum_{m>=1} x_m Q_c^m), x_m = Z_m/Z_0.
+
+    L' (1 + sum x_m Q_c^m) = (sum x_m Q_c^m)' gives the recurrence
+    m L_m = m x_m - sum_{k<m} k L_k x_{m-k}.
+    """
     logs = {0: log_z0(order)}
     if m_max >= 1:
         x = z_ratios(r, m_max, order, cache=cache)
-        del x[0]
-        acc = {m: TruncSeries(order) for m in range(1, m_max + 1)}
-        power = dict(x)
-        for n in range(1, m_max + 1):
-            coeff = Fraction((-1) ** (n + 1), n)
-            for m in range(n, m_max + 1):
-                acc[m] = acc[m] + power[m] * coeff
-            if n < m_max:
-                power = _qc_convolve(power, x, m_max, order)
-        logs.update(acc)
+        for m in range(1, m_max + 1):
+            logs[m] = x[m]
+            for k in range(1, m):
+                logs[m] = logs[m] - logs[k] * x[m - k] * Fraction(k, m)
     return logs
-
-
-def _qc_convolve(a: dict, b: dict, m_max: int, order: int) -> dict:
-    out = {m: TruncSeries(order) for m in range(1, m_max + 1)}
-    for m1, s1 in a.items():
-        for m2, s2 in b.items():
-            m = m1 + m2
-            if m <= m_max:
-                out[m] = out[m] + s1 * s2
-    return out
 
 
 def gw_extract(
@@ -278,9 +266,7 @@ class RMembership:
         }
 
 
-def verify_R(
-    useries: TruncSeries, a: int, b: int, h_max: int, h_min: int = None
-) -> RMembership:
+def verify_R(useries: TruncSeries, a: int, b: int, h_max: int) -> RMembership:
     """Check each u-coefficient f_h against denominator (1-Q)^(b+h) and the
     symmetry Q^a f_h(1/Q) = (-1)^h f_h(Q), by ``certify_column``.
 
@@ -288,8 +274,7 @@ def verify_R(
     leaves no surplus is marked "skipped" with the reason, not failed.
     """
     result = RMembership(a=a, b=b)
-    lo = h_min if h_min is not None else min(0, useries.valuation() or 0)
-    for h in range(lo, h_max + 1):
+    for h in range(min(0, useries.valuation() or 0), h_max + 1):
         coeff = useries.coeffs.get(h)
         if coeff is None or not coeff:
             result.per_h[h] = {"fit_ok": True, "symmetry_ok": True, "fit": None}

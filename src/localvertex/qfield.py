@@ -535,7 +535,3 @@ def _poly_str(p):
         else:
             terms.append("%s*t^%d" % (c, e))
     return "(" + " + ".join(terms) + ")"
-
-
-ZERO = QRat.zero()
-ONE = QRat.one()

@@ -221,12 +221,6 @@ def _scalar_series(x, order):
     return NotImplemented
 
 
-def binomial_factor(order: int, coeff, degree: int, exponent: int) -> TruncSeries:
-    """(1 - coeff*x^degree)^exponent for integer exponent, truncated."""
-    base = TruncSeries(order, {0: 1, degree: -coeff})
-    return base.pow_int(exponent)
-
-
 def cyclo_product(exponents, order: int) -> TruncSeries:
     """prod over (i, j) of (1 - q^(j+i) * Q)^e(i,j), truncated at Q^order.
 
@@ -238,8 +232,8 @@ def cyclo_product(exponents, order: int) -> TruncSeries:
     for (i, j), e in sorted(exponents.items()):
         if e == 0 or order < 1:
             continue
-        factor = binomial_factor(order, QRat.q_power(j + i), 1, e)
-        result = result * factor
+        factor = TruncSeries(order, {0: 1, 1: -QRat.q_power(j + i)})
+        result = result * factor.pow_int(e)
     return result
 
 

@@ -28,6 +28,7 @@ class TestSelftest:
         assert doc["passed"] is True
         assert doc["schema"] == 1
         assert doc["task"] == "selftest"
+        assert doc["bounds"] == {}
 
 
 class TestPT:
@@ -36,6 +37,7 @@ class TestPT:
         assert code == 0
         rows = doc["tables"]["0"]
         assert {"j": 1, "n": 1, "value": -2} in rows
+        assert doc["bounds"] == {"Q_order": 2}
 
     def test_csv_projection(self, capsys):
         code, out = run(
@@ -157,7 +159,6 @@ class TestVerify:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert str(tmp_path) in err
-        assert "--no-cache" in err
 
 
 class TestFit:
@@ -186,6 +187,34 @@ class TestFit:
         )
         assert code == 0
         assert "skipped" in doc["fits"]["0"]["2"]
+
+    def test_wrong_weight_fails(self, capsys, monkeypatch):
+        """fit certifies at weight m(r-2), exactly as verify does."""
+        monkeypatch.setattr(rat, "w_dot_beta", lambda m, j, r: m * (r - 2) - 2 * j + 1)
+        code, doc = run_json(
+            capsys, "fit", "--r", "0", "--m", "1", "--Q-order", "9", "--g-max", "1"
+        )
+        assert code == 1
+        assert doc["passed"] is False
+        for entry in doc["fits"]["0"].values():
+            assert entry["exponent"] is None
+            assert entry["passed"] is False
+            assert entry["fit"] is not None
+
+    def test_entry_is_verify_entry(self, capsys):
+        """A fit entry is verify's column entry plus denominator_power and fit."""
+        code, doc = run_json(
+            capsys, "fit", "--r", "3", "--m", "1", "--Q-order", "9", "--g-max", "3"
+        )
+        assert code == 0
+        _, expected = run_json(
+            capsys, "verify", "--r", "3", "--m-max", "1", "--Q-order", "9",
+            "--g-max", "3", "--u-order", "2",
+        )
+        for g, entry in doc["fits"]["3"].items():
+            assert entry.pop("denominator_power") == gw.column_power(1, int(g))
+            entry.pop("fit")
+            assert entry == expected["checks"]["column_exponents"]["r=3"][g]
 
 
 class TestUsage:
@@ -216,7 +245,7 @@ class TestUsage:
 
     @pytest.mark.parametrize("task", ["verify", "fit", "selftest"])
     def test_csv_only_on_table_tasks(self, capsys, monkeypatch, task):
-        """csv is a usage error, exit 2, before any work runs."""
+        """--format is a usage error off pt and gw, exit 2, before any work runs."""
 
         def refuse(args):
             raise AssertionError("%s ran before the usage error" % task)
@@ -225,8 +254,59 @@ class TestUsage:
         with pytest.raises(SystemExit) as exit_info:
             main([task, "--format", "csv"])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'csv'" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_task_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pt", "--u-order", "2"],
+            ["gw", "--u-order", "2"],
+            ["fit", "--u-order", "2"],
+            ["pt", "--g-max", "1"],
+            ["verify", "--format", "json"],
+            ["fit", "--format", "json"],
+            ["selftest", "--format", "json"],
+            ["selftest", "--r", "0"],
+            ["selftest", "--Q-order", "2"],
+            ["selftest", "--u-order", "2"],
+            ["selftest", "--g-max", "1"],
+            ["selftest", "--cache-dir", "scache"],
+            ["pt", "--no-cache"],
+            ["gw", "--no-cache"],
+            ["verify", "--no-cache"],
+            ["fit", "--no-cache"],
+            ["selftest", "--no-cache"],
+        ],
+    )
+    def test_deleted_flag_is_usage_error(self, capsys, monkeypatch, argv):
+        """A flag its task does not read is rejected, exit 2, before any work."""
+
+        def refuse(args):
+            raise AssertionError("%s ran before the usage error" % argv[0])
+
+        monkeypatch.setitem(cli.TASKS, argv[0], refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_benchmark_argv_parses(self, tmp_path):
+        """The argv of the benchmark's cache fill and of its verify job."""
+        directory, report = str(tmp_path / "scache"), str(tmp_path / "report.json")
+        parser = cli._build_parser()
+        fill = parser.parse_args([
+            "pt", "--r", "0", "--m", "1", "--Q-order", "9",
+            "--cache-dir", directory, "--out", report,
+        ])
+        assert (fill.task, fill.r, fill.m, fill.Q_order) == ("pt", [0], 1, 9)
+        assert (fill.cache_dir, fill.out, fill.format) == (directory, report, "json")
+        job = parser.parse_args([
+            "verify", "--all", "--r", "2", "--m-max", "1", "--Q-order", "9",
+            "--cache-dir", directory, "--out", report,
+        ])
+        assert (job.task, job.all, job.r, job.m_max, job.Q_order) == ("verify", True, [2], 1, 9)
+        assert (job.cache_dir, job.out) == (directory, report)

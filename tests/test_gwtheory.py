@@ -9,6 +9,7 @@ from localvertex.gwtheory import (
     GWTable,
     finite_differences,
     gw_extract,
+    log_z,
     polynomiality_check,
     qseries_to_u,
     tilde_pt0,
@@ -18,6 +19,7 @@ from localvertex.gwtheory import (
 from localvertex.qfield import QRat
 from localvertex.rationality import find_exponent, fit_rational
 from localvertex.series import TruncSeries
+from localvertex.vertex import log_z0, z_ratios
 
 ONE = QRat.one()
 Q = QRat.q_power(1)
@@ -190,3 +192,33 @@ class TestColumnRationality:
             fit = fit_rational(gw_table_r0.column(g, 1), ((1, 2 + 2 * g),))
             assert fit.surplus >= 3
             assert find_exponent(fit, -8, 8) == -2
+
+
+def log_z_by_powers(r, m_max, order):
+    """Oracle for ``log_z``: log(1 + X) = sum_n (-1)^(n+1) X^n / n, with the
+    powers of X = sum_{m>=1} x_m Q_c^m convolved in Q_c and cut at Q_c^m_max."""
+    x = z_ratios(r, m_max, order)
+    del x[0]
+    acc = {m: TruncSeries(order) for m in range(1, m_max + 1)}
+    power = dict(x)
+    for n in range(1, m_max + 1):
+        for m in range(n, m_max + 1):
+            acc[m] = acc[m] + power[m] * Fraction((-1) ** (n + 1), n)
+        product = {m: TruncSeries(order) for m in range(1, m_max + 1)}
+        for m1, s1 in power.items():
+            for m2, s2 in x.items():
+                if m1 + m2 <= m_max:
+                    product[m1 + m2] = product[m1 + m2] + s1 * s2
+        power = product
+    return {0: log_z0(order), **acc}
+
+
+class TestLogZ:
+    @pytest.mark.parametrize("r, m_max, order", [(0, 2, 7), (0, 3, 8), (1, 4, 6), (3, 3, 7)])
+    def test_recurrence_matches_power_series(self, r, m_max, order):
+        got = log_z(r, m_max, order)
+        expected = log_z_by_powers(r, m_max, order)
+        assert set(got) == set(expected)
+        for m, series in expected.items():
+            assert got[m].order == series.order
+            assert got[m] == series
