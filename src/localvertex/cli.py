@@ -314,7 +314,13 @@ TASKS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.task == "fit" and args.m == 0:
+        parser.error(
+            "fit needs --m >= 1: the fiber columns at g = 0, 1 are Li_3(Q) and "
+            "Li_1(Q), which are not rational"
+        )
     if "r" in args and args.r is None:
         args.r = [0]
     try:

@@ -1,8 +1,7 @@
 """Integer partitions and their combinatorial statistics.
 
 Partitions index every sum in the vertex engine.  They are immutable,
-hashable, and compare structurally, so they are safe to use as cache keys
-and to share between workers.
+hashable, and compare structurally, so they are safe to use as cache keys.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ class Partition:
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
-
-    def __reduce__(self):
-        return (Partition, (self.parts,))
 
     def __iter__(self):
         return iter(self.parts)
@@ -90,13 +86,6 @@ class Partition:
                 leg = conj[j] - i - 1
                 out.append(arm + leg + 1)
         return out
-
-    def to_json(self) -> list:
-        return list(self.parts)
-
-    @classmethod
-    def from_json(cls, data) -> "Partition":
-        return cls(data)
 
 
 EMPTY = Partition()

@@ -345,10 +345,6 @@ class QRat:
     def __bool__(self):
         return bool(self.num)
 
-    def is_polynomial(self) -> bool:
-        """True if the denominator is 1 (Laurent polynomial in t)."""
-        return self.den == _ONE
-
     def has_even_t_powers(self) -> bool:
         """True iff the value lies in Q(q), i.e. is fixed by t -> -t."""
         return self.subs_neg_t() == self

@@ -12,10 +12,13 @@ quartic to quadratic in the number of partitions.
 The partition function is defined by the exponent A_{mu,nu} of
 S_{mu,nu} = W_mu W_nu exp(A_{mu,nu}).  Only log Z_0 = 2 A_{empty,empty}
 stays in log space.  Z_m/Z_0 sums (S_{mu2,mu4}/S_{empty,empty})^2, and
-each of those is a finite product: with p_mu(q) p_nu(q) (1-q)^2 =
-sum_i a_i q^i and sum_i e_i q^i = (sum_i a_i q^i - 1)/(1-q)^2,
+each of those is a finite product,
 
-    (S_{mu,nu}/S_{empty,empty})^2 = (W_mu W_nu)^2 prod_i (1 - q^(i+1) Q)^(-2 e_i).
+    (S_{mu,nu}/S_{empty,empty})^2 = (W_mu W_nu)^2 prod_i (1 - q^(i+1) Q)^(-2 e_i),
+
+whose integer exponents e_i are read off the box contents of the Young
+diagrams: sum_i e_i q^i = B_mu + B_nu + (1-q)^2 B_mu B_nu with
+B_mu(q) the sum over the boxes (row i >= 1, column j >= 0) of q^(j-i).
 """
 
 from __future__ import annotations
@@ -25,17 +28,16 @@ import json
 import os
 from fractions import Fraction
 
-from .partitions import Partition, partitions_of, partitions_up_to
+from .partitions import EMPTY, Partition, partitions_of, partitions_up_to
 from .qfield import QRat
 from .series import TruncSeries
 from .symmfun import p_shifted, w_one, w_two
 
 FORMAT_VERSION = 2
-_EMPTY = Partition()
 
 
 class VertexError(ArithmeticError):
-    """An internal invariant (parity, clearing) failed; implementation bug."""
+    """An internal invariant (parity, integrality) failed; implementation bug."""
 
 
 class CacheError(Exception):
@@ -85,7 +87,7 @@ def s_closed(mu: Partition, nu: Partition, order: int) -> TruncSeries:
 
 def log_z0(order: int) -> TruncSeries:
     """log Z_0 = log S_{empty,empty}^2 = 2 A_{empty,empty}, the same for every r."""
-    return _exponent(_EMPTY, _EMPTY, order) * 2
+    return _exponent(EMPTY, EMPTY, order) * 2
 
 
 def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> TruncSeries:
@@ -98,7 +100,7 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> TruncSeries:
     b_(k+1) = b_k (n + k)/(k + 1), exact for negative n too.  Each nonzero
     Q-coefficient is then scaled once by the QRat (W_mu W_nu)^2.
     """
-    e = e_coeffs(ai_coeffs(mu, nu).a)
+    e = e_coeffs(mu, nu)
     # poly[k] is the Q^k coefficient as {q-exponent: integer}
     poly = [{0: 1}] + [{} for _ in range(order)]
     for i, ei in e.items():
@@ -128,65 +130,47 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> TruncSeries:
     return TruncSeries(order, coeffs)
 
 
-class AICoeffs:
-    """The finite coefficient window of p_mu(q) p_nu(q) (1-q)^2."""
-
-    def __init__(self, s: int, a: dict):
-        total = sum(a.values())
-        weighted = sum(i * c for i, c in a.items())
-        if total != 1 or weighted != 0:
-            raise VertexError(
-                "a_i constraints violated: sum=%s, weighted=%s" % (total, weighted)
-            )
-        self.s = s
-        self.a = a
+def _contents(mu: Partition) -> dict:
+    """B_mu(q) = sum over the boxes (row i >= 1, column j >= 0) of q^(j-i)."""
+    b = {}
+    for i, part in enumerate(mu.parts, 1):
+        for j in range(part):
+            b[j - i] = b.get(j - i, 0) + 1
+    return b
 
 
-def ai_coeffs(mu: Partition, nu: Partition) -> AICoeffs:
-    """Clear p_mu(q) p_nu(q) to the form (sum_i a_i q^i) / (1-q)^2."""
-    q = QRat.q_power(1)
-    cleared = p_shifted(mu, 1) * p_shifted(nu, 1) * (QRat.one() - q) ** 2
-    if not cleared.is_polynomial():
-        raise VertexError("(1-q)^2 clearing failed for %r, %r" % (mu, nu))
-    if not cleared.has_even_t_powers():
-        raise VertexError("odd t-power in a_i clearing for %r, %r" % (mu, nu))
-    a = {}
-    degree = len(cleared.num) - 1
-    for pos, c in enumerate(cleared.num):
-        if not c:
-            continue
-        texp = cleared.shift + (degree - pos)
-        a[texp // 2] = int(c)
-    s = max(abs(i) for i in a)
-    return AICoeffs(s=s, a=a)
+def _times_one_minus_q_squared(f: dict) -> dict:
+    """(1-q)^2 f for a Laurent polynomial f given as {q-exponent: integer}."""
+    out = {}
+    for i, c in f.items():
+        out[i] = out.get(i, 0) + c
+        out[i + 1] = out.get(i + 1, 0) - 2 * c
+        out[i + 2] = out.get(i + 2, 0) + c
+    return out
 
 
-def e_coeffs(a: dict) -> dict:
-    """The integer e_i with sum_i e_i q^i = (sum_i a_i q^i - 1)/(1-q)^2.
+def e_coeffs(mu: Partition, nu: Partition) -> dict:
+    """The integer e_i with sum_i e_i q^i = (p_mu(q) p_nu(q) (1-q)^2 - 1)/(1-q)^2.
 
-    Two running sums divide by (1-q) twice; a nonzero remainder (a with
-    sum a_i != 1 or sum i*a_i != 0) raises VertexError.
+    p_mu(q) = 1/(q-1) + (q-1) B_mu(q) with B_mu of ``_contents``, so
+    p_mu p_nu (1-q)^2 = (1 + (1-q)^2 B_mu)(1 + (1-q)^2 B_nu) and
+    e = B_mu + B_nu + (1-q)^2 B_mu B_nu, read off the Young diagrams.
     """
-    f = dict(a)
-    f[0] = f.get(0, 0) - 1
-    f = {i: c for i, c in f.items() if c}
-    if not f:
-        return {}
-    lo, hi = min(f), max(f)
-    e = {}
-    g = s = 0
-    for i in range(lo, hi + 1):
-        g += f.get(i, 0)  # coefficient of (sum f_i q^i)/(1-q)
-        s += g  # coefficient of (sum f_i q^i)/(1-q)^2
-        if s:
-            e[i] = s
-    if g or e.get(hi - 1, 0):
-        raise VertexError("(1-q)^2 does not divide sum a_i q^i - 1: a = %r" % a)
-    return e
+    b_mu, b_nu = _contents(mu), _contents(nu)
+    product = {}
+    for i, c in b_mu.items():
+        for j, d in b_nu.items():
+            product[i + j] = product.get(i + j, 0) + c * d
+    e = _times_one_minus_q_squared(product)
+    for b in (b_mu, b_nu):
+        for i, c in b.items():
+            e[i] = e.get(i, 0) + c
+    return {i: c for i, c in sorted(e.items()) if c}
 
 
 def s_product(mu: Partition, nu: Partition, order: int) -> TruncSeries:
-    """S_{mu,nu} via the infinite product over (1 - q^(j+i) Q)^(-j a_i).
+    """S_{mu,nu} via the infinite product over (1 - q^(j+i) Q)^(-j a_i), with
+    sum_i a_i q^i = p_mu(q) p_nu(q) (1-q)^2 = 1 + (1-q)^2 sum_i e_i q^i.
 
     Truncating the product in j is not exact in q (every factor touches
     every Q-degree), so the j-product is resummed in closed form:
@@ -194,12 +178,14 @@ def s_product(mu: Partition, nu: Partition, order: int) -> TruncSeries:
         log prod_{j>=1} (1 - q^(j+i) Q)^(-j)
             = sum_{k>=1} q^((i+1)k) / (k (1-q^k)^2) * Q^k.
 
-    The a_i enter linearly in the exponent; non-integer rational a_i are
-    covered by the same formula (exp of a_i times the log).
+    The a_i enter linearly in the exponent (exp of a_i times the log).
     """
-    ai = ai_coeffs(mu, nu)
+    a = _times_one_minus_q_squared(e_coeffs(mu, nu))
+    a[0] = a.get(0, 0) + 1
     arg = TruncSeries(order)
-    for i, c in ai.a.items():
+    for i, c in a.items():
+        if not c:
+            continue
         coeffs = {}
         for k in range(1, order + 1):
             den = (QRat.one() - QRat.q_power(k)) ** 2

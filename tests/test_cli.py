@@ -256,6 +256,19 @@ class TestUsage:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_fit_m0_is_usage_error(self, capsys, monkeypatch):
+        """fit --m 0 could never pass (its fiber columns are not rational),
+        so it is rejected, exit 2, before any work runs."""
+
+        def refuse(args):
+            raise AssertionError("fit ran before the usage error")
+
+        monkeypatch.setitem(cli.TASKS, "fit", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit", "--m", "0"])
+        assert exit_info.value.code == 2
+        assert "fit needs --m >= 1" in capsys.readouterr().err
+
     def test_missing_task_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main([])

@@ -34,10 +34,6 @@ class TestConstruction:
         assert hash(P(2, 1)) == hash(P(2, 1))
         assert P(2, 1) != P(3)
 
-    def test_json_round_trip(self):
-        p = P(5, 5, 1)
-        assert Partition.from_json(p.to_json()) == p
-
 
 class TestStatistics:
     def test_size(self):

@@ -4,18 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from localvertex import vertex
 from localvertex.partitions import Partition, partitions_up_to
 from localvertex.qfield import QRat
 from localvertex.series import TruncSeries
-from localvertex.symmfun import w_one
+from localvertex.symmfun import p_shifted, w_one
 from localvertex.vertex import (
-    AICoeffs,
     CacheError,
     SCache,
     ToricSurface,
     VertexError,
     _exponent,
-    ai_coeffs,
     check_integrality,
     e_coeffs,
     log_z0,
@@ -72,24 +71,6 @@ class TestSRoutes:
             assert all(c >= 0 and c.denominator == 1 for c in coeffs)
 
 
-class TestAICoeffs:
-    def test_empty_pair(self):
-        got = ai_coeffs(EMPTY, EMPTY)
-        assert got.s == 0
-        assert got.a == {0: 1}
-
-    def test_constraints_hold(self):
-        for mu in partitions_up_to(3):
-            for nu in partitions_up_to(2):
-                got = ai_coeffs(mu, nu)
-                assert sum(got.a.values()) == 1
-                assert sum(i * c for i, c in got.a.items()) == 0
-
-    def test_constraint_violation_rejected(self):
-        with pytest.raises(VertexError):
-            AICoeffs(s=1, a={0: 2})
-
-
 def exp_route_ratio_squared(mu, nu, order):
     """The oracle: (W_mu W_nu)^2 exp(2(A_{mu,nu} - A_{empty,empty}))."""
     diff = _exponent(mu, nu, order) - _exponent(EMPTY, EMPTY, order)
@@ -103,16 +84,44 @@ def _bits(series):
     }
 
 
+def clearing_route_e(mu, nu):
+    """The oracle: (p_mu(q) p_nu(q) (1-q)^2 - 1)/(1-q)^2 in QRat, as {i: e_i}."""
+    one_minus_q = ONE - Q
+    cleared = p_shifted(mu, 1) * p_shifted(nu, 1) * one_minus_q**2
+    e = (cleared - ONE) / one_minus_q**2
+    assert e.den == [1]
+    degree = len(e.num) - 1
+    out = {}
+    for pos, c in enumerate(e.num):
+        if c:
+            texp = e.shift + degree - pos
+            assert texp % 2 == 0
+            out[texp // 2] = c
+    return out
+
+
 class TestClosedForm:
     def test_e_golden(self):
-        assert e_coeffs(ai_coeffs(P(2, 1), P(1)).a) == {-3: 1, -1: 2, 1: 1}
-        assert e_coeffs(ai_coeffs(EMPTY, EMPTY).a) == {}
+        assert e_coeffs(P(2, 1), P(1)) == {-3: 1, -1: 2, 1: 1}
+        assert e_coeffs(EMPTY, EMPTY) == {}
 
-    @pytest.mark.parametrize("a", [{0: 2}, {1: 1}, {-1: 1, 2: 1, 0: -1}])
-    def test_e_remainder_raises(self, a):
-        """a violating sum a_i = 1 or sum i*a_i = 0 leaves a remainder."""
-        with pytest.raises(VertexError):
-            e_coeffs(a)
+    def test_e_matches_clearing_route(self):
+        pairs = [
+            (mu, nu)
+            for mu in partitions_up_to(8)
+            for nu in partitions_up_to(8)
+            if mu.size + nu.size <= 8
+        ]
+        assert len(pairs) == 434
+        for mu, nu in pairs:
+            assert e_coeffs(mu, nu) == clearing_route_e(mu, nu), (mu, nu)
+
+    def test_reads_no_power_sums(self, monkeypatch):
+        def refuse(mu, k):
+            raise AssertionError("s_ratio_squared evaluated p_mu(q^k)")
+
+        monkeypatch.setattr(vertex, "p_shifted", refuse)
+        assert s_ratio_squared(P(2, 1), P(1), 4)[4]
 
     def test_bit_identical_to_exp_route(self):
         pairs = [
