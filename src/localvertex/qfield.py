@@ -465,25 +465,10 @@ class QRat:
         """Power-series expansion in ascending powers of t.
 
         Returns (lowest_degree, [c_0, c_1, ...]) with n_terms coefficients
-        as Fractions, starting at t^lowest_degree.
-
-        Only the window of the first n_terms ascending coefficients of num
-        and den enters: c_k = (num_k - sum_{j=1..k} den_j c_{k-j}) / den_0.
-        When den_0 = 1, as for every vertex quantity, the recurrence runs
-        in Python ints; otherwise in Fractions.
+        as Fractions, starting at t^lowest_degree; see ``expansion``.
         """
-        if self.is_zero():
-            return 0, [Fraction(0)] * n_terms
-        num = self.num[::-1][:n_terms]  # ascending
-        num += [0] * (n_terms - len(num))
-        den = self.den[::-1]
-        d0, tail = den[0], den[1:n_terms]
-        coeffs = []
-        for k in range(n_terms):
-            # tail[j-1] * coeffs[k-j] for j = 1..k; map stops at the shorter
-            c = num[k] - sum(map(mul, tail, reversed(coeffs)))
-            coeffs.append(c if d0 == 1 else Fraction(c, d0))
-        return self.shift, [Fraction(c) for c in coeffs]
+        lowest, coeffs = expansion(self.shift, self.num, self.den, n_terms)
+        return lowest, [Fraction(c) for c in coeffs]
 
     # -- serialization -----------------------------------------------------
 
@@ -508,6 +493,33 @@ class QRat:
             _poly_str(self.num),
             _poly_str(self.den),
         )
+
+
+def expansion(shift, num, den, n_terms):
+    """The first n_terms ascending coefficients of x^shift num(x)/den(x)
+    from its valuation: (valuation, [c_0, c_1, ...]); (0, zeros) for num = [].
+
+    num and den are integer polynomials, highest first, with den(0) != 0.
+    They need not be coprime, so no gcd is taken, and trailing zeros of
+    num move into the valuation.  Only the window of the first n_terms
+    ascending coefficients of num and den enters:
+    c_k = (num_k - sum_{j=1..k} den_j c_{k-j}) / den_0.  When den_0 = 1,
+    as for every vertex quantity, the recurrence runs in Python ints (and
+    the c_k are ints); otherwise in Fractions.
+    """
+    if not num:
+        return 0, [0] * n_terms
+    zn = _trailing_zeros(num)
+    low = num[len(num) - zn - 1::-1][:n_terms]  # ascending from the valuation
+    low += [0] * (n_terms - len(low))
+    den = den[::-1]
+    d0, tail = den[0], den[1:n_terms]
+    coeffs = []
+    for k in range(n_terms):
+        # tail[j-1] * coeffs[k-j] for j = 1..k; map stops at the shorter
+        c = low[k] - sum(map(mul, tail, reversed(coeffs)))
+        coeffs.append(c if d0 == 1 else Fraction(c, d0))
+    return shift + zn, coeffs
 
 
 def _shift_poly(p, k):

@@ -19,6 +19,13 @@ each of those is a finite product,
 whose integer exponents e_i are read off the box contents of the Young
 diagrams: sum_i e_i q^i = B_mu + B_nu + (1-q)^2 B_mu B_nu with
 B_mu(q) the sum over the boxes (row i >= 1, column j >= 0) of q^(j-i).
+
+The PT series Z_m = Z_0 (Z_m/Z_0) is held over two denominators fixed in
+advance, with integer numerators and no gcd: the Q^n coefficient of
+Z_0 = prod_j (1 - q^j Q)^(-2j) is N_n/(q;q)_n^2, and every coefficient
+of Z_m/Z_0 has a denominator dividing (q;q)_m^2, so the Q^j coefficient
+of Z_m is one numerator over (q;q)_j^2 (q;q)_m^2.  Only pt_series
+reduces, once per Q-coefficient.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import os
 from fractions import Fraction
 
 from .partitions import EMPTY, Partition, partitions_of, partitions_up_to
-from .qfield import QRat
+from .qfield import QRat, _add, _exquo, _mul, _neg, expansion
 from .series import TruncSeries
 from .symmfun import p_shifted, w_one, w_two
 
@@ -124,8 +131,7 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> TruncSeries:
     for k, d in enumerate(poly):
         if d:
             lo, hi = min(d), max(d)
-            num = [0] * (2 * (hi - lo) + 1)
-            num[::2] = [d.get(qe, 0) for qe in range(hi, lo - 1, -1)]
+            num = _in_t([d.get(qe, 0) for qe in range(hi, lo - 1, -1)])
             coeffs[k] = QRat(2 * lo, num) * w2
     return TruncSeries(order, coeffs)
 
@@ -306,13 +312,17 @@ def _assert_even_powers(series: TruncSeries, r, m):
             )
 
 
-def check_integrality(series: TruncSeries, q_terms: int = 40) -> bool:
-    """True if every coefficient q-expands with integer coefficients."""
-    for d in series.degrees():
-        _, coeffs = series.coeffs[d].t_expansion(q_terms)
-        if any(c.denominator != 1 for c in coeffs):
-            return False
-    return True
+def check_integrality(fractions: dict, q_terms: int = 20) -> bool:
+    """True if every fraction (shift, num, den) of ``pt_fractions`` q-expands
+    with integer coefficients over the q_terms from its valuation (the
+    40 t-terms of the canonical form's t_expansion).  num and den need not
+    be coprime: no gcd is taken.
+    """
+    return all(
+        c.denominator == 1
+        for shift, num, den in fractions.values()
+        for c in expansion(shift, num, den, q_terms)[1]
+    )
 
 
 class ToricSurface:
@@ -343,8 +353,8 @@ def z_toric(surface: ToricSurface, c_bound: int, b_bound: int) -> dict:
     """The general N-leg vertex sum, truncated by (c, b) multidegree.
 
     Returns a map (m, n) -> QRat for the coefficient of Q_c^m Q^n.  Used
-    as a cross-check of exp(log Z_0) * z_ratios on the Hirzebruch preset;
-    the raw product-sum is exponential in N and meant for small bounds only.
+    as a cross-check of pt_series on the Hirzebruch preset; the raw
+    product-sum is exponential in N and meant for small bounds only.
     """
     n_div = len(surface.divisor_classes)
     out = {}
@@ -396,36 +406,140 @@ def _toric_term(surface, sizes, out, c_bound, b_bound):
     rec(0, [])
 
 
+# ---------------------------------------------------------------------------
+# Z_m = Z_0 * (Z_m/Z_0) over the known denominators (q;q)_j^2 (q;q)_m^2.
+# q-polynomials are integer lists, highest first, as in qfield.
+
+
+def _in_t(p):
+    """A q-polynomial as a t-polynomial, q = t^2."""
+    out = [0] * (2 * len(p) - 1)
+    out[::2] = p
+    return out
+
+
+def _times_one_minus_q_power(p, k):
+    """p(q) (1 - q^k) for k >= 1."""
+    out = _neg(p) + [0] * k
+    for i, c in enumerate(p, k):
+        out[i] += c
+    return out
+
+
+def _times_factor_squared(p, k):
+    """p(q) (1 - q^k)^2 for k >= 1."""
+    return _times_one_minus_q_power(_times_one_minus_q_power(p, k), k)
+
+
+def _qq_squared(n):
+    """(q;q)_n^2 = prod_{l=1..n} (1 - q^l)^2."""
+    p = [1]
+    for l in range(1, n + 1):
+        p = _times_factor_squared(p, l)
+    return p
+
+
+def z0_numerators(order: int) -> list:
+    """The integer q-polynomials N_0..N_order of Z_0 = sum_n N_n/(q;q)_n^2 Q^n.
+
+    Z_0 = prod_{j>=1} (1 - q^j Q)^(-2j) = exp(log Z_0), and the exp
+    recurrence n b_n = sum_k k a_k b_{n-k}, with k a_k = 2 q^k/(1-q^k)^2
+    the k-th term of log Z_0 times k, cleared of denominators reads
+
+        n N_n = sum_{k=1..n} 2 q^k P_{n,k}^2 N_{n-k},
+        P_{n,k} = prod_{l=n-k+1..n} (1 - q^l) / (1 - q^k),
+
+    a polynomial because one of those l is a multiple of k.  No gcd is
+    taken; a division by n that leaves a remainder raises VertexError.
+    """
+    nums = [[1]]
+    for n in range(1, order + 1):
+        total = []
+        f = [1]  # prod_{l=n-k+1..n} (1 - q^l)
+        for k in range(1, n + 1):
+            f = _times_one_minus_q_power(f, n - k + 1)
+            p = _exquo(f, _times_one_minus_q_power([1], k))
+            total = _add(total, _mul(_mul(p, p), nums[n - k]) + [0] * k)
+        quotients = [divmod(2 * c, n) for c in total]
+        if any(rem for _, rem in quotients):
+            raise VertexError("n N_n is not divisible by n = %d" % n)
+        nums.append([c for c, _ in quotients])
+    return nums
+
+
+def pt_fractions(ratio: TruncSeries, m: int, z0: list) -> dict:
+    """Z_m = Z_0 * ratio as {j: (shift, num, den)}, with no gcd.
+
+    ``ratio`` is z_ratios(...)[m] and ``z0`` is z0_numerators(n) with
+    n >= ratio.order.  Every coefficient of ratio has a denominator
+    dividing (q;q)_m^2; one that does not raises VertexError.  So the
+    Q^j coefficient of Z_m is q^shift num(q)/den(q) with one integer
+    numerator over den = (q;q)_j^2 (q;q)_m^2, whose constant term is 1.
+    """
+    dm = _qq_squared(m)
+    # every coefficient lies in Q(q): shift, num and den are even in t
+    low = min((c.shift // 2 for c in ratio.coeffs.values()), default=0)
+    terms = {}  # the Q^b coefficient of ratio as q^low terms[b] / dm
+    for b, c in ratio.coeffs.items():
+        cofactor = _exquo(dm, c.den[::2])
+        if cofactor is None:
+            raise VertexError(
+                "the denominator of [Q^%d] Z_%d/Z_0 does not divide (q;q)_%d^2" % (b, m, m)
+            )
+        terms[b] = _mul(c.num[::2], cofactor) + [0] * (c.shift // 2 - low)
+    out = {}
+    qq = [1]
+    for j in range(ratio.order + 1):
+        if j:
+            qq = _times_factor_squared(qq, j)
+        num = []
+        lift = [1]  # ((q;q)_j/(q;q)_(j-b))^2 takes N_(j-b) over (q;q)_j^2
+        for b in range(j + 1):
+            if b:
+                lift = _times_factor_squared(lift, j - b + 1)
+            if b in terms:
+                num = _add(num, _mul(_mul(z0[j - b], lift), terms[b]))
+        if num:
+            out[j] = (low, num, _mul(qq, dm))
+    return out
+
+
+def _pt_fractions(r, m, order, cache):
+    """``pt_fractions`` of the class m*c of K_{F_r} up to Q^order."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    ratio = z_ratios(r, m, order, cache=cache)[m]
+    return pt_fractions(ratio, m, z0_numerators(order))
+
+
 def pt_series(r: int, m: int, order: int, cache: SCache = None) -> TruncSeries:
     """The PT generating series of the class m*c, in raw q^n convention.
 
-    The (-q)^n sign of the printed convention is applied only at the
-    reporting boundary; see pt_invariants.
+    Each Q-coefficient of ``pt_fractions`` is brought to canonical form
+    once.  The (-q)^n sign of the printed convention is applied only at
+    the reporting boundary; see pt_invariants.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return log_z0(order).exp() * z_ratios(r, m, order, cache=cache)[m]
+    return TruncSeries(
+        order,
+        {
+            j: QRat(2 * shift, _in_t(num), _in_t(den))
+            for j, (shift, num, den) in _pt_fractions(r, m, order, cache).items()
+        },
+    )
 
 
 def pt_invariants(r: int, m: int, order: int, q_terms: int = 24, cache: SCache = None):
     """Individual integers PT_{mc+jb, n} for j <= order, |n| bounded by q_terms.
 
     Returns a list of (j, n, value) triples; n is the Euler characteristic
-    slot and the value carries the (-q)^n sign convention.
+    slot and the value carries the (-q)^n sign convention.  The q-window
+    is read off ``pt_fractions``: an integer numerator over a denominator
+    with constant term 1 expands with integer coefficients.
     """
-    series = pt_series(r, m, order, cache=cache)
     rows = []
-    for j in series.degrees():
-        lowest, coeffs = series.coeffs[j].t_expansion(2 * q_terms + 2)
-        for pos, c in enumerate(coeffs):
-            texp = lowest + pos
-            if not c:
-                continue
-            if texp % 2:
-                raise VertexError("odd t-power in PT coefficient (r=%d, m=%d)" % (r, m))
-            if c.denominator != 1:
-                raise VertexError("non-integer PT coefficient (r=%d, m=%d)" % (r, m))
-            n = texp // 2
-            value = int(c) if n % 2 == 0 else -int(c)
-            rows.append((j, n, value))
+    for j, (shift, num, den) in sorted(_pt_fractions(r, m, order, cache).items()):
+        lowest, coeffs = expansion(shift, num, den, q_terms + 1)
+        for n, c in enumerate(coeffs, lowest):
+            if c:
+                rows.append((j, n, c if n % 2 == 0 else -c))
     return rows

@@ -8,6 +8,8 @@ from localvertex import cli
 from localvertex import gwtheory as gw
 from localvertex import rationality as rat
 from localvertex.cli import main
+from localvertex.qfield import QRat
+from localvertex.series import TruncSeries
 
 
 def run(capsys, *argv):
@@ -150,6 +152,26 @@ class TestVerify:
         assert code == 1
         for entry in doc["checks"]["column_exponents"]["r=0"].values():
             assert entry == {"exponent": None, "passed": False}
+
+    def test_integrality_takes_no_series_exp(self, capsys, monkeypatch):
+        """Z_0 comes from its cleared recurrence: verify takes no series exp
+        over QRat (the exceptional series still takes one over u-series)."""
+        exp = TruncSeries.exp
+
+        def refuse_qrat(series):
+            if any(isinstance(c, QRat) for c in series.coeffs.values()):
+                raise AssertionError("verify took a series exp over QRat")
+            return exp(series)
+
+        monkeypatch.setattr(TruncSeries, "exp", refuse_qrat)
+        code, doc = run_json(
+            capsys, "verify", "--r", "1", "--m-max", "2", "--Q-order", "6",
+            "--u-order", "2", "--g-max", "1",
+        )
+        assert code == 0
+        assert doc["checks"]["integrality"] == {
+            "r=1,m=%d" % m: {"passed": True} for m in range(3)
+        }
 
     def test_corrupt_cache_exits_3(self, capsys, tmp_path):
         argv = ["pt", "--m", "0", "--Q-order", "1", "--cache-dir", str(tmp_path)]

@@ -6,7 +6,7 @@ import pytest
 
 from localvertex import vertex
 from localvertex.partitions import Partition, partitions_up_to
-from localvertex.qfield import QRat
+from localvertex.qfield import QRat, expansion
 from localvertex.series import TruncSeries
 from localvertex.symmfun import p_shifted, w_one
 from localvertex.vertex import (
@@ -18,12 +18,14 @@ from localvertex.vertex import (
     check_integrality,
     e_coeffs,
     log_z0,
+    pt_fractions,
     pt_invariants,
     pt_series,
     s_closed,
     s_direct,
     s_product,
     s_ratio_squared,
+    z0_numerators,
     z_ratios,
     z_toric,
 )
@@ -231,20 +233,22 @@ class TestPT:
         assert coeffs == [Fraction(3), 0, Fraction(8), 0]
 
     def test_integrality(self, scache):
-        assert check_integrality(pt_series(0, 0, 4, cache=scache))
-        assert check_integrality(pt_series(1, 1, 4, cache=scache))
+        for r, m in ((0, 0), (1, 1)):
+            ratio = z_ratios(r, m, 4, cache=scache)[m]
+            assert check_integrality(pt_fractions(ratio, m, z0_numerators(4)))
 
-    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_pt_series_is_z_hirzebruch_entry(self, r, scache):
-        """pt_series(r, m) is the m-th entry of Z of K_{F_r} assembled once
-        up to m_max = 2 as exp(log Z_0) times z_ratios, as verify builds it."""
-        z0 = log_z0(3).exp()
-        ratios = z_ratios(r, 2, 3, cache=scache)
-        for m in range(3):
-            assert pt_series(r, m, 3, cache=scache) == z0 * ratios[m]
+        """pt_series(r, m) for m <= 3 at Q-order 9 is, bit for bit, the m-th
+        entry of Z of K_{F_r} assembled once as the oracle exp(log Z_0)
+        times z_ratios."""
+        z0 = log_z0(9).exp()
+        ratios = z_ratios(r, 3, 9, cache=scache)
+        for m in range(4):
+            assert _bits(pt_series(r, m, 9, cache=scache)) == _bits(z0 * ratios[m]), m
 
     def test_integrality_detects_fractions(self):
-        bad = TruncSeries(1, {1: QRat.from_rational(Fraction(1, 2))})
+        bad = {1: (0, [1], [2])}  # 1/2
         assert not check_integrality(bad)
 
     def test_fiber_class_invariants(self, scache):
@@ -261,3 +265,125 @@ class TestPT:
     def test_rejects_negative_m(self):
         with pytest.raises(ValueError):
             pt_series(0, -1, 2)
+
+
+def canonical_integrality(series, t_terms=40):
+    """The oracle: every canonical coefficient's t_expansion is integral."""
+    return all(
+        c.denominator == 1
+        for d in series.degrees()
+        for c in series.coeffs[d].t_expansion(t_terms)[1]
+    )
+
+
+def canonical(fraction):
+    """The QRat value q^shift num(q)/den(q) of a pt_fractions triple."""
+    shift, num, den = fraction
+    return QRat(2 * shift, vertex._in_t(num), vertex._in_t(den))
+
+
+class TestKnownDenominators:
+    def test_z0_bit_identical_to_exp_route(self):
+        nums = z0_numerators(13)
+        oracle = log_z0(13).exp()
+        for n in range(14):
+            assert z0_numerators(n) == nums[: n + 1]
+            got = canonical((0, nums[n], vertex._qq_squared(n)))
+            want = oracle[n] if n else ONE  # the exp route stores 1 as an int
+            assert (got.shift, got.num, got.den) == (want.shift, want.num, want.den), n
+
+    def test_z0_golden(self):
+        # Z_0 = 1 + 2q/(q;q)_1^2 Q + (3q^2 + 2q^3 + 3q^4)/(q;q)_2^2 Q^2 + ...
+        assert z0_numerators(2) == [[1], [2, 0], [3, 2, 3, 0, 0]]
+        assert vertex._qq_squared(2) == [1, -2, -1, 4, -1, -2, 1]
+
+    def test_inexact_division_raises(self, monkeypatch):
+        """n N_n must be divisible by n: a stray factor (1 + q) in every
+        product of the recurrence breaks it at n = 3."""
+        mul = vertex._mul
+        monkeypatch.setattr(vertex, "_mul", lambda f, g: mul(mul(f, g), [1, 1]))
+        with pytest.raises(VertexError, match="n = 3"):
+            z0_numerators(4)
+
+    def test_takes_no_series_exp(self, monkeypatch, scache):
+        def refuse(self):
+            raise AssertionError("Z_0 was built by a series exp")
+
+        monkeypatch.setattr(TruncSeries, "exp", refuse)
+        assert pt_series(1, 2, 5, cache=scache)[5]
+        ratio = z_ratios(1, 2, 5, cache=scache)[2]
+        assert check_integrality(pt_fractions(ratio, 2, z0_numerators(5)))
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_ratio_denominators_divide_qq_squared(self, r, scache):
+        """Every coefficient of Z_m/Z_0 times (q;q)_m^2 is a Laurent
+        polynomial, checked in QRat arithmetic."""
+        ratios = z_ratios(r, 3, 9, cache=scache)
+        for m in range(4):
+            qq = ONE
+            for k in range(1, m + 1):
+                qq = qq * (ONE - QRat.q_power(k)) ** 2
+            for d in ratios[m].degrees():
+                assert (ratios[m][d] * qq).den == [1], (m, d)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_foreign_denominator_raises(self, m, scache):
+        ratio = z_ratios(1, m, 6, cache=scache)[m]
+        d = ratio.degrees()[-1]
+        coeffs = dict(ratio.coeffs)
+        coeffs[d] = coeffs[d] / (ONE - QRat.q_power(m + 1))
+        with pytest.raises(VertexError):
+            pt_fractions(TruncSeries(6, coeffs), m, z0_numerators(6))
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_verdict_matches_canonical(self, r, scache):
+        """The q-window of each fraction holds the even t-terms of the
+        canonical t_expansion(40), whose odd t-terms are zero; so the two
+        integrality verdicts agree."""
+        ratios = z_ratios(r, 2, 9, cache=scache)
+        z0 = z0_numerators(9)
+        for m in range(3):
+            fractions = pt_fractions(ratios[m], m, z0)
+            series = TruncSeries(9, {j: canonical(f) for j, f in fractions.items()})
+            assert check_integrality(fractions) == canonical_integrality(series)
+            for j, (shift, num, den) in fractions.items():
+                low, window = expansion(shift, num, den, 20)
+                t_low, t_window = series[j].t_expansion(40)
+                assert (2 * low, window) == (t_low, t_window[::2])
+                assert not any(t_window[1::2])
+
+    @pytest.mark.parametrize(
+        "fraction",
+        [
+            (3, [1, 4], [3, 2]),  # q^3 (q + 4)/(3q + 2), non-integral at q^4
+            (0, [1] + [0] * 18 + [2], [2]),  # 1 + q^19/2
+            # q^5 (1 + q^19/2): non-integral only at q^24, inside the window
+            # from the valuation q^5 but outside one from q^0
+            (0, [1] + [0] * 18 + [2] + [0] * 5, [2]),
+        ],
+    )
+    def test_negative_goldens(self, fraction):
+        assert not check_integrality({0: fraction})
+        assert not canonical_integrality(TruncSeries(0, {0: canonical(fraction)}))
+
+    def test_window_starts_at_valuation(self):
+        """Trailing zeros of an integral numerator move into the valuation."""
+        fraction = (-2, [3, 0, 0, 0], [1, 0, 1, 0, 1])  # 3 q/(1 + q^2 + q^4)
+        low, window = expansion(*fraction, 4)
+        assert (low, window) == (1, [3, 0, -3, 0])
+        assert check_integrality({0: fraction})
+
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_pt_invariants_match_canonical_window(self, r, scache):
+        """pt_invariants against the rows read off the canonical series."""
+        for m in range(3):
+            rows = []
+            series = pt_series(r, m, 6, cache=scache)
+            for j in series.degrees():
+                lowest, coeffs = series.coeffs[j].t_expansion(2 * 24 + 2)
+                for pos, c in enumerate(coeffs):
+                    if c:
+                        n = (lowest + pos) // 2
+                        assert (lowest + pos) % 2 == 0 and c.denominator == 1
+                        rows.append((j, n, int(c) if n % 2 == 0 else -int(c)))
+            assert pt_invariants(r, m, 6, cache=scache) == rows
