@@ -3,11 +3,13 @@
 A rational function of q with a pole at q = 1 becomes a Laurent series in
 u; the logarithm of the vertex partition function then exposes the
 GW invariants as the coefficients of u^(2g-2) Q_c^m Q^j.  The logarithm
-is log Z_0, closed-form, plus log(1 + sum_m (Z_m/Z_0) Q_c^m).  Every function
-expanded here has integer coefficients in q, so its expansion is C(iu)
-with C real.  The expansion therefore runs in x = iu over Fractions,
-exactly, and the factor i^h that turns an x^h coefficient into a u^h
-coefficient is applied only where values are reported (``gw_extract``,
+is log Z_0, closed-form, plus log(1 + sum_m (Z_m/Z_0) Q_c^m), and its
+Q_c^m part is held as integer q-polynomial numerators over
+m (q;q)_m^2, with no gcd.  Every function expanded here has integer
+coefficients in q, so its expansion is C(iu) with C real.  The expansion
+therefore runs in x = iu, in integers up to one Fraction per coefficient,
+and the factor i^h that turns an x^h coefficient into a u^h coefficient
+is applied only where values are reported (``gw_extract``,
 ``tilde_pt0``).  Every extracted value is asserted to sit on an even
 u-power.
 """
@@ -17,12 +19,11 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from math import factorial
 
-from .qfield import QRat
+from .qfield import _add, _exquo, _mul, _neg
 from .rationality import FitError, certify_column
 from .series import TruncSeries, polylog_series
-from .vertex import SCache, log_z0, z_ratios
+from .vertex import SCache, _aligned, _qq_squared, log_z0, z_ratios
 
 
 class RealityError(ArithmeticError):
@@ -35,9 +36,9 @@ class RealityError(ArithmeticError):
 
 def _moments(poly, shift: int):
     """Yield the integer moments sum_k c_k k^n, n = 0, 1, ..., of the
-    Laurent polynomial t^shift * poly(t) (dense, high-first)."""
+    Laurent polynomial q^shift * poly(q) (dense, high-first)."""
     degree = len(poly) - 1
-    terms = [(shift + degree - pos, int(c)) for pos, c in enumerate(poly) if c]
+    terms = [(shift + degree - pos, c) for pos, c in enumerate(poly) if c]
     ks = [k for k, _ in terms]
     vals = [c for _, c in terms]
     while True:
@@ -45,59 +46,59 @@ def _moments(poly, shift: int):
         vals = [c * k for c, k in zip(vals, ks)]
 
 
-def _x_coefficients(moments):
-    """x-Taylor coefficients under t = e^(x/2): the n-th is moment_n / (2^n n!)."""
-    return [Fraction(m, 2**n * factorial(n)) for n, m in enumerate(moments)]
+def to_u_series(shift: int, num: list, den: list, u_order: int) -> TruncSeries:
+    """Expand q^shift num(q)/den(q) around q = 1 with q = e^(iu), in x = iu.
 
-
-def to_u_series(a: QRat, u_order: int) -> TruncSeries:
-    """Expand a(q) around q = 1 with q = e^(iu), in the variable x = iu.
-
+    num and den are integer q-polynomials, highest first, and need not be
+    coprime: only their moments are read, and q^k = sum_n k^n x^n/n!.
     Returns the Laurent series sum_h C_h x^h through x^u_order with
-    Fraction coefficients, so that a(e^(iu)) = sum_h C_h (iu)^h; the u^h
-    coefficient is C_h * i^h.  The pole order v at q = 1 is the index of
-    the first nonzero moment of the denominator.
+    Fraction coefficients, so that the value at q = e^(iu) is
+    sum_h C_h (iu)^h; the u^h coefficient is C_h * i^h.  The pole order
+    v at q = 1 is the index of the first nonzero moment of den.
     """
-    if a.is_zero():
+    if not num:
         return TruncSeries(u_order)
-    den_moments = _moments(a.den, 0)
-    den = [next(den_moments)]
-    while not den[-1]:
-        den.append(next(den_moments))
-    v = len(den) - 1
-    # the quotient needs x-degrees up to u_order + v of numerator and
-    # denominator to pin the result through x^u_order
-    n_terms = u_order + 2 * v + 1
-    den += [next(den_moments) for _ in range(n_terms - len(den))]
-    num_moments = _moments(a.num, a.shift)
-    num = _x_coefficients([next(num_moments) for _ in range(n_terms)])
-    den = _x_coefficients(den)
-    lead = den[v]
-    # solve num = den * result for result with x-valuation >= -v
+    den_moments = _moments(den, 0)
+    b = [next(den_moments)]
+    while not b[-1]:
+        b.append(next(den_moments))
+    v = len(b) - 1
+    # the quotient needs x-degrees up to n = u_order + 2v of num and den
+    # to pin the result through x^u_order
+    n = u_order + 2 * v
+    b += [next(den_moments) for _ in range(n + 1 - len(b))]
+    num_moments = _moments(num, shift)
+    a = [next(num_moments) for _ in range(n + 1)]
+    # the x^i coefficients times n!, integers: moment_i * n!/i!
+    scale = 1
+    for i in range(n, -1, -1):
+        a[i] *= scale
+        b[i] *= scale
+        scale *= i
+    # solve a = b * result for result with x-valuation >= -v, fraction-free:
+    # p_k = result_k * lead^(k+1) = a_k lead^k - sum_j b_(v+j) p_(k-j) lead^(j-1)
+    lead = b[v]
+    powers = [1]
     result = {}
-    res_list = []
+    p = []
     for k in range(u_order + v + 1):
-        acc = num[k]
-        for j in range(1, k + 1):
-            acc = acc - den[v + j] * res_list[k - j]
-        r = acc / lead
-        res_list.append(r)
-        if r:
-            result[k - v] = r
+        acc = a[k] * powers[k] - sum(b[v + j] * p[k - j] * powers[j - 1] for j in range(1, k + 1))
+        p.append(acc)
+        powers.append(powers[-1] * lead)
+        if acc:
+            result[k - v] = Fraction(acc, powers[k + 1])
     return TruncSeries(u_order, result)
 
 
-def qseries_to_u(series: TruncSeries, u_order: int) -> TruncSeries:
-    """Transpose a Q-series with QRat coefficients into an x-series (x = iu,
-    as in ``to_u_series``) whose coefficients are Q-series over Fractions."""
+def qseries_to_u(fractions: dict, order: int, u_order: int) -> TruncSeries:
+    """Transpose a Q-series {j: (shift, num, den)} cut at Q^order into an
+    x-series (x = iu, as in ``to_u_series``) whose coefficients are
+    Q-series over Fractions."""
     outer = {}
-    for j in series.degrees():
-        u_ser = to_u_series(series.coeffs[j], u_order)
-        for h, c in u_ser.coeffs.items():
+    for j, fraction in sorted(fractions.items()):
+        for h, c in to_u_series(*fraction, u_order).coeffs.items():
             outer.setdefault(h, {})[j] = c
-    return TruncSeries(
-        u_order, {h: TruncSeries(series.order, cs) for h, cs in outer.items()}
-    )
+    return TruncSeries(u_order, {h: TruncSeries(order, cs) for h, cs in outer.items()})
 
 
 def _i_power(h: int) -> int:
@@ -161,19 +162,34 @@ def column_power(m: int, g: int) -> int:
 
 
 def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
-    """Coefficients [Q_c^m] log Z as Q-series with QRat coefficients: log Z_0
-    (vertex.log_z0), then L = log(1 + sum_{m>=1} x_m Q_c^m), x_m = Z_m/Z_0.
+    """Coefficients [Q_c^m] log Z, each as {j: (shift, num, den)} with
+    integer q-polynomials and no gcd: log Z_0 in closed form
+    (vertex.log_z0), then L = log(1 + sum_{m>=1} x_m Q_c^m) with
+    x_m = Z_m/Z_0 = X_m/(q;q)_m^2 from z_ratios.
 
     L' (1 + sum x_m Q_c^m) = (sum x_m Q_c^m)' gives the recurrence
-    m L_m = m x_m - sum_{k<m} k L_k x_{m-k}.
+    m L_m = m x_m - sum_{k<m} k L_k x_{m-k}.  With Lambda_m = m (q;q)_m^2 L_m
+    it is cleared of denominators,
+    Lambda_m = m X_m - sum_{k<m} Lambda_k X_{m-k} [m choose k]_q^2, and
+    L_m is Lambda_m over m (q;q)_m^2.
     """
     logs = {0: log_z0(order)}
-    if m_max >= 1:
-        x = z_ratios(r, m_max, order, cache=cache)
-        for m in range(1, m_max + 1):
-            logs[m] = x[m]
-            for k in range(1, m):
-                logs[m] = logs[m] - logs[k] * x[m - k] * Fraction(k, m)
+    x = z_ratios(r, m_max, order, cache=cache) if m_max >= 1 else {}
+    for m in range(1, m_max + 1):
+        qq = _qq_squared(m)
+        terms = [(j, s, [m * c for c in num]) for j, (s, num, _) in x[m].items()]
+        for k in range(1, m):
+            binom = _neg(_exquo(qq, _mul(_qq_squared(k), _qq_squared(m - k))))
+            products = {}  # (j, shift) -> sum of Lambda_k X_(m-k) numerators
+            for j1, (s1, n1, _) in logs[k].items():
+                for j2, (s2, n2, _) in x[m - k].items():
+                    if j1 + j2 <= order:
+                        key = (j1 + j2, s1 + s2)
+                        products[key] = _add(products.get(key, []), _mul(n1, n2))
+            terms += [(j, s, _mul(c, binom)) for (j, s), c in products.items()]
+        low, nums = _aligned(terms)
+        den = [m * c for c in qq]
+        logs[m] = {j: (low, num, den) for j, num in nums.items()}
     return logs
 
 
@@ -191,8 +207,8 @@ def gw_extract(
     logs = log_z(r, m_max, order, cache=cache)
     table = GWTable(r=r, g_max=g_max, m_max=m_max, j_max=order)
     for m, series in logs.items():
-        for j in series.degrees():
-            u_ser = to_u_series(series.coeffs[j], u_order)
+        for j, fraction in sorted(series.items()):
+            u_ser = to_u_series(*fraction, u_order)
             for h, c in u_ser.coeffs.items():
                 if h % 2:
                     raise RealityError(
@@ -221,7 +237,7 @@ def tilde_pt0(order: int, u_order: int, cache: SCache = None) -> TruncSeries:
     end.  Returned as a u-series whose coefficients are Q-series over
     Fractions.  ``cache`` is unused.
     """
-    exponent = qseries_to_u(log_z0(order), u_order) + TruncSeries(
+    exponent = qseries_to_u(log_z0(order), order, u_order) + TruncSeries(
         u_order,
         {-2: polylog_series(3, order) * -2, 0: polylog_series(1, order) * Fraction(1, 6)},
     )

@@ -244,12 +244,6 @@ def _trailing_zeros(p):
     return n
 
 
-def _flip_sign_odd(p):
-    """p(-t): negate coefficients of odd t-degree."""
-    d = len(p) - 1
-    return [c if (d - i) % 2 == 0 else -c for i, c in enumerate(p)]
-
-
 class QRat:
     """A rational function t^shift * num(t) / den(t) in canonical form."""
 
@@ -344,10 +338,6 @@ class QRat:
 
     def __bool__(self):
         return bool(self.num)
-
-    def has_even_t_powers(self) -> bool:
-        """True iff the value lies in Q(q), i.e. is fixed by t -> -t."""
-        return self.subs_neg_t() == self
 
     # -- arithmetic --------------------------------------------------------
 
@@ -449,17 +439,6 @@ class QRat:
         # keeps them coprime
         shift = -self.shift - len(self.num) + len(self.den)
         return QRat._coprime(shift, self.num[::-1], self.den[::-1])
-
-    def subs_neg_t(self):
-        """The rational function a(-t)."""
-        if self.is_zero():
-            return self
-        # t -> -t is a ring automorphism fixing constant terms: the result
-        # is canonical as it stands.
-        num = _flip_sign_odd(self.num)
-        if self.shift % 2:
-            num = _neg(num)
-        return QRat(self.shift, num, _flip_sign_odd(self.den), _canonical=True)
 
     def t_expansion(self, n_terms: int):
         """Power-series expansion in ascending powers of t.

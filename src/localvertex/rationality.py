@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qfield import QRat
+from .qfield import QRat, _trailing_zeros
 from .series import TruncSeries, _is_zero
 
 
@@ -178,14 +178,21 @@ def find_exponent(fit: RationalFit, lo: int, hi: int, sign: int = 1):
     return found
 
 
-def check_q_inversion(series: TruncSeries):
-    """Verify every Q-coefficient is fixed by q -> 1/q (t -> 1/t).
+def check_q_inversion(fractions: dict):
+    """Verify every nonzero Q-coefficient q^shift num(q)/den(q) is fixed by q -> 1/q.
+
+    den must be palindromic, den(1/q) = q^(-deg den) den(q), as (q;q)_m^2
+    is with deg = m(m+1).  The check is then N(1/q) = q^(-deg den) N(q)
+    for N = q^shift num: num, its trailing zeros moved into the shift,
+    is a palindrome, and the degrees match.  No gcd is taken.
 
     Returns (True, None) or (False, first failing Q-degree).
     """
-    for d in series.degrees():
-        c = series.coeffs[d]
-        if isinstance(c, QRat) and c.invert_t() != c:
+    for d in sorted(fractions):
+        shift, num, den = fractions[d]
+        zeros = _trailing_zeros(num)
+        core = num[: len(num) - zeros]
+        if core != core[::-1] or 2 * shift + len(num) - 1 + zeros != len(den) - 1:
             return False, d
     return True, None
 

@@ -20,12 +20,14 @@ whose integer exponents e_i are read off the box contents of the Young
 diagrams: sum_i e_i q^i = B_mu + B_nu + (1-q)^2 B_mu B_nu with
 B_mu(q) the sum over the boxes (row i >= 1, column j >= 0) of q^(j-i).
 
-The PT series Z_m = Z_0 (Z_m/Z_0) is held over two denominators fixed in
-advance, with integer numerators and no gcd: the Q^n coefficient of
-Z_0 = prod_j (1 - q^j Q)^(-2j) is N_n/(q;q)_n^2, and every coefficient
-of Z_m/Z_0 has a denominator dividing (q;q)_m^2, so the Q^j coefficient
-of Z_m is one numerator over (q;q)_j^2 (q;q)_m^2.  Only pt_series
-reduces, once per Q-coefficient.
+Every series is held over denominators fixed in advance, as integer
+q-polynomial numerators, with no QRat and no gcd.  (W_mu W_nu)^2 is
+q^w/(H_mu H_nu)^2 with the hook products H_mu = prod_hooks (1 - q^h);
+H_mu divides (q;q)_|mu|, so z_ratios takes each pair over (q;q)_m^2 by an
+exact cofactor and sums integer numerators.  The Q^n coefficient of
+Z_0 = prod_j (1 - q^j Q)^(-2j) is N_n/(q;q)_n^2, so the Q^j coefficient
+of Z_m = Z_0 (Z_m/Z_0) is one numerator over (q;q)_j^2 (q;q)_m^2.  Only
+pt_series reduces, once per Q-coefficient.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .qfield import QRat, _add, _exquo, _mul, _neg, expansion
 from .series import TruncSeries
 from .symmfun import p_shifted, w_one, w_two
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class VertexError(ArithmeticError):
@@ -92,20 +94,24 @@ def s_closed(mu: Partition, nu: Partition, order: int) -> TruncSeries:
     return _exponent(mu, nu, order).exp() * (w_one(mu) * w_one(nu))
 
 
-def log_z0(order: int) -> TruncSeries:
-    """log Z_0 = log S_{empty,empty}^2 = 2 A_{empty,empty}, the same for every r."""
-    return _exponent(EMPTY, EMPTY, order) * 2
+def log_z0(order: int) -> dict:
+    """log Z_0 = 2 A_{empty,empty} = sum_k 2 q^k/(k (1-q^k)^2) Q^k, the same
+    for every r, as {k: (shift, num, den)} of q-polynomials."""
+    return {k: (k, [2], _times_factor_squared([k], k)) for k in range(1, order + 1)}
 
 
-def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> TruncSeries:
-    """(S_{mu,nu}/S_{empty,empty})^2 = (W_mu W_nu)^2 prod_i (1 - q^(i+1) Q)^(-2 e_i).
+def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> list:
+    """(S_{mu,nu}/S_{empty,empty})^2 = (W_mu W_nu)^2 prod_i (1 - q^(i+1) Q)^(-2 e_i)
+    as the list of its Q^k coefficients q^shift num(q)/(H_mu H_nu)^2,
+    k <= order, each an integer pair (shift, num); num = [] is zero.
 
     A_{mu,nu} - A_{empty,empty} = -sum_i e_i log(1 - q^(i+1) Q) with the
     integer e_i of ``e_coeffs``, so the ratio is a finite product.  It is
     expanded over integer Laurent polynomials in q: the Q^k coefficient of
     (1 - x)^(-n) is the generalized binomial b_k, with b_0 = 1 and
-    b_(k+1) = b_k (n + k)/(k + 1), exact for negative n too.  Each nonzero
-    Q-coefficient is then scaled once by the QRat (W_mu W_nu)^2.
+    b_(k+1) = b_k (n + k)/(k + 1), exact for negative n too.  W_mu^2 is
+    q^(k(mu) + |mu| + 2 n(mu))/H_mu^2 with the hook product ``_hook_product``,
+    read off the Young diagram: no QRat and no gcd.
     """
     e = e_coeffs(mu, nu)
     # poly[k] is the Q^k coefficient as {q-exponent: integer}
@@ -125,15 +131,19 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> TruncSeries:
                     key = qe + shift
                     dst[key] = dst.get(key, 0) + b * c
         poly = [{qe: c for qe, c in d.items() if c} for d in out]
-    w = w_one(mu) * w_one(nu)
-    w2 = w * w
-    coeffs = {}
-    for k, d in enumerate(poly):
-        if d:
-            lo, hi = min(d), max(d)
-            num = _in_t([d.get(qe, 0) for qe in range(hi, lo - 1, -1)])
-            coeffs[k] = QRat(2 * lo, num) * w2
-    return TruncSeries(order, coeffs)
+    w = sum(p.kappa() + p.size + 2 * p.n_stat() for p in (mu, nu))
+    return [
+        (min(d) + w, [d.get(qe, 0) for qe in range(max(d), min(d) - 1, -1)]) if d else (0, [])
+        for d in poly
+    ]
+
+
+def _hook_product(mu: Partition) -> list:
+    """H_mu = prod over the hook lengths h of mu of (1 - q^h)."""
+    p = [1]
+    for h in mu.hooks():
+        p = _times_one_minus_q_power(p, h)
+    return p
 
 
 def _contents(mu: Partition) -> dict:
@@ -205,13 +215,14 @@ def s_product(mu: Partition, nu: Partition, order: int) -> TruncSeries:
 
 
 class SCache:
-    """In-process (and optionally on-disk) cache of s_ratio_squared series.
+    """In-process (and optionally on-disk) cache of s_ratio_squared lists.
 
-    Disk format 2; format-1 files held S and are never read.  Entries
-    computed at a larger truncation order serve smaller orders by
-    truncation.  Disk entries are one JSON document per (mu, nu) pair
-    under a content-addressed filename; concurrent writers of the same
-    key produce identical content, so writes are idempotent.
+    Disk format 3, the integer (shift, num) pairs; files of formats 1 and 2
+    (S and QRat series) are never read.  Entries computed at a larger
+    truncation order serve smaller orders by truncation.  Disk entries are
+    one JSON document per (mu, nu) pair under a content-addressed
+    filename; concurrent writers of the same key produce identical
+    content, so writes are idempotent.
     """
 
     def __init__(self, directory=None):
@@ -225,22 +236,22 @@ class SCache:
         digest = hashlib.sha256(key.encode()).hexdigest()[:24]
         return os.path.join(self.directory, "s_%s.json" % digest)
 
-    def get(self, mu: Partition, nu: Partition, order: int) -> TruncSeries:
+    def get(self, mu: Partition, nu: Partition, order: int) -> list:
         held = self._mem.get((mu, nu))
-        if held is not None and held.order >= order:
-            return held.truncate(order)
+        if held is not None and len(held) > order:
+            return held[: order + 1]
         if self.directory:
             path = self._path(mu, nu)
             if os.path.exists(path):
-                series = self._load(path, mu, nu)
-                if series is not None and series.order >= order:
-                    self._mem[(mu, nu)] = series
-                    return series.truncate(order)
-        series = s_ratio_squared(mu, nu, order)
-        self._mem[(mu, nu)] = series
+                coeffs = self._load(path, mu, nu)
+                if coeffs is not None and len(coeffs) > order:
+                    self._mem[(mu, nu)] = coeffs
+                    return coeffs[: order + 1]
+        coeffs = s_ratio_squared(mu, nu, order)
+        self._mem[(mu, nu)] = coeffs
         if self.directory:
-            self._store(mu, nu, series)
-        return series
+            self._store(mu, nu, coeffs)
+        return coeffs
 
     def _load(self, path, mu, nu):
         try:
@@ -250,19 +261,13 @@ class SCache:
                 return None
             if doc.get("mu") != list(mu.parts) or doc.get("nu") != list(nu.parts):
                 raise CacheError("cache key collision in %s" % path, path)
-            coeffs = {int(d): QRat.from_json(c) for d, c in doc["coeffs"].items()}
-            return TruncSeries(doc["N"], coeffs)
+            return [(int(shift), [int(c) for c in num]) for shift, num in doc["coeffs"]]
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             raise CacheError("corrupt cache file: %s" % path, path)
 
-    def _store(self, mu, nu, series):
-        doc = {
-            "version": FORMAT_VERSION,
-            "mu": list(mu.parts),
-            "nu": list(nu.parts),
-            "N": series.order,
-            "coeffs": {str(d): series.coeffs[d].to_json() for d in series.degrees()},
-        }
+    def _store(self, mu, nu, coeffs):
+        doc = {"version": FORMAT_VERSION, "mu": list(mu.parts), "nu": list(nu.parts)}
+        doc["coeffs"] = coeffs
         path = self._path(mu, nu)
         tmp = path + ".tmp.%d" % os.getpid()
         with open(tmp, "w") as fh:
@@ -275,41 +280,57 @@ class SCache:
 
 
 def z_ratios(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
-    """The quotients [Q_c^m] Z / Z_0 of K_{F_r} for 0 <= m <= m_max, as Q-series.
+    """The quotients [Q_c^m] Z / Z_0 of K_{F_r} for 0 <= m <= m_max, each
+    as {j: (shift, num, den)} over j <= order: the Q^j coefficient is
+    q^shift num(q)/den(q), with one shift per m, den = (q;q)_m^2 and an
+    integer q-polynomial num; zero coefficients are left out.  Each m is
+    assembled once (``z_ratio``).  Without ``cache`` the call builds its
+    S-series in a fresh SCache.
+    """
+    cache = cache or SCache()
+    return {m: z_ratio(r, m, order, cache) for m in range(m_max + 1)}
 
-    [Q_c^m] Z / Z_0 = (-1)^(rm) sum over |mu2|+|mu4|=m of
+
+def z_ratio(r: int, m: int, order: int, cache: SCache) -> dict:
+    """[Q_c^m] Z / Z_0 = (-1)^(rm) sum over |mu2|+|mu4|=m of
     q^(r(k(mu2)-k(mu4))/2) Q^(r|mu2|) (S_{mu2,mu4}/S_{empty,empty})^2,
-    truncated at Q^order.  Every resulting coefficient must lie in Q(q):
-    a surviving odd t-power is a hard error.  Without ``cache`` the call
-    builds its S-series in a fresh SCache.
+    in the form of ``z_ratios``.
+
+    Each term is taken over (q;q)_m^2 by the cofactor
+    (q;q)_m^2/(H_mu2 H_mu4)^2, an exact division (q-binomials are
+    polynomials); a cofactor that does not divide, or an odd t-power
+    t^(r(k(mu2)-k(mu4))), is a hard error.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    cache = cache or SCache()
-    out = {}
-    for m in range(m_max + 1):
-        total = TruncSeries(order)
-        for a in range(m + 1):
-            for mu2 in partitions_of(a):
-                for mu4 in partitions_of(m - a):
-                    term = cache.get(mu2, mu4, order)
-                    term = term * QRat.t_power(r * (mu2.kappa() - mu4.kappa()))
-                    if r * mu2.size:
-                        term = term.shifted(r * mu2.size).truncate(order)
-                    total = total + term
-        if (r * m) % 2:
-            total = -total
-        _assert_even_powers(total, r, m)
-        out[m] = total
-    return out
+    dm = _qq_squared(m)
+    terms = []
+    for a in range(m + 1):
+        for mu2 in partitions_of(a):
+            for mu4 in partitions_of(m - a):
+                shift, odd = divmod(r * (mu2.kappa() - mu4.kappa()), 2)
+                if odd:
+                    raise VertexError("odd t-power in [Q_c^%d]Z/Z_0 (r=%d)" % (m, r))
+                h = _mul(_hook_product(mu2), _hook_product(mu4))
+                cofactor = _exquo(dm, _mul(h, h))
+                if cofactor is None:
+                    raise VertexError("(H_mu2 H_mu4)^2 does not divide (q;q)_%d^2" % m)
+                coeffs = cache.get(mu2, mu4, order)[: max(order + 1 - r * a, 0)]
+                for k, (s, num) in enumerate(coeffs, r * a):
+                    if num:
+                        terms.append((k, s + shift, _mul(num, cofactor)))
+    low, nums = _aligned(terms)
+    return {j: (low, _neg(num) if (r * m) % 2 else num, dm) for j, num in nums.items()}
 
 
-def _assert_even_powers(series: TruncSeries, r, m):
-    for d in series.degrees():
-        if not series.coeffs[d].has_even_t_powers():
-            raise VertexError(
-                "odd t-power survives in [Q_c^%d]Z/Z_0 at Q^%d (r=%d)" % (m, d, r)
-            )
+def _aligned(terms) -> tuple:
+    """The sum of terms (j, shift, num), each q^shift num(q) Q^j, as
+    (low, {j: num}) over one shift, zero coefficients left out."""
+    low = min((s for _, s, _ in terms), default=0)
+    sums = {}
+    for j, s, num in terms:
+        sums[j] = _add(sums.get(j, []), num + [0] * (s - low))
+    return low, {j: num for j, num in sorted(sums.items()) if num}
 
 
 def check_integrality(fractions: dict, q_terms: int = 20) -> bool:
@@ -467,29 +488,19 @@ def z0_numerators(order: int) -> list:
     return nums
 
 
-def pt_fractions(ratio: TruncSeries, m: int, z0: list) -> dict:
+def pt_fractions(ratio: dict, m: int, z0: list) -> dict:
     """Z_m = Z_0 * ratio as {j: (shift, num, den)}, with no gcd.
 
-    ``ratio`` is z_ratios(...)[m] and ``z0`` is z0_numerators(n) with
-    n >= ratio.order.  Every coefficient of ratio has a denominator
-    dividing (q;q)_m^2; one that does not raises VertexError.  So the
+    ``ratio`` is z_ratios(...)[m], integer numerators over (q;q)_m^2 with
+    one shift, and ``z0`` is z0_numerators at the same Q-order.  So the
     Q^j coefficient of Z_m is q^shift num(q)/den(q) with one integer
     numerator over den = (q;q)_j^2 (q;q)_m^2, whose constant term is 1.
     """
     dm = _qq_squared(m)
-    # every coefficient lies in Q(q): shift, num and den are even in t
-    low = min((c.shift // 2 for c in ratio.coeffs.values()), default=0)
-    terms = {}  # the Q^b coefficient of ratio as q^low terms[b] / dm
-    for b, c in ratio.coeffs.items():
-        cofactor = _exquo(dm, c.den[::2])
-        if cofactor is None:
-            raise VertexError(
-                "the denominator of [Q^%d] Z_%d/Z_0 does not divide (q;q)_%d^2" % (b, m, m)
-            )
-        terms[b] = _mul(c.num[::2], cofactor) + [0] * (c.shift // 2 - low)
+    low = min((shift for shift, _, _ in ratio.values()), default=0)
     out = {}
     qq = [1]
-    for j in range(ratio.order + 1):
+    for j in range(len(z0)):
         if j:
             qq = _times_factor_squared(qq, j)
         num = []
@@ -497,18 +508,19 @@ def pt_fractions(ratio: TruncSeries, m: int, z0: list) -> dict:
         for b in range(j + 1):
             if b:
                 lift = _times_factor_squared(lift, j - b + 1)
-            if b in terms:
-                num = _add(num, _mul(_mul(z0[j - b], lift), terms[b]))
+            if b in ratio:
+                num = _add(num, _mul(_mul(z0[j - b], lift), ratio[b][1]))
         if num:
             out[j] = (low, num, _mul(qq, dm))
     return out
 
 
 def _pt_fractions(r, m, order, cache):
-    """``pt_fractions`` of the class m*c of K_{F_r} up to Q^order."""
+    """``pt_fractions`` of the class m*c of K_{F_r} up to Q^order; only
+    the class m is assembled."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    ratio = z_ratios(r, m, order, cache=cache)[m]
+    ratio = z_ratio(r, m, order, cache or SCache())
     return pt_fractions(ratio, m, z0_numerators(order))
 
 

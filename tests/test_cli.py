@@ -1,9 +1,13 @@
 """Command-line interface: flags, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import localvertex
 from localvertex import cli
 from localvertex import gwtheory as gw
 from localvertex import rationality as rat
@@ -345,3 +349,30 @@ class TestUsage:
         ])
         assert (job.task, job.all, job.r, job.m_max, job.Q_order) == ("verify", True, [2], 1, 9)
         assert (job.cache_dir, job.out) == (directory, report)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gw", "--r", "0", "--r", "1", "--m-max", "2", "--Q-order", "5"],
+        ["pt", "--r", "1", "--m", "2", "--Q-order", "5"],
+    ],
+    ids=["gw", "pt"],
+)
+def test_engine_leaves_symmfun_caches_empty(argv, tmp_path):
+    """A gw or pt run in a fresh interpreter never evaluates the W functions
+    or the shifted power sums, so their memo tables stay empty."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys; from localvertex import cli, symmfun as s; "
+        "assert cli.main(sys.argv[1:]) == 0; "
+        "print([f.cache_info().currsize for f in (s.w_one, s.w_two, s.p_shifted)])"
+    )
+    argv = argv + ["--out", str(tmp_path / "report.json")]
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[0, 0, 0]"
+    assert json.loads((tmp_path / "report.json").read_text())["tables"]["1"]

@@ -1,12 +1,18 @@
 """q = e^(iu) expansion, GW extraction, ring membership, polynomiality."""
 
+import hashlib
+import json
+import os
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localvertex import qfield
 from localvertex.gwtheory import (
     GWTable,
+    _i_power,
     finite_differences,
     gw_extract,
     log_z,
@@ -16,10 +22,11 @@ from localvertex.gwtheory import (
     to_u_series,
     verify_R,
 )
+from localvertex.partitions import Partition
 from localvertex.qfield import QRat
 from localvertex.rationality import find_exponent, fit_rational
 from localvertex.series import TruncSeries
-from localvertex.vertex import log_z0, z_ratios
+from localvertex.vertex import SCache, _exponent, _in_t, z_ratios
 
 ONE = QRat.one()
 Q = QRat.q_power(1)
@@ -29,23 +36,23 @@ class TestUExpansion:
     """Coefficients C_h of a(e^(iu)) = sum_h C_h x^h with x = iu."""
 
     def test_exponential(self):
-        got = to_u_series(Q, 3)
+        got = to_u_series(1, [1], [1], 3)
         assert [got[h] for h in range(4)] == [1, 1, Fraction(1, 2), Fraction(1, 6)]
 
     def test_bernoulli(self):
-        got = to_u_series(ONE / (ONE - Q), 1)
+        got = to_u_series(0, [1], [-1, 1], 1)
         assert got[-1] == -1
         assert got[0] == Fraction(1, 2)
         assert got[1] == Fraction(-1, 12)
 
     def test_double_pole(self):
-        got = to_u_series(Q * 2 / (ONE - Q) ** 2, 4)
+        got = to_u_series(1, [2], [1, -2, 1], 4)
         assert got.coeffs == {
             -2: 2, 0: Fraction(-1, 6), 2: Fraction(1, 120), 4: Fraction(-1, 3024)
         }
 
     def test_zero(self):
-        assert to_u_series(QRat.zero(), 3) == TruncSeries(3)
+        assert to_u_series(0, [], [1], 3) == TruncSeries(3)
 
     @given(
         st.lists(st.integers(-5, 5), min_size=1, max_size=6).filter(lambda c: sum(c)),
@@ -55,16 +62,15 @@ class TestUExpansion:
     def test_pole_order_from_moments(self, coeffs, k):
         """P(q)/(1-q)^k with P(1) != 0 has a pole of order k at x = 0,
         with leading coefficient (-1)^k P(1) since 1 - e^x = -x + ..."""
-        poly = QRat.zero()
-        for d, c in enumerate(coeffs):
-            poly = poly + QRat.q_power(d) * c
-        got = to_u_series(poly / (ONE - Q) ** k, 0)
+        den = [1]
+        for _ in range(k):
+            den = qfield._mul(den, [-1, 1])
+        got = to_u_series(0, coeffs[::-1], den, 0)
         assert got.valuation() == -k
         assert got[-k] == (-1) ** k * sum(coeffs)
 
     def test_transpose(self):
-        series = TruncSeries(2, {1: Q * 2 / (ONE - Q) ** 2})
-        got = qseries_to_u(series, 2)
+        got = qseries_to_u({1: (1, [2], [1, -2, 1])}, 2, 2)
         assert got[-2][1] == 2
         assert got[0][1] == Fraction(-1, 6)
 
@@ -194,10 +200,116 @@ class TestColumnRationality:
             assert find_exponent(fit, -8, 8) == -2
 
 
+def canonical(fraction):
+    """The QRat value q^shift num(q)/den(q) of a (shift, num, den) triple."""
+    shift, num, den = fraction
+    return QRat(2 * shift, _in_t(num), _in_t(den))
+
+
+def qrat_series(fractions, order):
+    return TruncSeries(order, {j: canonical(f) for j, f in fractions.items()})
+
+
+def qrat_z_ratios(r, m_max, order):
+    return {m: qrat_series(x, order) for m, x in z_ratios(r, m_max, order).items()}
+
+
+def qrat_log_z0(order):
+    """The oracle for log Z_0: 2 A_{empty,empty} from the power sums."""
+    return _exponent(Partition(), Partition(), order) * 2
+
+
+def qrat_to_u_series(a, u_order):
+    """The oracle for ``to_u_series``: a canonical QRat a(t), t = e^(x/2),
+    solved over Fractions from its x-Taylor coefficients moment_n/(2^n n!)."""
+    if a.is_zero():
+        return TruncSeries(u_order)
+
+    def moments(poly, shift, count):
+        degree = len(poly) - 1
+        terms = [(shift + degree - pos, c) for pos, c in enumerate(poly) if c]
+        return [
+            Fraction(sum(c * k**n for k, c in terms), 2**n * factorial(n)) for n in range(count)
+        ]
+
+    den = moments(a.den, 0, 40)
+    v = next(n for n, c in enumerate(den) if c)
+    num = moments(a.num, a.shift, u_order + 2 * v + 1)
+    result, res = {}, []
+    for k in range(u_order + v + 1):
+        acc = num[k] - sum(den[v + j] * res[k - j] for j in range(1, k + 1))
+        res.append(acc / den[v])
+        if res[-1]:
+            result[k - v] = res[-1]
+    return TruncSeries(u_order, result)
+
+
+def qrat_log_z(r, m_max, order):
+    """The oracle for ``log_z``: m L_m = m x_m - sum_{k<m} k L_k x_{m-k} in QRat."""
+    logs = {0: qrat_log_z0(order)}
+    if m_max >= 1:
+        x = qrat_z_ratios(r, m_max, order)
+        for m in range(1, m_max + 1):
+            logs[m] = x[m]
+            for k in range(1, m):
+                logs[m] = logs[m] - logs[k] * x[m - k] * Fraction(k, m)
+    return logs
+
+
+def qrat_gw_extract(r, m_max, order, g_max):
+    """The oracle for ``gw_extract``: the QRat log and u-expansion."""
+    table = GWTable(r=r, g_max=g_max, m_max=m_max, j_max=order)
+    for m, series in qrat_log_z(r, m_max, order).items():
+        for j in series.degrees():
+            for h, c in qrat_to_u_series(series.coeffs[j], 2 * g_max - 2).coeffs.items():
+                assert h % 2 == 0 and h >= -2
+                table.entries[((h + 2) // 2, m, j)] = c * _i_power(h)
+    return table
+
+
+class TestQRatRoute:
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_gw_extract_bit_identical(self, r, scache):
+        for m_max, order in ((1, 9), (2, 9), (3, 9), (3, 5)):
+            got = gw_extract(r, m_max, order, 3, cache=scache).to_json()
+            assert got == qrat_gw_extract(r, m_max, order, 3).to_json(), (m_max, order)
+
+    def test_u_series_reads_unreduced_fractions(self):
+        """Numerator and denominator both times t^2 - 1 = q - 1: the same
+        series, equal to the oracle on the reduced QRat."""
+        for m, series in log_z(1, 2, 6).items():
+            for shift, num, den in series.values():
+                got = to_u_series(shift, num, den, 4)
+                times = qfield._mul(num, [1, -1]), qfield._mul(den, [1, -1])
+                assert got == to_u_series(shift, *times, 4)
+                assert got == qrat_to_u_series(canonical((shift, num, den)), 4), m
+
+    def test_takes_no_gcd(self, monkeypatch):
+        def refuse(f, g):
+            raise AssertionError("the GW path took a polynomial gcd")
+
+        monkeypatch.setattr(qfield, "_gcd", refuse)
+        table = gw_extract(1, 2, 6, 3, cache=SCache())
+        assert table.value(0, 1, 2) == 5
+        assert tilde_pt0(6, 4)[2][3] == Fraction(-3, 120)
+
+    def test_benchmark_hashes(self):
+        """gw_extract(r, 2, 7, 3) reproduces the benchmark's pinned gw_m2
+        output hashes, read from bench/reference.json."""
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference.json")
+        with open(path) as fh:
+            pinned = json.load(fh)["gw_m2"]
+        assert sorted(pinned) == ["0", "1", "2"]
+        for r, digest in pinned.items():
+            table = gw_extract(int(r), 2, 7, 3).to_json()
+            text = json.dumps(table, sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, r
+
+
 def log_z_by_powers(r, m_max, order):
     """Oracle for ``log_z``: log(1 + X) = sum_n (-1)^(n+1) X^n / n, with the
     powers of X = sum_{m>=1} x_m Q_c^m convolved in Q_c and cut at Q_c^m_max."""
-    x = z_ratios(r, m_max, order)
+    x = qrat_z_ratios(r, m_max, order)
     del x[0]
     acc = {m: TruncSeries(order) for m in range(1, m_max + 1)}
     power = dict(x)
@@ -210,7 +322,7 @@ def log_z_by_powers(r, m_max, order):
                 if m1 + m2 <= m_max:
                     product[m1 + m2] = product[m1 + m2] + s1 * s2
         power = product
-    return {0: log_z0(order), **acc}
+    return {0: qrat_log_z0(order), **acc}
 
 
 class TestLogZ:
@@ -220,5 +332,4 @@ class TestLogZ:
         expected = log_z_by_powers(r, m_max, order)
         assert set(got) == set(expected)
         for m, series in expected.items():
-            assert got[m].order == series.order
-            assert got[m] == series
+            assert qrat_series(got[m], order) == series

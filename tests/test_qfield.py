@@ -120,33 +120,12 @@ class TestFieldAxioms:
         assert T ** 0 == ONE
 
 
-class TestParity:
-    def test_even_powers(self):
-        assert Q.has_even_t_powers()
-        assert (ONE / (ONE - Q)).has_even_t_powers()
-        assert not T.has_even_t_powers()
-        assert not (T / (ONE - Q)).has_even_t_powers()
-
-    def test_subs_neg_t(self):
-        assert T.subs_neg_t() == -T
-        assert Q.subs_neg_t() == Q
-
-
 def _fields(a):
     return a.shift, a.num, a.den
 
 
 class TestCanonicalShortcuts:
     """Results built without a gcd equal the fully canonicalised ones."""
-
-    @given(qrats())
-    @settings(max_examples=60, deadline=None)
-    def test_subs_neg_t(self, a):
-        b = a.subs_neg_t()
-        sign = -1 if a.shift % 2 else 1
-        num = [sign * c * (-1) ** (len(a.num) - 1 - i) for i, c in enumerate(a.num)]
-        den = [c * (-1) ** (len(a.den) - 1 - i) for i, c in enumerate(a.den)]
-        assert _fields(b) == _fields(QRat(a.shift, num, den))
 
     @given(qrats())
     @settings(max_examples=60, deadline=None)

@@ -18,7 +18,7 @@ from localvertex.rationality import (
     w_dot_beta,
 )
 from localvertex.series import TruncSeries
-from localvertex.vertex import pt_series, z_ratios
+from localvertex.vertex import _in_t, pt_series, z_ratios
 
 
 def geometric(order):
@@ -98,22 +98,49 @@ class TestQFunctional:
         assert find_exponent(fit, -4, 4) is None
 
 
+def canonical(fraction):
+    """The QRat value q^shift num(q)/den(q) of a (shift, num, den) triple."""
+    shift, num, den = fraction
+    return QRat(2 * shift, _in_t(num), _in_t(den))
+
+
+def invert_t_oracle(fractions):
+    """check_q_inversion in QRat: the first Q-degree whose canonical
+    coefficient is moved by t -> 1/t."""
+    for d in sorted(fractions):
+        c = canonical(fractions[d])
+        if c.invert_t() != c:
+            return False, d
+    return True, None
+
+
 class TestQInversion:
     def test_constant(self):
-        ok, witness = check_q_inversion(TruncSeries(2, {0: QRat.one()}))
+        ok, witness = check_q_inversion({0: (0, [1], [1])})
         assert ok and witness is None
 
     def test_asymmetric_witness(self):
-        ok, witness = check_q_inversion(TruncSeries(2, {1: QRat.q_power(1)}))
-        assert not ok
-        assert witness == 1
+        fractions = {0: (0, [1], [1]), 1: (1, [1], [1])}  # 1 + q Q
+        assert check_q_inversion(fractions) == (False, 1)
+        assert invert_t_oracle(fractions) == (False, 1)
 
     def test_palindromic_coefficient(self):
-        one = QRat.one()
-        q = QRat.q_power(1)
-        series = TruncSeries(1, {1: q * 2 / (one - q) ** 2})
-        ok, _ = check_q_inversion(series)
-        assert ok
+        # 2q/(1-q)^2, also with the numerator's trailing zeros unmoved
+        for fraction in ((1, [2], [1, -2, 1]), (0, [2, 0], [1, -2, 1])):
+            ok, _ = check_q_inversion({1: fraction})
+            assert ok
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_matches_invert_t(self, r, scache):
+        """The palindrome test on numerators over (q;q)_m^2 against
+        QRat.invert_t on the canonical coefficients."""
+        for m, ratio in z_ratios(r, 3, 7, cache=scache).items():
+            assert check_q_inversion(ratio) == invert_t_oracle(ratio) == (True, None), m
+            # q times the last coefficient is asymmetric, and the only witness
+            d = max(ratio)
+            shift, num, den = ratio[d]
+            bent = {**ratio, d: (shift, num + [0], den)}
+            assert check_q_inversion(bent) == invert_t_oracle(bent) == (False, d), m
 
 
 class TestNormalizedPT:
@@ -121,7 +148,7 @@ class TestNormalizedPT:
 
     def test_constant_term_matches_numerator(self, scache):
         norm = z_ratios(0, 1, 4, cache=scache)[1]
-        assert norm[0] == pt_series(0, 1, 4, cache=scache)[0]
+        assert canonical(norm[0]) == pt_series(0, 1, 4, cache=scache)[0]
 
     def test_q_inversion_small(self, scache):
         ok, witness = check_q_inversion(z_ratios(0, 1, 5, cache=scache)[1])

@@ -175,7 +175,7 @@ class TestExpLog:
     def test_exp_nested_valuation_two_matches_power_iteration(self):
         """The shape tilde_pt0 exponentiates: an x-series of valuation 2
         whose coefficients are Q-series over Fractions."""
-        a = qseries_to_u(log_z0(4), 6)
+        a = qseries_to_u(log_z0(4), 4, 6)
         a = TruncSeries(6, {h: c for h, c in a.coeffs.items() if h >= 2})
         assert a.valuation() == 2
         got = a.exp()

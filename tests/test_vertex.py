@@ -1,11 +1,12 @@
 """Vertex sums, the S-series routes, partition functions, PT extraction."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from localvertex import vertex
-from localvertex.partitions import Partition, partitions_up_to
+from localvertex.partitions import Partition, partitions_of, partitions_up_to
 from localvertex.qfield import QRat, expansion
 from localvertex.series import TruncSeries
 from localvertex.symmfun import p_shifted, w_one
@@ -17,7 +18,6 @@ from localvertex.vertex import (
     _exponent,
     check_integrality,
     e_coeffs,
-    log_z0,
     pt_fractions,
     pt_invariants,
     pt_series,
@@ -26,6 +26,7 @@ from localvertex.vertex import (
     s_product,
     s_ratio_squared,
     z0_numerators,
+    z_ratio,
     z_ratios,
     z_toric,
 )
@@ -80,6 +81,43 @@ def exp_route_ratio_squared(mu, nu, order):
     return (diff * 2).exp() * (w * w)
 
 
+def exp_route_z0(order):
+    """The oracle: Z_0 = exp(log Z_0) with log Z_0 = 2 A_{empty,empty}."""
+    return (_exponent(EMPTY, EMPTY, order) * 2).exp()
+
+
+def ratio_series(mu, nu, order):
+    """s_ratio_squared as a QRat series: each numerator over the canonical
+    denominator of (W_mu W_nu)^2, the oracle for (H_mu H_nu)^2."""
+    den = ((w_one(mu) * w_one(nu)) ** 2).den[::2]
+    return TruncSeries(
+        order,
+        {k: canonical((s, num, den)) for k, (s, num) in enumerate(s_ratio_squared(mu, nu, order))},
+    )
+
+
+def qrat_z_ratios(r, m_max, order, cache):
+    """The oracle: the QRat assembly of [Q_c^m] Z/Z_0 from ``ratio_series``."""
+    out = {}
+    for m in range(m_max + 1):
+        total = TruncSeries(order)
+        for a in range(m + 1):
+            for mu2 in partitions_of(a):
+                for mu4 in partitions_of(m - a):
+                    term = ratio_series(mu2, mu4, order)
+                    term = term * QRat.t_power(r * (mu2.kappa() - mu4.kappa()))
+                    if r * mu2.size:
+                        term = term.shifted(r * mu2.size).truncate(order)
+                    total = total + term
+        out[m] = -total if (r * m) % 2 else total
+    return out
+
+
+def fraction_series(fractions, order):
+    """A {j: (shift, num, den)} Q-series as a QRat series."""
+    return TruncSeries(order, {j: canonical(f) for j, f in fractions.items()})
+
+
 def _bits(series):
     return series.order, {
         d: (c.shift, c.num, c.den) for d, c in sorted(series.coeffs.items())
@@ -123,7 +161,7 @@ class TestClosedForm:
             raise AssertionError("s_ratio_squared evaluated p_mu(q^k)")
 
         monkeypatch.setattr(vertex, "p_shifted", refuse)
-        assert s_ratio_squared(P(2, 1), P(1), 4)[4]
+        assert s_ratio_squared(P(2, 1), P(1), 4)[4][1]
 
     def test_bit_identical_to_exp_route(self):
         pairs = [
@@ -134,7 +172,7 @@ class TestClosedForm:
         ]
         assert len(pairs) == 38
         for mu, nu in pairs:
-            got = s_ratio_squared(mu, nu, 12)
+            got = ratio_series(mu, nu, 12)
             assert _bits(got) == _bits(exp_route_ratio_squared(mu, nu, 12)), (mu, nu)
 
     def test_takes_no_series_exp(self, monkeypatch):
@@ -142,22 +180,30 @@ class TestClosedForm:
             raise AssertionError("s_ratio_squared took a series exp")
 
         monkeypatch.setattr(TruncSeries, "exp", refuse)
-        assert s_ratio_squared(P(2, 1), P(1), 4)[4]
+        assert s_ratio_squared(P(2, 1), P(1), 4)[4][1]
+
+    def test_monomial_and_hooks(self):
+        """(W_mu W_nu)^2 = q^w/(H_mu H_nu)^2, w read off the diagrams."""
+        for mu, nu in ((P(2, 1), P(1)), (P(3), P(1, 1)), (EMPTY, P(2, 2))):
+            shift, num = s_ratio_squared(mu, nu, 0)[0]
+            h = vertex._mul(vertex._hook_product(mu), vertex._hook_product(nu))
+            value = QRat(2 * shift, vertex._in_t(num), vertex._in_t(vertex._mul(h, h)))
+            assert value == (w_one(mu) * w_one(nu)) ** 2, (mu, nu)
 
 
 class TestSCache:
     def test_memory_reuse_and_truncation(self):
         cache = SCache()
-        full = cache.get(EMPTY, EMPTY, 5)
-        short = cache.get(EMPTY, EMPTY, 3)
-        assert short == full.truncate(3)
+        full = cache.get(P(1), EMPTY, 5)
+        short = cache.get(P(1), EMPTY, 3)
+        assert len(full) == 6 and short == full[:4]
 
     def test_disk_round_trip(self, tmp_path):
         first = SCache(str(tmp_path))
         series = first.get(P(1), EMPTY, 4)
         second = SCache(str(tmp_path))
         assert second.get(P(1), EMPTY, 4) == series
-        assert second.get(P(1), EMPTY, 2) == series.truncate(2)
+        assert second.get(P(1), EMPTY, 2) == series[:3]
 
     def test_corrupt_file_reported(self, tmp_path):
         cache = SCache(str(tmp_path))
@@ -173,7 +219,16 @@ class TestSCache:
     def test_stores_ratio_squared(self, tmp_path):
         cache = SCache(str(tmp_path))
         assert cache.get(P(1), EMPTY, 3) == s_ratio_squared(P(1), EMPTY, 3)
-        assert cache.get(EMPTY, EMPTY, 3) == TruncSeries.one(3)
+        assert cache.get(EMPTY, EMPTY, 3) == [(0, [1]), (0, []), (0, []), (0, [])]
+
+    def test_old_format_rebuilt(self, tmp_path):
+        """A file of another format version is ignored and rewritten."""
+        SCache(str(tmp_path)).get(P(1), EMPTY, 3)
+        (path,) = list(tmp_path.iterdir())
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "version": 2, "coeffs": "QRat series"}))
+        assert SCache(str(tmp_path)).get(P(1), EMPTY, 3) == s_ratio_squared(P(1), EMPTY, 3)
+        assert json.loads(path.read_text()) == doc
 
 
 class TestPartitionFunctions:
@@ -197,7 +252,7 @@ class TestPartitionFunctions:
         s0 = s_closed(EMPTY, EMPTY, 3)
         for mu, nu in ((P(1), EMPTY), (P(2), P(1)), (P(1, 1), P(1))):
             s = s_closed(mu, nu, 3)
-            assert s_ratio_squared(mu, nu, 3) * s0 * s0 == s * s
+            assert ratio_series(mu, nu, 3) * s0 * s0 == s * s
 
     def test_toric_zero_bounds(self):
         got = z_toric(ToricSurface.hirzebruch(0), 0, 0)
@@ -242,8 +297,8 @@ class TestPT:
         """pt_series(r, m) for m <= 3 at Q-order 9 is, bit for bit, the m-th
         entry of Z of K_{F_r} assembled once as the oracle exp(log Z_0)
         times z_ratios."""
-        z0 = log_z0(9).exp()
-        ratios = z_ratios(r, 3, 9, cache=scache)
+        z0 = exp_route_z0(9)
+        ratios = qrat_z_ratios(r, 3, 9, scache)
         for m in range(4):
             assert _bits(pt_series(r, m, 9, cache=scache)) == _bits(z0 * ratios[m]), m
 
@@ -285,7 +340,7 @@ def canonical(fraction):
 class TestKnownDenominators:
     def test_z0_bit_identical_to_exp_route(self):
         nums = z0_numerators(13)
-        oracle = log_z0(13).exp()
+        oracle = exp_route_z0(13)
         for n in range(14):
             assert z0_numerators(n) == nums[: n + 1]
             got = canonical((0, nums[n], vertex._qq_squared(n)))
@@ -316,24 +371,39 @@ class TestKnownDenominators:
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_ratio_denominators_divide_qq_squared(self, r, scache):
-        """Every coefficient of Z_m/Z_0 times (q;q)_m^2 is a Laurent
-        polynomial, checked in QRat arithmetic."""
+        """Every coefficient of Z_m/Z_0 is one integer numerator over
+        (q;q)_m^2, and canonicalised it is, bit for bit, the QRat assembly."""
         ratios = z_ratios(r, 3, 9, cache=scache)
+        oracle = qrat_z_ratios(r, 3, 9, scache)
         for m in range(4):
             qq = ONE
             for k in range(1, m + 1):
                 qq = qq * (ONE - QRat.q_power(k)) ** 2
-            for d in ratios[m].degrees():
-                assert (ratios[m][d] * qq).den == [1], (m, d)
+            for shift, num, den in ratios[m].values():
+                assert canonical((0, [1], den)) == ONE / qq, m
+            assert _bits(fraction_series(ratios[m], 9)) == _bits(oracle[m]), m
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
-    def test_foreign_denominator_raises(self, m, scache):
-        ratio = z_ratios(1, m, 6, cache=scache)[m]
-        d = ratio.degrees()[-1]
-        coeffs = dict(ratio.coeffs)
-        coeffs[d] = coeffs[d] / (ONE - QRat.q_power(m + 1))
-        with pytest.raises(VertexError):
-            pt_fractions(TruncSeries(6, coeffs), m, z0_numerators(6))
+    def test_foreign_denominator_raises(self, m, monkeypatch):
+        """A planted hook product that does not divide (q;q)_m^2 is fatal."""
+        hook_product = vertex._hook_product
+        monkeypatch.setattr(
+            vertex, "_hook_product", lambda mu: vertex._mul(hook_product(mu), [-1] + [0] * m + [1])
+        )
+        with pytest.raises(VertexError, match="does not divide"):
+            z_ratio(1, m, 6, SCache())
+
+    def test_pt_assembles_only_its_class(self, monkeypatch):
+        """pt_series(0, 6, .) reads the 65 S-ratios of |mu2| + |mu4| = 6,
+        not the 139 of every m <= 6."""
+        calls = []
+        get = SCache.get
+        monkeypatch.setattr(
+            SCache, "get", lambda self, *args: calls.append(args) or get(self, *args)
+        )
+        pt_series(0, 6, 4)
+        assert len(calls) == 65
+        assert all(mu2.size + mu4.size == 6 for mu2, mu4, _ in calls)
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_verdict_matches_canonical(self, r, scache):
