@@ -340,12 +340,11 @@ def polynomiality_check(table: GWTable, g: int, m: int, j_lo: int, j_hi: int):
             % (length, depth)
         )
     values = [table.value(g, m, j) for j in range(j_lo, j_hi + 1)]
-    diffs = finite_differences(values, depth)
-    passed = all(d == 0 for d in diffs)
-    degree = None
-    for k in range(length):
-        if any(d != 0 for d in finite_differences(values, k)):
-            degree = k
+    rows = [values]  # rows[k] holds the k-th differences
+    while len(rows) < length:
+        rows.append(finite_differences(rows[-1], 1))
+    passed = not any(rows[depth])
+    degree = max((k for k, row in enumerate(rows) if any(row)), default=None)
     report = {
         "g": g,
         "m": m,

@@ -1,8 +1,11 @@
-"""Exact arithmetic in the field Q(t), with q = t**2.
+"""Exact arithmetic in the field Q(t), with q = t**2, and its polynomial kernel.
 
-Every vertex quantity lives here.  Half-integer powers of q are realized
-as odd powers of t, so the whole computation stays inside one Laurent
-polynomial ring over the integers.  Values are kept in a canonical form
+QRat values serve ``pt_series`` (one reduction per Q-coefficient), the
+polylogarithms of ``series``, ``symmfun``, the selftest and the oracles;
+the engine path holds integer q-polynomials over known denominators and
+uses only the kernel.  Half-integer powers of q are realized as odd
+powers of t, so a QRat is t^shift times a quotient of two integer
+polynomials in t.  Values are kept in a canonical form
 (coprime numerator/denominator, no shared integer content, denominator
 with positive constant term) so that equality is structural and values
 can serve as cache keys.
@@ -448,21 +451,6 @@ class QRat:
         """
         lowest, coeffs = expansion(self.shift, self.num, self.den, n_terms)
         return lowest, [Fraction(c) for c in coeffs]
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        return {
-            "num": {"off": self.shift, "coeffs": self.num[::-1]},
-            "den": {"off": 0, "coeffs": self.den[::-1]},
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        num = list(reversed(data["num"]["coeffs"]))
-        den = list(reversed(data["den"]["coeffs"]))
-        shift = data["num"]["off"] - data["den"]["off"]
-        return cls(shift, num, den)
 
     def __repr__(self):
         if self.is_zero():

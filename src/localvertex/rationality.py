@@ -4,7 +4,11 @@ A fit certifies that a truncated Q-series is the expansion of
 num(Q) / prod_i (1 - Q^(a_i))^(e_i) by multiplying through and demanding
 that every coefficient beyond the numerator window vanish; the count of
 vanishing surplus coefficients is the confidence certificate (>= 3 for
-an accepted fit).
+an accepted fit).  Nothing is searched: the window is either given or
+read off the cleared series, and the only exponent a for which
+Q^a f(1/Q) = +-f(Q) can hold is fixed by the numerator's lowest and
+highest degrees.  Fits hold the series' own Fraction (or int)
+coefficients.
 
 Functional equations in Q are checked on the reconstructed rational
 function by exact numerator manipulation, never on truncations: Q -> 1/Q
@@ -15,23 +19,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qfield import QRat, _trailing_zeros
-from .series import TruncSeries, _is_zero
+from .qfield import _trailing_zeros
+from .series import TruncSeries
 
 
 class FitError(ArithmeticError):
     """The series is not rational with the prescribed denominator."""
-
-    def __init__(self, message, offending_degree=None):
-        super().__init__(message)
-        self.offending_degree = offending_degree
 
 
 class RationalFit:
     """A certified rational function num(Q)/prod (1-Q^a)^e."""
 
     def __init__(self, numerator: dict, denom_spec: tuple, surplus: int, order: int):
-        # Q-degree -> coefficient (Fraction or QRat), Laurent
+        # Q-degree -> Fraction (or int) coefficient, Laurent
         self.numerator = numerator
         self.denom_spec = denom_spec  # ((a, e), ...) meaning prod (1 - Q^a)^e
         self.surplus = surplus
@@ -62,8 +62,6 @@ class RationalFit:
 
 
 def _coeff_json(c):
-    if isinstance(c, QRat):
-        return c.to_json()
     c = Fraction(c)
     return {"num": c.numerator, "den": c.denominator}
 
@@ -80,48 +78,33 @@ def fit_rational(series: TruncSeries, denom_spec, window=None) -> RationalFit:
     """Reconstruct series = num(Q) / prod (1-Q^a)^e with a surplus certificate.
 
     ``window`` is the inclusive (lo, hi) degree interval allowed for the
-    numerator.  When omitted, the window starts at
-    [valuation, deg(denominator)] and the upper end is widened on failure
-    while a surplus of at least 3 matched coefficients remains.
+    numerator.  When omitted, it is the least window that holds the
+    cleared series and reaches the denominator degree past its start:
+    lo = min(valuation, 0), hi = max(lo + deg(denominator), top degree).
+    Either way the fit needs a surplus of at least 3 beyond hi.
     """
     denom_spec = tuple(sorted(tuple(p) for p in denom_spec))
-    cleared = series * denominator_series(denom_spec, series.order)
+    order = series.order
+    cleared = series * denominator_series(denom_spec, order)
     degrees = cleared.degrees()
     if not degrees:
-        return RationalFit({}, denom_spec, surplus=series.order, order=series.order)
-    lo = min(degrees[0], 0)
-    if window is not None:
+        return RationalFit({}, denom_spec, surplus=order, order=order)
+    if window is None:
+        lo = min(degrees[0], 0)
+        hi = max(lo + sum(a * e for a, e in denom_spec), degrees[-1])
+    else:
         lo, hi = window
-        if series.order < hi + 3:
-            raise FitError(
-                "truncation order %d leaves no surplus beyond window end %d"
-                % (series.order, hi)
-            )
-        return _attempt(cleared, denom_spec, lo, hi, series.order)
-    hi = max(lo + sum(a * e for a, e in denom_spec), degrees[0])
-    last_error = None
-    while series.order - hi >= 3:
-        try:
-            return _attempt(cleared, denom_spec, lo, hi, series.order)
-        except FitError as err:
-            last_error = err
-            hi = max(hi + 1, err.offending_degree or hi + 1)
-    raise last_error or FitError("no admissible window leaves a surplus of 3")
-
-
-def _attempt(cleared, denom_spec, lo, hi, order):
-    numerator = {}
-    for d in cleared.degrees():
-        c = cleared.coeffs[d]
-        if lo <= d <= hi:
-            numerator[d] = c
-        else:
-            raise FitError(
-                "nonvanishing coefficient at Q^%d outside window [%d, %d]"
-                % (d, lo, hi),
-                offending_degree=d,
-            )
-    return RationalFit(numerator, denom_spec, surplus=order - hi, order=order)
+    if order < hi + 3:
+        raise FitError(
+            "truncation order %d leaves no surplus beyond window end %d" % (order, hi)
+        )
+    outside = [d for d in degrees if not lo <= d <= hi]
+    if outside:
+        raise FitError(
+            "nonvanishing coefficient at Q^%d outside window [%d, %d]"
+            % (outside[0], lo, hi)
+        )
+    return RationalFit(dict(cleared.coeffs), denom_spec, surplus=order - hi, order=order)
 
 
 def check_Q_functional(fit: RationalFit, a: int, sign: int = 1) -> bool:
@@ -139,7 +122,7 @@ def check_Q_functional(fit: RationalFit, a: int, sign: int = 1) -> bool:
     total_sign = sign * (-1) ** E
     for d, c in fit.numerator.items():
         mirrored = fit.numerator.get(a + D - d, 0)
-        if not _is_zero(c - total_sign * mirrored):
+        if c != total_sign * mirrored:
             return False
     return True
 
@@ -163,19 +146,16 @@ def certify_column(column: TruncSeries, power: int, a: int, sign: int = 1):
 def find_exponent(fit: RationalFit, lo: int, hi: int, sign: int = 1):
     """The unique a in [lo, hi] with Q^a f(1/Q) = sign * f(Q), or None.
 
-    The zero function is rejected (every exponent works).
+    Q -> 1/Q sends the numerator's lowest degree to its highest, so the
+    only candidate is a = min + max - deg(denominator).  The zero
+    function is rejected (every exponent works).
     """
     if fit.is_zero():
         return None
-    found = None
-    for a in range(lo, hi + 1):
-        if check_Q_functional(fit, a, sign=sign):
-            if found is not None:
-                raise ArithmeticError(
-                    "multiple exponents satisfy the functional equation"
-                )
-            found = a
-    return found
+    a = min(fit.numerator) + max(fit.numerator) - fit.denominator_degree()
+    if lo <= a <= hi and check_Q_functional(fit, a, sign):
+        return a
+    return None
 
 
 def check_q_inversion(fractions: dict):

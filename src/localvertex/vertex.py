@@ -33,6 +33,7 @@ pt_series reduces, once per Q-coefficient.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -377,54 +378,25 @@ def z_toric(surface: ToricSurface, c_bound: int, b_bound: int) -> dict:
     as a cross-check of pt_series on the Hirzebruch preset; the raw
     product-sum is exponential in N and meant for small bounds only.
     """
-    n_div = len(surface.divisor_classes)
+    classes = surface.divisor_classes
+    if not all(any(cls) for cls in classes):
+        raise ValueError("divisor with zero class; degree bound impossible")
+    bounds = (c_bound, b_bound)
+    limits = [min(bound // x for bound, x in zip(bounds, cls) if x) for cls in classes]
     out = {}
-
-    def rec(j, sizes):
-        if j == n_div:
-            _toric_term(surface, sizes, out, c_bound, b_bound)
-            return
-        c_used = sum(s * surface.divisor_classes[i][0] for i, s in enumerate(sizes))
-        b_used = sum(s * surface.divisor_classes[i][1] for i, s in enumerate(sizes))
-        cj, bj = surface.divisor_classes[j]
-        limit = 0
-        if cj:
-            limit = (c_bound - c_used) // cj
-        if bj:
-            room = (b_bound - b_used) // bj
-            limit = room if not cj else min(limit, room)
-        if not cj and not bj:
-            raise ValueError("divisor with zero class; degree bound impossible")
-        for size in range(limit + 1):
-            rec(j + 1, sizes + [size])
-
-    rec(0, [])
-    return out
-
-
-def _toric_term(surface, sizes, out, c_bound, b_bound):
-    n_div = len(surface.divisor_classes)
-    degree_c = sum(s * surface.divisor_classes[i][0] for i, s in enumerate(sizes))
-    degree_b = sum(s * surface.divisor_classes[i][1] for i, s in enumerate(sizes))
-    if degree_c > c_bound or degree_b > b_bound:
-        return
-    groups = [list(partitions_of(s)) for s in sizes]
-
-    def rec(j, chosen):
-        if j == n_div:
+    for sizes in itertools.product(*(range(k + 1) for k in limits)):
+        degree = tuple(sum(s * cls[k] for s, cls in zip(sizes, classes)) for k in (0, 1))
+        if degree[0] > c_bound or degree[1] > b_bound:
+            continue
+        for chosen in itertools.product(*map(partitions_of, sizes)):
             value = QRat.one()
             for i, mu in enumerate(chosen):
                 sj = surface.self_intersections[i]
                 sign = -1 if (sj * mu.size) % 2 else 1
                 value = value * sign * QRat.t_power(mu.kappa() * sj)
-                value = value * w_two(mu, chosen[(i + 1) % n_div])
-            key = (degree_c, degree_b)
-            out[key] = out.get(key, QRat.zero()) + value
-            return
-        for mu in groups[j]:
-            rec(j + 1, chosen + [mu])
-
-    rec(0, [])
+                value = value * w_two(mu, chosen[(i + 1) % len(chosen)])
+            out[degree] = out.get(degree, QRat.zero()) + value
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localvertex import qfield
+from localvertex import cli, qfield
 from localvertex.gwtheory import (
     GWTable,
     _i_power,
@@ -182,6 +182,18 @@ class TestPolynomiality:
         assert not passed
         assert report["max_nonvanishing_difference_order"] == 2
 
+    @given(st.lists(st.integers(-3, 3), min_size=3, max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_matches_recount(self, values):
+        """The one pass of differences against finite_differences at every order."""
+        table = GWTable(r=0, g_max=0, m_max=1, j_max=len(values) - 1)
+        for j, v in enumerate(values):
+            table.entries[(0, 1, j)] = Fraction(v)
+        passed, report = polynomiality_check(table, 0, 1, 0, len(values) - 1)
+        nonzero = [k for k in range(len(values)) if any(finite_differences(values, k))]
+        assert report["max_nonvanishing_difference_order"] == max(nonzero, default=None)
+        assert passed is not any(finite_differences(values, 2))
+
     def test_short_window_rejected(self):
         table = GWTable(r=0, g_max=1, m_max=1, j_max=9)
         with pytest.raises(ValueError):
@@ -296,14 +308,50 @@ class TestQRatRoute:
     def test_benchmark_hashes(self):
         """gw_extract(r, 2, 7, 3) reproduces the benchmark's pinned gw_m2
         output hashes, read from bench/reference.json."""
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference.json")
-        with open(path) as fh:
-            pinned = json.load(fh)["gw_m2"]
+        pinned = pinned_hashes("gw_m2")
         assert sorted(pinned) == ["0", "1", "2"]
         for r, digest in pinned.items():
-            table = gw_extract(int(r), 2, 7, 3).to_json()
-            text = json.dumps(table, sort_keys=True, separators=(",", ":"))
-            assert hashlib.sha256(text.encode()).hexdigest() == digest, r
+            assert sha256_json(gw_extract(int(r), 2, 7, 3).to_json()) == digest, r
+
+    def test_benchmark_hashes_exceptional(self):
+        """tilde_pt0(11, 6), by value, reproduces the pinned exceptional hash."""
+        pinned = pinned_hashes("exceptional")
+        assert sha256_json(series_value(tilde_pt0(11, 6))) == pinned["tilde_pt0"]
+
+    def test_benchmark_hashes_verify(self, tmp_path):
+        """verify --all --r R --m-max 1 --Q-order 9 reproduces the pinned
+        report hashes, with generated_at dropped."""
+        pinned = pinned_hashes("verify")
+        assert sorted(pinned) == ["0", "1", "2"]
+        for r, digest in pinned.items():
+            out = tmp_path / ("verify_%s.json" % r)
+            argv = ["verify", "--all", "--r", r, "--m-max", "1", "--Q-order", "9"]
+            assert cli.main(argv + ["--out", str(out)]) == 0, r
+            report = json.loads(out.read_text())
+            report.pop("generated_at")
+            assert sha256_json(report) == digest, r
+
+
+def pinned_hashes(workload):
+    """The output hashes bench/reference.json pins for one workload."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference.json")
+    with open(path) as fh:
+        return json.load(fh)[workload]
+
+
+def sha256_json(document):
+    """The benchmark's digest: sha256 of the canonical JSON."""
+    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def series_value(s):
+    """A (nested) series by value, as the benchmark hashes it: order and
+    stored coefficients, each scalar as [re_num, re_den, im_num, im_den]."""
+    if isinstance(s, TruncSeries):
+        return {"order": s.order, "coeffs": {str(d): series_value(c) for d, c in s.coeffs.items()}}
+    c = Fraction(s)
+    return [c.numerator, c.denominator, 0, 1]
 
 
 def log_z_by_powers(r, m_max, order):

@@ -267,18 +267,6 @@ class TestTExpansionOracle:
         self._check(a, 0)
 
 
-class TestSerialization:
-    @given(qrats())
-    @settings(max_examples=40, deadline=None)
-    def test_json_round_trip(self, a):
-        assert QRat.from_json(a.to_json()) == a
-
-    def test_json_shape(self):
-        doc = (T / (ONE - Q)).to_json()
-        assert set(doc) == {"num", "den"}
-        assert set(doc["num"]) == {"off", "coeffs"}
-
-
 def test_import_leaves_sympy_out():
     """The kernel is stdlib only: importing the package pulls in no sympy."""
     env = dict(os.environ)

@@ -4,11 +4,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localvertex.qfield import QRat
 from localvertex.gwtheory import column_power
+from localvertex import rationality
 from localvertex.rationality import (
     FitError,
+    RationalFit,
     certify_column,
     check_Q_functional,
     check_q_inversion,
@@ -96,6 +99,154 @@ class TestQFunctional:
     def test_zero_rejected(self):
         fit = fit_rational(TruncSeries(6), ((1, 1),))
         assert find_exponent(fit, -4, 4) is None
+
+
+class _Offending(FitError):
+    def __init__(self, message, degree):
+        super().__init__(message)
+        self.degree = degree
+
+
+def fit_by_widening(series, denom_spec, window=None):
+    """Oracle for ``fit_rational``: the numerator window as a search.  The
+    auto window starts at [min(valuation, 0), deg(denominator)] and its top
+    is moved to each offending degree while a surplus of 3 remains."""
+    denom_spec = tuple(sorted(tuple(p) for p in denom_spec))
+    cleared = series * denominator_series(denom_spec, series.order)
+    degrees = cleared.degrees()
+    if not degrees:
+        return RationalFit({}, denom_spec, surplus=series.order, order=series.order)
+
+    def attempt(lo, hi):
+        numerator = {}
+        for d in degrees:
+            if not lo <= d <= hi:
+                raise _Offending(
+                    "nonvanishing coefficient at Q^%d outside window [%d, %d]"
+                    % (d, lo, hi),
+                    d,
+                )
+            numerator[d] = cleared.coeffs[d]
+        return RationalFit(numerator, denom_spec, series.order - hi, series.order)
+
+    lo = min(degrees[0], 0)
+    if window is not None:
+        lo, hi = window
+        if series.order < hi + 3:
+            raise FitError(
+                "truncation order %d leaves no surplus beyond window end %d"
+                % (series.order, hi)
+            )
+        return attempt(lo, hi)
+    hi = max(lo + sum(a * e for a, e in denom_spec), degrees[0])
+    last_error = None
+    while series.order - hi >= 3:
+        try:
+            return attempt(lo, hi)
+        except _Offending as err:
+            last_error = err
+            hi = max(hi + 1, err.degree)
+    raise last_error or FitError("no admissible window leaves a surplus of 3")
+
+
+def exponent_by_scan(fit, lo, hi, sign=1):
+    """Oracle for ``find_exponent``: every a in [lo, hi] tried in turn."""
+    if fit.is_zero():
+        return None
+    found = None
+    for a in range(lo, hi + 1):
+        if check_Q_functional(fit, a, sign=sign):
+            assert found is None, "multiple exponents"
+            found = a
+    return found
+
+
+DENOMINATORS = [(), ((1, 1),), ((1, 2),), ((1, 3),), ((1, 1), (2, 1)), ((2, 2),)]
+NONZERO = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4)])
+COEFFS = st.one_of(st.just(0), NONZERO)
+
+
+@st.composite
+def fit_cases(draw):
+    """A series num/denominator (num Laurent, of small degree), sometimes
+    with one coefficient bent, and either no window or a random one."""
+    order = draw(st.integers(0, 14))
+    spec = draw(st.sampled_from(DENOMINATORS))
+    num = draw(st.dictionaries(st.integers(-2, 9), COEFFS, max_size=5))
+    series = TruncSeries(order, num)
+    for a, e in spec:
+        series = series * TruncSeries(order, {0: 1, a: -1}).pow_int(-e)
+    if draw(st.booleans()):
+        d = draw(st.integers(-2, order))
+        series = series + TruncSeries(order, {d: draw(COEFFS)})
+    window = None
+    if draw(st.booleans()):
+        lo = draw(st.integers(-2, 2))
+        window = (lo, draw(st.integers(lo, 14)))
+    return series, spec, window
+
+
+def _outcome(fit, *args):
+    try:
+        f = fit(*args)
+    except FitError as err:
+        return "error", str(err)
+    return "fit", f.numerator, f.denom_spec, f.surplus, f.order
+
+
+@st.composite
+def numerators(draw):
+    """A nonzero numerator, palindromic with sign +-1 about its centre in
+    half of the draws."""
+    num = draw(st.dictionaries(st.integers(-3, 8), NONZERO, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        lo, hi = min(num), max(num)
+        sign = draw(st.sampled_from([1, -1]))
+        num = {**num, **{lo + hi - d: sign * c for d, c in num.items()}}
+        num = {d: c for d, c in num.items() if c}
+    return num
+
+
+class TestClosedForms:
+    """The closed-form window and exponent against the searches they replace."""
+
+    @given(fit_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_fit_matches_widening_loop(self, case):
+        series, spec, window = case
+        got = _outcome(fit_rational, series, spec, window)
+        expected = _outcome(fit_by_widening, series, spec, window)
+        if window is None and expected[0] == "error":
+            assert got[0] == "error"  # only the text may differ
+        else:
+            assert got == expected
+
+    @given(numerators(), st.sampled_from(DENOMINATORS), st.sampled_from([1, -1]))
+    @settings(max_examples=400, deadline=None)
+    def test_exponent_matches_scan(self, num, spec, sign):
+        fit = RationalFit(num, spec, surplus=3, order=14)
+        assert find_exponent(fit, -8, 8, sign) == exponent_by_scan(fit, -8, 8, sign)
+
+    def test_exponent_checks_once(self, monkeypatch):
+        calls = []
+        original = rationality.check_Q_functional
+        monkeypatch.setattr(
+            rationality, "check_Q_functional", lambda *a: calls.append(a) or original(*a)
+        )
+        fit = fit_rational(TruncSeries(8, {d: d for d in range(9)}), ((1, 2),))
+        assert find_exponent(fit, -8, 8) == 0
+        assert len(calls) == 1
+        assert find_exponent(fit, 1, 8) is None  # the candidate 0 is out of range
+        assert len(calls) == 1
+
+    def test_window_messages(self):
+        """The window-mode texts that the fit and verify reports carry."""
+        text = r"^nonvanishing coefficient at Q\^1 outside window \[0, 0\]$"
+        with pytest.raises(FitError, match=text):
+            fit_rational(TruncSeries(8, {0: 1, 1: 2}), (), window=(0, 0))
+        text = r"^truncation order 4 leaves no surplus beyond window end 2$"
+        with pytest.raises(FitError, match=text):
+            fit_rational(geometric(4), ((1, 1),), window=(0, 2))
 
 
 def canonical(fraction):

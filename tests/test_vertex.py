@@ -264,6 +264,11 @@ class TestPartitionFunctions:
         with pytest.raises(ValueError):
             ToricSurface(divisor_classes=((0, 1),) * 4, self_intersections=(0,) * 3)
 
+    def test_toric_zero_class_rejected(self):
+        surface = ToricSurface(((0, 1), (0, 0), (1, 0)), (0, 0, 0))
+        with pytest.raises(ValueError, match="zero class"):
+            z_toric(surface, 1, 1)
+
     def test_rejects_negative_r(self):
         with pytest.raises(ValueError):
             z_ratios(-1, 0, 2)
