@@ -6,9 +6,9 @@ their q- and Q-functional equations.
 """
 
 from .partitions import Partition, partitions_of, partition_count
-from .qfield import QRat, QFieldError
+from .qfield import QFieldError
 from .series import SeriesError, TruncSeries
-from .vertex import SCache, ToricSurface, VertexError, pt_invariants, pt_series
+from .vertex import SCache, VertexError, pt_invariants
 from .rationality import FitError, RationalFit, fit_rational
 from .gwtheory import GWTable, RealityError, gw_extract, tilde_pt0, verify_R
 
@@ -18,15 +18,12 @@ __all__ = [
     "Partition",
     "partitions_of",
     "partition_count",
-    "QRat",
     "QFieldError",
     "SeriesError",
     "TruncSeries",
     "SCache",
-    "ToricSurface",
     "VertexError",
     "pt_invariants",
-    "pt_series",
     "FitError",
     "RationalFit",
     "fit_rational",

@@ -16,8 +16,6 @@ u-power.
 
 from __future__ import annotations
 
-import csv
-import io
 from fractions import Fraction
 
 from .qfield import _add, _exquo, _mul, _neg
@@ -56,25 +54,54 @@ def to_u_series(shift: int, num: list, den: list, u_order: int) -> TruncSeries:
     sum_h C_h (iu)^h; the u^h coefficient is C_h * i^h.  The pole order
     v at q = 1 is the index of the first nonzero moment of den.
     """
-    if not num:
-        return TruncSeries(u_order)
+    return _x_quotient(shift, num, _x_denominator(den, u_order), u_order)
+
+
+def u_expansions(fractions: dict, u_order: int) -> dict:
+    """{j: to_u_series(*fractions[j], u_order)} for a Q-series
+    {j: (shift, num, den)}, with the moments and the pole order of each
+    distinct den taken once: every Q-coefficient of [Q_c^m] log Z, m >= 1,
+    has the one denominator m (q;q)_m^2."""
+    dens = {}
+    out = {}
+    for j, (shift, num, den) in sorted(fractions.items()):
+        key = tuple(den)
+        if key not in dens:
+            dens[key] = _x_denominator(den, u_order)
+        out[j] = _x_quotient(shift, num, dens[key], u_order)
+    return out
+
+
+def _x_denominator(den: list, u_order: int) -> tuple:
+    """What ``to_u_series`` reads of den: (v, b), the pole order v at q = 1
+    and the x^i coefficients of den times n!, i <= n = u_order + 2v (the
+    x-degrees of num and den that pin the quotient through x^u_order)."""
     den_moments = _moments(den, 0)
     b = [next(den_moments)]
     while not b[-1]:
         b.append(next(den_moments))
     v = len(b) - 1
-    # the quotient needs x-degrees up to n = u_order + 2v of num and den
-    # to pin the result through x^u_order
-    n = u_order + 2 * v
-    b += [next(den_moments) for _ in range(n + 1 - len(b))]
-    num_moments = _moments(num, shift)
-    a = [next(num_moments) for _ in range(n + 1)]
-    # the x^i coefficients times n!, integers: moment_i * n!/i!
+    b += [next(den_moments) for _ in range(u_order + 2 * v + 1 - len(b))]
+    _scale(b)
+    return v, b
+
+
+def _scale(moments: list):
+    """Turn moments 0..n into x^i coefficients times n!: moment_i * n!/i!."""
     scale = 1
-    for i in range(n, -1, -1):
-        a[i] *= scale
-        b[i] *= scale
+    for i in range(len(moments) - 1, -1, -1):
+        moments[i] *= scale
         scale *= i
+
+
+def _x_quotient(shift: int, num: list, denominator: tuple, u_order: int) -> TruncSeries:
+    """``to_u_series`` of q^shift num(q) over a den read by ``_x_denominator``."""
+    if not num:
+        return TruncSeries(u_order)
+    v, b = denominator
+    num_moments = _moments(num, shift)
+    a = [next(num_moments) for _ in range(len(b))]
+    _scale(a)
     # solve a = b * result for result with x-valuation >= -v, fraction-free:
     # p_k = result_k * lead^(k+1) = a_k lead^k - sum_j b_(v+j) p_(k-j) lead^(j-1)
     lead = b[v]
@@ -95,8 +122,8 @@ def qseries_to_u(fractions: dict, order: int, u_order: int) -> TruncSeries:
     x-series (x = iu, as in ``to_u_series``) whose coefficients are
     Q-series over Fractions."""
     outer = {}
-    for j, fraction in sorted(fractions.items()):
-        for h, c in to_u_series(*fraction, u_order).coeffs.items():
+    for j, u_ser in u_expansions(fractions, u_order).items():
+        for h, c in u_ser.coeffs.items():
             outer.setdefault(h, {})[j] = c
     return TruncSeries(u_order, {h: TruncSeries(order, cs) for h, cs in outer.items()})
 
@@ -131,13 +158,12 @@ class GWTable:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["g", "m", "j", "value_num", "value_den"])
-        for (g, m, j) in sorted(self.entries):
-            v = self.entries[(g, m, j)]
-            writer.writerow([g, m, j, v.numerator, v.denominator])
-        return buf.getvalue()
+        """The table as CSV, byte for byte what ``csv.writer`` writes: every
+        field is an int, so none is quoted, and rows end in CR LF."""
+        rows = [["g", "m", "j", "value_num", "value_den"]]
+        for (g, m, j), v in sorted(self.entries.items()):
+            rows.append([g, m, j, v.numerator, v.denominator])
+        return "".join(",".join(map(str, row)) + "\r\n" for row in rows)
 
     def to_json(self) -> dict:
         return {
@@ -207,8 +233,7 @@ def gw_extract(
     logs = log_z(r, m_max, order, cache=cache)
     table = GWTable(r=r, g_max=g_max, m_max=m_max, j_max=order)
     for m, series in logs.items():
-        for j, fraction in sorted(series.items()):
-            u_ser = to_u_series(*fraction, u_order)
+        for j, u_ser in u_expansions(series, u_order).items():
             for h, c in u_ser.coeffs.items():
                 if h % 2:
                     raise RealityError(

@@ -1,0 +1,213 @@
+"""Independent oracles for the engine, in the field Q(t) of ``qrat``.
+
+Each route here recomputes a quantity that the engine computes over known
+denominators, by the definitions or by another formula, and the tests
+and ``localvertex selftest`` compare the two exactly:
+
+- S_{mu,nu} three ways: the defining partition sum (``s_direct``), the
+  exponential closed form (``s_closed``, from the exponent ``_exponent``)
+  and the resummed infinite product (``s_product``); the engine's
+  ``vertex.s_ratio_squared`` is the finite product of their squared
+  ratios.
+- The general N-leg toric vertex sum (``z_toric``, over ``ToricSurface``)
+  against the Hirzebruch partition function.
+- ``pt_series``: the PT series as canonical QRat values, against the
+  exp route of log Z_0 and ``z_toric``.
+- ``cyclo_product`` and ``polylog_neg``: products of (1 - q^k Q) factors
+  and Li_{1-n}(Q) as rational functions.
+
+This is the only module on the engine side that imports ``symmfun``, and
+nothing on the PT or GW path imports this module.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import comb
+
+from .partitions import Partition, partitions_of, partitions_up_to
+from .qrat import QRat
+from .series import TruncSeries
+from .symmfun import p_shifted, w_one, w_two
+from .vertex import SCache, _pt_fractions, _times_one_minus_q_squared, e_coeffs
+
+
+# ---------------------------------------------------------------------------
+# S_{mu,nu} three ways
+
+
+def s_direct(mu: Partition, nu: Partition, order: int) -> TruncSeries:
+    """S_{mu,nu} summed over its definition: sum_lambda W_{mu,lambda} W_{nu,lambda} Q^|lambda|.
+
+    Brute force; the independent oracle for the closed and product forms.
+    """
+    coeffs = {}
+    for lam in partitions_up_to(order):
+        term = w_two(mu, lam) * w_two(nu, lam)
+        d = lam.size
+        coeffs[d] = coeffs.get(d, QRat.zero()) + term
+    return TruncSeries(order, coeffs)
+
+
+def _exponent(mu: Partition, nu: Partition, order: int) -> TruncSeries:
+    """A_{mu,nu} = sum_{k<=order} p_mu(q^k) p_nu(q^k) (qQ)^k / k.
+
+    Higher k sit above Q^order, so the truncated sum is exact.
+    """
+    return TruncSeries(
+        order,
+        {
+            k: p_shifted(mu, k) * p_shifted(nu, k) * QRat.q_power(k) * Fraction(1, k)
+            for k in range(1, order + 1)
+        },
+    )
+
+
+def s_closed(mu: Partition, nu: Partition, order: int) -> TruncSeries:
+    """S_{mu,nu} = W_mu W_nu exp(A_{mu,nu}); the oracle the other routes
+    are compared against (the partition function uses only A)."""
+    return _exponent(mu, nu, order).exp() * (w_one(mu) * w_one(nu))
+
+
+def s_product(mu: Partition, nu: Partition, order: int) -> TruncSeries:
+    """S_{mu,nu} via the infinite product over (1 - q^(j+i) Q)^(-j a_i), with
+    sum_i a_i q^i = p_mu(q) p_nu(q) (1-q)^2 = 1 + (1-q)^2 sum_i e_i q^i.
+
+    Truncating the product in j is not exact in q (every factor touches
+    every Q-degree), so the j-product is resummed in closed form:
+
+        log prod_{j>=1} (1 - q^(j+i) Q)^(-j)
+            = sum_{k>=1} q^((i+1)k) / (k (1-q^k)^2) * Q^k.
+
+    The a_i enter linearly in the exponent (exp of a_i times the log).
+    """
+    a = _times_one_minus_q_squared(e_coeffs(mu, nu))
+    a[0] = a.get(0, 0) + 1
+    arg = TruncSeries(order)
+    for i, c in a.items():
+        if not c:
+            continue
+        coeffs = {}
+        for k in range(1, order + 1):
+            den = (QRat.one() - QRat.q_power(k)) ** 2
+            coeffs[k] = QRat.q_power((i + 1) * k) / den * Fraction(c, k)
+        arg = arg + TruncSeries(order, coeffs)
+    return arg.exp() * (w_one(mu) * w_one(nu))
+
+
+# ---------------------------------------------------------------------------
+# The general toric sum and the PT series in Q(t)
+
+
+class ToricSurface:
+    """A smooth toric surface given by its cycle of toric divisors.
+
+    divisor_classes holds (c_coeff, b_coeff) pairs expressing each D_j in
+    the H_2 basis {c, b}; self_intersections holds the s_j = D_j^2.
+    """
+
+    def __init__(self, divisor_classes: tuple, self_intersections: tuple):
+        if len(divisor_classes) < 3:
+            raise ValueError("a toric surface needs at least 3 divisors")
+        if len(divisor_classes) != len(self_intersections):
+            raise ValueError("divisor/self-intersection length mismatch")
+        self.divisor_classes = divisor_classes
+        self.self_intersections = self_intersections
+
+    @classmethod
+    def hirzebruch(cls, r: int) -> "ToricSurface":
+        """F_r with D_1 = b = D_3, D_2 = c + r*b, D_4 = c; s = (0, r, 0, -r)."""
+        return cls(
+            divisor_classes=((0, 1), (1, r), (0, 1), (1, 0)),
+            self_intersections=(0, r, 0, -r),
+        )
+
+
+def z_toric(surface: ToricSurface, c_bound: int, b_bound: int) -> dict:
+    """The general N-leg vertex sum, truncated by (c, b) multidegree.
+
+    Returns a map (m, n) -> QRat for the coefficient of Q_c^m Q^n.  Used
+    as a cross-check of pt_series on the Hirzebruch preset; the raw
+    product-sum is exponential in N and meant for small bounds only.
+    """
+    classes = surface.divisor_classes
+    if not all(any(cls) for cls in classes):
+        raise ValueError("divisor with zero class; degree bound impossible")
+    bounds = (c_bound, b_bound)
+    limits = [min(bound // x for bound, x in zip(bounds, cls) if x) for cls in classes]
+    out = {}
+    for sizes in itertools.product(*(range(k + 1) for k in limits)):
+        degree = tuple(sum(s * cls[k] for s, cls in zip(sizes, classes)) for k in (0, 1))
+        if degree[0] > c_bound or degree[1] > b_bound:
+            continue
+        for chosen in itertools.product(*map(partitions_of, sizes)):
+            value = QRat.one()
+            for i, mu in enumerate(chosen):
+                sj = surface.self_intersections[i]
+                sign = -1 if (sj * mu.size) % 2 else 1
+                value = value * sign * QRat.t_power(mu.kappa() * sj)
+                value = value * w_two(mu, chosen[(i + 1) % len(chosen)])
+            out[degree] = out.get(degree, QRat.zero()) + value
+    return out
+
+
+def _in_t(p):
+    """A q-polynomial as a t-polynomial, q = t^2."""
+    out = [0] * (2 * len(p) - 1)
+    out[::2] = p
+    return out
+
+
+def pt_series(r: int, m: int, order: int, cache: SCache = None) -> TruncSeries:
+    """The PT generating series of the class m*c, in raw q^n convention.
+
+    Each Q-coefficient of ``vertex.pt_fractions`` is brought to canonical
+    form once.  The (-q)^n sign of the printed convention is applied only
+    at the reporting boundary; see ``vertex.pt_invariants``.
+    """
+    return TruncSeries(
+        order,
+        {
+            j: QRat(2 * shift, _in_t(num), _in_t(den))
+            for j, (shift, num, den) in _pt_fractions(r, m, order, cache).items()
+        },
+    )
+
+
+# ---------------------------------------------------------------------------
+# Products and polylogarithms as rational functions
+
+
+def cyclo_product(exponents, order: int) -> TruncSeries:
+    """prod over (i, j) of (1 - q^(j+i) * Q)^e(i,j), truncated at Q^order.
+
+    Keys of ``exponents`` are pairs (i, j) with j >= 1; values are integer
+    exponents.  Factors whose linear Q-term cannot contribute below the
+    truncation are skipped.
+    """
+    result = TruncSeries.one(order)
+    for (i, j), e in sorted(exponents.items()):
+        if e == 0 or order < 1:
+            continue
+        factor = TruncSeries(order, {0: 1, 1: -QRat.q_power(j + i)})
+        result = result * factor.pow_int(e)
+    return result
+
+
+def polylog_neg(n: int) -> QRat:
+    """The rational function Li_{1-n}(Q) for n >= 1, variable read as Q.
+
+    Computed by the ladder Li_{s-1}(Q) = Q * d/dQ Li_s(Q) starting from
+    Li_0(Q) = Q/(1-Q).  Writing Li_{1-n} = p_n(Q)/(1-Q)^n, the ladder
+    becomes p_{n+1} = Q*(p_n'*(1-Q) + n*p_n), an integer recurrence on
+    the coefficients: p_{n+1}[k+1] = (k+1)*p_n[k+1] + (n-k)*p_n[k].  The
+    returned QRat reads t as Q.
+    """
+    if n < 1:
+        raise ValueError("polylog_neg requires n >= 1")
+    p = [0, 1, 0]  # p_1 = Q, ascending, with one zero of headroom
+    for m in range(1, n):
+        p = [0] + [(k + 1) * p[k + 1] + (m - k) * p[k] for k in range(len(p) - 1)] + [0]
+    den = [comb(n, k) * (-1) ** k for k in range(n, -1, -1)]
+    return QRat(0, p[::-1], den)

@@ -7,7 +7,6 @@ hashable, and compare structurally, so they are safe to use as cache keys.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 
 class Partition:
@@ -91,7 +90,7 @@ class Partition:
 EMPTY = Partition()
 
 
-def partitions_of(n: int) -> Iterator[Partition]:
+def partitions_of(n: int):
     """Yield all partitions of n in reverse-lexicographic order.
 
     The order is deterministic: larger first parts come first, so the
@@ -111,7 +110,7 @@ def _parts_rec(n, bound):
             yield (first,) + rest
 
 
-def partitions_up_to(n: int) -> Iterator[Partition]:
+def partitions_up_to(n: int):
     """All partitions of 0, 1, ..., n, each block in reverse-lex order."""
     for m in range(n + 1):
         yield from partitions_of(m)

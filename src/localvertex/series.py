@@ -1,8 +1,10 @@
 """Truncated Laurent series with exact coefficients.
 
 The single class here is generic over the coefficient ring: coefficients
-may be ints, Fractions, QRat values, or nested TruncSeries, as long as
-they support ring arithmetic with each other and with ints/Fractions.
+may be ints, Fractions, nested TruncSeries, or the elements of a field
+class that offers ``inverse()``, such as ``qrat.QRat`` (which this module
+does not import), as long as they support ring arithmetic with each
+other and with ints/Fractions.
 Absent degrees denote zero; all stored degrees are <= order.  There is
 no complex coefficient type: the q = e^(iu) expansion in ``gwtheory``
 keeps its series in x = iu over Fractions and applies i^h itself.
@@ -11,9 +13,6 @@ keeps its series in x = iu over Fractions and applies i^h itself.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-
-from .qfield import QRat
 
 
 class SeriesError(ArithmeticError):
@@ -210,49 +209,13 @@ def _coeff_inverse(c):
         return Fraction(1, c)
     if isinstance(c, Fraction):
         return 1 / c
-    if isinstance(c, QRat):
-        return c.reciprocal()
     return c.inverse()
 
 
 def _scalar_series(x, order):
-    if isinstance(x, (int, Fraction, QRat)):
+    if isinstance(x, (int, Fraction)) or hasattr(x, "inverse"):
         return TruncSeries(order, {0: x})
     return NotImplemented
-
-
-def cyclo_product(exponents, order: int) -> TruncSeries:
-    """prod over (i, j) of (1 - q^(j+i) * Q)^e(i,j), truncated at Q^order.
-
-    Keys of ``exponents`` are pairs (i, j) with j >= 1; values are integer
-    exponents.  Factors whose linear Q-term cannot contribute below the
-    truncation are skipped.
-    """
-    result = TruncSeries.one(order)
-    for (i, j), e in sorted(exponents.items()):
-        if e == 0 or order < 1:
-            continue
-        factor = TruncSeries(order, {0: 1, 1: -QRat.q_power(j + i)})
-        result = result * factor.pow_int(e)
-    return result
-
-
-def polylog_neg(n: int) -> QRat:
-    """The rational function Li_{1-n}(Q) for n >= 1, variable read as Q.
-
-    Computed by the ladder Li_{s-1}(Q) = Q * d/dQ Li_s(Q) starting from
-    Li_0(Q) = Q/(1-Q).  Writing Li_{1-n} = p_n(Q)/(1-Q)^n, the ladder
-    becomes p_{n+1} = Q*(p_n'*(1-Q) + n*p_n), an integer recurrence on
-    the coefficients: p_{n+1}[k+1] = (k+1)*p_n[k+1] + (n-k)*p_n[k].  The
-    returned QRat reads t as Q.
-    """
-    if n < 1:
-        raise ValueError("polylog_neg requires n >= 1")
-    p = [0, 1, 0]  # p_1 = Q, ascending, with one zero of headroom
-    for m in range(1, n):
-        p = [0] + [(k + 1) * p[k + 1] + (m - k) * p[k] for k in range(len(p) - 1)] + [0]
-    den = [comb(n, k) * (-1) ** k for k in range(n, -1, -1)]
-    return QRat(0, p[::-1], den)
 
 
 def polylog_series(s: int, order: int) -> TruncSeries:

@@ -4,7 +4,8 @@ Principal Schur specializations s_mu(1, q, q^2, ...), power sums at the
 shifted points (q^(mu_1-1), q^(mu_2-2), ...), and the W functions built
 from them.  Everything returns an exact QRat; the heavy entries (the
 two-partition W values) are memoized because they dominate the vertex
-sums.
+sums.  Only the oracles (``oracles``) and the selftest use this module:
+the engine reads the same quantities off the Young diagrams.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import Partition
-from .qfield import QRat
+from .qrat import QRat
 
 
 @lru_cache(maxsize=None)

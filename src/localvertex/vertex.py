@@ -1,8 +1,11 @@
 """The 2-leg topological vertex engine for local Hirzebruch surfaces.
 
-Three independent routes to the two-partition sum S_{mu,nu}(q,Q), the
-specialized partition function for K_{F_r}, the general toric N-leg sum,
-and the extraction of stable-pairs generating series.
+The squared S-ratio (S_{mu,nu}/S_{empty,empty})^2 and its cache, the
+specialized partition function for K_{F_r}, and the extraction of
+stable-pairs invariants, all over the integer kernel of ``qfield``.  The
+independent routes to S_{mu,nu}, the general toric N-leg sum and the PT
+series in Q(t) are oracles, in ``oracles``; this module imports neither
+it nor ``qrat`` nor ``symmfun``.
 
 The raw quadruple vertex sum is never materialized: summing out the two
 fiber legs turns the partition function into a sum over pairs
@@ -27,21 +30,17 @@ H_mu divides (q;q)_|mu|, so z_ratios takes each pair over (q;q)_m^2 by an
 exact cofactor and sums integer numerators.  The Q^n coefficient of
 Z_0 = prod_j (1 - q^j Q)^(-2j) is N_n/(q;q)_n^2, so the Q^j coefficient
 of Z_m = Z_0 (Z_m/Z_0) is one numerator over (q;q)_j^2 (q;q)_m^2.  Only
-pt_series reduces, once per Q-coefficient.
+the oracle ``oracles.pt_series`` reduces, once per Q-coefficient.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
-from fractions import Fraction
 
-from .partitions import EMPTY, Partition, partitions_of, partitions_up_to
-from .qfield import QRat, _add, _exquo, _mul, _neg, expansion
-from .series import TruncSeries
-from .symmfun import p_shifted, w_one, w_two
+from .partitions import Partition, partitions_of
+from .qfield import _add, _exquo, _mul, _neg, expansion
 
 FORMAT_VERSION = 3
 
@@ -59,40 +58,7 @@ class CacheError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# S_{mu,nu} three ways
-
-
-def s_direct(mu: Partition, nu: Partition, order: int) -> TruncSeries:
-    """S_{mu,nu} summed over its definition: sum_lambda W_{mu,lambda} W_{nu,lambda} Q^|lambda|.
-
-    Brute force; the independent oracle for the closed and product forms.
-    """
-    coeffs = {}
-    for lam in partitions_up_to(order):
-        term = w_two(mu, lam) * w_two(nu, lam)
-        d = lam.size
-        coeffs[d] = coeffs.get(d, QRat.zero()) + term
-    return TruncSeries(order, coeffs)
-
-
-def _exponent(mu: Partition, nu: Partition, order: int) -> TruncSeries:
-    """A_{mu,nu} = sum_{k<=order} p_mu(q^k) p_nu(q^k) (qQ)^k / k.
-
-    Higher k sit above Q^order, so the truncated sum is exact.
-    """
-    return TruncSeries(
-        order,
-        {
-            k: p_shifted(mu, k) * p_shifted(nu, k) * QRat.q_power(k) * Fraction(1, k)
-            for k in range(1, order + 1)
-        },
-    )
-
-
-def s_closed(mu: Partition, nu: Partition, order: int) -> TruncSeries:
-    """S_{mu,nu} = W_mu W_nu exp(A_{mu,nu}); the oracle the other routes
-    are compared against (the partition function uses only A)."""
-    return _exponent(mu, nu, order).exp() * (w_one(mu) * w_one(nu))
+# log Z_0 and the squared S-ratio
 
 
 def log_z0(order: int) -> dict:
@@ -185,32 +151,6 @@ def e_coeffs(mu: Partition, nu: Partition) -> dict:
     return {i: c for i, c in sorted(e.items()) if c}
 
 
-def s_product(mu: Partition, nu: Partition, order: int) -> TruncSeries:
-    """S_{mu,nu} via the infinite product over (1 - q^(j+i) Q)^(-j a_i), with
-    sum_i a_i q^i = p_mu(q) p_nu(q) (1-q)^2 = 1 + (1-q)^2 sum_i e_i q^i.
-
-    Truncating the product in j is not exact in q (every factor touches
-    every Q-degree), so the j-product is resummed in closed form:
-
-        log prod_{j>=1} (1 - q^(j+i) Q)^(-j)
-            = sum_{k>=1} q^((i+1)k) / (k (1-q^k)^2) * Q^k.
-
-    The a_i enter linearly in the exponent (exp of a_i times the log).
-    """
-    a = _times_one_minus_q_squared(e_coeffs(mu, nu))
-    a[0] = a.get(0, 0) + 1
-    arg = TruncSeries(order)
-    for i, c in a.items():
-        if not c:
-            continue
-        coeffs = {}
-        for k in range(1, order + 1):
-            den = (QRat.one() - QRat.q_power(k)) ** 2
-            coeffs[k] = QRat.q_power((i + 1) * k) / den * Fraction(c, k)
-        arg = arg + TruncSeries(order, coeffs)
-    return arg.exp() * (w_one(mu) * w_one(nu))
-
-
 # ---------------------------------------------------------------------------
 # Memoized (S/S_empty)^2 with optional disk persistence
 
@@ -220,10 +160,12 @@ class SCache:
 
     Disk format 3, the integer (shift, num) pairs; files of formats 1 and 2
     (S and QRat series) are never read.  Entries computed at a larger
-    truncation order serve smaller orders by truncation.  Disk entries are
-    one JSON document per (mu, nu) pair under a content-addressed
-    filename; concurrent writers of the same key produce identical
-    content, so writes are idempotent.
+    truncation order serve smaller orders by truncation.  The ratio is
+    symmetric in (mu, nu), so entries are keyed by the pair sorted by
+    parts: (mu, nu) and (nu, mu) share one build and one file.  Disk
+    entries are one JSON document per sorted pair under a
+    content-addressed filename; concurrent writers of the same key
+    produce identical content, so writes are idempotent.
     """
 
     def __init__(self, directory=None):
@@ -238,6 +180,8 @@ class SCache:
         return os.path.join(self.directory, "s_%s.json" % digest)
 
     def get(self, mu: Partition, nu: Partition, order: int) -> list:
+        if nu.parts < mu.parts:
+            mu, nu = nu, mu
         held = self._mem.get((mu, nu))
         if held is not None and len(held) > order:
             return held[: order + 1]
@@ -347,68 +291,9 @@ def check_integrality(fractions: dict, q_terms: int = 20) -> bool:
     )
 
 
-class ToricSurface:
-    """A smooth toric surface given by its cycle of toric divisors.
-
-    divisor_classes holds (c_coeff, b_coeff) pairs expressing each D_j in
-    the H_2 basis {c, b}; self_intersections holds the s_j = D_j^2.
-    """
-
-    def __init__(self, divisor_classes: tuple, self_intersections: tuple):
-        if len(divisor_classes) < 3:
-            raise ValueError("a toric surface needs at least 3 divisors")
-        if len(divisor_classes) != len(self_intersections):
-            raise ValueError("divisor/self-intersection length mismatch")
-        self.divisor_classes = divisor_classes
-        self.self_intersections = self_intersections
-
-    @classmethod
-    def hirzebruch(cls, r: int) -> "ToricSurface":
-        """F_r with D_1 = b = D_3, D_2 = c + r*b, D_4 = c; s = (0, r, 0, -r)."""
-        return cls(
-            divisor_classes=((0, 1), (1, r), (0, 1), (1, 0)),
-            self_intersections=(0, r, 0, -r),
-        )
-
-
-def z_toric(surface: ToricSurface, c_bound: int, b_bound: int) -> dict:
-    """The general N-leg vertex sum, truncated by (c, b) multidegree.
-
-    Returns a map (m, n) -> QRat for the coefficient of Q_c^m Q^n.  Used
-    as a cross-check of pt_series on the Hirzebruch preset; the raw
-    product-sum is exponential in N and meant for small bounds only.
-    """
-    classes = surface.divisor_classes
-    if not all(any(cls) for cls in classes):
-        raise ValueError("divisor with zero class; degree bound impossible")
-    bounds = (c_bound, b_bound)
-    limits = [min(bound // x for bound, x in zip(bounds, cls) if x) for cls in classes]
-    out = {}
-    for sizes in itertools.product(*(range(k + 1) for k in limits)):
-        degree = tuple(sum(s * cls[k] for s, cls in zip(sizes, classes)) for k in (0, 1))
-        if degree[0] > c_bound or degree[1] > b_bound:
-            continue
-        for chosen in itertools.product(*map(partitions_of, sizes)):
-            value = QRat.one()
-            for i, mu in enumerate(chosen):
-                sj = surface.self_intersections[i]
-                sign = -1 if (sj * mu.size) % 2 else 1
-                value = value * sign * QRat.t_power(mu.kappa() * sj)
-                value = value * w_two(mu, chosen[(i + 1) % len(chosen)])
-            out[degree] = out.get(degree, QRat.zero()) + value
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Z_m = Z_0 * (Z_m/Z_0) over the known denominators (q;q)_j^2 (q;q)_m^2.
 # q-polynomials are integer lists, highest first, as in qfield.
-
-
-def _in_t(p):
-    """A q-polynomial as a t-polynomial, q = t^2."""
-    out = [0] * (2 * len(p) - 1)
-    out[::2] = p
-    return out
 
 
 def _times_one_minus_q_power(p, k):
@@ -494,22 +379,6 @@ def _pt_fractions(r, m, order, cache):
         raise ValueError("m must be >= 0")
     ratio = z_ratio(r, m, order, cache or SCache())
     return pt_fractions(ratio, m, z0_numerators(order))
-
-
-def pt_series(r: int, m: int, order: int, cache: SCache = None) -> TruncSeries:
-    """The PT generating series of the class m*c, in raw q^n convention.
-
-    Each Q-coefficient of ``pt_fractions`` is brought to canonical form
-    once.  The (-q)^n sign of the printed convention is applied only at
-    the reporting boundary; see pt_invariants.
-    """
-    return TruncSeries(
-        order,
-        {
-            j: QRat(2 * shift, _in_t(num), _in_t(den))
-            for j, (shift, num, den) in _pt_fractions(r, m, order, cache).items()
-        },
-    )
 
 
 def pt_invariants(r: int, m: int, order: int, q_terms: int = 24, cache: SCache = None):

@@ -12,7 +12,7 @@ from localvertex import cli
 from localvertex import gwtheory as gw
 from localvertex import rationality as rat
 from localvertex.cli import main
-from localvertex.qfield import QRat
+from localvertex.qrat import QRat
 from localvertex.series import TruncSeries
 
 
@@ -354,25 +354,29 @@ class TestUsage:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gw", "--r", "0", "--r", "1", "--m-max", "2", "--Q-order", "5"],
+        ["gw", "--r", "0", "--r", "1", "--m-max", "2", "--Q-order", "5", "--format", "csv"],
         ["pt", "--r", "1", "--m", "2", "--Q-order", "5"],
+        ["verify", "--all", "--r", "1", "--m-max", "1", "--Q-order", "9", "--g-max", "1"],
     ],
-    ids=["gw", "pt"],
+    ids=["gw", "pt", "verify"],
 )
-def test_engine_leaves_symmfun_caches_empty(argv, tmp_path):
-    """A gw or pt run in a fresh interpreter never evaluates the W functions
-    or the shifted power sums, so their memo tables stay empty."""
+def test_engine_leaves_oracles_out(argv, tmp_path):
+    """A gw, pt or verify run in a fresh interpreter loads only the integer
+    engine: not the field Q(t) of qrat, not the oracles, not symmfun (so
+    the W and power-sum memo tables cannot fill), and not csv."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     code = (
-        "import sys; from localvertex import cli, symmfun as s; "
+        "import sys; from localvertex import cli; "
         "assert cli.main(sys.argv[1:]) == 0; "
-        "print([f.cache_info().currsize for f in (s.w_one, s.w_two, s.p_shifted)])"
+        "print(sorted(m for m in ('localvertex.qrat', 'localvertex.oracles', "
+        "'localvertex.symmfun', 'csv') if m in sys.modules))"
     )
-    argv = argv + ["--out", str(tmp_path / "report.json")]
+    report = tmp_path / "report.out"
     out = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *argv, "--out", str(report)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[0, 0, 0]"
-    assert json.loads((tmp_path / "report.json").read_text())["tables"]["1"]
+    assert out.stdout.strip() == "[]"
+    assert report.read_text()

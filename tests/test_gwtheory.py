@@ -1,6 +1,8 @@
 """q = e^(iu) expansion, GW extraction, ring membership, polynomiality."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 from fractions import Fraction
@@ -9,7 +11,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localvertex import cli, qfield
+from localvertex import cli, gwtheory, qfield, qrat
 from localvertex.gwtheory import (
     GWTable,
     _i_power,
@@ -20,13 +22,15 @@ from localvertex.gwtheory import (
     qseries_to_u,
     tilde_pt0,
     to_u_series,
+    u_expansions,
     verify_R,
 )
+from localvertex.oracles import _exponent, _in_t
 from localvertex.partitions import Partition
-from localvertex.qfield import QRat
+from localvertex.qrat import QRat
 from localvertex.rationality import find_exponent, fit_rational
 from localvertex.series import TruncSeries
-from localvertex.vertex import SCache, _exponent, _in_t, z_ratios
+from localvertex.vertex import SCache, z_ratios
 
 ONE = QRat.one()
 Q = QRat.q_power(1)
@@ -114,6 +118,17 @@ class TestGWTable:
         lines = table.to_csv().strip().splitlines()
         assert lines[0] == "g,m,j,value_num,value_den"
         assert lines[1] == "0,0,1,-2,1"
+
+    def test_csv_matches_csv_writer(self, gw_table_r0):
+        """to_csv is byte for byte what csv.writer writes for the same rows."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["g", "m", "j", "value_num", "value_den"])
+        for (g, m, j), v in sorted(gw_table_r0.entries.items()):
+            writer.writerow([g, m, j, v.numerator, v.denominator])
+        assert any(v.denominator > 1 for v in gw_table_r0.entries.values())
+        assert any(v < 0 for v in gw_table_r0.entries.values())
+        assert gw_table_r0.to_csv() == buf.getvalue()
 
     def test_json_shape(self, gw_table_r0):
         doc = gw_table_r0.to_json()
@@ -296,11 +311,25 @@ class TestQRatRoute:
                 assert got == to_u_series(shift, *times, 4)
                 assert got == qrat_to_u_series(canonical((shift, num, den)), 4), m
 
+    def test_denominator_read_once(self, monkeypatch):
+        """gw_extract takes the moments and pole order of each distinct
+        denominator once: one per m >= 1, one per j of log Z_0; and
+        u_expansions equals to_u_series coefficient by coefficient."""
+        logs = log_z(1, 2, 7)
+        for series in logs.values():
+            assert u_expansions(series, 4) == {j: to_u_series(*f, 4) for j, f in series.items()}
+        calls = []
+        read = gwtheory._x_denominator
+        monkeypatch.setattr(gwtheory, "_x_denominator", lambda den, u: calls.append(den) or read(den, u))
+        gw_extract(1, 2, 7, 3, cache=SCache())
+        distinct = [{tuple(den) for _, _, den in series.values()} for series in logs.values()]
+        assert len(calls) == sum(map(len, distinct)) == 7 + 1 + 1
+
     def test_takes_no_gcd(self, monkeypatch):
         def refuse(f, g):
             raise AssertionError("the GW path took a polynomial gcd")
 
-        monkeypatch.setattr(qfield, "_gcd", refuse)
+        monkeypatch.setattr(qrat, "_gcd", refuse)
         table = gw_extract(1, 2, 6, 3, cache=SCache())
         assert table.value(0, 1, 2) == 5
         assert tilde_pt0(6, 4)[2][3] == Fraction(-3, 120)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import localvertex
-from localvertex.qfield import QFieldError, QRat, _add, _exquo, _gcd, _gcd_prs, _mul
+from localvertex.qfield import QFieldError, _add, _exquo, _mul
+from localvertex.qrat import QRat, _gcd, _gcd_prs
 
 T = QRat.t_power(1)
 Q = QRat.q_power(1)

@@ -6,7 +6,6 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localvertex.qfield import QRat
 from localvertex.gwtheory import column_power
 from localvertex import rationality
 from localvertex.rationality import (
@@ -20,8 +19,10 @@ from localvertex.rationality import (
     fit_rational,
     w_dot_beta,
 )
+from localvertex.oracles import _in_t, pt_series
+from localvertex.qrat import QRat
 from localvertex.series import TruncSeries
-from localvertex.vertex import _in_t, pt_series, z_ratios
+from localvertex.vertex import z_ratios
 
 
 def geometric(order):

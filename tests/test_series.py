@@ -7,15 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from localvertex.gwtheory import qseries_to_u
 from localvertex.partitions import Partition
-from localvertex.qfield import QRat
-from localvertex.series import (
-    SeriesError,
-    TruncSeries,
-    cyclo_product,
-    polylog_neg,
-    polylog_series,
-)
-from localvertex.vertex import _exponent, log_z0
+from localvertex.oracles import _exponent, cyclo_product, polylog_neg
+from localvertex.qrat import QRat
+from localvertex.series import SeriesError, TruncSeries, polylog_series
+from localvertex.vertex import log_z0
 
 Q_ONE = QRat.one()
 Q_VAR = QRat.q_power(1)

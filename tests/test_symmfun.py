@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from localvertex.partitions import Partition, partitions_up_to
-from localvertex.qfield import QRat
+from localvertex.qrat import QRat
 from localvertex.symmfun import (
     det,
     h_principal,

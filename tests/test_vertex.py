@@ -5,30 +5,34 @@ from fractions import Fraction
 
 import pytest
 
-from localvertex import vertex
+from localvertex import symmfun, vertex
+from localvertex.oracles import (
+    ToricSurface,
+    _exponent,
+    _in_t,
+    pt_series,
+    s_closed,
+    s_direct,
+    s_product,
+    z_toric,
+)
 from localvertex.partitions import Partition, partitions_of, partitions_up_to
-from localvertex.qfield import QRat, expansion
+from localvertex.qfield import expansion
+from localvertex.qrat import QRat
 from localvertex.series import TruncSeries
 from localvertex.symmfun import p_shifted, w_one
 from localvertex.vertex import (
     CacheError,
     SCache,
-    ToricSurface,
     VertexError,
-    _exponent,
     check_integrality,
     e_coeffs,
     pt_fractions,
     pt_invariants,
-    pt_series,
-    s_closed,
-    s_direct,
-    s_product,
     s_ratio_squared,
     z0_numerators,
     z_ratio,
     z_ratios,
-    z_toric,
 )
 
 ONE = QRat.one()
@@ -160,7 +164,8 @@ class TestClosedForm:
         def refuse(mu, k):
             raise AssertionError("s_ratio_squared evaluated p_mu(q^k)")
 
-        monkeypatch.setattr(vertex, "p_shifted", refuse)
+        monkeypatch.setattr(symmfun, "p_shifted", refuse)
+        assert "p_shifted" not in vars(vertex)
         assert s_ratio_squared(P(2, 1), P(1), 4)[4][1]
 
     def test_bit_identical_to_exp_route(self):
@@ -187,7 +192,7 @@ class TestClosedForm:
         for mu, nu in ((P(2, 1), P(1)), (P(3), P(1, 1)), (EMPTY, P(2, 2))):
             shift, num = s_ratio_squared(mu, nu, 0)[0]
             h = vertex._mul(vertex._hook_product(mu), vertex._hook_product(nu))
-            value = QRat(2 * shift, vertex._in_t(num), vertex._in_t(vertex._mul(h, h)))
+            value = QRat(2 * shift, _in_t(num), _in_t(vertex._mul(h, h)))
             assert value == (w_one(mu) * w_one(nu)) ** 2, (mu, nu)
 
 
@@ -220,6 +225,21 @@ class TestSCache:
         cache = SCache(str(tmp_path))
         assert cache.get(P(1), EMPTY, 3) == s_ratio_squared(P(1), EMPTY, 3)
         assert cache.get(EMPTY, EMPTY, 3) == [(0, [1]), (0, []), (0, []), (0, [])]
+
+    def test_pair_order_shares_one_entry(self, tmp_path, monkeypatch):
+        """(mu, nu) and (nu, mu) give the same ratio, so SCache builds and
+        stores the pair once."""
+        builds = []
+        build = vertex.s_ratio_squared
+        monkeypatch.setattr(
+            vertex, "s_ratio_squared", lambda mu, nu, o: builds.append((mu, nu)) or build(mu, nu, o)
+        )
+        cache = SCache(str(tmp_path))
+        first = cache.get(P(2, 1), P(1), 4)
+        assert cache.get(P(1), P(2, 1), 4) == first == build(P(1), P(2, 1), 4)
+        assert len(builds) == 1 and len(list(tmp_path.iterdir())) == 1
+        assert SCache(str(tmp_path)).get(P(1), P(2, 1), 3) == first[:4]
+        assert len(builds) == 1
 
     def test_old_format_rebuilt(self, tmp_path):
         """A file of another format version is ignored and rewritten."""
@@ -339,7 +359,7 @@ def canonical_integrality(series, t_terms=40):
 def canonical(fraction):
     """The QRat value q^shift num(q)/den(q) of a pt_fractions triple."""
     shift, num, den = fraction
-    return QRat(2 * shift, vertex._in_t(num), vertex._in_t(den))
+    return QRat(2 * shift, _in_t(num), _in_t(den))
 
 
 class TestKnownDenominators:
