@@ -5,25 +5,28 @@ machine-readable reports.  Each task takes only the flags it reads, and a
 report's "bounds" lists only the bounds its task reads.  JSON is the
 canonical output (exact rationals need num/den fields); CSV, offered by
 pt and gw only, is a lossy projection of their tables for spreadsheets.
-The S-series disk cache is used only where --cache-dir names it.  ``fit``
-and ``verify`` certify a GW genus column by one routine: a fit over
-(1-Q)^(4m+2g-2) and the Weyl functional equation at weight m(r-2).
+The S-series disk cache is used only where --cache-dir names it.  The
+certificates are in ``rationality``, which only ``fit`` and ``verify``
+import, inside their task functions; ``fit`` and ``verify`` certify a GW
+genus column by one routine, ``rationality.column_certificate``: a fit
+over (1-Q)^(4m+2g-2) and the Weyl functional equation at weight m(r-2).
+``selftest`` imports the oracles, and runs ``oracles.selftest``, the same
+way.
 Exit status: 0 on success, 1 if a verification fails, 2 on a usage error
-or if an internal invariant (parity, realness, integrality) trips, 3 if a
-disk-cache file is unreadable.
+(an --out that cannot be written included) or if an internal invariant
+(parity, realness, integrality) trips, 3 if a disk-cache file is
+unreadable or the --cache-dir cannot be created or written.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
 import time
 
 from . import gwtheory as gw
-from . import rationality as rat
 from . import vertex as vx
-from .partitions import Partition, partitions_up_to
 
 SCHEMA = 1
 
@@ -31,6 +34,8 @@ SCHEMA = 1
 def _non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
+        import argparse
+
         raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
     return value
 
@@ -71,6 +76,10 @@ TASK_FLAGS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse loads only where a command line is parsed, not in a program
+    # that imports cli for its task functions
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="localvertex",
         description="Exact vertex computations for local Hirzebruch surfaces.",
@@ -83,6 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class OutputError(Exception):
+    """The --out path cannot be written; a usage error."""
+
+
 def _emit(args, document, csv_text=None):
     """Write the report as JSON, or ``csv_text`` when one is given."""
     if csv_text is None:
@@ -90,8 +103,11 @@ def _emit(args, document, csv_text=None):
     else:
         payload = csv_text
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as err:
+            raise OutputError("cannot write --out %s: %s" % (args.out, err.strerror or err))
     else:
         sys.stdout.write(payload)
 
@@ -107,33 +123,6 @@ def _report(task, args) -> dict:
             if name in args
         },
     }
-
-
-def _column_certificate(table, m: int, g: int):
-    """Certify the GW column sum_j GW_{g, m*c + j*b} Q^j of ``table``.
-
-    The column is fitted over (1-Q)^column_power(m, g) and checked against
-    the Weyl functional equation at weight w.(m*c) = m(r-2).  Returns
-    (entry, fit): the entry is {"exponent", "passed"}, plus "skipped" when
-    the Q-order leaves no surplus or "error" when the column does not fit;
-    ``fit`` is the RationalFit, or None.
-    """
-    a = rat.w_dot_beta(m, 0, table.r)
-    entry = {"exponent": None, "passed": False}
-    fit = None
-    try:
-        certified = rat.certify_column(table.column(g, m), gw.column_power(m, g), a)
-        if certified is None:
-            entry["passed"] = True
-            entry["skipped"] = "Q-order too small for this genus"
-        else:
-            fit, holds = certified
-            if holds:
-                entry["exponent"] = a
-                entry["passed"] = True
-    except rat.FitError as err:
-        entry["error"] = str(err)
-    return entry, fit
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +164,8 @@ def run_gw(args) -> int:
 
 
 def run_fit(args) -> int:
+    from . import rationality as rat
+
     cache = vx.SCache(args.cache_dir)
     report = _report("fit", args)
     report["m"] = args.m
@@ -183,8 +174,8 @@ def run_fit(args) -> int:
         table = gw.gw_extract(r, args.m, args.Q_order, args.g_max, cache=cache)
         per_genus = fits[str(r)] = {}
         for g in range(args.g_max + 1):
-            entry, fit = _column_certificate(table, args.m, g)
-            entry["denominator_power"] = gw.column_power(args.m, g)
+            entry, fit = rat.column_certificate(table, args.m, g)
+            entry["denominator_power"] = rat.column_power(args.m, g)
             entry["fit"] = fit.to_json() if fit else None
             per_genus[str(g)] = entry
     report["fits"] = fits
@@ -192,6 +183,8 @@ def run_fit(args) -> int:
 
 
 def run_verify(args) -> int:
+    from . import rationality as rat
+
     cache = vx.SCache(args.cache_dir)
     report = _report("verify", args)
     checks = {}
@@ -209,14 +202,14 @@ def run_verify(args) -> int:
                 ok, witness = rat.check_q_inversion(ratio)
                 q_inversion[key] = {"passed": ok, "witness": witness}
             integrality[key] = {
-                "passed": vx.check_integrality(vx.pt_fractions(ratio, m, z0))
+                "passed": rat.check_integrality(vx.pt_fractions(ratio, m, z0))
             }
     checks["q_inversion"] = q_inversion
     checks["integrality"] = integrality
 
     # membership of the modified exceptional series in R_{0,0}
     tp = gw.tilde_pt0(args.Q_order, min(args.u_order, 6))
-    membership = gw.verify_R(tp, 0, 0, min(args.u_order, 6))
+    membership = rat.verify_R(tp, 0, 0, min(args.u_order, 6))
     checks["exceptional_membership"] = membership.to_json()
 
     # per-genus Weyl functional equation of the GW columns of class c + jb:
@@ -226,7 +219,7 @@ def run_verify(args) -> int:
     for r in args.r:
         table = tables[r] = gw.gw_extract(r, 1, args.Q_order, args.g_max, cache=cache)
         exponents["r=%d" % r] = {
-            str(g): _column_certificate(table, 1, g)[0] for g in range(args.g_max + 1)
+            str(g): rat.column_certificate(table, 1, g)[0] for g in range(args.g_max + 1)
         }
     checks["column_exponents"] = exponents
 
@@ -242,7 +235,7 @@ def run_verify(args) -> int:
             else:
                 table = gw.gw_extract(r, 1, order, 1, cache=cache)
             for g in (0, 1):
-                passed, details = gw.polynomiality_check(table, g, 1, 3, 9)
+                passed, details = rat.polynomiality_check(table, g, 1, 3, 9)
                 poly["r=%d,g=%d" % (r, g)] = details
         checks["polynomiality"] = poly
 
@@ -269,45 +262,9 @@ def _all_passed(node) -> bool:
 def run_selftest(args) -> int:
     # the oracles, and the field Q(t) they run in, load only here
     from . import oracles
-    from .qrat import QRat
-    from .symmfun import schur_principal, schur_principal_jt, w_two
 
     report = _report("selftest", args)
-    checks = {}
-
-    schur_ok = all(
-        schur_principal(mu) == schur_principal_jt(mu) for mu in partitions_up_to(6)
-    )
-    checks["schur_oracle_agreement"] = {"passed": schur_ok}
-
-    sym_ok = True
-    pairs = [p for p in partitions_up_to(3)]
-    for mu in pairs:
-        for nu in pairs:
-            if w_two(mu, nu) != w_two(nu, mu):
-                sym_ok = False
-    checks["w_symmetry"] = {"passed": sym_ok}
-
-    triple_ok = True
-    small = [Partition(), Partition([1]), Partition([2]), Partition([1, 1])]
-    for mu in small:
-        for nu in small:
-            direct = oracles.s_direct(mu, nu, 3)
-            if oracles.s_closed(mu, nu, 3) != direct or oracles.s_product(mu, nu, 3) != direct:
-                triple_ok = False
-    checks["s_triple_agreement"] = {"passed": triple_ok}
-
-    poly_ok = True
-    for n in range(2, 8):
-        li = oracles.polylog_neg(n)  # Li_{1-n}(Q)
-        if li.invert_t() != li * (-1) ** n:
-            poly_ok = False
-    li0 = oracles.polylog_neg(1)
-    q = QRat.t_power(1)
-    if li0 != q / (QRat.one() - q):
-        poly_ok = False
-    checks["polylog_identities"] = {"passed": poly_ok}
-
+    checks = oracles.selftest()
     report["checks"] = checks
     return _verdict(args, report, checks)
 
@@ -332,12 +289,22 @@ def main(argv=None) -> int:
     if "r" in args and args.r is None:
         args.r = [0]
     try:
+        # a missing --out directory is reported before any work runs
+        directory = os.path.dirname(os.path.abspath(args.out)) if args.out else None
+        if directory and not os.path.isdir(directory):
+            raise OutputError("cannot write --out %s: no directory %s" % (args.out, directory))
         return TASKS[args.task](args)
+    except OutputError as err:
+        sys.stderr.write("localvertex %s: error: %s\n" % (args.task, err))
+        return 2
     except (vx.VertexError, gw.RealityError) as err:
         sys.stderr.write("invariant violation: %s\n" % err)
         return 2
     except vx.CacheError as err:
-        sys.stderr.write("%s\ndelete %s or run without --cache-dir\n" % (err, err.path))
+        if err.path is None:
+            sys.stderr.write("%s\n" % err)
+        else:
+            sys.stderr.write("%s\ndelete %s or run without --cache-dir\n" % (err, err.path))
         return 3
 
 

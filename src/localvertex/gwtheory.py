@@ -12,6 +12,10 @@ and the factor i^h that turns an x^h coefficient into a u^h coefficient
 is applied only where values are reported (``gw_extract``,
 ``tilde_pt0``).  Every extracted value is asserted to sit on an even
 u-power.
+
+This module certifies nothing: the certificates of its
+tables and series (column fits, ring membership, polynomiality) are in
+``rationality``, which it does not import.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qfield import _add, _exquo, _mul, _neg
-from .rationality import FitError, certify_column
 from .series import TruncSeries, polylog_series
 from .vertex import SCache, _aligned, _qq_squared, log_z0, z_ratios
 
@@ -182,11 +185,6 @@ class GWTable:
         }
 
 
-def column_power(m: int, g: int) -> int:
-    """The power of (1-Q) that clears the GW column sum_j GW_{g, m*c + j*b} Q^j."""
-    return 4 * m + 2 * g - 2
-
-
 def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
     """Coefficients [Q_c^m] log Z, each as {j: (shift, num, den)} with
     integer q-polynomials and no gcd: log Z_0 in closed form
@@ -249,7 +247,7 @@ def gw_extract(
 
 
 # ---------------------------------------------------------------------------
-# The modified exceptional series and ring membership
+# The modified exceptional series
 
 
 def tilde_pt0(order: int, u_order: int, cache: SCache = None) -> TruncSeries:
@@ -272,110 +270,3 @@ def tilde_pt0(order: int, u_order: int, cache: SCache = None) -> TruncSeries:
     # the x^0 coefficient of the exponential is the scalar 1; report it as a Q-series
     result = TruncSeries(u_order, {0: TruncSeries.one(order)}) * exponent.exp()
     return TruncSeries(u_order, {h: c * _i_power(h) for h, c in result.coeffs.items()})
-
-
-class RMembership:
-    """Per-u-degree verification of membership in the ring R_{a,b}."""
-
-    def __init__(self, a: int, b: int, per_h: dict = None):
-        self.a = a
-        self.b = b
-        # h -> dict(fit, fit_ok, symmetry_ok)
-        self.per_h = {} if per_h is None else per_h
-
-    @property
-    def passed(self) -> bool:
-        return all(
-            row["fit_ok"] and row["symmetry_ok"] for row in self.per_h.values()
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "passed": self.passed,
-            "per_h": {
-                str(h): {
-                    "fit_ok": row["fit_ok"],
-                    "symmetry_ok": row["symmetry_ok"],
-                    "error": row.get("error"),
-                    "fit": row["fit"].to_json() if row.get("fit") else None,
-                    **({"skipped": row["skipped"]} if "skipped" in row else {}),
-                }
-                for h, row in sorted(self.per_h.items())
-            },
-        }
-
-
-def verify_R(useries: TruncSeries, a: int, b: int, h_max: int) -> RMembership:
-    """Check each u-coefficient f_h against denominator (1-Q)^(b+h) and the
-    symmetry Q^a f_h(1/Q) = (-1)^h f_h(Q), by ``certify_column``.
-
-    Fit failures are recorded per h, not fatal.  A degree h whose Q-order
-    leaves no surplus is marked "skipped" with the reason, not failed.
-    """
-    result = RMembership(a=a, b=b)
-    for h in range(min(0, useries.valuation() or 0), h_max + 1):
-        coeff = useries.coeffs.get(h)
-        if coeff is None or not coeff:
-            result.per_h[h] = {"fit_ok": True, "symmetry_ok": True, "fit": None}
-            continue
-        power = b + h
-        row = {"fit_ok": False, "symmetry_ok": False, "fit": None}
-        try:
-            certified = certify_column(coeff, power, a, sign=(-1) ** h)
-            if certified is None:
-                reason = "Q-order %d leaves no surplus for denominator power %d"
-                row = {"fit_ok": True, "symmetry_ok": True, "fit": None,
-                       "skipped": reason % (coeff.order, power)}
-            else:
-                row["fit"], row["symmetry_ok"] = certified
-                row["fit_ok"] = True
-        except FitError as err:
-            row["error"] = str(err)
-        result.per_h[h] = row
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Eventual polynomiality in j
-
-
-def finite_differences(values, depth: int):
-    """The depth-th forward differences of a sequence."""
-    out = list(values)
-    for _ in range(depth):
-        out = [b - a for a, b in zip(out, out[1:])]
-    return out
-
-
-def polynomiality_check(table: GWTable, g: int, m: int, j_lo: int, j_hi: int):
-    """Check that j -> GW_{g, m*c + j*b} is a polynomial of degree
-    < column_power(m, g) across [j_lo, j_hi], via vanishing finite
-    differences.
-
-    Returns (passed, report) where the report carries the difference
-    order, the window, and the detected polynomial degree.
-    """
-    depth = column_power(m, g)
-    length = j_hi - j_lo + 1
-    if length < depth + 1:
-        raise ValueError(
-            "window of length %d too short for order-%d differences"
-            % (length, depth)
-        )
-    values = [table.value(g, m, j) for j in range(j_lo, j_hi + 1)]
-    rows = [values]  # rows[k] holds the k-th differences
-    while len(rows) < length:
-        rows.append(finite_differences(rows[-1], 1))
-    passed = not any(rows[depth])
-    degree = max((k for k, row in enumerate(rows) if any(row)), default=None)
-    report = {
-        "g": g,
-        "m": m,
-        "window": [j_lo, j_hi],
-        "difference_order": depth,
-        "max_nonvanishing_difference_order": degree,
-        "passed": passed,
-    }
-    return passed, report

@@ -6,8 +6,6 @@ hashable, and compare structurally, so they are safe to use as cache keys.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 class Partition:
     """A weakly decreasing sequence of positive integers."""
@@ -116,24 +114,21 @@ def partitions_up_to(n: int):
         yield from partitions_of(m)
 
 
-@lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
-    """p(n) via the Euler pentagonal-number recurrence."""
+    """p(n) via the Euler pentagonal-number recurrence, bottom-up:
+    p(m) = sum_{k>=1} (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)),
+    for m = 1..n, with no recursion and nothing kept between calls."""
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = -1 if k % 2 == 0 else 1
-        if g1 <= n:
-            total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        k += 1
-    return total
+    p = [1]
+    for m in range(1, n + 1):
+        total = 0
+        k = 1
+        g = 1  # k(3k-1)/2
+        while g <= m:
+            term = p[m - g] + (p[m - g - k] if g + k <= m else 0)
+            total += term if k % 2 else -term
+            k += 1
+            g += 3 * k - 2
+        p.append(total)
+    return p[n]

@@ -1,4 +1,5 @@
-"""Rational reconstruction from truncated series and functional equations.
+"""Every certificate of the engine: rational reconstruction, functional
+equations, membership in R_{a,b}, polynomiality and integrality.
 
 A fit certifies that a truncated Q-series is the expansion of
 num(Q) / prod_i (1 - Q^(a_i))^(e_i) by multiplying through and demanding
@@ -13,13 +14,22 @@ coefficients.
 Functional equations in Q are checked on the reconstructed rational
 function by exact numerator manipulation, never on truncations: Q -> 1/Q
 is ill-defined on a one-sided expansion.
+
+A GW genus column is certified by ``column_certificate`` (a fit over
+(1-Q)^column_power(m, g) and the Weyl functional equation at weight
+m(r-2)), the modified exceptional series by ``verify_R``, eventual
+polynomiality in j by ``polynomiality_check``, q -> 1/q invariance of
+Z_m/Z_0 by ``check_q_inversion`` and integrality of the PT coefficients
+by ``check_integrality``.  Only the ``fit`` and ``verify`` tasks import
+this module; the package root, ``gwtheory`` and a ``gw`` or ``pt`` run
+do not.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .qfield import _trailing_zeros
+from .qfield import _trailing_zeros, expansion
 from .series import TruncSeries
 
 
@@ -177,6 +187,19 @@ def check_q_inversion(fractions: dict):
     return True, None
 
 
+def check_integrality(fractions: dict, q_terms: int = 20) -> bool:
+    """True if every fraction (shift, num, den) of ``vertex.pt_fractions``
+    q-expands with integer coefficients over the q_terms from its valuation
+    (the 40 t-terms of the canonical form's t_expansion).  num and den need
+    not be coprime: no gcd is taken.
+    """
+    return all(
+        c.denominator == 1
+        for shift, num, den in fractions.values()
+        for c in expansion(shift, num, den, q_terms)[1]
+    )
+
+
 def w_dot_beta(m: int, j: int, r_surface: int) -> int:
     """The pairing w . (m*c + j*b) = K_W . beta on F_{r_surface}.
 
@@ -185,3 +208,151 @@ def w_dot_beta(m: int, j: int, r_surface: int) -> int:
     functional equation of the GW column of class m*c + j*b.
     """
     return m * (r_surface - 2) - 2 * j
+
+
+# ---------------------------------------------------------------------------
+# GW genus columns
+
+
+def column_power(m: int, g: int) -> int:
+    """The power of (1-Q) that clears the GW column sum_j GW_{g, m*c + j*b} Q^j."""
+    return 4 * m + 2 * g - 2
+
+
+def column_certificate(table, m: int, g: int):
+    """Certify the GW column sum_j GW_{g, m*c + j*b} Q^j of ``table``
+    (a ``gwtheory.GWTable``).
+
+    The column is fitted over (1-Q)^column_power(m, g) and checked against
+    the Weyl functional equation at weight w.(m*c) = m(r-2).  Returns
+    (entry, fit): the entry is {"exponent", "passed"}, plus "skipped" when
+    the Q-order leaves no surplus or "error" when the column does not fit;
+    ``fit`` is the RationalFit, or None.
+    """
+    a = w_dot_beta(m, 0, table.r)
+    entry = {"exponent": None, "passed": False}
+    fit = None
+    try:
+        certified = certify_column(table.column(g, m), column_power(m, g), a)
+        if certified is None:
+            entry["passed"] = True
+            entry["skipped"] = "Q-order too small for this genus"
+        else:
+            fit, holds = certified
+            if holds:
+                entry["exponent"] = a
+                entry["passed"] = True
+    except FitError as err:
+        entry["error"] = str(err)
+    return entry, fit
+
+
+# ---------------------------------------------------------------------------
+# Ring membership of the modified exceptional series
+
+
+class RMembership:
+    """Per-u-degree verification of membership in the ring R_{a,b}."""
+
+    def __init__(self, a: int, b: int, per_h: dict = None):
+        self.a = a
+        self.b = b
+        # h -> dict(fit, fit_ok, symmetry_ok)
+        self.per_h = {} if per_h is None else per_h
+
+    @property
+    def passed(self) -> bool:
+        return all(
+            row["fit_ok"] and row["symmetry_ok"] for row in self.per_h.values()
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "a": self.a,
+            "b": self.b,
+            "passed": self.passed,
+            "per_h": {
+                str(h): {
+                    "fit_ok": row["fit_ok"],
+                    "symmetry_ok": row["symmetry_ok"],
+                    "error": row.get("error"),
+                    "fit": row["fit"].to_json() if row.get("fit") else None,
+                    **({"skipped": row["skipped"]} if "skipped" in row else {}),
+                }
+                for h, row in sorted(self.per_h.items())
+            },
+        }
+
+
+def verify_R(useries: TruncSeries, a: int, b: int, h_max: int) -> RMembership:
+    """Check each u-coefficient f_h against denominator (1-Q)^(b+h) and the
+    symmetry Q^a f_h(1/Q) = (-1)^h f_h(Q), by ``certify_column``.
+
+    Fit failures are recorded per h, not fatal.  A degree h whose Q-order
+    leaves no surplus is marked "skipped" with the reason, not failed.
+    """
+    result = RMembership(a=a, b=b)
+    for h in range(min(0, useries.valuation() or 0), h_max + 1):
+        coeff = useries.coeffs.get(h)
+        if coeff is None or not coeff:
+            result.per_h[h] = {"fit_ok": True, "symmetry_ok": True, "fit": None}
+            continue
+        power = b + h
+        row = {"fit_ok": False, "symmetry_ok": False, "fit": None}
+        try:
+            certified = certify_column(coeff, power, a, sign=(-1) ** h)
+            if certified is None:
+                reason = "Q-order %d leaves no surplus for denominator power %d"
+                row = {"fit_ok": True, "symmetry_ok": True, "fit": None,
+                       "skipped": reason % (coeff.order, power)}
+            else:
+                row["fit"], row["symmetry_ok"] = certified
+                row["fit_ok"] = True
+        except FitError as err:
+            row["error"] = str(err)
+        result.per_h[h] = row
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Eventual polynomiality in j
+
+
+def finite_differences(values, depth: int):
+    """The depth-th forward differences of a sequence."""
+    out = list(values)
+    for _ in range(depth):
+        out = [b - a for a, b in zip(out, out[1:])]
+    return out
+
+
+def polynomiality_check(table, g: int, m: int, j_lo: int, j_hi: int):
+    """Check that j -> GW_{g, m*c + j*b} of ``table`` (a ``gwtheory.GWTable``)
+    is a polynomial of degree < column_power(m, g) across [j_lo, j_hi], via
+    vanishing finite differences.
+
+    Returns (passed, report) where the report carries the difference
+    order, the window, and the detected polynomial degree.
+    """
+    depth = column_power(m, g)
+    length = j_hi - j_lo + 1
+    if length < depth + 1:
+        raise ValueError(
+            "window of length %d too short for order-%d differences"
+            % (length, depth)
+        )
+    values = [table.value(g, m, j) for j in range(j_lo, j_hi + 1)]
+    rows = [values]  # rows[k] holds the k-th differences
+    while len(rows) < length:
+        rows.append(finite_differences(rows[-1], 1))
+    passed = not any(rows[depth])
+    degree = max((k for k, row in enumerate(rows) if any(row)), default=None)
+    report = {
+        "g": g,
+        "m": m,
+        "window": [j_lo, j_hi],
+        "difference_order": depth,
+        "max_nonvanishing_difference_order": degree,
+        "passed": passed,
+    }
+    return passed, report

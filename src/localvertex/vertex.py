@@ -5,7 +5,9 @@ specialized partition function for K_{F_r}, and the extraction of
 stable-pairs invariants, all over the integer kernel of ``qfield``.  The
 independent routes to S_{mu,nu}, the general toric N-leg sum and the PT
 series in Q(t) are oracles, in ``oracles``; this module imports neither
-it nor ``qrat`` nor ``symmfun``.
+it nor ``qrat`` nor ``symmfun``.  The integrality certificate of the PT
+coefficients, ``check_integrality``, is in ``rationality`` with the other
+certificates.
 
 The raw quadruple vertex sum is never materialized: summing out the two
 fiber legs turns the partition function into a sum over pairs
@@ -50,9 +52,11 @@ class VertexError(ArithmeticError):
 
 
 class CacheError(Exception):
-    """A disk-cache file is unreadable or holds another key; not a maths bug."""
+    """A disk-cache file is unreadable or holds another key, or the cache
+    directory cannot be created or written; not a maths bug.  ``path`` is
+    the file to delete, or None when the directory itself is unusable."""
 
-    def __init__(self, message, path):
+    def __init__(self, message, path=None):
         super().__init__(message)
         self.path = path
 
@@ -172,7 +176,10 @@ class SCache:
         self.directory = directory
         self._mem = {}
         if directory:
-            os.makedirs(directory, exist_ok=True)
+            try:
+                os.makedirs(directory, exist_ok=True)
+            except OSError as err:
+                raise self._unusable(err)
 
     def _path(self, mu, nu):
         key = "%d:%s:%s" % (FORMAT_VERSION, list(mu.parts), list(nu.parts))
@@ -215,9 +222,18 @@ class SCache:
         doc["coeffs"] = coeffs
         path = self._path(mu, nu)
         tmp = path + ".tmp.%d" % os.getpid()
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(doc, fh)
+            os.replace(tmp, path)
+        except OSError as err:
+            raise self._unusable(err)
+
+    def _unusable(self, err):
+        return CacheError(
+            "cannot write cache directory %s: %s; name another or run without --cache-dir"
+            % (self.directory, err.strerror or err)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -276,19 +292,6 @@ def _aligned(terms) -> tuple:
     for j, s, num in terms:
         sums[j] = _add(sums.get(j, []), num + [0] * (s - low))
     return low, {j: num for j, num in sorted(sums.items()) if num}
-
-
-def check_integrality(fractions: dict, q_terms: int = 20) -> bool:
-    """True if every fraction (shift, num, den) of ``pt_fractions`` q-expands
-    with integer coefficients over the q_terms from its valuation (the
-    40 t-terms of the canonical form's t_expansion).  num and den need not
-    be coprime: no gcd is taken.
-    """
-    return all(
-        c.denominator == 1
-        for shift, num, den in fractions.values()
-        for c in expansion(shift, num, den, q_terms)[1]
-    )
 
 
 # ---------------------------------------------------------------------------

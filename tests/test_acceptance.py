@@ -8,7 +8,6 @@ import os
 
 from fractions import Fraction
 
-from localvertex import gwtheory as gw
 from localvertex import oracles
 from localvertex import rationality as rat
 from localvertex import vertex as vx
@@ -125,7 +124,7 @@ def test_criterion_07_exceptional_membership(tilde_series):
     """The modified exceptional series at Q-order 12 lies in R_{0,0}
     through u^6, with the u^-2, u^-1, u^1 coefficients exactly zero."""
     assert all(h >= 0 and h % 2 == 0 for h in tilde_series.degrees())
-    report = gw.verify_R(tilde_series, 0, 0, 6)
+    report = rat.verify_R(tilde_series, 0, 0, 6)
     assert report.passed, report.to_json()
 
 
@@ -151,5 +150,5 @@ def test_criterion_10_eventual_polynomiality(gw_table_r0, gw_table_r1):
     j in [3,9], for r in {0,1} and (g,m) in {(0,1),(1,1)}."""
     for table in (gw_table_r0, gw_table_r1):
         for g in (0, 1):
-            passed, report = gw.polynomiality_check(table, g, 1, 3, 9)
+            passed, report = rat.polynomiality_check(table, g, 1, 3, 9)
             assert passed, report

@@ -123,7 +123,7 @@ class TestVerify:
         assert code == 0
         table = gw.gw_extract(0, 1, 9, 1)
         for g in (0, 1):
-            expected = gw.polynomiality_check(table, g, 1, 3, 9)[1]
+            expected = rat.polynomiality_check(table, g, 1, 3, 9)[1]
             assert doc["checks"]["polynomiality"]["r=0,g=%d" % g] == expected
 
     @pytest.mark.parametrize(
@@ -186,6 +186,19 @@ class TestVerify:
         err = capsys.readouterr().err
         assert str(tmp_path) in err
 
+    @pytest.mark.parametrize("task", ["gw", "verify"])
+    def test_unusable_cache_dir_exits_3(self, capsys, tmp_path, task):
+        """A --cache-dir under a regular file cannot be created: exit 3 and
+        one line on stderr, not a traceback with the exit 1 of a failed check."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        directory = str(blocker / "sub")
+        assert main([task, "--Q-order", "2", "--cache-dir", directory]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert directory in captured.err
+
 
 class TestFit:
     def test_reports_exponent(self, capsys):
@@ -238,7 +251,7 @@ class TestFit:
             "--g-max", "3", "--u-order", "2",
         )
         for g, entry in doc["fits"]["3"].items():
-            assert entry.pop("denominator_power") == gw.column_power(1, int(g))
+            assert entry.pop("denominator_power") == rat.column_power(1, int(g))
             entry.pop("fit")
             assert entry == expected["checks"]["column_exponents"]["r=3"][g]
 
@@ -294,6 +307,36 @@ class TestUsage:
             main(["fit", "--m", "0"])
         assert exit_info.value.code == 2
         assert "fit needs --m >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["gw", "verify"])
+    def test_out_without_directory_is_usage_error(self, capsys, monkeypatch, tmp_path, task):
+        """An --out whose directory is missing is rejected, exit 2 with one
+        line on stderr, before any work runs."""
+
+        def refuse(args):
+            raise AssertionError("%s ran before the usage error" % task)
+
+        monkeypatch.setitem(cli.TASKS, task, refuse)
+        target = str(tmp_path / "missing" / "report.json")
+        assert main([task, "--out", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert target in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gw", "--Q-order", "2", "--g-max", "1"], ["verify", "--Q-order", "2", "--g-max", "0"]],
+        ids=["gw", "verify"],
+    )
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        """An --out that cannot be opened (here a directory) exits 2 with one
+        line on stderr."""
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(tmp_path) in captured.err
 
     def test_missing_task_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -351,32 +394,64 @@ class TestUsage:
         assert (job.cache_dir, job.out) == (directory, report)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gw", "--r", "0", "--r", "1", "--m-max", "2", "--Q-order", "5", "--format", "csv"],
-        ["pt", "--r", "1", "--m", "2", "--Q-order", "5"],
-        ["verify", "--all", "--r", "1", "--m-max", "1", "--Q-order", "9", "--g-max", "1"],
-    ],
-    ids=["gw", "pt", "verify"],
-)
-def test_engine_leaves_oracles_out(argv, tmp_path):
-    """A gw, pt or verify run in a fresh interpreter loads only the integer
-    engine: not the field Q(t) of qrat, not the oracles, not symmfun (so
-    the W and power-sum memo tables cannot fill), and not csv."""
+ENGINE = [
+    "localvertex",
+    "localvertex.gwtheory",
+    "localvertex.partitions",
+    "localvertex.qfield",
+    "localvertex.series",
+    "localvertex.vertex",
+]
+
+
+def loaded_modules(code, *argv):
+    """The localvertex modules, and argparse and csv if loaded, after
+    ``code`` runs with ``argv`` in a fresh interpreter."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    code = (
-        "import sys; from localvertex import cli; "
-        "assert cli.main(sys.argv[1:]) == 0; "
-        "print(sorted(m for m in ('localvertex.qrat', 'localvertex.oracles', "
-        "'localvertex.symmfun', 'csv') if m in sys.modules))"
+    code += (
+        "; print(json.dumps(sorted(m for m in sys.modules "
+        "if m in ('localvertex', 'argparse', 'csv') or m.startswith('localvertex.'))))"
     )
-    report = tmp_path / "report.out"
     out = subprocess.run(
-        [sys.executable, "-c", code, *argv, "--out", str(report)],
+        [sys.executable, "-c", "import json, sys; " + code, *argv],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, certificates",
+    [
+        (["gw", "--r", "0", "--r", "1", "--m-max", "2", "--Q-order", "5", "--format", "csv"], []),
+        (["pt", "--r", "1", "--m", "2", "--Q-order", "5"], []),
+        (["verify", "--all", "--r", "1", "--m-max", "1", "--Q-order", "9", "--g-max", "1"],
+         ["localvertex.rationality"]),
+        (["fit", "--r", "0", "--m", "1", "--Q-order", "9", "--g-max", "1"],
+         ["localvertex.rationality"]),
+    ],
+    ids=["gw", "pt", "verify", "fit"],
+)
+def test_engine_leaves_oracles_out(argv, certificates, tmp_path):
+    """A run in a fresh interpreter loads exactly the integer engine and
+    the CLI, plus the certificates of ``rationality`` for fit and verify
+    only: never the field Q(t) of qrat, the oracles, symmfun (so the W and
+    power-sum memo tables cannot fill) or csv."""
+    report = tmp_path / "report.out"
+    loaded = loaded_modules(
+        "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0",
+        *argv, "--out", str(report),
+    )
+    assert loaded == sorted(ENGINE + ["argparse", "localvertex.cli"] + certificates)
     assert report.read_text()
+
+
+def test_package_root_leaves_rationality_out():
+    """``import localvertex`` loads the engine and not the certificates."""
+    assert loaded_modules("import localvertex") == ENGINE
+
+
+def test_cli_import_leaves_argparse_out():
+    """Importing cli for its task functions parses no command line."""
+    assert loaded_modules("import localvertex.cli") == sorted(ENGINE + ["localvertex.cli"])

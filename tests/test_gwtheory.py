@@ -15,20 +15,23 @@ from localvertex import cli, gwtheory, qfield, qrat
 from localvertex.gwtheory import (
     GWTable,
     _i_power,
-    finite_differences,
     gw_extract,
     log_z,
-    polynomiality_check,
     qseries_to_u,
     tilde_pt0,
     to_u_series,
     u_expansions,
-    verify_R,
 )
 from localvertex.oracles import _exponent, _in_t
 from localvertex.partitions import Partition
 from localvertex.qrat import QRat
-from localvertex.rationality import find_exponent, fit_rational
+from localvertex.rationality import (
+    find_exponent,
+    finite_differences,
+    fit_rational,
+    polynomiality_check,
+    verify_R,
+)
 from localvertex.series import TruncSeries
 from localvertex.vertex import SCache, z_ratios
 

@@ -110,3 +110,21 @@ class TestEnumeration:
     def test_known_counts(self):
         assert partition_count(10) == 42
         assert partition_count(20) == 627
+
+    def test_counts_against_product(self):
+        """p(1500) on a first call (deeper than the recursion limit), and
+        p(0..300), against the coefficients of prod_k 1/(1 - x^k); the
+        count keeps no memo between calls."""
+        assert partition_count(1500) == product_coefficients(1500)[1500]
+        assert [partition_count(n) for n in range(301)] == product_coefficients(300)
+        assert not hasattr(partition_count, "cache_info")
+
+
+def product_coefficients(n):
+    """The coefficients of x^0..x^n in prod_{k>=1} 1/(1 - x^k): multiply
+    by each 1/(1 - x^k), k <= n, in turn (the coin-change recurrence)."""
+    coeffs = [1] + [0] * n
+    for k in range(1, n + 1):
+        for i in range(k, n + 1):
+            coeffs[i] += coeffs[i - k]
+    return coeffs

@@ -6,13 +6,13 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localvertex.gwtheory import column_power
 from localvertex import rationality
 from localvertex.rationality import (
     FitError,
     RationalFit,
     certify_column,
     check_Q_functional,
+    column_power,
     check_q_inversion,
     denominator_series,
     find_exponent,

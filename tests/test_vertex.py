@@ -19,13 +19,13 @@ from localvertex.oracles import (
 from localvertex.partitions import Partition, partitions_of, partitions_up_to
 from localvertex.qfield import expansion
 from localvertex.qrat import QRat
+from localvertex.rationality import check_integrality
 from localvertex.series import TruncSeries
 from localvertex.symmfun import p_shifted, w_one
 from localvertex.vertex import (
     CacheError,
     SCache,
     VertexError,
-    check_integrality,
     e_coeffs,
     pt_fractions,
     pt_invariants,
@@ -220,6 +220,25 @@ class TestSCache:
             fresh.get(EMPTY, EMPTY, 2)
         assert err.value.path == str(path)
         assert not isinstance(err.value, VertexError)
+
+    def test_directory_under_a_file_reported(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(CacheError) as err:
+            SCache(str(blocker / "sub"))
+        assert err.value.path is None
+        assert str(blocker / "sub") in str(err.value)
+
+    def test_failed_store_reported(self, tmp_path):
+        """A cache directory that stops being writable after it was made."""
+        directory = tmp_path / "scache"
+        cache = SCache(str(directory))
+        directory.rmdir()
+        directory.write_text("")
+        with pytest.raises(CacheError) as err:
+            cache.get(EMPTY, EMPTY, 2)
+        assert err.value.path is None
+        assert str(directory) in str(err.value)
 
     def test_stores_ratio_squared(self, tmp_path):
         cache = SCache(str(tmp_path))
