@@ -158,7 +158,7 @@ def run_gw(args) -> int:
         for r in args.r
     ]
     report["tables"] = {str(t.r): t.to_json() for t in tables}
-    csv_text = "".join(t.to_csv() for t in tables) if args.format == "csv" else None
+    csv_text = gw.to_csv(tables) if args.format == "csv" else None
     _emit(args, report, csv_text)
     return 0
 
@@ -209,8 +209,7 @@ def run_verify(args) -> int:
 
     # membership of the modified exceptional series in R_{0,0}
     tp = gw.tilde_pt0(args.Q_order, min(args.u_order, 6))
-    membership = rat.verify_R(tp, 0, 0, min(args.u_order, 6))
-    checks["exceptional_membership"] = membership.to_json()
+    checks["exceptional_membership"] = rat.verify_R(tp, 0, 0, min(args.u_order, 6))
 
     # per-genus Weyl functional equation of the GW columns of class c + jb:
     # weight w.c = r - 2
@@ -235,8 +234,7 @@ def run_verify(args) -> int:
             else:
                 table = gw.gw_extract(r, 1, order, 1, cache=cache)
             for g in (0, 1):
-                passed, details = rat.polynomiality_check(table, g, 1, 3, 9)
-                poly["r=%d,g=%d" % (r, g)] = details
+                poly["r=%d,g=%d" % (r, g)] = rat.polynomiality_check(table, g, 1, 3, 9)
         checks["polynomiality"] = poly
 
     report["checks"] = checks

@@ -160,14 +160,6 @@ class GWTable:
             {j: self.value(g, m, j) for j in range(self.j_max + 1)},
         )
 
-    def to_csv(self) -> str:
-        """The table as CSV, byte for byte what ``csv.writer`` writes: every
-        field is an int, so none is quoted, and rows end in CR LF."""
-        rows = [["g", "m", "j", "value_num", "value_den"]]
-        for (g, m, j), v in sorted(self.entries.items()):
-            rows.append([g, m, j, v.numerator, v.denominator])
-        return "".join(",".join(map(str, row)) + "\r\n" for row in rows)
-
     def to_json(self) -> dict:
         return {
             "r": self.r,
@@ -183,6 +175,17 @@ class GWTable:
                 for (g, m, j), v in sorted(self.entries.items())
             ],
         }
+
+
+def to_csv(tables) -> str:
+    """The tables as one CSV, byte for byte what ``csv.writer`` writes: one
+    header, then each table's rows with its r first.  Every field is an
+    int, so none is quoted, and rows end in CR LF."""
+    rows = [["r", "g", "m", "j", "value_num", "value_den"]]
+    for t in tables:
+        for (g, m, j), v in sorted(t.entries.items()):
+            rows.append([t.r, g, m, j, v.numerator, v.denominator])
+    return "".join(",".join(map(str, row)) + "\r\n" for row in rows)
 
 
 def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:

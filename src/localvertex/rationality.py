@@ -1,15 +1,16 @@
 """Every certificate of the engine: rational reconstruction, functional
 equations, membership in R_{a,b}, polynomiality and integrality.
 
-A fit certifies that a truncated Q-series is the expansion of
-num(Q) / prod_i (1 - Q^(a_i))^(e_i) by multiplying through and demanding
-that every coefficient beyond the numerator window vanish; the count of
-vanishing surplus coefficients is the confidence certificate (>= 3 for
-an accepted fit).  Nothing is searched: the window is either given or
-read off the cleared series, and the only exponent a for which
-Q^a f(1/Q) = +-f(Q) can hold is fixed by the numerator's lowest and
-highest degrees.  Fits hold the series' own Fraction (or int)
-coefficients.
+A fit certifies that a truncated Q-series is num(Q) / (1 - Q)^p, the
+one denominator the engine needs (a GW column over (1-Q)^(4m+2g-2), the
+u^h coefficient of the exceptional series over (1-Q)^(b+h)), by
+multiplying through and demanding that every coefficient beyond the
+numerator window vanish; the count of vanishing surplus coefficients is
+the confidence certificate (>= 3 for an accepted fit).  Nothing is
+searched: the window is either given or read off the cleared series, and
+the only exponent a for which Q^a f(1/Q) = +-f(Q) can hold is fixed by
+the numerator's lowest and highest degrees.  Fits hold the series' own
+Fraction (or int) coefficients.
 
 Functional equations in Q are checked on the reconstructed rational
 function by exact numerator manipulation, never on truncations: Q -> 1/Q
@@ -20,9 +21,9 @@ A GW genus column is certified by ``column_certificate`` (a fit over
 m(r-2)), the modified exceptional series by ``verify_R``, eventual
 polynomiality in j by ``polynomiality_check``, q -> 1/q invariance of
 Z_m/Z_0 by ``check_q_inversion`` and integrality of the PT coefficients
-by ``check_integrality``.  Only the ``fit`` and ``verify`` tasks import
-this module; the package root, ``gwtheory`` and a ``gw`` or ``pt`` run
-do not.
+by ``check_integrality``; the first three return their report entries.
+Only the ``fit`` and ``verify`` tasks import this module; the package
+root, ``gwtheory`` and a ``gw`` or ``pt`` run do not.
 """
 
 from __future__ import annotations
@@ -38,26 +39,14 @@ class FitError(ArithmeticError):
 
 
 class RationalFit:
-    """A certified rational function num(Q)/prod (1-Q^a)^e."""
+    """A certified rational function num(Q)/(1-Q)^power."""
 
-    def __init__(self, numerator: dict, denom_spec: tuple, surplus: int, order: int):
+    def __init__(self, numerator: dict, power: int, surplus: int, order: int):
         # Q-degree -> Fraction (or int) coefficient, Laurent
         self.numerator = numerator
-        self.denom_spec = denom_spec  # ((a, e), ...) meaning prod (1 - Q^a)^e
+        self.power = power
         self.surplus = surplus
         self.order = order  # truncation order of the fitted input
-
-    def denominator_degree(self) -> int:
-        return sum(a * e for a, e in self.denom_spec)
-
-    def expand(self, order: int) -> TruncSeries:
-        """Re-expand the fit as a truncated series (for certification)."""
-        num = TruncSeries(order, dict(self.numerator))
-        series = num
-        for a, e in self.denom_spec:
-            base = TruncSeries(order, {0: 1, a: -1})
-            series = series * base.pow_int(-e)
-        return series
 
     def is_zero(self) -> bool:
         return not self.numerator
@@ -65,7 +54,7 @@ class RationalFit:
     def to_json(self):
         return {
             "numerator": {str(d): _coeff_json(c) for d, c in sorted(self.numerator.items())},
-            "denom_spec": [list(p) for p in self.denom_spec],
+            "denom_spec": [[1, self.power]] if self.power else [],
             "surplus": self.surplus,
             "order": self.order,
         }
@@ -76,32 +65,32 @@ def _coeff_json(c):
     return {"num": c.numerator, "den": c.denominator}
 
 
-def denominator_series(denom_spec, order: int) -> TruncSeries:
-    """The polynomial prod (1 - Q^a)^e as a truncated series."""
-    out = TruncSeries.one(order)
-    for a, e in denom_spec:
-        out = out * TruncSeries(order, {0: 1, a: -1}).pow_int(e)
-    return out
+def fit_rational(series: TruncSeries, power: int, window=None) -> RationalFit:
+    """Reconstruct series = num(Q) / (1-Q)^power with a surplus certificate.
 
-
-def fit_rational(series: TruncSeries, denom_spec, window=None) -> RationalFit:
-    """Reconstruct series = num(Q) / prod (1-Q^a)^e with a surplus certificate.
-
-    ``window`` is the inclusive (lo, hi) degree interval allowed for the
-    numerator.  When omitted, it is the least window that holds the
-    cleared series and reaches the denominator degree past its start:
-    lo = min(valuation, 0), hi = max(lo + deg(denominator), top degree).
-    Either way the fit needs a surplus of at least 3 beyond hi.
+    The series is cleared by one product with (1-Q)^power, whose
+    coefficients are the binomials (-1)^k C(power, k).  ``window`` is the
+    inclusive (lo, hi) degree interval allowed for the numerator.  When
+    omitted, it is the least window that holds the cleared series and
+    reaches ``power`` past its start: lo = min(valuation, 0),
+    hi = max(lo + power, top degree).  Either way the fit needs a surplus
+    of at least 3 beyond hi.
     """
-    denom_spec = tuple(sorted(tuple(p) for p in denom_spec))
     order = series.order
-    cleared = series * denominator_series(denom_spec, order)
+    valuation = series.valuation()
+    if valuation is None:
+        return RationalFit({}, power, surplus=order, order=order)
+    # c_(k+1) = -c_k (power - k)/(k + 1) is exact, and for power < 0 runs
+    # on through the degrees the truncated product can reach
+    clearing, c = {}, 1
+    for k in range(order - valuation + 1):
+        clearing[k] = c
+        c = -c * (power - k) // (k + 1)
+    cleared = series * TruncSeries(order, clearing)
     degrees = cleared.degrees()
-    if not degrees:
-        return RationalFit({}, denom_spec, surplus=order, order=order)
     if window is None:
         lo = min(degrees[0], 0)
-        hi = max(lo + sum(a * e for a, e in denom_spec), degrees[-1])
+        hi = max(lo + power, degrees[-1])
     else:
         lo, hi = window
     if order < hi + 3:
@@ -114,24 +103,21 @@ def fit_rational(series: TruncSeries, denom_spec, window=None) -> RationalFit:
             "nonvanishing coefficient at Q^%d outside window [%d, %d]"
             % (outside[0], lo, hi)
         )
-    return RationalFit(dict(cleared.coeffs), denom_spec, surplus=order - hi, order=order)
+    return RationalFit(dict(cleared.coeffs), power, surplus=order - hi, order=order)
 
 
 def check_Q_functional(fit: RationalFit, a: int, sign: int = 1) -> bool:
     """Exact check of Q^a * f(1/Q) = sign * f(Q) on the fitted function.
 
-    With denominator prod (1-Q^(a_i))^(e_i), substituting 1/Q multiplies
-    the denominator by (-1)^E Q^(-D) with E = sum e_i, D = sum a_i e_i;
-    the identity reduces to num(Q) = sign * (-1)^E * Q^(a+D) * num(1/Q),
+    Substituting 1/Q multiplies the denominator (1-Q)^p by (-1)^p Q^(-p),
+    so the identity reduces to num(Q) = sign * (-1)^p * Q^(a+p) * num(1/Q),
     a finite palindromy condition on the numerator.
     """
     if fit.is_zero():
         return True
-    E = sum(e for _, e in fit.denom_spec)
-    D = fit.denominator_degree()
-    total_sign = sign * (-1) ** E
+    total_sign = sign * (-1) ** fit.power
     for d, c in fit.numerator.items():
-        mirrored = fit.numerator.get(a + D - d, 0)
+        mirrored = fit.numerator.get(a + fit.power - d, 0)
         if c != total_sign * mirrored:
             return False
     return True
@@ -149,7 +135,7 @@ def certify_column(column: TruncSeries, power: int, a: int, sign: int = 1):
     hi = power + max(a, 0)
     if column.order < hi + 3:
         return None
-    fit = fit_rational(column, ((1, power),) if power else (), window=(0, hi))
+    fit = fit_rational(column, power, window=(0, hi))
     return fit, check_Q_functional(fit, a, sign)
 
 
@@ -157,12 +143,12 @@ def find_exponent(fit: RationalFit, lo: int, hi: int, sign: int = 1):
     """The unique a in [lo, hi] with Q^a f(1/Q) = sign * f(Q), or None.
 
     Q -> 1/Q sends the numerator's lowest degree to its highest, so the
-    only candidate is a = min + max - deg(denominator).  The zero
-    function is rejected (every exponent works).
+    only candidate is a = min + max - power.  The zero function is
+    rejected (every exponent works).
     """
     if fit.is_zero():
         return None
-    a = min(fit.numerator) + max(fit.numerator) - fit.denominator_degree()
+    a = min(fit.numerator) + max(fit.numerator) - fit.power
     if lo <= a <= hi and check_Q_functional(fit, a, sign):
         return a
     return None
@@ -251,67 +237,35 @@ def column_certificate(table, m: int, g: int):
 # Ring membership of the modified exceptional series
 
 
-class RMembership:
-    """Per-u-degree verification of membership in the ring R_{a,b}."""
-
-    def __init__(self, a: int, b: int, per_h: dict = None):
-        self.a = a
-        self.b = b
-        # h -> dict(fit, fit_ok, symmetry_ok)
-        self.per_h = {} if per_h is None else per_h
-
-    @property
-    def passed(self) -> bool:
-        return all(
-            row["fit_ok"] and row["symmetry_ok"] for row in self.per_h.values()
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "passed": self.passed,
-            "per_h": {
-                str(h): {
-                    "fit_ok": row["fit_ok"],
-                    "symmetry_ok": row["symmetry_ok"],
-                    "error": row.get("error"),
-                    "fit": row["fit"].to_json() if row.get("fit") else None,
-                    **({"skipped": row["skipped"]} if "skipped" in row else {}),
-                }
-                for h, row in sorted(self.per_h.items())
-            },
-        }
-
-
-def verify_R(useries: TruncSeries, a: int, b: int, h_max: int) -> RMembership:
+def verify_R(useries: TruncSeries, a: int, b: int, h_max: int) -> dict:
     """Check each u-coefficient f_h against denominator (1-Q)^(b+h) and the
     symmetry Q^a f_h(1/Q) = (-1)^h f_h(Q), by ``certify_column``.
 
-    Fit failures are recorded per h, not fatal.  A degree h whose Q-order
-    leaves no surplus is marked "skipped" with the reason, not failed.
+    Returns the report entry {"a", "b", "passed", "per_h"}, with one row
+    per h.  Fit failures are recorded in their row, not fatal.  A degree h
+    whose Q-order leaves no surplus is marked "skipped" with the reason,
+    not failed.
     """
-    result = RMembership(a=a, b=b)
+    per_h = {}
     for h in range(min(0, useries.valuation() or 0), h_max + 1):
         coeff = useries.coeffs.get(h)
-        if coeff is None or not coeff:
-            result.per_h[h] = {"fit_ok": True, "symmetry_ok": True, "fit": None}
+        row = per_h[str(h)] = {"fit_ok": True, "symmetry_ok": True, "error": None, "fit": None}
+        if not coeff:
             continue
         power = b + h
-        row = {"fit_ok": False, "symmetry_ok": False, "fit": None}
         try:
             certified = certify_column(coeff, power, a, sign=(-1) ** h)
-            if certified is None:
-                reason = "Q-order %d leaves no surplus for denominator power %d"
-                row = {"fit_ok": True, "symmetry_ok": True, "fit": None,
-                       "skipped": reason % (coeff.order, power)}
-            else:
-                row["fit"], row["symmetry_ok"] = certified
-                row["fit_ok"] = True
         except FitError as err:
-            row["error"] = str(err)
-        result.per_h[h] = row
-    return result
+            row.update(fit_ok=False, symmetry_ok=False, error=str(err))
+            continue
+        if certified is None:
+            reason = "Q-order %d leaves no surplus for denominator power %d"
+            row["skipped"] = reason % (coeff.order, power)
+        else:
+            fit, row["symmetry_ok"] = certified
+            row["fit"] = fit.to_json()
+    passed = all(row["fit_ok"] and row["symmetry_ok"] for row in per_h.values())
+    return {"a": a, "b": b, "passed": passed, "per_h": per_h}
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +285,8 @@ def polynomiality_check(table, g: int, m: int, j_lo: int, j_hi: int):
     is a polynomial of degree < column_power(m, g) across [j_lo, j_hi], via
     vanishing finite differences.
 
-    Returns (passed, report) where the report carries the difference
-    order, the window, and the detected polynomial degree.
+    Returns the report entry: the difference order, the window, the
+    detected polynomial degree and "passed".
     """
     depth = column_power(m, g)
     length = j_hi - j_lo + 1
@@ -345,14 +299,12 @@ def polynomiality_check(table, g: int, m: int, j_lo: int, j_hi: int):
     rows = [values]  # rows[k] holds the k-th differences
     while len(rows) < length:
         rows.append(finite_differences(rows[-1], 1))
-    passed = not any(rows[depth])
     degree = max((k for k, row in enumerate(rows) if any(row)), default=None)
-    report = {
+    return {
         "g": g,
         "m": m,
         "window": [j_lo, j_hi],
         "difference_order": depth,
         "max_nonvanishing_difference_order": degree,
-        "passed": passed,
+        "passed": not any(rows[depth]),
     }
-    return passed, report

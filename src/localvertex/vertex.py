@@ -37,7 +37,6 @@ the oracle ``oracles.pt_series`` reduces, once per Q-coefficient.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
@@ -182,6 +181,9 @@ class SCache:
                 raise self._unusable(err)
 
     def _path(self, mu, nu):
+        # hashlib loads only where a disk cache is named
+        import hashlib
+
         key = "%d:%s:%s" % (FORMAT_VERSION, list(mu.parts), list(nu.parts))
         digest = hashlib.sha256(key.encode()).hexdigest()[:24]
         return os.path.join(self.directory, "s_%s.json" % digest)

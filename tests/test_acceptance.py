@@ -81,7 +81,7 @@ def test_criterion_05_genus_columns_r0(gw_table_r0):
     |K_W . c| = 2 on P1 x P1."""
     for g in (0, 1, 2):
         column = gw_table_r0.column(g, 1).truncate(10)
-        fit = rat.fit_rational(column, ((1, 2 + 2 * g),))
+        fit = rat.fit_rational(column, 2 + 2 * g)
         assert fit.surplus >= 3, g
         # f(1/Q) = Q^2 f(Q) reads Q^(-2) f(1/Q) = f(Q) in the template
         # Q^a f(1/Q) = f(Q); a = -2 = K_W . c is the unique solution
@@ -97,7 +97,7 @@ def test_criterion_06_exponent_resolution_r1(gw_table_r1):
     record = {"r": 1, "m": 1, "per_genus": {}}
     for g in range(4):
         column = gw_table_r1.column(g, 1)
-        fit = rat.fit_rational(column, ((1, 2 + 2 * g),))
+        fit = rat.fit_rational(column, 2 + 2 * g)
         a = rat.find_exponent(fit, -8, 8)
         assert a is not None, g
         # template Q^a f(1/Q) = f(Q); weight w means f(1/Q) = Q^w f(Q)
@@ -125,7 +125,7 @@ def test_criterion_07_exceptional_membership(tilde_series):
     through u^6, with the u^-2, u^-1, u^1 coefficients exactly zero."""
     assert all(h >= 0 and h % 2 == 0 for h in tilde_series.degrees())
     report = rat.verify_R(tilde_series, 0, 0, 6)
-    assert report.passed, report.to_json()
+    assert report["passed"], report
 
 
 def test_criterion_08_polylog_identities():
@@ -150,5 +150,5 @@ def test_criterion_10_eventual_polynomiality(gw_table_r0, gw_table_r1):
     j in [3,9], for r in {0,1} and (g,m) in {(0,1),(1,1)}."""
     for table in (gw_table_r0, gw_table_r1):
         for g in (0, 1):
-            passed, report = rat.polynomiality_check(table, g, 1, 3, 9)
-            assert passed, report
+            report = rat.polynomiality_check(table, g, 1, 3, 9)
+            assert report["passed"], report

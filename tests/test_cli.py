@@ -79,6 +79,22 @@ class TestGW:
         assert code == 0
         assert set(doc["tables"]) == {"0", "1"}
 
+    def test_csv_two_surfaces(self, capsys):
+        """One header, and each row led by the r of its surface."""
+        argv = ["gw", "--r", "0", "--r", "1", "--m-max", "1", "--Q-order", "3", "--g-max", "1"]
+        code, doc = run_json(capsys, *argv)
+        code_csv, out = run(capsys, *argv, "--format", "csv")
+        assert code == code_csv == 0
+        lines = out.split("\r\n")
+        assert lines[0] == "r,g,m,j,value_num,value_den"
+        assert lines[-1] == ""
+        expected = [
+            "%s,%d,%d,%d,%d,%d" % (r, e["g"], e["m"], e["j"], e["num"], e["den"])
+            for r in ("0", "1")
+            for e in doc["tables"][r]["entries"]
+        ]
+        assert lines[1:-1] == expected
+
 
 class TestVerify:
     def test_small_suite_passes(self, capsys):
@@ -123,7 +139,7 @@ class TestVerify:
         assert code == 0
         table = gw.gw_extract(0, 1, 9, 1)
         for g in (0, 1):
-            expected = rat.polynomiality_check(table, g, 1, 3, 9)[1]
+            expected = rat.polynomiality_check(table, g, 1, 3, 9)
             assert doc["checks"]["polynomiality"]["r=0,g=%d" % g] == expected
 
     @pytest.mark.parametrize(
@@ -176,6 +192,27 @@ class TestVerify:
         assert doc["checks"]["integrality"] == {
             "r=1,m=%d" % m: {"passed": True} for m in range(3)
         }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--all", "--r", "0", "--m-max", "1", "--Q-order", "9"],
+            ["fit", "--r", "0", "--m", "2", "--Q-order", "13"],
+        ],
+        ids=["verify", "fit"],
+    )
+    def test_certificates_take_no_power_or_inverse(self, capsys, monkeypatch, argv):
+        """The fits clear by the binomials of (1-Q)^p: neither task raises a
+        series to a power or inverts one."""
+
+        def refuse(*args):
+            raise AssertionError("a series power or inverse was taken")
+
+        monkeypatch.setattr(TruncSeries, "pow_int", refuse)
+        monkeypatch.setattr(TruncSeries, "inverse", refuse)
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["passed"] is True
 
     def test_corrupt_cache_exits_3(self, capsys, tmp_path):
         argv = ["pt", "--m", "0", "--Q-order", "1", "--cache-dir", str(tmp_path)]
@@ -405,14 +442,15 @@ ENGINE = [
 
 
 def loaded_modules(code, *argv):
-    """The localvertex modules, and argparse and csv if loaded, after
-    ``code`` runs with ``argv`` in a fresh interpreter."""
+    """The localvertex modules, and argparse, csv and hashlib if loaded,
+    after ``code`` runs with ``argv`` in a fresh interpreter."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     code += (
         "; print(json.dumps(sorted(m for m in sys.modules "
-        "if m in ('localvertex', 'argparse', 'csv') or m.startswith('localvertex.'))))"
+        "if m in ('localvertex', 'argparse', 'csv', 'hashlib') "
+        "or m.startswith('localvertex.'))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", "import json, sys; " + code, *argv],
@@ -437,14 +475,26 @@ def test_engine_leaves_oracles_out(argv, certificates, tmp_path):
     """A run in a fresh interpreter loads exactly the integer engine and
     the CLI, plus the certificates of ``rationality`` for fit and verify
     only: never the field Q(t) of qrat, the oracles, symmfun (so the W and
-    power-sum memo tables cannot fill) or csv."""
+    power-sum memo tables cannot fill), csv, or hashlib, which only names
+    the files of a --cache-dir."""
     report = tmp_path / "report.out"
     loaded = loaded_modules(
         "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0",
         *argv, "--out", str(report),
     )
     assert loaded == sorted(ENGINE + ["argparse", "localvertex.cli"] + certificates)
+    assert "hashlib" not in loaded
     assert report.read_text()
+
+
+def test_cache_dir_loads_hashlib(tmp_path):
+    """The control for the runs above: a --cache-dir run loads hashlib."""
+    loaded = loaded_modules(
+        "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0",
+        "pt", "--m", "1", "--Q-order", "3", "--cache-dir", str(tmp_path / "scache"),
+        "--out", str(tmp_path / "report.json"),
+    )
+    assert "hashlib" in loaded
 
 
 def test_package_root_leaves_rationality_out():

@@ -14,7 +14,6 @@ from localvertex.rationality import (
     check_Q_functional,
     column_power,
     check_q_inversion,
-    denominator_series,
     find_exponent,
     fit_rational,
     w_dot_beta,
@@ -31,46 +30,42 @@ def geometric(order):
 
 class TestFit:
     def test_geometric(self):
-        fit = fit_rational(geometric(8), ((1, 1),), window=(0, 0))
+        fit = fit_rational(geometric(8), 1, window=(0, 0))
         assert fit.numerator == {0: 1}
         assert fit.surplus == 8
 
     def test_odd_numbers(self):
         series = TruncSeries(8, {d: 2 * d + 1 for d in range(9)})
-        fit = fit_rational(series, ((1, 2),), window=(0, 1))
+        fit = fit_rational(series, 2, window=(0, 1))
         assert fit.numerator == {0: 1, 1: 1}
 
     def test_exponential_rejected(self):
         series = TruncSeries(8, {d: Fraction(1, factorial(d)) for d in range(9)})
         with pytest.raises(FitError):
-            fit_rational(series, ((1, 2),))
+            fit_rational(series, 2)
 
     def test_auto_window(self):
         series = TruncSeries(9, {d: 2 * d + 1 for d in range(10)})
-        fit = fit_rational(series, ((1, 2),))
+        fit = fit_rational(series, 2)
         assert fit.numerator == {0: 1, 1: 1}
         assert fit.surplus >= 3
 
     def test_window_needs_surplus(self):
         with pytest.raises(FitError):
-            fit_rational(geometric(4), ((1, 1),), window=(0, 2))
+            fit_rational(geometric(4), 1, window=(0, 2))
 
     def test_expand_round_trip(self):
         series = TruncSeries(8, {d: (d + 1) * (d + 2) // 2 for d in range(9)})
-        fit = fit_rational(series, ((1, 3),))
-        assert fit.expand(8) == series
+        fit = fit_rational(series, 3)
+        assert fit.numerator == {0: 1}
 
     def test_zero_series(self):
-        fit = fit_rational(TruncSeries(6), ((1, 2),))
+        fit = fit_rational(TruncSeries(6), 2)
         assert fit.is_zero()
         assert check_Q_functional(fit, a=17)
 
-    def test_denominator_series(self):
-        got = denominator_series(((1, 1), (2, 1)), 4)
-        assert got == TruncSeries(4, {0: 1, 1: -1, 2: -1, 3: 1})
-
     def test_to_json(self):
-        fit = fit_rational(geometric(8), ((1, 1),))
+        fit = fit_rational(geometric(8), 1)
         doc = fit.to_json()
         assert doc["denom_spec"] == [[1, 1]]
         assert doc["numerator"] == {"0": {"num": 1, "den": 1}}
@@ -79,26 +74,26 @@ class TestFit:
 class TestQFunctional:
     def test_li_minus_one_symmetric(self):
         series = TruncSeries(8, {d: d for d in range(9)})  # Q/(1-Q)^2
-        fit = fit_rational(series, ((1, 2),))
+        fit = fit_rational(series, 2)
         assert check_Q_functional(fit, a=0)
         assert find_exponent(fit, -4, 4) == 0
 
     def test_antisymmetric(self):
         series = TruncSeries(8, {0: 1, **{d: 2 for d in range(1, 9)}})  # (1+Q)/(1-Q)
-        fit = fit_rational(series, ((1, 1),))
+        fit = fit_rational(series, 1)
         assert check_Q_functional(fit, a=0, sign=-1)
         assert not check_Q_functional(fit, a=0)
 
     def test_geometric_not_symmetric(self):
-        fit = fit_rational(geometric(8), ((1, 1),))
+        fit = fit_rational(geometric(8), 1)
         assert not check_Q_functional(fit, a=0)
 
     def test_monomial_exponent(self):
-        fit = fit_rational(TruncSeries(8, {2: 1}), ())
+        fit = fit_rational(TruncSeries(8, {2: 1}), 0)
         assert find_exponent(fit, -8, 8) == 4
 
     def test_zero_rejected(self):
-        fit = fit_rational(TruncSeries(6), ((1, 1),))
+        fit = fit_rational(TruncSeries(6), 1)
         assert find_exponent(fit, -4, 4) is None
 
 
@@ -108,15 +103,15 @@ class _Offending(FitError):
         self.degree = degree
 
 
-def fit_by_widening(series, denom_spec, window=None):
-    """Oracle for ``fit_rational``: the numerator window as a search.  The
-    auto window starts at [min(valuation, 0), deg(denominator)] and its top
-    is moved to each offending degree while a surplus of 3 remains."""
-    denom_spec = tuple(sorted(tuple(p) for p in denom_spec))
-    cleared = series * denominator_series(denom_spec, series.order)
+def fit_by_widening(series, power, window=None):
+    """Oracle for ``fit_rational``: the numerator window as a search, and
+    the series cleared by (1-Q)^power from ``pow_int``, not the binomials.
+    The auto window starts at [min(valuation, 0), power] and its top is
+    moved to each offending degree while a surplus of 3 remains."""
+    cleared = series * TruncSeries(series.order, {0: 1, 1: -1}).pow_int(power)
     degrees = cleared.degrees()
     if not degrees:
-        return RationalFit({}, denom_spec, surplus=series.order, order=series.order)
+        return RationalFit({}, power, surplus=series.order, order=series.order)
 
     def attempt(lo, hi):
         numerator = {}
@@ -128,7 +123,7 @@ def fit_by_widening(series, denom_spec, window=None):
                     d,
                 )
             numerator[d] = cleared.coeffs[d]
-        return RationalFit(numerator, denom_spec, series.order - hi, series.order)
+        return RationalFit(numerator, power, series.order - hi, series.order)
 
     lo = min(degrees[0], 0)
     if window is not None:
@@ -139,7 +134,7 @@ def fit_by_widening(series, denom_spec, window=None):
                 % (series.order, hi)
             )
         return attempt(lo, hi)
-    hi = max(lo + sum(a * e for a, e in denom_spec), degrees[0])
+    hi = max(lo + power, degrees[0])
     last_error = None
     while series.order - hi >= 3:
         try:
@@ -162,7 +157,7 @@ def exponent_by_scan(fit, lo, hi, sign=1):
     return found
 
 
-DENOMINATORS = [(), ((1, 1),), ((1, 2),), ((1, 3),), ((1, 1), (2, 1)), ((2, 2),)]
+DENOMINATORS = [0, 1, 2, 3]
 NONZERO = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4)])
 COEFFS = st.one_of(st.just(0), NONZERO)
 
@@ -172,11 +167,9 @@ def fit_cases(draw):
     """A series num/denominator (num Laurent, of small degree), sometimes
     with one coefficient bent, and either no window or a random one."""
     order = draw(st.integers(0, 14))
-    spec = draw(st.sampled_from(DENOMINATORS))
+    power = draw(st.sampled_from(DENOMINATORS))
     num = draw(st.dictionaries(st.integers(-2, 9), COEFFS, max_size=5))
-    series = TruncSeries(order, num)
-    for a, e in spec:
-        series = series * TruncSeries(order, {0: 1, a: -1}).pow_int(-e)
+    series = TruncSeries(order, num) * TruncSeries(order, {0: 1, 1: -1}).pow_int(-power)
     if draw(st.booleans()):
         d = draw(st.integers(-2, order))
         series = series + TruncSeries(order, {d: draw(COEFFS)})
@@ -184,7 +177,7 @@ def fit_cases(draw):
     if draw(st.booleans()):
         lo = draw(st.integers(-2, 2))
         window = (lo, draw(st.integers(lo, 14)))
-    return series, spec, window
+    return series, power, window
 
 
 def _outcome(fit, *args):
@@ -192,7 +185,7 @@ def _outcome(fit, *args):
         f = fit(*args)
     except FitError as err:
         return "error", str(err)
-    return "fit", f.numerator, f.denom_spec, f.surplus, f.order
+    return "fit", f.numerator, f.power, f.surplus, f.order
 
 
 @st.composite
@@ -214,9 +207,9 @@ class TestClosedForms:
     @given(fit_cases())
     @settings(max_examples=400, deadline=None)
     def test_fit_matches_widening_loop(self, case):
-        series, spec, window = case
-        got = _outcome(fit_rational, series, spec, window)
-        expected = _outcome(fit_by_widening, series, spec, window)
+        series, power, window = case
+        got = _outcome(fit_rational, series, power, window)
+        expected = _outcome(fit_by_widening, series, power, window)
         if window is None and expected[0] == "error":
             assert got[0] == "error"  # only the text may differ
         else:
@@ -224,8 +217,8 @@ class TestClosedForms:
 
     @given(numerators(), st.sampled_from(DENOMINATORS), st.sampled_from([1, -1]))
     @settings(max_examples=400, deadline=None)
-    def test_exponent_matches_scan(self, num, spec, sign):
-        fit = RationalFit(num, spec, surplus=3, order=14)
+    def test_exponent_matches_scan(self, num, power, sign):
+        fit = RationalFit(num, power, surplus=3, order=14)
         assert find_exponent(fit, -8, 8, sign) == exponent_by_scan(fit, -8, 8, sign)
 
     def test_exponent_checks_once(self, monkeypatch):
@@ -234,20 +227,29 @@ class TestClosedForms:
         monkeypatch.setattr(
             rationality, "check_Q_functional", lambda *a: calls.append(a) or original(*a)
         )
-        fit = fit_rational(TruncSeries(8, {d: d for d in range(9)}), ((1, 2),))
+        fit = fit_rational(TruncSeries(8, {d: d for d in range(9)}), 2)
         assert find_exponent(fit, -8, 8) == 0
         assert len(calls) == 1
         assert find_exponent(fit, 1, 8) is None  # the candidate 0 is out of range
         assert len(calls) == 1
 
+    def test_negative_power(self):
+        """(1-Q)^2 over (1-Q)^(-2) is 1: the binomials of a negative power
+        run on past k = 2, as the oracle's inverse does."""
+        series = TruncSeries(8, {0: 1, 1: -2, 2: 1})
+        assert fit_rational(series, -2).numerator == {0: 1}
+        for window in (None, (0, 2)):
+            got = _outcome(fit_rational, series, -2, window)
+            assert got == _outcome(fit_by_widening, series, -2, window)
+
     def test_window_messages(self):
         """The window-mode texts that the fit and verify reports carry."""
         text = r"^nonvanishing coefficient at Q\^1 outside window \[0, 0\]$"
         with pytest.raises(FitError, match=text):
-            fit_rational(TruncSeries(8, {0: 1, 1: 2}), (), window=(0, 0))
+            fit_rational(TruncSeries(8, {0: 1, 1: 2}), 0, window=(0, 0))
         text = r"^truncation order 4 leaves no surplus beyond window end 2$"
         with pytest.raises(FitError, match=text):
-            fit_rational(geometric(4), ((1, 1),), window=(0, 2))
+            fit_rational(geometric(4), 1, window=(0, 2))
 
 
 def canonical(fraction):
@@ -319,12 +321,14 @@ class TestCertifyColumn:
         # the numerator window is [0, power + max(a, 0)] = [0, 3]
         assert certify_column(geometric(5), 1, 2) is None
         fit, holds = certify_column(geometric(6), 1, 2)
-        assert fit.denom_spec == ((1, 1),)
+        assert fit.power == 1
+        assert fit.to_json()["denom_spec"] == [[1, 1]]
         assert not holds
 
     def test_power_zero_has_no_factor(self):
         fit, holds = certify_column(TruncSeries(5, {1: 1}), 0, 2)
-        assert fit.denom_spec == ()
+        assert fit.power == 0
+        assert fit.to_json()["denom_spec"] == []
         assert holds  # Q^2 (1/Q) = Q
 
     def test_not_rational_raises(self):
