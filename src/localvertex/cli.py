@@ -4,14 +4,14 @@ Computes PT/GW tables, runs the verification suites, and emits
 machine-readable reports.  Each task takes only the flags it reads, and a
 report's "bounds" lists only the bounds its task reads.  JSON is the
 canonical output (exact rationals need num/den fields); CSV, offered by
-pt and gw only, is a lossy projection of their tables for spreadsheets.
+pt and gw only, is a lossy projection of their tables for spreadsheets,
+written by one writer (``_csv``) in the dialect of ``csv.writer``.
 The S-series disk cache is used only where --cache-dir names it.  The
 certificates are in ``rationality``, which only ``fit`` and ``verify``
 import, inside their task functions; ``fit`` and ``verify`` certify a GW
 genus column by one routine, ``rationality.column_certificate``: a fit
 over (1-Q)^(4m+2g-2) and the Weyl functional equation at weight m(r-2).
-``selftest`` imports the oracles, and runs ``oracles.selftest``, the same
-way.
+No task imports the oracles: they run in the test suite only.
 Exit status: 0 on success, 1 if a verification fails, 2 on a usage error
 (an --out that cannot be written included) or if an internal invariant
 (parity, realness, integrality) trips, 3 if a disk-cache file is
@@ -71,7 +71,6 @@ TASK_FLAGS = {
                "--r --m-max --Q-order --u-order --g-max --all --out --cache-dir"),
     "fit": ("rational reconstruction of GW genus columns, certified at weight m(r-2)",
             "--r --m --Q-order --g-max --out --cache-dir"),
-    "selftest": ("oracle-equivalence and symmetry property suites", "--out"),
 }
 
 
@@ -86,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="task", required=True)
     for task, (help_text, flags) in TASK_FLAGS.items():
-        p = sub.add_parser(task, help=help_text)
+        # no abbreviations: gw --m would be read as --m-max
+        p = sub.add_parser(task, help=help_text, allow_abbrev=False)
         for flag in flags.split():
             p.add_argument(flag, **FLAGS[flag])
     return parser
@@ -94,6 +94,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 class OutputError(Exception):
     """The --out path cannot be written; a usage error."""
+
+
+def _csv(rows) -> str:
+    """Rows of ints as CSV, byte for byte what ``csv.writer`` writes: no
+    field is quoted, and every line ends in CR LF."""
+    return "".join(",".join(map(str, row)) + "\r\n" for row in rows)
 
 
 def _emit(args, document, csv_text=None):
@@ -140,11 +146,10 @@ def run_pt(args) -> int:
     report["tables"] = tables
     csv_text = None
     if args.format == "csv":
-        lines = ["r,m,j,n,value"]
+        rows = [["r", "m", "j", "n", "value"]]
         for r in args.r:
-            for row in tables[str(r)]:
-                lines.append("%d,%d,%d,%d,%d" % (r, args.m, row["j"], row["n"], row["value"]))
-        csv_text = "\n".join(lines) + "\n"
+            rows += [[r, args.m, e["j"], e["n"], e["value"]] for e in tables[str(r)]]
+        csv_text = _csv(rows)
     _emit(args, report, csv_text)
     return 0
 
@@ -158,7 +163,15 @@ def run_gw(args) -> int:
         for r in args.r
     ]
     report["tables"] = {str(t.r): t.to_json() for t in tables}
-    csv_text = gw.to_csv(tables) if args.format == "csv" else None
+    csv_text = None
+    if args.format == "csv":
+        rows = [["r", "g", "m", "j", "value_num", "value_den"]]
+        for t in tables:
+            rows += [
+                [t.r, g, m, j, v.numerator, v.denominator]
+                for (g, m, j), v in sorted(t.entries.items())
+            ]
+        csv_text = _csv(rows)
     _emit(args, report, csv_text)
     return 0
 
@@ -257,22 +270,11 @@ def _all_passed(node) -> bool:
     return True
 
 
-def run_selftest(args) -> int:
-    # the oracles, and the field Q(t) they run in, load only here
-    from . import oracles
-
-    report = _report("selftest", args)
-    checks = oracles.selftest()
-    report["checks"] = checks
-    return _verdict(args, report, checks)
-
-
 TASKS = {
     "pt": run_pt,
     "gw": run_gw,
     "fit": run_fit,
     "verify": run_verify,
-    "selftest": run_selftest,
 }
 
 

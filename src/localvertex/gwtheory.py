@@ -177,17 +177,6 @@ class GWTable:
         }
 
 
-def to_csv(tables) -> str:
-    """The tables as one CSV, byte for byte what ``csv.writer`` writes: one
-    header, then each table's rows with its r first.  Every field is an
-    int, so none is quoted, and rows end in CR LF."""
-    rows = [["r", "g", "m", "j", "value_num", "value_den"]]
-    for t in tables:
-        for (g, m, j), v in sorted(t.entries.items()):
-            rows.append([t.r, g, m, j, v.numerator, v.denominator])
-    return "".join(",".join(map(str, row)) + "\r\n" for row in rows)
-
-
 def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
     """Coefficients [Q_c^m] log Z, each as {j: (shift, num, den)} with
     integer q-polynomials and no gcd: log Z_0 in closed form

@@ -2,7 +2,7 @@
 
 Each route here recomputes a quantity that the engine computes over known
 denominators, by the definitions or by another formula, and the tests
-and ``localvertex selftest`` compare the two exactly:
+compare the two exactly:
 
 - S_{mu,nu} three ways: the defining partition sum (``s_direct``), the
   exponential closed form (``s_closed``, from the exponent ``_exponent``)
@@ -16,10 +16,8 @@ and ``localvertex selftest`` compare the two exactly:
 - ``cyclo_product`` and ``polylog_neg``: products of (1 - q^k Q) factors
   and Li_{1-n}(Q) as rational functions.
 
-``selftest`` runs the checks of ``localvertex selftest`` on small inputs.
-
 This is the only module on the engine side that imports ``symmfun``, and
-nothing on the PT or GW path imports this module.
+only the tests import this module: no CLI task does.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from math import comb
 from .partitions import Partition, partitions_of, partitions_up_to
 from .qrat import QRat
 from .series import TruncSeries
-from .symmfun import p_shifted, schur_principal, schur_principal_jt, w_one, w_two
+from .symmfun import p_shifted, w_one, w_two
 from .vertex import SCache, _pt_fractions, _times_one_minus_q_squared, e_coeffs
 
 
@@ -213,43 +211,3 @@ def polylog_neg(n: int) -> QRat:
         p = [0] + [(k + 1) * p[k + 1] + (m - k) * p[k] for k in range(len(p) - 1)] + [0]
     den = [comb(n, k) * (-1) ** k for k in range(n, -1, -1)]
     return QRat(0, p[::-1], den)
-
-
-# ---------------------------------------------------------------------------
-# The selftest
-
-
-def selftest() -> dict:
-    """The checks of ``localvertex selftest``, each {"passed": bool}: the
-    two Schur specializations agree, W_{mu,nu} is symmetric, S_{mu,nu}
-    agrees three ways, and Li_{1-n}(Q) satisfies its inversion identity."""
-    checks = {}
-
-    schur_ok = all(
-        schur_principal(mu) == schur_principal_jt(mu) for mu in partitions_up_to(6)
-    )
-    checks["schur_oracle_agreement"] = {"passed": schur_ok}
-
-    pairs = list(partitions_up_to(3))
-    sym_ok = all(w_two(mu, nu) == w_two(nu, mu) for mu in pairs for nu in pairs)
-    checks["w_symmetry"] = {"passed": sym_ok}
-
-    triple_ok = True
-    small = [Partition(), Partition([1]), Partition([2]), Partition([1, 1])]
-    for mu in small:
-        for nu in small:
-            direct = s_direct(mu, nu, 3)
-            if s_closed(mu, nu, 3) != direct or s_product(mu, nu, 3) != direct:
-                triple_ok = False
-    checks["s_triple_agreement"] = {"passed": triple_ok}
-
-    poly_ok = True
-    for n in range(2, 8):
-        li = polylog_neg(n)  # Li_{1-n}(Q)
-        if li.invert_t() != li * (-1) ** n:
-            poly_ok = False
-    q = QRat.t_power(1)
-    if polylog_neg(1) != q / (QRat.one() - q):
-        poly_ok = False
-    checks["polylog_identities"] = {"passed": poly_ok}
-    return checks

@@ -9,7 +9,7 @@ PT and GW paths is an integer numerator over a denominator known in
 advance, so this module, which uses only the standard library, is all
 the arithmetic those paths load.  The field Q(t) with t = q^(1/2), its
 canonical form and its gcd are in ``qrat``, which serves the oracles
-(among them ``pt_series``), ``symmfun`` and the selftest.
+(among them ``pt_series``) and ``symmfun``, in the tests only.
 """
 
 from __future__ import annotations

@@ -215,7 +215,14 @@ class SCache:
                 return None
             if doc.get("mu") != list(mu.parts) or doc.get("nu") != list(nu.parts):
                 raise CacheError("cache key collision in %s" % path, path)
-            return [(int(shift), [int(c) for c in num]) for shift, num in doc["coeffs"]]
+            coeffs = [(shift, num) for shift, num in doc["coeffs"]]
+            # JSON integers only: int() would take 7.9, true or "3" as well
+            if not all(
+                type(shift) is int and type(num) is list and {*map(type, num)} <= {int}
+                for shift, num in coeffs
+            ):
+                raise ValueError
+            return coeffs
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             raise CacheError("corrupt cache file: %s" % path, path)
 

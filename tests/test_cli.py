@@ -1,5 +1,7 @@
 """Command-line interface: flags, reports, exit codes."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -27,14 +29,11 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-class TestSelftest:
-    def test_passes(self, capsys):
-        code, doc = run_json(capsys, "selftest")
-        assert code == 0
-        assert doc["passed"] is True
-        assert doc["schema"] == 1
-        assert doc["task"] == "selftest"
-        assert doc["bounds"] == {}
+def csv_writer_text(rows):
+    """What ``csv.writer`` writes for ``rows``."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 class TestPT:
@@ -51,6 +50,20 @@ class TestPT:
         )
         assert code == 0
         assert out.splitlines()[0] == "r,m,j,n,value"
+
+    def test_csv_matches_csv_writer(self, capsys):
+        """The pt CSV is byte for byte what csv.writer writes for the rows of
+        the JSON tables: one header for two surfaces, lines ending in CR LF."""
+        argv = ["pt", "--r", "0", "--r", "1", "--m", "2", "--Q-order", "6"]
+        code, doc = run_json(capsys, *argv)
+        code_csv, out = run(capsys, *argv, "--format", "csv")
+        assert code == code_csv == 0
+        rows = [["r", "m", "j", "n", "value"]]
+        for r in ("0", "1"):
+            rows += [[r, 2, e["j"], e["n"], e["value"]] for e in doc["tables"][r]]
+        assert any(e["value"] < 0 for e in doc["tables"]["0"])
+        assert out == csv_writer_text(rows)
+        assert out.count("\r\n") == len(rows)
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "pt.json"
@@ -94,6 +107,32 @@ class TestGW:
             for e in doc["tables"][r]["entries"]
         ]
         assert lines[1:-1] == expected
+
+    def test_csv_shape(self, capsys):
+        code, out = run(
+            capsys, "gw", "--r", "0", "--m-max", "0", "--Q-order", "1", "--g-max", "0",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert out == "r,g,m,j,value_num,value_den\r\n0,0,0,1,-2,1\r\n"
+
+    def test_csv_matches_csv_writer(self, capsys, gw_table_r0, gw_table_r1):
+        """The gw CSV is byte for byte what csv.writer writes for the rows of
+        the tables: one header for two surfaces, each row led by its r."""
+        code, out = run(
+            capsys, "gw", "--r", "0", "--r", "1", "--m-max", "1", "--Q-order", "13",
+            "--g-max", "3", "--format", "csv",
+        )
+        assert code == 0
+        rows = [["r", "g", "m", "j", "value_num", "value_den"]]
+        for table in (gw_table_r0, gw_table_r1):
+            for (g, m, j), v in sorted(table.entries.items()):
+                rows.append([table.r, g, m, j, v.numerator, v.denominator])
+        assert any(v.denominator > 1 for v in gw_table_r0.entries.values())
+        assert any(v < 0 for v in gw_table_r0.entries.values())
+        assert out == csv_writer_text(rows)
+        assert out.count("value_num") == 1
+        assert {row.split(",")[0] for row in out.splitlines()[1:]} == {"0", "1"}
 
 
 class TestVerify:
@@ -223,6 +262,21 @@ class TestVerify:
         err = capsys.readouterr().err
         assert str(tmp_path) in err
 
+    def test_non_integer_cache_entry_exits_3(self, capsys, tmp_path):
+        """Cached numerators holding 7.9 and true are corrupt, not read as 7
+        and 1 into a different PT table."""
+        argv = ["pt", "--r", "0", "--m", "1", "--Q-order", "3", "--cache-dir", str(tmp_path)]
+        assert run(capsys, *argv)[0] == 0
+        (path,) = list(tmp_path.iterdir())
+        doc = json.loads(path.read_text())
+        doc["coeffs"][1][1][0] = 7.9
+        doc["coeffs"][2][1][0] = True
+        path.write_text(json.dumps(doc))
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "corrupt cache file" in captured.err
+
     @pytest.mark.parametrize("task", ["gw", "verify"])
     def test_unusable_cache_dir_exits_3(self, capsys, tmp_path, task):
         """A --cache-dir under a regular file cannot be created: exit 3 and
@@ -319,7 +373,7 @@ class TestUsage:
         assert exit_info.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("task", ["verify", "fit", "selftest"])
+    @pytest.mark.parametrize("task", ["verify", "fit"])
     def test_csv_only_on_table_tasks(self, capsys, monkeypatch, task):
         """--format is a usage error off pt and gw, exit 2, before any work runs."""
 
@@ -388,21 +442,22 @@ class TestUsage:
             ["pt", "--g-max", "1"],
             ["verify", "--format", "json"],
             ["fit", "--format", "json"],
-            ["selftest", "--format", "json"],
-            ["selftest", "--r", "0"],
-            ["selftest", "--Q-order", "2"],
-            ["selftest", "--u-order", "2"],
-            ["selftest", "--g-max", "1"],
-            ["selftest", "--cache-dir", "scache"],
+            ["pt", "--m-max", "1"],
+            ["pt", "--all"],
+            ["gw", "--m", "1"],
+            ["gw", "--all"],
+            ["verify", "--m", "1"],
+            ["fit", "--m-max", "1"],
+            ["fit", "--all"],
             ["pt", "--no-cache"],
             ["gw", "--no-cache"],
             ["verify", "--no-cache"],
             ["fit", "--no-cache"],
-            ["selftest", "--no-cache"],
         ],
     )
     def test_deleted_flag_is_usage_error(self, capsys, monkeypatch, argv):
-        """A flag its task does not read is rejected, exit 2, before any work."""
+        """Each flag its task does not read, and the deleted --no-cache, is
+        rejected, exit 2, before any work."""
 
         def refuse(args):
             raise AssertionError("%s ran before the usage error" % argv[0])
@@ -412,6 +467,33 @@ class TestUsage:
             main(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_task_set_and_settable_values(self):
+        """Four tasks and 27 settable values, counted on the parser itself."""
+        parser = cli._build_parser()
+        (tasks,) = [a for a in parser._actions if a.dest == "task"]
+        assert set(tasks.choices) == set(cli.TASKS) == {"pt", "gw", "fit", "verify"}
+        settable = [
+            action
+            for sub in tasks.choices.values()
+            for action in sub._actions
+            if action.dest != "help"
+        ]
+        assert len(settable) == 27
+
+    def test_selftest_is_unknown_task(self, capsys, monkeypatch):
+        """The oracles run in the test suite only: selftest is an unknown
+        task, exit 2, before any work runs."""
+
+        def refuse(args):
+            raise AssertionError("a task ran before the usage error")
+
+        for task in list(cli.TASKS):
+            monkeypatch.setitem(cli.TASKS, task, refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["selftest"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
     def test_benchmark_argv_parses(self, tmp_path):
         """The argv of the benchmark's cache fill and of its verify job."""

@@ -1,8 +1,6 @@
 """q = e^(iu) expansion, GW extraction, ring membership, polynomiality."""
 
-import csv
 import hashlib
-import io
 import json
 import os
 from fractions import Fraction
@@ -114,29 +112,6 @@ class TestGWTable:
     def test_column(self, gw_table_r0):
         col = gw_table_r0.column(0, 1)
         assert col[3] == -8
-
-    def test_csv_shape(self):
-        table = GWTable(r=0, g_max=0, m_max=0, j_max=1)
-        table.entries[(0, 0, 1)] = Fraction(-2)
-        lines = gwtheory.to_csv([table]).strip().splitlines()
-        assert lines[0] == "r,g,m,j,value_num,value_den"
-        assert lines[1] == "0,0,0,1,-2,1"
-
-    def test_csv_matches_csv_writer(self, gw_table_r0, gw_table_r1):
-        """to_csv is byte for byte what csv.writer writes for the same rows:
-        one header for two surfaces, each row led by its r."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["r", "g", "m", "j", "value_num", "value_den"])
-        for table in (gw_table_r0, gw_table_r1):
-            for (g, m, j), v in sorted(table.entries.items()):
-                writer.writerow([table.r, g, m, j, v.numerator, v.denominator])
-        assert any(v.denominator > 1 for v in gw_table_r0.entries.values())
-        assert any(v < 0 for v in gw_table_r0.entries.values())
-        got = gwtheory.to_csv([gw_table_r0, gw_table_r1])
-        assert got == buf.getvalue()
-        assert got.count("value_num") == 1
-        assert {row.split(",")[0] for row in got.splitlines()[1:]} == {"0", "1"}
 
     def test_json_shape(self, gw_table_r0):
         doc = gw_table_r0.to_json()

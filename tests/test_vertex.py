@@ -221,6 +221,26 @@ class TestSCache:
         assert err.value.path == str(path)
         assert not isinstance(err.value, VertexError)
 
+    @pytest.mark.parametrize("bad", [7.9, True, "3"], ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("field", ["shift", "numerator"])
+    def test_non_integer_entry_reported(self, tmp_path, field, bad):
+        """Only JSON integers are read: int() would turn 7.9, true and "3"
+        into other numbers and a different table."""
+        SCache(str(tmp_path)).get(P(1), EMPTY, 3)
+        (path,) = list(tmp_path.iterdir())
+        doc = json.loads(path.read_text())
+        shift, num = doc["coeffs"][1]
+        assert num
+        if field == "shift":
+            doc["coeffs"][1][0] = bad
+        else:
+            num[0] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CacheError) as err:
+            SCache(str(tmp_path)).get(P(1), EMPTY, 3)
+        assert err.value.path == str(path)
+        assert "corrupt cache file" in str(err.value)
+
     def test_directory_under_a_file_reported(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
