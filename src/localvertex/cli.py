@@ -235,19 +235,21 @@ def run_verify(args) -> int:
         }
     checks["column_exponents"] = exponents
 
-    # eventual polynomiality in j of the genus columns
+    # eventual polynomiality in j of the genus columns, from j = max(r-2, 0) + 1
+    # on: the numerator over (1-Q)^p reaches degree p + max(r-2, 0)
     if args.all:
         poly = {}
-        order = max(args.Q_order, 9)
         for r in args.r:
-            # the column tables hold the same g <= 1 values when they reach
-            # this order and genus 1
+            j_lo = max(3, r - 1)
+            order = max(args.Q_order, j_lo + 6)
+            # the column tables hold these g <= 1 values at this order and g_max >= 1
             if order == args.Q_order and args.g_max >= 1:
                 table = tables[r]
             else:
                 table = gw.gw_extract(r, 1, order, 1, cache=cache)
             for g in (0, 1):
-                poly["r=%d,g=%d" % (r, g)] = rat.polynomiality_check(table, g, 1, 3, 9)
+                entry = rat.polynomiality_check(table, g, 1, j_lo, j_lo + 6)
+                poly["r=%d,g=%d" % (r, g)] = entry
         checks["polynomiality"] = poly
 
     report["checks"] = checks

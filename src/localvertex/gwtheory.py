@@ -189,6 +189,8 @@ def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
     Lambda_m = m X_m - sum_{k<m} Lambda_k X_{m-k} [m choose k]_q^2, and
     L_m is Lambda_m over m (q;q)_m^2.
     """
+    if r < 0:
+        raise ValueError("r must be >= 0")
     logs = {0: log_z0(order)}
     x = z_ratios(r, m_max, order, cache=cache) if m_max >= 1 else {}
     for m in range(1, m_max + 1):

@@ -30,7 +30,7 @@ from .partitions import Partition, partitions_of, partitions_up_to
 from .qrat import QRat
 from .series import TruncSeries
 from .symmfun import p_shifted, w_one, w_two
-from .vertex import SCache, _pt_fractions, _times_one_minus_q_squared, e_coeffs
+from .vertex import SCache, _pt_fractions
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def s_closed(mu: Partition, nu: Partition, order: int) -> TruncSeries:
 
 def s_product(mu: Partition, nu: Partition, order: int) -> TruncSeries:
     """S_{mu,nu} via the infinite product over (1 - q^(j+i) Q)^(-j a_i), with
-    sum_i a_i q^i = p_mu(q) p_nu(q) (1-q)^2 = 1 + (1-q)^2 sum_i e_i q^i.
+    sum_i a_i q^i = p_mu(q) p_nu(q) (1-q)^2, read off ``symmfun.p_shifted``.
 
     Truncating the product in j is not exact in q (every factor touches
     every Q-degree), so the j-product is resummed in closed form:
@@ -82,12 +82,11 @@ def s_product(mu: Partition, nu: Partition, order: int) -> TruncSeries:
 
     The a_i enter linearly in the exponent (exp of a_i times the log).
     """
-    a = _times_one_minus_q_squared(e_coeffs(mu, nu))
-    a[0] = a.get(0, 0) + 1
+    cleared = p_shifted(mu, 1) * p_shifted(nu, 1) * (QRat.one() - QRat.q_power(1)) ** 2
+    # a Laurent polynomial in q = t^2: its even t-coefficients, ascending
+    a = {cleared.shift // 2 + k: c for k, c in enumerate(cleared.num[::-2]) if c}
     arg = TruncSeries(order)
     for i, c in a.items():
-        if not c:
-            continue
         coeffs = {}
         for k in range(1, order + 1):
             den = (QRat.one() - QRat.q_power(k)) ** 2

@@ -5,9 +5,8 @@ specialized partition function for K_{F_r}, and the extraction of
 stable-pairs invariants, all over the integer kernel of ``qfield``.  The
 independent routes to S_{mu,nu}, the general toric N-leg sum and the PT
 series in Q(t) are oracles, in ``oracles``; this module imports neither
-it nor ``qrat`` nor ``symmfun``.  The integrality certificate of the PT
-coefficients, ``check_integrality``, is in ``rationality`` with the other
-certificates.
+it nor ``qrat`` nor ``symmfun``.  The integrality certificate
+``check_integrality`` is in ``rationality`` with the other certificates.
 
 The raw quadruple vertex sum is never materialized: summing out the two
 fiber legs turns the partition function into a sum over pairs
@@ -24,6 +23,8 @@ each of those is a finite product,
 whose integer exponents e_i are read off the box contents of the Young
 diagrams: sum_i e_i q^i = B_mu + B_nu + (1-q)^2 B_mu B_nu with
 B_mu(q) the sum over the boxes (row i >= 1, column j >= 0) of q^(j-i).
+The product is expanded by the exp recurrence of its logarithm, each
+Q^n coefficient one packed integer of ``qfield``, the one kernel.
 
 Every series is held over denominators fixed in advance, as integer
 q-polynomial numerators, with no QRat and no gcd.  (W_mu W_nu)^2 is
@@ -39,9 +40,12 @@ from __future__ import annotations
 
 import json
 import os
+from math import comb
 
 from .partitions import Partition, partitions_of
-from .qfield import _add, _exquo, _mul, _neg, expansion
+from .qfield import (
+    _add, _digit_words, _exquo, _mul, _neg, _strip, _trailing_zeros, _unpack, expansion,
+)
 
 FORMAT_VERSION = 3
 
@@ -75,37 +79,33 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> list:
     as the list of its Q^k coefficients q^shift num(q)/(H_mu H_nu)^2,
     k <= order, each an integer pair (shift, num); num = [] is zero.
 
-    A_{mu,nu} - A_{empty,empty} = -sum_i e_i log(1 - q^(i+1) Q) with the
-    integer e_i of ``e_coeffs``, so the ratio is a finite product.  It is
-    expanded over integer Laurent polynomials in q: the Q^k coefficient of
-    (1 - x)^(-n) is the generalized binomial b_k, with b_0 = 1 and
-    b_(k+1) = b_k (n + k)/(k + 1), exact for negative n too.  W_mu^2 is
-    q^(k(mu) + |mu| + 2 n(mu))/H_mu^2 with the hook product ``_hook_product``,
-    read off the Young diagram: no QRat and no gcd.
+    With the integer e_i of ``e_coeffs``, X = sum_n X_n Q^n, the product,
+    is exp(sum_k a_k Q^k/k) with a_k = sum_i 2 e_i q^((i+1)k): n X_n =
+    sum_{k<=n} a_k X_(n-k).  X_n/q^(lo n), lo = min(i) + 1, is one integer
+    at q = 2^(64 d) in the balanced digits of ``qfield._pack``, so a_k
+    X_(n-k) is a shifted add per e_i, the division by n is exact, and
+    ``_unpack`` reads X_n back.  The Q^n coefficient of prod_i (1 - Q)^(-2|e_i|)
+    bounds every coefficient of X_n, and C(2 sum_i |e_i| + order, order) sets d.
+    W_mu^2 is q^(k(mu) + |mu| + 2 n(mu))/H_mu^2, read off the diagram.
     """
     e = e_coeffs(mu, nu)
-    # poly[k] is the Q^k coefficient as {q-exponent: integer}
-    poly = [{0: 1}] + [{} for _ in range(order)]
-    for i, ei in e.items():
-        n = 2 * ei
-        binom = [1]
-        for k in range(order):
-            binom.append(binom[-1] * (n + k) // (k + 1))
-        out = [{} for _ in range(order + 1)]
-        for k, src in enumerate(poly):
-            for j in range(order - k + 1):
-                b = binom[j]
-                dst = out[k + j]
-                shift = (i + 1) * j
-                for qe, c in src.items():
-                    key = qe + shift
-                    dst[key] = dst.get(key, 0) + b * c
-        poly = [{qe: c for qe, c in d.items() if c} for d in out]
+    lo = min(e, default=-1) + 1
+    span = max(e, default=0) - min(e, default=0)
+    words = _digit_words(comb(2 * sum(map(abs, e.values())) + order, order))
+    steps = [(2 * c, 64 * words * (i + 1 - lo)) for i, c in e.items()]
     w = sum(p.kappa() + p.size + 2 * p.n_stat() for p in (mu, nu))
-    return [
-        (min(d) + w, [d.get(qe, 0) for qe in range(max(d), min(d) - 1, -1)]) if d else (0, [])
-        for d in poly
-    ]
+    packed = [1]
+    out = [(w, [1])]
+    for n in range(1, order + 1):
+        total = 0
+        for k, x in enumerate(reversed(packed), 1):
+            for c, step in steps:
+                total += c * x << step * k
+        packed.append(total // n)
+        num = _strip(_unpack(packed[n], words, span * n + 1))
+        low = _trailing_zeros(num)
+        out.append((lo * n + w + low, num[: len(num) - low]) if num else (0, []))
+    return out
 
 
 def _hook_product(mu: Partition) -> list:
@@ -125,16 +125,6 @@ def _contents(mu: Partition) -> dict:
     return b
 
 
-def _times_one_minus_q_squared(f: dict) -> dict:
-    """(1-q)^2 f for a Laurent polynomial f given as {q-exponent: integer}."""
-    out = {}
-    for i, c in f.items():
-        out[i] = out.get(i, 0) + c
-        out[i + 1] = out.get(i + 1, 0) - 2 * c
-        out[i + 2] = out.get(i + 2, 0) + c
-    return out
-
-
 def e_coeffs(mu: Partition, nu: Partition) -> dict:
     """The integer e_i with sum_i e_i q^i = (p_mu(q) p_nu(q) (1-q)^2 - 1)/(1-q)^2.
 
@@ -147,7 +137,10 @@ def e_coeffs(mu: Partition, nu: Partition) -> dict:
     for i, c in b_mu.items():
         for j, d in b_nu.items():
             product[i + j] = product.get(i + j, 0) + c * d
-    e = _times_one_minus_q_squared(product)
+    e = {}
+    for i, c in product.items():
+        for k, f in ((0, 1), (1, -2), (2, 1)):
+            e[i + k] = e.get(i + k, 0) + f * c
     for b in (b_mu, b_nu):
         for i, c in b.items():
             e[i] = e.get(i, 0) + c
@@ -394,7 +387,9 @@ def _pt_fractions(r, m, order, cache):
 
 
 def pt_invariants(r: int, m: int, order: int, q_terms: int = 24, cache: SCache = None):
-    """Individual integers PT_{mc+jb, n} for j <= order, |n| bounded by q_terms.
+    """Individual integers PT_{mc+jb, n} for j <= order: each Q^j row covers
+    q_terms + 1 slots n from the valuation of its coefficient, so
+    pt_invariants(0, 6, 3) has n = 6..30 at j = 0 and (7, 4, 3) n = -26..-2.
 
     Returns a list of (j, n, value) triples; n is the Euler characteristic
     slot and the value carries the (-q)^n sign convention.  The q-window

@@ -181,6 +181,18 @@ class TestVerify:
             expected = rat.polynomiality_check(table, g, 1, 3, 9)
             assert doc["checks"]["polynomiality"]["r=0,g=%d" % g] == expected
 
+    def test_polynomiality_window_follows_r(self, capsys):
+        """The c + jb columns are polynomial in j from j = r - 1 on for
+        r >= 5, so the window starts there: [4, 10] at r = 5."""
+        code, doc = run_json(
+            capsys, "verify", "--all", "--r", "5", "--m-max", "1",
+            "--Q-order", "9", "--g-max", "1",
+        )
+        assert code == 0
+        for g in (0, 1):
+            entry = doc["checks"]["polynomiality"]["r=5,g=%d" % g]
+            assert entry["window"] == [4, 10] and entry["passed"] is True
+
     @pytest.mark.parametrize(
         "q_order, r_values, skipped",
         [("9", (3,), {"2", "3"}), ("13", (3, 4), set())],

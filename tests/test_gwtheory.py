@@ -118,6 +118,12 @@ class TestGWTable:
         assert doc["r"] == 0
         assert {"g", "m", "j", "num", "den"} <= set(doc["entries"][0])
 
+    @pytest.mark.parametrize("m_max", [0, 1])
+    def test_rejects_negative_r(self, m_max):
+        """At m_max = 0 no Z_m/Z_0 is assembled, so log_z checks r itself."""
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            gw_extract(-1, m_max, 3, 1)
+
 
 class TestTildeSeries:
     def test_no_poles_no_odd_powers(self, tilde_series):

@@ -2,10 +2,11 @@
 
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from localvertex import symmfun, vertex
+from localvertex import oracles, symmfun, vertex
 from localvertex.oracles import (
     ToricSurface,
     _exponent,
@@ -17,7 +18,7 @@ from localvertex.oracles import (
     z_toric,
 )
 from localvertex.partitions import Partition, partitions_of, partitions_up_to
-from localvertex.qfield import expansion
+from localvertex.qfield import _digit_words, expansion
 from localvertex.qrat import QRat
 from localvertex.rationality import check_integrality
 from localvertex.series import TruncSeries
@@ -69,6 +70,17 @@ class TestSRoutes:
                 direct = s_direct(mu, nu, 4)
                 assert s_closed(mu, nu, 4) == direct
                 assert s_product(mu, nu, 4) == direct
+
+    def test_product_reads_no_engine_exponents(self, monkeypatch):
+        """s_product takes its a_i from p_mu p_nu (1-q)^2 in Q(t), not from
+        the engine's e_i."""
+
+        def refuse(mu, nu):
+            raise AssertionError("s_product read vertex.e_coeffs")
+
+        monkeypatch.setattr(vertex, "e_coeffs", refuse)
+        assert "e_coeffs" not in vars(oracles)
+        assert s_product(P(2, 1), P(1), 3) == s_direct(P(2, 1), P(1), 3)
 
     def test_empty_series_integral_structure(self):
         """Clearing (1-q^j) denominators of S leaves nonnegative integers."""
@@ -128,6 +140,31 @@ def _bits(series):
     }
 
 
+def dict_route_ratio_squared(mu, nu, order):
+    """The oracle: the finite product (W_mu W_nu)^2 prod_i (1 - q^(i+1) Q)^(-2 e_i)
+    expanded factor by factor, each Q^k coefficient a dict {q-exponent:
+    integer}, with the generalized binomials b_0 = 1,
+    b_(k+1) = b_k (n + k)/(k + 1) of (1 - x)^(-n), exact for negative n too."""
+    poly = [{0: 1}] + [{} for _ in range(order)]
+    for i, ei in e_coeffs(mu, nu).items():
+        n = 2 * ei
+        binom = [1]
+        for k in range(order):
+            binom.append(binom[-1] * (n + k) // (k + 1))
+        out = [{} for _ in range(order + 1)]
+        for k, src in enumerate(poly):
+            for j in range(order - k + 1):
+                for qe, c in src.items():
+                    key = qe + (i + 1) * j
+                    out[k + j][key] = out[k + j].get(key, 0) + binom[j] * c
+        poly = [{qe: c for qe, c in d.items() if c} for d in out]
+    w = sum(p.kappa() + p.size + 2 * p.n_stat() for p in (mu, nu))
+    return [
+        (min(d) + w, [d.get(qe, 0) for qe in range(max(d), min(d) - 1, -1)]) if d else (0, [])
+        for d in poly
+    ]
+
+
 def clearing_route_e(mu, nu):
     """The oracle: (p_mu(q) p_nu(q) (1-q)^2 - 1)/(1-q)^2 in QRat, as {i: e_i}."""
     one_minus_q = ONE - Q
@@ -179,6 +216,25 @@ class TestClosedForm:
         for mu, nu in pairs:
             got = ratio_series(mu, nu, 12)
             assert _bits(got) == _bits(exp_route_ratio_squared(mu, nu, 12)), (mu, nu)
+
+    def test_bit_identical_to_dict_route(self):
+        pairs = [
+            (mu, nu)
+            for mu in partitions_up_to(8)
+            for nu in partitions_up_to(8)
+            if mu.size + nu.size <= 8 and mu.parts <= nu.parts
+        ]
+        assert len(pairs) == 223
+        for mu, nu in pairs:
+            assert s_ratio_squared(mu, nu, 10) == dict_route_ratio_squared(mu, nu, 10), (mu, nu)
+
+    def test_two_word_digits(self):
+        """No pair with |mu| + |nu| <= 14 at Q-order <= 30 needs more than one
+        64-bit word per packed digit; (16), (16) at Q-order 24 needs two."""
+        mu = P(16)
+        bound = comb(2 * sum(map(abs, e_coeffs(mu, mu).values())) + 24, 24)
+        assert _digit_words(bound) == 2
+        assert s_ratio_squared(mu, mu, 24) == dict_route_ratio_squared(mu, mu, 24)
 
     def test_takes_no_series_exp(self, monkeypatch):
         def refuse(self):
