@@ -288,8 +288,9 @@ def main(argv=None) -> int:
             "fit needs --m >= 1: the fiber columns at g = 0, 1 are Li_3(Q) and "
             "Li_1(Q), which are not rational"
         )
-    if "r" in args and args.r is None:
-        args.r = [0]
+    if "r" in args:
+        # a repeated --r runs once, in the order first given
+        args.r = list(dict.fromkeys(args.r or [0]))
     try:
         # a missing --out directory is reported before any work runs
         directory = os.path.dirname(os.path.abspath(args.out)) if args.out else None

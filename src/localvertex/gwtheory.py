@@ -3,8 +3,10 @@
 A rational function of q with a pole at q = 1 becomes a Laurent series in
 u; the logarithm of the vertex partition function then exposes the
 GW invariants as the coefficients of u^(2g-2) Q_c^m Q^j.  The logarithm
-is log Z_0, closed-form, plus log(1 + sum_m (Z_m/Z_0) Q_c^m), and its
-Q_c^m part is held as integer q-polynomial numerators over
+is log Z_0 plus log(1 + sum_m (Z_m/Z_0) Q_c^m).  log Z_0 = sum_k f(q^k) Q^k/k,
+f(q) = 2q/(1-q)^2 the multiple covers of the fibre class b, is expanded
+once (``_fibre``): its x^h Q^k coefficient is C_h k^(h-1), with C_h that
+of f(e^x).  The Q_c^m part, m >= 1, is held as integer q-numerators over
 m (q;q)_m^2, with no gcd.  Every function expanded here has integer
 coefficients in q, so its expansion is C(iu) with C real.  The expansion
 therefore runs in x = iu, in integers up to one Fraction per coefficient,
@@ -23,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qfield import _add, _exquo, _mul, _neg
-from .series import TruncSeries, polylog_series
-from .vertex import SCache, _aligned, _qq_squared, log_z0, z_ratios
+from .series import TruncSeries
+from .vertex import SCache, _aligned, _qq_squared, z_ratios
 
 
 class RealityError(ArithmeticError):
@@ -120,15 +122,12 @@ def _x_quotient(shift: int, num: list, denominator: tuple, u_order: int) -> Trun
     return TruncSeries(u_order, result)
 
 
-def qseries_to_u(fractions: dict, order: int, u_order: int) -> TruncSeries:
-    """Transpose a Q-series {j: (shift, num, den)} cut at Q^order into an
-    x-series (x = iu, as in ``to_u_series``) whose coefficients are
-    Q-series over Fractions."""
-    outer = {}
-    for j, u_ser in u_expansions(fractions, u_order).items():
-        for h, c in u_ser.coeffs.items():
-            outer.setdefault(h, {})[j] = c
-    return TruncSeries(u_order, {h: TruncSeries(order, cs) for h, cs in outer.items()})
+def _fibre(u_order: int) -> dict:
+    """The x^h coefficients C_h, h <= u_order, of f(e^x) = 2e^x/(1-e^x)^2,
+    the fibre class's multiple-cover function: f(e^(kx)) has the x^h
+    coefficient k^h C_h, so the x^h Q^k coefficient of
+    log Z_0 = sum_k f(q^k) Q^k/k is C_h k^(h-1)."""
+    return to_u_series(1, [2], [1, -2, 1], u_order).coeffs
 
 
 def _i_power(h: int) -> int:
@@ -178,10 +177,11 @@ class GWTable:
 
 
 def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
-    """Coefficients [Q_c^m] log Z, each as {j: (shift, num, den)} with
-    integer q-polynomials and no gcd: log Z_0 in closed form
-    (vertex.log_z0), then L = log(1 + sum_{m>=1} x_m Q_c^m) with
-    x_m = Z_m/Z_0 = X_m/(q;q)_m^2 from z_ratios.
+    """Coefficients [Q_c^m] log Z, 1 <= m <= m_max, each as
+    {j: (shift, num, den)} with integer q-polynomials and no gcd:
+    L = log(1 + sum_{m>=1} x_m Q_c^m) with x_m = Z_m/Z_0 = X_m/(q;q)_m^2
+    from z_ratios.  The Q_c^0 part, log Z_0, is read off ``_fibre`` by
+    ``gw_extract`` and ``tilde_pt0``.
 
     L' (1 + sum x_m Q_c^m) = (sum x_m Q_c^m)' gives the recurrence
     m L_m = m x_m - sum_{k<m} k L_k x_{m-k}.  With Lambda_m = m (q;q)_m^2 L_m
@@ -191,7 +191,7 @@ def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    logs = {0: log_z0(order)}
+    logs = {}
     x = z_ratios(r, m_max, order, cache=cache) if m_max >= 1 else {}
     for m in range(1, m_max + 1):
         qq = _qq_squared(m)
@@ -218,23 +218,25 @@ def gw_extract(
 
     The coefficient of u^(2g-2) Q_c^m Q^j of log Z after q = e^(iu) is the
     invariant: C_h * i^h for the x^h coefficient C_h (x = iu), which is
-    real because odd powers are rejected by a hard assertion.  The empty
-    slot (g, beta) = (0, 0) never carries a value.
+    real because odd powers are rejected by a hard assertion.  The fibre
+    column m = 0 is C_h k^(h-1) at Q^k from the one expansion ``_fibre``;
+    each m >= 1 is u-expanded from ``log_z``.  The empty slot
+    (g, beta) = (0, 0) never carries a value.
     """
     u_order = 2 * g_max - 2
-    logs = log_z(r, m_max, order, cache=cache)
+    fibre = _fibre(u_order)
+    columns = {0: {k: {h: c * Fraction(k) ** (h - 1) for h, c in fibre.items()}
+                   for k in range(1, order + 1)}}
+    for m, series in log_z(r, m_max, order, cache=cache).items():
+        columns[m] = {j: s.coeffs for j, s in u_expansions(series, u_order).items()}
     table = GWTable(r=r, g_max=g_max, m_max=m_max, j_max=order)
-    for m, series in logs.items():
-        for j, u_ser in u_expansions(series, u_order).items():
-            for h, c in u_ser.coeffs.items():
+    for m, column in columns.items():
+        for j, coeffs in column.items():
+            for h, c in coeffs.items():
                 if h % 2:
-                    raise RealityError(
-                        "odd u-power u^%d at Q_c^%d Q^%d" % (h, m, j)
-                    )
+                    raise RealityError("odd u-power u^%d at Q_c^%d Q^%d" % (h, m, j))
                 if h < -2:
-                    raise RealityError(
-                        "u-pole deeper than genus 0 at Q_c^%d Q^%d" % (m, j)
-                    )
+                    raise RealityError("u-pole deeper than genus 0 at Q_c^%d Q^%d" % (m, j))
                 g = (h + 2) // 2
                 table.entries[(g, m, j)] = c * _i_power(h)
     return table
@@ -248,19 +250,22 @@ def tilde_pt0(order: int, u_order: int, cache: SCache = None) -> TruncSeries:
     """PT_0(e^(iu), Q) * exp(2/u^2 Li_3(Q) + 1/6 Li_1(Q)).
 
     PT_0 = exp(log Z_0), so in x = iu this is exp(log Z_0 - 2/x^2 Li_3(Q)
-    + 1/6 Li_1(Q)).  The correction cancels the genus-0 and genus-1 fiber
-    contributions, the x^-2 and x^0 parts of log Z_0, so the exponent must
-    hold only even x-powers >= 2, which is asserted; i^h is applied at the
-    end.  Returned as a u-series whose coefficients are Q-series over
+    + 1/6 Li_1(Q)).  log Z_0 has the x^h coefficient C_h Li_{1-h}(Q), with
+    C_h from ``_fibre``; the correction cancels its genus-0 and genus-1
+    fibre terms, C_-2 = 2 and C_0 = -1/6, which is asserted together with
+    the absence of odd powers.  The exponent is then
+    sum_{h>=2} C_h x^h sum_k k^(h-1) Q^k, and i^h is applied at the end.
+    Returned as a u-series whose coefficients are Q-series over
     Fractions.  ``cache`` is unused.
     """
-    exponent = qseries_to_u(log_z0(order), order, u_order) + TruncSeries(
-        u_order,
-        {-2: polylog_series(3, order) * -2, 0: polylog_series(1, order) * Fraction(1, 6)},
-    )
-    for h in exponent.coeffs:
-        if h < 2 or h % 2:
-            raise RealityError("residual u^%d term in the exponent of tilde PT_0" % h)
+    fibre = _fibre(u_order)
+    stripped = {h: c for h, c in ((-2, 2), (0, Fraction(-1, 6))) if h <= u_order}
+    if any(h % 2 for h in fibre) or {h: c for h, c in fibre.items() if h < 2} != stripped:
+        raise RealityError("residual u-power in the exponent of tilde PT_0")
+    exponent = TruncSeries(u_order, {
+        h: TruncSeries(order, {k: c * k ** (h - 1) for k in range(1, order + 1)})
+        for h, c in fibre.items() if h >= 2
+    })
     # the x^0 coefficient of the exponential is the scalar 1; report it as a Q-series
     result = TruncSeries(u_order, {0: TruncSeries.one(order)}) * exponent.exp()
     return TruncSeries(u_order, {h: c * _i_power(h) for h, c in result.coeffs.items()})

@@ -217,9 +217,3 @@ def _scalar_series(x, order):
         return TruncSeries(order, {0: x})
     return NotImplemented
 
-
-def polylog_series(s: int, order: int) -> TruncSeries:
-    """The truncated sum_{k=1}^{order} Q^k / k^s with Fraction coefficients."""
-    return TruncSeries(
-        order, {k: Fraction(1, k**s) if s >= 0 else Fraction(k ** (-s)) for k in range(1, order + 1)}
-    )

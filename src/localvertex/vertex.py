@@ -14,9 +14,10 @@ fiber legs turns the partition function into a sum over pairs
 quartic to quadratic in the number of partitions.
 
 The partition function is defined by the exponent A_{mu,nu} of
-S_{mu,nu} = W_mu W_nu exp(A_{mu,nu}).  Only log Z_0 = 2 A_{empty,empty}
-stays in log space.  Z_m/Z_0 sums (S_{mu2,mu4}/S_{empty,empty})^2, and
-each of those is a finite product,
+S_{mu,nu} = W_mu W_nu exp(A_{mu,nu}).  log Z_0 = 2 A_{empty,empty} is not
+built here: ``gwtheory`` expands it in u once, and Z_0 comes from its exp
+recurrence.  Z_m/Z_0 sums (S_{mu2,mu4}/S_{empty,empty})^2, and each of
+those is a finite product,
 
     (S_{mu,nu}/S_{empty,empty})^2 = (W_mu W_nu)^2 prod_i (1 - q^(i+1) Q)^(-2 e_i),
 
@@ -65,13 +66,7 @@ class CacheError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# log Z_0 and the squared S-ratio
-
-
-def log_z0(order: int) -> dict:
-    """log Z_0 = 2 A_{empty,empty} = sum_k 2 q^k/(k (1-q^k)^2) Q^k, the same
-    for every r, as {k: (shift, num, den)} of q-polynomials."""
-    return {k: (k, [2], _times_factor_squared([k], k)) for k in range(1, order + 1)}
+# The squared S-ratio
 
 
 def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> list:

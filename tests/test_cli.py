@@ -385,6 +385,25 @@ class TestUsage:
         assert exit_info.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["pt", "--m", "1"], ["gw", "--m-max", "1", "--g-max", "1"]],
+        ids=["pt", "gw"],
+    )
+    def test_repeated_r_runs_once(self, capsys, argv):
+        """--r 1 --r 1 writes the report of --r 1: one table, one set of CSV rows."""
+        argv = argv + ["--Q-order", "1"]
+        once = argv + ["--r", "1"]
+        twice = once + ["--r", "1"]
+        assert run(capsys, *twice, "--format", "csv") == run(capsys, *once, "--format", "csv")
+        reports = []
+        for args in (once, twice):
+            code, doc = run_json(capsys, *args)
+            doc.pop("generated_at")
+            reports.append((code, doc))
+        assert reports[0] == reports[1]
+        assert list(reports[0][1]["tables"]) == ["1"]
+
     @pytest.mark.parametrize("task", ["verify", "fit"])
     def test_csv_only_on_table_tasks(self, capsys, monkeypatch, task):
         """--format is a usage error off pt and gw, exit 2, before any work runs."""

@@ -4,7 +4,7 @@ import hashlib
 import json
 import os
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 from localvertex import cli, gwtheory, qfield, qrat
 from localvertex.gwtheory import (
     GWTable,
+    RealityError,
+    _fibre,
     _i_power,
     gw_extract,
     log_z,
-    qseries_to_u,
     tilde_pt0,
     to_u_series,
     u_expansions,
@@ -75,9 +76,28 @@ class TestUExpansion:
         assert got[-k] == (-1) ** k * sum(coeffs)
 
     def test_transpose(self):
-        got = qseries_to_u({1: (1, [2], [1, -2, 1])}, 2, 2)
-        assert got[-2][1] == 2
-        assert got[0][1] == Fraction(-1, 6)
+        """The x^h Q^k coefficient of log Z_0, C_h k^(h-1) from the one
+        fibre expansion, is the x^h coefficient of its Q^k term
+        2q^k/(k (1-q^k)^2), expanded on its own."""
+        fibre = _fibre(6)
+        for k in range(1, 7):
+            one_minus = [-1] + [0] * (k - 1) + [1]  # 1 - q^k, highest first
+            den = [k * c for c in qfield._mul(one_minus, one_minus)]
+            got = to_u_series(k, [2], den, 6)
+            assert got.coeffs == {h: c * Fraction(k) ** (h - 1) for h, c in fibre.items()}, k
+
+    def test_fibre_goldens(self):
+        """C_h of 2e^x/(1-e^x)^2 is -2(2n-1) B_2n/(2n)! at h = 2n-2."""
+        assert _fibre(8) == {
+            -2: 2, 0: Fraction(-1, 6), 2: Fraction(1, 120), 4: Fraction(-1, 3024),
+            6: Fraction(1, 86400), 8: Fraction(-1, 2661120),
+        }
+        bernoulli = [Fraction(1)]
+        for n in range(1, 11):
+            bernoulli.append(-sum(comb(n + 1, j) * bernoulli[j] for j in range(n)) / (n + 1))
+        assert _fibre(8) == {
+            2 * n - 2: -2 * (2 * n - 1) * bernoulli[2 * n] / factorial(2 * n) for n in range(6)
+        }
 
 
 class TestGWClosedForms:
@@ -274,7 +294,8 @@ def qrat_to_u_series(a, u_order):
 
 
 def qrat_log_z(r, m_max, order):
-    """The oracle for ``log_z``: m L_m = m x_m - sum_{k<m} k L_k x_{m-k} in QRat."""
+    """The oracle for [Q_c^m] log Z: log Z_0 from the power sums, then
+    m L_m = m x_m - sum_{k<m} k L_k x_{m-k} in QRat."""
     logs = {0: qrat_log_z0(order)}
     if m_max >= 1:
         x = qrat_z_ratios(r, m_max, order)
@@ -315,17 +336,40 @@ class TestQRatRoute:
 
     def test_denominator_read_once(self, monkeypatch):
         """gw_extract takes the moments and pole order of each distinct
-        denominator once: one per m >= 1, one per j of log Z_0; and
-        u_expansions equals to_u_series coefficient by coefficient."""
+        denominator once: one for the fibre column m = 0, one per m >= 1;
+        and u_expansions equals to_u_series coefficient by coefficient."""
         logs = log_z(1, 2, 7)
         for series in logs.values():
             assert u_expansions(series, 4) == {j: to_u_series(*f, 4) for j, f in series.items()}
-        calls = []
-        read = gwtheory._x_denominator
-        monkeypatch.setattr(gwtheory, "_x_denominator", lambda den, u: calls.append(den) or read(den, u))
+        calls = count_denominators(monkeypatch)
         gw_extract(1, 2, 7, 3, cache=SCache())
         distinct = [{tuple(den) for _, _, den in series.values()} for series in logs.values()]
-        assert len(calls) == sum(map(len, distinct)) == 7 + 1 + 1
+        assert len(calls) == 1 + sum(map(len, distinct)) == 1 + 1 + 1
+
+    @pytest.mark.parametrize(
+        "run", [lambda: tilde_pt0(11, 6), lambda: gw_extract(0, 0, 13, 3)],
+        ids=["tilde_pt0", "gw_fibre_column"],
+    )
+    def test_fibre_read_once(self, monkeypatch, run):
+        """log Z_0 is expanded once, whatever its Q-order."""
+        calls = count_denominators(monkeypatch)
+        run()
+        assert calls == [[1, -2, 1]]
+
+    def test_tilde_rejects_unstripped_genus_one(self, monkeypatch):
+        """A C_0 that the 1/6 Li_1 correction does not cancel raises."""
+        fibre = gwtheory._fibre
+        monkeypatch.setattr(
+            gwtheory, "_fibre", lambda u: {**fibre(u), 0: fibre(u)[0] + Fraction(1, 6)}
+        )
+        with pytest.raises(RealityError, match="tilde PT_0"):
+            tilde_pt0(5, 4)
+
+    def test_fibre_column_rejects_odd_power(self, monkeypatch):
+        fibre = gwtheory._fibre
+        monkeypatch.setattr(gwtheory, "_fibre", lambda u: {**fibre(u), 1: Fraction(1, 2)})
+        with pytest.raises(RealityError, match="odd u-power u\\^1 at Q_c\\^0"):
+            gw_extract(0, 0, 5, 2)
 
     def test_takes_no_gcd(self, monkeypatch):
         def refuse(f, g):
@@ -361,6 +405,16 @@ class TestQRatRoute:
             report = json.loads(out.read_text())
             report.pop("generated_at")
             assert sha256_json(report) == digest, r
+
+
+def count_denominators(monkeypatch):
+    """The list of denominators ``_x_denominator`` reads from now on."""
+    calls = []
+    read = gwtheory._x_denominator
+    monkeypatch.setattr(
+        gwtheory, "_x_denominator", lambda den, u: calls.append(den) or read(den, u)
+    )
+    return calls
 
 
 def pinned_hashes(workload):
@@ -401,7 +455,7 @@ def log_z_by_powers(r, m_max, order):
                 if m1 + m2 <= m_max:
                     product[m1 + m2] = product[m1 + m2] + s1 * s2
         power = product
-    return {0: qrat_log_z0(order), **acc}
+    return acc
 
 
 class TestLogZ:

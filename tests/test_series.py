@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localvertex.gwtheory import qseries_to_u
+from localvertex.gwtheory import _fibre
 from localvertex.partitions import Partition
 from localvertex.oracles import _exponent, cyclo_product, polylog_neg
 from localvertex.qrat import QRat
-from localvertex.series import SeriesError, TruncSeries, polylog_series
-from localvertex.vertex import log_z0
+from localvertex.series import SeriesError, TruncSeries
 
 Q_ONE = QRat.one()
 Q_VAR = QRat.q_power(1)
@@ -69,6 +68,15 @@ def geometric_inverse(a):
     return TruncSeries(
         a.order - 2 * v, {d - v: c * lead_inv for d, c in geom.coeffs.items()}
     )
+
+
+def fibre_exponent(order, u_order):
+    """The x-series sum_{h>=2} C_h x^h sum_k k^(h-1) Q^k that tilde_pt0
+    exponentiates, its coefficients Q-series over Fractions."""
+    return TruncSeries(u_order, {
+        h: TruncSeries(order, {k: c * k ** (h - 1) for k in range(1, order + 1)})
+        for h, c in _fibre(u_order).items() if h >= 2
+    })
 
 
 def _drop_constant(a):
@@ -147,7 +155,8 @@ class TestExpLog:
 
     def test_exp_geometric(self):
         # exp(Li_1(Q)) = exp(-log(1 - Q)) = 1/(1 - Q)
-        assert polylog_series(1, 6).exp() == TruncSeries(6, {d: 1 for d in range(7)})
+        li_1 = TruncSeries(6, {k: Fraction(1, k) for k in range(1, 7)})
+        assert li_1.exp() == TruncSeries(6, {d: 1 for d in range(7)})
 
     @given(rational_series(), rational_series())
     @settings(max_examples=25, deadline=None)
@@ -170,8 +179,7 @@ class TestExpLog:
     def test_exp_nested_valuation_two_matches_power_iteration(self):
         """The shape tilde_pt0 exponentiates: an x-series of valuation 2
         whose coefficients are Q-series over Fractions."""
-        a = qseries_to_u(log_z0(4), 4, 6)
-        a = TruncSeries(6, {h: c for h, c in a.coeffs.items() if h >= 2})
+        a = fibre_exponent(4, 6)
         assert a.valuation() == 2
         got = a.exp()
         assert got == power_iteration_exp(a)
@@ -217,20 +225,14 @@ class TestPolylog:
             li = polylog_neg(n)
             assert li.invert_t() == li * (-1) ** n
 
-    def test_series_examples(self):
-        assert polylog_series(1, 3) == TruncSeries(
-            3, {1: Fraction(1), 2: Fraction(1, 2), 3: Fraction(1, 3)}
-        )
-        assert polylog_series(3, 2) == TruncSeries(2, {1: Fraction(1), 2: Fraction(1, 8)})
-        assert polylog_series(0, 3) == TruncSeries(3, {1: 1, 2: 1, 3: 1})
-
     def test_series_matches_rational(self):
-        for n in range(1, 6):
-            li = polylog_neg(n)
-            lowest, coeffs = li.t_expansion(8)
-            series = polylog_series(1 - n, 7)
+        """The x^h coefficient of the exceptional exponent, sum_k C_h k^(h-1) Q^k,
+        is C_h Li_{1-h}(Q), the t-expansion of the rational polylog_neg(h)."""
+        exponent = fibre_exponent(7, 6)
+        assert exponent.degrees() == [2, 4, 6]
+        for h, series in exponent.coeffs.items():
+            lowest, coeffs = polylog_neg(h).t_expansion(8)
             for k in range(1, 8):
                 pos = k - lowest
                 got = coeffs[pos] if 0 <= pos < len(coeffs) else Fraction(0)
-                assert got == series[k]
-
+                assert series[k] == _fibre(6)[h] * got, (h, k)
