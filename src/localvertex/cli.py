@@ -292,10 +292,12 @@ def main(argv=None) -> int:
         # a repeated --r runs once, in the order first given
         args.r = list(dict.fromkeys(args.r or [0]))
     try:
-        # a missing --out directory is reported before any work runs
+        # an --out in a missing directory, or one that is a directory, fails before any work
         directory = os.path.dirname(os.path.abspath(args.out)) if args.out else None
         if directory and not os.path.isdir(directory):
             raise OutputError("cannot write --out %s: no directory %s" % (args.out, directory))
+        if args.out and os.path.isdir(args.out):
+            raise OutputError("cannot write --out %s: it is a directory" % args.out)
         return TASKS[args.task](args)
     except OutputError as err:
         sys.stderr.write("localvertex %s: error: %s\n" % (args.task, err))

@@ -8,10 +8,10 @@ f(q) = 2q/(1-q)^2 the multiple covers of the fibre class b, is expanded
 once (``_fibre``): its x^h Q^k coefficient is C_h k^(h-1), with C_h that
 of f(e^x).  The Q_c^m part, m >= 1, is held as integer q-numerators over
 m (q;q)_m^2, with no gcd.  Every function expanded here has integer
-coefficients in q, so its expansion is C(iu) with C real.  The expansion
-therefore runs in x = iu, in integers up to one Fraction per coefficient,
-and the factor i^h that turns an x^h coefficient into a u^h coefficient
-is applied only where values are reported (``gw_extract``,
+coefficients in q, so its expansion, ``u_expansions``, runs in x = iu,
+in integers up to one Fraction per coefficient, into plain {h: C_h}
+dicts, and the factor i^h that turns an x^h coefficient into a u^h
+coefficient is applied only where values are reported (``gw_extract``,
 ``tilde_pt0``).  Every extracted value is asserted to sit on an even
 u-power.
 
@@ -49,24 +49,20 @@ def _moments(poly, shift: int):
         vals = [c * k for c, k in zip(vals, ks)]
 
 
-def to_u_series(shift: int, num: list, den: list, u_order: int) -> TruncSeries:
-    """Expand q^shift num(q)/den(q) around q = 1 with q = e^(iu), in x = iu.
+def u_expansions(fractions: dict, u_order: int) -> dict:
+    """Expand each q^shift num(q)/den(q) of a Q-series {j: (shift, num, den)}
+    around q = 1 with q = e^(iu), in x = iu: {j: {h: C_h}}, the nonzero
+    Fraction coefficients of sum_h C_h x^h through x^u_order, so that the
+    value at q = e^(iu) is sum_h C_h (iu)^h and the u^h coefficient is
+    C_h * i^h.
 
     num and den are integer q-polynomials, highest first, and need not be
-    coprime: only their moments are read, and q^k = sum_n k^n x^n/n!.
-    Returns the Laurent series sum_h C_h x^h through x^u_order with
-    Fraction coefficients, so that the value at q = e^(iu) is
-    sum_h C_h (iu)^h; the u^h coefficient is C_h * i^h.  The pole order
-    v at q = 1 is the index of the first nonzero moment of den.
+    coprime: only their moments are read, and q^k = sum_n k^n x^n/n!.  The
+    pole order v at q = 1 is the index of the first nonzero moment of den.
+    The moments and the pole order of each distinct den are taken once:
+    every Q-coefficient of [Q_c^m] log Z, m >= 1, has the one denominator
+    m (q;q)_m^2.
     """
-    return _x_quotient(shift, num, _x_denominator(den, u_order), u_order)
-
-
-def u_expansions(fractions: dict, u_order: int) -> dict:
-    """{j: to_u_series(*fractions[j], u_order)} for a Q-series
-    {j: (shift, num, den)}, with the moments and the pole order of each
-    distinct den taken once: every Q-coefficient of [Q_c^m] log Z, m >= 1,
-    has the one denominator m (q;q)_m^2."""
     dens = {}
     out = {}
     for j, (shift, num, den) in sorted(fractions.items()):
@@ -78,7 +74,7 @@ def u_expansions(fractions: dict, u_order: int) -> dict:
 
 
 def _x_denominator(den: list, u_order: int) -> tuple:
-    """What ``to_u_series`` reads of den: (v, b), the pole order v at q = 1
+    """What ``u_expansions`` reads of den: (v, b), the pole order v at q = 1
     and the x^i coefficients of den times n!, i <= n = u_order + 2v (the
     x-degrees of num and den that pin the quotient through x^u_order)."""
     den_moments = _moments(den, 0)
@@ -99,10 +95,10 @@ def _scale(moments: list):
         scale *= i
 
 
-def _x_quotient(shift: int, num: list, denominator: tuple, u_order: int) -> TruncSeries:
-    """``to_u_series`` of q^shift num(q) over a den read by ``_x_denominator``."""
+def _x_quotient(shift: int, num: list, denominator: tuple, u_order: int) -> dict:
+    """The x-coefficients of q^shift num(q) over a den read by ``_x_denominator``."""
     if not num:
-        return TruncSeries(u_order)
+        return {}
     v, b = denominator
     num_moments = _moments(num, shift)
     a = [next(num_moments) for _ in range(len(b))]
@@ -119,7 +115,7 @@ def _x_quotient(shift: int, num: list, denominator: tuple, u_order: int) -> Trun
         powers.append(powers[-1] * lead)
         if acc:
             result[k - v] = Fraction(acc, powers[k + 1])
-    return TruncSeries(u_order, result)
+    return result
 
 
 def _fibre(u_order: int) -> dict:
@@ -127,7 +123,7 @@ def _fibre(u_order: int) -> dict:
     the fibre class's multiple-cover function: f(e^(kx)) has the x^h
     coefficient k^h C_h, so the x^h Q^k coefficient of
     log Z_0 = sum_k f(q^k) Q^k/k is C_h k^(h-1)."""
-    return to_u_series(1, [2], [1, -2, 1], u_order).coeffs
+    return u_expansions({1: (1, [2], [1, -2, 1])}, u_order)[1]
 
 
 def _i_power(h: int) -> int:
@@ -228,7 +224,7 @@ def gw_extract(
     columns = {0: {k: {h: c * Fraction(k) ** (h - 1) for h, c in fibre.items()}
                    for k in range(1, order + 1)}}
     for m, series in log_z(r, m_max, order, cache=cache).items():
-        columns[m] = {j: s.coeffs for j, s in u_expansions(series, u_order).items()}
+        columns[m] = u_expansions(series, u_order)
     table = GWTable(r=r, g_max=g_max, m_max=m_max, j_max=order)
     for m, column in columns.items():
         for j, coeffs in column.items():

@@ -13,8 +13,9 @@ compare the two exactly:
   against the Hirzebruch partition function.
 - ``pt_series``: the PT series as canonical QRat values, against the
   exp route of log Z_0 and ``z_toric``.
-- ``cyclo_product`` and ``polylog_neg``: products of (1 - q^k Q) factors
-  and Li_{1-n}(Q) as rational functions.
+- ``cyclo_product`` and ``polylog_neg``: products of (1 - q^k Q) factors,
+  each expanded as its binomial series, independent of the engine's exp
+  recurrences, and Li_{1-n}(Q) as rational functions.
 
 This is the only module on the engine side that imports ``symmfun``, and
 only the tests import this module: no CLI task does.
@@ -182,15 +183,19 @@ def cyclo_product(exponents, order: int) -> TruncSeries:
     """prod over (i, j) of (1 - q^(j+i) * Q)^e(i,j), truncated at Q^order.
 
     Keys of ``exponents`` are pairs (i, j) with j >= 1; values are integer
-    exponents.  Factors whose linear Q-term cannot contribute below the
-    truncation are skipped.
+    exponents.  Each factor is its binomial series (1 - xQ)^e =
+    sum_k c_k x^k Q^k, c_0 = 1, c_k = -c_(k-1) (e - k + 1)/k, exact for
+    either sign of e; for e >= 0 it ends at k = e.
     """
     result = TruncSeries.one(order)
     for (i, j), e in sorted(exponents.items()):
-        if e == 0 or order < 1:
-            continue
-        factor = TruncSeries(order, {0: 1, 1: -QRat.q_power(j + i)})
-        result = result * factor.pow_int(e)
+        coeffs, c = {0: 1}, 1
+        for k in range(1, order + 1):
+            c = c * (k - 1 - e) // k  # exact: k c_k = c_(k-1) (k - 1 - e)
+            if not c:
+                break
+            coeffs[k] = QRat.q_power((j + i) * k) * c
+        result = result * TruncSeries(order, coeffs)
     return result
 
 

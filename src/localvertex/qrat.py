@@ -9,6 +9,8 @@ QRat is t^shift times a quotient of two integer polynomials in t.
 Values are kept in a canonical form (coprime numerator/denominator, no
 shared integer content, denominator with positive constant term) so
 that equality is structural and values can serve as cache keys.
+Division is by ``reciprocal``; no series over QRat is inverted, since
+``series.TruncSeries`` offers only sums, products and ``exp``.
 
 Polynomials are the dense int lists of ``qfield``.  The gcd is the
 heuristic GCD of Char, Geddes and Gonnet (1989), checked by exact
@@ -286,9 +288,6 @@ class QRat:
         if self.is_zero():
             raise QFieldError("division by zero")
         return QRat._coprime(-self.shift, self.den, self.num)
-
-    # the name under which TruncSeries inverts a coefficient
-    inverse = reciprocal
 
     def __truediv__(self, other):
         other = QRat._coerce(other)

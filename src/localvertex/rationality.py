@@ -33,6 +33,7 @@ from fractions import Fraction
 from .qfield import _trailing_zeros, expansion
 from .series import TruncSeries
 
+INTEGRALITY_Q_TERMS = 20  # q-coefficients read by check_integrality
 
 class FitError(ArithmeticError):
     """The series is not rational with the prescribed denominator."""
@@ -173,16 +174,16 @@ def check_q_inversion(fractions: dict):
     return True, None
 
 
-def check_integrality(fractions: dict, q_terms: int = 20) -> bool:
+def check_integrality(fractions: dict) -> bool:
     """True if every fraction (shift, num, den) of ``vertex.pt_fractions``
-    q-expands with integer coefficients over the q_terms from its valuation
-    (the 40 t-terms of the canonical form's t_expansion).  num and den need
-    not be coprime: no gcd is taken.
+    q-expands with integer coefficients over the INTEGRALITY_Q_TERMS from
+    its valuation (the 40 t-terms of the canonical form's t_expansion).
+    num and den need not be coprime: no gcd is taken.
     """
     return all(
         c.denominator == 1
         for shift, num, den in fractions.values()
-        for c in expansion(shift, num, den, q_terms)[1]
+        for c in expansion(shift, num, den, INTEGRALITY_Q_TERMS)[1]
     )
 
 

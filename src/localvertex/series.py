@@ -1,13 +1,14 @@
 """Truncated Laurent series with exact coefficients.
 
-The single class here is generic over the coefficient ring: coefficients
-may be ints, Fractions, nested TruncSeries, or the elements of a field
-class that offers ``inverse()``, such as ``qrat.QRat`` (which this module
-does not import), as long as they support ring arithmetic with each
-other and with ints/Fractions.
+The series the engine operates on: GW columns and their fits, and the
+nested exponential of ``gwtheory.tilde_pt0``.  Coefficients may be ints,
+Fractions, nested TruncSeries or ``qrat.QRat`` values (not imported
+here), with ring arithmetic among themselves and with ints/Fractions; a
+scalar added to a series is an int or a Fraction.  The ring has sums,
+products and ``exp`` only: no series is inverted or raised to a power.
 Absent degrees denote zero; all stored degrees are <= order.  There is
-no complex coefficient type: the q = e^(iu) expansion in ``gwtheory``
-keeps its series in x = iu over Fractions and applies i^h itself.
+no complex coefficient type: ``gwtheory`` expands in x = iu over
+Fractions and applies i^h itself.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ class TruncSeries:
 
     def __add__(self, other):
         if not isinstance(other, TruncSeries):
-            other = _scalar_series(other, self.order)
-            if other is NotImplemented:
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            other = TruncSeries(self.order, {0: other})
         order = min(self.order, other.order)
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
@@ -113,42 +114,6 @@ class TruncSeries:
         return TruncSeries(order, out)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; the lowest coefficient must be a unit.
-
-        For a = x^v * sum_k a_{v+k} x^k, a*b = 1 gives b = x^-v * sum_n c_n x^n
-        with c_0 = 1/a_v and c_n = -c_0 * sum_{k=1..n} a_{v+k} c_{n-k}, for
-        n <= order - v; the result has order order - 2v.
-        """
-        v = self.valuation()
-        if v is None:
-            raise SeriesError("inverting the zero series")
-        c0 = _coeff_inverse(self.coeffs[v])
-        terms = [(d - v, c) for d, c in sorted(self.coeffs.items()) if d != v]
-        out = {0: c0}
-        for n in range(1, self.order - v + 1):
-            acc = _convolve(terms, out, n)
-            if acc is not None and not _is_zero(acc):
-                out[n] = -c0 * acc
-        return TruncSeries(self.order - 2 * v, {n - v: c for n, c in out.items()})
-
-    def pow_int(self, k: int) -> "TruncSeries":
-        if k == 0:
-            return TruncSeries.one(self.order)
-        base = self if k > 0 else self.inverse()
-        k = abs(k)
-        result = None
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def __pow__(self, k: int):
-        return self.pow_int(k)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -200,20 +165,3 @@ def _is_zero(c):
     if isinstance(c, (int, Fraction)):
         return c == 0
     return not c
-
-
-def _coeff_inverse(c):
-    if isinstance(c, int):
-        if c in (1, -1):
-            return c
-        return Fraction(1, c)
-    if isinstance(c, Fraction):
-        return 1 / c
-    return c.inverse()
-
-
-def _scalar_series(x, order):
-    if isinstance(x, (int, Fraction)) or hasattr(x, "inverse"):
-        return TruncSeries(order, {0: x})
-    return NotImplemented
-

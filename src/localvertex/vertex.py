@@ -49,6 +49,7 @@ from .qfield import (
 )
 
 FORMAT_VERSION = 3
+PT_Q_TERMS = 24  # pt_invariants reads PT_Q_TERMS + 1 q-slots per Q^j row
 
 
 class VertexError(ArithmeticError):
@@ -381,9 +382,9 @@ def _pt_fractions(r, m, order, cache):
     return pt_fractions(ratio, m, z0_numerators(order))
 
 
-def pt_invariants(r: int, m: int, order: int, q_terms: int = 24, cache: SCache = None):
+def pt_invariants(r: int, m: int, order: int, cache: SCache = None):
     """Individual integers PT_{mc+jb, n} for j <= order: each Q^j row covers
-    q_terms + 1 slots n from the valuation of its coefficient, so
+    PT_Q_TERMS + 1 slots n from the valuation of its coefficient, so
     pt_invariants(0, 6, 3) has n = 6..30 at j = 0 and (7, 4, 3) n = -26..-2.
 
     Returns a list of (j, n, value) triples; n is the Euler characteristic
@@ -393,7 +394,7 @@ def pt_invariants(r: int, m: int, order: int, q_terms: int = 24, cache: SCache =
     """
     rows = []
     for j, (shift, num, den) in sorted(_pt_fractions(r, m, order, cache).items()):
-        lowest, coeffs = expansion(shift, num, den, q_terms + 1)
+        lowest, coeffs = expansion(shift, num, den, PT_Q_TERMS + 1)
         for n, c in enumerate(coeffs, lowest):
             if c:
                 rows.append((j, n, c if n % 2 == 0 else -c))

@@ -252,15 +252,12 @@ class TestVerify:
         ],
         ids=["verify", "fit"],
     )
-    def test_certificates_take_no_power_or_inverse(self, capsys, monkeypatch, argv):
-        """The fits clear by the binomials of (1-Q)^p: neither task raises a
-        series to a power or inverts one."""
-
-        def refuse(*args):
-            raise AssertionError("a series power or inverse was taken")
-
-        monkeypatch.setattr(TruncSeries, "pow_int", refuse)
-        monkeypatch.setattr(TruncSeries, "inverse", refuse)
+    def test_certificates_take_no_power_or_inverse(self, capsys, argv):
+        """The fits clear by the binomials of (1-Q)^p: the series ring has no
+        power or inverse to take, and QRat no inverse alias for it."""
+        for name in ("inverse", "pow_int", "__pow__"):
+            assert not hasattr(TruncSeries, name), name
+        assert not hasattr(QRat, "inverse")
         code, doc = run_json(capsys, *argv)
         assert code == 0
         assert doc["passed"] is True
@@ -455,6 +452,20 @@ class TestUsage:
         """An --out that cannot be opened (here a directory) exits 2 with one
         line on stderr."""
         assert main(argv + ["--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(tmp_path) in captured.err
+
+    def test_out_directory_rejected_before_work(self, capsys, monkeypatch, tmp_path):
+        """An --out that names an existing directory exits 2 with one line on
+        stderr before the task computes anything."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gw_extract ran before the usage error")
+
+        monkeypatch.setattr(gw, "gw_extract", refuse)
+        assert main(["gw", "--m-max", "8", "--Q-order", "10", "--out", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1

