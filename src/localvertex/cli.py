@@ -74,7 +74,7 @@ TASK_FLAGS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     # argparse loads only where a command line is parsed, not in a program
     # that imports cli for its task functions
     import argparse
@@ -189,7 +189,7 @@ def run_fit(args) -> int:
         for g in range(args.g_max + 1):
             entry, fit = rat.column_certificate(table, args.m, g)
             entry["denominator_power"] = rat.column_power(args.m, g)
-            entry["fit"] = fit.to_json() if fit else None
+            entry["fit"] = fit
             per_genus[str(g)] = entry
     report["fits"] = fits
     return _verdict(args, report, fits)

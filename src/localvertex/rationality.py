@@ -1,20 +1,19 @@
 """Every certificate of the engine: rational reconstruction, functional
 equations, membership in R_{a,b}, polynomiality and integrality.
 
-A fit certifies that a truncated Q-series is num(Q) / (1 - Q)^p, the
-one denominator the engine needs (a GW column over (1-Q)^(4m+2g-2), the
-u^h coefficient of the exceptional series over (1-Q)^(b+h)), by
+One routine, ``certify_column``, fits a series and checks its functional
+equation.  It certifies that a truncated Q-series is num(Q) / (1 - Q)^p,
+the one denominator the engine needs (a GW column over (1-Q)^(4m+2g-2),
+the u^h coefficient of the exceptional series over (1-Q)^(b+h)), by
 multiplying through and demanding that every coefficient beyond the
 numerator window vanish; the count of vanishing surplus coefficients is
 the confidence certificate (>= 3 for an accepted fit).  Nothing is
-searched: the window is either given or read off the cleared series, and
-the only exponent a for which Q^a f(1/Q) = +-f(Q) can hold is fixed by
-the numerator's lowest and highest degrees.  Fits hold the series' own
-Fraction (or int) coefficients.
-
-Functional equations in Q are checked on the reconstructed rational
-function by exact numerator manipulation, never on truncations: Q -> 1/Q
-is ill-defined on a one-sided expansion.
+searched: the caller hands over the exponent a of Q^a f(1/Q) = +-f(Q)
+(the Weyl weight), and the window [0, p + max(a, 0)] follows from it a
+priori.  The functional equation is checked on the numerator by exact
+palindromy, never on the truncation: Q -> 1/Q is ill-defined on a
+one-sided expansion.  Fits hold the series' own Fraction (or int)
+coefficients.
 
 A GW genus column is certified by ``column_certificate`` (a fit over
 (1-Q)^column_power(m, g) and the Weyl functional equation at weight
@@ -28,8 +27,6 @@ root, ``gwtheory`` and a ``gw`` or ``pt`` run do not.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .qfield import _trailing_zeros, expansion
 from .series import TruncSeries
 
@@ -39,120 +36,48 @@ class FitError(ArithmeticError):
     """The series is not rational with the prescribed denominator."""
 
 
-class RationalFit:
-    """A certified rational function num(Q)/(1-Q)^power."""
-
-    def __init__(self, numerator: dict, power: int, surplus: int, order: int):
-        # Q-degree -> Fraction (or int) coefficient, Laurent
-        self.numerator = numerator
-        self.power = power
-        self.surplus = surplus
-        self.order = order  # truncation order of the fitted input
-
-    def is_zero(self) -> bool:
-        return not self.numerator
-
-    def to_json(self):
-        return {
-            "numerator": {str(d): _coeff_json(c) for d, c in sorted(self.numerator.items())},
-            "denom_spec": [[1, self.power]] if self.power else [],
-            "surplus": self.surplus,
-            "order": self.order,
-        }
-
-
-def _coeff_json(c):
-    c = Fraction(c)
-    return {"num": c.numerator, "den": c.denominator}
-
-
-def fit_rational(series: TruncSeries, power: int, window=None) -> RationalFit:
-    """Reconstruct series = num(Q) / (1-Q)^power with a surplus certificate.
-
-    The series is cleared by one product with (1-Q)^power, whose
-    coefficients are the binomials (-1)^k C(power, k).  ``window`` is the
-    inclusive (lo, hi) degree interval allowed for the numerator.  When
-    omitted, it is the least window that holds the cleared series and
-    reaches ``power`` past its start: lo = min(valuation, 0),
-    hi = max(lo + power, top degree).  Either way the fit needs a surplus
-    of at least 3 beyond hi.
-    """
-    order = series.order
-    valuation = series.valuation()
-    if valuation is None:
-        return RationalFit({}, power, surplus=order, order=order)
-    # c_(k+1) = -c_k (power - k)/(k + 1) is exact, and for power < 0 runs
-    # on through the degrees the truncated product can reach
-    clearing, c = {}, 1
-    for k in range(order - valuation + 1):
-        clearing[k] = c
-        c = -c * (power - k) // (k + 1)
-    cleared = series * TruncSeries(order, clearing)
-    degrees = cleared.degrees()
-    if window is None:
-        lo = min(degrees[0], 0)
-        hi = max(lo + power, degrees[-1])
-    else:
-        lo, hi = window
-    if order < hi + 3:
-        raise FitError(
-            "truncation order %d leaves no surplus beyond window end %d" % (order, hi)
-        )
-    outside = [d for d in degrees if not lo <= d <= hi]
-    if outside:
-        raise FitError(
-            "nonvanishing coefficient at Q^%d outside window [%d, %d]"
-            % (outside[0], lo, hi)
-        )
-    return RationalFit(dict(cleared.coeffs), power, surplus=order - hi, order=order)
-
-
-def check_Q_functional(fit: RationalFit, a: int, sign: int = 1) -> bool:
-    """Exact check of Q^a * f(1/Q) = sign * f(Q) on the fitted function.
-
-    Substituting 1/Q multiplies the denominator (1-Q)^p by (-1)^p Q^(-p),
-    so the identity reduces to num(Q) = sign * (-1)^p * Q^(a+p) * num(1/Q),
-    a finite palindromy condition on the numerator.
-    """
-    if fit.is_zero():
-        return True
-    total_sign = sign * (-1) ** fit.power
-    for d, c in fit.numerator.items():
-        mirrored = fit.numerator.get(a + fit.power - d, 0)
-        if c != total_sign * mirrored:
-            return False
-    return True
-
-
 def certify_column(column: TruncSeries, power: int, a: int, sign: int = 1):
     """Fit column = num(Q)/(1-Q)^power and check Q^a f(1/Q) = sign * f(Q).
 
     By the functional equation the numerator lies in degrees
-    [0, power + max(a, 0)], so the fit takes that window a priori.
-    Returns None when the order leaves no surplus of 3 beyond it,
-    else (fit, holds); a series that is not rational with this
-    denominator raises FitError.
+    [0, power + max(a, 0)], so the fit takes that window a priori.  The
+    column is cleared by one product with the binomials (-1)^k C(power, k);
+    a coefficient outside the window raises FitError.  Substituting 1/Q
+    multiplies (1-Q)^power by (-1)^power Q^(-power), so the identity is
+    the palindromy num(Q) = sign * (-1)^power * Q^(a+power) * num(1/Q).
+
+    Returns None when the order leaves no surplus of 3 beyond the window,
+    else (fit, holds), ``fit`` the report entry {"numerator",
+    "denom_spec", "surplus", "order"}; the zero column has surplus = order.
     """
+    order = column.order
     hi = power + max(a, 0)
-    if column.order < hi + 3:
+    if order < hi + 3:
         return None
-    fit = fit_rational(column, power, window=(0, hi))
-    return fit, check_Q_functional(fit, a, sign)
-
-
-def find_exponent(fit: RationalFit, lo: int, hi: int, sign: int = 1):
-    """The unique a in [lo, hi] with Q^a f(1/Q) = sign * f(Q), or None.
-
-    Q -> 1/Q sends the numerator's lowest degree to its highest, so the
-    only candidate is a = min + max - power.  The zero function is
-    rejected (every exponent works).
-    """
-    if fit.is_zero():
-        return None
-    a = min(fit.numerator) + max(fit.numerator) - fit.power
-    if lo <= a <= hi and check_Q_functional(fit, a, sign):
-        return a
-    return None
+    # c_(k+1) = -c_k (power - k)/(k + 1) is exact, and for power < 0 runs
+    # on through the degrees the truncated product can reach
+    clearing, c = {}, 1
+    for k in range(order + 1):
+        clearing[k] = c
+        c = -c * (power - k) // (k + 1)
+    numerator = (column * TruncSeries(order, clearing)).coeffs
+    outside = [d for d in sorted(numerator) if not 0 <= d <= hi]
+    if outside:
+        raise FitError(
+            "nonvanishing coefficient at Q^%d outside window [0, %d]" % (outside[0], hi)
+        )
+    mirror = -sign if power % 2 else sign  # exact for power < 0 too
+    holds = all(c == mirror * numerator.get(a + power - d, 0) for d, c in numerator.items())
+    fit = {
+        "numerator": {
+            str(d): {"num": c.numerator, "den": c.denominator}
+            for d, c in sorted(numerator.items())
+        },
+        "denom_spec": [[1, power]] if power else [],
+        "surplus": order - hi if numerator else order,
+        "order": order,
+    }
+    return fit, holds
 
 
 def check_q_inversion(fractions: dict):
@@ -214,7 +139,7 @@ def column_certificate(table, m: int, g: int):
     the Weyl functional equation at weight w.(m*c) = m(r-2).  Returns
     (entry, fit): the entry is {"exponent", "passed"}, plus "skipped" when
     the Q-order leaves no surplus or "error" when the column does not fit;
-    ``fit`` is the RationalFit, or None.
+    ``fit`` is the fit entry of ``certify_column``, or None.
     """
     a = w_dot_beta(m, 0, table.r)
     entry = {"exponent": None, "passed": False}
@@ -255,7 +180,7 @@ def verify_R(useries: TruncSeries, a: int, b: int, h_max: int) -> dict:
             continue
         power = b + h
         try:
-            certified = certify_column(coeff, power, a, sign=(-1) ** h)
+            certified = certify_column(coeff, power, a, sign=-1 if h % 2 else 1)
         except FitError as err:
             row.update(fit_ok=False, symmetry_ok=False, error=str(err))
             continue
@@ -263,22 +188,13 @@ def verify_R(useries: TruncSeries, a: int, b: int, h_max: int) -> dict:
             reason = "Q-order %d leaves no surplus for denominator power %d"
             row["skipped"] = reason % (coeff.order, power)
         else:
-            fit, row["symmetry_ok"] = certified
-            row["fit"] = fit.to_json()
+            row["fit"], row["symmetry_ok"] = certified
     passed = all(row["fit_ok"] and row["symmetry_ok"] for row in per_h.values())
     return {"a": a, "b": b, "passed": passed, "per_h": per_h}
 
 
 # ---------------------------------------------------------------------------
 # Eventual polynomiality in j
-
-
-def finite_differences(values, depth: int):
-    """The depth-th forward differences of a sequence."""
-    out = list(values)
-    for _ in range(depth):
-        out = [b - a for a, b in zip(out, out[1:])]
-    return out
 
 
 def polynomiality_check(table, g: int, m: int, j_lo: int, j_hi: int):
@@ -299,7 +215,8 @@ def polynomiality_check(table, g: int, m: int, j_lo: int, j_hi: int):
     values = [table.value(g, m, j) for j in range(j_lo, j_hi + 1)]
     rows = [values]  # rows[k] holds the k-th differences
     while len(rows) < length:
-        rows.append(finite_differences(rows[-1], 1))
+        row = rows[-1]
+        rows.append([b - a for a, b in zip(row, row[1:])])
     degree = max((k for k, row in enumerate(rows) if any(row)), default=None)
     return {
         "g": g,

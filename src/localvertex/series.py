@@ -99,7 +99,12 @@ class TruncSeries:
             return TruncSeries(
                 self.order, {d: c * other for d, c in self.coeffs.items()}
             )
-        order = min(self.order, other.order)
+        # a factor of negative valuation v moves the other's unknown terms
+        # down by |v|; the zero series counts as valuation 0
+        order = min(
+            self.order + min(other.valuation() or 0, 0),
+            other.order + min(self.valuation() or 0, 0),
+        )
         out = {}
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():

@@ -8,6 +8,7 @@ import os
 
 from fractions import Fraction
 
+from exponent_search import find_exponent
 from localvertex import oracles
 from localvertex import rationality as rat
 from localvertex import vertex as vx
@@ -81,25 +82,24 @@ def test_criterion_05_genus_columns_r0(gw_table_r0):
     |K_W . c| = 2 on P1 x P1."""
     for g in (0, 1, 2):
         column = gw_table_r0.column(g, 1).truncate(10)
-        fit = rat.fit_rational(column, 2 + 2 * g)
-        assert fit.surplus >= 3, g
         # f(1/Q) = Q^2 f(Q) reads Q^(-2) f(1/Q) = f(Q) in the template
         # Q^a f(1/Q) = f(Q); a = -2 = K_W . c is the unique solution
-        assert rat.check_Q_functional(fit, a=-2), g
-        assert rat.find_exponent(fit, -8, 8) == -2, g
+        fit, holds = rat.certify_column(column, 2 + 2 * g, -2)
+        assert fit["surplus"] >= 3 and holds, g
+        _, surplus, a = find_exponent(column, 2 + 2 * g, -8, 8)
+        assert surplus >= 3 and a == -2, g
 
 
 def test_criterion_06_exponent_resolution_r1(gw_table_r1):
-    """For r = 1, m = 1: find_exponent returns a unique exponent per genus.
+    """For r = 1, m = 1: the search finds a unique exponent per genus.
     Record, per genus, how it compares with the two candidate weights
     m(2-r) = 1 and 2m = 2 (as Q-powers moved to the f(1/Q) side), and
     check the record against the checked-in exponent_resolution.json."""
     record = {"r": 1, "m": 1, "per_genus": {}}
     for g in range(4):
         column = gw_table_r1.column(g, 1)
-        fit = rat.fit_rational(column, 2 + 2 * g)
-        a = rat.find_exponent(fit, -8, 8)
-        assert a is not None, g
+        a = find_exponent(column, 2 + 2 * g, -8, 8)[2]
+        assert a is not None and rat.certify_column(column, 2 + 2 * g, a)[1], g
         # template Q^a f(1/Q) = f(Q); weight w means f(1/Q) = Q^w f(Q)
         weight = -a
         record["per_genus"][g] = {

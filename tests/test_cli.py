@@ -1,6 +1,7 @@
 """Command-line interface: flags, reports, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -340,6 +341,49 @@ class TestFit:
             assert entry["passed"] is False
             assert entry["fit"] is not None
 
+    def test_column_that_does_not_fit(self, capsys, monkeypatch):
+        """One power of (1-Q) short, the genus-0 column -2/(1-Q)^2 leaves a
+        tail beyond the window: the entry carries the FitError text and no
+        fit, and verify's entry is the same.  (The genus >= 1 columns at
+        r = 0 would still fit: their numerators vanish at Q = 1.)"""
+        power = rat.column_power
+        monkeypatch.setattr(rat, "column_power", lambda m, g: power(m, g) - 1)
+        argv = ["--r", "0", "--r", "3", "--Q-order", "9", "--g-max", "0"]
+        code, doc = run_json(capsys, "fit", "--m", "1", *argv)
+        assert code == 1 and doc["passed"] is False
+        _, expected = run_json(capsys, "verify", "--m-max", "1", "--u-order", "2", *argv)
+        assert expected["passed"] is False
+        for r, (d, hi) in {"0": (2, 1), "3": (3, 2)}.items():
+            entry = doc["fits"][r]["0"]
+            assert entry == {
+                "exponent": None,
+                "passed": False,
+                "error": "nonvanishing coefficient at Q^%d outside window [0, %d]" % (d, hi),
+                "denominator_power": 1,
+                "fit": None,
+            }
+            del entry["denominator_power"], entry["fit"]
+            assert entry == expected["checks"]["column_exponents"]["r=" + r]["0"]
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--r", "0", "--m", "2", "--Q-order", "13"],
+             "47babb23ffafbcb4b74aa950ab84f4cf0a015b7e8a5f3d96efbe0903dffa8785"),
+            (["--r", "1", "--r", "3", "--m", "1", "--Q-order", "12"],
+             "df872e6011a589610d0b07b89be07a94d1f283c5d7bc9c93954e4eb1c702ecc8"),
+        ],
+        ids=["r0-m2", "r1-r3-m1"],
+    )
+    def test_report_digest(self, capsys, argv, digest):
+        """The whole fit report, generated_at dropped, is pinned by the
+        sha256 of its canonical JSON."""
+        code, doc = run_json(capsys, "fit", *argv)
+        assert code == 0
+        doc.pop("generated_at")
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_entry_is_verify_entry(self, capsys):
         """A fit entry is verify's column entry plus denominator_power and fit."""
         code, doc = run_json(
@@ -629,3 +673,11 @@ def test_package_root_leaves_rationality_out():
 def test_cli_import_leaves_argparse_out():
     """Importing cli for its task functions parses no command line."""
     assert loaded_modules("import localvertex.cli") == sorted(ENGINE + ["localvertex.cli"])
+
+
+def test_parser_annotations_resolve():
+    """cli imports argparse inside functions only, so no annotation at
+    module level may name it: get_type_hints would raise NameError."""
+    import typing
+
+    assert typing.get_type_hints(cli._build_parser) == {}

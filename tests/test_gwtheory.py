@@ -9,6 +9,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exponent_search import find_exponent
 from localvertex import cli, gwtheory, qfield, qrat
 from localvertex.gwtheory import (
     GWTable,
@@ -23,13 +24,7 @@ from localvertex.gwtheory import (
 from localvertex.oracles import _exponent, _in_t
 from localvertex.partitions import Partition
 from localvertex.qrat import QRat
-from localvertex.rationality import (
-    find_exponent,
-    finite_differences,
-    fit_rational,
-    polynomiality_check,
-    verify_R,
-)
+from localvertex.rationality import certify_column, polynomiality_check, verify_R
 from localvertex.series import TruncSeries
 from localvertex.vertex import SCache, z_ratios
 
@@ -192,6 +187,14 @@ class TestVerifyR:
         }
         assert report["per_h"]["1"]["fit_ok"] and report["per_h"]["2"]["fit_ok"]
 
+    def test_negative_h_is_exact(self):
+        """f_(-1) = (1-Q)/3 over (1-Q)^(-1) satisfies Q f(1/Q) = -f(Q): the
+        sign (-1)^h at h = -1 must stay an int, or 1/3 meets a float."""
+        f = TruncSeries(8, {0: Fraction(1, 3), 1: Fraction(-1, 3)})
+        report = verify_R(TruncSeries(2, {-1: f}), 1, 0, 0)
+        assert report["per_h"]["-1"]["fit"]["numerator"] == {"0": {"num": 1, "den": 3}}
+        assert report["passed"] is True
+
     def test_h0_row_has_no_denominator(self, tilde_series):
         row = verify_R(tilde_series, 0, 0, 6)["per_h"]["0"]
         assert row["fit"] == {
@@ -203,8 +206,16 @@ class TestVerifyR:
         assert row["error"] is None and "skipped" not in row
 
 
+def finite_differences(values, depth):
+    """The depth-th forward differences of a sequence."""
+    for _ in range(depth):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
 class TestPolynomiality:
     def test_finite_differences(self):
+        """The oracle of test_one_pass_matches_recount, on known sequences."""
         assert finite_differences([1, 4, 9, 16], 2) == [2, 2]
         assert finite_differences([5, 5, 5], 1) == [0, 0]
 
@@ -248,9 +259,11 @@ class TestPolynomiality:
 class TestColumnRationality:
     def test_genus_columns_fit_and_unique_exponent(self, gw_table_r0):
         for g in range(4):
-            fit = fit_rational(gw_table_r0.column(g, 1), 2 + 2 * g)
-            assert fit.surplus >= 3
-            assert find_exponent(fit, -8, 8) == -2
+            column = gw_table_r0.column(g, 1)
+            _, surplus, a = find_exponent(column, 2 + 2 * g, -8, 8)
+            assert surplus >= 3 and a == -2
+            fit, holds = certify_column(column, 2 + 2 * g, a)
+            assert fit["surplus"] >= 3 and holds
 
 
 def canonical(fraction):

@@ -6,16 +6,13 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localvertex import rationality
+import exponent_search
+from exponent_search import find_exponent, one_minus_q_power, symmetric
 from localvertex.rationality import (
     FitError,
-    RationalFit,
     certify_column,
-    check_Q_functional,
     column_power,
     check_q_inversion,
-    find_exponent,
-    fit_rational,
     w_dot_beta,
 )
 from localvertex.oracles import _in_t, pt_series
@@ -28,73 +25,132 @@ def geometric(order):
     return TruncSeries(order, {d: 1 for d in range(order + 1)})
 
 
+def fit_entry(numerator, power, surplus, order):
+    """The report entry of a fit, as ``certify_column`` returns it."""
+    return {
+        "numerator": {
+            str(d): {"num": Fraction(c).numerator, "den": Fraction(c).denominator}
+            for d, c in sorted(numerator.items())
+        },
+        "denom_spec": [[1, power]] if power else [],
+        "surplus": surplus,
+        "order": order,
+    }
+
+
+ONE = {"0": {"num": 1, "den": 1}}
+
+
 class TestFit:
     def test_geometric(self):
-        fit = fit_rational(geometric(8), 1, window=(0, 0))
-        assert fit.numerator == {0: 1}
-        assert fit.surplus == 8
+        fit, holds = certify_column(geometric(8), 1, -1, sign=-1)
+        assert fit["numerator"] == ONE
+        assert fit["surplus"] == 7  # window [0, 1]
+        assert holds  # Q^-1 f(1/Q) = -f(Q) for f = 1/(1-Q)
 
     def test_odd_numbers(self):
-        series = TruncSeries(8, {d: 2 * d + 1 for d in range(9)})
-        fit = fit_rational(series, 2, window=(0, 1))
-        assert fit.numerator == {0: 1, 1: 1}
+        series = TruncSeries(8, {d: 2 * d + 1 for d in range(9)})  # (1+Q)/(1-Q)^2
+        fit, holds = certify_column(series, 2, -1)
+        assert fit["numerator"] == {"0": {"num": 1, "den": 1}, "1": {"num": 1, "den": 1}}
+        assert holds
 
     def test_exponential_rejected(self):
         series = TruncSeries(8, {d: Fraction(1, factorial(d)) for d in range(9)})
         with pytest.raises(FitError):
-            fit_rational(series, 2)
+            certify_column(series, 2, 0)
+        with pytest.raises(FitError):
+            find_exponent(series, 2)
 
     def test_auto_window(self):
         series = TruncSeries(9, {d: 2 * d + 1 for d in range(10)})
-        fit = fit_rational(series, 2)
-        assert fit.numerator == {0: 1, 1: 1}
-        assert fit.surplus >= 3
+        numerator, surplus, a = find_exponent(series, 2)
+        assert numerator == {0: 1, 1: 1}
+        assert surplus == 7  # auto window [0, 2]
+        assert a == -1
 
     def test_window_needs_surplus(self):
-        with pytest.raises(FitError):
-            fit_rational(geometric(4), 1, window=(0, 2))
+        # the window [0, 2] of exponent 1 needs order 5
+        assert certify_column(geometric(4), 1, 1) is None
+        assert certify_column(geometric(5), 1, 1) is not None
 
     def test_expand_round_trip(self):
         series = TruncSeries(8, {d: (d + 1) * (d + 2) // 2 for d in range(9)})
-        fit = fit_rational(series, 3)
-        assert fit.numerator == {0: 1}
+        assert find_exponent(series, 3, sign=-1) == ({0: 1}, 5, -3)
+        fit, holds = certify_column(series, 3, -3, sign=-1)
+        assert fit["numerator"] == ONE and holds
 
     def test_zero_series(self):
-        fit = fit_rational(TruncSeries(6), 2)
-        assert fit.is_zero()
-        assert check_Q_functional(fit, a=17)
+        """The zero column reports surplus = order, and every exponent holds."""
+        assert certify_column(TruncSeries(25), 2, 17) == (fit_entry({}, 2, 25, 25), True)
+        assert find_exponent(TruncSeries(6), 2) == ({}, 6, None)
 
     def test_to_json(self):
-        fit = fit_rational(geometric(8), 1)
-        doc = fit.to_json()
-        assert doc["denom_spec"] == [[1, 1]]
-        assert doc["numerator"] == {"0": {"num": 1, "den": 1}}
+        fit, _ = certify_column(geometric(8), 1, 0)
+        assert list(fit) == ["numerator", "denom_spec", "surplus", "order"]
+        assert fit == {"numerator": ONE, "denom_spec": [[1, 1]], "surplus": 7, "order": 8}
 
 
 class TestQFunctional:
     def test_li_minus_one_symmetric(self):
         series = TruncSeries(8, {d: d for d in range(9)})  # Q/(1-Q)^2
-        fit = fit_rational(series, 2)
-        assert check_Q_functional(fit, a=0)
-        assert find_exponent(fit, -4, 4) == 0
+        assert certify_column(series, 2, 0)[1]
+        assert find_exponent(series, 2, -4, 4)[2] == 0
 
     def test_antisymmetric(self):
         series = TruncSeries(8, {0: 1, **{d: 2 for d in range(1, 9)}})  # (1+Q)/(1-Q)
-        fit = fit_rational(series, 1)
-        assert check_Q_functional(fit, a=0, sign=-1)
-        assert not check_Q_functional(fit, a=0)
+        assert certify_column(series, 1, 0, sign=-1)[1]
+        assert not certify_column(series, 1, 0)[1]
 
     def test_geometric_not_symmetric(self):
-        fit = fit_rational(geometric(8), 1)
-        assert not check_Q_functional(fit, a=0)
+        assert not certify_column(geometric(8), 1, 0)[1]
 
     def test_monomial_exponent(self):
-        fit = fit_rational(TruncSeries(8, {2: 1}), 0)
-        assert find_exponent(fit, -8, 8) == 4
+        series = TruncSeries(8, {2: 1})
+        assert find_exponent(series, 0, -8, 8)[2] == 4
+        assert certify_column(series, 0, 4)[1]
 
     def test_zero_rejected(self):
-        fit = fit_rational(TruncSeries(6), 1)
-        assert find_exponent(fit, -4, 4) is None
+        assert find_exponent(TruncSeries(6), 1, -4, 4)[2] is None
+
+
+def fit_by_widening(series, power, window=None):
+    """Oracle for ``certify_column`` (given a window) and for the auto
+    window of ``find_exponent`` (without one): the series cleared by
+    repeated products, not the binomials, and the auto window as a search.
+    Returns (numerator, surplus); None when a given window leaves no
+    surplus of 3.  The auto window starts at [min(valuation, 0), power]
+    and its top is moved to each offending degree while a surplus of 3
+    remains within the order of the cleared series."""
+    cleared = series * one_minus_q_power(power, series.order)
+    degrees = cleared.degrees()
+
+    def attempt(lo, hi, order):
+        for d in degrees:
+            if not lo <= d <= hi:
+                raise _Offending(
+                    "nonvanishing coefficient at Q^%d outside window [%d, %d]"
+                    % (d, lo, hi),
+                    d,
+                )
+        return dict(cleared.coeffs), (order - hi if degrees else order)
+
+    if window is not None:
+        lo, hi = window
+        if series.order < hi + 3:
+            return None
+        return attempt(lo, hi, series.order)
+    if not degrees:
+        return {}, cleared.order
+    lo = min(degrees[0], 0)
+    hi = max(lo + power, degrees[0])
+    last_error = None
+    while cleared.order - hi >= 3:
+        try:
+            return attempt(lo, hi, cleared.order)
+        except _Offending as err:
+            last_error = err
+            hi = max(hi + 1, err.degree)
+    raise last_error or FitError("no admissible window leaves a surplus of 3")
 
 
 class _Offending(FitError):
@@ -103,65 +159,13 @@ class _Offending(FitError):
         self.degree = degree
 
 
-def one_minus_q_power(power, order):
-    """(1-Q)^power through Q^order by repeated products: with 1 - Q for
-    power >= 0, with the geometric series sum_k Q^k for power < 0."""
-    step = {0: 1, 1: -1} if power >= 0 else dict.fromkeys(range(order + 1), 1)
-    result = TruncSeries.one(order)
-    for _ in range(abs(power)):
-        result = result * TruncSeries(order, step)
-    return result
-
-
-def fit_by_widening(series, power, window=None):
-    """Oracle for ``fit_rational``: the numerator window as a search, and
-    the series cleared by repeated products, not the binomials.
-    The auto window starts at [min(valuation, 0), power] and its top is
-    moved to each offending degree while a surplus of 3 remains."""
-    cleared = series * one_minus_q_power(power, series.order)
-    degrees = cleared.degrees()
-    if not degrees:
-        return RationalFit({}, power, surplus=series.order, order=series.order)
-
-    def attempt(lo, hi):
-        numerator = {}
-        for d in degrees:
-            if not lo <= d <= hi:
-                raise _Offending(
-                    "nonvanishing coefficient at Q^%d outside window [%d, %d]"
-                    % (d, lo, hi),
-                    d,
-                )
-            numerator[d] = cleared.coeffs[d]
-        return RationalFit(numerator, power, series.order - hi, series.order)
-
-    lo = min(degrees[0], 0)
-    if window is not None:
-        lo, hi = window
-        if series.order < hi + 3:
-            raise FitError(
-                "truncation order %d leaves no surplus beyond window end %d"
-                % (series.order, hi)
-            )
-        return attempt(lo, hi)
-    hi = max(lo + power, degrees[0])
-    last_error = None
-    while series.order - hi >= 3:
-        try:
-            return attempt(lo, hi)
-        except _Offending as err:
-            last_error = err
-            hi = max(hi + 1, err.degree)
-    raise last_error or FitError("no admissible window leaves a surplus of 3")
-
-
-def exponent_by_scan(fit, lo, hi, sign=1):
+def exponent_by_scan(numerator, power, lo, hi, sign=1):
     """Oracle for ``find_exponent``: every a in [lo, hi] tried in turn."""
-    if fit.is_zero():
+    if not numerator:
         return None
     found = None
     for a in range(lo, hi + 1):
-        if check_Q_functional(fit, a, sign=sign):
+        if symmetric(numerator, power, a, sign):
             assert found is None, "multiple exponents"
             found = a
     return found
@@ -175,7 +179,8 @@ COEFFS = st.one_of(st.just(0), NONZERO)
 @st.composite
 def fit_cases(draw):
     """A series num/denominator (num Laurent, of small degree), sometimes
-    with one coefficient bent, and either no window or a random one."""
+    with one coefficient bent, and either no exponent (the auto window) or
+    an exponent and sign for ``certify_column``."""
     order = draw(st.integers(0, 14))
     power = draw(st.sampled_from(DENOMINATORS))
     num = draw(st.dictionaries(st.integers(-2, 9), COEFFS, max_size=5))
@@ -183,19 +188,27 @@ def fit_cases(draw):
     if draw(st.booleans()):
         d = draw(st.integers(-2, order))
         series = series + TruncSeries(order, {d: draw(COEFFS)})
-    window = None
+    exponent = None
     if draw(st.booleans()):
-        lo = draw(st.integers(-2, 2))
-        window = (lo, draw(st.integers(lo, 14)))
-    return series, power, window
+        exponent = draw(st.integers(-4, 11)), draw(st.sampled_from([1, -1]))
+    return series, power, exponent
 
 
 def _outcome(fit, *args):
     try:
-        f = fit(*args)
+        return "fit", fit(*args)
     except FitError as err:
         return "error", str(err)
-    return "fit", f.numerator, f.power, f.surplus, f.order
+
+
+def _certified(series, power, a, sign):
+    """certify_column's outcome from the oracle: the fit in the window
+    [0, power + max(a, 0)] and the palindromy of its numerator."""
+    fitted = fit_by_widening(series, power, (0, power + max(a, 0)))
+    if fitted is None:
+        return None
+    numerator, surplus = fitted
+    return fit_entry(numerator, power, surplus, series.order), symmetric(numerator, power, a, sign)
 
 
 @st.composite
@@ -212,54 +225,70 @@ def numerators(draw):
 
 
 class TestClosedForms:
-    """The closed-form window and exponent against the searches they replace."""
+    """The a priori window and the closed-form exponent against the
+    searches they replace."""
 
     @given(fit_cases())
     @settings(max_examples=400, deadline=None)
     def test_fit_matches_widening_loop(self, case):
-        series, power, window = case
-        got = _outcome(fit_rational, series, power, window)
-        expected = _outcome(fit_by_widening, series, power, window)
-        if window is None and expected[0] == "error":
-            assert got[0] == "error"  # only the text may differ
+        series, power, exponent = case
+        if exponent is None:
+            got = _outcome(find_exponent, series, power)
+            expected = _outcome(fit_by_widening, series, power)
+            if expected[0] == "error":
+                assert got[0] == "error"  # only the text may differ
+            else:
+                assert got[0] == "fit" and got[1][:2] == expected[1]
         else:
-            assert got == expected
+            args = (series, power) + exponent
+            assert _outcome(certify_column, *args) == _outcome(_certified, *args)
 
     @given(numerators(), st.sampled_from(DENOMINATORS), st.sampled_from([1, -1]))
     @settings(max_examples=400, deadline=None)
     def test_exponent_matches_scan(self, num, power, sign):
-        fit = RationalFit(num, power, surplus=3, order=14)
-        assert find_exponent(fit, -8, 8, sign) == exponent_by_scan(fit, -8, 8, sign)
+        """The numerator over (1-Q)^power through Q^20: the fit recovers it
+        (a Laurent one too, within the order the products know), and the
+        one candidate exponent is the scan's."""
+        series = TruncSeries(20, num) * one_minus_q_power(-power, 20)
+        numerator, surplus, a = find_exponent(series, power, -8, 8, sign)
+        assert numerator == num and surplus >= 3
+        assert a == exponent_by_scan(num, power, -8, 8, sign)
 
     def test_exponent_checks_once(self, monkeypatch):
         calls = []
-        original = rationality.check_Q_functional
+        original = exponent_search.symmetric
         monkeypatch.setattr(
-            rationality, "check_Q_functional", lambda *a: calls.append(a) or original(*a)
+            exponent_search, "symmetric", lambda *a: calls.append(a) or original(*a)
         )
-        fit = fit_rational(TruncSeries(8, {d: d for d in range(9)}), 2)
-        assert find_exponent(fit, -8, 8) == 0
+        series = TruncSeries(8, {d: d for d in range(9)})
+        assert find_exponent(series, 2, -8, 8)[2] == 0
         assert len(calls) == 1
-        assert find_exponent(fit, 1, 8) is None  # the candidate 0 is out of range
+        assert find_exponent(series, 2, 1, 8)[2] is None  # the candidate 0 is out of range
         assert len(calls) == 1
 
     def test_negative_power(self):
         """(1-Q)^2 over (1-Q)^(-2) is 1: the binomials of a negative power
         run on past k = 2, as the oracle's geometric series does."""
         series = TruncSeries(8, {0: 1, 1: -2, 2: 1})
-        assert fit_rational(series, -2).numerator == {0: 1}
-        for window in (None, (0, 2)):
-            got = _outcome(fit_rational, series, -2, window)
-            assert got == _outcome(fit_by_widening, series, -2, window)
+        assert find_exponent(series, -2)[0] == {0: 1}
+        assert _outcome(find_exponent, series, -2)[1][:2] == fit_by_widening(series, -2)
+        # Q^2 f(1/Q) = f(Q) for f = (1-Q)^2, in the window [0, 0]
+        got = certify_column(series, -2, 2)
+        assert got == _certified(series, -2, 2, 1) == (fit_entry({0: 1}, -2, 8, 8), True)
+
+    def test_negative_power_symmetry_is_exact(self):
+        """(1-Q)^3/3 satisfies Q^3 f(1/Q) = -f(Q); the sign (-1)^(-3) must
+        stay an int, or the palindromy compares 1/3 with a float."""
+        series = TruncSeries(8, {0: Fraction(1, 3), 1: -1, 2: 1, 3: Fraction(-1, 3)})
+        fit, holds = certify_column(series, -3, 3, sign=-1)
+        assert fit["numerator"] == {"0": {"num": 1, "den": 3}} and holds
+        assert _certified(series, -3, 3, -1) == (fit, True)
 
     def test_window_messages(self):
-        """The window-mode texts that the fit and verify reports carry."""
+        """The window text that the fit and verify reports carry."""
         text = r"^nonvanishing coefficient at Q\^1 outside window \[0, 0\]$"
         with pytest.raises(FitError, match=text):
-            fit_rational(TruncSeries(8, {0: 1, 1: 2}), 0, window=(0, 0))
-        text = r"^truncation order 4 leaves no surplus beyond window end 2$"
-        with pytest.raises(FitError, match=text):
-            fit_rational(geometric(4), 1, window=(0, 2))
+            certify_column(TruncSeries(8, {0: 1, 1: 2}), 0, 0)
 
 
 def canonical(fraction):
@@ -331,14 +360,12 @@ class TestCertifyColumn:
         # the numerator window is [0, power + max(a, 0)] = [0, 3]
         assert certify_column(geometric(5), 1, 2) is None
         fit, holds = certify_column(geometric(6), 1, 2)
-        assert fit.power == 1
-        assert fit.to_json()["denom_spec"] == [[1, 1]]
+        assert fit["denom_spec"] == [[1, 1]]
         assert not holds
 
     def test_power_zero_has_no_factor(self):
         fit, holds = certify_column(TruncSeries(5, {1: 1}), 0, 2)
-        assert fit.power == 0
-        assert fit.to_json()["denom_spec"] == []
+        assert fit["denom_spec"] == []
         assert holds  # Q^2 (1/Q) = Q
 
     def test_not_rational_raises(self):

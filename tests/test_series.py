@@ -72,6 +72,18 @@ class TestRing:
         binomial = TruncSeries(2, {0: QRat.one(), 1: Q_VAR * 2, 2: q2 * 3})
         assert base * base * binomial == TruncSeries.one(2)
 
+    def test_laurent_product_order(self):
+        """Q^-2 moves the unknown terms of 1/(1-Q) from Q^4 down to Q^2, so
+        the product is known through Q^1 only; factors of valuation >= 0
+        (the zero series among them) keep min(order)."""
+        laurent = TruncSeries(3, {-2: 1})
+        geometric = TruncSeries(3, {k: 1 for k in range(4)})
+        expected = TruncSeries(1, {-2: 1, -1: 1, 0: 1, 1: 1})
+        assert laurent * geometric == expected
+        assert geometric * laurent == expected
+        assert (laurent * TruncSeries(5)).order == 3
+        assert (series_of(4, 0, 1) * series_of(6, 1)).order == 4
+
     def test_unit(self):
         a = series_of(4, 2, 3, 5)
         assert a * TruncSeries.one(4) == a
