@@ -32,11 +32,14 @@ SCHEMA = 1
 
 
 def _non_negative(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if value < 0:
         import argparse
 
-        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+        raise argparse.ArgumentTypeError("must be an integer >= 0, got %r" % text)
     return value
 
 
@@ -206,7 +209,7 @@ def run_verify(args) -> int:
     # integrality of the PT coefficients Z_m, from one assembly per r
     q_inversion = {}
     integrality = {}
-    z0 = vx.z0_numerators(args.Q_order)
+    z0 = vx.z0_series(args.Q_order)
     for r in args.r:
         ratios = vx.z_ratios(r, args.m_max, args.Q_order, cache=cache)
         for m, ratio in ratios.items():
@@ -215,7 +218,7 @@ def run_verify(args) -> int:
                 ok, witness = rat.check_q_inversion(ratio)
                 q_inversion[key] = {"passed": ok, "witness": witness}
             integrality[key] = {
-                "passed": rat.check_integrality(vx.pt_fractions(ratio, m, z0))
+                "passed": rat.check_integrality(vx.pt_fractions(ratio, z0))
             }
     checks["q_inversion"] = q_inversion
     checks["integrality"] = integrality

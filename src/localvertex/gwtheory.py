@@ -6,14 +6,14 @@ GW invariants as the coefficients of u^(2g-2) Q_c^m Q^j.  The logarithm
 is log Z_0 plus log(1 + sum_m (Z_m/Z_0) Q_c^m).  log Z_0 = sum_k f(q^k) Q^k/k,
 f(q) = 2q/(1-q)^2 the multiple covers of the fibre class b, is expanded
 once (``_fibre``): its x^h Q^k coefficient is C_h k^(h-1), with C_h that
-of f(e^x).  The Q_c^m part, m >= 1, is held as integer q-numerators over
-m (q;q)_m^2, with no gcd.  Every function expanded here has integer
-coefficients in q, so its expansion, ``u_expansions``, runs in x = iu,
-in integers up to one Fraction per coefficient, into plain {h: C_h}
-dicts, and the factor i^h that turns an x^h coefficient into a u^h
-coefficient is applied only where values are reported (``gw_extract``,
-``tilde_pt0``).  Every extracted value is asserted to sit on an even
-u-power.
+of f(e^x).  The Q_c^m part, m >= 1, is a class series of ``vertex``,
+integer q-numerators over the one m (q;q)_m^2, with no gcd.  Every
+function expanded here has integer coefficients in q, so its expansion,
+``u_expansions``, runs in x = iu, in integers up to one Fraction per
+coefficient, into plain {h: C_h} dicts, and the factor i^h that turns an
+x^h coefficient into a u^h coefficient is applied only where values are
+reported (``gw_extract``, ``tilde_pt0``).  Every extracted value is
+asserted to sit on an even u-power.
 
 This module certifies nothing: the certificates of its
 tables and series (column fits, ring membership, polynomiality) are in
@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qfield import _add, _exquo, _mul, _neg
+from .qfield import _exquo, _mul, _neg
 from .series import TruncSeries
-from .vertex import SCache, _aligned, _qq_squared, z_ratios
+from .vertex import SCache, _aligned, _product, z_ratios
 
 
 class RealityError(ArithmeticError):
@@ -49,28 +49,21 @@ def _moments(poly, shift: int):
         vals = [c * k for c, k in zip(vals, ks)]
 
 
-def u_expansions(fractions: dict, u_order: int) -> dict:
-    """Expand each q^shift num(q)/den(q) of a Q-series {j: (shift, num, den)}
-    around q = 1 with q = e^(iu), in x = iu: {j: {h: C_h}}, the nonzero
-    Fraction coefficients of sum_h C_h x^h through x^u_order, so that the
-    value at q = e^(iu) is sum_h C_h (iu)^h and the u^h coefficient is
-    C_h * i^h.
+def u_expansions(series: tuple, u_order: int) -> dict:
+    """Expand each Q^j coefficient q^shift num(q)/den(q) of a class series
+    (shift, {j: num}, den) around q = 1 with q = e^(iu), in x = iu:
+    {j: {h: C_h}}, the nonzero Fraction coefficients of sum_h C_h x^h
+    through x^u_order, so that the value at q = e^(iu) is
+    sum_h C_h (iu)^h and the u^h coefficient is C_h * i^h.
 
     num and den are integer q-polynomials, highest first, and need not be
     coprime: only their moments are read, and q^k = sum_n k^n x^n/n!.  The
     pole order v at q = 1 is the index of the first nonzero moment of den.
-    The moments and the pole order of each distinct den are taken once:
-    every Q-coefficient of [Q_c^m] log Z, m >= 1, has the one denominator
-    m (q;q)_m^2.
+    The one den of the class is read once.
     """
-    dens = {}
-    out = {}
-    for j, (shift, num, den) in sorted(fractions.items()):
-        key = tuple(den)
-        if key not in dens:
-            dens[key] = _x_denominator(den, u_order)
-        out[j] = _x_quotient(shift, num, dens[key], u_order)
-    return out
+    shift, nums, den = series
+    denominator = _x_denominator(den, u_order)
+    return {j: _x_quotient(shift, num, denominator, u_order) for j, num in nums.items()}
 
 
 def _x_denominator(den: list, u_order: int) -> tuple:
@@ -123,7 +116,7 @@ def _fibre(u_order: int) -> dict:
     the fibre class's multiple-cover function: f(e^(kx)) has the x^h
     coefficient k^h C_h, so the x^h Q^k coefficient of
     log Z_0 = sum_k f(q^k) Q^k/k is C_h k^(h-1)."""
-    return u_expansions({1: (1, [2], [1, -2, 1])}, u_order)[1]
+    return u_expansions((1, {1: [2]}, [1, -2, 1]), u_order)[1]
 
 
 def _i_power(h: int) -> int:
@@ -173,8 +166,8 @@ class GWTable:
 
 
 def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
-    """Coefficients [Q_c^m] log Z, 1 <= m <= m_max, each as
-    {j: (shift, num, den)} with integer q-polynomials and no gcd:
+    """Coefficients [Q_c^m] log Z, 1 <= m <= m_max, each the class series
+    (shift, {j: num}, m (q;q)_m^2) of integer q-polynomials, with no gcd:
     L = log(1 + sum_{m>=1} x_m Q_c^m) with x_m = Z_m/Z_0 = X_m/(q;q)_m^2
     from z_ratios.  The Q_c^0 part, log Z_0, is read off ``_fibre`` by
     ``gw_extract`` and ``tilde_pt0``.
@@ -183,27 +176,22 @@ def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
     m L_m = m x_m - sum_{k<m} k L_k x_{m-k}.  With Lambda_m = m (q;q)_m^2 L_m
     it is cleared of denominators,
     Lambda_m = m X_m - sum_{k<m} Lambda_k X_{m-k} [m choose k]_q^2, and
-    L_m is Lambda_m over m (q;q)_m^2.
+    L_m is Lambda_m over m (q;q)_m^2.  (q;q)_m^2 and the squared
+    q-binomials are read off the denominators of the x_m.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     logs = {}
     x = z_ratios(r, m_max, order, cache=cache) if m_max >= 1 else {}
     for m in range(1, m_max + 1):
-        qq = _qq_squared(m)
-        terms = [(j, s, [m * c for c in num]) for j, (s, num, _) in x[m].items()]
+        shift, nums, qq = x[m]
+        terms = [(j, shift, [m * c for c in num]) for j, num in nums.items()]
         for k in range(1, m):
-            binom = _neg(_exquo(qq, _mul(_qq_squared(k), _qq_squared(m - k))))
-            products = {}  # (j, shift) -> sum of Lambda_k X_(m-k) numerators
-            for j1, (s1, n1, _) in logs[k].items():
-                for j2, (s2, n2, _) in x[m - k].items():
-                    if j1 + j2 <= order:
-                        key = (j1 + j2, s1 + s2)
-                        products[key] = _add(products.get(key, []), _mul(n1, n2))
-            terms += [(j, s, _mul(c, binom)) for (j, s), c in products.items()]
+            binom = _neg(_exquo(qq, _mul(x[k][2], x[m - k][2])))
+            s, products = _product(logs[k], x[m - k], order)
+            terms += [(j, s, _mul(num, binom)) for j, num in products.items()]
         low, nums = _aligned(terms)
-        den = [m * c for c in qq]
-        logs[m] = {j: (low, num, den) for j, num in nums.items()}
+        logs[m] = (low, nums, [m * c for c in qq])
     return logs
 
 

@@ -162,16 +162,14 @@ def _in_t(p):
 def pt_series(r: int, m: int, order: int, cache: SCache = None) -> TruncSeries:
     """The PT generating series of the class m*c, in raw q^n convention.
 
-    Each Q-coefficient of ``vertex.pt_fractions`` is brought to canonical
-    form once.  The (-q)^n sign of the printed convention is applied only
-    at the reporting boundary; see ``vertex.pt_invariants``.
+    Each Q-coefficient of the class series of ``vertex.pt_fractions`` is
+    brought to canonical form once.  The (-q)^n sign of the printed
+    convention is applied only at the reporting boundary; see
+    ``vertex.pt_invariants``.
     """
+    shift, nums, den = _pt_fractions(r, m, order, cache)
     return TruncSeries(
-        order,
-        {
-            j: QRat(2 * shift, _in_t(num), _in_t(den))
-            for j, (shift, num, den) in _pt_fractions(r, m, order, cache).items()
-        },
+        order, {j: QRat(2 * shift, _in_t(num), _in_t(den)) for j, num in nums.items()}
     )
 
 

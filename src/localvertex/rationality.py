@@ -80,8 +80,9 @@ def certify_column(column: TruncSeries, power: int, a: int, sign: int = 1):
     return fit, holds
 
 
-def check_q_inversion(fractions: dict):
-    """Verify every nonzero Q-coefficient q^shift num(q)/den(q) is fixed by q -> 1/q.
+def check_q_inversion(series: tuple):
+    """Verify every nonzero Q-coefficient q^shift num(q)/den(q) of a class
+    series (shift, {j: num}, den) is fixed by q -> 1/q.
 
     den must be palindromic, den(1/q) = q^(-deg den) den(q), as (q;q)_m^2
     is with deg = m(m+1).  The check is then N(1/q) = q^(-deg den) N(q)
@@ -90,8 +91,8 @@ def check_q_inversion(fractions: dict):
 
     Returns (True, None) or (False, first failing Q-degree).
     """
-    for d in sorted(fractions):
-        shift, num, den = fractions[d]
+    shift, nums, den = series
+    for d, num in sorted(nums.items()):
         zeros = _trailing_zeros(num)
         core = num[: len(num) - zeros]
         if core != core[::-1] or 2 * shift + len(num) - 1 + zeros != len(den) - 1:
@@ -99,15 +100,17 @@ def check_q_inversion(fractions: dict):
     return True, None
 
 
-def check_integrality(fractions: dict) -> bool:
-    """True if every fraction (shift, num, den) of ``vertex.pt_fractions``
-    q-expands with integer coefficients over the INTEGRALITY_Q_TERMS from
-    its valuation (the 40 t-terms of the canonical form's t_expansion).
-    num and den need not be coprime: no gcd is taken.
+def check_integrality(series: tuple) -> bool:
+    """True if every Q-coefficient of a class series (shift, {j: num}, den),
+    as ``vertex.pt_fractions`` returns, q-expands with integer coefficients
+    over the INTEGRALITY_Q_TERMS from its valuation (the 40 t-terms of the
+    canonical form's t_expansion).  num and den need not be coprime: no
+    gcd is taken.
     """
+    shift, nums, den = series
     return all(
         c.denominator == 1
-        for shift, num, den in fractions.values()
+        for num in nums.values()
         for c in expansion(shift, num, den, INTEGRALITY_Q_TERMS)[1]
     )
 

@@ -56,18 +56,6 @@ class TruncSeries:
     def degrees(self):
         return sorted(self.coeffs)
 
-    def truncate(self, order: int) -> "TruncSeries":
-        """The same series cut at a lower (or equal) order; never extends."""
-        if order > self.order:
-            raise SeriesError(
-                "cannot truncate order %d up to %d" % (self.order, order)
-            )
-        return TruncSeries(order, self.coeffs)
-
-    def shifted(self, k: int) -> "TruncSeries":
-        """Multiplication by the monomial x^k (order shifts along)."""
-        return TruncSeries(self.order + k, {d + k: c for d, c in self.coeffs.items()})
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

@@ -28,13 +28,18 @@ The product is expanded by the exp recurrence of its logarithm, each
 Q^n coefficient one packed integer of ``qfield``, the one kernel.
 
 Every series is held over denominators fixed in advance, as integer
-q-polynomial numerators, with no QRat and no gcd.  (W_mu W_nu)^2 is
-q^w/(H_mu H_nu)^2 with the hook products H_mu = prod_hooks (1 - q^h);
-H_mu divides (q;q)_|mu|, so z_ratios takes each pair over (q;q)_m^2 by an
-exact cofactor and sums integer numerators.  The Q^n coefficient of
-Z_0 = prod_j (1 - q^j Q)^(-2j) is N_n/(q;q)_n^2, so the Q^j coefficient
-of Z_m = Z_0 (Z_m/Z_0) is one numerator over (q;q)_j^2 (q;q)_m^2.  Only
-the oracle ``oracles.pt_series`` reduces, once per Q-coefficient.
+q-polynomial numerators, with no QRat and no gcd.  A Q-series whose
+coefficients share one shift and one denominator is a class series
+(shift, {j: num}, den): its Q^j coefficient is q^shift num(q)/den(q),
+and zero coefficients are left out.  (W_mu W_nu)^2 is q^w/(H_mu H_nu)^2
+with the hook products H_mu = prod_hooks (1 - q^h); H_mu divides
+(q;q)_|mu|, so z_ratio takes each pair over (q;q)_m^2 by an exact
+cofactor and sums integer numerators into one class series.  The Q^n
+coefficient of Z_0 = prod_j (1 - q^j Q)^(-2j) is N_n/(q;q)_n^2, so up to
+Q^J Z_0 is a class series over (q;q)_J^2, and Z_m = Z_0 (Z_m/Z_0) is
+their product over (q;q)_J^2 (q;q)_m^2 by ``_product``, the one
+Q-convolution of q-numerators.  Only the oracle ``oracles.pt_series``
+reduces, once per Q-coefficient.
 """
 
 from __future__ import annotations
@@ -240,20 +245,17 @@ class SCache:
 
 def z_ratios(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
     """The quotients [Q_c^m] Z / Z_0 of K_{F_r} for 0 <= m <= m_max, each
-    as {j: (shift, num, den)} over j <= order: the Q^j coefficient is
-    q^shift num(q)/den(q), with one shift per m, den = (q;q)_m^2 and an
-    integer q-polynomial num; zero coefficients are left out.  Each m is
-    assembled once (``z_ratio``).  Without ``cache`` the call builds its
-    S-series in a fresh SCache.
+    the class series of ``z_ratio``.  Each m is assembled once.  Without
+    ``cache`` the call builds its S-series in a fresh SCache.
     """
     cache = cache or SCache()
     return {m: z_ratio(r, m, order, cache) for m in range(m_max + 1)}
 
 
-def z_ratio(r: int, m: int, order: int, cache: SCache) -> dict:
+def z_ratio(r: int, m: int, order: int, cache: SCache) -> tuple:
     """[Q_c^m] Z / Z_0 = (-1)^(rm) sum over |mu2|+|mu4|=m of
     q^(r(k(mu2)-k(mu4))/2) Q^(r|mu2|) (S_{mu2,mu4}/S_{empty,empty})^2,
-    in the form of ``z_ratios``.
+    up to Q^order, as the class series (shift, {j: num}, (q;q)_m^2).
 
     Each term is taken over (q;q)_m^2 by the cofactor
     (q;q)_m^2/(H_mu2 H_mu4)^2, an exact division (q-binomials are
@@ -279,7 +281,9 @@ def z_ratio(r: int, m: int, order: int, cache: SCache) -> dict:
                     if num:
                         terms.append((k, s + shift, _mul(num, cofactor)))
     low, nums = _aligned(terms)
-    return {j: (low, _neg(num) if (r * m) % 2 else num, dm) for j, num in nums.items()}
+    if (r * m) % 2:
+        nums = {j: _neg(num) for j, num in nums.items()}
+    return low, nums, dm
 
 
 def _aligned(terms) -> tuple:
@@ -292,8 +296,20 @@ def _aligned(terms) -> tuple:
     return low, {j: num for j, num in sorted(sums.items()) if num}
 
 
+def _product(a, b, order: int) -> tuple:
+    """The Q-product of the class series a and b up to Q^order, as
+    (shift, {j: num}) over the product of their denominators, zero
+    coefficients left out: the one Q-convolution of q-numerators."""
+    sums = {}
+    for j1, n1 in a[1].items():
+        for j2, n2 in b[1].items():
+            if j1 + j2 <= order:
+                sums[j1 + j2] = _add(sums.get(j1 + j2, []), _mul(n1, n2))
+    return a[0] + b[0], {j: num for j, num in sorted(sums.items()) if num}
+
+
 # ---------------------------------------------------------------------------
-# Z_m = Z_0 * (Z_m/Z_0) over the known denominators (q;q)_j^2 (q;q)_m^2.
+# Z_m = Z_0 * (Z_m/Z_0) over the known denominator (q;q)_J^2 (q;q)_m^2.
 # q-polynomials are integer lists, highest first, as in qfield.
 
 
@@ -318,8 +334,9 @@ def _qq_squared(n):
     return p
 
 
-def z0_numerators(order: int) -> list:
-    """The integer q-polynomials N_0..N_order of Z_0 = sum_n N_n/(q;q)_n^2 Q^n.
+def z0_series(order: int) -> tuple:
+    """Z_0 = sum_n N_n/(q;q)_n^2 Q^n up to Q^J, J = order, as the class
+    series (0, {n: N_n ((q;q)_J/(q;q)_n)^2}, (q;q)_J^2).
 
     Z_0 = prod_{j>=1} (1 - q^j Q)^(-2j) = exp(log Z_0), and the exp
     recurrence n b_n = sum_k k a_k b_{n-k}, with k a_k = 2 q^k/(1-q^k)^2
@@ -343,34 +360,21 @@ def z0_numerators(order: int) -> list:
         if any(rem for _, rem in quotients):
             raise VertexError("n N_n is not divisible by n = %d" % n)
         nums.append([c for c, _ in quotients])
-    return nums
+    lifts = [[1]]  # lifts[J - n] = ((q;q)_J/(q;q)_n)^2 takes N_n over (q;q)_J^2
+    for n in range(order, 0, -1):
+        lifts.append(_times_factor_squared(lifts[-1], n))
+    return 0, {n: _mul(num, lifts[order - n]) for n, num in enumerate(nums)}, lifts[-1]
 
 
-def pt_fractions(ratio: dict, m: int, z0: list) -> dict:
-    """Z_m = Z_0 * ratio as {j: (shift, num, den)}, with no gcd.
+def pt_fractions(ratio: tuple, z0: tuple) -> tuple:
+    """Z_m = Z_0 * ratio as a class series, with no gcd.
 
-    ``ratio`` is z_ratios(...)[m], integer numerators over (q;q)_m^2 with
-    one shift, and ``z0`` is z0_numerators at the same Q-order.  So the
-    Q^j coefficient of Z_m is q^shift num(q)/den(q) with one integer
-    numerator over den = (q;q)_j^2 (q;q)_m^2, whose constant term is 1.
+    ``ratio`` is z_ratio(...), over (q;q)_m^2, and ``z0`` is z0_series at
+    the same Q-order J.  So the Q^j coefficient of Z_m is q^shift num(q)
+    over den = (q;q)_J^2 (q;q)_m^2, whose constant term is 1.
     """
-    dm = _qq_squared(m)
-    low = min((shift for shift, _, _ in ratio.values()), default=0)
-    out = {}
-    qq = [1]
-    for j in range(len(z0)):
-        if j:
-            qq = _times_factor_squared(qq, j)
-        num = []
-        lift = [1]  # ((q;q)_j/(q;q)_(j-b))^2 takes N_(j-b) over (q;q)_j^2
-        for b in range(j + 1):
-            if b:
-                lift = _times_factor_squared(lift, j - b + 1)
-            if b in ratio:
-                num = _add(num, _mul(_mul(z0[j - b], lift), ratio[b][1]))
-        if num:
-            out[j] = (low, num, _mul(qq, dm))
-    return out
+    shift, nums = _product(z0, ratio, max(z0[1]))
+    return shift, nums, _mul(z0[2], ratio[2])
 
 
 def _pt_fractions(r, m, order, cache):
@@ -378,8 +382,7 @@ def _pt_fractions(r, m, order, cache):
     the class m is assembled."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    ratio = z_ratio(r, m, order, cache or SCache())
-    return pt_fractions(ratio, m, z0_numerators(order))
+    return pt_fractions(z_ratio(r, m, order, cache or SCache()), z0_series(order))
 
 
 def pt_invariants(r: int, m: int, order: int, cache: SCache = None):
@@ -393,7 +396,8 @@ def pt_invariants(r: int, m: int, order: int, cache: SCache = None):
     with constant term 1 expands with integer coefficients.
     """
     rows = []
-    for j, (shift, num, den) in sorted(_pt_fractions(r, m, order, cache).items()):
+    shift, nums, den = _pt_fractions(r, m, order, cache)
+    for j, num in nums.items():
         lowest, coeffs = expansion(shift, num, den, PT_Q_TERMS + 1)
         for n, c in enumerate(coeffs, lowest):
             if c:

@@ -75,6 +75,27 @@ class TestPT:
         assert out == ""
         assert json.loads(target.read_text())["task"] == "pt"
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "efc21601ac1112538e5ecad3dc82638dc20fb3fec05b3fd5bded90895dea81cd"),
+            ("csv", "2f88b14235e8fea108f93791ffc4ea260421962694fabc1174a453f41cd858ea"),
+        ],
+    )
+    def test_report_digest(self, tmp_path, fmt, digest):
+        """The pt report of --r 0 --r 1 --m 2 --Q-order 8 is pinned by the
+        sha256 of its canonical JSON, generated_at dropped, and of its CSV
+        bytes."""
+        out = tmp_path / "pt.out"
+        argv = ["pt", "--r", "0", "--r", "1", "--m", "2", "--Q-order", "8"]
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        payload = out.read_bytes()
+        if fmt == "json":
+            doc = json.loads(payload)
+            doc.pop("generated_at")
+            payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(payload).hexdigest() == digest
+
 
 class TestGW:
     def test_json_table(self, capsys):
@@ -424,7 +445,18 @@ class TestUsage:
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert "must be >= 0" in capsys.readouterr().err
+        assert "must be an integer >= 0, got '-1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_non_integer_flag_is_usage_error(self, capsys, value):
+        """A value that is not an integer gets the same message, which names
+        no private function of the parser."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gw", "--Q-order", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --Q-order: must be an integer >= 0, got %r" % value in err
+        assert "_non_negative" not in err
 
     @pytest.mark.parametrize(
         "argv",

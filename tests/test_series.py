@@ -88,13 +88,6 @@ class TestRing:
         a = series_of(4, 2, 3, 5)
         assert a * TruncSeries.one(4) == a
 
-    def test_truncate_never_extends(self):
-        a = series_of(3, 1, 1)
-        with pytest.raises(SeriesError):
-            a.truncate(5)
-        assert a.truncate(3) == a
-        assert a.truncate(2).order == 2
-
     def test_getitem_beyond_order(self):
         a = series_of(3, 1)
         with pytest.raises(SeriesError):
@@ -112,11 +105,6 @@ class TestRing:
     def test_commutativity(self, a, b):
         assert a * b == b * a
         assert a + b == b + a
-
-    def test_shifted(self):
-        a = series_of(3, 1, 2)
-        assert a.shifted(1)[1] == 1
-        assert a.shifted(1)[2] == 2
 
 
 class TestExpLog:
@@ -138,7 +126,8 @@ class TestExpLog:
     @given(rational_series(), st.integers(min_value=0, max_value=2))
     @settings(max_examples=40, deadline=None)
     def test_exp_matches_power_iteration(self, a, shift):
-        a = _drop_constant(a).shifted(shift).truncate(6)
+        # times Q^shift, cut at Q^6
+        a = TruncSeries(6, {d + shift: c for d, c in _drop_constant(a).coeffs.items()})
         assert a.exp() == power_iteration_exp(a)
 
     def test_exp_qrat_matches_power_iteration(self):

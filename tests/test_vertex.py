@@ -31,7 +31,7 @@ from localvertex.vertex import (
     pt_fractions,
     pt_invariants,
     s_ratio_squared,
-    z0_numerators,
+    z0_series,
     z_ratio,
     z_ratios,
 )
@@ -122,16 +122,17 @@ def qrat_z_ratios(r, m_max, order, cache):
                 for mu4 in partitions_of(m - a):
                     term = ratio_series(mu2, mu4, order)
                     term = term * QRat.t_power(r * (mu2.kappa() - mu4.kappa()))
-                    if r * mu2.size:
-                        term = term.shifted(r * mu2.size).truncate(order)
+                    lift = r * mu2.size  # Q^(r|mu2|), cut at the order
+                    term = TruncSeries(order, {d + lift: c for d, c in term.coeffs.items()})
                     total = total + term
         out[m] = -total if (r * m) % 2 else total
     return out
 
 
-def fraction_series(fractions, order):
-    """A {j: (shift, num, den)} Q-series as a QRat series."""
-    return TruncSeries(order, {j: canonical(f) for j, f in fractions.items()})
+def fraction_series(series, order):
+    """A class series (shift, {j: num}, den) as a QRat series."""
+    shift, nums, den = series
+    return TruncSeries(order, {j: canonical((shift, num, den)) for j, num in nums.items()})
 
 
 def _bits(series):
@@ -351,7 +352,7 @@ class TestPartitionFunctions:
         s = s_closed(EMPTY, EMPTY, 5)
         for r in (0, 1, 2):
             got = pt_series(r, 0, 5, cache=scache)
-            assert got == (s * s).truncate(5)
+            assert got == s * s
 
     def test_toric_agreement_r0(self, scache):
         _assert_toric_agreement(0, 1, 3, scache)
@@ -410,7 +411,7 @@ class TestPT:
     def test_integrality(self, scache):
         for r, m in ((0, 0), (1, 1)):
             ratio = z_ratios(r, m, 4, cache=scache)[m]
-            assert check_integrality(pt_fractions(ratio, m, z0_numerators(4)))
+            assert check_integrality(pt_fractions(ratio, z0_series(4)))
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_pt_series_is_z_hirzebruch_entry(self, r, scache):
@@ -423,7 +424,7 @@ class TestPT:
             assert _bits(pt_series(r, m, 9, cache=scache)) == _bits(z0 * ratios[m]), m
 
     def test_integrality_detects_fractions(self):
-        bad = {1: (0, [1], [2])}  # 1/2
+        bad = (0, {1: [1]}, [2])  # 1/2 Q
         assert not check_integrality(bad)
 
     def test_fiber_class_invariants(self, scache):
@@ -452,25 +453,31 @@ def canonical_integrality(series, t_terms=40):
 
 
 def canonical(fraction):
-    """The QRat value q^shift num(q)/den(q) of a pt_fractions triple."""
+    """The QRat value of a triple (shift, num, den), q^shift num(q)/den(q)."""
     shift, num, den = fraction
     return QRat(2 * shift, _in_t(num), _in_t(den))
 
 
 class TestKnownDenominators:
     def test_z0_bit_identical_to_exp_route(self):
-        nums = z0_numerators(13)
+        """Every Q^n coefficient of z0_series(13), and the last of each
+        z0_series(n), canonicalises to the exp route's, bit for bit."""
+        shift, nums, den = z0_series(13)
         oracle = exp_route_z0(13)
+        assert shift == 0 and sorted(nums) == list(range(14))
+        assert den == vertex._qq_squared(13)
         for n in range(14):
-            assert z0_numerators(n) == nums[: n + 1]
-            got = canonical((0, nums[n], vertex._qq_squared(n)))
+            _, short, short_den = z0_series(n)
             want = oracle[n] if n else ONE  # the exp route stores 1 as an int
-            assert (got.shift, got.num, got.den) == (want.shift, want.num, want.den), n
+            for got in (canonical((0, nums[n], den)), canonical((0, short[n], short_den))):
+                assert (got.shift, got.num, got.den) == (want.shift, want.num, want.den), n
 
     def test_z0_golden(self):
-        # Z_0 = 1 + 2q/(q;q)_1^2 Q + (3q^2 + 2q^3 + 3q^4)/(q;q)_2^2 Q^2 + ...
-        assert z0_numerators(2) == [[1], [2, 0], [3, 2, 3, 0, 0]]
-        assert vertex._qq_squared(2) == [1, -2, -1, 4, -1, -2, 1]
+        # Z_0 = 1 + 2q/(q;q)_1^2 Q + (3q^2 + 2q^3 + 3q^4)/(q;q)_2^2 Q^2 + ...,
+        # each numerator lifted to (q;q)_2^2 by ((q;q)_2/(q;q)_n)^2
+        qq = [1, -2, -1, 4, -1, -2, 1]
+        assert vertex._qq_squared(2) == qq
+        assert z0_series(2) == (0, {0: qq, 1: [2, 0, -4, 0, 2, 0], 2: [3, 2, 3, 0, 0]}, qq)
 
     def test_inexact_division_raises(self, monkeypatch):
         """n N_n must be divisible by n: a stray factor (1 + q) in every
@@ -478,7 +485,7 @@ class TestKnownDenominators:
         mul = vertex._mul
         monkeypatch.setattr(vertex, "_mul", lambda f, g: mul(mul(f, g), [1, 1]))
         with pytest.raises(VertexError, match="n = 3"):
-            z0_numerators(4)
+            z0_series(4)
 
     def test_takes_no_series_exp(self, monkeypatch, scache):
         def refuse(self):
@@ -487,7 +494,7 @@ class TestKnownDenominators:
         monkeypatch.setattr(TruncSeries, "exp", refuse)
         assert pt_series(1, 2, 5, cache=scache)[5]
         ratio = z_ratios(1, 2, 5, cache=scache)[2]
-        assert check_integrality(pt_fractions(ratio, 2, z0_numerators(5)))
+        assert check_integrality(pt_fractions(ratio, z0_series(5)))
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_ratio_denominators_divide_qq_squared(self, r, scache):
@@ -499,8 +506,7 @@ class TestKnownDenominators:
             qq = ONE
             for k in range(1, m + 1):
                 qq = qq * (ONE - QRat.q_power(k)) ** 2
-            for shift, num, den in ratios[m].values():
-                assert canonical((0, [1], den)) == ONE / qq, m
+            assert canonical((0, [1], ratios[m][2])) == ONE / qq, m
             assert _bits(fraction_series(ratios[m], 9)) == _bits(oracle[m]), m
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -531,12 +537,13 @@ class TestKnownDenominators:
         canonical t_expansion(40), whose odd t-terms are zero; so the two
         integrality verdicts agree."""
         ratios = z_ratios(r, 2, 9, cache=scache)
-        z0 = z0_numerators(9)
+        z0 = z0_series(9)
         for m in range(3):
-            fractions = pt_fractions(ratios[m], m, z0)
-            series = TruncSeries(9, {j: canonical(f) for j, f in fractions.items()})
+            fractions = pt_fractions(ratios[m], z0)
+            series = fraction_series(fractions, 9)
             assert check_integrality(fractions) == canonical_integrality(series)
-            for j, (shift, num, den) in fractions.items():
+            shift, nums, den = fractions
+            for j, num in nums.items():
                 low, window = expansion(shift, num, den, 20)
                 t_low, t_window = series[j].t_expansion(40)
                 assert (2 * low, window) == (t_low, t_window[::2])
@@ -553,7 +560,8 @@ class TestKnownDenominators:
         ],
     )
     def test_negative_goldens(self, fraction):
-        assert not check_integrality({0: fraction})
+        shift, num, den = fraction
+        assert not check_integrality((shift, {0: num}, den))
         assert not canonical_integrality(TruncSeries(0, {0: canonical(fraction)}))
 
     def test_window_starts_at_valuation(self):
@@ -561,7 +569,7 @@ class TestKnownDenominators:
         fraction = (-2, [3, 0, 0, 0], [1, 0, 1, 0, 1])  # 3 q/(1 + q^2 + q^4)
         low, window = expansion(*fraction, 4)
         assert (low, window) == (1, [3, 0, -3, 0])
-        assert check_integrality({0: fraction})
+        assert check_integrality((-2, {0: fraction[1]}, fraction[2]))
 
     @pytest.mark.parametrize("r", [0, 1, 3])
     def test_pt_invariants_match_canonical_window(self, r, scache):
