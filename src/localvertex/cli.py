@@ -143,8 +143,10 @@ def run_pt(args) -> int:
     report = _report("pt", args)
     report["m"] = args.m
     tables = {}
+    z0 = vx.z0_series(args.Q_order)
     for r in args.r:
-        rows = vx.pt_invariants(r, args.m, args.Q_order, cache=cache)
+        ratio = vx.z_ratio(r, args.m, args.Q_order, cache)
+        rows = vx.pt_invariants(vx.pt_fractions(ratio, z0))
         tables[str(r)] = [{"j": j, "n": n, "value": v} for j, n, v in rows]
     report["tables"] = tables
     csv_text = None

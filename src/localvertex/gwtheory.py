@@ -9,8 +9,10 @@ once (``_fibre``): its x^h Q^k coefficient is C_h k^(h-1), with C_h that
 of f(e^x).  The Q_c^m part, m >= 1, is a class series of ``vertex``,
 integer q-numerators over the one m (q;q)_m^2, with no gcd.  Every
 function expanded here has integer coefficients in q, so its expansion,
-``u_expansions``, runs in x = iu, in integers up to one Fraction per
-coefficient, into plain {h: C_h} dicts, and the factor i^h that turns an
+``u_expansions``, runs in x = iu: the moments of num and den make them
+integer x-polynomials, whose quotient ``qfield.expansion`` divides out
+fraction-free, the same division that reads the PT q-windows, into
+plain {h: C_h} dicts of Fractions, and the factor i^h that turns an
 x^h coefficient into a u^h coefficient is applied only where values are
 reported (``gw_extract``, ``tilde_pt0``).  Every extracted value is
 asserted to sit on an even u-power.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qfield import _exquo, _mul, _neg
+from .qfield import _exquo, _mul, _neg, _strip, expansion
 from .series import TruncSeries
 from .vertex import SCache, _aligned, _product, z_ratios
 
@@ -58,26 +60,30 @@ def u_expansions(series: tuple, u_order: int) -> dict:
 
     num and den are integer q-polynomials, highest first, and need not be
     coprime: only their moments are read, and q^k = sum_n k^n x^n/n!.  The
-    pole order v at q = 1 is the index of the first nonzero moment of den.
-    The one den of the class is read once.
+    pole order v at q = 1 is the index of the first nonzero moment of den,
+    and the x-coefficients through x^n, n = u_order + 2v, pin the quotient
+    through x^u_order.  The one den of the class is read once.  Scaled by
+    n!, num and den are integer x-polynomials, and with x^v taken out of
+    den their quotient is ``qfield.expansion``'s from x^(-v).
     """
     shift, nums, den = series
-    denominator = _x_denominator(den, u_order)
-    return {j: _x_quotient(shift, num, denominator, u_order) for j, num in nums.items()}
-
-
-def _x_denominator(den: list, u_order: int) -> tuple:
-    """What ``u_expansions`` reads of den: (v, b), the pole order v at q = 1
-    and the x^i coefficients of den times n!, i <= n = u_order + 2v (the
-    x-degrees of num and den that pin the quotient through x^u_order)."""
     den_moments = _moments(den, 0)
     b = [next(den_moments)]
     while not b[-1]:
         b.append(next(den_moments))
     v = len(b) - 1
-    b += [next(den_moments) for _ in range(u_order + 2 * v + 1 - len(b))]
+    b += [next(den_moments) for _ in range(u_order + v)]
     _scale(b)
-    return v, b
+    den_x = b[v:][::-1]  # den / x^v, highest first
+    out = {}
+    for j, num in nums.items():
+        num_moments = _moments(num, shift)
+        a = [next(num_moments) for _ in range(len(b))]
+        _scale(a)
+        low, coeffs = expansion(-v, _strip(a[::-1]), den_x, u_order + v + 1)
+        # a num_x that vanishes at x = 0 moves the window past x^u_order, unpinned there
+        out[j] = {h: Fraction(c) for h, c in enumerate(coeffs, low) if c and h <= u_order}
+    return out
 
 
 def _scale(moments: list):
@@ -86,29 +92,6 @@ def _scale(moments: list):
     for i in range(len(moments) - 1, -1, -1):
         moments[i] *= scale
         scale *= i
-
-
-def _x_quotient(shift: int, num: list, denominator: tuple, u_order: int) -> dict:
-    """The x-coefficients of q^shift num(q) over a den read by ``_x_denominator``."""
-    if not num:
-        return {}
-    v, b = denominator
-    num_moments = _moments(num, shift)
-    a = [next(num_moments) for _ in range(len(b))]
-    _scale(a)
-    # solve a = b * result for result with x-valuation >= -v, fraction-free:
-    # p_k = result_k * lead^(k+1) = a_k lead^k - sum_j b_(v+j) p_(k-j) lead^(j-1)
-    lead = b[v]
-    powers = [1]
-    result = {}
-    p = []
-    for k in range(u_order + v + 1):
-        acc = a[k] * powers[k] - sum(b[v + j] * p[k - j] * powers[j - 1] for j in range(1, k + 1))
-        p.append(acc)
-        powers.append(powers[-1] * lead)
-        if acc:
-            result[k - v] = Fraction(acc, powers[k + 1])
-    return result
 
 
 def _fibre(u_order: int) -> dict:

@@ -31,7 +31,7 @@ from .partitions import Partition, partitions_of, partitions_up_to
 from .qrat import QRat
 from .series import TruncSeries
 from .symmfun import p_shifted, w_one, w_two
-from .vertex import SCache, _pt_fractions
+from .vertex import SCache, pt_fractions, z0_series, z_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,8 @@ def pt_series(r: int, m: int, order: int, cache: SCache = None) -> TruncSeries:
     convention is applied only at the reporting boundary; see
     ``vertex.pt_invariants``.
     """
-    shift, nums, den = _pt_fractions(r, m, order, cache)
+    ratio = z_ratio(r, m, order, cache or SCache())
+    shift, nums, den = pt_fractions(ratio, z0_series(order))
     return TruncSeries(
         order, {j: QRat(2 * shift, _in_t(num), _in_t(den)) for j, num in nums.items()}
     )

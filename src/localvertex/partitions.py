@@ -85,9 +85,6 @@ class Partition:
         return out
 
 
-EMPTY = Partition()
-
-
 def partitions_of(n: int):
     """Yield all partitions of n in reverse-lexicographic order.
 

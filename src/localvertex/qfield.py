@@ -4,12 +4,15 @@ A polynomial is a list of Python ints, highest degree first, with no
 leading zeros ([] is zero).  Long products go through Kronecker
 substitution (one big-int product, which CPython does by Karatsuba);
 ``_exquo`` is exact division.  ``expansion`` reads the ascending
-coefficients of q^shift num(q)/den(q) with no gcd.  Every series on the
-PT and GW paths is an integer numerator over a denominator known in
-advance, so this module, which uses only the standard library, is all
-the arithmetic those paths load.  The field Q(t) with t = q^(1/2), its
-canonical form and its gcd are in ``qrat``, which serves the oracles
-(among them ``pt_series``) and ``symmfun``, in the tests only.
+coefficients of x^shift num(x)/den(x) with no gcd, fraction-free: the one
+ascending series division of the engine, for the PT q-windows around
+q = 0 and, on integer x-polynomials of moments, for the u-expansions of
+``gwtheory`` around q = 1.  Every series on the PT and GW paths is an
+integer numerator over a denominator known in advance, so this module,
+which uses only the standard library, is all the arithmetic those paths
+load.  The field Q(t) with t = q^(1/2), its canonical form and its gcd
+are in ``qrat``, which serves the oracles (among them ``pt_series``) and
+``symmfun``, in the tests only.
 """
 
 from __future__ import annotations
@@ -152,10 +155,11 @@ def expansion(shift, num, den, n_terms):
     num and den are integer polynomials, highest first, with den(0) != 0.
     They need not be coprime, so no gcd is taken, and trailing zeros of
     num move into the valuation.  Only the window of the first n_terms
-    ascending coefficients of num and den enters:
-    c_k = (num_k - sum_{j=1..k} den_j c_{k-j}) / den_0.  When den_0 = 1,
-    as for every vertex quantity, the recurrence runs in Python ints (and
-    the c_k are ints); otherwise in Fractions.
+    ascending coefficients of num and den enters.  The one ascending
+    series division of the engine, it runs fraction-free in Python ints:
+    p_k = c_k d_0^(k+1) = num_k d_0^k - sum_{j=1..k} (den_j d_0^(j-1)) p_(k-j).
+    When d_0 = 1, as for every vertex quantity, c_k = p_k is an int;
+    otherwise c_k is the Fraction p_k / d_0^(k+1).
     """
     if not num:
         return 0, [0] * n_terms
@@ -163,10 +167,14 @@ def expansion(shift, num, den, n_terms):
     low = num[len(num) - zn - 1::-1][:n_terms]  # ascending from the valuation
     low += [0] * (n_terms - len(low))
     den = den[::-1]
-    d0, tail = den[0], den[1:n_terms]
+    d0 = den[0]
+    tail = [c * d0 ** j for j, c in enumerate(den[1:n_terms])]  # den_j d_0^(j-1)
+    p = []
     coeffs = []
+    power = 1  # d_0^k
     for k in range(n_terms):
-        # tail[j-1] * coeffs[k-j] for j = 1..k; map stops at the shorter
-        c = low[k] - sum(map(mul, tail, reversed(coeffs)))
-        coeffs.append(c if d0 == 1 else Fraction(c, d0))
+        # tail[j-1] * p[k-j] for j = 1..k; map stops at the shorter
+        p.append(low[k] * power - sum(map(mul, tail, reversed(p))))
+        power *= d0
+        coeffs.append(p[k] if d0 == 1 else Fraction(p[k], power))
     return shift + zn, coeffs

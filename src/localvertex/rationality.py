@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from .qfield import _trailing_zeros, expansion
 from .series import TruncSeries
+from .vertex import PT_Q_TERMS
 
-INTEGRALITY_Q_TERMS = 20  # q-coefficients read by check_integrality
 
 class FitError(ArithmeticError):
     """The series is not rational with the prescribed denominator."""
@@ -103,15 +103,14 @@ def check_q_inversion(series: tuple):
 def check_integrality(series: tuple) -> bool:
     """True if every Q-coefficient of a class series (shift, {j: num}, den),
     as ``vertex.pt_fractions`` returns, q-expands with integer coefficients
-    over the INTEGRALITY_Q_TERMS from its valuation (the 40 t-terms of the
-    canonical form's t_expansion).  num and den need not be coprime: no
-    gcd is taken.
+    over the window ``vertex.pt_invariants`` prints, PT_Q_TERMS + 1 terms
+    from its valuation.  num and den need not be coprime: no gcd is taken.
     """
     shift, nums, den = series
     return all(
         c.denominator == 1
         for num in nums.values()
-        for c in expansion(shift, num, den, INTEGRALITY_Q_TERMS)[1]
+        for c in expansion(shift, num, den, PT_Q_TERMS + 1)[1]
     )
 
 

@@ -264,6 +264,8 @@ def z_ratio(r: int, m: int, order: int, cache: SCache) -> tuple:
     """
     if r < 0:
         raise ValueError("r must be >= 0")
+    if m < 0:
+        raise ValueError("m must be >= 0")
     dm = _qq_squared(m)
     terms = []
     for a in range(m + 1):
@@ -377,26 +379,19 @@ def pt_fractions(ratio: tuple, z0: tuple) -> tuple:
     return shift, nums, _mul(z0[2], ratio[2])
 
 
-def _pt_fractions(r, m, order, cache):
-    """``pt_fractions`` of the class m*c of K_{F_r} up to Q^order; only
-    the class m is assembled."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return pt_fractions(z_ratio(r, m, order, cache or SCache()), z0_series(order))
-
-
-def pt_invariants(r: int, m: int, order: int, cache: SCache = None):
-    """Individual integers PT_{mc+jb, n} for j <= order: each Q^j row covers
-    PT_Q_TERMS + 1 slots n from the valuation of its coefficient, so
-    pt_invariants(0, 6, 3) has n = 6..30 at j = 0 and (7, 4, 3) n = -26..-2.
+def pt_invariants(series: tuple) -> list:
+    """Individual integers PT_{mc+jb, n} of Z_m, the class series of
+    ``pt_fractions``: each Q^j row covers PT_Q_TERMS + 1 slots n from the
+    valuation of its coefficient, so for r = 0, m = 6 and Q-order 3 it has
+    n = 6..30 at j = 0, and for r = 7, m = 4, n = -26..-2.
 
     Returns a list of (j, n, value) triples; n is the Euler characteristic
-    slot and the value carries the (-q)^n sign convention.  The q-window
-    is read off ``pt_fractions``: an integer numerator over a denominator
-    with constant term 1 expands with integer coefficients.
+    slot and the value carries the (-q)^n sign convention.  An integer
+    numerator over a denominator with constant term 1 expands with
+    integer coefficients.
     """
     rows = []
-    shift, nums, den = _pt_fractions(r, m, order, cache)
+    shift, nums, den = series
     for j, num in nums.items():
         lowest, coeffs = expansion(shift, num, den, PT_Q_TERMS + 1)
         for n, c in enumerate(coeffs, lowest):

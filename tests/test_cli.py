@@ -138,6 +138,28 @@ class TestGW:
         assert code == 0
         assert out == "r,g,m,j,value_num,value_den\r\n0,0,0,1,-2,1\r\n"
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "7a47569a04effd8143ea3a13fa8b4f860ae875201c526a3676d439318563d3a2"),
+            ("csv", "72db8764621106fb8fbf254555897b7a8f7b21f77141459fcbd3ffe7ba58aaf7"),
+        ],
+    )
+    def test_report_digest(self, tmp_path, fmt, digest):
+        """The gw report of --r 0 --r 3 --m-max 3 --Q-order 10 --g-max 4, pole
+        orders and u-orders beyond the benchmark's m <= 2, is pinned by the
+        sha256 of its canonical JSON, generated_at dropped, and of its CSV
+        bytes."""
+        out = tmp_path / "gw.out"
+        argv = ["gw", "--r", "0", "--r", "3", "--m-max", "3", "--Q-order", "10", "--g-max", "4"]
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        payload = out.read_bytes()
+        if fmt == "json":
+            doc = json.loads(payload)
+            doc.pop("generated_at")
+            payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(payload).hexdigest() == digest
+
     def test_csv_matches_csv_writer(self, capsys, gw_table_r0, gw_table_r1):
         """The gw CSV is byte for byte what csv.writer writes for the rows of
         the tables: one header for two surfaces, each row led by its r."""

@@ -362,20 +362,23 @@ class TestQRatRoute:
         for shift, nums, den in logs.values():
             expected = {j: u_series(shift, num, den, 4) for j, num in nums.items()}
             assert u_expansions((shift, nums, den), 4) == expected
-        calls = count_denominators(monkeypatch)
+        calls = count_moments(monkeypatch)
         gw_extract(1, 2, 7, 3, cache=SCache())
-        assert calls == [[1, -2, 1]] + [den for _, _, den in logs.values()]
-        assert len(calls) == 1 + 2
+        dens = [[1, -2, 1]] + [den for _, _, den in logs.values()]
+        assert [poly for poly in calls if poly in dens] == dens
+        # besides, each numerator once: the fibre's, then every Q^j of m = 1, 2
+        assert len(calls) == len(dens) + 1 + sum(len(nums) for _, nums, _ in logs.values())
 
     @pytest.mark.parametrize(
         "run", [lambda: tilde_pt0(11, 6), lambda: gw_extract(0, 0, 13, 3)],
         ids=["tilde_pt0", "gw_fibre_column"],
     )
     def test_fibre_read_once(self, monkeypatch, run):
-        """log Z_0 is expanded once, whatever its Q-order."""
-        calls = count_denominators(monkeypatch)
+        """log Z_0 is expanded once, whatever its Q-order: one read of its
+        denominator, one of its numerator."""
+        calls = count_moments(monkeypatch)
         run()
-        assert calls == [[1, -2, 1]]
+        assert calls == [[1, -2, 1], [2]]
 
     def test_tilde_rejects_unstripped_genus_one(self, monkeypatch):
         """A C_0 that the 1/6 Li_1 correction does not cancel raises."""
@@ -428,12 +431,13 @@ class TestQRatRoute:
             assert sha256_json(report) == digest, r
 
 
-def count_denominators(monkeypatch):
-    """The list of denominators ``_x_denominator`` reads from now on."""
+def count_moments(monkeypatch):
+    """The list of q-polynomials whose moments ``u_expansions`` reads from
+    now on, one entry per ``_moments`` call."""
     calls = []
-    read = gwtheory._x_denominator
+    read = gwtheory._moments
     monkeypatch.setattr(
-        gwtheory, "_x_denominator", lambda den, u: calls.append(den) or read(den, u)
+        gwtheory, "_moments", lambda poly, shift: calls.append(poly) or read(poly, shift)
     )
     return calls
 

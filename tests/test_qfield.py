@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import localvertex
-from localvertex.qfield import QFieldError, _add, _exquo, _mul
+from localvertex.qfield import QFieldError, _add, _exquo, _mul, expansion
 from localvertex.qrat import QRat, _gcd, _gcd_prs
 
 T = QRat.t_power(1)
@@ -266,6 +266,48 @@ class TestTExpansionOracle:
         assert len(a.num) > 2 and len(a.den) > 2
         self._check(a, 2)
         self._check(a, 0)
+
+
+def fraction_long_division(num, den, n_terms):
+    """The first n_terms ascending coefficients of num(x)/den(x) (lists
+    highest first) by plain long division over Fraction."""
+    num, den = num[::-1], den[::-1]
+    state = [Fraction(c) for c in num] + [Fraction(0)] * n_terms
+    coeffs = []
+    for k in range(n_terms):
+        c = state[k] / den[0]
+        coeffs.append(c)
+        for j, d in enumerate(den[1:], k + 1):
+            if j < len(state):
+                state[j] -= c * d
+    return coeffs
+
+
+class TestExpansionNonUnitDenominator:
+    """``expansion`` on raw integer lists, not canonical QRat values: den(0)
+    negative and not a unit, a shift, and numerators that vanish at 0."""
+
+    @given(
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=10).filter(any),
+        st.lists(st.integers(min_value=-9, max_value=9), max_size=10),
+        st.integers(min_value=-7, max_value=-2),
+        st.integers(min_value=-5, max_value=5),
+        st.integers(min_value=0, max_value=16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_long_division(self, num, den_high, d0, shift, n_terms):
+        den = den_high + [d0]
+        low, got = expansion(shift, num, den, n_terms)
+        zeros = low - shift  # trailing zeros of num move into the valuation
+        expected = fraction_long_division(num, den, zeros + n_terms)
+        assert expected[:zeros] == [0] * zeros and got == expected[zeros:]
+        assert all(type(c) is Fraction for c in got)
+
+    def test_shifted_example(self):
+        """x^-3 (2x^2 + x^3)/(-3 + x^2) = -2/3 x^-1 - 1/3 - 2/9 x - 1/9 x^2 - ..."""
+        got = expansion(-3, [1, 2, 0, 0], [1, 0, -3], 5)
+        assert got == (-1, [Fraction(-2, 3), Fraction(-1, 3), Fraction(-2, 9),
+                            Fraction(-1, 9), Fraction(-2, 27)])
 
 
 def test_import_leaves_sympy_out():

@@ -428,13 +428,13 @@ class TestPT:
         assert not check_integrality(bad)
 
     def test_fiber_class_invariants(self, scache):
-        rows = pt_invariants(0, 0, 1, cache=scache)
+        rows = pt_rows(0, 0, 1, scache)
         values = {(j, n): v for j, n, v in rows}
         assert values[(1, 1)] == -2
         assert values[(1, 2)] == 4
 
     def test_section_class_first_invariant(self, scache):
-        rows = pt_invariants(0, 1, 1, cache=scache)
+        rows = pt_rows(0, 1, 1, scache)
         values = {(j, n): v for j, n, v in rows}
         assert values[(0, 1)] == -2
 
@@ -456,6 +456,11 @@ def canonical(fraction):
     """The QRat value of a triple (shift, num, den), q^shift num(q)/den(q)."""
     shift, num, den = fraction
     return QRat(2 * shift, _in_t(num), _in_t(den))
+
+
+def pt_rows(r, m, order, cache):
+    """The rows ``pt_invariants`` reads off Z_m, assembled as ``pt`` does."""
+    return pt_invariants(pt_fractions(z_ratio(r, m, order, cache), z0_series(order)))
 
 
 class TestKnownDenominators:
@@ -584,4 +589,4 @@ class TestKnownDenominators:
                         n = (lowest + pos) // 2
                         assert (lowest + pos) % 2 == 0 and c.denominator == 1
                         rows.append((j, n, int(c) if n % 2 == 0 else -int(c)))
-            assert pt_invariants(r, m, 6, cache=scache) == rows
+            assert pt_rows(r, m, 6, scache) == rows
