@@ -143,10 +143,10 @@ def run_pt(args) -> int:
     report = _report("pt", args)
     report["m"] = args.m
     tables = {}
-    z0 = vx.z0_series(args.Q_order)
+    z0 = vx.z0_windows(args.Q_order, vx.PT_Q_TERMS + 1)
     for r in args.r:
         ratio = vx.z_ratio(r, args.m, args.Q_order, cache)
-        rows = vx.pt_invariants(vx.pt_fractions(ratio, z0))
+        rows = vx.pt_invariants(vx.pt_windows(ratio, z0))
         tables[str(r)] = [{"j": j, "n": n, "value": v} for j, n, v in rows]
     report["tables"] = tables
     csv_text = None
@@ -211,7 +211,7 @@ def run_verify(args) -> int:
     # integrality of the PT coefficients Z_m, from one assembly per r
     q_inversion = {}
     integrality = {}
-    z0 = vx.z0_series(args.Q_order)
+    z0 = vx.z0_windows(args.Q_order, vx.PT_Q_TERMS + 1)
     for r in args.r:
         ratios = vx.z_ratios(r, args.m_max, args.Q_order, cache=cache)
         for m, ratio in ratios.items():
@@ -220,7 +220,7 @@ def run_verify(args) -> int:
                 ok, witness = rat.check_q_inversion(ratio)
                 q_inversion[key] = {"passed": ok, "witness": witness}
             integrality[key] = {
-                "passed": rat.check_integrality(vx.pt_fractions(ratio, z0))
+                "passed": rat.check_integrality(vx.pt_windows(ratio, z0))
             }
     checks["q_inversion"] = q_inversion
     checks["integrality"] = integrality

@@ -11,6 +11,9 @@ compare the two exactly:
   ratios.
 - The general N-leg toric vertex sum (``z_toric``, over ``ToricSurface``)
   against the Hirzebruch partition function.
+- ``z0_series`` and ``pt_fractions``: Z_0 and Z_m = Z_0 (Z_m/Z_0) whole,
+  as integer numerators over (q;q)_J^2 (q;q)_m^2, against the q-windows
+  of ``vertex.z0_windows`` and ``vertex.pt_windows``.
 - ``pt_series``: the PT series as canonical QRat values, against the
   exp route of log Z_0 and ``z_toric``.
 - ``cyclo_product`` and ``polylog_neg``: products of (1 - q^k Q) factors,
@@ -28,10 +31,11 @@ from fractions import Fraction
 from math import comb
 
 from .partitions import Partition, partitions_of, partitions_up_to
+from .qfield import _add, _exquo, _mul
 from .qrat import QRat
 from .series import TruncSeries
 from .symmfun import p_shifted, w_one, w_two
-from .vertex import SCache, pt_fractions, z0_series, z_ratio
+from .vertex import SCache, VertexError, _product, _times_one_minus_q_power, z_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +163,73 @@ def _in_t(p):
     return out
 
 
+def _times_factor_squared(p, k):
+    """p(q) (1 - q^k)^2 for k >= 1."""
+    return _times_one_minus_q_power(_times_one_minus_q_power(p, k), k)
+
+
+def z0_series(order: int) -> tuple:
+    """Z_0 = sum_n N_n/(q;q)_n^2 Q^n up to Q^J, J = order, as the class
+    series (0, {n: N_n ((q;q)_J/(q;q)_n)^2}, (q;q)_J^2).
+
+    Z_0 = prod_{j>=1} (1 - q^j Q)^(-2j) = exp(log Z_0), and the exp
+    recurrence n b_n = sum_k k a_k b_{n-k}, with k a_k = 2 q^k/(1-q^k)^2
+    the k-th term of log Z_0 times k, cleared of denominators reads
+
+        n N_n = sum_{k=1..n} 2 q^k P_{n,k}^2 N_{n-k},
+        P_{n,k} = prod_{l=n-k+1..n} (1 - q^l) / (1 - q^k),
+
+    a polynomial because one of those l is a multiple of k.  No gcd is
+    taken; a division by n that leaves a remainder raises VertexError.
+    """
+    nums = [[1]]
+    for n in range(1, order + 1):
+        total = []
+        f = [1]  # prod_{l=n-k+1..n} (1 - q^l)
+        for k in range(1, n + 1):
+            f = _times_one_minus_q_power(f, n - k + 1)
+            p = _exquo(f, _times_one_minus_q_power([1], k))
+            total = _add(total, _mul(_mul(p, p), nums[n - k]) + [0] * k)
+        quotients = [divmod(2 * c, n) for c in total]
+        if any(rem for _, rem in quotients):
+            raise VertexError("n N_n is not divisible by n = %d" % n)
+        nums.append([c for c, _ in quotients])
+    lifts = [[1]]  # lifts[J - n] = ((q;q)_J/(q;q)_n)^2 takes N_n over (q;q)_J^2
+    for n in range(order, 0, -1):
+        lifts.append(_times_factor_squared(lifts[-1], n))
+    return 0, {n: _mul(num, lifts[order - n]) for n, num in enumerate(nums)}, lifts[-1]
+
+
+def pt_fractions(ratio: tuple, z0: tuple) -> tuple:
+    """Z_m = Z_0 * ratio as a class series, with no gcd.
+
+    ``ratio`` is z_ratio(...), over (q;q)_m^2, and ``z0`` is z0_series at
+    the same Q-order J.  So the Q^j coefficient of Z_m is q^shift num(q)
+    over den = (q;q)_J^2 (q;q)_m^2, whose constant term is 1.
+    """
+    shift, nums = _product(z0, ratio, max(z0[1]))
+    return shift, nums, _mul(z0[2], ratio[2])
+
+
 def pt_series(r: int, m: int, order: int, cache: SCache = None) -> TruncSeries:
     """The PT generating series of the class m*c, in raw q^n convention.
 
-    Each Q-coefficient of the class series of ``vertex.pt_fractions`` is
-    brought to canonical form once.  The (-q)^n sign of the printed
+    Each Q-coefficient of the class series of ``pt_fractions`` is brought
+    to canonical form once, over (q;q)_j^2 (q;q)_m^2: the Q^j numerator
+    is divided by ((q;q)_J/(q;q)_j)^2 first, exactly, since that divides
+    the lift of every N_a with a <= j.  The (-q)^n sign of the printed
     convention is applied only at the reporting boundary; see
     ``vertex.pt_invariants``.
     """
     ratio = z_ratio(r, m, order, cache or SCache())
     shift, nums, den = pt_fractions(ratio, z0_series(order))
-    return TruncSeries(
-        order, {j: QRat(2 * shift, _in_t(num), _in_t(den)) for j, num in nums.items()}
-    )
+    coeffs, lift = {}, [1]  # lift = ((q;q)_J/(q;q)_j)^2
+    for j in range(order, -1, -1):
+        if j in nums:
+            num, den_j = _exquo(nums[j], lift), _exquo(den, lift)
+            coeffs[j] = QRat(2 * shift, _in_t(num), _in_t(den_j))
+        lift = _times_factor_squared(lift, j)
+    return TruncSeries(order, coeffs)
 
 
 # ---------------------------------------------------------------------------

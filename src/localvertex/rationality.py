@@ -102,7 +102,7 @@ def check_q_inversion(series: tuple):
 
 def check_integrality(series: tuple) -> bool:
     """True if every Q-coefficient of a class series (shift, {j: num}, den),
-    as ``vertex.pt_fractions`` returns, q-expands with integer coefficients
+    as ``vertex.pt_windows`` returns, q-expands with integer coefficients
     over the window ``vertex.pt_invariants`` prints, PT_Q_TERMS + 1 terms
     from its valuation.  num and den need not be coprime: no gcd is taken.
     """

@@ -1,45 +1,28 @@
 """The 2-leg topological vertex engine for local Hirzebruch surfaces.
 
 The squared S-ratio (S_{mu,nu}/S_{empty,empty})^2 and its cache, the
-specialized partition function for K_{F_r}, and the extraction of
-stable-pairs invariants, all over the integer kernel of ``qfield``.  The
-independent routes to S_{mu,nu}, the general toric N-leg sum and the PT
-series in Q(t) are oracles, in ``oracles``; this module imports neither
-it nor ``qrat`` nor ``symmfun``.  The integrality certificate
+partition function of K_{F_r} and its PT invariants, all over the integer
+kernel of ``qfield``.  The oracles (other routes to S_{mu,nu}, the toric
+sum, Z_0 and Z_m whole, the PT series in Q(t)) are in ``oracles``; this
+module imports neither it nor ``qrat`` nor ``symmfun``.
 ``check_integrality`` is in ``rationality`` with the other certificates.
 
-The raw quadruple vertex sum is never materialized: summing out the two
-fiber legs turns the partition function into a sum over pairs
-(mu2, mu4) weighted by S_{mu2,mu4}^2, which drops the complexity from
-quartic to quadratic in the number of partitions.
-
-The partition function is defined by the exponent A_{mu,nu} of
-S_{mu,nu} = W_mu W_nu exp(A_{mu,nu}).  log Z_0 = 2 A_{empty,empty} is not
-built here: ``gwtheory`` expands it in u once, and Z_0 comes from its exp
-recurrence.  Z_m/Z_0 sums (S_{mu2,mu4}/S_{empty,empty})^2, and each of
-those is a finite product,
-
-    (S_{mu,nu}/S_{empty,empty})^2 = (W_mu W_nu)^2 prod_i (1 - q^(i+1) Q)^(-2 e_i),
-
-whose integer exponents e_i are read off the box contents of the Young
-diagrams: sum_i e_i q^i = B_mu + B_nu + (1-q)^2 B_mu B_nu with
-B_mu(q) the sum over the boxes (row i >= 1, column j >= 0) of q^(j-i).
-The product is expanded by the exp recurrence of its logarithm, each
-Q^n coefficient one packed integer of ``qfield``, the one kernel.
+Summing out the two fiber legs turns the partition function into a sum
+over pairs (mu2, mu4) weighted by S_{mu2,mu4}^2, quadratic instead of
+quartic in the number of partitions.  log Z_0 = 2 A_{empty,empty}, from
+S_{mu,nu} = W_mu W_nu exp(A_{mu,nu}), is expanded in u once, in
+``gwtheory``; Z_m/Z_0 sums the finite products of ``s_ratio_squared``,
+each expanded by the exp recurrence of its logarithm on packed integers.
 
 Every series is held over denominators fixed in advance, as integer
-q-polynomial numerators, with no QRat and no gcd.  A Q-series whose
-coefficients share one shift and one denominator is a class series
-(shift, {j: num}, den): its Q^j coefficient is q^shift num(q)/den(q),
-and zero coefficients are left out.  (W_mu W_nu)^2 is q^w/(H_mu H_nu)^2
-with the hook products H_mu = prod_hooks (1 - q^h); H_mu divides
-(q;q)_|mu|, so z_ratio takes each pair over (q;q)_m^2 by an exact
-cofactor and sums integer numerators into one class series.  The Q^n
-coefficient of Z_0 = prod_j (1 - q^j Q)^(-2j) is N_n/(q;q)_n^2, so up to
-Q^J Z_0 is a class series over (q;q)_J^2, and Z_m = Z_0 (Z_m/Z_0) is
-their product over (q;q)_J^2 (q;q)_m^2 by ``_product``, the one
-Q-convolution of q-numerators.  Only the oracle ``oracles.pt_series``
-reduces, once per Q-coefficient.
+q-numerators, with no gcd.  A class series (shift, {j: num}, den) has
+Q^j coefficient q^shift num(q)/den(q), zero coefficients left out.
+(W_mu W_nu)^2 = q^w/(H_mu H_nu)^2, H_mu = prod_hooks (1 - q^h) divides
+(q;q)_|mu|, so z_ratio sums every pair over (q;q)_m^2.  PT numbers are
+read in a window of PT_Q_TERMS + 1 q-coefficients per Q^j row, and
+Z_m = Z_0 (Z_m/Z_0) is built in those windows only: Z_0 by its exp
+recurrence on packed nonnegative integers (``z0_windows``), each row of
+Z_m by convolving them with z_ratio's numerators (``pt_windows``).
 """
 
 from __future__ import annotations
@@ -47,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 from math import comb
+from operator import mul
 
 from .partitions import Partition, partitions_of
 from .qfield import (
@@ -311,7 +295,7 @@ def _product(a, b, order: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Z_m = Z_0 * (Z_m/Z_0) over the known denominator (q;q)_J^2 (q;q)_m^2.
+# Z_m = Z_0 * (Z_m/Z_0) in the q-window of each Q^j row.
 # q-polynomials are integer lists, highest first, as in qfield.
 
 
@@ -323,72 +307,88 @@ def _times_one_minus_q_power(p, k):
     return out
 
 
-def _times_factor_squared(p, k):
-    """p(q) (1 - q^k)^2 for k >= 1."""
-    return _times_one_minus_q_power(_times_one_minus_q_power(p, k), k)
-
-
 def _qq_squared(n):
     """(q;q)_n^2 = prod_{l=1..n} (1 - q^l)^2."""
     p = [1]
     for l in range(1, n + 1):
-        p = _times_factor_squared(p, l)
+        p = _times_one_minus_q_power(_times_one_minus_q_power(p, l), l)
     return p
 
 
-def z0_series(order: int) -> tuple:
-    """Z_0 = sum_n N_n/(q;q)_n^2 Q^n up to Q^J, J = order, as the class
-    series (0, {n: N_n ((q;q)_J/(q;q)_n)^2}, (q;q)_J^2).
+def _fibre_packed(k, bits, width):
+    """f(q^k)/q^k = sum_t 2t q^(k(t-1)) below q^width at q = 2^bits, f = 2q/(1-q)^2."""
+    return sum(2 * t << bits * k * (t - 1) for t in range(1, (width - 1) // k + 2))
 
-    Z_0 = prod_{j>=1} (1 - q^j Q)^(-2j) = exp(log Z_0), and the exp
-    recurrence n b_n = sum_k k a_k b_{n-k}, with k a_k = 2 q^k/(1-q^k)^2
-    the k-th term of log Z_0 times k, cleared of denominators reads
 
-        n N_n = sum_{k=1..n} 2 q^k P_{n,k}^2 N_{n-k},
-        P_{n,k} = prod_{l=n-k+1..n} (1 - q^l) / (1 - q^k),
-
-    a polynomial because one of those l is a multiple of k.  No gcd is
-    taken; a division by n that leaves a remainder raises VertexError.
+def z0_windows(order: int, width: int) -> list:
+    """The first ``width`` ascending coefficients of Y_n = q^(-n) [Q^n] Z_0,
+    n <= order, by the exp recurrence n Y_n = sum_k (f(q^k)/q^k) Y_(n-k) of
+    Z_0 = prod_j (1 - q^j Q)^(-2j) = exp(sum_k f(q^k) Q^k/k).  Every
+    coefficient is >= 0, so a window is one unsigned integer at q = 2^(64 d):
+    truncation is a mask, and the division by n is exact digit by digit,
+    else VertexError.  Z_0 at Q = 1, prod_j (1 - q^j)^(-2j), is below 2^7
+    at q = 1/2, so 2^(e + 7) bounds every q^e coefficient of Z_0, and sets d.
     """
-    nums = [[1]]
+    words = _digit_words(order << order + width + 6)  # n Y_n below q^(order + width)
+    bits = 64 * words
+    steps = [_fibre_packed(k, bits, width) for k in range(1, order + 1)]
+    packed, rows = [1], [[1] + [0] * (width - 1)]
     for n in range(1, order + 1):
-        total = []
-        f = [1]  # prod_{l=n-k+1..n} (1 - q^l)
-        for k in range(1, n + 1):
-            f = _times_one_minus_q_power(f, n - k + 1)
-            p = _exquo(f, _times_one_minus_q_power([1], k))
-            total = _add(total, _mul(_mul(p, p), nums[n - k]) + [0] * k)
-        quotients = [divmod(2 * c, n) for c in total]
-        if any(rem for _, rem in quotients):
-            raise VertexError("n N_n is not divisible by n = %d" % n)
-        nums.append([c for c, _ in quotients])
-    lifts = [[1]]  # lifts[J - n] = ((q;q)_J/(q;q)_n)^2 takes N_n over (q;q)_J^2
-    for n in range(order, 0, -1):
-        lifts.append(_times_factor_squared(lifts[-1], n))
-    return 0, {n: _mul(num, lifts[order - n]) for n, num in enumerate(nums)}, lifts[-1]
+        total = sum(map(mul, steps, reversed(packed))) & ((1 << bits * width) - 1)
+        digits = [divmod(c, n) for c in reversed(_unpack(total, words, width))]
+        if any(rem for _, rem in digits):
+            raise VertexError("n Y_n is not divisible by n = %d" % n)
+        packed.append(total // n)
+        rows.append([c for c, _ in digits])
+    return rows
 
 
-def pt_fractions(ratio: tuple, z0: tuple) -> tuple:
-    """Z_m = Z_0 * ratio as a class series, with no gcd.
+def pt_windows(ratio: tuple, z0: list) -> tuple:
+    """Z_m = Z_0 * ratio as a class series (shift, {j: num}, (q;q)_m^2) whose
+    Q^j numerators agree with Z_m's on the PT_Q_TERMS + 1 q-coefficients
+    from their valuation, all that ``pt_invariants`` reads.
 
-    ``ratio`` is z_ratio(...), over (q;q)_m^2, and ``z0`` is z0_series at
-    the same Q-order J.  So the Q^j coefficient of Z_m is q^shift num(q)
-    over den = (q;q)_J^2 (q;q)_m^2, whose constant term is 1.
+    ``ratio`` is z_ratio(...), ``z0`` z0_windows at its Q-order.  Each term
+    q^a Y_a num_b of row j = a + b starts at its own valuation, the row at
+    the lowest.  A row whose low terms cancel widens its window, and Z_0's,
+    until PT_Q_TERMS + 1 terms from its true valuation are exact.  As
+    (q;q)_a^2 q^a Y_a has degree a^2 at most, row j times (q;q)_j^2 has
+    degree j(j+1) + max deg num_b at most: a zero window past it is a zero row.
     """
-    shift, nums = _product(z0, ratio, max(z0[1]))
-    return shift, nums, _mul(z0[2], ratio[2])
+    shift, nums, dm = ratio
+    order, full, rows = len(z0) - 1, max(map(len, nums.values()), default=0), {}
+    for j in range(order + 1):
+        terms = [(a, nums[j - a]) for a in range(j + 1) if j - a in nums]
+        low = min((a + _trailing_zeros(num) for a, num in terms), default=0)
+        width = PT_Q_TERMS + 1
+        while terms:
+            z0 = z0 if width <= len(z0[0]) else z0_windows(order, width)
+            total = []  # sum_a q^(a - low) Y_a num_b, windows highest first
+            for a, num in terms:
+                top = len(num) - _trailing_zeros(num)
+                n = width - (a + len(num) - top - low)
+                if n > 0:
+                    product = _mul(z0[a][n - 1 :: -1], num[max(top - n, 0) : top])
+                    total = _add(total, product + [0] * (width - n))
+            num = _strip(total[-width:])
+            zeros = _trailing_zeros(num)
+            if num and zeros + PT_Q_TERMS < width:
+                rows[j] = num + [0] * low
+            elif num or low + width < j * (j + 1) + full:
+                width = zeros + PT_Q_TERMS + 1 if num else 2 * width
+                continue
+            break
+    return shift, rows, dm
 
 
 def pt_invariants(series: tuple) -> list:
     """Individual integers PT_{mc+jb, n} of Z_m, the class series of
-    ``pt_fractions``: each Q^j row covers PT_Q_TERMS + 1 slots n from the
+    ``pt_windows``: each Q^j row covers PT_Q_TERMS + 1 slots n from the
     valuation of its coefficient, so for r = 0, m = 6 and Q-order 3 it has
     n = 6..30 at j = 0, and for r = 7, m = 4, n = -26..-2.
 
     Returns a list of (j, n, value) triples; n is the Euler characteristic
-    slot and the value carries the (-q)^n sign convention.  An integer
-    numerator over a denominator with constant term 1 expands with
-    integer coefficients.
+    slot and the value, an integer as den(0) = 1, carries the (-q)^n sign.
     """
     rows = []
     shift, nums, den = series

@@ -96,6 +96,26 @@ class TestPT:
             payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
         assert hashlib.sha256(payload).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "c7eb6f98e1a7efe851b81a10a5108d169ce70a02d218b57356f8b17f93d9fde4"),
+            ("csv", "5d46359ceaf219dce6329c822bada15453632e6b76d217570861628b07010e68"),
+        ],
+    )
+    def test_report_digest_q_order_14(self, tmp_path, fmt, digest):
+        """The pt report of --r 0 --r 2 --m 4 --Q-order 14, pinned as above:
+        rows past Q^8, read in their q-windows."""
+        out = tmp_path / "pt.out"
+        argv = ["pt", "--r", "0", "--r", "2", "--m", "4", "--Q-order", "14"]
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        payload = out.read_bytes()
+        if fmt == "json":
+            doc = json.loads(payload)
+            doc.pop("generated_at")
+            payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(payload).hexdigest() == digest
+
 
 class TestGW:
     def test_json_table(self, capsys):
@@ -707,6 +727,30 @@ def test_engine_leaves_oracles_out(argv, certificates, tmp_path):
     assert loaded == sorted(ENGINE + ["argparse", "localvertex.cli"] + certificates)
     assert "hashlib" not in loaded
     assert report.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pt", "--r", "0", "--r", "1", "--m", "2", "--Q-order", "8"],
+        ["verify", "--r", "1", "--m-max", "2", "--Q-order", "6", "--u-order", "2",
+         "--g-max", "1"],
+    ],
+    ids=["pt", "verify"],
+)
+def test_tasks_take_no_whole_z0_or_product(capsys, monkeypatch, argv):
+    """pt and verify read Z_0 and Z_m in their q-windows: they never call
+    the oracles that build them whole."""
+    from localvertex import oracles, vertex
+
+    def refuse(*args):
+        raise AssertionError("a task built Z_0 or Z_m whole")
+
+    for name in ("z0_series", "pt_fractions"):
+        assert not hasattr(vertex, name), name
+        monkeypatch.setattr(oracles, name, refuse)
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc.get("passed", True) is True
 
 
 def test_cache_dir_loads_hashlib(tmp_path):

@@ -11,10 +11,12 @@ from localvertex.oracles import (
     ToricSurface,
     _exponent,
     _in_t,
+    pt_fractions,
     pt_series,
     s_closed,
     s_direct,
     s_product,
+    z0_series,
     z_toric,
 )
 from localvertex.partitions import Partition, partitions_of, partitions_up_to
@@ -24,14 +26,15 @@ from localvertex.rationality import check_integrality
 from localvertex.series import TruncSeries
 from localvertex.symmfun import p_shifted, w_one
 from localvertex.vertex import (
+    PT_Q_TERMS,
     CacheError,
     SCache,
     VertexError,
     e_coeffs,
-    pt_fractions,
     pt_invariants,
+    pt_windows,
     s_ratio_squared,
-    z0_series,
+    z0_windows,
     z_ratio,
     z_ratios,
 )
@@ -411,7 +414,7 @@ class TestPT:
     def test_integrality(self, scache):
         for r, m in ((0, 0), (1, 1)):
             ratio = z_ratios(r, m, 4, cache=scache)[m]
-            assert check_integrality(pt_fractions(ratio, z0_series(4)))
+            assert check_integrality(pt_windows(ratio, z0_windows(4, PT_Q_TERMS + 1)))
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_pt_series_is_z_hirzebruch_entry(self, r, scache):
@@ -460,7 +463,13 @@ def canonical(fraction):
 
 def pt_rows(r, m, order, cache):
     """The rows ``pt_invariants`` reads off Z_m, assembled as ``pt`` does."""
-    return pt_invariants(pt_fractions(z_ratio(r, m, order, cache), z0_series(order)))
+    ratio = z_ratio(r, m, order, cache)
+    return pt_invariants(pt_windows(ratio, z0_windows(order, PT_Q_TERMS + 1)))
+
+
+def oracle_rows(ratio, order):
+    """The rows ``pt_invariants`` reads off the oracle's whole Z_m."""
+    return pt_invariants(pt_fractions(ratio, z0_series(order)))
 
 
 class TestKnownDenominators:
@@ -485,12 +494,17 @@ class TestKnownDenominators:
         assert z0_series(2) == (0, {0: qq, 1: [2, 0, -4, 0, 2, 0], 2: [3, 2, 3, 0, 0]}, qq)
 
     def test_inexact_division_raises(self, monkeypatch):
-        """n N_n must be divisible by n: a stray factor (1 + q) in every
-        product of the recurrence breaks it at n = 3."""
-        mul = vertex._mul
-        monkeypatch.setattr(vertex, "_mul", lambda f, g: mul(mul(f, g), [1, 1]))
+        """n Y_n must be divisible by n digit by digit: a stray factor
+        (1 + q) in every packed step f(q^k)/q^k of the recurrence breaks it
+        at n = 3 (the steps have even coefficients, so n = 2 divides)."""
+        fibre = vertex._fibre_packed
+
+        def stray(k, bits, width):
+            return fibre(k, bits, width) * (1 + (1 << bits))  # times (1 + q)
+
+        monkeypatch.setattr(vertex, "_fibre_packed", stray)
         with pytest.raises(VertexError, match="n = 3"):
-            z0_series(4)
+            z0_windows(4, PT_Q_TERMS + 1)
 
     def test_takes_no_series_exp(self, monkeypatch, scache):
         def refuse(self):
@@ -499,7 +513,7 @@ class TestKnownDenominators:
         monkeypatch.setattr(TruncSeries, "exp", refuse)
         assert pt_series(1, 2, 5, cache=scache)[5]
         ratio = z_ratios(1, 2, 5, cache=scache)[2]
-        assert check_integrality(pt_fractions(ratio, z0_series(5)))
+        assert check_integrality(pt_windows(ratio, z0_windows(5, PT_Q_TERMS + 1)))
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_ratio_denominators_divide_qq_squared(self, r, scache):
@@ -542,11 +556,12 @@ class TestKnownDenominators:
         canonical t_expansion(40), whose odd t-terms are zero; so the two
         integrality verdicts agree."""
         ratios = z_ratios(r, 2, 9, cache=scache)
-        z0 = z0_series(9)
+        z0, windows = z0_series(9), z0_windows(9, PT_Q_TERMS + 1)
         for m in range(3):
             fractions = pt_fractions(ratios[m], z0)
             series = fraction_series(fractions, 9)
             assert check_integrality(fractions) == canonical_integrality(series)
+            assert check_integrality(pt_windows(ratios[m], windows)) is True
             shift, nums, den = fractions
             for j, num in nums.items():
                 low, window = expansion(shift, num, den, 20)
@@ -590,3 +605,86 @@ class TestKnownDenominators:
                         assert (lowest + pos) % 2 == 0 and c.denominator == 1
                         rows.append((j, n, int(c) if n % 2 == 0 else -int(c)))
             assert pt_rows(r, m, 6, scache) == rows
+
+
+def recorded_widths(monkeypatch):
+    """The widths of every z0_windows call, recorded in order."""
+    widths = []
+    build = vertex.z0_windows
+
+    def record(order, width):
+        widths.append(width)
+        return build(order, width)
+
+    monkeypatch.setattr(vertex, "z0_windows", record)
+    return widths
+
+
+class TestWindows:
+    """Z_0 and Z_m read in their q-windows, against the oracles that build
+    them whole, ``oracles.z0_series`` and ``oracles.pt_fractions``."""
+
+    @pytest.mark.parametrize("width", [1, PT_Q_TERMS + 1, 80])
+    def test_z0_matches_oracle(self, width):
+        """Each window is the expansion of N_n/(q;q)_n^2 from q^n."""
+        for order in (0, 1, 6, 13):
+            _, nums, den = z0_series(order)
+            windows = z0_windows(order, width)
+            assert len(windows) == order + 1
+            for n, window in enumerate(windows):
+                assert expansion(0, nums[n], den, width) == (n, window), (order, n)
+
+    def test_bounds_behind_the_windows(self):
+        """The two bounds the window route rests on: N_n = (q;q)_n^2 [Q^n] Z_0
+        has degree n^2 at most, the widening bound of pt_windows; and Z_0 at
+        Q = 1 is below 2^7 at q = 1/2, so 2^(e + 7) bounds its q^e
+        coefficient, the digit bound of z0_windows."""
+        for n in range(13):
+            assert len(z0_series(n)[1][n]) - 1 <= n * n, n
+        at_half = 1.0
+        for j in range(1, 80):
+            at_half *= (1 - 0.5**j) ** (-2 * j)
+        assert at_half < 101
+        for n, window in enumerate(z0_windows(12, 40)):
+            assert all(0 <= c < 2 ** (n + i + 7) for i, c in enumerate(window)), n
+
+    @pytest.mark.parametrize("r", range(6))
+    def test_bit_identical_to_oracle_route(self, r, scache):
+        """pt_invariants of the window route is the oracle route's, row for
+        row and bit for bit, for m <= 4 and Q-orders 4, 8 and 12."""
+        for order in (4, 8, 12):
+            z0 = z0_windows(order, PT_Q_TERMS + 1)
+            for m in range(5):
+                ratio = z_ratio(r, m, order, scache)
+                rows = pt_invariants(pt_windows(ratio, z0))
+                assert rows == oracle_rows(ratio, order), (m, order)
+
+    def test_bit_identical_at_q_order_24(self, scache):
+        ratio = z_ratio(0, 6, 24, scache)
+        rows = pt_invariants(pt_windows(ratio, z0_windows(24, PT_Q_TERMS + 1)))
+        assert rows == oracle_rows(ratio, 24)
+
+    def test_cancelling_row_widens(self, monkeypatch):
+        """Z_0 (1 + (q^30 - 2q/(1-q)^2) Q): the low terms of the Q^1 row
+        cancel and leave q^30, so the window widens past its first 25 terms
+        from q^1, and Z_0's with it."""
+        dm = vertex._qq_squared(1)  # (1 - q)^2
+        ratio = (0, {0: dm, 1: [1, -2, 1] + [0] * 28 + [-2, 0]}, dm)
+        widths = recorded_widths(monkeypatch)
+        rows = pt_invariants(pt_windows(ratio, z0_windows(3, PT_Q_TERMS + 1)))
+        assert [row for row in rows if row[0] == 1] == [(1, 30, 1)]
+        assert rows == oracle_rows(ratio, 3)
+        assert widths == [50, 54]
+
+    def test_zero_row_stops_widening(self, monkeypatch):
+        """Z_0 (1 - N_5/(q;q)_5^2 Q^5): the two live terms of the Q^5 row
+        cancel exactly, so it widens until its window passes the degree
+        bound 5 * 6 + 30 and is dropped, as the oracle drops it."""
+        n5 = z0_series(5)[1][5]
+        dm = vertex._qq_squared(5)
+        ratio = (0, {0: dm, 5: [-c for c in n5]}, dm)
+        widths = recorded_widths(monkeypatch)
+        shift, rows, den = pt_windows(ratio, z0_windows(5, PT_Q_TERMS + 1))
+        assert sorted(rows) == [0, 1, 2, 3, 4] and den == dm
+        assert widths == [50, 100]
+        assert pt_invariants((shift, rows, den)) == oracle_rows(ratio, 5)
