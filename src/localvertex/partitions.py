@@ -1,83 +1,61 @@
 """Integer partitions and their combinatorial statistics.
 
-Partitions index every sum in the vertex engine.  They are immutable,
-hashable, and compare structurally, so they are safe to use as cache keys.
+Partitions index every sum in the vertex engine.  A partition is a
+validated tuple: immutable, and equal to (and hashing like) the plain
+tuple of its parts, so it is safe to use as a cache key.
 """
 
 from __future__ import annotations
 
+from operator import index
 
-class Partition:
-    """A weakly decreasing sequence of positive integers."""
 
-    __slots__ = ("parts",)
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers."""
 
-    def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+    __slots__ = ()
+
+    def __new__(cls, parts=()):
+        # index(), not int(): a float or a string part is refused, not truncated
+        parts = tuple(map(index, parts))
         for i, p in enumerate(parts):
             if p < 1:
                 raise ValueError("partition parts must be positive: %r" % (parts,))
             if i > 0 and parts[i - 1] < p:
                 raise ValueError("parts must be weakly decreasing: %r" % (parts,))
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
+        return super().__new__(cls, parts)
 
     def __repr__(self):
-        return "Partition(%s)" % (list(self.parts),)
-
-    def __bool__(self):
-        return bool(self.parts)
+        return "Partition(%s)" % (list(self),)
 
     @property
     def size(self) -> int:
         """Total number of boxes, |mu|."""
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        """Number of nonzero parts, l(mu)."""
-        return len(self.parts)
+        return sum(self)
 
     def kappa(self) -> int:
         """The framing statistic sum_i mu_i*(mu_i - 2i + 1); always even."""
-        return sum(p * (p - 2 * i - 1) for i, p in enumerate(self.parts))
+        return sum(p * (p - 2 * i - 1) for i, p in enumerate(self))
 
     def n_stat(self) -> int:
         """The weighted statistic sum_i (i-1)*mu_i (1-based i)."""
-        return sum(i * p for i, p in enumerate(self.parts))
+        return sum(i * p for i, p in enumerate(self))
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""
-        if not self.parts:
+        if not self:
             return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
+        cols = [0] * self[0]
+        for p in self:
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
 
     def hooks(self) -> list:
         """Hook lengths of all boxes, as a list of length |mu|."""
-        conj = self.conjugate().parts
+        conj = self.conjugate()
         out = []
-        for i, p in enumerate(self.parts):
+        for i, p in enumerate(self):
             for j in range(p):
                 arm = p - j - 1
                 leg = conj[j] - i - 1

@@ -38,7 +38,7 @@ def schur_principal(mu: Partition) -> QRat:
 
 def schur_principal_jt(mu: Partition) -> QRat:
     """Jacobi-Trudi determinant det(h_{mu_i - i + j}); oracle for the above."""
-    n = mu.length
+    n = len(mu)
     matrix = [
         [h_principal(mu[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)
     ]
@@ -55,8 +55,8 @@ def p_shifted(mu: Partition, k: int) -> QRat:
     if k < 1:
         raise ValueError("p_shifted requires k >= 1")
     qk = QRat.q_power(k)
-    tail = QRat.q_power(-k * mu.length) / (qk - QRat.one())
-    for i, part in enumerate(mu.parts):
+    tail = QRat.q_power(-k * len(mu)) / (qk - QRat.one())
+    for i, part in enumerate(mu):
         tail = tail + QRat.q_power(k * (part - (i + 1)))
     return tail
 
@@ -80,7 +80,7 @@ def h_shifted(mu: Partition, k: int) -> QRat:
 
 def schur_shifted(nu: Partition, mu: Partition) -> QRat:
     """s_nu(q^(mu_1-1), q^(mu_2-2), ...) as a Jacobi-Trudi determinant."""
-    n = nu.length
+    n = len(nu)
     matrix = [
         [h_shifted(mu, nu[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)
     ]

@@ -24,15 +24,33 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Partition([2, 0])
 
+    @pytest.mark.parametrize("bad", [2.5, "3"], ids=["float", "string"])
+    def test_rejects_non_integer_part(self, bad):
+        """int() would truncate 2.5 to 2 and read "3" as 3."""
+        with pytest.raises(TypeError):
+            Partition([bad, 1])
+
     def test_immutable(self):
         p = P(2, 1)
         with pytest.raises(AttributeError):
-            p.parts = (3,)
+            setattr(p, "parts", (3,))
+        with pytest.raises(AttributeError):
+            p.extra = 1
+
+    def test_object_setattr_cannot_rewrite(self):
+        """A partition keys the S-cache: rewriting one would move its hash."""
+        p = P(2, 1)
+        before = hash(p)
+        with pytest.raises(AttributeError):
+            object.__setattr__(p, "parts", (5,))
+        assert hash(p) == before and p == P(2, 1)
 
     def test_hashable_and_equal(self):
         assert P(2, 1) == P(2, 1)
         assert hash(P(2, 1)) == hash(P(2, 1))
         assert P(2, 1) != P(3)
+        assert P(2, 1) == (2, 1) and hash(P(2, 1)) == hash((2, 1))
+        assert P() == ()
 
 
 class TestStatistics:
@@ -97,7 +115,7 @@ class TestEnumeration:
             assert all(mu.size == n for mu in seen)
 
     def test_reverse_lexicographic(self):
-        got = [mu.parts for mu in partitions_of(4)]
+        got = list(partitions_of(4))
         assert got == sorted(got, reverse=True)
 
     def test_negative_is_empty(self):

@@ -226,7 +226,7 @@ class TestClosedForm:
             (mu, nu)
             for mu in partitions_up_to(8)
             for nu in partitions_up_to(8)
-            if mu.size + nu.size <= 8 and mu.parts <= nu.parts
+            if mu.size + nu.size <= 8 and mu <= nu
         ]
         assert len(pairs) == 223
         for mu, nu in pairs:
@@ -269,6 +269,12 @@ class TestSCache:
         second = SCache(str(tmp_path))
         assert second.get(P(1), EMPTY, 4) == series
         assert second.get(P(1), EMPTY, 2) == series[:3]
+
+    def test_file_name_pinned(self, tmp_path):
+        """The file name hashes the sorted pair's parts lists: a cache
+        directory written by earlier versions stays readable."""
+        SCache(str(tmp_path)).get(P(2, 1), P(1), 2)
+        assert [f.name for f in tmp_path.iterdir()] == ["s_4d0a205e1884eb09e870dc31.json"]
 
     def test_corrupt_file_reported(self, tmp_path):
         cache = SCache(str(tmp_path))
