@@ -6,7 +6,7 @@ functions and check their q- and Q-functional equations, are in
 ``localvertex.rationality``; importing the package does not load it.
 """
 
-from .partitions import Partition, partitions_of, partition_count
+from .partitions import Partition, partitions_of
 from .qfield import QFieldError
 from .series import SeriesError, TruncSeries
 from .vertex import SCache, VertexError, pt_invariants
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Partition",
     "partitions_of",
-    "partition_count",
     "QFieldError",
     "SeriesError",
     "TruncSeries",

@@ -111,7 +111,7 @@ def _emit(args, document, csv_text=None):
         payload = json.dumps(document, indent=2, sort_keys=True) + "\n"
     else:
         payload = csv_text
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(payload)
@@ -208,20 +208,19 @@ def run_verify(args) -> int:
     checks = {}
 
     # q -> 1/q invariance of the normalized PT series Z_m/Z_0, and
-    # integrality of the PT coefficients Z_m, from one assembly per r
+    # integrality of the PT invariants pt prints, from one assembly per (r, m)
     q_inversion = {}
     integrality = {}
     z0 = vx.z0_windows(args.Q_order, vx.PT_Q_TERMS + 1)
     for r in args.r:
-        ratios = vx.z_ratios(r, args.m_max, args.Q_order, cache=cache)
-        for m, ratio in ratios.items():
+        for m in range(args.m_max + 1):
+            ratio = vx.z_ratio(r, m, args.Q_order, cache)
             key = "r=%d,m=%d" % (r, m)
             if m:
                 ok, witness = rat.check_q_inversion(ratio)
                 q_inversion[key] = {"passed": ok, "witness": witness}
-            integrality[key] = {
-                "passed": rat.check_integrality(vx.pt_windows(ratio, z0))
-            }
+            rows = vx.pt_invariants(vx.pt_windows(ratio, z0))
+            integrality[key] = {"passed": rat.check_integrality(rows)}
     checks["q_inversion"] = q_inversion
     checks["integrality"] = integrality
 
@@ -293,16 +292,19 @@ def main(argv=None) -> int:
             "fit needs --m >= 1: the fiber columns at g = 0, 1 are Li_3(Q) and "
             "Li_1(Q), which are not rational"
         )
-    if "r" in args:
-        # a repeated --r runs once, in the order first given
-        args.r = list(dict.fromkeys(args.r or [0]))
+    # a repeated --r runs once, in the order first given
+    args.r = list(dict.fromkeys(args.r or [0]))
     try:
-        # an --out in a missing directory, or one that is a directory, fails before any work
-        directory = os.path.dirname(os.path.abspath(args.out)) if args.out else None
-        if directory and not os.path.isdir(directory):
-            raise OutputError("cannot write --out %s: no directory %s" % (args.out, directory))
-        if args.out and os.path.isdir(args.out):
-            raise OutputError("cannot write --out %s: it is a directory" % args.out)
+        # an empty --out, one in a missing directory, or one that is a
+        # directory, fails before any work
+        if args.out == "":
+            raise OutputError("cannot write --out '': the path is empty")
+        if args.out is not None:
+            directory = os.path.dirname(os.path.abspath(args.out))
+            if not os.path.isdir(directory):
+                raise OutputError("cannot write --out %s: no directory %s" % (args.out, directory))
+            if os.path.isdir(args.out):
+                raise OutputError("cannot write --out %s: it is a directory" % args.out)
         return TASKS[args.task](args)
     except OutputError as err:
         sys.stderr.write("localvertex %s: error: %s\n" % (args.task, err))

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .qfield import _exquo, _mul, _neg, _strip, expansion
 from .series import TruncSeries
-from .vertex import SCache, _aligned, _product, z_ratios
+from .vertex import SCache, _aligned, _product, z_ratio
 
 
 class RealityError(ArithmeticError):
@@ -152,8 +152,9 @@ def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
     """Coefficients [Q_c^m] log Z, 1 <= m <= m_max, each the class series
     (shift, {j: num}, m (q;q)_m^2) of integer q-polynomials, with no gcd:
     L = log(1 + sum_{m>=1} x_m Q_c^m) with x_m = Z_m/Z_0 = X_m/(q;q)_m^2
-    from z_ratios.  The Q_c^0 part, log Z_0, is read off ``_fibre`` by
-    ``gw_extract`` and ``tilde_pt0``.
+    from z_ratio, each m assembled once; without ``cache`` the call builds
+    its S-series in a fresh SCache.  The Q_c^0 part, log Z_0, is read off
+    ``_fibre`` by ``gw_extract`` and ``tilde_pt0``.
 
     L' (1 + sum x_m Q_c^m) = (sum x_m Q_c^m)' gives the recurrence
     m L_m = m x_m - sum_{k<m} k L_k x_{m-k}.  With Lambda_m = m (q;q)_m^2 L_m
@@ -164,8 +165,9 @@ def log_z(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
     """
     if r < 0:
         raise ValueError("r must be >= 0")
+    cache = cache or SCache()
     logs = {}
-    x = z_ratios(r, m_max, order, cache=cache) if m_max >= 1 else {}
+    x = {m: z_ratio(r, m, order, cache) for m in range(1, m_max + 1)}
     for m in range(1, m_max + 1):
         shift, nums, qq = x[m]
         terms = [(j, shift, [m * c for c in num]) for j, num in nums.items()]

@@ -88,22 +88,3 @@ def partitions_up_to(n: int):
     for m in range(n + 1):
         yield from partitions_of(m)
 
-
-def partition_count(n: int) -> int:
-    """p(n) via the Euler pentagonal-number recurrence, bottom-up:
-    p(m) = sum_{k>=1} (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2)),
-    for m = 1..n, with no recursion and nothing kept between calls."""
-    if n < 0:
-        return 0
-    p = [1]
-    for m in range(1, n + 1):
-        total = 0
-        k = 1
-        g = 1  # k(3k-1)/2
-        while g <= m:
-            term = p[m - g] + (p[m - g - k] if g + k <= m else 0)
-            total += term if k % 2 else -term
-            k += 1
-            g += 3 * k - 2
-        p.append(total)
-    return p[n]

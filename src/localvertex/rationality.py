@@ -19,17 +19,18 @@ A GW genus column is certified by ``column_certificate`` (a fit over
 (1-Q)^column_power(m, g) and the Weyl functional equation at weight
 m(r-2)), the modified exceptional series by ``verify_R``, eventual
 polynomiality in j by ``polynomiality_check``, q -> 1/q invariance of
-Z_m/Z_0 by ``check_q_inversion`` and integrality of the PT coefficients
-by ``check_integrality``; the first three return their report entries.
+Z_m/Z_0 by ``check_q_inversion`` and integrality of the rows of
+``vertex.pt_invariants`` by ``check_integrality``; the first three return
+their report entries.  It imports no ``vertex``: the PT rows it certifies
+are the ones ``pt`` prints, read out once.
 Only the ``fit`` and ``verify`` tasks import this module; the package
 root, ``gwtheory`` and a ``gw`` or ``pt`` run do not.
 """
 
 from __future__ import annotations
 
-from .qfield import _trailing_zeros, expansion
+from .qfield import _trailing_zeros
 from .series import TruncSeries
-from .vertex import PT_Q_TERMS
 
 
 class FitError(ArithmeticError):
@@ -100,18 +101,12 @@ def check_q_inversion(series: tuple):
     return True, None
 
 
-def check_integrality(series: tuple) -> bool:
-    """True if every Q-coefficient of a class series (shift, {j: num}, den),
-    as ``vertex.pt_windows`` returns, q-expands with integer coefficients
-    over the window ``vertex.pt_invariants`` prints, PT_Q_TERMS + 1 terms
-    from its valuation.  num and den need not be coprime: no gcd is taken.
+def check_integrality(rows) -> bool:
+    """True if every value of the (j, n, value) rows of
+    ``vertex.pt_invariants`` is an integer: the verdict is on the numbers
+    ``pt`` prints, read once.
     """
-    shift, nums, den = series
-    return all(
-        c.denominator == 1
-        for num in nums.values()
-        for c in expansion(shift, num, den, PT_Q_TERMS + 1)[1]
-    )
+    return all(v.denominator == 1 for _, _, v in rows)
 
 
 def w_dot_beta(m: int, j: int, r_surface: int) -> int:

@@ -5,7 +5,7 @@ partition function of K_{F_r} and its PT invariants, all over the integer
 kernel of ``qfield``.  The oracles (other routes to S_{mu,nu}, the toric
 sum, Z_0 and Z_m whole, the PT series in Q(t)) are in ``oracles``; this
 module imports neither it nor ``qrat`` nor ``symmfun``.
-``check_integrality`` is in ``rationality`` with the other certificates.
+``rationality.check_integrality`` certifies the rows of ``pt_invariants``.
 
 Summing out the two fiber legs turns the partition function into a sum
 over pairs (mu2, mu4) weighted by S_{mu2,mu4}^2, quadratic instead of
@@ -152,7 +152,7 @@ class SCache:
     def __init__(self, directory=None):
         self.directory = directory
         self._mem = {}
-        if directory:
+        if directory is not None:
             try:
                 os.makedirs(directory, exist_ok=True)
             except OSError as err:
@@ -172,7 +172,7 @@ class SCache:
         held = self._mem.get((mu, nu))
         if held is not None and len(held) > order:
             return held[: order + 1]
-        if self.directory:
+        if self.directory is not None:
             path = self._path(mu, nu)
             if os.path.exists(path):
                 coeffs = self._load(path, mu, nu)
@@ -181,7 +181,7 @@ class SCache:
                     return coeffs[: order + 1]
         coeffs = s_ratio_squared(mu, nu, order)
         self._mem[(mu, nu)] = coeffs
-        if self.directory:
+        if self.directory is not None:
             self._store(mu, nu, coeffs)
         return coeffs
 
@@ -218,22 +218,13 @@ class SCache:
 
     def _unusable(self, err):
         return CacheError(
-            "cannot write cache directory %s: %s; name another or run without --cache-dir"
+            "cannot write cache directory %r: %s; name another or run without --cache-dir"
             % (self.directory, err.strerror or err)
         )
 
 
 # ---------------------------------------------------------------------------
 # Partition functions
-
-
-def z_ratios(r: int, m_max: int, order: int, cache: SCache = None) -> dict:
-    """The quotients [Q_c^m] Z / Z_0 of K_{F_r} for 0 <= m <= m_max, each
-    the class series of ``z_ratio``.  Each m is assembled once.  Without
-    ``cache`` the call builds its S-series in a fresh SCache.
-    """
-    cache = cache or SCache()
-    return {m: z_ratio(r, m, order, cache) for m in range(m_max + 1)}
 
 
 def z_ratio(r: int, m: int, order: int, cache: SCache) -> tuple:

@@ -71,7 +71,7 @@ def test_criterion_04_q_inversion(scache):
     r in {0,1}, m in {1,2}, j <= 8."""
     for r in (0, 1):
         for m in (1, 2):
-            series = vx.z_ratios(r, m, 8, cache=scache)[m]
+            series = vx.z_ratio(r, m, 8, scache)
             ok, witness = rat.check_q_inversion(series)
             assert ok, (r, m, witness)
 

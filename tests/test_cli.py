@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ import localvertex
 from localvertex import cli
 from localvertex import gwtheory as gw
 from localvertex import rationality as rat
+from localvertex import vertex as vx
 from localvertex.cli import main
 from localvertex.qrat import QRat
 from localvertex.series import TruncSeries
@@ -308,6 +310,27 @@ class TestVerify:
             "r=1,m=%d" % m: {"passed": True} for m in range(3)
         }
 
+    def test_integrality_reads_pt_invariants(self, capsys, monkeypatch):
+        """verify certifies the integers pt prints: a half planted in the
+        rows pt_invariants returns at m = 1 fails that entry, and only it."""
+        pt_invariants = vx.pt_invariants
+
+        def planted(series):
+            rows = pt_invariants(series)
+            if series[2] != [1]:  # (q;q)_1^2, so m = 1
+                j, n, _ = rows[0]
+                rows[0] = (j, n, Fraction(1, 2))
+            return rows
+
+        monkeypatch.setattr(vx, "pt_invariants", planted)
+        code, doc = run_json(capsys, "verify", "--r", "0", "--m-max", "1", "--Q-order", "4")
+        assert code == 1
+        checks = doc.pop("checks")
+        assert checks.pop("integrality") == {
+            "r=0,m=0": {"passed": True}, "r=0,m=1": {"passed": False},
+        }
+        assert cli._all_passed(checks)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -362,6 +385,21 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert directory in captured.err
+
+    def test_empty_cache_dir_exits_3(self, capsys, monkeypatch):
+        """An empty --cache-dir names no directory that can be created: exit 3
+        and one line on stderr before any S-series is built, not a silent
+        memory-only run."""
+
+        def refuse(*args):
+            raise AssertionError("an S-series was built before the cache error")
+
+        monkeypatch.setattr(vx, "s_ratio_squared", refuse)
+        assert main(["pt", "--m", "1", "--Q-order", "1", "--cache-dir", ""]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "cannot write cache directory ''" in captured.err
 
 
 class TestFit:
@@ -574,6 +612,20 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert str(tmp_path) in captured.err
+
+    def test_empty_out_is_usage_error(self, capsys, monkeypatch):
+        """An empty --out names no file: exit 2 with one line on stderr before
+        any work runs, not a report on stdout."""
+
+        def refuse(args):
+            raise AssertionError("pt ran before the usage error")
+
+        monkeypatch.setitem(cli.TASKS, "pt", refuse)
+        assert main(["pt", "--m", "1", "--Q-order", "1", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--out ''" in captured.err
 
     def test_out_directory_rejected_before_work(self, capsys, monkeypatch, tmp_path):
         """An --out that names an existing directory exits 2 with one line on

@@ -26,7 +26,7 @@ from localvertex.partitions import Partition
 from localvertex.qrat import QRat
 from localvertex.rationality import certify_column, polynomiality_check, verify_R
 from localvertex.series import TruncSeries
-from localvertex.vertex import SCache, z_ratios
+from localvertex.vertex import SCache, z_ratio
 
 ONE = QRat.one()
 Q = QRat.q_power(1)
@@ -279,7 +279,8 @@ def qrat_series(series, order):
 
 
 def qrat_z_ratios(r, m_max, order):
-    return {m: qrat_series(x, order) for m, x in z_ratios(r, m_max, order).items()}
+    cache = SCache()
+    return {m: qrat_series(z_ratio(r, m, order, cache), order) for m in range(m_max + 1)}
 
 
 def qrat_log_z0(order):

@@ -1,11 +1,9 @@
 """Partition combinatorics: statistics, enumeration, invariants."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from localvertex.partitions import (
     Partition,
-    partition_count,
     partitions_of,
     partitions_up_to,
 )
@@ -105,8 +103,10 @@ class TestEnumeration:
         assert len(list(partitions_of(8))) == 22
 
     def test_counts_against_pentagonal(self):
+        """p(0..20) against the coefficients of prod_k 1/(1 - x^k)."""
+        counts = product_coefficients(20)
         for n in range(21):
-            assert len(list(partitions_of(n))) == partition_count(n)
+            assert len(list(partitions_of(n))) == counts[n]
 
     def test_no_duplicates_and_correct_size(self):
         for n in range(12):
@@ -120,22 +120,6 @@ class TestEnumeration:
 
     def test_negative_is_empty(self):
         assert list(partitions_of(-1)) == []
-
-    @given(st.integers(min_value=0, max_value=40))
-    def test_partition_count_positive(self, n):
-        assert partition_count(n) >= 1
-
-    def test_known_counts(self):
-        assert partition_count(10) == 42
-        assert partition_count(20) == 627
-
-    def test_counts_against_product(self):
-        """p(1500) on a first call (deeper than the recursion limit), and
-        p(0..300), against the coefficients of prod_k 1/(1 - x^k); the
-        count keeps no memo between calls."""
-        assert partition_count(1500) == product_coefficients(1500)[1500]
-        assert [partition_count(n) for n in range(301)] == product_coefficients(300)
-        assert not hasattr(partition_count, "cache_info")
 
 
 def product_coefficients(n):

@@ -36,7 +36,6 @@ from localvertex.vertex import (
     s_ratio_squared,
     z0_windows,
     z_ratio,
-    z_ratios,
 )
 
 ONE = QRat.one()
@@ -396,11 +395,11 @@ class TestPartitionFunctions:
 
     def test_rejects_negative_r(self):
         with pytest.raises(ValueError):
-            z_ratios(-1, 0, 2)
+            z_ratio(-1, 0, 2, SCache())
 
 
 def _assert_toric_agreement(r, c_bound, b_bound, scache):
-    """The N-leg oracle z_toric against pt_series (so against z_ratios)."""
+    """The N-leg oracle z_toric against pt_series (so against z_ratio)."""
     toric = z_toric(ToricSurface.hirzebruch(r), c_bound, b_bound)
     z = [pt_series(r, m, b_bound, cache=scache) for m in range(c_bound + 1)]
     for (m, n), value in toric.items():
@@ -419,14 +418,13 @@ class TestPT:
 
     def test_integrality(self, scache):
         for r, m in ((0, 0), (1, 1)):
-            ratio = z_ratios(r, m, 4, cache=scache)[m]
-            assert check_integrality(pt_windows(ratio, z0_windows(4, PT_Q_TERMS + 1)))
+            assert check_integrality(pt_rows(r, m, 4, scache))
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_pt_series_is_z_hirzebruch_entry(self, r, scache):
         """pt_series(r, m) for m <= 3 at Q-order 9 is, bit for bit, the m-th
         entry of Z of K_{F_r} assembled once as the oracle exp(log Z_0)
-        times z_ratios."""
+        times z_ratio."""
         z0 = exp_route_z0(9)
         ratios = qrat_z_ratios(r, 3, 9, scache)
         for m in range(4):
@@ -434,7 +432,7 @@ class TestPT:
 
     def test_integrality_detects_fractions(self):
         bad = (0, {1: [1]}, [2])  # 1/2 Q
-        assert not check_integrality(bad)
+        assert not check_integrality(pt_invariants(bad))
 
     def test_fiber_class_invariants(self, scache):
         rows = pt_rows(0, 0, 1, scache)
@@ -518,14 +516,13 @@ class TestKnownDenominators:
 
         monkeypatch.setattr(TruncSeries, "exp", refuse)
         assert pt_series(1, 2, 5, cache=scache)[5]
-        ratio = z_ratios(1, 2, 5, cache=scache)[2]
-        assert check_integrality(pt_windows(ratio, z0_windows(5, PT_Q_TERMS + 1)))
+        assert check_integrality(pt_rows(1, 2, 5, scache))
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_ratio_denominators_divide_qq_squared(self, r, scache):
         """Every coefficient of Z_m/Z_0 is one integer numerator over
         (q;q)_m^2, and canonicalised it is, bit for bit, the QRat assembly."""
-        ratios = z_ratios(r, 3, 9, cache=scache)
+        ratios = [z_ratio(r, m, 9, scache) for m in range(4)]
         oracle = qrat_z_ratios(r, 3, 9, scache)
         for m in range(4):
             qq = ONE
@@ -561,13 +558,13 @@ class TestKnownDenominators:
         """The q-window of each fraction holds the even t-terms of the
         canonical t_expansion(40), whose odd t-terms are zero; so the two
         integrality verdicts agree."""
-        ratios = z_ratios(r, 2, 9, cache=scache)
         z0, windows = z0_series(9), z0_windows(9, PT_Q_TERMS + 1)
         for m in range(3):
-            fractions = pt_fractions(ratios[m], z0)
+            ratio = z_ratio(r, m, 9, scache)
+            fractions = pt_fractions(ratio, z0)
             series = fraction_series(fractions, 9)
-            assert check_integrality(fractions) == canonical_integrality(series)
-            assert check_integrality(pt_windows(ratios[m], windows)) is True
+            assert check_integrality(pt_invariants(fractions)) == canonical_integrality(series)
+            assert check_integrality(pt_invariants(pt_windows(ratio, windows))) is True
             shift, nums, den = fractions
             for j, num in nums.items():
                 low, window = expansion(shift, num, den, 20)
@@ -587,7 +584,7 @@ class TestKnownDenominators:
     )
     def test_negative_goldens(self, fraction):
         shift, num, den = fraction
-        assert not check_integrality((shift, {0: num}, den))
+        assert not check_integrality(pt_invariants((shift, {0: num}, den)))
         assert not canonical_integrality(TruncSeries(0, {0: canonical(fraction)}))
 
     def test_window_starts_at_valuation(self):
@@ -595,7 +592,7 @@ class TestKnownDenominators:
         fraction = (-2, [3, 0, 0, 0], [1, 0, 1, 0, 1])  # 3 q/(1 + q^2 + q^4)
         low, window = expansion(*fraction, 4)
         assert (low, window) == (1, [3, 0, -3, 0])
-        assert check_integrality((-2, {0: fraction[1]}, fraction[2]))
+        assert check_integrality(pt_invariants((-2, {0: fraction[1]}, fraction[2])))
 
     @pytest.mark.parametrize("r", [0, 1, 3])
     def test_pt_invariants_match_canonical_window(self, r, scache):
