@@ -8,7 +8,7 @@ compare the two exactly:
   exponential closed form (``s_closed``, from the exponent ``_exponent``)
   and the resummed infinite product (``s_product``); the engine's
   ``vertex.s_ratio_squared`` is the finite product of their squared
-  ratios.
+  ratios, its numerators over (q;q)_m^2, m = |mu| + |nu|.
 - The general N-leg toric vertex sum (``z_toric``, over ``ToricSurface``)
   against the Hirzebruch partition function.
 - ``z0_series`` and ``pt_fractions``: Z_0 and Z_m = Z_0 (Z_m/Z_0) whole,

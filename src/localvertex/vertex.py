@@ -18,7 +18,7 @@ Every series is held over denominators fixed in advance, as integer
 q-numerators, with no gcd.  A class series (shift, {j: num}, den) has
 Q^j coefficient q^shift num(q)/den(q), zero coefficients left out.
 (W_mu W_nu)^2 = q^w/(H_mu H_nu)^2, H_mu = prod_hooks (1 - q^h) divides
-(q;q)_|mu|, so z_ratio sums every pair over (q;q)_m^2.  PT numbers are
+(q;q)_|mu|, so each S-entry is held over (q;q)_m^2.  PT numbers are
 read in a window of PT_Q_TERMS + 1 q-coefficients per Q^j row, and
 Z_m = Z_0 (Z_m/Z_0) is built in those windows only: Z_0 by its exp
 recurrence on packed nonnegative integers (``z0_windows``), each row of
@@ -37,7 +37,7 @@ from .qfield import (
     _add, _digit_words, _exquo, _mul, _neg, _strip, _trailing_zeros, _unpack, expansion,
 )
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 PT_Q_TERMS = 24  # pt_invariants reads PT_Q_TERMS + 1 q-slots per Q^j row
 
 
@@ -61,7 +61,7 @@ class CacheError(Exception):
 
 def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> list:
     """(S_{mu,nu}/S_{empty,empty})^2 = (W_mu W_nu)^2 prod_i (1 - q^(i+1) Q)^(-2 e_i)
-    as the list of its Q^k coefficients q^shift num(q)/(H_mu H_nu)^2,
+    as the list of its Q^k coefficients q^shift num(q)/(q;q)_m^2, m = |mu| + |nu|,
     k <= order, each an integer pair (shift, num); num = [] is zero.
 
     With the integer e_i of ``e_coeffs``, X = sum_n X_n Q^n, the product,
@@ -71,8 +71,16 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> list:
     X_(n-k) is a shifted add per e_i, the division by n is exact, and
     ``_unpack`` reads X_n back.  The Q^n coefficient of prod_i (1 - Q)^(-2|e_i|)
     bounds every coefficient of X_n, and C(2 sum_i |e_i| + order, order) sets d.
-    W_mu^2 is q^(k(mu) + |mu| + 2 n(mu))/H_mu^2, read off the diagram.
+    W_mu^2 is q^(k(mu) + |mu| + 2 n(mu))/H_mu^2, read off the diagram, H_mu =
+    prod_hooks (1 - q^h); each X_n times the cofactor (q;q)_m^2/(H_mu H_nu)^2,
+    divided once per build, is over (q;q)_m^2; a remainder raises VertexError.
     """
+    hooks_squared = [1]
+    for h in 2 * (mu.hooks() + nu.hooks()):
+        hooks_squared = _times_one_minus_q_power(hooks_squared, h)
+    cofactor = _exquo(_qq_squared(mu.size + nu.size), hooks_squared)
+    if cofactor is None:
+        raise VertexError("(H_mu H_nu)^2 does not divide (q;q)_%d^2" % (mu.size + nu.size))
     e = e_coeffs(mu, nu)
     lo = min(e, default=-1) + 1
     span = max(e, default=0) - min(e, default=0)
@@ -80,7 +88,7 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> list:
     steps = [(2 * c, 64 * words * (i + 1 - lo)) for i, c in e.items()]
     w = sum(p.kappa() + p.size + 2 * p.n_stat() for p in (mu, nu))
     packed = [1]
-    out = [(w, [1])]
+    out = [(w, cofactor)]
     for n in range(1, order + 1):
         total = 0
         for k, x in enumerate(reversed(packed), 1):
@@ -89,16 +97,8 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> list:
         packed.append(total // n)
         num = _strip(_unpack(packed[n], words, span * n + 1))
         low = _trailing_zeros(num)
-        out.append((lo * n + w + low, num[: len(num) - low]) if num else (0, []))
+        out.append((lo * n + w + low, _mul(num[: len(num) - low], cofactor)) if num else (0, []))
     return out
-
-
-def _hook_product(mu: Partition) -> list:
-    """H_mu = prod over the hook lengths h of mu of (1 - q^h)."""
-    p = [1]
-    for h in mu.hooks():
-        p = _times_one_minus_q_power(p, h)
-    return p
 
 
 def _contents(mu: Partition) -> dict:
@@ -139,14 +139,14 @@ def e_coeffs(mu: Partition, nu: Partition) -> dict:
 class SCache:
     """In-process (and optionally on-disk) cache of s_ratio_squared lists.
 
-    Disk format 3, the integer (shift, num) pairs; files of formats 1 and 2
-    (S and QRat series) are never read.  Entries computed at a larger
-    truncation order serve smaller orders by truncation.  The ratio is
-    symmetric in (mu, nu), so entries are keyed by the pair sorted by
-    parts: (mu, nu) and (nu, mu) share one build and one file.  Disk
-    entries are one JSON document per sorted pair under a
-    content-addressed filename; concurrent writers of the same key
-    produce identical content, so writes are idempotent.
+    Disk format 4, the integer (shift, num) pairs over (q;q)_m^2; files of
+    formats 1-3 (S, QRat, then numerators over (H_mu H_nu)^2) are never
+    read.  Entries computed at a larger truncation order serve smaller
+    orders by truncation.  The ratio is symmetric in (mu, nu), so entries
+    are keyed by the pair sorted by parts: (mu, nu) and (nu, mu) share one
+    build, one cofactor and one file.  Disk entries are one JSON document
+    per sorted pair under a content-addressed filename; concurrent writers
+    of the same key produce identical content, so writes are idempotent.
     """
 
     def __init__(self, directory=None):
@@ -232,32 +232,29 @@ def z_ratio(r: int, m: int, order: int, cache: SCache) -> tuple:
     q^(r(k(mu2)-k(mu4))/2) Q^(r|mu2|) (S_{mu2,mu4}/S_{empty,empty})^2,
     up to Q^order, as the class series (shift, {j: num}, (q;q)_m^2).
 
-    Each term is taken over (q;q)_m^2 by the cofactor
-    (q;q)_m^2/(H_mu2 H_mu4)^2, an exact division (q-binomials are
-    polynomials); a cofactor that does not divide is a hard error.
+    Each S-entry is over (q;q)_m^2 already, so a pair is a framing shift
+    and a sum that reads its cached lists and never changes them.  A pair
+    whose Q^(r|mu2|) is past Q^order is not fetched.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     if m < 0:
         raise ValueError("m must be >= 0")
-    dm = _qq_squared(m)
     terms = []
     for a in range(m + 1):
+        if r * a > order:
+            break
         for mu2 in partitions_of(a):
             for mu4 in partitions_of(m - a):
                 shift = r * (mu2.kappa() - mu4.kappa()) // 2
-                h = _mul(_hook_product(mu2), _hook_product(mu4))
-                cofactor = _exquo(dm, _mul(h, h))
-                if cofactor is None:
-                    raise VertexError("(H_mu2 H_mu4)^2 does not divide (q;q)_%d^2" % m)
-                coeffs = cache.get(mu2, mu4, order)[: max(order + 1 - r * a, 0)]
+                coeffs = cache.get(mu2, mu4, order)[: order + 1 - r * a]
                 for k, (s, num) in enumerate(coeffs, r * a):
                     if num:
-                        terms.append((k, s + shift, _mul(num, cofactor)))
+                        terms.append((k, s + shift, num))
     low, nums = _aligned(terms)
     if (r * m) % 2:
         nums = {j: _neg(num) for j, num in nums.items()}
-    return low, nums, dm
+    return low, nums, _qq_squared(m)
 
 
 def _aligned(terms) -> tuple:

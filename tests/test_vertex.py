@@ -20,7 +20,7 @@ from localvertex.oracles import (
     z_toric,
 )
 from localvertex.partitions import Partition, partitions_of, partitions_up_to
-from localvertex.qfield import _digit_words, expansion
+from localvertex.qfield import _digit_words, _exquo, _mul, expansion
 from localvertex.qrat import QRat
 from localvertex.rationality import check_integrality
 from localvertex.series import TruncSeries
@@ -105,9 +105,9 @@ def exp_route_z0(order):
 
 
 def ratio_series(mu, nu, order):
-    """s_ratio_squared as a QRat series: each numerator over the canonical
-    denominator of (W_mu W_nu)^2, the oracle for (H_mu H_nu)^2."""
-    den = ((w_one(mu) * w_one(nu)) ** 2).den[::2]
+    """s_ratio_squared as a QRat series: each numerator over (q;q)_m^2,
+    m = |mu| + |nu|."""
+    den = vertex._qq_squared(mu.size + nu.size)
     return TruncSeries(
         order,
         {k: canonical((s, num, den)) for k, (s, num) in enumerate(s_ratio_squared(mu, nu, order))},
@@ -166,6 +166,14 @@ def dict_route_ratio_squared(mu, nu, order):
         (min(d) + w, [d.get(qe, 0) for qe in range(max(d), min(d) - 1, -1)]) if d else (0, [])
         for d in poly
     ]
+
+
+def times_cofactor(mu, nu, coeffs):
+    """Numerators over (H_mu H_nu)^2 taken over (q;q)_m^2, m = |mu| + |nu|, by
+    the cofactor over the canonical denominator of the oracle's (W_mu W_nu)^2."""
+    hooks_squared = ((w_one(mu) * w_one(nu)) ** 2).den[::2]
+    cofactor = _exquo(vertex._qq_squared(mu.size + nu.size), hooks_squared)
+    return [(shift, _mul(num, cofactor)) for shift, num in coeffs]
 
 
 def clearing_route_e(mu, nu):
@@ -229,7 +237,8 @@ class TestClosedForm:
         ]
         assert len(pairs) == 223
         for mu, nu in pairs:
-            assert s_ratio_squared(mu, nu, 10) == dict_route_ratio_squared(mu, nu, 10), (mu, nu)
+            want = times_cofactor(mu, nu, dict_route_ratio_squared(mu, nu, 10))
+            assert s_ratio_squared(mu, nu, 10) == want, (mu, nu)
 
     def test_two_word_digits(self):
         """No pair with |mu| + |nu| <= 14 at Q-order <= 30 needs more than one
@@ -237,7 +246,9 @@ class TestClosedForm:
         mu = P(16)
         bound = comb(2 * sum(map(abs, e_coeffs(mu, mu).values())) + 24, 24)
         assert _digit_words(bound) == 2
-        assert s_ratio_squared(mu, mu, 24) == dict_route_ratio_squared(mu, mu, 24)
+        assert s_ratio_squared(mu, mu, 24) == times_cofactor(
+            mu, mu, dict_route_ratio_squared(mu, mu, 24)
+        )
 
     def test_takes_no_series_exp(self, monkeypatch):
         def refuse(self):
@@ -247,11 +258,11 @@ class TestClosedForm:
         assert s_ratio_squared(P(2, 1), P(1), 4)[4][1]
 
     def test_monomial_and_hooks(self):
-        """(W_mu W_nu)^2 = q^w/(H_mu H_nu)^2, w read off the diagrams."""
+        """(W_mu W_nu)^2 = q^w cofactor/(q;q)_m^2, w read off the diagrams and
+        the cofactor (q;q)_m^2/(H_mu H_nu)^2 the Q^0 numerator."""
         for mu, nu in ((P(2, 1), P(1)), (P(3), P(1, 1)), (EMPTY, P(2, 2))):
             shift, num = s_ratio_squared(mu, nu, 0)[0]
-            h = vertex._mul(vertex._hook_product(mu), vertex._hook_product(nu))
-            value = QRat(2 * shift, _in_t(num), _in_t(vertex._mul(h, h)))
+            value = QRat(2 * shift, _in_t(num), _in_t(vertex._qq_squared(mu.size + nu.size)))
             assert value == (w_one(mu) * w_one(nu)) ** 2, (mu, nu)
 
 
@@ -270,10 +281,10 @@ class TestSCache:
         assert second.get(P(1), EMPTY, 2) == series[:3]
 
     def test_file_name_pinned(self, tmp_path):
-        """The file name hashes the sorted pair's parts lists: a cache
-        directory written by earlier versions stays readable."""
+        """The file name hashes the format version and the sorted pair's
+        parts lists: a cache directory of format 3 is not read."""
         SCache(str(tmp_path)).get(P(2, 1), P(1), 2)
-        assert [f.name for f in tmp_path.iterdir()] == ["s_4d0a205e1884eb09e870dc31.json"]
+        assert [f.name for f in tmp_path.iterdir()] == ["s_ad7ffc7743c02527ff09a09f.json"]
 
     def test_corrupt_file_reported(self, tmp_path):
         cache = SCache(str(tmp_path))
@@ -345,13 +356,20 @@ class TestSCache:
         assert SCache(str(tmp_path)).get(P(1), P(2, 1), 3) == first[:4]
         assert len(builds) == 1
 
-    def test_old_format_rebuilt(self, tmp_path):
-        """A file of another format version is ignored and rewritten."""
-        SCache(str(tmp_path)).get(P(1), EMPTY, 3)
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_old_format_rebuilt(self, tmp_path, version):
+        """A file of another format version is ignored and rewritten as format
+        4: format 2 held QRat series, and format 3 held numerators over
+        (H_mu H_nu)^2, never to be read as numerators over (q;q)_m^2."""
+        mu, nu = P(1), P(2, 1)  # cofactor (1 + q)^4 (1 + q^2)^2
+        SCache(str(tmp_path)).get(mu, nu, 3)
         (path,) = list(tmp_path.iterdir())
         doc = json.loads(path.read_text())
-        path.write_text(json.dumps({**doc, "version": 2, "coeffs": "QRat series"}))
-        assert SCache(str(tmp_path)).get(P(1), EMPTY, 3) == s_ratio_squared(P(1), EMPTY, 3)
+        assert doc["version"] == 4
+        old = {2: "QRat series", 3: dict_route_ratio_squared(mu, nu, 3)}[version]
+        assert json.loads(json.dumps(old)) != doc["coeffs"]
+        path.write_text(json.dumps({**doc, "version": version, "coeffs": old}))
+        assert SCache(str(tmp_path)).get(mu, nu, 3) == s_ratio_squared(mu, nu, 3)
         assert json.loads(path.read_text()) == doc
 
 
@@ -533,11 +551,9 @@ class TestKnownDenominators:
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_foreign_denominator_raises(self, m, monkeypatch):
-        """A planted hook product that does not divide (q;q)_m^2 is fatal."""
-        hook_product = vertex._hook_product
-        monkeypatch.setattr(
-            vertex, "_hook_product", lambda mu: vertex._mul(hook_product(mu), [-1] + [0] * m + [1])
-        )
+        """A planted hook (1 - q^(m+1)) that does not divide (q;q)_m^2 is fatal."""
+        hooks = Partition.hooks
+        monkeypatch.setattr(Partition, "hooks", lambda mu: hooks(mu) + [m + 1])
         with pytest.raises(VertexError, match="does not divide"):
             z_ratio(1, m, 6, SCache())
 
@@ -552,6 +568,43 @@ class TestKnownDenominators:
         pt_series(0, 6, 4)
         assert len(calls) == 65
         assert all(mu2.size + mu4.size == 6 for mu2, mu4, _ in calls)
+
+    def test_fetches_only_pairs_below_the_order(self, monkeypatch):
+        """z_ratio(7, 4, 3) reads only the 5 pairs of |mu2| = 0: every other
+        pair starts at Q^(7|mu2|), past Q^3."""
+        calls = []
+        get = SCache.get
+        monkeypatch.setattr(
+            SCache, "get", lambda self, *args: calls.append(args) or get(self, *args)
+        )
+        z_ratio(7, 4, 3, SCache())
+        assert len(calls) == 5
+        assert all(mu2.size == 0 for mu2, _, _ in calls)
+
+    def test_z_ratio_is_a_shift_and_a_sum(self, monkeypatch):
+        """Each cofactor is divided once per sorted pair, in its S-build: 11
+        pairs with |mu| + |nu| = 4 for r = 0, 1, 2, and a warm z_ratio
+        neither divides nor multiplies."""
+        counts = {"_exquo": 0, "_mul": 0}
+
+        def counted(name):
+            op = getattr(vertex, name)
+
+            def call(*args):
+                counts[name] += 1
+                return op(*args)
+
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(vertex, name, counted(name))
+        cache = SCache()
+        for r in (0, 1, 2):
+            z_ratio(r, 4, 6, cache)
+        assert counts["_exquo"] == 11
+        counts.update(_exquo=0, _mul=0)
+        z_ratio(1, 4, 6, cache)
+        assert counts == {"_exquo": 0, "_mul": 0}
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_verdict_matches_canonical(self, r, scache):
