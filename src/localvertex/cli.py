@@ -143,10 +143,9 @@ def run_pt(args) -> int:
     report = _report("pt", args)
     report["m"] = args.m
     tables = {}
-    z0 = vx.z0_windows(args.Q_order, vx.PT_Q_TERMS + 1)
     for r in args.r:
         ratio = vx.z_ratio(r, args.m, args.Q_order, cache)
-        rows = vx.pt_invariants(vx.pt_windows(ratio, z0))
+        rows = vx.pt_invariants(ratio, args.Q_order)
         tables[str(r)] = [{"j": j, "n": n, "value": v} for j, n, v in rows]
     report["tables"] = tables
     csv_text = None
@@ -211,7 +210,6 @@ def run_verify(args) -> int:
     # integrality of the PT invariants pt prints, from one assembly per (r, m)
     q_inversion = {}
     integrality = {}
-    z0 = vx.z0_windows(args.Q_order, vx.PT_Q_TERMS + 1)
     for r in args.r:
         for m in range(args.m_max + 1):
             ratio = vx.z_ratio(r, m, args.Q_order, cache)
@@ -219,7 +217,7 @@ def run_verify(args) -> int:
             if m:
                 ok, witness = rat.check_q_inversion(ratio)
                 q_inversion[key] = {"passed": ok, "witness": witness}
-            rows = vx.pt_invariants(vx.pt_windows(ratio, z0))
+            rows = vx.pt_invariants(ratio, args.Q_order)
             integrality[key] = {"passed": rat.check_integrality(rows)}
     checks["q_inversion"] = q_inversion
     checks["integrality"] = integrality

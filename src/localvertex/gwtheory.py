@@ -114,12 +114,12 @@ def _i_power(h: int) -> int:
 class GWTable:
     """Exact GW invariants GW_{g, m*c + j*b} of K_{F_r}."""
 
-    def __init__(self, r: int, g_max: int, m_max: int, j_max: int, entries: dict = None):
+    def __init__(self, r: int, g_max: int, m_max: int, j_max: int):
         self.r = r
         self.g_max = g_max
         self.m_max = m_max
         self.j_max = j_max
-        self.entries = {} if entries is None else entries  # (g, m, j) -> Fraction
+        self.entries = {}  # (g, m, j) -> Fraction
 
     def value(self, g: int, m: int, j: int) -> Fraction:
         return self.entries.get((g, m, j), Fraction(0))

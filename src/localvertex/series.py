@@ -30,7 +30,7 @@ class TruncSeries:
         cleaned = {}
         if coeffs:
             for d, c in coeffs.items():
-                if d <= order and not _is_zero(c):
+                if d <= order and c:
                     cleaned[d] = c
         self.coeffs = cleaned
 
@@ -82,7 +82,7 @@ class TruncSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
-            if _is_zero(other):
+            if not other:
                 return TruncSeries(self.order)
             return TruncSeries(
                 self.order, {d: c * other for d, c in self.coeffs.items()}
@@ -114,7 +114,7 @@ class TruncSeries:
         if self.order != other.order:
             return False
         degrees = set(self.coeffs) | set(other.coeffs)
-        return all(_is_zero(self.coeffs.get(d, 0) - other.coeffs.get(d, 0)) for d in degrees)
+        return not any(self.coeffs.get(d, 0) - other.coeffs.get(d, 0) for d in degrees)
 
     def __repr__(self):
         terms = ", ".join("%d: %r" % (d, self.coeffs[d]) for d in self.degrees())
@@ -135,7 +135,7 @@ class TruncSeries:
         out = {0: 1}
         for n in range(1, self.order + 1):
             acc = _convolve(terms, out, n)
-            if acc is not None and not _is_zero(acc):
+            if acc:
                 out[n] = acc * Fraction(1, n)
         return TruncSeries(self.order, out)
 
@@ -152,9 +152,3 @@ def _convolve(terms, coeffs, n):
             term = c * b
             acc = term if acc is None else acc + term
     return acc
-
-
-def _is_zero(c):
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return not c

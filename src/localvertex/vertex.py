@@ -20,9 +20,9 @@ Q^j coefficient q^shift num(q)/den(q), zero coefficients left out.
 (W_mu W_nu)^2 = q^w/(H_mu H_nu)^2, H_mu = prod_hooks (1 - q^h) divides
 (q;q)_|mu|, so each S-entry is held over (q;q)_m^2.  PT numbers are
 read in a window of PT_Q_TERMS + 1 q-coefficients per Q^j row, and
-Z_m = Z_0 (Z_m/Z_0) is built in those windows only: Z_0 by its exp
-recurrence on packed nonnegative integers (``z0_windows``), each row of
-Z_m by convolving them with z_ratio's numerators (``pt_windows``).
+``pt_invariants`` builds Z_m = Z_0 (Z_m/Z_0) in those windows only: Z_0
+by its exp recurrence on packed nonnegative integers (``z0_windows``),
+each row of Z_m by convolving them with z_ratio's numerators.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .qfield import (
 )
 
 FORMAT_VERSION = 4
-PT_Q_TERMS = 24  # pt_invariants reads PT_Q_TERMS + 1 q-slots per Q^j row
+PT_Q_TERMS = 24  # pt_invariants reads PT_Q_TERMS + 1 q-slots per Q^j row of Z_m
 
 
 class VertexError(ArithmeticError):
@@ -328,26 +328,32 @@ def z0_windows(order: int, width: int) -> list:
     return rows
 
 
-def pt_windows(ratio: tuple, z0: list) -> tuple:
-    """Z_m = Z_0 * ratio as a class series (shift, {j: num}, (q;q)_m^2) whose
-    Q^j numerators agree with Z_m's on the PT_Q_TERMS + 1 q-coefficients
-    from their valuation, all that ``pt_invariants`` reads.
+def pt_invariants(ratio: tuple, order: int) -> list:
+    """Individual integers PT_{mc+jb, n} of Z_m = Z_0 * ratio as (j, n,
+    value) rows, ratio the class series z_ratio(r, m, order, ...) and
+    ``order`` its Q-order.  n is the Euler characteristic slot and the
+    value, an integer as den(0) = 1, carries the (-q)^n sign.  Each Q^j
+    row covers PT_Q_TERMS + 1 slots n from its valuation, so for r = 0,
+    m = 6 and Q-order 3 it has n = 6..30 at j = 0, and for r = 7, m = 4,
+    n = -26..-2.
 
-    ``ratio`` is z_ratio(...), ``z0`` z0_windows at its Q-order.  Each term
-    q^a Y_a num_b of row j = a + b starts at its own valuation, the row at
-    the lowest.  A row whose low terms cancel widens its window, and Z_0's,
-    until PT_Q_TERMS + 1 terms from its true valuation are exact.  As
-    (q;q)_a^2 q^a Y_a has degree a^2 at most, row j times (q;q)_j^2 has
-    degree j(j+1) + max deg num_b at most: a zero window past it is a zero row.
+    Each term q^a Y_a num_b of row j = a + b, Y_a from ``z0_windows``,
+    starts at its own valuation, the row at the lowest.  A row whose low
+    terms cancel widens its window, and Z_0's, until PT_Q_TERMS + 1 terms
+    from its true valuation are exact.  As (q;q)_a^2 q^a Y_a has degree a^2
+    at most, row j times (q;q)_j^2 has degree j(j+1) + max deg num_b at
+    most: a zero window past it is a zero row.
     """
     shift, nums, dm = ratio
-    order, full, rows = len(z0) - 1, max(map(len, nums.values()), default=0), {}
+    full, rows = max(map(len, nums.values()), default=0), []
+    z0 = z0_windows(order, PT_Q_TERMS + 1)
     for j in range(order + 1):
         terms = [(a, nums[j - a]) for a in range(j + 1) if j - a in nums]
         low = min((a + _trailing_zeros(num) for a, num in terms), default=0)
         width = PT_Q_TERMS + 1
         while terms:
-            z0 = z0 if width <= len(z0[0]) else z0_windows(order, width)
+            if width > len(z0[0]):
+                z0 = z0_windows(order, width)
             total = []  # sum_a q^(a - low) Y_a num_b, windows highest first
             for a, num in terms:
                 top = len(num) - _trailing_zeros(num)
@@ -358,28 +364,12 @@ def pt_windows(ratio: tuple, z0: list) -> tuple:
             num = _strip(total[-width:])
             zeros = _trailing_zeros(num)
             if num and zeros + PT_Q_TERMS < width:
-                rows[j] = num + [0] * low
+                lowest, coeffs = expansion(shift + low, num, dm, PT_Q_TERMS + 1)
+                for n, c in enumerate(coeffs, lowest):
+                    if c:
+                        rows.append((j, n, c if n % 2 == 0 else -c))
             elif num or low + width < j * (j + 1) + full:
                 width = zeros + PT_Q_TERMS + 1 if num else 2 * width
                 continue
             break
-    return shift, rows, dm
-
-
-def pt_invariants(series: tuple) -> list:
-    """Individual integers PT_{mc+jb, n} of Z_m, the class series of
-    ``pt_windows``: each Q^j row covers PT_Q_TERMS + 1 slots n from the
-    valuation of its coefficient, so for r = 0, m = 6 and Q-order 3 it has
-    n = 6..30 at j = 0, and for r = 7, m = 4, n = -26..-2.
-
-    Returns a list of (j, n, value) triples; n is the Euler characteristic
-    slot and the value, an integer as den(0) = 1, carries the (-q)^n sign.
-    """
-    rows = []
-    shift, nums, den = series
-    for j, num in nums.items():
-        lowest, coeffs = expansion(shift, num, den, PT_Q_TERMS + 1)
-        for n, c in enumerate(coeffs, lowest):
-            if c:
-                rows.append((j, n, c if n % 2 == 0 else -c))
     return rows

@@ -315,9 +315,9 @@ class TestVerify:
         rows pt_invariants returns at m = 1 fails that entry, and only it."""
         pt_invariants = vx.pt_invariants
 
-        def planted(series):
-            rows = pt_invariants(series)
-            if series[2] != [1]:  # (q;q)_1^2, so m = 1
+        def planted(ratio, order):
+            rows = pt_invariants(ratio, order)
+            if ratio[2] != [1]:  # (q;q)_1^2, so m = 1
                 j, n, _ = rows[0]
                 rows[0] = (j, n, Fraction(1, 2))
             return rows
@@ -400,6 +400,38 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "cannot write cache directory ''" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, module, name, planted, message",
+        [
+            (
+                ["gw", "--m-max", "1", "--Q-order", "2"], gw, "log_z",
+                # q^2/(1 - q)^4 at Q_c^1 Q^1: even in u, with a u^-4 pole
+                lambda *args, **kwargs: {1: (0, {1: [1, 0, 0]}, [1, -4, 6, -4, 1])},
+                "u-pole deeper than genus 0 at Q_c^1 Q^1",
+            ),
+            (
+                ["pt", "--m", "1", "--Q-order", "4"], vx, "_fibre_packed",
+                # every packed step of Z_0's recurrence times (1 + q)
+                lambda k, bits, width, fibre=vx._fibre_packed:
+                    fibre(k, bits, width) * (1 + (1 << bits)),
+                "n Y_n is not divisible by n = 3",
+            ),
+        ],
+        ids=["gw-u-pole", "pt-inexact-division"],
+    )
+    def test_internal_invariant_exits_2(
+        self, capsys, monkeypatch, tmp_path, argv, module, name, planted, message
+    ):
+        """A tripped internal invariant (RealityError, VertexError) exits 2
+        with one line on stderr and writes no report."""
+        out = tmp_path / "report.json"
+        monkeypatch.setattr(module, name, planted)
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "invariant violation: %s\n" % message
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestFit:

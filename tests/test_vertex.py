@@ -32,7 +32,6 @@ from localvertex.vertex import (
     VertexError,
     e_coeffs,
     pt_invariants,
-    pt_windows,
     s_ratio_squared,
     z0_windows,
     z_ratio,
@@ -450,7 +449,7 @@ class TestPT:
 
     def test_integrality_detects_fractions(self):
         bad = (0, {1: [1]}, [2])  # 1/2 Q
-        assert not check_integrality(pt_invariants(bad))
+        assert not check_integrality(pt_invariants(bad, 1))
 
     def test_fiber_class_invariants(self, scache):
         rows = pt_rows(0, 0, 1, scache)
@@ -485,13 +484,24 @@ def canonical(fraction):
 
 def pt_rows(r, m, order, cache):
     """The rows ``pt_invariants`` reads off Z_m, assembled as ``pt`` does."""
-    ratio = z_ratio(r, m, order, cache)
-    return pt_invariants(pt_windows(ratio, z0_windows(order, PT_Q_TERMS + 1)))
+    return pt_invariants(z_ratio(r, m, order, cache), order)
+
+
+def whole_rows(series):
+    """The (j, n, value) rows of a whole class series, as ``pt`` prints
+    them: PT_Q_TERMS + 1 terms of each Q^j row from its valuation, each
+    with the (-q)^n sign; a reader apart from the engine's windows."""
+    shift, nums, den = series
+    rows = []
+    for j, num in nums.items():
+        lowest, coeffs = expansion(shift, num, den, PT_Q_TERMS + 1)
+        rows += [(j, n, c if n % 2 == 0 else -c) for n, c in enumerate(coeffs, lowest) if c]
+    return rows
 
 
 def oracle_rows(ratio, order):
-    """The rows ``pt_invariants`` reads off the oracle's whole Z_m."""
-    return pt_invariants(pt_fractions(ratio, z0_series(order)))
+    """The rows of the oracle's whole Z_m."""
+    return whole_rows(pt_fractions(ratio, z0_series(order)))
 
 
 class TestKnownDenominators:
@@ -611,13 +621,13 @@ class TestKnownDenominators:
         """The q-window of each fraction holds the even t-terms of the
         canonical t_expansion(40), whose odd t-terms are zero; so the two
         integrality verdicts agree."""
-        z0, windows = z0_series(9), z0_windows(9, PT_Q_TERMS + 1)
+        z0 = z0_series(9)
         for m in range(3):
             ratio = z_ratio(r, m, 9, scache)
             fractions = pt_fractions(ratio, z0)
             series = fraction_series(fractions, 9)
-            assert check_integrality(pt_invariants(fractions)) == canonical_integrality(series)
-            assert check_integrality(pt_invariants(pt_windows(ratio, windows))) is True
+            assert check_integrality(whole_rows(fractions)) == canonical_integrality(series)
+            assert check_integrality(pt_invariants(ratio, 9)) is True
             shift, nums, den = fractions
             for j, num in nums.items():
                 low, window = expansion(shift, num, den, 20)
@@ -637,7 +647,7 @@ class TestKnownDenominators:
     )
     def test_negative_goldens(self, fraction):
         shift, num, den = fraction
-        assert not check_integrality(pt_invariants((shift, {0: num}, den)))
+        assert not check_integrality(pt_invariants((shift, {0: num}, den), 0))
         assert not canonical_integrality(TruncSeries(0, {0: canonical(fraction)}))
 
     def test_window_starts_at_valuation(self):
@@ -645,7 +655,7 @@ class TestKnownDenominators:
         fraction = (-2, [3, 0, 0, 0], [1, 0, 1, 0, 1])  # 3 q/(1 + q^2 + q^4)
         low, window = expansion(*fraction, 4)
         assert (low, window) == (1, [3, 0, -3, 0])
-        assert check_integrality(pt_invariants((-2, {0: fraction[1]}, fraction[2])))
+        assert check_integrality(pt_invariants((-2, {0: fraction[1]}, fraction[2]), 0))
 
     @pytest.mark.parametrize("r", [0, 1, 3])
     def test_pt_invariants_match_canonical_window(self, r, scache):
@@ -692,7 +702,7 @@ class TestWindows:
 
     def test_bounds_behind_the_windows(self):
         """The two bounds the window route rests on: N_n = (q;q)_n^2 [Q^n] Z_0
-        has degree n^2 at most, the widening bound of pt_windows; and Z_0 at
+        has degree n^2 at most, the widening bound of pt_invariants; and Z_0 at
         Q = 1 is below 2^7 at q = 1/2, so 2^(e + 7) bounds its q^e
         coefficient, the digit bound of z0_windows."""
         for n in range(13):
@@ -709,28 +719,26 @@ class TestWindows:
         """pt_invariants of the window route is the oracle route's, row for
         row and bit for bit, for m <= 4 and Q-orders 4, 8 and 12."""
         for order in (4, 8, 12):
-            z0 = z0_windows(order, PT_Q_TERMS + 1)
             for m in range(5):
                 ratio = z_ratio(r, m, order, scache)
-                rows = pt_invariants(pt_windows(ratio, z0))
+                rows = pt_invariants(ratio, order)
                 assert rows == oracle_rows(ratio, order), (m, order)
 
     def test_bit_identical_at_q_order_24(self, scache):
         ratio = z_ratio(0, 6, 24, scache)
-        rows = pt_invariants(pt_windows(ratio, z0_windows(24, PT_Q_TERMS + 1)))
-        assert rows == oracle_rows(ratio, 24)
+        assert pt_invariants(ratio, 24) == oracle_rows(ratio, 24)
 
     def test_cancelling_row_widens(self, monkeypatch):
         """Z_0 (1 + (q^30 - 2q/(1-q)^2) Q): the low terms of the Q^1 row
         cancel and leave q^30, so the window widens past its first 25 terms
-        from q^1, and Z_0's with it."""
+        from q^1, and Z_0's with it, after the first build at 25."""
         dm = vertex._qq_squared(1)  # (1 - q)^2
         ratio = (0, {0: dm, 1: [1, -2, 1] + [0] * 28 + [-2, 0]}, dm)
         widths = recorded_widths(monkeypatch)
-        rows = pt_invariants(pt_windows(ratio, z0_windows(3, PT_Q_TERMS + 1)))
+        rows = pt_invariants(ratio, 3)
         assert [row for row in rows if row[0] == 1] == [(1, 30, 1)]
         assert rows == oracle_rows(ratio, 3)
-        assert widths == [50, 54]
+        assert widths == [25, 50, 54]
 
     def test_zero_row_stops_widening(self, monkeypatch):
         """Z_0 (1 - N_5/(q;q)_5^2 Q^5): the two live terms of the Q^5 row
@@ -740,7 +748,7 @@ class TestWindows:
         dm = vertex._qq_squared(5)
         ratio = (0, {0: dm, 5: [-c for c in n5]}, dm)
         widths = recorded_widths(monkeypatch)
-        shift, rows, den = pt_windows(ratio, z0_windows(5, PT_Q_TERMS + 1))
-        assert sorted(rows) == [0, 1, 2, 3, 4] and den == dm
-        assert widths == [50, 100]
-        assert pt_invariants((shift, rows, den)) == oracle_rows(ratio, 5)
+        rows = pt_invariants(ratio, 5)
+        assert {j for j, _, _ in rows} == {0, 1, 2, 3, 4}
+        assert widths == [25, 50, 100]
+        assert rows == oracle_rows(ratio, 5)
