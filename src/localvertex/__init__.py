@@ -7,24 +7,21 @@ functions and check their q- and Q-functional equations, are in
 """
 
 from .partitions import Partition, partitions_of
-from .qfield import QFieldError
 from .series import SeriesError, TruncSeries
 from .vertex import SCache, VertexError, pt_invariants
-from .gwtheory import GWTable, RealityError, gw_extract, tilde_pt0
+from .gwtheory import GWTable, gw_extract, tilde_pt0
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Partition",
     "partitions_of",
-    "QFieldError",
     "SeriesError",
     "TruncSeries",
     "SCache",
     "VertexError",
     "pt_invariants",
     "GWTable",
-    "RealityError",
     "gw_extract",
     "tilde_pt0",
     "__version__",

@@ -13,9 +13,10 @@ genus column by one routine, ``rationality.column_certificate``: a fit
 over (1-Q)^(4m+2g-2) and the Weyl functional equation at weight m(r-2).
 No task imports the oracles: they run in the test suite only.
 Exit status: 0 on success, 1 if a verification fails, 2 on a usage error
-(an --out that cannot be written included) or if an internal invariant
-(parity, realness, integrality) trips, 3 if a disk-cache file is
-unreadable or the --cache-dir cannot be created or written.
+(argparse's, or an ``OutputError``: an --out that cannot be written) or a
+``vertex.VertexError`` (an internal invariant: an exact division, or
+realness), 3 on a ``vertex.CacheError`` (an unreadable cache file, or
+a --cache-dir that cannot be created or written).
 """
 
 from __future__ import annotations
@@ -307,14 +308,11 @@ def main(argv=None) -> int:
     except OutputError as err:
         sys.stderr.write("localvertex %s: error: %s\n" % (args.task, err))
         return 2
-    except (vx.VertexError, gw.RealityError) as err:
+    except vx.VertexError as err:
         sys.stderr.write("invariant violation: %s\n" % err)
         return 2
     except vx.CacheError as err:
-        if err.path is None:
-            sys.stderr.write("%s\n" % err)
-        else:
-            sys.stderr.write("%s\ndelete %s or run without --cache-dir\n" % (err, err.path))
+        sys.stderr.write("%s\n" % err)
         return 3
 
 

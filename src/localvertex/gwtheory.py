@@ -15,7 +15,7 @@ fraction-free, the same division that reads the PT q-windows, into
 plain {h: C_h} dicts of Fractions, and the factor i^h that turns an
 x^h coefficient into a u^h coefficient is applied only where values are
 reported (``gw_extract``, ``tilde_pt0``).  Every extracted value is
-asserted to sit on an even u-power.
+asserted to sit on an even u-power, else ``vertex.VertexError``.
 
 This module certifies nothing: the certificates of its
 tables and series (column fits, ring membership, polynomiality) are in
@@ -28,11 +28,7 @@ from fractions import Fraction
 
 from .qfield import _exquo, _mul, _neg, _strip, expansion
 from .series import TruncSeries
-from .vertex import SCache, _aligned, _product, z_ratio
-
-
-class RealityError(ArithmeticError):
-    """A value that must sit on an even u-power does not; a bug."""
+from .vertex import SCache, VertexError, _aligned, _product, z_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +199,9 @@ def gw_extract(
         for j, coeffs in column.items():
             for h, c in coeffs.items():
                 if h % 2:
-                    raise RealityError("odd u-power u^%d at Q_c^%d Q^%d" % (h, m, j))
+                    raise VertexError("odd u-power u^%d at Q_c^%d Q^%d" % (h, m, j))
                 if h < -2:
-                    raise RealityError("u-pole deeper than genus 0 at Q_c^%d Q^%d" % (m, j))
+                    raise VertexError("u-pole deeper than genus 0 at Q_c^%d Q^%d" % (m, j))
                 g = (h + 2) // 2
                 table.entries[(g, m, j)] = c * _i_power(h)
     return table
@@ -230,7 +226,7 @@ def tilde_pt0(order: int, u_order: int, cache: SCache = None) -> TruncSeries:
     fibre = _fibre(u_order)
     stripped = {h: c for h, c in ((-2, 2), (0, Fraction(-1, 6))) if h <= u_order}
     if any(h % 2 for h in fibre) or {h: c for h, c in fibre.items() if h < 2} != stripped:
-        raise RealityError("residual u-power in the exponent of tilde PT_0")
+        raise VertexError("residual u-power in the exponent of tilde PT_0")
     exponent = TruncSeries(u_order, {
         h: TruncSeries(order, {k: c * k ** (h - 1) for k in range(1, order + 1)})
         for h, c in fibre.items() if h >= 2

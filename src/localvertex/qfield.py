@@ -26,10 +26,6 @@ _KRONECKER_MIN = 6
 _WORD_MASK = (1 << 64) - 1
 
 
-class QFieldError(ArithmeticError):
-    """Division by zero or a zero denominator in ``qrat.QRat``."""
-
-
 # -- dense integer polynomials -----------------------------------------------
 
 

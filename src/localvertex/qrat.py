@@ -24,7 +24,6 @@ from fractions import Fraction
 from math import gcd
 
 from .qfield import (
-    QFieldError,
     _add,
     _digit_words,
     _exquo,
@@ -37,6 +36,12 @@ from .qfield import (
     _unpack,
     expansion,
 )
+
+
+class QFieldError(ArithmeticError):
+    """Division by zero or a zero denominator in ``QRat``; the engine's
+    integer kernel in ``qfield`` never raises it."""
+
 
 _ONE = [1]
 

@@ -134,21 +134,12 @@ class TruncSeries:
         terms = [(k, c * k) for k, c in sorted(self.coeffs.items())]
         out = {0: 1}
         for n in range(1, self.order + 1):
-            acc = _convolve(terms, out, n)
+            acc = 0
+            for k, c in terms:
+                if k > n:
+                    break
+                if n - k in out:
+                    acc += c * out[n - k]
             if acc:
                 out[n] = acc * Fraction(1, n)
         return TruncSeries(self.order, out)
-
-
-def _convolve(terms, coeffs, n):
-    """sum of c * coeffs[n - k] over (k, c) in terms (ascending k >= 1);
-    None when no product is present."""
-    acc = None
-    for k, c in terms:
-        if k > n:
-            break
-        b = coeffs.get(n - k)
-        if b is not None:
-            term = c * b
-            acc = term if acc is None else acc + term
-    return acc

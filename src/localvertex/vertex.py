@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import reduce
 from math import comb
 from operator import mul
 
@@ -42,17 +43,14 @@ PT_Q_TERMS = 24  # pt_invariants reads PT_Q_TERMS + 1 q-slots per Q^j row of Z_m
 
 
 class VertexError(ArithmeticError):
-    """An internal invariant (parity, integrality) failed; implementation bug."""
+    """An internal invariant (an exact division, or realness: no value of
+    ``gwtheory`` on an odd u-power) failed; implementation bug."""
 
 
 class CacheError(Exception):
     """A disk-cache file is unreadable or holds another key, or the cache
-    directory cannot be created or written; not a maths bug.  ``path`` is
-    the file to delete, or None when the directory itself is unusable."""
-
-    def __init__(self, message, path=None):
-        super().__init__(message)
-        self.path = path
+    directory cannot be created or written; not a maths bug.  The message
+    ends with its remedy: the file to delete, or another directory."""
 
 
 # ---------------------------------------------------------------------------
@@ -72,15 +70,16 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> list:
     ``_unpack`` reads X_n back.  The Q^n coefficient of prod_i (1 - Q)^(-2|e_i|)
     bounds every coefficient of X_n, and C(2 sum_i |e_i| + order, order) sets d.
     W_mu^2 is q^(k(mu) + |mu| + 2 n(mu))/H_mu^2, read off the diagram, H_mu =
-    prod_hooks (1 - q^h); each X_n times the cofactor (q;q)_m^2/(H_mu H_nu)^2,
-    divided once per build, is over (q;q)_m^2; a remainder raises VertexError.
+    prod_hooks (1 - q^h); each X_n times the cofactor ((q;q)_m/(H_mu H_nu))^2,
+    divided at half degree once per build and squared, is over (q;q)_m^2;
+    a remainder raises VertexError.
     """
-    hooks_squared = [1]
-    for h in 2 * (mu.hooks() + nu.hooks()):
-        hooks_squared = _times_one_minus_q_power(hooks_squared, h)
-    cofactor = _exquo(_qq_squared(mu.size + nu.size), hooks_squared)
+    m = mu.size + nu.size
+    qq = reduce(_times_one_minus_q_power, range(1, m + 1), [1])
+    cofactor = _exquo(qq, reduce(_times_one_minus_q_power, mu.hooks() + nu.hooks(), [1]))
     if cofactor is None:
-        raise VertexError("(H_mu H_nu)^2 does not divide (q;q)_%d^2" % (mu.size + nu.size))
+        raise VertexError("H_mu H_nu does not divide (q;q)_%d" % m)
+    cofactor = _mul(cofactor, cofactor)
     e = e_coeffs(mu, nu)
     lo = min(e, default=-1) + 1
     span = max(e, default=0) - min(e, default=0)
@@ -192,7 +191,7 @@ class SCache:
             if doc.get("version") != FORMAT_VERSION:
                 return None
             if doc.get("mu") != list(mu) or doc.get("nu") != list(nu):
-                raise CacheError("cache key collision in %s" % path, path)
+                raise self._corrupt("cache key collision in", path)
             coeffs = [(shift, num) for shift, num in doc["coeffs"]]
             # JSON integers only: int() would take 7.9, true or "3" as well
             if not all(
@@ -202,7 +201,7 @@ class SCache:
                 raise ValueError
             return coeffs
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            raise CacheError("corrupt cache file: %s" % path, path)
+            raise self._corrupt("corrupt cache file:", path)
 
     def _store(self, mu, nu, coeffs):
         doc = {"version": FORMAT_VERSION, "mu": list(mu), "nu": list(nu)}
@@ -215,6 +214,9 @@ class SCache:
             os.replace(tmp, path)
         except OSError as err:
             raise self._unusable(err)
+
+    def _corrupt(self, what, path):
+        return CacheError("%s %s\ndelete %s or run without --cache-dir" % (what, path, path))
 
     def _unusable(self, err):
         return CacheError(

@@ -423,7 +423,7 @@ class TestVerify:
     def test_internal_invariant_exits_2(
         self, capsys, monkeypatch, tmp_path, argv, module, name, planted, message
     ):
-        """A tripped internal invariant (RealityError, VertexError) exits 2
+        """A tripped internal invariant, a VertexError, exits 2
         with one line on stderr and writes no report."""
         out = tmp_path / "report.json"
         monkeypatch.setattr(module, name, planted)

@@ -13,7 +13,6 @@ from exponent_search import find_exponent
 from localvertex import cli, gwtheory, qfield, qrat
 from localvertex.gwtheory import (
     GWTable,
-    RealityError,
     _fibre,
     _i_power,
     gw_extract,
@@ -26,7 +25,7 @@ from localvertex.partitions import Partition
 from localvertex.qrat import QRat
 from localvertex.rationality import certify_column, polynomiality_check, verify_R
 from localvertex.series import TruncSeries
-from localvertex.vertex import SCache, z_ratio
+from localvertex.vertex import SCache, VertexError, z_ratio
 
 ONE = QRat.one()
 Q = QRat.q_power(1)
@@ -387,13 +386,13 @@ class TestQRatRoute:
         monkeypatch.setattr(
             gwtheory, "_fibre", lambda u: {**fibre(u), 0: fibre(u)[0] + Fraction(1, 6)}
         )
-        with pytest.raises(RealityError, match="tilde PT_0"):
+        with pytest.raises(VertexError, match="tilde PT_0"):
             tilde_pt0(5, 4)
 
     def test_fibre_column_rejects_odd_power(self, monkeypatch):
         fibre = gwtheory._fibre
         monkeypatch.setattr(gwtheory, "_fibre", lambda u: {**fibre(u), 1: Fraction(1, 2)})
-        with pytest.raises(RealityError, match="odd u-power u\\^1 at Q_c\\^0"):
+        with pytest.raises(VertexError, match="odd u-power u\\^1 at Q_c\\^0"):
             gw_extract(0, 0, 5, 2)
 
     def test_takes_no_gcd(self, monkeypatch):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import localvertex
-from localvertex.qfield import QFieldError, _add, _exquo, _mul, expansion
-from localvertex.qrat import QRat, _gcd, _gcd_prs
+from localvertex.qfield import _add, _exquo, _mul, expansion
+from localvertex.qrat import QFieldError, QRat, _gcd, _gcd_prs
 
 T = QRat.t_power(1)
 Q = QRat.q_power(1)
