@@ -192,7 +192,7 @@ def run_fit(args) -> int:
         table = gw.gw_extract(r, args.m, args.Q_order, args.g_max, cache=cache)
         per_genus = fits[str(r)] = {}
         for g in range(args.g_max + 1):
-            entry, fit = rat.column_certificate(table, args.m, g)
+            entry, fit = rat.column_certificate(table, args.m, g, args.Q_order)
             entry["denominator_power"] = rat.column_power(args.m, g)
             entry["fit"] = fit
             per_genus[str(g)] = entry
@@ -224,35 +224,31 @@ def run_verify(args) -> int:
     checks["integrality"] = integrality
 
     # membership of the modified exceptional series in R_{0,0}
-    tp = gw.tilde_pt0(args.Q_order, min(args.u_order, 6))
-    checks["exceptional_membership"] = rat.verify_R(tp, 0, 0, min(args.u_order, 6))
+    u_order = min(args.u_order, 6)
+    tp = gw.tilde_pt0(args.Q_order, u_order)
+    checks["exceptional_membership"] = rat.verify_R(tp, u_order)
 
-    # per-genus Weyl functional equation of the GW columns of class c + jb:
-    # weight w.c = r - 2
-    exponents = {}
-    tables = {}
+    # per-genus Weyl functional equation of the GW columns of class c + jb
+    # through Q^Q_order, weight w.c = r - 2; under --all, from the same table,
+    # their eventual polynomiality in j (g = 0, 1) from j = max(r-2, 0) + 1
+    # on, as the numerator over (1-Q)^p reaches degree p + max(r-2, 0)
+    exponents, poly = {}, {}
     for r in args.r:
-        table = tables[r] = gw.gw_extract(r, 1, args.Q_order, args.g_max, cache=cache)
+        j_lo = max(3, r - 1)
+        order, g_max = args.Q_order, args.g_max
+        if args.all:
+            order, g_max = max(order, j_lo + 6), max(g_max, 1)
+        table = gw.gw_extract(r, 1, order, g_max, cache=cache)
         exponents["r=%d" % r] = {
-            str(g): rat.column_certificate(table, 1, g)[0] for g in range(args.g_max + 1)
+            str(g): rat.column_certificate(table, 1, g, args.Q_order)[0]
+            for g in range(args.g_max + 1)
         }
-    checks["column_exponents"] = exponents
-
-    # eventual polynomiality in j of the genus columns, from j = max(r-2, 0) + 1
-    # on: the numerator over (1-Q)^p reaches degree p + max(r-2, 0)
-    if args.all:
-        poly = {}
-        for r in args.r:
-            j_lo = max(3, r - 1)
-            order = max(args.Q_order, j_lo + 6)
-            # the column tables hold these g <= 1 values at this order and g_max >= 1
-            if order == args.Q_order and args.g_max >= 1:
-                table = tables[r]
-            else:
-                table = gw.gw_extract(r, 1, order, 1, cache=cache)
+        if args.all:
             for g in (0, 1):
                 entry = rat.polynomiality_check(table, g, 1, j_lo, j_lo + 6)
                 poly["r=%d,g=%d" % (r, g)] = entry
+    checks["column_exponents"] = exponents
+    if args.all:
         checks["polynomiality"] = poly
 
     report["checks"] = checks

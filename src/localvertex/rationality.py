@@ -1,10 +1,10 @@
 """Every certificate of the engine: rational reconstruction, functional
-equations, membership in R_{a,b}, polynomiality and integrality.
+equations, membership in R_{0,0}, polynomiality and integrality.
 
 One routine, ``certify_column``, fits a series and checks its functional
 equation.  It certifies that a truncated Q-series is num(Q) / (1 - Q)^p,
 the one denominator the engine needs (a GW column over (1-Q)^(4m+2g-2),
-the u^h coefficient of the exceptional series over (1-Q)^(b+h)), by
+the u^h coefficient of the exceptional series over (1-Q)^h), by
 multiplying through and demanding that every coefficient beyond the
 numerator window vanish; the count of vanishing surplus coefficients is
 the confidence certificate (>= 3 for an accepted fit).  Nothing is
@@ -15,14 +15,15 @@ palindromy, never on the truncation: Q -> 1/Q is ill-defined on a
 one-sided expansion.  Fits hold the series' own Fraction (or int)
 coefficients.
 
-A GW genus column is certified by ``column_certificate`` (a fit over
-(1-Q)^column_power(m, g) and the Weyl functional equation at weight
-m(r-2)), the modified exceptional series by ``verify_R``, eventual
-polynomiality in j by ``polynomiality_check``, q -> 1/q invariance of
-Z_m/Z_0 by ``check_q_inversion`` and integrality of the rows of
-``vertex.pt_invariants`` by ``check_integrality``; the first three return
-their report entries.  It imports no ``vertex``: the PT rows it certifies
-are the ones ``pt`` prints, read out once.
+A GW genus column is certified through the task's Q-order by
+``column_certificate`` (a fit over (1-Q)^column_power(m, g) and the Weyl
+functional equation at weight m(r-2)), the modified exceptional series's
+membership in R_{0,0} by ``verify_R``, eventual polynomiality in j by
+``polynomiality_check``, q -> 1/q invariance of Z_m/Z_0 by
+``check_q_inversion`` and integrality of the rows of ``vertex.pt_invariants``
+by ``check_integrality``; the first three return their report entries.
+It imports no ``vertex``: the PT rows it certifies are the ones ``pt``
+prints, read out once.
 Only the ``fit`` and ``verify`` tasks import this module; the package
 root, ``gwtheory`` and a ``gw`` or ``pt`` run do not.
 """
@@ -109,14 +110,12 @@ def check_integrality(rows) -> bool:
     return all(v.denominator == 1 for _, _, v in rows)
 
 
-def w_dot_beta(m: int, j: int, r_surface: int) -> int:
-    """The pairing w . (m*c + j*b) = K_W . beta on F_{r_surface}.
-
-    Uses K_W = -2c - (r+2)b and the intersection table c^2 = -r,
-    b^2 = 0, b.c = 1.  For j = 0 it is the weight m(r-2) of the Weyl
-    functional equation of the GW column of class m*c + j*b.
+def w_dot_beta(m: int, r_surface: int) -> int:
+    """The weight w . (m*c) = K_W . (m*c) = m(r-2) on F_{r_surface}: the
+    exponent of the Weyl functional equation of the GW column of class
+    m*c + j*b.  Uses K_W = -2c - (r+2)b and c^2 = -r, b.c = 1.
     """
-    return m * (r_surface - 2) - 2 * j
+    return m * (r_surface - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +127,9 @@ def column_power(m: int, g: int) -> int:
     return 4 * m + 2 * g - 2
 
 
-def column_certificate(table, m: int, g: int):
+def column_certificate(table, m: int, g: int, order: int):
     """Certify the GW column sum_j GW_{g, m*c + j*b} Q^j of ``table``
-    (a ``gwtheory.GWTable``).
+    (a ``gwtheory.GWTable`` of Q-order at least ``order``) through Q^order.
 
     The column is fitted over (1-Q)^column_power(m, g) and checked against
     the Weyl functional equation at weight w.(m*c) = m(r-2).  Returns
@@ -138,11 +137,12 @@ def column_certificate(table, m: int, g: int):
     the Q-order leaves no surplus or "error" when the column does not fit;
     ``fit`` is the fit entry of ``certify_column``, or None.
     """
-    a = w_dot_beta(m, 0, table.r)
+    a = w_dot_beta(m, table.r)
     entry = {"exponent": None, "passed": False}
     fit = None
     try:
-        certified = certify_column(table.column(g, m), column_power(m, g), a)
+        column = TruncSeries(order, table.column(g, m).coeffs)
+        certified = certify_column(column, column_power(m, g), a)
         if certified is None:
             entry["passed"] = True
             entry["skipped"] = "Q-order too small for this genus"
@@ -160,14 +160,14 @@ def column_certificate(table, m: int, g: int):
 # Ring membership of the modified exceptional series
 
 
-def verify_R(useries: TruncSeries, a: int, b: int, h_max: int) -> dict:
-    """Check each u-coefficient f_h against denominator (1-Q)^(b+h) and the
-    symmetry Q^a f_h(1/Q) = (-1)^h f_h(Q), by ``certify_column``.
+def verify_R(useries: TruncSeries, h_max: int) -> dict:
+    """Certify membership in R_{0,0}: each u-coefficient f_h, h <= h_max, is
+    num(Q)/(1-Q)^h with f_h(1/Q) = (-1)^h f_h(Q), by ``certify_column``.
 
-    Returns the report entry {"a", "b", "passed", "per_h"}, with one row
-    per h.  Fit failures are recorded in their row, not fatal.  A degree h
-    whose Q-order leaves no surplus is marked "skipped" with the reason,
-    not failed.
+    Returns the report entry {"a": 0, "b": 0, "passed", "per_h"}, a and b
+    naming the ring, with one row per h.  Fit failures are recorded in
+    their row, not fatal.  A degree h whose Q-order leaves no surplus is
+    marked "skipped" with the reason, not failed.
     """
     per_h = {}
     for h in range(min(0, useries.valuation() or 0), h_max + 1):
@@ -175,19 +175,18 @@ def verify_R(useries: TruncSeries, a: int, b: int, h_max: int) -> dict:
         row = per_h[str(h)] = {"fit_ok": True, "symmetry_ok": True, "error": None, "fit": None}
         if not coeff:
             continue
-        power = b + h
         try:
-            certified = certify_column(coeff, power, a, sign=-1 if h % 2 else 1)
+            certified = certify_column(coeff, h, 0, sign=-1 if h % 2 else 1)
         except FitError as err:
             row.update(fit_ok=False, symmetry_ok=False, error=str(err))
             continue
         if certified is None:
             reason = "Q-order %d leaves no surplus for denominator power %d"
-            row["skipped"] = reason % (coeff.order, power)
+            row["skipped"] = reason % (coeff.order, h)
         else:
             row["fit"], row["symmetry_ok"] = certified
     passed = all(row["fit_ok"] and row["symmetry_ok"] for row in per_h.values())
-    return {"a": a, "b": b, "passed": passed, "per_h": per_h}
+    return {"a": 0, "b": 0, "passed": passed, "per_h": per_h}
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ Q^j coefficient q^shift num(q)/den(q), zero coefficients left out.
 (q;q)_|mu|, so each S-entry is held over (q;q)_m^2.  PT numbers are
 read in a window of PT_Q_TERMS + 1 q-coefficients per Q^j row, and
 ``pt_invariants`` builds Z_m = Z_0 (Z_m/Z_0) in those windows only: Z_0
-by its exp recurrence on packed nonnegative integers (``z0_windows``),
-each row of Z_m by convolving them with z_ratio's numerators.
+by its exp recurrence on packed nonnegative integers (``z0_windows``,
+one table per process, grown on demand), each row of Z_m by convolving
+them with z_ratio's numerators.
 """
 
 from __future__ import annotations
@@ -204,6 +205,8 @@ class SCache:
             raise self._corrupt("corrupt cache file:", path)
 
     def _store(self, mu, nu, coeffs):
+        """Write the entry to a temp file renamed into place; a failed write
+        or rename removes the temp file if it can and raises CacheError."""
         doc = {"version": FORMAT_VERSION, "mu": list(mu), "nu": list(nu)}
         doc["coeffs"] = coeffs
         path = self._path(mu, nu)
@@ -213,6 +216,10 @@ class SCache:
                 json.dump(doc, fh)
             os.replace(tmp, path)
         except OSError as err:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
             raise self._unusable(err)
 
     def _corrupt(self, what, path):
@@ -307,10 +314,26 @@ def _fibre_packed(k, bits, width):
     return sum(2 * t << bits * k * (t - 1) for t in range(1, (width - 1) // k + 2))
 
 
+_z0 = [[]]  # the widest windows of Z_0 built so far, from order 0 and width 0
+
+
 def z0_windows(order: int, width: int) -> list:
     """The first ``width`` ascending coefficients of Y_n = q^(-n) [Q^n] Z_0,
-    n <= order, by the exp recurrence n Y_n = sum_k (f(q^k)/q^k) Y_(n-k) of
-    Z_0 = prod_j (1 - q^j Q)^(-2j) = exp(sum_k f(q^k) Q^k/k).  Every
+    n <= order.  Y_n depends on neither the order nor the width, and a
+    narrower window is a prefix of a wider one, so the rows are cut from one
+    module-level table, rebuilt only to grow, at the larger order and the
+    larger width.  Unlike a memo it holds one table of one fixed series,
+    bounded by the largest window the process asks for.
+    """
+    global _z0
+    if len(_z0) <= order or len(_z0[0]) < width:
+        _z0 = _z0_build(max(order, len(_z0) - 1), max(width, len(_z0[0])))
+    return [row[:width] for row in _z0[: order + 1]]
+
+
+def _z0_build(order: int, width: int) -> list:
+    """Z_0's windows by the exp recurrence n Y_n = sum_k (f(q^k)/q^k) Y_(n-k)
+    of Z_0 = prod_j (1 - q^j Q)^(-2j) = exp(sum_k f(q^k) Q^k/k).  Every
     coefficient is >= 0, so a window is one unsigned integer at q = 2^(64 d):
     truncation is a mask, and the division by n is exact digit by digit,
     else VertexError.  Z_0 at Q = 1, prod_j (1 - q^j)^(-2j), is below 2^7

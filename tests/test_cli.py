@@ -32,6 +32,19 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def count_gw_extract(monkeypatch):
+    """The arguments of every gw_extract call from now on."""
+    calls = []
+    extract = gw.gw_extract
+
+    def record(r, m_max, order, g_max, cache=None):
+        calls.append((r, m_max, order, g_max))
+        return extract(r, m_max, order, g_max, cache=cache)
+
+    monkeypatch.setattr(gw, "gw_extract", record)
+    return calls
+
+
 def csv_writer_text(rows):
     """What ``csv.writer`` writes for ``rows``."""
     buf = io.StringIO()
@@ -234,18 +247,57 @@ class TestVerify:
         assert "skipped" not in per_h["4"]
 
     @pytest.mark.parametrize("g_max", ["0", "3"])
-    def test_polynomiality_at_q_order_9(self, capsys, g_max):
-        """At Q-order 9 with g_max >= 1 the polynomiality check reads the
-        column_exponents table; with g_max 0 it extracts its own."""
+    def test_polynomiality_at_q_order_9(self, capsys, monkeypatch, g_max):
+        """The polynomiality check reads the column_exponents table, one
+        gw_extract call, which --all takes to genus 1 also at g_max 0."""
+        calls = count_gw_extract(monkeypatch)
         code, doc = run_json(
             capsys, "verify", "--all", "--r", "0", "--m-max", "1",
             "--Q-order", "9", "--g-max", g_max,
         )
         assert code == 0
+        assert calls == [(0, 1, 9, max(int(g_max), 1))]
         table = gw.gw_extract(0, 1, 9, 1)
         for g in (0, 1):
             expected = rat.polynomiality_check(table, g, 1, 3, 9)
             assert doc["checks"]["polynomiality"]["r=0,g=%d" % g] == expected
+
+    @pytest.mark.parametrize(
+        "argv, tables, digest",
+        [
+            ("--r 5 --r 7 --m-max 1 --Q-order 9", 2,
+             "b51739e07046e24fa47bb9f4384cba819337440ca731391d6605c25d78588181"),
+            ("--r 0 --r 3 --m-max 1 --Q-order 6 --g-max 0", 2,
+             "5e4dd81b4ef0ffd9dbe40764a248ed14b9151061c4fead4d167e34c4668c5c2b"),
+            ("--r 0 --r 1 --m-max 1 --Q-order 8 --g-max 2", 2,
+             "45241e8915060494da3398aa0cfb965af1700cc9418ec20a6499433214a0692b"),
+            ("--r 6 --m-max 2 --Q-order 5 --g-max 3 --u-order 4", 1,
+             "04515c46c7705327141d98e58f727a8a07e90acc1b8f33bc436c7a41f39aaf21"),
+        ],
+        ids=["r5-r7", "q6-g0", "q8-g2", "r6-m2-q5"],
+    )
+    def test_report_digest(self, capsys, monkeypatch, argv, tables, digest):
+        """verify --all reports whose polynomiality window runs past the
+        Q-order, or whose g_max is 0 or 2, pinned by the sha256 of their
+        canonical JSON, generated_at dropped; each r extracts one GW table."""
+        calls = count_gw_extract(monkeypatch)
+        code, doc = run_json(capsys, "verify", "--all", *argv.split())
+        assert code == 0
+        assert len(calls) == tables
+        doc.pop("generated_at")
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_z0_windows_built_once(self, capsys, monkeypatch):
+        """Every pt_invariants call of a run cuts its windows from one held
+        table of Z_0: one build for five surfaces and three classes."""
+        builds = []
+        build = vx._z0_build
+        monkeypatch.setattr(vx, "_z0", [[]])
+        monkeypatch.setattr(vx, "_z0_build", lambda *args: builds.append(args) or build(*args))
+        argv = "verify --all --r 0 --r 1 --r 2 --r 3 --r 4 --m-max 2 --Q-order 9"
+        assert run(capsys, *argv.split())[0] == 0
+        assert builds == [(9, vx.PT_Q_TERMS + 1)]
 
     def test_polynomiality_window_follows_r(self, capsys):
         """The c + jb columns are polynomial in j from j = r - 1 on for
@@ -281,7 +333,7 @@ class TestVerify:
 
     def test_wrong_weight_fails(self, capsys, monkeypatch):
         """A column checked against a weight other than m(r-2) fails."""
-        monkeypatch.setattr(rat, "w_dot_beta", lambda m, j, r: m * (r - 2) - 2 * j + 1)
+        monkeypatch.setattr(rat, "w_dot_beta", lambda m, r: m * (r - 2) + 1)
         code, doc = run_json(
             capsys, "verify", "--r", "0", "--m-max", "1", "--Q-order", "8",
             "--u-order", "4", "--g-max", "1",
@@ -427,6 +479,7 @@ class TestVerify:
         with one line on stderr and writes no report."""
         out = tmp_path / "report.json"
         monkeypatch.setattr(module, name, planted)
+        monkeypatch.setattr(vx, "_z0", [[]])  # no held Z_0 table: a planted build runs
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "invariant violation: %s\n" % message
@@ -463,7 +516,7 @@ class TestFit:
 
     def test_wrong_weight_fails(self, capsys, monkeypatch):
         """fit certifies at weight m(r-2), exactly as verify does."""
-        monkeypatch.setattr(rat, "w_dot_beta", lambda m, j, r: m * (r - 2) - 2 * j + 1)
+        monkeypatch.setattr(rat, "w_dot_beta", lambda m, r: m * (r - 2) + 1)
         code, doc = run_json(
             capsys, "fit", "--r", "0", "--m", "1", "--Q-order", "9", "--g-max", "1"
         )

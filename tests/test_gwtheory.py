@@ -23,7 +23,9 @@ from localvertex.gwtheory import (
 from localvertex.oracles import _exponent, _in_t
 from localvertex.partitions import Partition
 from localvertex.qrat import QRat
-from localvertex.rationality import certify_column, polynomiality_check, verify_R
+from localvertex.rationality import (
+    FitError, certify_column, column_power, polynomiality_check, verify_R, w_dot_beta,
+)
 from localvertex.series import TruncSeries
 from localvertex.vertex import SCache, VertexError, z_ratio
 
@@ -158,7 +160,7 @@ class TestTildeSeries:
             assert f2[j] == Fraction(-j, 120)
 
     def test_membership(self, tilde_series):
-        doc = verify_R(tilde_series, 0, 0, 6)
+        doc = verify_R(tilde_series, 6)
         assert doc["passed"] is True
         assert set(doc["per_h"]) == {str(h) for h in range(7)}
 
@@ -167,16 +169,16 @@ class TestVerifyR:
     def test_single_li_function(self):
         li = TruncSeries(8, {d: Fraction(d) for d in range(9)})
         useries = TruncSeries(2, {2: li})
-        report = verify_R(useries, 0, 0, 2)
+        report = verify_R(useries, 2)
         assert report["passed"] is True
 
     def test_zero_series(self):
-        report = verify_R(TruncSeries(4), 0, 0, 4)
+        report = verify_R(TruncSeries(4), 4)
         assert report["passed"] is True
 
     def test_failure_recorded_not_fatal(self):
         geo = TruncSeries(8, {d: 1 for d in range(9)})
-        report = verify_R(TruncSeries(2, {0: geo}), 0, 0, 2)
+        report = verify_R(TruncSeries(2, {0: geo}), 2)
         assert report["passed"] is False
         assert report["per_h"]["0"] == {
             "fit_ok": False,
@@ -187,15 +189,21 @@ class TestVerifyR:
         assert report["per_h"]["1"]["fit_ok"] and report["per_h"]["2"]["fit_ok"]
 
     def test_negative_h_is_exact(self):
-        """f_(-1) = (1-Q)/3 over (1-Q)^(-1) satisfies Q f(1/Q) = -f(Q): the
-        sign (-1)^h at h = -1 must stay an int, or 1/3 meets a float."""
-        f = TruncSeries(8, {0: Fraction(1, 3), 1: Fraction(-1, 3)})
-        report = verify_R(TruncSeries(2, {-1: f}), 1, 0, 0)
-        assert report["per_h"]["-1"]["fit"]["numerator"] == {"0": {"num": 1, "den": 3}}
+        """f_1 = (1+Q)/(3(1-Q)) satisfies f(1/Q) = -f(Q): the odd-h sign
+        (-1)^h must stay an int, or 1/3 meets a float.  In R_{0,0} a row
+        h = -1 has the empty numerator window [0, -1], so a nonzero f_(-1)
+        is recorded exactly as a failed fit."""
+        f = TruncSeries(8, {0: Fraction(1, 3), **{d: Fraction(2, 3) for d in range(1, 9)}})
+        report = verify_R(TruncSeries(2, {1: f}), 1)
+        assert report["per_h"]["1"]["fit"]["numerator"] == {
+            "0": {"num": 1, "den": 3}, "1": {"num": 1, "den": 3},
+        }
         assert report["passed"] is True
+        row = verify_R(TruncSeries(2, {-1: f}), 0)["per_h"]["-1"]
+        assert row["error"] == "nonvanishing coefficient at Q^0 outside window [0, -1]"
 
     def test_h0_row_has_no_denominator(self, tilde_series):
-        row = verify_R(tilde_series, 0, 0, 6)["per_h"]["0"]
+        row = verify_R(tilde_series, 6)["per_h"]["0"]
         assert row["fit"] == {
             "numerator": {"0": {"num": 1, "den": 1}},
             "denom_spec": [],
@@ -253,6 +261,26 @@ class TestPolynomiality:
 
     def test_genus_zero_section_r0(self, gw_table_r0):
         assert polynomiality_check(gw_table_r0, 0, 1, 2, 8)["passed"] is True
+
+    @pytest.mark.parametrize("r", range(5))
+    def test_certificate_implies_polynomiality(self, r):
+        """A certified column passes polynomiality at j_lo = max(3, r - 1),
+        and a value planted wrong (+1) at any j of the window fails both:
+        Q^j (1-Q)^p reaches degree j + p, past the window top
+        p + max(r - 2, 0).  So polynomiality never fails alone."""
+        table = gw_extract(r, 1, 12, 1)
+        j_lo = max(3, r - 1)
+        for g in (0, 1):
+            power, a = column_power(1, g), w_dot_beta(1, r)
+            assert certify_column(table.column(g, 1), power, a)[1] is True, g
+            assert polynomiality_check(table, g, 1, j_lo, j_lo + 6)["passed"] is True, g
+            for j in range(j_lo, j_lo + 7):
+                planted = GWTable(r, 1, 1, 12)
+                planted.entries = {**table.entries, (g, 1, j): table.value(g, 1, j) + 1}
+                with pytest.raises(FitError):
+                    certify_column(planted.column(g, 1), power, a)
+                report = polynomiality_check(planted, g, 1, j_lo, j_lo + 6)
+                assert report["passed"] is False, (g, j)
 
 
 class TestColumnRationality:

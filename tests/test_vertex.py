@@ -335,6 +335,23 @@ class TestSCache:
         assert str(err.value).endswith("; name another or run without --cache-dir")
         assert str(directory) in str(err.value)
 
+    def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """A rename that fails, as on a full disk, removes the temp file it
+        was to move and raises the same CacheError."""
+
+        def full(src, dst):
+            raise OSError(28)
+
+        cache = SCache(str(tmp_path))
+        monkeypatch.setattr(vertex.os, "replace", full)
+        with pytest.raises(CacheError) as err:
+            cache.get(P(1), EMPTY, 2)
+        assert str(err.value) == (
+            "cannot write cache directory %r: 28; name another or run without --cache-dir"
+            % str(tmp_path)
+        )
+        assert [p.name for p in tmp_path.iterdir() if ".tmp." in p.name] == []
+
     def test_stores_ratio_squared(self, tmp_path):
         cache = SCache(str(tmp_path))
         assert cache.get(P(1), EMPTY, 3) == s_ratio_squared(P(1), EMPTY, 3)
@@ -535,6 +552,7 @@ class TestKnownDenominators:
             return fibre(k, bits, width) * (1 + (1 << bits))  # times (1 + q)
 
         monkeypatch.setattr(vertex, "_fibre_packed", stray)
+        monkeypatch.setattr(vertex, "_z0", [[]])  # no held table: the build runs
         with pytest.raises(VertexError, match="n = 3"):
             z0_windows(4, PT_Q_TERMS + 1)
 
@@ -704,6 +722,18 @@ class TestWindows:
             assert len(windows) == order + 1
             for n, window in enumerate(windows):
                 assert expansion(0, nums[n], den, width) == (n, window), (order, n)
+
+    def test_held_table_grows_and_cuts(self, monkeypatch):
+        """z0_windows cuts every call from one held table, rebuilt only to
+        grow, at the larger order and the larger width; each cut is a fresh
+        build at its own order and width."""
+        builds = []
+        build = vertex._z0_build
+        monkeypatch.setattr(vertex, "_z0", [[]])
+        monkeypatch.setattr(vertex, "_z0_build", lambda *args: builds.append(args) or build(*args))
+        for order, width in [(3, 30), (6, 10), (5, 30), (0, 1), (6, 31)]:
+            assert z0_windows(order, width) == build(order, width), (order, width)
+        assert builds == [(3, 30), (6, 30), (6, 31)]
 
     def test_bounds_behind_the_windows(self):
         """The two bounds the window route rests on: N_n = (q;q)_n^2 [Q^n] Z_0
