@@ -17,8 +17,9 @@ compare the two exactly:
 - ``pt_series``: the PT series as canonical QRat values, against the
   exp route of log Z_0 and ``z_toric``.
 - ``cyclo_product`` and ``polylog_neg``: products of (1 - q^k Q) factors,
-  each expanded as its binomial series, independent of the engine's exp
-  recurrences, and Li_{1-n}(Q) as rational functions.
+  each expanded as its binomial series, independent of the engine's one exp
+  recurrence ``vertex._exp_rows`` (the S-ratios and Z_0 alike), and
+  Li_{1-n}(Q) as rational functions.
 
 This is the only module on the engine side that imports ``symmfun``, and
 only the tests import this module: no CLI task does.

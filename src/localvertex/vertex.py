@@ -20,9 +20,9 @@ Q^j coefficient q^shift num(q)/den(q), zero coefficients left out.
 (W_mu W_nu)^2 = q^w/(H_mu H_nu)^2, H_mu = prod_hooks (1 - q^h) divides
 (q;q)_|mu|, so each S-entry is held over (q;q)_m^2.  PT numbers are
 read in a window of PT_Q_TERMS + 1 q-coefficients per Q^j row, and
-``pt_invariants`` builds Z_m = Z_0 (Z_m/Z_0) in those windows only: Z_0
-by its exp recurrence on packed nonnegative integers (``z0_windows``,
-one table per process, grown on demand), each row of Z_m by convolving
+``pt_invariants`` builds Z_m = Z_0 (Z_m/Z_0) in those windows only: Z_0,
+the strip product at e_i = i + 1, by the recurrence of the S-ratios
+(``z0_windows``, one table held at a time), each row of Z_m by convolving
 them with z_ratio's numerators.
 """
 
@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import json
 import os
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
-from operator import mul
 
 from .partitions import Partition, partitions_of
 from .qfield import (
-    _add, _digit_words, _exquo, _mul, _neg, _strip, _trailing_zeros, _unpack, expansion,
+    _add, _digit_words, _exquo, _half_digits, _mul, _neg, _norm, _strip, _trailing_zeros,
+    _unpack, expansion,
 )
 
 FORMAT_VERSION = 4
@@ -63,42 +63,69 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> list:
     as the list of its Q^k coefficients q^shift num(q)/(q;q)_m^2, m = |mu| + |nu|,
     k <= order, each an integer pair (shift, num); num = [] is zero.
 
-    With the integer e_i of ``e_coeffs``, X = sum_n X_n Q^n, the product,
-    is exp(sum_k a_k Q^k/k) with a_k = sum_i 2 e_i q^((i+1)k): n X_n =
-    sum_{k<=n} a_k X_(n-k).  X_n/q^(lo n), lo = min(i) + 1, is one integer
-    at q = 2^(64 d) in the balanced digits of ``qfield._pack``, so a_k
-    X_(n-k) is a shifted add per e_i, the division by n is exact, and
-    ``_unpack`` reads X_n back.  The Q^n coefficient of prod_i (1 - Q)^(-2|e_i|)
-    bounds every coefficient of X_n, and C(2 sum_i |e_i| + order, order) sets d.
+    Each row X_n/q^(lo n) of ``_exp_rows``, e_i from ``e_coeffs``, has degree
+    span n at most, span = max(i) - min(i); [Q^n] prod_i (1 - Q)^(-2|e_i|)
+    bounds its coefficients, so order C(2 sum|e_i| + order, order) bounds n X_n.
     W_mu^2 is q^(k(mu) + |mu| + 2 n(mu))/H_mu^2, read off the diagram, H_mu =
     prod_hooks (1 - q^h); each X_n times the cofactor ((q;q)_m/(H_mu H_nu))^2,
     divided at half degree once per build and squared, is over (q;q)_m^2;
     a remainder raises VertexError.
     """
     m = mu.size + nu.size
-    qq = reduce(_times_one_minus_q_power, range(1, m + 1), [1])
-    cofactor = _exquo(qq, reduce(_times_one_minus_q_power, mu.hooks() + nu.hooks(), [1]))
+    cofactor = _exquo(_qq(m), reduce(_times_one_minus_q_power, mu.hooks() + nu.hooks(), [1]))
     if cofactor is None:
         raise VertexError("H_mu H_nu does not divide (q;q)_%d" % m)
     cofactor = _mul(cofactor, cofactor)
     e = e_coeffs(mu, nu)
     lo = min(e, default=-1) + 1
     span = max(e, default=0) - min(e, default=0)
-    words = _digit_words(comb(2 * sum(map(abs, e.values())) + order, order))
-    steps = [(2 * c, 64 * words * (i + 1 - lo)) for i, c in e.items()]
+    bound = order * comb(2 * sum(map(abs, e.values())) + order, order)
     w = sum(p.kappa() + p.size + 2 * p.n_stat() for p in (mu, nu))
-    packed = [1]
     out = [(w, cofactor)]
-    for n in range(1, order + 1):
-        total = 0
-        for k, x in enumerate(reversed(packed), 1):
-            for c, step in steps:
-                total += c * x << step * k
-        packed.append(total // n)
-        num = _strip(_unpack(packed[n], words, span * n + 1))
+    for n, row in enumerate(_exp_rows(e, order, span * order + 1, bound)[1:], 1):
+        num = _strip(row[span * (order - n) :])
         low = _trailing_zeros(num)
         out.append((lo * n + w + low, _mul(num[: len(num) - low], cofactor)) if num else (0, []))
     return out
+
+
+def _exp_rows(e: dict, order: int, width: int, bound: int) -> list:
+    """The rows R_n = X_n/q^(lo n), n <= order, lo = min(i) + 1, of the strip
+    product X = prod_i (1 - q^(i+1) Q)^(-2 e_i) = sum_n X_n Q^n: the ``width``
+    lowest q-coefficients of each, highest first; ``bound`` bounds those of
+    n R_n.  X = exp(sum_k a_k Q^k/k), a_k = sum_i 2 e_i q^((i+1)k), so n R_n
+    = sum_i 2 e_i T_i(n), T_i(n) = sum_{k<=n} q^(d_i k) R_(n-k) = q^(d_i)
+    (R_(n-1) + T_i(n-1)), d_i = i + 1 - lo.  At q = 2^(64 d), d words per
+    balanced digit of ``qfield._pack``, each is one integer: a step is a
+    shifted add per e_i, each T_i is masked below q^width, and ``_divide``
+    reads R_n off n R_n."""
+    words = _digit_words(bound)
+    bits, mask = 64 * words, (1 << 64 * words * width) - 1
+    base = min(e, default=0)
+    terms = [(2 * c, bits * (i - base)) for i, c in e.items()]
+    sums, x, rows = [0] * len(terms), 1, [_unpack(1, words, width)]
+    for n in range(1, order + 1):
+        total = 0
+        for j, (c, shift) in enumerate(terms):
+            sums[j] = (x + sums[j]) << shift & mask
+            total += c * sums[j]
+        x, row = _divide(total, n, words, width)
+        rows.append(row)
+    return rows
+
+
+def _divide(total: int, n: int, words: int, width: int) -> tuple:
+    """R = total/n for total = n R below q^width, q = 2^(64 words): the integer
+    and its ``width`` balanced digits, highest first, kept by a mask on the
+    offset digits.  These are unique, so n divides every digit of n R just
+    when n divides the integer and n times every digit of R is a digit (2^64
+    = 1 mod 3 hides digits from the remainder); else VertexError."""
+    half = _half_digits(width, words)
+    x, rem = divmod(((total + half) & (1 << 64 * words * width) - 1) - half, n)
+    row = _unpack(x, words, width)
+    if rem or n * _norm(row) >= 1 << 64 * words - 1:
+        raise VertexError("n X_n is not divisible by n = %d" % n)
+    return x, row
 
 
 def _contents(mu: Partition) -> dict:
@@ -301,56 +328,26 @@ def _times_one_minus_q_power(p, k):
     return out
 
 
+def _qq(n):
+    """(q;q)_n = prod_{l=1..n} (1 - q^l)."""
+    return reduce(_times_one_minus_q_power, range(1, n + 1), [1])
+
+
 def _qq_squared(n):
-    """(q;q)_n^2 = prod_{l=1..n} (1 - q^l)^2."""
-    p = [1]
-    for l in range(1, n + 1):
-        p = _times_one_minus_q_power(_times_one_minus_q_power(p, l), l)
-    return p
+    """(q;q)_n^2: (q;q)_n times each (1 - q^l) once more, with no product."""
+    return reduce(_times_one_minus_q_power, range(1, n + 1), _qq(n))
 
 
-def _fibre_packed(k, bits, width):
-    """f(q^k)/q^k = sum_t 2t q^(k(t-1)) below q^width at q = 2^bits, f = 2q/(1-q)^2."""
-    return sum(2 * t << bits * k * (t - 1) for t in range(1, (width - 1) // k + 2))
-
-
-_z0 = [[]]  # the widest windows of Z_0 built so far, from order 0 and width 0
-
-
+@lru_cache(maxsize=1)
 def z0_windows(order: int, width: int) -> list:
     """The first ``width`` ascending coefficients of Y_n = q^(-n) [Q^n] Z_0,
-    n <= order.  Y_n depends on neither the order nor the width, and a
-    narrower window is a prefix of a wider one, so the rows are cut from one
-    module-level table, rebuilt only to grow, at the larger order and the
-    larger width.  Unlike a memo it holds one table of one fixed series,
-    bounded by the largest window the process asks for.
-    """
-    global _z0
-    if len(_z0) <= order or len(_z0[0]) < width:
-        _z0 = _z0_build(max(order, len(_z0) - 1), max(width, len(_z0[0])))
-    return [row[:width] for row in _z0[: order + 1]]
-
-
-def _z0_build(order: int, width: int) -> list:
-    """Z_0's windows by the exp recurrence n Y_n = sum_k (f(q^k)/q^k) Y_(n-k)
-    of Z_0 = prod_j (1 - q^j Q)^(-2j) = exp(sum_k f(q^k) Q^k/k).  Every
-    coefficient is >= 0, so a window is one unsigned integer at q = 2^(64 d):
-    truncation is a mask, and the division by n is exact digit by digit,
-    else VertexError.  Z_0 at Q = 1, prod_j (1 - q^j)^(-2j), is below 2^7
-    at q = 1/2, so 2^(e + 7) bounds every q^e coefficient of Z_0, and sets d.
-    """
-    words = _digit_words(order << order + width + 6)  # n Y_n below q^(order + width)
-    bits = 64 * words
-    steps = [_fibre_packed(k, bits, width) for k in range(1, order + 1)]
-    packed, rows = [1], [[1] + [0] * (width - 1)]
-    for n in range(1, order + 1):
-        total = sum(map(mul, steps, reversed(packed))) & ((1 << bits * width) - 1)
-        digits = [divmod(c, n) for c in reversed(_unpack(total, words, width))]
-        if any(rem for _, rem in digits):
-            raise VertexError("n Y_n is not divisible by n = %d" % n)
-        packed.append(total // n)
-        rows.append([c for c, _ in digits])
-    return rows
+    n <= order: Z_0 = prod_j (1 - q^j Q)^(-2j) is the strip product of
+    ``_exp_rows`` at e_i = i + 1, no i >= width reaching the window.  Z_0 at
+    Q = 1 is below 2^7 at q = 1/2, so 2^(e + 7) bounds its q^e coefficient,
+    and order 2^(order + width + 6) the window of n Y_n.  The one table held,
+    which callers must not change, is the last built: a task reads one."""
+    rows = _exp_rows({i: i + 1 for i in range(width)}, order, width, order << order + width + 6)
+    return [row[::-1] for row in rows]
 
 
 def pt_invariants(ratio: tuple, order: int) -> list:

@@ -288,16 +288,12 @@ class TestVerify:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_z0_windows_built_once(self, capsys, monkeypatch):
-        """Every pt_invariants call of a run cuts its windows from one held
+    def test_z0_windows_built_once(self, capsys, fresh_z0):
+        """Every pt_invariants call of a run reads its windows from one held
         table of Z_0: one build for five surfaces and three classes."""
-        builds = []
-        build = vx._z0_build
-        monkeypatch.setattr(vx, "_z0", [[]])
-        monkeypatch.setattr(vx, "_z0_build", lambda *args: builds.append(args) or build(*args))
         argv = "verify --all --r 0 --r 1 --r 2 --r 3 --r 4 --m-max 2 --Q-order 9"
         assert run(capsys, *argv.split())[0] == 0
-        assert builds == [(9, vx.PT_Q_TERMS + 1)]
+        assert vx.z0_windows.cache_info().misses == 1
 
     def test_polynomiality_window_follows_r(self, capsys):
         """The c + jb columns are polynomial in j from j = r - 1 on for
@@ -463,23 +459,22 @@ class TestVerify:
                 "u-pole deeper than genus 0 at Q_c^1 Q^1",
             ),
             (
-                ["pt", "--m", "1", "--Q-order", "4"], vx, "_fibre_packed",
-                # every packed step of Z_0's recurrence times (1 + q)
-                lambda k, bits, width, fibre=vx._fibre_packed:
-                    fibre(k, bits, width) * (1 + (1 << bits)),
-                "n Y_n is not divisible by n = 3",
+                ["pt", "--m", "1", "--Q-order", "4"], vx, "_divide",
+                # n X_n of Z_0's strip recurrence, so every a_k, times (1 + q)
+                lambda total, n, words, width, divide=vx._divide:
+                    divide(total * (1 + (1 << 64 * words)), n, words, width),
+                "n X_n is not divisible by n = 3",
             ),
         ],
         ids=["gw-u-pole", "pt-inexact-division"],
     )
     def test_internal_invariant_exits_2(
-        self, capsys, monkeypatch, tmp_path, argv, module, name, planted, message
+        self, capsys, monkeypatch, tmp_path, fresh_z0, argv, module, name, planted, message
     ):
         """A tripped internal invariant, a VertexError, exits 2
         with one line on stderr and writes no report."""
         out = tmp_path / "report.json"
         monkeypatch.setattr(module, name, planted)
-        monkeypatch.setattr(vx, "_z0", [[]])  # no held Z_0 table: a planted build runs
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "invariant violation: %s\n" % message

@@ -11,6 +11,7 @@ from localvertex.oracles import (
     ToricSurface,
     _exponent,
     _in_t,
+    cyclo_product,
     pt_fractions,
     pt_series,
     s_closed,
@@ -20,7 +21,7 @@ from localvertex.oracles import (
     z_toric,
 )
 from localvertex.partitions import Partition, partitions_of, partitions_up_to
-from localvertex.qfield import _digit_words, _exquo, _mul, expansion
+from localvertex.qfield import _digit_words, _exquo, _mul, _strip, expansion
 from localvertex.qrat import QRat
 from localvertex.rationality import check_integrality
 from localvertex.series import TruncSeries
@@ -542,19 +543,34 @@ class TestKnownDenominators:
         assert vertex._qq_squared(2) == qq
         assert z0_series(2) == (0, {0: qq, 1: [2, 0, -4, 0, 2, 0], 2: [3, 2, 3, 0, 0]}, qq)
 
-    def test_inexact_division_raises(self, monkeypatch):
+    def test_inexact_division_raises(self, monkeypatch, fresh_z0):
         """n Y_n must be divisible by n digit by digit: a stray factor
-        (1 + q) in every packed step f(q^k)/q^k of the recurrence breaks it
-        at n = 3 (the steps have even coefficients, so n = 2 divides)."""
-        fibre = vertex._fibre_packed
-
-        def stray(k, bits, width):
-            return fibre(k, bits, width) * (1 + (1 << bits))  # times (1 + q)
-
-        monkeypatch.setattr(vertex, "_fibre_packed", stray)
-        monkeypatch.setattr(vertex, "_z0", [[]])  # no held table: the build runs
+        (1 + q) in every step a_k of Z_0's recurrence breaks it at n = 3 (the
+        steps have even coefficients, so n = 2 divides)."""
+        plant_one_plus_q(monkeypatch)
         with pytest.raises(VertexError, match="n = 3"):
             z0_windows(4, PT_Q_TERMS + 1)
+
+    def test_inexact_division_raises_in_s_build(self, monkeypatch):
+        """The same stray (1 + q) in the steps of an S-ratio's recurrence."""
+        plant_one_plus_q(monkeypatch)
+        with pytest.raises(VertexError, match="n = 3"):
+            s_ratio_squared(P(2, 1), P(1), 4)
+
+    def test_signed_exponents_under_a_mask(self):
+        """The recurrence on signed e_i: masked at a narrow width, each row
+        is the low digits of the unmasked row, which is the Q^n coefficient
+        of the binomial-series product of ``cyclo_product``."""
+        e, order = {0: -1, 2: 3, 5: -2}, 6
+        bound = order * comb(2 * sum(map(abs, e.values())) + order, order)
+        whole = vertex._exp_rows(e, order, 5 * order + 1, bound)
+        product = cyclo_product({(i, 1): -2 * c for i, c in e.items()}, order)
+        for n, row in enumerate(whole):
+            assert canonical((n, _strip(row), [1])) == product[n], n
+        for width in (1, 4, 9):
+            masked = vertex._exp_rows(e, order, width, bound)
+            assert masked == [row[-width:] for row in whole], width
+            assert any(c < 0 for row in masked for c in row), width
 
     def test_takes_no_series_exp(self, monkeypatch, scache):
         def refuse(self):
@@ -696,6 +712,15 @@ class TestKnownDenominators:
             assert pt_rows(r, m, 6, scache) == rows
 
 
+def plant_one_plus_q(monkeypatch):
+    """n R_n in ``vertex._exp_rows``, so every a_k, times a stray (1 + q)."""
+    divide = vertex._divide
+    monkeypatch.setattr(
+        vertex, "_divide",
+        lambda total, n, words, width: divide(total * (1 + (1 << 64 * words)), n, words, width),
+    )
+
+
 def recorded_widths(monkeypatch):
     """The widths of every z0_windows call, recorded in order."""
     widths = []
@@ -723,17 +748,15 @@ class TestWindows:
             for n, window in enumerate(windows):
                 assert expansion(0, nums[n], den, width) == (n, window), (order, n)
 
-    def test_held_table_grows_and_cuts(self, monkeypatch):
-        """z0_windows cuts every call from one held table, rebuilt only to
-        grow, at the larger order and the larger width; each cut is a fresh
-        build at its own order and width."""
-        builds = []
-        build = vertex._z0_build
-        monkeypatch.setattr(vertex, "_z0", [[]])
-        monkeypatch.setattr(vertex, "_z0_build", lambda *args: builds.append(args) or build(*args))
-        for order, width in [(3, 30), (6, 10), (5, 30), (0, 1), (6, 31)]:
-            assert z0_windows(order, width) == build(order, width), (order, width)
-        assert builds == [(3, 30), (6, 30), (6, 31)]
+    def test_held_table_is_built_once(self, fresh_z0):
+        """z0_windows holds the last table it built: a repeated (order,
+        width) builds nothing, and each table is the windows of z0_series."""
+        calls = [(3, 30), (3, 30), (6, 10), (6, 10), (6, 10), (0, 1), (3, 30)]
+        for order, width in calls:
+            _, nums, den = z0_series(order)
+            want = [expansion(0, nums[n], den, width)[1] for n in range(order + 1)]
+            assert z0_windows(order, width) == want, (order, width)
+        assert z0_windows.cache_info().misses == 4
 
     def test_bounds_behind_the_windows(self):
         """The two bounds the window route rests on: N_n = (q;q)_n^2 [Q^n] Z_0
