@@ -163,19 +163,16 @@ def run_gw(args) -> int:
     cache = vx.SCache(args.cache_dir)
     report = _report("gw", args)
     report["m_max"] = args.m_max
-    tables = [
-        gw.gw_extract(r, args.m_max, args.Q_order, args.g_max, cache=cache)
+    tables = report["tables"] = {
+        str(r): gw.gw_extract(r, args.m_max, args.Q_order, args.g_max, cache=cache).to_json()
         for r in args.r
-    ]
-    report["tables"] = {str(t.r): t.to_json() for t in tables}
+    }
     csv_text = None
     if args.format == "csv":
         rows = [["r", "g", "m", "j", "value_num", "value_den"]]
-        for t in tables:
-            rows += [
-                [t.r, g, m, j, v.numerator, v.denominator]
-                for (g, m, j), v in sorted(t.entries.items())
-            ]
+        for r in args.r:
+            entries = tables[str(r)]["entries"]
+            rows += [[r, e["g"], e["m"], e["j"], e["num"], e["den"]] for e in entries]
         csv_text = _csv(rows)
     _emit(args, report, csv_text)
     return 0
@@ -224,9 +221,8 @@ def run_verify(args) -> int:
     checks["integrality"] = integrality
 
     # membership of the modified exceptional series in R_{0,0}
-    u_order = min(args.u_order, 6)
-    tp = gw.tilde_pt0(args.Q_order, u_order)
-    checks["exceptional_membership"] = rat.verify_R(tp, u_order)
+    tp = gw.tilde_pt0(args.Q_order, min(args.u_order, 6))
+    checks["exceptional_membership"] = rat.verify_R(tp)
 
     # per-genus Weyl functional equation of the GW columns of class c + jb
     # through Q^Q_order, weight w.c = r - 2; under --all, from the same table,

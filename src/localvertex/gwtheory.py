@@ -219,7 +219,8 @@ def tilde_pt0(order: int, u_order: int, cache: SCache = None) -> TruncSeries:
     C_h from ``_fibre``; the correction cancels its genus-0 and genus-1
     fibre terms, C_-2 = 2 and C_0 = -1/6, which is asserted together with
     the absence of odd powers.  The exponent is then
-    sum_{h>=2} C_h x^h sum_k k^(h-1) Q^k, and i^h is applied at the end.
+    sum_{h>=2} C_h x^h sum_k k^(h-1) Q^k; its exponential has the scalar 1
+    at x^0, reported as the Q-series 1, and i^h is applied at the end.
     Returned as a u-series whose coefficients are Q-series over
     Fractions.  ``cache`` is unused.
     """
@@ -231,6 +232,5 @@ def tilde_pt0(order: int, u_order: int, cache: SCache = None) -> TruncSeries:
         h: TruncSeries(order, {k: c * k ** (h - 1) for k in range(1, order + 1)})
         for h, c in fibre.items() if h >= 2
     })
-    # the x^0 coefficient of the exponential is the scalar 1; report it as a Q-series
-    result = TruncSeries(u_order, {0: TruncSeries.one(order)}) * exponent.exp()
-    return TruncSeries(u_order, {h: c * _i_power(h) for h, c in result.coeffs.items()})
+    coeffs = {**exponent.exp().coeffs, 0: TruncSeries.one(order)}
+    return TruncSeries(u_order, {h: c * _i_power(h) for h, c in coeffs.items()})

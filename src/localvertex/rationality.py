@@ -160,9 +160,10 @@ def column_certificate(table, m: int, g: int, order: int):
 # Ring membership of the modified exceptional series
 
 
-def verify_R(useries: TruncSeries, h_max: int) -> dict:
-    """Certify membership in R_{0,0}: each u-coefficient f_h, h <= h_max, is
-    num(Q)/(1-Q)^h with f_h(1/Q) = (-1)^h f_h(Q), by ``certify_column``.
+def verify_R(useries: TruncSeries) -> dict:
+    """Certify membership in R_{0,0}: each u-coefficient f_h, h up to the
+    u-order of ``useries``, is num(Q)/(1-Q)^h with f_h(1/Q) = (-1)^h f_h(Q),
+    by ``certify_column``.
 
     Returns the report entry {"a": 0, "b": 0, "passed", "per_h"}, a and b
     naming the ring, with one row per h.  Fit failures are recorded in
@@ -170,7 +171,7 @@ def verify_R(useries: TruncSeries, h_max: int) -> dict:
     marked "skipped" with the reason, not failed.
     """
     per_h = {}
-    for h in range(min(0, useries.valuation() or 0), h_max + 1):
+    for h in range(min(0, useries.valuation() or 0), useries.order + 1):
         coeff = useries.coeffs.get(h)
         row = per_h[str(h)] = {"fit_ok": True, "symmetry_ok": True, "error": None, "fit": None}
         if not coeff:

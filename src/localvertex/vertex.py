@@ -15,15 +15,16 @@ S_{mu,nu} = W_mu W_nu exp(A_{mu,nu}), is expanded in u once, in
 each expanded by the exp recurrence of its logarithm on packed integers.
 
 Every series is held over denominators fixed in advance, as integer
-q-numerators, with no gcd.  A class series (shift, {j: num}, den) has
-Q^j coefficient q^shift num(q)/den(q), zero coefficients left out.
+q-numerators, highest first as in ``qfield``, with no gcd.  A class series
+(shift, {j: num}, den) has Q^j coefficient q^shift num(q)/den(q), zero
+coefficients left out; ``_aligned`` sums q-numerators by Q-degree.
 (W_mu W_nu)^2 = q^w/(H_mu H_nu)^2, H_mu = prod_hooks (1 - q^h) divides
 (q;q)_|mu|, so each S-entry is held over (q;q)_m^2.  PT numbers are
 read in a window of PT_Q_TERMS + 1 q-coefficients per Q^j row, and
 ``pt_invariants`` builds Z_m = Z_0 (Z_m/Z_0) in those windows only: Z_0,
 the strip product at e_i = i + 1, by the recurrence of the S-ratios
-(``z0_windows``, one table held at a time), each row of Z_m by convolving
-them with z_ratio's numerators.
+(``z0_windows``, one table held at a time, its rows as built), each row of
+Z_m by convolving them with z_ratio's numerators.
 """
 
 from __future__ import annotations
@@ -305,14 +306,12 @@ def _aligned(terms) -> tuple:
 
 def _product(a, b, order: int) -> tuple:
     """The Q-product of the class series a and b up to Q^order, as
-    (shift, {j: num}) over the product of their denominators, zero
-    coefficients left out: the one Q-convolution of q-numerators."""
-    sums = {}
-    for j1, n1 in a[1].items():
-        for j2, n2 in b[1].items():
-            if j1 + j2 <= order:
-                sums[j1 + j2] = _add(sums.get(j1 + j2, []), _mul(n1, n2))
-    return a[0] + b[0], {j: num for j, num in sorted(sums.items()) if num}
+    (shift, {j: num}) over the product of their denominators: the pairwise
+    products of q-numerators, summed by ``_aligned``."""
+    return _aligned([
+        (j1 + j2, a[0] + b[0], _mul(n1, n2))
+        for j1, n1 in a[1].items() for j2, n2 in b[1].items() if j1 + j2 <= order
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +339,14 @@ def _qq_squared(n):
 
 @lru_cache(maxsize=1)
 def z0_windows(order: int, width: int) -> list:
-    """The first ``width`` ascending coefficients of Y_n = q^(-n) [Q^n] Z_0,
-    n <= order: Z_0 = prod_j (1 - q^j Q)^(-2j) is the strip product of
-    ``_exp_rows`` at e_i = i + 1, no i >= width reaching the window.  Z_0 at
-    Q = 1 is below 2^7 at q = 1/2, so 2^(e + 7) bounds its q^e coefficient,
-    and order 2^(order + width + 6) the window of n Y_n.  The one table held,
-    which callers must not change, is the last built: a task reads one."""
-    rows = _exp_rows({i: i + 1 for i in range(width)}, order, width, order << order + width + 6)
-    return [row[::-1] for row in rows]
+    """The ``width`` lowest coefficients of Y_n = q^(-n) [Q^n] Z_0, n <= order,
+    highest first, as ``_exp_rows`` builds them: Z_0 = prod_j (1 - q^j Q)^(-2j)
+    is its strip product at e_i = i + 1, no i >= width reaching the window.
+    Z_0 at Q = 1 is below 2^7 at q = 1/2, so 2^(e + 7) bounds its q^e
+    coefficient, and order 2^(order + width + 6) the window of n Y_n.  The one
+    table held, which callers must not change, is the last built: a task
+    reads one."""
+    return _exp_rows({i: i + 1 for i in range(width)}, order, width, order << order + width + 6)
 
 
 def pt_invariants(ratio: tuple, order: int) -> list:
@@ -360,29 +359,32 @@ def pt_invariants(ratio: tuple, order: int) -> list:
     n = -26..-2.
 
     Each term q^a Y_a num_b of row j = a + b, Y_a from ``z0_windows``,
-    starts at its own valuation, the row at the lowest.  A row whose low
-    terms cancel widens its window, and Z_0's, until PT_Q_TERMS + 1 terms
-    from its true valuation are exact.  As (q;q)_a^2 q^a Y_a has degree a^2
-    at most, row j times (q;q)_j^2 has degree j(j+1) + max deg num_b at
-    most: a zero window past it is a zero row.
+    starts at its own valuation, the row at the lowest; windows and
+    numerators are highest first, so a term's lowest n digits are its last
+    n.  A row whose low terms cancel widens its window, and Z_0's, until
+    PT_Q_TERMS + 1 terms from its true valuation are exact.  As (q;q)_a^2
+    q^a Y_a has degree a^2 at most, row j times (q;q)_j^2 has degree
+    j(j+1) + max deg num_b at most: a zero window past it is a zero row.
     """
     shift, nums, dm = ratio
     full, rows = max(map(len, nums.values()), default=0), []
+    cut = {}  # b: (valuation of num_b, num_b without its trailing zeros)
+    for b, num in nums.items():
+        zeros = _trailing_zeros(num)
+        cut[b] = zeros, num[: len(num) - zeros]
     z0 = z0_windows(order, PT_Q_TERMS + 1)
     for j in range(order + 1):
-        terms = [(a, nums[j - a]) for a in range(j + 1) if j - a in nums]
-        low = min((a + _trailing_zeros(num) for a, num in terms), default=0)
+        terms = [(a, a + cut[j - a][0], cut[j - a][1]) for a in range(j + 1) if j - a in cut]
+        low = min((v for _, v, _ in terms), default=0)
         width = PT_Q_TERMS + 1
         while terms:
             if width > len(z0[0]):
                 z0 = z0_windows(order, width)
-            total = []  # sum_a q^(a - low) Y_a num_b, windows highest first
-            for a, num in terms:
-                top = len(num) - _trailing_zeros(num)
-                n = width - (a + len(num) - top - low)
+            total = []  # sum_a q^(a - low) Y_a num_b, highest first
+            for a, v, num in terms:
+                n = width - (v - low)
                 if n > 0:
-                    product = _mul(z0[a][n - 1 :: -1], num[max(top - n, 0) : top])
-                    total = _add(total, product + [0] * (width - n))
+                    total = _add(total, _mul(z0[a][-n:], num[-n:]) + [0] * (width - n))
             num = _strip(total[-width:])
             zeros = _trailing_zeros(num)
             if num and zeros + PT_Q_TERMS < width:

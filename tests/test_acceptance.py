@@ -125,7 +125,7 @@ def test_criterion_07_exceptional_membership(tilde_series):
     """The modified exceptional series at Q-order 12 lies in R_{0,0}
     through u^6, with the u^-2, u^-1, u^1 coefficients exactly zero."""
     assert all(h >= 0 and h % 2 == 0 for h in tilde_series.degrees())
-    report = rat.verify_R(tilde_series, 6)
+    report = rat.verify_R(tilde_series)
     assert report["passed"], report
 
 

@@ -1,9 +1,11 @@
 """Command-line interface: flags, reports, exit codes."""
 
+import ast
 import csv
 import hashlib
 import io
 import json
+import glob
 import os
 import subprocess
 import sys
@@ -903,6 +905,30 @@ def test_package_root_leaves_rationality_out():
 def test_cli_import_leaves_argparse_out():
     """Importing cli for its task functions parses no command line."""
     assert loaded_modules("import localvertex.cli") == sorted(ENGINE + ["localvertex.cli"])
+
+
+def test_package_imports_the_standard_library_only():
+    """pyproject declares no dependencies, and sympy is a test oracle only:
+    every import in the package, inside functions too, is relative or names
+    a module of the standard library.  The runs above load no oracles, qrat
+    or symmfun, so they cannot show this for those modules."""
+    root = os.path.dirname(os.path.abspath(localvertex.__file__))
+    outside = []
+    for path in sorted(glob.glob(os.path.join(root, "**", "*.py"), recursive=True)):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                (os.path.relpath(path, root), node.lineno, name)
+                for name in names if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
 
 
 def test_parser_annotations_resolve():

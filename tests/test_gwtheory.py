@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exponent_search import find_exponent
+from helpers import canonical, qrat_series
 from localvertex import cli, gwtheory, qfield, qrat
 from localvertex.gwtheory import (
     GWTable,
@@ -20,7 +21,7 @@ from localvertex.gwtheory import (
     tilde_pt0,
     u_expansions,
 )
-from localvertex.oracles import _exponent, _in_t
+from localvertex.oracles import _exponent
 from localvertex.partitions import Partition
 from localvertex.qrat import QRat
 from localvertex.rationality import (
@@ -160,7 +161,7 @@ class TestTildeSeries:
             assert f2[j] == Fraction(-j, 120)
 
     def test_membership(self, tilde_series):
-        doc = verify_R(tilde_series, 6)
+        doc = verify_R(tilde_series)
         assert doc["passed"] is True
         assert set(doc["per_h"]) == {str(h) for h in range(7)}
 
@@ -169,16 +170,16 @@ class TestVerifyR:
     def test_single_li_function(self):
         li = TruncSeries(8, {d: Fraction(d) for d in range(9)})
         useries = TruncSeries(2, {2: li})
-        report = verify_R(useries, 2)
+        report = verify_R(useries)
         assert report["passed"] is True
 
     def test_zero_series(self):
-        report = verify_R(TruncSeries(4), 4)
+        report = verify_R(TruncSeries(4))
         assert report["passed"] is True
 
     def test_failure_recorded_not_fatal(self):
         geo = TruncSeries(8, {d: 1 for d in range(9)})
-        report = verify_R(TruncSeries(2, {0: geo}), 2)
+        report = verify_R(TruncSeries(2, {0: geo}))
         assert report["passed"] is False
         assert report["per_h"]["0"] == {
             "fit_ok": False,
@@ -194,16 +195,16 @@ class TestVerifyR:
         h = -1 has the empty numerator window [0, -1], so a nonzero f_(-1)
         is recorded exactly as a failed fit."""
         f = TruncSeries(8, {0: Fraction(1, 3), **{d: Fraction(2, 3) for d in range(1, 9)}})
-        report = verify_R(TruncSeries(2, {1: f}), 1)
+        report = verify_R(TruncSeries(1, {1: f}))
         assert report["per_h"]["1"]["fit"]["numerator"] == {
             "0": {"num": 1, "den": 3}, "1": {"num": 1, "den": 3},
         }
         assert report["passed"] is True
-        row = verify_R(TruncSeries(2, {-1: f}), 0)["per_h"]["-1"]
+        row = verify_R(TruncSeries(0, {-1: f}))["per_h"]["-1"]
         assert row["error"] == "nonvanishing coefficient at Q^0 outside window [0, -1]"
 
     def test_h0_row_has_no_denominator(self, tilde_series):
-        row = verify_R(tilde_series, 6)["per_h"]["0"]
+        row = verify_R(tilde_series)["per_h"]["0"]
         assert row["fit"] == {
             "numerator": {"0": {"num": 1, "den": 1}},
             "denom_spec": [],
@@ -291,18 +292,6 @@ class TestColumnRationality:
             assert surplus >= 3 and a == -2
             fit, holds = certify_column(column, 2 + 2 * g, a)
             assert fit["surplus"] >= 3 and holds
-
-
-def canonical(fraction):
-    """The QRat value q^shift num(q)/den(q) of a (shift, num, den) triple."""
-    shift, num, den = fraction
-    return QRat(2 * shift, _in_t(num), _in_t(den))
-
-
-def qrat_series(series, order):
-    """A class series (shift, {j: num}, den) as a QRat series."""
-    shift, nums, den = series
-    return TruncSeries(order, {j: canonical((shift, num, den)) for j, num in nums.items()})
 
 
 def qrat_z_ratios(r, m_max, order):

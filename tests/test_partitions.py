@@ -2,15 +2,12 @@
 
 import pytest
 
+from helpers import P
 from localvertex.partitions import (
     Partition,
     partitions_of,
     partitions_up_to,
 )
-
-
-def P(*parts):
-    return Partition(parts)
 
 
 class TestConstruction:

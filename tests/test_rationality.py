@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import exponent_search
 from exponent_search import find_exponent, one_minus_q_power, symmetric
+from helpers import canonical
 from localvertex.rationality import (
     FitError,
     certify_column,
@@ -15,8 +16,7 @@ from localvertex.rationality import (
     check_q_inversion,
     w_dot_beta,
 )
-from localvertex.oracles import _in_t, pt_series
-from localvertex.qrat import QRat
+from localvertex.oracles import pt_series
 from localvertex.series import TruncSeries
 from localvertex.vertex import z_ratio
 
@@ -298,12 +298,6 @@ class TestClosedForms:
         text = r"^nonvanishing coefficient at Q\^1 outside window \[0, 0\]$"
         with pytest.raises(FitError, match=text):
             certify_column(TruncSeries(8, {0: 1, 1: 2}), 0, 0)
-
-
-def canonical(fraction):
-    """The QRat value q^shift num(q)/den(q) of a (shift, num, den) triple."""
-    shift, num, den = fraction
-    return QRat(2 * shift, _in_t(num), _in_t(den))
 
 
 def invert_t_oracle(series):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from helpers import P
 from localvertex.partitions import Partition, partitions_up_to
 from localvertex.qrat import QRat
 from localvertex.symmfun import (
@@ -20,10 +21,6 @@ ONE = QRat.one()
 T = QRat.t_power(1)
 Q = QRat.q_power(1)
 EMPTY = Partition()
-
-
-def P(*parts):
-    return Partition(parts)
 
 
 class TestPrincipal:

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from helpers import P, canonical, qrat_series
 from localvertex import oracles, symmfun, vertex
 from localvertex.oracles import (
     ToricSurface,
@@ -41,10 +42,6 @@ from localvertex.vertex import (
 ONE = QRat.one()
 Q = QRat.q_power(1)
 EMPTY = Partition()
-
-
-def P(*parts):
-    return Partition(parts)
 
 
 class TestSRoutes:
@@ -129,12 +126,6 @@ def qrat_z_ratios(r, m_max, order, cache):
                     total = total + term
         out[m] = -total if (r * m) % 2 else total
     return out
-
-
-def fraction_series(series, order):
-    """A class series (shift, {j: num}, den) as a QRat series."""
-    shift, nums, den = series
-    return TruncSeries(order, {j: canonical((shift, num, den)) for j, num in nums.items()})
 
 
 def _bits(series):
@@ -494,12 +485,6 @@ def canonical_integrality(series, t_terms=40):
     )
 
 
-def canonical(fraction):
-    """The QRat value of a triple (shift, num, den), q^shift num(q)/den(q)."""
-    shift, num, den = fraction
-    return QRat(2 * shift, _in_t(num), _in_t(den))
-
-
 def pt_rows(r, m, order, cache):
     """The rows ``pt_invariants`` reads off Z_m, assembled as ``pt`` does."""
     return pt_invariants(z_ratio(r, m, order, cache), order)
@@ -591,7 +576,7 @@ class TestKnownDenominators:
             for k in range(1, m + 1):
                 qq = qq * (ONE - QRat.q_power(k)) ** 2
             assert canonical((0, [1], ratios[m][2])) == ONE / qq, m
-            assert _bits(fraction_series(ratios[m], 9)) == _bits(oracle[m]), m
+            assert _bits(qrat_series(ratios[m], 9)) == _bits(oracle[m]), m
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_foreign_denominator_raises(self, m, monkeypatch):
@@ -664,7 +649,7 @@ class TestKnownDenominators:
         for m in range(3):
             ratio = z_ratio(r, m, 9, scache)
             fractions = pt_fractions(ratio, z0)
-            series = fraction_series(fractions, 9)
+            series = qrat_series(fractions, 9)
             assert check_integrality(whole_rows(fractions)) == canonical_integrality(series)
             assert check_integrality(pt_invariants(ratio, 9)) is True
             shift, nums, den = fractions
@@ -740,21 +725,23 @@ class TestWindows:
 
     @pytest.mark.parametrize("width", [1, PT_Q_TERMS + 1, 80])
     def test_z0_matches_oracle(self, width):
-        """Each window is the expansion of N_n/(q;q)_n^2 from q^n."""
+        """Each window, highest first, is the expansion of N_n/(q;q)_n^2
+        from q^n."""
         for order in (0, 1, 6, 13):
             _, nums, den = z0_series(order)
             windows = z0_windows(order, width)
             assert len(windows) == order + 1
             for n, window in enumerate(windows):
-                assert expansion(0, nums[n], den, width) == (n, window), (order, n)
+                assert expansion(0, nums[n], den, width) == (n, window[::-1]), (order, n)
 
     def test_held_table_is_built_once(self, fresh_z0):
         """z0_windows holds the last table it built: a repeated (order,
-        width) builds nothing, and each table is the windows of z0_series."""
+        width) builds nothing, and each table is the windows of z0_series,
+        highest first."""
         calls = [(3, 30), (3, 30), (6, 10), (6, 10), (6, 10), (0, 1), (3, 30)]
         for order, width in calls:
             _, nums, den = z0_series(order)
-            want = [expansion(0, nums[n], den, width)[1] for n in range(order + 1)]
+            want = [expansion(0, nums[n], den, width)[1][::-1] for n in range(order + 1)]
             assert z0_windows(order, width) == want, (order, width)
         assert z0_windows.cache_info().misses == 4
 
@@ -770,7 +757,7 @@ class TestWindows:
             at_half *= (1 - 0.5**j) ** (-2 * j)
         assert at_half < 101
         for n, window in enumerate(z0_windows(12, 40)):
-            assert all(0 <= c < 2 ** (n + i + 7) for i, c in enumerate(window)), n
+            assert all(0 <= c < 2 ** (n + i + 7) for i, c in enumerate(window[::-1])), n
 
     @pytest.mark.parametrize("r", range(6))
     def test_bit_identical_to_oracle_route(self, r, scache):
