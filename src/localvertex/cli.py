@@ -12,6 +12,11 @@ import, inside their task functions; ``fit`` and ``verify`` certify a GW
 genus column by one routine, ``rationality.column_certificate``: a fit
 over (1-Q)^(4m+2g-2) and the Weyl functional equation at weight m(r-2).
 No task imports the oracles: they run in the test suite only.
+A plain command line (a task, then its flags, each ``--flag value`` or
+``--flag=value``, and a bare ``--all``) is read by ``_read`` from the
+``TASK_FLAGS`` and ``FLAGS`` tables.  argparse loads only where a command
+line needs a message (``--help``, and every usage error, which argparse
+alone reports) or has a value that starts with "-".
 Exit status: 0 on success, 1 if a verification fails, 2 on a usage error
 (argparse's, or an ``OutputError``: an --out that cannot be written) or a
 ``vertex.VertexError`` (an internal invariant: an exact division, or
@@ -25,6 +30,7 @@ import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import gwtheory as gw
 from . import vertex as vx
@@ -32,11 +38,16 @@ from . import vertex as vx
 SCHEMA = 1
 
 
-def _non_negative(text: str) -> int:
+def _integer(text: str) -> int:
+    """int(text) if text is an integer >= 0, else -1."""
     try:
-        value = int(text)
+        return max(int(text), -1)
     except ValueError:
-        value = -1
+        return -1
+
+
+def _non_negative(text: str) -> int:
+    value = _integer(text)
     if value < 0:
         import argparse
 
@@ -78,9 +89,38 @@ TASK_FLAGS = {
 }
 
 
+def _read(argv):
+    """The namespace argparse returns for a plain command line: a task, then
+    flags of that task, each --flag value or --flag=value, and --all bare.
+    None for anything else (--help, --, a flag of another task, a bad or
+    missing value, fit --m 0), which argparse reads and reports.  A value
+    that starts with "-" is declined, where argparse may take it or not."""
+    if not argv or argv[0] not in TASK_FLAGS:
+        return None
+    task = argv[0]
+    values = {flag: FLAGS[flag].get("default", False) for flag in TASK_FLAGS[task][1].split()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if flag not in values or flag == "--all" and eq:
+            return None
+        if flag == "--all":
+            values[flag] = True
+            continue
+        spec = FLAGS[flag]
+        text = text if eq else next(tokens, "-")  # a missing value reads as "-"
+        value = _integer(text) if "type" in spec else text
+        if text.startswith("-") or value == -1 or value not in spec.get("choices", [value]):
+            return None
+        values[flag] = (values[flag] or []) + [value] if flag == "--r" else value
+    if task == "fit" and values["--m"] == 0:
+        return None
+    return SimpleNamespace(task=task, **{f[2:].replace("-", "_"): v for f, v in values.items()})
+
+
 def _build_parser():
-    # argparse loads only where a command line is parsed, not in a program
-    # that imports cli for its task functions
+    # argparse loads only where a command line needs a message, --help or a
+    # usage error, or has a value that starts with "-": _read declines those
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -130,7 +170,7 @@ def _report(task, args) -> dict:
         "bounds": {
             name: getattr(args, name)
             for name in ("Q_order", "u_order", "g_max")
-            if name in args
+            if hasattr(args, name)
         },
     }
 
@@ -276,13 +316,15 @@ TASKS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.task == "fit" and args.m == 0:
-        parser.error(
-            "fit needs --m >= 1: the fiber columns at g = 0, 1 are Li_3(Q) and "
-            "Li_1(Q), which are not rational"
-        )
+    args = _read(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if args.task == "fit" and args.m == 0:
+            parser.error(
+                "fit needs --m >= 1: the fiber columns at g = 0, 1 are Li_3(Q) and "
+                "Li_1(Q), which are not rational"
+            )
     # a repeated --r runs once, in the order first given
     args.r = list(dict.fromkeys(args.r or [0]))
     try:

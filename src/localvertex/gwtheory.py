@@ -56,13 +56,16 @@ def u_expansions(series: tuple, u_order: int) -> dict:
 
     num and den are integer q-polynomials, highest first, and need not be
     coprime: only their moments are read, and q^k = sum_n k^n x^n/n!.  The
-    pole order v at q = 1 is the index of the first nonzero moment of den,
+    pole order v at q = 1 is the index of the first nonzero moment of den
+    (a zero den has none, and raises ValueError),
     and the x-coefficients through x^n, n = u_order + 2v, pin the quotient
     through x^u_order.  The one den of the class is read once.  Scaled by
     n!, num and den are integer x-polynomials, and with x^v taken out of
     den their quotient is ``qfield.expansion``'s from x^(-v).
     """
     shift, nums, den = series
+    if not any(den):
+        raise ValueError("u_expansions needs a nonzero denominator, got %r" % (den,))
     den_moments = _moments(den, 0)
     b = [next(den_moments)]
     while not b[-1]:

@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import localvertex
 from localvertex import cli
@@ -583,6 +584,44 @@ class TestFit:
             assert entry == expected["checks"]["column_exponents"]["r=3"][g]
 
 
+NEGATIVE_FLAGS = [
+    ["pt", "--m", "-1"],
+    ["verify", "--m-max", "-1"],
+    ["gw", "--r", "-1"],
+    ["fit", "--Q-order", "-1"],
+    ["verify", "--u-order", "-1"],
+    ["gw", "--g-max", "-1"],
+]
+NON_INTEGERS = ["abc", "1.5", ""]
+DELETED_FLAGS = [
+    ["pt", "--u-order", "2"],
+    ["gw", "--u-order", "2"],
+    ["fit", "--u-order", "2"],
+    ["pt", "--g-max", "1"],
+    ["verify", "--format", "json"],
+    ["fit", "--format", "json"],
+    ["pt", "--m-max", "1"],
+    ["pt", "--all"],
+    ["gw", "--m", "1"],
+    ["gw", "--all"],
+    ["verify", "--m", "1"],
+    ["fit", "--m-max", "1"],
+    ["fit", "--all"],
+    ["pt", "--no-cache"],
+    ["gw", "--no-cache"],
+    ["verify", "--no-cache"],
+    ["fit", "--no-cache"],
+]
+# every argv that TestUsage expects argparse to reject
+USAGE_ERRORS = (
+    [["frobnicate"], ["pt", "--r", "-1", "--m", "0"], [], ["selftest"], ["fit", "--m", "0"]]
+    + NEGATIVE_FLAGS
+    + [["gw", "--Q-order", value] for value in NON_INTEGERS]
+    + [[task, "--format", "csv"] for task in ("verify", "fit")]
+    + DELETED_FLAGS
+)
+
+
 class TestUsage:
     def test_unknown_task(self, capsys):
         with pytest.raises(SystemExit):
@@ -592,24 +631,14 @@ class TestUsage:
         with pytest.raises(SystemExit):
             main(["pt", "--r", "-1", "--m", "0"])
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["pt", "--m", "-1"],
-            ["verify", "--m-max", "-1"],
-            ["gw", "--r", "-1"],
-            ["fit", "--Q-order", "-1"],
-            ["verify", "--u-order", "-1"],
-            ["gw", "--g-max", "-1"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", NEGATIVE_FLAGS)
     def test_negative_flag_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         assert "must be an integer >= 0, got '-1'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    @pytest.mark.parametrize("value", NON_INTEGERS)
     def test_non_integer_flag_is_usage_error(self, capsys, value):
         """A value that is not an integer gets the same message, which names
         no private function of the parser."""
@@ -727,28 +756,7 @@ class TestUsage:
         with pytest.raises(SystemExit):
             main([])
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["pt", "--u-order", "2"],
-            ["gw", "--u-order", "2"],
-            ["fit", "--u-order", "2"],
-            ["pt", "--g-max", "1"],
-            ["verify", "--format", "json"],
-            ["fit", "--format", "json"],
-            ["pt", "--m-max", "1"],
-            ["pt", "--all"],
-            ["gw", "--m", "1"],
-            ["gw", "--all"],
-            ["verify", "--m", "1"],
-            ["fit", "--m-max", "1"],
-            ["fit", "--all"],
-            ["pt", "--no-cache"],
-            ["gw", "--no-cache"],
-            ["verify", "--no-cache"],
-            ["fit", "--no-cache"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", DELETED_FLAGS)
     def test_deleted_flag_is_usage_error(self, capsys, monkeypatch, argv):
         """Each flag its task does not read, and the deleted --no-cache, is
         rejected, exit 2, before any work."""
@@ -793,18 +801,95 @@ class TestUsage:
         """The argv of the benchmark's cache fill and of its verify job."""
         directory, report = str(tmp_path / "scache"), str(tmp_path / "report.json")
         parser = cli._build_parser()
-        fill = parser.parse_args([
+        fill_argv = [
             "pt", "--r", "0", "--m", "1", "--Q-order", "9",
             "--cache-dir", directory, "--out", report,
-        ])
+        ]
+        fill = parser.parse_args(fill_argv)
         assert (fill.task, fill.r, fill.m, fill.Q_order) == ("pt", [0], 1, 9)
         assert (fill.cache_dir, fill.out, fill.format) == (directory, report, "json")
-        job = parser.parse_args([
+        job_argv = [
             "verify", "--all", "--r", "2", "--m-max", "1", "--Q-order", "9",
             "--cache-dir", directory, "--out", report,
-        ])
+        ]
+        job = parser.parse_args(job_argv)
         assert (job.task, job.all, job.r, job.m_max, job.Q_order) == ("verify", True, [2], 1, 9)
         assert (job.cache_dir, job.out) == (directory, report)
+        # both are plain command lines: the reader takes them, with no parser
+        assert vars(cli._read(fill_argv)) == vars(fill)
+        assert vars(cli._read(job_argv)) == vars(job)
+
+
+TASK_TOKENS = ["pt", "gw", "verify", "fit", "selftest"]
+FLAG_TOKENS = sorted(cli.FLAGS) + ["--no-cache", "--Q", "-h", "--"]
+VALUE_TOKENS = ["0", "7", "-1", "abc", "1.5", "", "json", "csv", "-x", "out.json"]
+# the values of the pool that a flag takes
+USUAL = {
+    flag: ["json", "csv"] if "choices" in spec else ["0", "7"] if "type" in spec
+    else ["out.json", "abc", ""]
+    for flag, spec in cli.FLAGS.items()
+}
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of pool tokens: no task or one, then words, each a flag and
+    a value, a --flag=value, a lone flag or a lone value.  Seven times in
+    eight the flag is one of the task's, and three times in four the value
+    is one the flag takes, so that about a fifth of the argv are plain
+    command lines."""
+    argv = draw(st.sampled_from([[]] + [[task] for task in TASK_TOKENS]))
+    own = cli.TASK_FLAGS[argv[0]][1].split() if argv and argv[0] in cli.TASK_FLAGS else []
+    for _ in range(draw(st.integers(0, 5))):
+        own_flag = own and draw(st.integers(0, 7)) > 0
+        flag = draw(st.sampled_from(own if own_flag else FLAG_TOKENS))
+        usual_value = flag in USUAL and draw(st.integers(0, 3)) > 0
+        value = draw(st.sampled_from(USUAL[flag] if usual_value else VALUE_TOKENS))
+        form = draw(st.sampled_from(["pair"] * 5 + ["eq"] * 3 + ["flag", "value"]))
+        argv += {"pair": [flag, value], "eq": [flag + "=" + value], "flag": [flag],
+                 "value": [value]}[form]
+    return argv
+
+
+class TestReader:
+    """``cli._read`` takes a plain command line without argparse.  It may
+    decline what argparse accepts (that costs only time), but what it
+    accepts must be argparse's reading exactly."""
+
+    PARSER = cli._build_parser()
+
+    @given(command_lines())
+    @settings(max_examples=1000, deadline=None)
+    def test_accepts_only_what_argparse_reads_alike(self, argv):
+        args = cli._read(argv)
+        if args is None:
+            return
+        try:
+            parsed = self.PARSER.parse_args(argv)
+        except SystemExit:
+            raise AssertionError("argparse rejects %r, which the reader accepts" % (argv,))
+        assert vars(args) == vars(parsed)
+        assert not (args.task == "fit" and args.m == 0)
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_declines_every_usage_error(self, argv):
+        assert cli._read(argv) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gw", "--r", "0", "--r", "1", "--m-max", "2", "--Q-order", "5", "--format", "csv"],
+            ["pt", "--r", "0", "--m", "1", "--Q-order=8", "--format=csv"],
+            ["fit", "--r", "0", "--m", "2", "--Q-order", "13"],
+            ["verify", "--all", "--r", "0", "--r", "1", "--r", "0", "--m-max", "1",
+             "--Q-order", "9", "--u-order", "8"],
+            ["pt", "--m", "2", "--m", "3", "--out=", "--format", "json", "--format", "csv"],
+        ],
+        ids=["gw", "pt", "fit", "verify", "repeated"],
+    )
+    def test_reads_plain_command_lines(self, argv):
+        """Repeated --r appends, any other repeated flag keeps its last value."""
+        assert vars(cli._read(argv)) == vars(self.PARSER.parse_args(argv))
 
 
 ENGINE = [
@@ -818,21 +903,22 @@ ENGINE = [
 
 
 def loaded_modules(code, *argv):
-    """The localvertex modules, and argparse, csv and hashlib if loaded,
-    after ``code`` runs with ``argv`` in a fresh interpreter."""
+    """The localvertex modules, and argparse, gettext, locale, csv and
+    hashlib if loaded, after ``code`` runs with ``argv`` in a fresh
+    interpreter; ``code`` may print lines of its own before the last."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     code += (
-        "; print(json.dumps(sorted(m for m in sys.modules "
-        "if m in ('localvertex', 'argparse', 'csv', 'hashlib') "
+        "\nprint(json.dumps(sorted(m for m in sys.modules "
+        "if m in ('localvertex', 'argparse', 'gettext', 'locale', 'csv', 'hashlib') "
         "or m.startswith('localvertex.'))))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", "import json, sys; " + code, *argv],
+        [sys.executable, "-c", "import json, sys\n" + code, *argv],
         env=env, capture_output=True, text=True, check=True,
     )
-    return json.loads(out.stdout)
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize(
@@ -851,14 +937,14 @@ def test_engine_leaves_oracles_out(argv, certificates, tmp_path):
     """A run in a fresh interpreter loads exactly the integer engine and
     the CLI, plus the certificates of ``rationality`` for fit and verify
     only: never the field Q(t) of qrat, the oracles, symmfun (so the W and
-    power-sum memo tables cannot fill), csv, or hashlib, which only names
-    the files of a --cache-dir."""
+    power-sum memo tables cannot fill), argparse, csv, or hashlib, which
+    only names the files of a --cache-dir."""
     report = tmp_path / "report.out"
     loaded = loaded_modules(
         "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0",
         *argv, "--out", str(report),
     )
-    assert loaded == sorted(ENGINE + ["argparse", "localvertex.cli"] + certificates)
+    assert loaded == sorted(ENGINE + ["localvertex.cli"] + certificates)
     assert "hashlib" not in loaded
     assert report.read_text()
 
@@ -885,6 +971,42 @@ def test_tasks_take_no_whole_z0_or_product(capsys, monkeypatch, argv):
         monkeypatch.setattr(oracles, name, refuse)
     code, doc = run_json(capsys, *argv)
     assert code == 0 and doc.get("passed", True) is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pt", "--r=1", "--m=1", "--Q-order=3", "--format=csv"],
+        ["gw", "--m-max", "1", "--Q-order", "3", "--g-max", "1", "--format", "json"],
+        ["verify", "--all", "--r", "0", "--m-max", "1", "--Q-order", "9"],
+        ["fit", "--m", "1", "--Q-order", "9", "--g-max", "1", "--r", "0", "--r", "0"],
+    ],
+    ids=["pt", "gw", "verify", "fit"],
+)
+def test_valid_run_loads_no_argparse(argv, tmp_path):
+    """A valid command line of each task, with a --cache-dir, is read
+    without argparse, so the run loads none of argparse, gettext or locale."""
+    loaded = loaded_modules(
+        "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0",
+        *argv, "--cache-dir", str(tmp_path / "scache"), "--out", str(tmp_path / "report.out"),
+    )
+    assert not {"argparse", "gettext", "locale"} & set(loaded), loaded
+
+
+@pytest.mark.parametrize(
+    "argv, status", [(["--help"], 0), (["pt", "--m", "-1"], 2)], ids=["help", "usage-error"],
+)
+def test_messages_load_argparse(argv, status):
+    """The control for the runs above: help and a usage error load argparse."""
+    loaded = loaded_modules(
+        "from localvertex import cli\n"
+        "try:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == %d, exit.code" % status,
+        *argv,
+    )
+    assert "argparse" in loaded
 
 
 def test_cache_dir_loads_hashlib(tmp_path):

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -60,6 +62,27 @@ class TestUExpansion:
 
     def test_zero(self):
         assert u_series(0, [], [1], 3) == {}
+
+    @pytest.mark.parametrize("den", [[], [0]], ids=["empty", "zero"])
+    def test_zero_denominator_raises(self, den):
+        """A zero den has no nonzero moment, so no pole order: ValueError.
+        A search for one would never end, so the call runs in a fresh
+        interpreter under a timeout: a regression fails the suite instead
+        of stalling it."""
+        code = (
+            "from localvertex.gwtheory import u_expansions\n"
+            "try:\n"
+            "    u_expansions((0, {0: [1]}, %r), 2)\n"
+            "except ValueError as err:\n"
+            "    print(err)\n" % den
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gwtheory.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "u_expansions needs a nonzero denominator, got %r\n" % den
 
     @given(
         st.lists(st.integers(-5, 5), min_size=1, max_size=6).filter(lambda c: sum(c)),
