@@ -12,13 +12,11 @@ import, inside their task functions; ``fit`` and ``verify`` certify a GW
 genus column by one routine, ``rationality.column_certificate``: a fit
 over (1-Q)^(4m+2g-2) and the Weyl functional equation at weight m(r-2).
 No task imports the oracles: they run in the test suite only.
-A plain command line (a task, then its flags, each ``--flag value`` or
-``--flag=value``, and a bare ``--all``) is read by ``_read`` from the
-``TASK_FLAGS`` and ``FLAGS`` tables.  argparse loads only where a command
-line needs a message (``--help``, and every usage error, which argparse
-alone reports) or has a value that starts with "-".
+One reader, ``_read``, reads every command line (a task, then its flags,
+each ``--flag value`` or ``--flag=value``, and a bare ``--all``) from the
+``TASK_FLAGS`` and ``FLAGS`` tables, and writes the help and usage errors.
 Exit status: 0 on success, 1 if a verification fails, 2 on a usage error
-(argparse's, or an ``OutputError``: an --out that cannot be written) or a
+(``_read``'s, or an ``OutputError``: an --out that cannot be written) or a
 ``vertex.VertexError`` (an internal invariant: an exact division, or
 realness), 3 on a ``vertex.CacheError`` (an unreadable cache file, or
 a --cache-dir that cannot be created or written).
@@ -38,43 +36,20 @@ from . import vertex as vx
 SCHEMA = 1
 
 
-def _integer(text: str) -> int:
-    """int(text) if text is an integer >= 0, else -1."""
-    try:
-        return max(int(text), -1)
-    except ValueError:
-        return -1
-
-
-def _non_negative(text: str) -> int:
-    value = _integer(text)
-    if value < 0:
-        import argparse
-
-        raise argparse.ArgumentTypeError("must be an integer >= 0, got %r" % text)
-    return value
-
-
+# flag: (default, what it reads, help); it reads "int" (an integer >= 0),
+# one of a tuple of choices, "text", or nothing ("bare")
 FLAGS = {
-    "--r": dict(
-        action="append", type=_non_negative, default=None,
-        help="surface parameter r of F_r; repeatable (default: 0)",
-    ),
-    "--m": dict(type=_non_negative, default=1, help="curve class multiple of c"),
-    "--m-max": dict(type=_non_negative, default=2),
-    "--Q-order": dict(type=_non_negative, default=10),
-    "--u-order": dict(
-        type=_non_negative, default=8,
-        help="u-order of the exceptional-series membership check; verify uses "
-        "min(u-order, 6), while the report's bounds show the value given (default: 8)",
-    ),
-    "--g-max": dict(type=_non_negative, default=3),
-    "--format": dict(choices=("json", "csv"), default="json"),
-    "--all": dict(action="store_true", help="run every check"),
-    "--out": dict(default=None, help="output path (default: stdout)"),
-    "--cache-dir": dict(
-        default=None, help="S-series disk cache directory (default: memory only)"
-    ),
+    "--r": (None, "int", "surface parameter r of F_r; repeatable (default: 0)"),
+    "--m": (1, "int", "curve class multiple of c (default: 1)"),
+    "--m-max": (2, "int", "largest multiple of c (default: 2)"),
+    "--Q-order": (10, "int", "order in the fiber variable Q (default: 10)"),
+    "--u-order": (8, "int", "u-order of the exceptional-series membership check; verify uses "
+                  "min(u-order, 6), while the report's bounds show the value given (default: 8)"),
+    "--g-max": (3, "int", "largest genus (default: 3)"),
+    "--format": ("json", ("json", "csv"), "report format (default: json)"),
+    "--all": (False, "bare", "run every check"),
+    "--out": (None, "text", "output path (default: stdout)"),
+    "--cache-dir": (None, "text", "S-series disk cache directory (default: memory only)"),
 }
 
 TASK_FLAGS = {
@@ -90,50 +65,71 @@ TASK_FLAGS = {
 
 
 def _read(argv):
-    """The namespace argparse returns for a plain command line: a task, then
-    flags of that task, each --flag value or --flag=value, and --all bare.
-    None for anything else (--help, --, a flag of another task, a bad or
-    missing value, fit --m 0), which argparse reads and reports.  A value
-    that starts with "-" is declined, where argparse may take it or not."""
-    if not argv or argv[0] not in TASK_FLAGS:
-        return None
-    task = argv[0]
-    values = {flag: FLAGS[flag].get("default", False) for flag in TASK_FLAGS[task][1].split()}
+    """The namespace of a command line: a task, then flags of that task,
+    each --flag value or --flag=value, and --all bare.  -h or --help exits 0
+    with the help, any other line exits 2 with a usage error.  A value after
+    a space starts with "-" only as a negative integer: --out -x is an error."""
+    task = argv[0] if argv else None
+    if task in ("-h", "--help"):
+        _exit(None)
+    if task not in TASK_FLAGS:
+        _exit(None, "the following arguments are required: task" if task is None else
+              "argument task: invalid choice: %r (choose from %s)"
+              % (task, ", ".join(map(repr, TASK_FLAGS))))
+    values = {flag: FLAGS[flag][0] for flag in TASK_FLAGS[task][1].split()}
     tokens = iter(argv[1:])
     for token in tokens:
+        if token in ("-h", "--help"):
+            _exit(task)
         flag, eq, text = token.partition("=")
         if flag not in values or flag == "--all" and eq:
-            return None
-        if flag == "--all":
+            _exit(task, "unrecognized arguments: " + token)
+        reads = FLAGS[flag][1]
+        if reads == "bare":
             values[flag] = True
             continue
-        spec = FLAGS[flag]
         text = text if eq else next(tokens, "-")  # a missing value reads as "-"
-        value = _integer(text) if "type" in spec else text
-        if text.startswith("-") or value == -1 or value not in spec.get("choices", [value]):
-            return None
+        if not eq and text[:1] == "-" and not text[1:].isdecimal():
+            _exit(task, "argument %s: expected one argument" % flag)
+        try:
+            value = max(int(text), -1) if reads == "int" else text
+        except ValueError:
+            value = -1
+        if value == -1:
+            _exit(task, "argument %s: must be an integer >= 0, got %r" % (flag, text))
+        if isinstance(reads, tuple) and value not in reads:
+            _exit(task, "argument %s: must be one of %s, got %r" % (flag, ", ".join(reads), text))
         values[flag] = (values[flag] or []) + [value] if flag == "--r" else value
     if task == "fit" and values["--m"] == 0:
-        return None
+        _exit(task, "fit needs --m >= 1: the fiber columns at g = 0, 1 are Li_3(Q) "
+              "and Li_1(Q), which are not rational")
     return SimpleNamespace(task=task, **{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 
-def _build_parser():
-    # argparse loads only where a command line needs a message, --help or a
-    # usage error, or has a value that starts with "-": _read declines those
-    import argparse
+def _word(flag) -> str:
+    """``flag`` and the value it reads, as usage and help show them."""
+    reads = FLAGS[flag][1]
+    metavar = "{%s}" % ",".join(reads) if isinstance(reads, tuple) else flag[2:].upper()
+    return flag if reads == "bare" else flag + " " + metavar.replace("-", "_")
 
-    parser = argparse.ArgumentParser(
-        prog="localvertex",
-        description="Exact vertex computations for local Hirzebruch surfaces.",
-    )
-    sub = parser.add_subparsers(dest="task", required=True)
-    for task, (help_text, flags) in TASK_FLAGS.items():
-        # no abbreviations: gw --m would be read as --m-max
-        p = sub.add_parser(task, help=help_text, allow_abbrev=False)
-        for flag in flags.split():
-            p.add_argument(flag, **FLAGS[flag])
-    return parser
+
+def _exit(task, error=None):
+    """Exit with the usage line of ``task`` (of the command, if None): 2
+    with ``error`` on stderr, or 0 with the help on stdout."""
+    prog, heading = "localvertex", "Exact vertex computations for local Hirzebruch surfaces."
+    rows = [(name, text) for name, (text, _) in TASK_FLAGS.items()]
+    words = "{%s} ..." % ",".join(TASK_FLAGS)
+    if task:
+        prog, heading = prog + " " + task, TASK_FLAGS[task][0]
+        rows = [(_word(flag), FLAGS[flag][2]) for flag in TASK_FLAGS[task][1].split()]
+        words = " ".join("[%s]" % word for word, _ in rows)
+    usage = "usage: %s [-h] %s\n" % (prog, words)
+    if error is not None:
+        sys.stderr.write("%s%s: error: %s\n" % (usage, prog, error))
+        raise SystemExit(2)
+    rows.append(("-h, --help", "show this help and exit"))
+    sys.stdout.write("%s\n%s\n\n%s" % (usage, heading, "".join("  %-22s %s\n" % r for r in rows)))
+    raise SystemExit(0)
 
 
 class OutputError(Exception):
@@ -317,14 +313,6 @@ TASKS = {
 
 def main(argv=None) -> int:
     args = _read(sys.argv[1:] if argv is None else argv)
-    if args is None:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        if args.task == "fit" and args.m == 0:
-            parser.error(
-                "fit needs --m >= 1: the fiber columns at g = 0, 1 are Li_3(Q) and "
-                "Li_1(Q), which are not rational"
-            )
     # a repeated --r runs once, in the order first given
     args.r = list(dict.fromkeys(args.r or [0]))
     try:

@@ -1,6 +1,8 @@
 """Command-line interface: flags, reports, exit codes."""
 
+import argparse
 import ast
+import contextlib
 import csv
 import hashlib
 import io
@@ -584,6 +586,62 @@ class TestFit:
             assert entry == expected["checks"]["column_exponents"]["r=3"][g]
 
 
+def non_negative(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be an integer >= 0, got %r" % text)
+    return value
+
+
+def oracle_parser():
+    """The reference reading of a command line: argparse, built from the
+    same ``FLAGS`` and ``TASK_FLAGS`` tables as ``cli._read``."""
+    parser = argparse.ArgumentParser(prog="localvertex")
+    sub = parser.add_subparsers(dest="task", required=True)
+    for task, (task_help, flags) in cli.TASK_FLAGS.items():
+        # no abbreviations: gw --m would be read as --m-max
+        p = sub.add_parser(task, help=task_help, allow_abbrev=False)
+        for flag in flags.split():
+            default, reads, help_text = cli.FLAGS[flag]
+            if reads == "bare":
+                p.add_argument(flag, action="store_true", help=help_text)
+            else:
+                p.add_argument(
+                    flag, default=default, help=help_text,
+                    action="append" if flag == "--r" else "store",
+                    type=non_negative if reads == "int" else None,
+                    choices=reads if isinstance(reads, tuple) else None,
+                )
+    return parser
+
+
+ORACLE = oracle_parser()
+
+
+def read_with(reader, argv):
+    """``vars`` of what ``reader`` returns for ``argv``, or the status it
+    exits with, and what it writes to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(reader(argv))
+        except SystemExit as exit:
+            result = exit.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def oracle(argv):
+    """The oracle's reading of ``argv``, or its exit status; fit --m 0,
+    which no fit can pass, is a usage error after parsing."""
+    result = read_with(ORACLE.parse_args, argv)[0]
+    if isinstance(result, dict) and result["task"] == "fit" and result["m"] == 0:
+        return 2
+    return result
+
+
 NEGATIVE_FLAGS = [
     ["pt", "--m", "-1"],
     ["verify", "--m-max", "-1"],
@@ -612,9 +670,10 @@ DELETED_FLAGS = [
     ["verify", "--no-cache"],
     ["fit", "--no-cache"],
 ]
-# every argv that TestUsage expects argparse to reject
+# every argv that TestUsage expects to be a usage error, and three more
 USAGE_ERRORS = (
     [["frobnicate"], ["pt", "--r", "-1", "--m", "0"], [], ["selftest"], ["fit", "--m", "0"]]
+    + [["verify", "--all=1"], ["pt", "--out", "-x"], ["gw", "--m-max"]]
     + NEGATIVE_FLAGS
     + [["gw", "--Q-order", value] for value in NON_INTEGERS]
     + [[task, "--format", "csv"] for task in ("verify", "fit")]
@@ -771,10 +830,12 @@ class TestUsage:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_task_set_and_settable_values(self):
-        """Four tasks and 27 settable values, counted on the parser itself."""
-        parser = cli._build_parser()
-        (tasks,) = [a for a in parser._actions if a.dest == "task"]
-        assert set(tasks.choices) == set(cli.TASKS) == {"pt", "gw", "fit", "verify"}
+        """Four tasks and 27 settable values, counted on the reader's table
+        and on the oracle built from it."""
+        assert set(cli.TASK_FLAGS) == set(cli.TASKS) == {"pt", "gw", "fit", "verify"}
+        assert sum(len(flags.split()) for _, flags in cli.TASK_FLAGS.values()) == 27
+        (tasks,) = [a for a in ORACLE._actions if a.dest == "task"]
+        assert set(tasks.choices) == set(cli.TASKS)
         settable = [
             action
             for sub in tasks.choices.values()
@@ -800,35 +861,45 @@ class TestUsage:
     def test_benchmark_argv_parses(self, tmp_path):
         """The argv of the benchmark's cache fill and of its verify job."""
         directory, report = str(tmp_path / "scache"), str(tmp_path / "report.json")
-        parser = cli._build_parser()
         fill_argv = [
             "pt", "--r", "0", "--m", "1", "--Q-order", "9",
             "--cache-dir", directory, "--out", report,
         ]
-        fill = parser.parse_args(fill_argv)
+        fill = ORACLE.parse_args(fill_argv)
         assert (fill.task, fill.r, fill.m, fill.Q_order) == ("pt", [0], 1, 9)
         assert (fill.cache_dir, fill.out, fill.format) == (directory, report, "json")
         job_argv = [
             "verify", "--all", "--r", "2", "--m-max", "1", "--Q-order", "9",
             "--cache-dir", directory, "--out", report,
         ]
-        job = parser.parse_args(job_argv)
+        job = ORACLE.parse_args(job_argv)
         assert (job.task, job.all, job.r, job.m_max, job.Q_order) == ("verify", True, [2], 1, 9)
         assert (job.cache_dir, job.out) == (directory, report)
-        # both are plain command lines: the reader takes them, with no parser
+        # the reader reads both as the oracle does
         assert vars(cli._read(fill_argv)) == vars(fill)
         assert vars(cli._read(job_argv)) == vars(job)
 
 
 TASK_TOKENS = ["pt", "gw", "verify", "fit", "selftest"]
-FLAG_TOKENS = sorted(cli.FLAGS) + ["--no-cache", "--Q", "-h", "--"]
-VALUE_TOKENS = ["0", "7", "-1", "abc", "1.5", "", "json", "csv", "-x", "out.json"]
+FLAG_TOKENS = sorted(cli.FLAGS) + ["--no-cache", "--Q", "-h", "--he", "--"]
+VALUE_TOKENS = ["0", "7", "-1", "-1.5", "-", "abc", "1.5", "", "json", "csv", "-x", "out.json"]
 # the values of the pool that a flag takes
 USUAL = {
-    flag: ["json", "csv"] if "choices" in spec else ["0", "7"] if "type" in spec
+    flag: list(reads) if isinstance(reads, tuple) else ["0", "7"] if reads == "int"
     else ["out.json", "abc", ""]
-    for flag, spec in cli.FLAGS.items()
+    for flag, (_, reads, _) in cli.FLAGS.items()
 }
+
+
+def argparse_reads_more(argv):
+    """Whether ``argv`` gives --out or --cache-dir a value after a space
+    that argparse reads and the reader does not, -1.5 or -, or holds a --,
+    which the reader always rejects and argparse reads differently across
+    Python versions."""
+    return "--" in argv or any(
+        flag in ("--out", "--cache-dir") and value in ("-1.5", "-")
+        for flag, value in zip(argv, argv[1:])
+    )
 
 
 @st.composite
@@ -852,28 +923,39 @@ def command_lines(draw):
 
 
 class TestReader:
-    """``cli._read`` takes a plain command line without argparse.  It may
-    decline what argparse accepts (that costs only time), but what it
-    accepts must be argparse's reading exactly."""
-
-    PARSER = cli._build_parser()
+    """``cli._read`` is the one command-line reader; argparse, built from
+    the same tables, is its oracle.  What the reader accepts the oracle
+    reads alike, and the reader rejects what the oracle accepts only where
+    ``argparse_reads_more`` says they are meant to differ."""
 
     @given(command_lines())
     @settings(max_examples=1000, deadline=None)
     def test_accepts_only_what_argparse_reads_alike(self, argv):
-        args = cli._read(argv)
-        if args is None:
-            return
-        try:
-            parsed = self.PARSER.parse_args(argv)
-        except SystemExit:
-            raise AssertionError("argparse rejects %r, which the reader accepts" % (argv,))
-        assert vars(args) == vars(parsed)
-        assert not (args.task == "fit" and args.m == 0)
+        result, out, err = read_with(cli._read, argv)
+        expected = oracle(argv)
+        if isinstance(result, dict):
+            assert result == expected
+            assert not (result["task"] == "fit" and result["m"] == 0)
+            assert out == err == ""
+        elif result == 0:
+            # help only, where argparse prints help as well
+            assert {"-h", "--help"} & set(argv) and expected == 0
+            assert out.startswith("usage: localvertex") and err == ""
+        else:
+            assert result == 2 and out == ""
+            usage, error = err.splitlines()
+            assert usage.startswith("usage: localvertex")
+            assert error.startswith("localvertex") and ": error: " in error
+            assert not isinstance(expected, dict) or argparse_reads_more(argv), expected
 
     @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "(none)")
     def test_declines_every_usage_error(self, argv):
-        assert cli._read(argv) is None
+        """Every argv that TestUsage expects to be a usage error exits 2,
+        and so does the oracle."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli._read(argv)
+        assert exit_info.value.code == 2
+        assert oracle(argv) == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -889,7 +971,32 @@ class TestReader:
     )
     def test_reads_plain_command_lines(self, argv):
         """Repeated --r appends, any other repeated flag keeps its last value."""
-        assert vars(cli._read(argv)) == vars(self.PARSER.parse_args(argv))
+        assert vars(cli._read(argv)) == oracle(argv)
+
+    def test_help_names_every_task(self, capsys):
+        """--help names the four tasks, each with its line of help."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: localvertex [-h] {pt,gw,verify,fit} ...\n")
+        for task, (help_text, _) in cli.TASK_FLAGS.items():
+            assert any(line.split()[:1] == [task] and line.endswith(help_text)
+                       for line in out.splitlines()), task
+
+    @pytest.mark.parametrize("task", sorted(cli.TASK_FLAGS))
+    def test_task_help_names_its_flags(self, capsys, task):
+        """TASK -h names each flag of that task, with its help, and no other."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([task, "-h"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        flags = cli.TASK_FLAGS[task][1].split()
+        named = {word.strip("[],") for word in out.split() if word.startswith(("--", "[--"))}
+        assert named == set(flags) | {"--help"}
+        for flag in flags:
+            assert any(line.split()[:1] == [flag] and line.endswith(cli.FLAGS[flag][2])
+                       for line in out.splitlines()), flag
 
 
 ENGINE = [
@@ -994,10 +1101,13 @@ def test_valid_run_loads_no_argparse(argv, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, status", [(["--help"], 0), (["pt", "--m", "-1"], 2)], ids=["help", "usage-error"],
+    "argv, status",
+    [(["--help"], 0), (["verify", "-h"], 0), (["pt", "--m", "-1"], 2)],
+    ids=["help", "verify-help", "usage-error"],
 )
-def test_messages_load_argparse(argv, status):
-    """The control for the runs above: help and a usage error load argparse."""
+def test_messages_load_no_argparse(argv, status):
+    """Help and usage errors come from the reader too: they load none of
+    argparse, gettext or locale."""
     loaded = loaded_modules(
         "from localvertex import cli\n"
         "try:\n"
@@ -1006,7 +1116,7 @@ def test_messages_load_argparse(argv, status):
         "    assert exit.code == %d, exit.code" % status,
         *argv,
     )
-    assert "argparse" in loaded
+    assert not {"argparse", "gettext", "locale"} & set(loaded), loaded
 
 
 def test_cache_dir_loads_hashlib(tmp_path):
@@ -1051,11 +1161,3 @@ def test_package_imports_the_standard_library_only():
                 for name in names if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
-
-
-def test_parser_annotations_resolve():
-    """cli imports argparse inside functions only, so no annotation at
-    module level may name it: get_type_hints would raise NameError."""
-    import typing
-
-    assert typing.get_type_hints(cli._build_parser) == {}
