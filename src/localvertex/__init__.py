@@ -1,28 +1,12 @@
 """Exact-arithmetic topological vertex engine for local Hirzebruch surfaces.
 
 Computes stable-pairs (PT) and Gromov-Witten generating series of
-K_{F_r}.  The certificates, which reconstruct them as exact rational
-functions and check their q- and Q-functional equations, are in
-``localvertex.rationality``; importing the package does not load it.
+K_{F_r} and certifies them as exact rational functions.  The package root
+is a namespace that loads no stage: import the stage you run.  A ``pt``
+run loads ``cli``, ``vertex``, ``qfield`` and ``partitions``; ``gw`` adds
+``gwtheory`` and ``series``; ``fit`` and ``verify`` add the certificates,
+``rationality``.  ``qrat``, ``symmfun`` and ``oracles`` serve the test
+suite only.
 """
 
-from .partitions import Partition, partitions_of
-from .series import SeriesError, TruncSeries
-from .vertex import SCache, VertexError, pt_invariants
-from .gwtheory import GWTable, gw_extract, tilde_pt0
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Partition",
-    "partitions_of",
-    "SeriesError",
-    "TruncSeries",
-    "SCache",
-    "VertexError",
-    "pt_invariants",
-    "GWTable",
-    "gw_extract",
-    "tilde_pt0",
-    "__version__",
-]

@@ -6,10 +6,10 @@ report's "bounds" lists only the bounds its task reads.  JSON is the
 canonical output (exact rationals need num/den fields); CSV, offered by
 pt and gw only, is a lossy projection of their tables for spreadsheets,
 written by one writer (``_csv``) in the dialect of ``csv.writer``.
-The S-series disk cache is used only where --cache-dir names it.  The
-certificates are in ``rationality``, which only ``fit`` and ``verify``
-import, inside their task functions; ``fit`` and ``verify`` certify a GW
-genus column by one routine, ``rationality.column_certificate``: a fit
+The S-series disk cache is used only where --cache-dir names it.  Each
+task imports its stages past ``vertex`` in its function: ``gw`` imports
+``gwtheory``; ``fit`` and ``verify`` import it and ``rationality``, and
+certify a GW genus column by ``rationality.column_certificate``: a fit
 over (1-Q)^(4m+2g-2) and the Weyl functional equation at weight m(r-2).
 No task imports the oracles: they run in the test suite only.
 One reader, ``_read``, reads every command line (a task, then its flags,
@@ -30,7 +30,6 @@ import sys
 import time
 from types import SimpleNamespace
 
-from . import gwtheory as gw
 from . import vertex as vx
 
 SCHEMA = 1
@@ -158,10 +157,10 @@ def _emit(args, document, csv_text=None):
         sys.stdout.write(payload)
 
 
-def _report(task, args) -> dict:
+def _report(args) -> dict:
     return {
         "schema": SCHEMA,
-        "task": task,
+        "task": args.task,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "bounds": {
             name: getattr(args, name)
@@ -175,9 +174,7 @@ def _report(task, args) -> dict:
 # Tasks
 
 
-def run_pt(args) -> int:
-    cache = vx.SCache(args.cache_dir)
-    report = _report("pt", args)
+def run_pt(args, cache, report) -> int:
     report["m"] = args.m
     tables = {}
     for r in args.r:
@@ -195,9 +192,9 @@ def run_pt(args) -> int:
     return 0
 
 
-def run_gw(args) -> int:
-    cache = vx.SCache(args.cache_dir)
-    report = _report("gw", args)
+def run_gw(args, cache, report) -> int:
+    from . import gwtheory as gw
+
     report["m_max"] = args.m_max
     tables = report["tables"] = {
         str(r): gw.gw_extract(r, args.m_max, args.Q_order, args.g_max, cache=cache).to_json()
@@ -214,11 +211,10 @@ def run_gw(args) -> int:
     return 0
 
 
-def run_fit(args) -> int:
+def run_fit(args, cache, report) -> int:
+    from . import gwtheory as gw
     from . import rationality as rat
 
-    cache = vx.SCache(args.cache_dir)
-    report = _report("fit", args)
     report["m"] = args.m
     fits = {}
     for r in args.r:
@@ -233,11 +229,10 @@ def run_fit(args) -> int:
     return _verdict(args, report, fits)
 
 
-def run_verify(args) -> int:
+def run_verify(args, cache, report) -> int:
+    from . import gwtheory as gw
     from . import rationality as rat
 
-    cache = vx.SCache(args.cache_dir)
-    report = _report("verify", args)
     checks = {}
 
     # q -> 1/q invariance of the normalized PT series Z_m/Z_0, and
@@ -326,7 +321,8 @@ def main(argv=None) -> int:
                 raise OutputError("cannot write --out %s: no directory %s" % (args.out, directory))
             if os.path.isdir(args.out):
                 raise OutputError("cannot write --out %s: it is a directory" % args.out)
-        return TASKS[args.task](args)
+        # an unusable --cache-dir fails here too, before any work
+        return TASKS[args.task](args, vx.SCache(args.cache_dir), _report(args))
     except OutputError as err:
         sys.stderr.write("localvertex %s: error: %s\n" % (args.task, err))
         return 2

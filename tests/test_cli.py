@@ -731,7 +731,7 @@ class TestUsage:
     def test_csv_only_on_table_tasks(self, capsys, monkeypatch, task):
         """--format is a usage error off pt and gw, exit 2, before any work runs."""
 
-        def refuse(args):
+        def refuse(*_):
             raise AssertionError("%s ran before the usage error" % task)
 
         monkeypatch.setitem(cli.TASKS, task, refuse)
@@ -744,7 +744,7 @@ class TestUsage:
         """fit --m 0 could never pass (its fiber columns are not rational),
         so it is rejected, exit 2, before any work runs."""
 
-        def refuse(args):
+        def refuse(*_):
             raise AssertionError("fit ran before the usage error")
 
         monkeypatch.setitem(cli.TASKS, "fit", refuse)
@@ -758,7 +758,7 @@ class TestUsage:
         """An --out whose directory is missing is rejected, exit 2 with one
         line on stderr, before any work runs."""
 
-        def refuse(args):
+        def refuse(*_):
             raise AssertionError("%s ran before the usage error" % task)
 
         monkeypatch.setitem(cli.TASKS, task, refuse)
@@ -787,7 +787,7 @@ class TestUsage:
         """An empty --out names no file: exit 2 with one line on stderr before
         any work runs, not a report on stdout."""
 
-        def refuse(args):
+        def refuse(*_):
             raise AssertionError("pt ran before the usage error")
 
         monkeypatch.setitem(cli.TASKS, "pt", refuse)
@@ -820,7 +820,7 @@ class TestUsage:
         """Each flag its task does not read, and the deleted --no-cache, is
         rejected, exit 2, before any work."""
 
-        def refuse(args):
+        def refuse(*_):
             raise AssertionError("%s ran before the usage error" % argv[0])
 
         monkeypatch.setitem(cli.TASKS, argv[0], refuse)
@@ -848,7 +848,7 @@ class TestUsage:
         """The oracles run in the test suite only: selftest is an unknown
         task, exit 2, before any work runs."""
 
-        def refuse(args):
+        def refuse(*_):
             raise AssertionError("a task ran before the usage error")
 
         for task in list(cli.TASKS):
@@ -999,14 +999,14 @@ class TestReader:
                        for line in out.splitlines()), flag
 
 
-ENGINE = [
-    "localvertex",
-    "localvertex.gwtheory",
-    "localvertex.partitions",
-    "localvertex.qfield",
-    "localvertex.series",
-    "localvertex.vertex",
-]
+# the localvertex modules each entry point loads: the root alone, then a
+# pt run (cli and the vertex stage), gw (the GW stage too), fit and verify
+# (the certificates too)
+ROOT = ["localvertex"]
+PT = sorted(ROOT + ["localvertex.cli", "localvertex.partitions", "localvertex.qfield",
+                    "localvertex.vertex"])
+GW = sorted(PT + ["localvertex.gwtheory", "localvertex.series"])
+CERTIFY = sorted(GW + ["localvertex.rationality"])
 
 
 def loaded_modules(code, *argv):
@@ -1029,29 +1029,29 @@ def loaded_modules(code, *argv):
 
 
 @pytest.mark.parametrize(
-    "argv, certificates",
+    "argv, modules",
     [
-        (["gw", "--r", "0", "--r", "1", "--m-max", "2", "--Q-order", "5", "--format", "csv"], []),
-        (["pt", "--r", "1", "--m", "2", "--Q-order", "5"], []),
+        (["gw", "--r", "0", "--r", "1", "--m-max", "2", "--Q-order", "5", "--format", "csv"], GW),
+        (["pt", "--r", "1", "--m", "2", "--Q-order", "5"], PT),
         (["verify", "--all", "--r", "1", "--m-max", "1", "--Q-order", "9", "--g-max", "1"],
-         ["localvertex.rationality"]),
-        (["fit", "--r", "0", "--m", "1", "--Q-order", "9", "--g-max", "1"],
-         ["localvertex.rationality"]),
+         CERTIFY),
+        (["fit", "--r", "0", "--m", "1", "--Q-order", "9", "--g-max", "1"], CERTIFY),
     ],
     ids=["gw", "pt", "verify", "fit"],
 )
-def test_engine_leaves_oracles_out(argv, certificates, tmp_path):
-    """A run in a fresh interpreter loads exactly the integer engine and
-    the CLI, plus the certificates of ``rationality`` for fit and verify
-    only: never the field Q(t) of qrat, the oracles, symmfun (so the W and
-    power-sum memo tables cannot fill), argparse, csv, or hashlib, which
-    only names the files of a --cache-dir."""
+def test_engine_leaves_oracles_out(argv, modules, tmp_path):
+    """A run in a fresh interpreter loads exactly the stages its task runs:
+    pt the vertex stage and the CLI, gw the GW stage too, and fit and
+    verify the certificates of ``rationality`` too.  No run loads the field
+    Q(t) of qrat, the oracles, symmfun (so the W and power-sum memo tables
+    cannot fill), argparse, csv, or hashlib, which only names the files of
+    a --cache-dir."""
     report = tmp_path / "report.out"
     loaded = loaded_modules(
         "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0",
         *argv, "--out", str(report),
     )
-    assert loaded == sorted(ENGINE + ["localvertex.cli"] + certificates)
+    assert loaded == modules
     assert "hashlib" not in loaded
     assert report.read_text()
 
@@ -1130,13 +1130,45 @@ def test_cache_dir_loads_hashlib(tmp_path):
 
 
 def test_package_root_leaves_rationality_out():
-    """``import localvertex`` loads the engine and not the certificates."""
-    assert loaded_modules("import localvertex") == ENGINE
+    """``import localvertex`` loads the root alone: no stage, so neither
+    the engine nor the certificates."""
+    assert loaded_modules("import localvertex") == ROOT
 
 
 def test_cli_import_leaves_argparse_out():
-    """Importing cli for its task functions parses no command line."""
-    assert loaded_modules("import localvertex.cli") == sorted(ENGINE + ["localvertex.cli"])
+    """Importing cli for its task functions parses no command line, and
+    loads only the stage that every task runs, as a pt run does."""
+    assert loaded_modules("import localvertex.cli") == PT
+
+
+def test_benchmark_import_path(tmp_path):
+    """The benchmark's jobs import the package as ``bench/job.py`` does:
+    ``import localvertex``, a check that it came from ``src``, then
+    ``from localvertex import cli, gwtheory, vertex``; a traced job also
+    runs ``bench/spans.py``'s ``install(localvertex)``.  All of it runs in a
+    fresh interpreter without bytecode files, and a traced gw run still
+    records the spans of its task and of the GW stage it imports."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=src)
+    code = (
+        "import os, sys\n"
+        "sys.path.insert(0, 'bench')\n"
+        "import localvertex\n"
+        "source = os.path.join(os.getcwd(), 'src', 'localvertex')\n"
+        "assert os.path.dirname(os.path.abspath(localvertex.__file__)) == source\n"
+        "from localvertex import cli, gwtheory, vertex\n"
+        "import spans\n"
+        "tracer = spans.install(localvertex)\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "calls = tracer.span_table()\n"
+        "assert calls['cli.run_gw'] == 1 and calls['gwtheory.gw_extract'] == 1, calls\n"
+    )
+    job = subprocess.run(
+        [sys.executable, "-c", code, "gw", "--Q-order", "2", "--g-max", "1",
+         "--out", str(tmp_path / "report.json")],
+        cwd=os.path.dirname(src), env=env, capture_output=True, text=True,
+    )
+    assert job.returncode == 0, job.stderr
 
 
 def test_package_imports_the_standard_library_only():

@@ -311,11 +311,15 @@ class TestExpansionNonUnitDenominator:
 
 
 def test_import_leaves_sympy_out():
-    """The kernel is stdlib only: importing the package pulls in no sympy."""
+    """The kernel is stdlib only: importing the package and every stage a
+    task runs pulls in no sympy (the package root alone loads no stage)."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    code = "import sys, localvertex; print(sorted(m for m in sys.modules if m.startswith('sympy')))"
+    code = (
+        "import sys, localvertex.cli, localvertex.gwtheory, localvertex.rationality; "
+        "print(sorted(m for m in sys.modules if m.startswith('sympy')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -323,13 +327,14 @@ def test_import_leaves_sympy_out():
 
 
 def test_import_leaves_dataclasses_out():
-    """Importing the CLI pulls in neither dataclasses nor inspect, which with
-    ast, dis and tokenize would be the largest import of a short job."""
+    """Importing the CLI and the GW stage pulls in neither dataclasses nor
+    inspect, which with ast, dis and tokenize would be the largest import of
+    a short job."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     code = (
-        "import sys, localvertex.cli; "
+        "import sys, localvertex.cli, localvertex.gwtheory; "
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
     )
     out = subprocess.run(
