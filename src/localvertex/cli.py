@@ -321,7 +321,7 @@ def main(argv=None) -> int:
                 raise OutputError("cannot write --out %s: no directory %s" % (args.out, directory))
             if os.path.isdir(args.out):
                 raise OutputError("cannot write --out %s: it is a directory" % args.out)
-        # an unusable --cache-dir fails here too, before any work
+        # a --cache-dir that cannot be made fails here; one not writable, at its first store
         return TASKS[args.task](args, vx.SCache(args.cache_dir), _report(args))
     except OutputError as err:
         sys.stderr.write("localvertex %s: error: %s\n" % (args.task, err))

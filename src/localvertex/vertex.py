@@ -12,7 +12,8 @@ over pairs (mu2, mu4) weighted by S_{mu2,mu4}^2, quadratic instead of
 quartic in the number of partitions.  log Z_0 = 2 A_{empty,empty}, from
 S_{mu,nu} = W_mu W_nu exp(A_{mu,nu}), is expanded in u once, in
 ``gwtheory``; Z_m/Z_0 sums the finite products of ``s_ratio_squared``,
-each expanded by the exp recurrence of its logarithm on packed integers.
+each expanded by the exp recurrence of its logarithm on packed integers
+whose digits ``_exp_rows`` sizes from the exponents e_i alone.
 
 Every series is held over denominators fixed in advance, as integer
 q-numerators, highest first as in ``qfield``, with no gcd.  A class series
@@ -65,12 +66,11 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> list:
     k <= order, each an integer pair (shift, num); num = [] is zero.
 
     Each row X_n/q^(lo n) of ``_exp_rows``, e_i from ``e_coeffs``, has degree
-    span n at most, span = max(i) - min(i); [Q^n] prod_i (1 - Q)^(-2|e_i|)
-    bounds its coefficients, so order C(2 sum|e_i| + order, order) bounds n X_n.
-    W_mu^2 is q^(k(mu) + |mu| + 2 n(mu))/H_mu^2, read off the diagram, H_mu =
-    prod_hooks (1 - q^h); each X_n times the cofactor ((q;q)_m/(H_mu H_nu))^2,
-    divided at half degree once per build and squared, is over (q;q)_m^2;
-    a remainder raises VertexError.
+    span n at most, span = max(i) - min(i), so span order + 1 coefficients
+    hold it.  W_mu^2 is q^(k(mu) + |mu| + 2 n(mu))/H_mu^2, read off the
+    diagram, H_mu = prod_hooks (1 - q^h); each X_n times the cofactor
+    ((q;q)_m/(H_mu H_nu))^2, divided at half degree once per build and
+    squared, is over (q;q)_m^2; a remainder raises VertexError.
     """
     m = mu.size + nu.size
     cofactor = _exquo(_qq(m), reduce(_times_one_minus_q_power, mu.hooks() + nu.hooks(), [1]))
@@ -80,27 +80,27 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> list:
     e = e_coeffs(mu, nu)
     lo = min(e, default=-1) + 1
     span = max(e, default=0) - min(e, default=0)
-    bound = order * comb(2 * sum(map(abs, e.values())) + order, order)
     w = sum(p.kappa() + p.size + 2 * p.n_stat() for p in (mu, nu))
     out = [(w, cofactor)]
-    for n, row in enumerate(_exp_rows(e, order, span * order + 1, bound)[1:], 1):
+    for n, row in enumerate(_exp_rows(e, order, span * order + 1)[1:], 1):
         num = _strip(row[span * (order - n) :])
         low = _trailing_zeros(num)
         out.append((lo * n + w + low, _mul(num[: len(num) - low], cofactor)) if num else (0, []))
     return out
 
 
-def _exp_rows(e: dict, order: int, width: int, bound: int) -> list:
+def _exp_rows(e: dict, order: int, width: int) -> list:
     """The rows R_n = X_n/q^(lo n), n <= order, lo = min(i) + 1, of the strip
     product X = prod_i (1 - q^(i+1) Q)^(-2 e_i) = sum_n X_n Q^n: the ``width``
-    lowest q-coefficients of each, highest first; ``bound`` bounds those of
-    n R_n.  X = exp(sum_k a_k Q^k/k), a_k = sum_i 2 e_i q^((i+1)k), so n R_n
-    = sum_i 2 e_i T_i(n), T_i(n) = sum_{k<=n} q^(d_i k) R_(n-k) = q^(d_i)
-    (R_(n-1) + T_i(n-1)), d_i = i + 1 - lo.  At q = 2^(64 d), d words per
-    balanced digit of ``qfield._pack``, each is one integer: a step is a
-    shifted add per e_i, each T_i is masked below q^width, and ``_divide``
-    reads R_n off n R_n."""
-    words = _digit_words(bound)
+    lowest q-coefficients of each, highest first.  X = exp(sum_k a_k Q^k/k),
+    a_k = sum_i 2 e_i q^((i+1)k), so n R_n = sum_i 2 e_i T_i(n), T_i(n) =
+    sum_{k<=n} q^(d_i k) R_(n-k) = q^(d_i) (R_(n-1) + T_i(n-1)), d_i = i + 1
+    - lo.  At q = 2^(64 d) each is one integer: a step is a shifted add per
+    e_i, each T_i is masked below q^width, and ``_divide`` reads R_n off n
+    R_n.  prod_i (1 - Q)^(-2|e_i|) majorizes X for e of any sign, so d words
+    per balanced digit of ``qfield._pack`` hold order C(2 sum|e_i| + order,
+    order), which bounds n R_n."""
+    words = _digit_words(order * comb(2 * sum(map(abs, e.values())) + order, order))
     bits, mask = 64 * words, (1 << 64 * words * width) - 1
     base = min(e, default=0)
     terms = [(2 * c, bits * (i - base)) for i, c in e.items()]
@@ -169,12 +169,13 @@ class SCache:
 
     Disk format 4, the integer (shift, num) pairs over (q;q)_m^2; files of
     formats 1-3 (S, QRat, then numerators over (H_mu H_nu)^2) are never
-    read.  Entries computed at a larger truncation order serve smaller
-    orders by truncation.  The ratio is symmetric in (mu, nu), so entries
-    are keyed by the pair sorted by parts: (mu, nu) and (nu, mu) share one
-    build, one cofactor and one file.  Disk entries are one JSON document
-    per sorted pair under a content-addressed filename; concurrent writers
-    of the same key produce identical content, so writes are idempotent.
+    read.  A lookup takes the held entry, else the disk file, else a build,
+    which is stored; one of a larger truncation order serves smaller orders
+    by truncation, and a shorter one is replaced.  The ratio is symmetric in
+    (mu, nu), so entries are keyed by the pair sorted by parts: (mu, nu) and
+    (nu, mu) share one build, one cofactor and one file.  Disk entries are
+    one JSON document per sorted pair under a content-addressed filename;
+    concurrent writers of one key write the same bytes: writes are idempotent.
     """
 
     def __init__(self, directory=None):
@@ -197,23 +198,23 @@ class SCache:
     def get(self, mu: Partition, nu: Partition, order: int) -> list:
         if nu < mu:
             mu, nu = nu, mu
-        held = self._mem.get((mu, nu))
-        if held is not None and len(held) > order:
-            return held[: order + 1]
-        if self.directory is not None:
-            path = self._path(mu, nu)
-            if os.path.exists(path):
-                coeffs = self._load(path, mu, nu)
-                if coeffs is not None and len(coeffs) > order:
-                    self._mem[(mu, nu)] = coeffs
-                    return coeffs[: order + 1]
-        coeffs = s_ratio_squared(mu, nu, order)
-        self._mem[(mu, nu)] = coeffs
-        if self.directory is not None:
-            self._store(mu, nu, coeffs)
-        return coeffs
+        coeffs = self._mem.get((mu, nu), ())
+        if len(coeffs) <= order:
+            coeffs = self._load(mu, nu) or ()
+            if len(coeffs) <= order:
+                coeffs = s_ratio_squared(mu, nu, order)
+                if self.directory is not None:
+                    self._store(mu, nu, coeffs)
+            self._mem[(mu, nu)] = coeffs
+        return coeffs[: order + 1]
 
-    def _load(self, path, mu, nu):
+    def _load(self, mu, nu):
+        """The disk entry, or None: no directory, no file, or another format."""
+        if self.directory is None:
+            return None
+        path = self._path(mu, nu)
+        if not os.path.exists(path):
+            return None
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -340,13 +341,11 @@ def _qq_squared(n):
 @lru_cache(maxsize=1)
 def z0_windows(order: int, width: int) -> list:
     """The ``width`` lowest coefficients of Y_n = q^(-n) [Q^n] Z_0, n <= order,
-    highest first, as ``_exp_rows`` builds them: Z_0 = prod_j (1 - q^j Q)^(-2j)
-    is its strip product at e_i = i + 1, no i >= width reaching the window.
-    Z_0 at Q = 1 is below 2^7 at q = 1/2, so 2^(e + 7) bounds its q^e
-    coefficient, and order 2^(order + width + 6) the window of n Y_n.  The one
-    table held, which callers must not change, is the last built: a task
-    reads one."""
-    return _exp_rows({i: i + 1 for i in range(width)}, order, width, order << order + width + 6)
+    highest first, as ``_exp_rows`` builds and sizes them: Z_0 = prod_j (1 -
+    q^j Q)^(-2j) is its strip product at e_i = i + 1, no i >= width reaching
+    the window.  The one table held, which callers must not change, is the
+    last built: a task reads one."""
+    return _exp_rows({i: i + 1 for i in range(width)}, order, width)
 
 
 def pt_invariants(ratio: tuple, order: int) -> list:

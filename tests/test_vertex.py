@@ -241,6 +241,15 @@ class TestClosedForm:
             mu, mu, dict_route_ratio_squared(mu, mu, 24)
         )
 
+    def test_digits_one_word_short_raise(self, monkeypatch):
+        """The division checks stand behind the digit rule: with one word per
+        digit fewer than it gives, (16), (16) at Q-order 24, where X_24 has
+        coefficients of 65 bits, raises and returns no row."""
+        digit_words = vertex._digit_words
+        monkeypatch.setattr(vertex, "_digit_words", lambda bound: digit_words(bound) - 1)
+        with pytest.raises(VertexError, match="is not divisible by n"):
+            s_ratio_squared(P(16), P(16), 24)
+
     def test_takes_no_series_exp(self, monkeypatch):
         def refuse(self):
             raise AssertionError("s_ratio_squared took a series exp")
@@ -352,14 +361,10 @@ class TestSCache:
     def test_pair_order_shares_one_entry(self, tmp_path, monkeypatch):
         """(mu, nu) and (nu, mu) give the same ratio, so SCache builds and
         stores the pair once."""
-        builds = []
-        build = vertex.s_ratio_squared
-        monkeypatch.setattr(
-            vertex, "s_ratio_squared", lambda mu, nu, o: builds.append((mu, nu)) or build(mu, nu, o)
-        )
+        builds = recorded_builds(monkeypatch)
         cache = SCache(str(tmp_path))
         first = cache.get(P(2, 1), P(1), 4)
-        assert cache.get(P(1), P(2, 1), 4) == first == build(P(1), P(2, 1), 4)
+        assert cache.get(P(1), P(2, 1), 4) == first == s_ratio_squared(P(1), P(2, 1), 4)
         assert len(builds) == 1 and len(list(tmp_path.iterdir())) == 1
         assert SCache(str(tmp_path)).get(P(1), P(2, 1), 3) == first[:4]
         assert len(builds) == 1
@@ -379,6 +384,54 @@ class TestSCache:
         path.write_text(json.dumps({**doc, "version": version, "coeffs": old}))
         assert SCache(str(tmp_path)).get(mu, nu, 3) == s_ratio_squared(mu, nu, 3)
         assert json.loads(path.read_text()) == doc
+
+    def test_long_held_entry_opens_no_file(self, tmp_path, monkeypatch):
+        """A held entry long enough for the order serves it, truncated: the
+        file is never opened and nothing is built."""
+        cache = SCache(str(tmp_path))
+        first = cache.get(P(2, 1), P(1), 4)
+        builds = recorded_builds(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SCache opened a file for a held entry")
+
+        monkeypatch.setattr(vertex, "open", refuse, raising=False)
+        assert cache.get(P(1), P(2, 1), 4) == first
+        assert cache.get(P(2, 1), P(1), 2) == first[:3]
+        assert builds == []
+
+    def test_short_held_entry_served_from_longer_file(self, tmp_path, monkeypatch):
+        """A held entry too short for the order, with a longer file that
+        another cache wrote since, is served from the file with no build."""
+        short = SCache(str(tmp_path))
+        short.get(P(1), P(2, 1), 2)
+        longer = SCache(str(tmp_path)).get(P(1), P(2, 1), 6)
+        builds = recorded_builds(monkeypatch)
+        assert short.get(P(2, 1), P(1), 6) == longer
+        assert short.get(P(1), P(2, 1), 5) == longer[:6]
+        assert builds == []
+
+    def test_short_file_rebuilt_and_overwritten(self, tmp_path, monkeypatch):
+        """A file too short for the order is rebuilt once and overwritten
+        with the longer entry, which then serves a fresh cache."""
+        SCache(str(tmp_path)).get(P(1), P(2, 1), 2)
+        (path,) = list(tmp_path.iterdir())
+        builds = recorded_builds(monkeypatch)
+        longer = SCache(str(tmp_path)).get(P(1), P(2, 1), 6)
+        assert longer == s_ratio_squared(P(1), P(2, 1), 6) and len(builds) == 1
+        assert json.loads(path.read_text())["coeffs"] == json.loads(json.dumps(longer))
+        assert SCache(str(tmp_path)).get(P(1), P(2, 1), 6) == longer
+        assert len(builds) == 1 and list(tmp_path.iterdir()) == [path]
+
+
+def recorded_builds(monkeypatch):
+    """The pairs of every s_ratio_squared build SCache runs, in order."""
+    builds = []
+    build = vertex.s_ratio_squared
+    monkeypatch.setattr(
+        vertex, "s_ratio_squared", lambda mu, nu, o: builds.append((mu, nu)) or build(mu, nu, o)
+    )
+    return builds
 
 
 class TestPartitionFunctions:
@@ -547,13 +600,12 @@ class TestKnownDenominators:
         is the low digits of the unmasked row, which is the Q^n coefficient
         of the binomial-series product of ``cyclo_product``."""
         e, order = {0: -1, 2: 3, 5: -2}, 6
-        bound = order * comb(2 * sum(map(abs, e.values())) + order, order)
-        whole = vertex._exp_rows(e, order, 5 * order + 1, bound)
+        whole = vertex._exp_rows(e, order, 5 * order + 1)
         product = cyclo_product({(i, 1): -2 * c for i, c in e.items()}, order)
         for n, row in enumerate(whole):
             assert canonical((n, _strip(row), [1])) == product[n], n
         for width in (1, 4, 9):
-            masked = vertex._exp_rows(e, order, width, bound)
+            masked = vertex._exp_rows(e, order, width)
             assert masked == [row[-width:] for row in whole], width
             assert any(c < 0 for row in masked for c in row), width
 
@@ -746,10 +798,10 @@ class TestWindows:
         assert z0_windows.cache_info().misses == 4
 
     def test_bounds_behind_the_windows(self):
-        """The two bounds the window route rests on: N_n = (q;q)_n^2 [Q^n] Z_0
-        has degree n^2 at most, the widening bound of pt_invariants; and Z_0 at
+        """The two bounds on Z_0's windows: N_n = (q;q)_n^2 [Q^n] Z_0 has
+        degree n^2 at most, the widening bound of pt_invariants; and Z_0 at
         Q = 1 is below 2^7 at q = 1/2, so 2^(e + 7) bounds its q^e
-        coefficient, the digit bound of z0_windows."""
+        coefficient."""
         for n in range(13):
             assert len(z0_series(n)[1][n]) - 1 <= n * n, n
         at_half = 1.0
