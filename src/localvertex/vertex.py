@@ -51,7 +51,7 @@ class VertexError(ArithmeticError):
 
 
 class CacheError(Exception):
-    """A disk-cache file is unreadable or holds another key, or the cache
+    """A disk-cache file is unreadable or holds another pair, or the cache
     directory cannot be created or written; not a maths bug.  The message
     ends with its remedy: the file to delete, or another directory."""
 
@@ -167,15 +167,15 @@ def e_coeffs(mu: Partition, nu: Partition) -> dict:
 class SCache:
     """In-process (and optionally on-disk) cache of s_ratio_squared lists.
 
-    Disk format 4, the integer (shift, num) pairs over (q;q)_m^2; files of
-    formats 1-3 (S, QRat, then numerators over (H_mu H_nu)^2) are never
-    read.  A lookup takes the held entry, else the disk file, else a build,
-    which is stored; one of a larger truncation order serves smaller orders
-    by truncation, and a shorter one is replaced.  The ratio is symmetric in
-    (mu, nu), so entries are keyed by the pair sorted by parts: (mu, nu) and
-    (nu, mu) share one build, one cofactor and one file.  Disk entries are
-    one JSON document per sorted pair under a content-addressed filename;
-    concurrent writers of one key write the same bytes: writes are idempotent.
+    Disk format 4, the integer (shift, num) pairs over (q;q)_m^2; a file of
+    formats 1-3 (S, QRat, then numerators over (H_mu H_nu)^2) is rebuilt,
+    never read.  A lookup takes the held entry, else the disk file, else a
+    build, which is stored; one of a larger truncation order serves smaller
+    orders by truncation, and a shorter one is replaced.  The ratio is
+    symmetric in (mu, nu), so entries are keyed by the pair sorted by parts:
+    (mu, nu) and (nu, mu) share one build, one cofactor and one file.  Disk
+    entries are one JSON document per sorted pair, in a file named for it;
+    concurrent writers of one pair write the same bytes: writes are idempotent.
     """
 
     def __init__(self, directory=None):
@@ -188,12 +188,9 @@ class SCache:
                 raise self._unusable(err)
 
     def _path(self, mu, nu):
-        # hashlib loads only where a disk cache is named
-        import hashlib
-
-        key = "%d:%s:%s" % (FORMAT_VERSION, list(mu), list(nu))
-        digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-        return os.path.join(self.directory, "s_%s.json" % digest)
+        # "_" joins the parts, "-" the two partitions: (1), (2, 1) in s_1-2_1.json
+        name = "-".join("_".join(map(str, p)) for p in (mu, nu))
+        return os.path.join(self.directory, "s_%s.json" % name)
 
     def get(self, mu: Partition, nu: Partition, order: int) -> list:
         if nu < mu:
@@ -220,18 +217,16 @@ class SCache:
                 doc = json.load(fh)
             if doc.get("version") != FORMAT_VERSION:
                 return None
-            if doc.get("mu") != list(mu) or doc.get("nu") != list(nu):
-                raise self._corrupt("cache key collision in", path)
             coeffs = [(shift, num) for shift, num in doc["coeffs"]]
-            # JSON integers only: int() would take 7.9, true or "3" as well
-            if not all(
+            # the named pair, and JSON integers only (int() would take 7.9, true or "3")
+            if (doc["mu"], doc["nu"]) != (list(mu), list(nu)) or not all(
                 type(shift) is int and type(num) is list and {*map(type, num)} <= {int}
                 for shift, num in coeffs
             ):
                 raise ValueError
             return coeffs
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            raise self._corrupt("corrupt cache file:", path)
+            raise self._corrupt(path)
 
     def _store(self, mu, nu, coeffs):
         """Write the entry to a temp file renamed into place; a failed write
@@ -251,8 +246,9 @@ class SCache:
                 pass
             raise self._unusable(err)
 
-    def _corrupt(self, what, path):
-        return CacheError("%s %s\ndelete %s or run without --cache-dir" % (what, path, path))
+    def _corrupt(self, path):
+        return CacheError("corrupt cache file: %s\ndelete %s or run without --cache-dir"
+                          % (path, path))
 
     def _unusable(self, err):
         return CacheError(

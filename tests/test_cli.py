@@ -426,6 +426,20 @@ class TestVerify:
         assert captured.out == ""
         assert "corrupt cache file" in captured.err
 
+    def test_other_pair_cache_entry_exits_3(self, capsys, tmp_path):
+        """A file whose document names another pair than the file's name is
+        corrupt: exit 3, with the file to delete."""
+        argv = ["pt", "--r", "0", "--m", "1", "--Q-order", "3", "--cache-dir", str(tmp_path)]
+        assert run(capsys, *argv)[0] == 0
+        (path,) = list(tmp_path.iterdir())
+        path.write_text(json.dumps({**json.loads(path.read_text()), "nu": [2]}))
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "corrupt cache file: %s\ndelete %s or run without --cache-dir\n" % (path, path)
+        )
+
     @pytest.mark.parametrize("task", ["gw", "verify"])
     def test_unusable_cache_dir_exits_3(self, capsys, tmp_path, task):
         """A --cache-dir under a regular file cannot be created: exit 3 and
@@ -1044,8 +1058,7 @@ def test_engine_leaves_oracles_out(argv, modules, tmp_path):
     pt the vertex stage and the CLI, gw the GW stage too, and fit and
     verify the certificates of ``rationality`` too.  No run loads the field
     Q(t) of qrat, the oracles, symmfun (so the W and power-sum memo tables
-    cannot fill), argparse, csv, or hashlib, which only names the files of
-    a --cache-dir."""
+    cannot fill), argparse, csv, or hashlib."""
     report = tmp_path / "report.out"
     loaded = loaded_modules(
         "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0",
@@ -1119,14 +1132,17 @@ def test_messages_load_no_argparse(argv, status):
     assert not {"argparse", "gettext", "locale"} & set(loaded), loaded
 
 
-def test_cache_dir_loads_hashlib(tmp_path):
-    """The control for the runs above: a --cache-dir run loads hashlib."""
-    loaded = loaded_modules(
-        "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0",
-        "pt", "--m", "1", "--Q-order", "3", "--cache-dir", str(tmp_path / "scache"),
-        "--out", str(tmp_path / "report.json"),
-    )
-    assert "hashlib" in loaded
+def test_cache_dir_loads_no_hashlib(tmp_path):
+    """A --cache-dir names each file by its pair, so a pt or verify run with
+    one loads its task's modules exactly, and no hashlib.  The control: after
+    ``import hashlib`` the same pt run shows hashlib, so the watch sees it."""
+    run = "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0"
+    files = "--cache-dir", str(tmp_path / "scache"), "--out", str(tmp_path / "report.json")
+    pt = ["pt", "--m", "1", "--Q-order", "3", *files]
+    assert loaded_modules(run, *pt) == PT
+    verify = ["verify", "--all", "--r", "0", "--m-max", "1", "--Q-order", "9", *files]
+    assert loaded_modules(run, *verify) == CERTIFY
+    assert loaded_modules("import hashlib\n" + run, *pt) == sorted(PT + ["hashlib"])
 
 
 def test_package_root_leaves_rationality_out():

@@ -241,6 +241,15 @@ class TestClosedForm:
             mu, mu, dict_route_ratio_squared(mu, mu, 24)
         )
 
+    def test_digit_rule_holds_a_signed_strip(self):
+        """The rule reads order C(2 sum|e_i| + order, order): for e = {0: 38,
+        1: -38} at Q-order 13 that needs 2 words a digit, where the rule
+        without its factor order, or with sum(e) = 0 for sum|e_i|, gives 1,
+        too few for n X_n."""
+        assert _digit_words(13 * comb(2 * 76 + 13, 13)) == 2
+        assert _digit_words(comb(2 * 76 + 13, 13)) == _digit_words(13 * comb(13, 13)) == 1
+        assert len(vertex._exp_rows({0: 38, 1: -38}, 13, 14)) == 14
+
     def test_digits_one_word_short_raise(self, monkeypatch):
         """The division checks stand behind the digit rule: with one word per
         digit fewer than it gives, (16), (16) at Q-order 24, where X_24 has
@@ -281,10 +290,30 @@ class TestSCache:
         assert second.get(P(1), EMPTY, 2) == series[:3]
 
     def test_file_name_pinned(self, tmp_path):
-        """The file name hashes the format version and the sorted pair's
-        parts lists: a cache directory of format 3 is not read."""
-        SCache(str(tmp_path)).get(P(2, 1), P(1), 2)
-        assert [f.name for f in tmp_path.iterdir()] == ["s_ad7ffc7743c02527ff09a09f.json"]
+        """A file is named by its sorted pair, "_" between the parts and "-"
+        between the partitions, with no format version in it."""
+        cache = SCache(str(tmp_path))
+        for mu, nu in [(P(2, 1), P(1)), (P(1), EMPTY), (EMPTY, EMPTY), (P(12), P(3, 1, 1))]:
+            cache.get(mu, nu, 2)
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "s_-.json", "s_-1.json", "s_1-2_1.json", "s_3_1_1-12.json"
+        ]
+
+    @pytest.mark.parametrize(
+        "pair", [{"nu": [1, 1, 1]}, {"mu": [2, 1], "nu": [1]}, {"mu": None}],
+        ids=["other", "swapped", "none"],
+    )
+    def test_other_pair_reported(self, tmp_path, pair):
+        """A document must name the pair its file is named for; one naming
+        another, the same pair unsorted, or none is corrupt."""
+        SCache(str(tmp_path)).get(P(1), P(2, 1), 3)
+        (path,) = list(tmp_path.iterdir())
+        path.write_text(json.dumps({**json.loads(path.read_text()), **pair}))
+        with pytest.raises(CacheError) as err:
+            SCache(str(tmp_path)).get(P(2, 1), P(1), 3)
+        assert str(err.value) == (
+            "corrupt cache file: %s\ndelete %s or run without --cache-dir" % (path, path)
+        )
 
     def test_corrupt_file_reported(self, tmp_path):
         cache = SCache(str(tmp_path))
