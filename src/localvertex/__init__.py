@@ -4,9 +4,9 @@ Computes stable-pairs (PT) and Gromov-Witten generating series of
 K_{F_r} and certifies them as exact rational functions.  The package root
 is a namespace that loads no stage: import the stage you run.  A ``pt``
 run loads ``cli``, ``vertex``, ``qfield`` and ``partitions``; ``gw`` adds
-``gwtheory`` and ``series``; ``fit`` and ``verify`` add the certificates,
-``rationality``.  ``qrat``, ``symmfun`` and ``oracles`` serve the test
-suite only.
+``gwtheory``; ``fit`` adds the certificates, ``rationality``; ``verify``
+adds ``series`` too, for the exceptional series of ``tilde_pt0``.
+``qrat``, ``symmfun`` and ``oracles`` serve the test suite only.
 """
 
 __version__ = "0.1.0"

@@ -17,9 +17,9 @@ x^h coefficient into a u^h coefficient is applied only where values are
 reported (``gw_extract``, ``tilde_pt0``).  Every extracted value is
 asserted to sit on an even u-power, else ``vertex.VertexError``.
 
-This module certifies nothing: the certificates of its
-tables and series (column fits, ring membership, polynomiality) are in
-``rationality``, which it does not import.
+This module certifies nothing: the certificates of its tables and series
+(column fits, ring membership, polynomiality) are in ``rationality``,
+which it does not import.  Only ``tilde_pt0`` imports ``series``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qfield import _exquo, _mul, _neg, _strip, expansion
-from .series import TruncSeries
 from .vertex import SCache, VertexError, _aligned, _product, z_ratio
 
 
@@ -123,13 +122,6 @@ class GWTable:
     def value(self, g: int, m: int, j: int) -> Fraction:
         return self.entries.get((g, m, j), Fraction(0))
 
-    def column(self, g: int, m: int) -> TruncSeries:
-        """The series sum_j GW_{g, m*c + j*b} Q^j as a truncated Q-series."""
-        return TruncSeries(
-            self.j_max,
-            {j: self.value(g, m, j) for j in range(self.j_max + 1)},
-        )
-
     def to_json(self) -> dict:
         return {
             "r": self.r,
@@ -214,7 +206,7 @@ def gw_extract(
 # The modified exceptional series
 
 
-def tilde_pt0(order: int, u_order: int, cache: SCache = None) -> TruncSeries:
+def tilde_pt0(order: int, u_order: int, cache: SCache = None):
     """PT_0(e^(iu), Q) * exp(2/u^2 Li_3(Q) + 1/6 Li_1(Q)).
 
     PT_0 = exp(log Z_0), so in x = iu this is exp(log Z_0 - 2/x^2 Li_3(Q)
@@ -224,9 +216,11 @@ def tilde_pt0(order: int, u_order: int, cache: SCache = None) -> TruncSeries:
     the absence of odd powers.  The exponent is then
     sum_{h>=2} C_h x^h sum_k k^(h-1) Q^k; its exponential has the scalar 1
     at x^0, reported as the Q-series 1, and i^h is applied at the end.
-    Returned as a u-series whose coefficients are Q-series over
-    Fractions.  ``cache`` is unused.
+    Returned as a u-series of Q-series over Fractions, the one
+    ``series.TruncSeries`` this module makes.  ``cache`` is unused.
     """
+    from .series import TruncSeries
+
     fibre = _fibre(u_order)
     stripped = {h: c for h, c in ((-2, 2), (0, Fraction(-1, 6))) if h <= u_order}
     if any(h % 2 for h in fibre) or {h: c for h, c in fibre.items() if h < 2} != stripped:

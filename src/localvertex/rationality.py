@@ -2,48 +2,47 @@
 equations, membership in R_{0,0}, polynomiality and integrality.
 
 One routine, ``certify_column``, fits a series and checks its functional
-equation.  It certifies that a truncated Q-series is num(Q) / (1 - Q)^p,
-the one denominator the engine needs (a GW column over (1-Q)^(4m+2g-2),
-the u^h coefficient of the exceptional series over (1-Q)^h), by
-multiplying through and demanding that every coefficient beyond the
-numerator window vanish; the count of vanishing surplus coefficients is
-the confidence certificate (>= 3 for an accepted fit).  Nothing is
-searched: the caller hands over the exponent a of Q^a f(1/Q) = +-f(Q)
-(the Weyl weight), and the window [0, p + max(a, 0)] follows from it a
-priori.  The functional equation is checked on the numerator by exact
-palindromy, never on the truncation: Q -> 1/Q is ill-defined on a
-one-sided expansion.  Fits hold the series' own Fraction (or int)
-coefficients.
+equation.  It certifies that a {degree: value} map, read through a given
+Q-order, is num(Q) / (1 - Q)^p, the one denominator the engine needs (a
+GW column over (1-Q)^(4m+2g-2), the u^h coefficient of the exceptional
+series over (1-Q)^h): p exact differences clear it, and every
+coefficient beyond the numerator window must vanish; the count of
+vanishing surplus coefficients is the confidence certificate (>= 3 for
+an accepted fit).  Nothing is searched: the caller hands over the
+exponent a of Q^a f(1/Q) = +-f(Q) (the Weyl weight), and the window
+[0, p + max(a, 0)] follows from it a priori.  The functional equation is
+checked on the numerator by exact palindromy, never on the truncation:
+Q -> 1/Q is ill-defined on a one-sided expansion.  Fits hold the
+column's own Fraction (or int) coefficients.
 
-A GW genus column is certified through the task's Q-order by
-``column_certificate`` (a fit over (1-Q)^column_power(m, g) and the Weyl
-functional equation at weight m(r-2)), the modified exceptional series's
-membership in R_{0,0} by ``verify_R``, eventual polynomiality in j by
-``polynomiality_check``, q -> 1/q invariance of Z_m/Z_0 by
-``check_q_inversion`` and integrality of the rows of ``vertex.pt_invariants``
-by ``check_integrality``; the first three return their report entries.
-It imports no ``vertex``: the PT rows it certifies are the ones ``pt``
-prints, read out once.
-Only the ``fit`` and ``verify`` tasks import this module; the package
-root, ``gwtheory`` and a ``gw`` or ``pt`` run do not.
+``column_certificate`` certifies a GW genus column read off
+``GWTable.value`` through the task's Q-order (a fit over
+(1-Q)^column_power(m, g), at the Weyl weight m(r-2)), ``verify_R`` the
+exceptional series's membership in R_{0,0}, ``polynomiality_check``
+eventual polynomiality in j, ``check_q_inversion`` q -> 1/q invariance
+of Z_m/Z_0 and ``check_integrality`` the integrality of the rows of
+``vertex.pt_invariants``; the first three return their report entries.
+It imports neither ``vertex`` nor ``series``: it reads the PT rows ``pt``
+prints, and coefficient maps.  Only ``fit`` and ``verify`` import it.
 """
 
 from __future__ import annotations
 
 from .qfield import _trailing_zeros
-from .series import TruncSeries
 
 
 class FitError(ArithmeticError):
     """The series is not rational with the prescribed denominator."""
 
 
-def certify_column(column: TruncSeries, power: int, a: int, sign: int = 1):
+def certify_column(column: dict, order: int, power: int, a: int, sign: int = 1):
     """Fit column = num(Q)/(1-Q)^power and check Q^a f(1/Q) = sign * f(Q).
 
-    By the functional equation the numerator lies in degrees
-    [0, power + max(a, 0)], so the fit takes that window a priori.  The
-    column is cleared by one product with the binomials (-1)^k C(power, k);
+    ``column`` is a {degree: value} map, read through ``order`` and left
+    unchanged.  By the functional equation the numerator lies in degrees
+    [0, power + max(a, 0)], so the fit takes that window a priori.  A copy
+    is cleared in place by ``power`` backward differences c_d -= c_(d-1),
+    each the exact product with 1 - Q (|power| prefix sums for power < 0);
     a coefficient outside the window raises FitError.  Substituting 1/Q
     multiplies (1-Q)^power by (-1)^power Q^(-power), so the identity is
     the palindromy num(Q) = sign * (-1)^power * Q^(a+power) * num(1/Q).
@@ -52,18 +51,19 @@ def certify_column(column: TruncSeries, power: int, a: int, sign: int = 1):
     else (fit, holds), ``fit`` the report entry {"numerator",
     "denom_spec", "surplus", "order"}; the zero column has surplus = order.
     """
-    order = column.order
     hi = power + max(a, 0)
     if order < hi + 3:
         return None
-    # c_(k+1) = -c_k (power - k)/(k + 1) is exact, and for power < 0 runs
-    # on through the degrees the truncated product can reach
-    clearing, c = {}, 1
-    for k in range(order + 1):
-        clearing[k] = c
-        c = -c * (power - k) // (k + 1)
-    numerator = (column * TruncSeries(order, clearing)).coeffs
-    outside = [d for d in sorted(numerator) if not 0 <= d <= hi]
+    low = min(min(column, default=0), 0)
+    cleared = {d: column.get(d, 0) for d in range(low, order + 1)}
+    for _ in range(power):
+        for d in range(order, low, -1):
+            cleared[d] -= cleared[d - 1]
+    for _ in range(-power):
+        for d in range(low + 1, order + 1):
+            cleared[d] += cleared[d - 1]
+    numerator = {d: c for d, c in cleared.items() if c}  # ascending degrees
+    outside = [d for d in numerator if not 0 <= d <= hi]
     if outside:
         raise FitError(
             "nonvanishing coefficient at Q^%d outside window [0, %d]" % (outside[0], hi)
@@ -73,7 +73,7 @@ def certify_column(column: TruncSeries, power: int, a: int, sign: int = 1):
     fit = {
         "numerator": {
             str(d): {"num": c.numerator, "den": c.denominator}
-            for d, c in sorted(numerator.items())
+            for d, c in numerator.items()
         },
         "denom_spec": [[1, power]] if power else [],
         "surplus": order - hi if numerator else order,
@@ -129,7 +129,7 @@ def column_power(m: int, g: int) -> int:
 
 def column_certificate(table, m: int, g: int, order: int):
     """Certify the GW column sum_j GW_{g, m*c + j*b} Q^j of ``table``
-    (a ``gwtheory.GWTable`` of Q-order at least ``order``) through Q^order.
+    (a ``gwtheory.GWTable``), read off ``table.value`` through Q^order.
 
     The column is fitted over (1-Q)^column_power(m, g) and checked against
     the Weyl functional equation at weight w.(m*c) = m(r-2).  Returns
@@ -141,8 +141,8 @@ def column_certificate(table, m: int, g: int, order: int):
     entry = {"exponent": None, "passed": False}
     fit = None
     try:
-        column = TruncSeries(order, table.column(g, m).coeffs)
-        certified = certify_column(column, column_power(m, g), a)
+        column = {j: table.value(g, m, j) for j in range(order + 1)}
+        certified = certify_column(column, order, column_power(m, g), a)
         if certified is None:
             entry["passed"] = True
             entry["skipped"] = "Q-order too small for this genus"
@@ -160,10 +160,10 @@ def column_certificate(table, m: int, g: int, order: int):
 # Ring membership of the modified exceptional series
 
 
-def verify_R(useries: TruncSeries) -> dict:
+def verify_R(useries) -> dict:
     """Certify membership in R_{0,0}: each u-coefficient f_h, h up to the
-    u-order of ``useries``, is num(Q)/(1-Q)^h with f_h(1/Q) = (-1)^h f_h(Q),
-    by ``certify_column``.
+    u-order of ``useries`` (``gwtheory.tilde_pt0``), is num(Q)/(1-Q)^h with
+    f_h(1/Q) = (-1)^h f_h(Q), by ``certify_column`` on its coefficient map.
 
     Returns the report entry {"a": 0, "b": 0, "passed", "per_h"}, a and b
     naming the ring, with one row per h.  Fit failures are recorded in
@@ -177,7 +177,7 @@ def verify_R(useries: TruncSeries) -> dict:
         if not coeff:
             continue
         try:
-            certified = certify_column(coeff, h, 0, sign=-1 if h % 2 else 1)
+            certified = certify_column(coeff.coeffs, coeff.order, h, 0, sign=-1 if h % 2 else 1)
         except FitError as err:
             row.update(fit_ok=False, symmetry_ok=False, error=str(err))
             continue

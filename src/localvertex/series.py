@@ -1,14 +1,14 @@
 """Truncated Laurent series with exact coefficients.
 
-The series the engine operates on: GW columns and their fits, and the
-nested exponential of ``gwtheory.tilde_pt0``.  Coefficients may be ints,
-Fractions, nested TruncSeries or ``qrat.QRat`` values (not imported
-here), with ring arithmetic among themselves and with ints/Fractions; a
-scalar added to a series is an int or a Fraction.  The ring has sums,
-products and ``exp`` only: no series is inverted or raised to a power.
-Absent degrees denote zero; all stored degrees are <= order.  There is
-no complex coefficient type: ``gwtheory`` expands in x = iu over
-Fractions and applies i^h itself.
+The engine runs one series of this type, the nested exponential of
+``gwtheory.tilde_pt0``, which imports this module inside it; the oracles
+run the rest.  Coefficients may be ints, Fractions, nested TruncSeries
+or ``qrat.QRat`` values (not imported here), with ring arithmetic among
+themselves and with ints/Fractions; a scalar added to a series is an int
+or a Fraction.  The ring has sums, products and ``exp`` only: no series
+is inverted or raised to a power.  Absent degrees denote zero; all
+stored degrees are <= order.  There is no complex coefficient type:
+``gwtheory`` expands in x = iu over Fractions and applies i^h itself.
 """
 
 from __future__ import annotations

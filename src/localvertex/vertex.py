@@ -268,12 +268,14 @@ def z_ratio(r: int, m: int, order: int, cache: SCache) -> tuple:
 
     Each S-entry is over (q;q)_m^2 already, so a pair is a framing shift
     and a sum that reads its cached lists and never changes them.  A pair
-    whose Q^(r|mu2|) is past Q^order is not fetched.
+    whose Q^(r|mu2|) is past Q^order is not fetched; m = 0, Z_0/Z_0 = 1, none.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     if m < 0:
         raise ValueError("m must be >= 0")
+    if not m:
+        return 0, {0: [1]}, [1]
     terms = []
     for a in range(m + 1):
         if r * a > order:

@@ -9,13 +9,13 @@ import os
 from fractions import Fraction
 
 from exponent_search import find_exponent
+from helpers import gw_column
 from localvertex import oracles
 from localvertex import rationality as rat
 from localvertex import vertex as vx
 from localvertex.partitions import partitions_up_to
 from localvertex.oracles import cyclo_product, polylog_neg
 from localvertex.qrat import QRat
-from localvertex.series import TruncSeries
 from localvertex.symmfun import w_two
 
 
@@ -82,10 +82,10 @@ def test_criterion_05_genus_columns_r0(gw_table_r0):
     functional equation f(1/Q) = Q^2 f(Q), the Weyl symmetry of weight
     |K_W . c| = 2 on P1 x P1."""
     for g in (0, 1, 2):
-        column = TruncSeries(10, gw_table_r0.column(g, 1).coeffs)  # cut at Q^10
+        column = gw_column(gw_table_r0, g, 1, 10)  # cut at Q^10
         # f(1/Q) = Q^2 f(Q) reads Q^(-2) f(1/Q) = f(Q) in the template
         # Q^a f(1/Q) = f(Q); a = -2 = K_W . c is the unique solution
-        fit, holds = rat.certify_column(column, 2 + 2 * g, -2)
+        fit, holds = rat.certify_column(column.coeffs, 10, 2 + 2 * g, -2)
         assert fit["surplus"] >= 3 and holds, g
         _, surplus, a = find_exponent(column, 2 + 2 * g, -8, 8)
         assert surplus >= 3 and a == -2, g
@@ -98,9 +98,10 @@ def test_criterion_06_exponent_resolution_r1(gw_table_r1):
     check the record against the checked-in exponent_resolution.json."""
     record = {"r": 1, "m": 1, "per_genus": {}}
     for g in range(4):
-        column = gw_table_r1.column(g, 1)
+        column = gw_column(gw_table_r1, g, 1, gw_table_r1.j_max)
         a = find_exponent(column, 2 + 2 * g, -8, 8)[2]
-        assert a is not None and rat.certify_column(column, 2 + 2 * g, a)[1], g
+        assert a is not None, g
+        assert rat.certify_column(column.coeffs, column.order, 2 + 2 * g, a)[1], g
         # template Q^a f(1/Q) = f(Q); weight w means f(1/Q) = Q^w f(Q)
         weight = -a
         record["per_genus"][g] = {

@@ -393,7 +393,7 @@ class TestVerify:
         ids=["verify", "fit"],
     )
     def test_certificates_take_no_power_or_inverse(self, capsys, argv):
-        """The fits clear by the binomials of (1-Q)^p: the series ring has no
+        """The fits clear (1-Q)^p by exact differences: the series ring has no
         power or inverse to take, and QRat no inverse alias for it."""
         for name in ("inverse", "pow_int", "__pow__"):
             assert not hasattr(TruncSeries, name), name
@@ -402,8 +402,27 @@ class TestVerify:
         assert code == 0
         assert doc["passed"] is True
 
+    def test_warm_verify_stores_nothing(self, capsys, monkeypatch, tmp_path):
+        """Z_0/Z_0 = 1 asks the cache for no S-entry: after the pt run that
+        fills (empty, (1)), a warm verify at m <= 1 stores nothing for any
+        r, and the directory keeps its one file."""
+        cache_dir = "--cache-dir", str(tmp_path)
+        assert run(capsys, "pt", "--r", "0", "--m", "1", "--Q-order", "9", *cache_dir)[0] == 0
+        filled = sorted(os.listdir(tmp_path))
+        assert len(filled) == 1
+        stores = []
+        store = vx.SCache._store
+        monkeypatch.setattr(
+            vx.SCache, "_store", lambda self, *args: stores.append(args[:2]) or store(self, *args)
+        )
+        for r in ("0", "1", "2"):
+            argv = ["verify", "--all", "--r", r, "--m-max", "1", "--Q-order", "9", *cache_dir]
+            assert run(capsys, *argv)[0] == 0, r
+        assert stores == []
+        assert sorted(os.listdir(tmp_path)) == filled
+
     def test_corrupt_cache_exits_3(self, capsys, tmp_path):
-        argv = ["pt", "--m", "0", "--Q-order", "1", "--cache-dir", str(tmp_path)]
+        argv = ["pt", "--m", "1", "--Q-order", "1", "--cache-dir", str(tmp_path)]
         assert run(capsys, *argv)[0] == 0
         for path in tmp_path.iterdir():
             path.write_text("not json")
@@ -1014,13 +1033,14 @@ class TestReader:
 
 
 # the localvertex modules each entry point loads: the root alone, then a
-# pt run (cli and the vertex stage), gw (the GW stage too), fit and verify
-# (the certificates too)
+# pt run (cli and the vertex stage), gw (the GW stage too), fit (the
+# certificates too) and verify (the series ring of tilde_pt0 too)
 ROOT = ["localvertex"]
 PT = sorted(ROOT + ["localvertex.cli", "localvertex.partitions", "localvertex.qfield",
                     "localvertex.vertex"])
-GW = sorted(PT + ["localvertex.gwtheory", "localvertex.series"])
-CERTIFY = sorted(GW + ["localvertex.rationality"])
+GW = sorted(PT + ["localvertex.gwtheory"])
+FIT = sorted(GW + ["localvertex.rationality"])
+CERTIFY = sorted(FIT + ["localvertex.series"])
 
 
 def loaded_modules(code, *argv):
@@ -1049,14 +1069,15 @@ def loaded_modules(code, *argv):
         (["pt", "--r", "1", "--m", "2", "--Q-order", "5"], PT),
         (["verify", "--all", "--r", "1", "--m-max", "1", "--Q-order", "9", "--g-max", "1"],
          CERTIFY),
-        (["fit", "--r", "0", "--m", "1", "--Q-order", "9", "--g-max", "1"], CERTIFY),
+        (["fit", "--r", "0", "--m", "1", "--Q-order", "9", "--g-max", "1"], FIT),
     ],
     ids=["gw", "pt", "verify", "fit"],
 )
 def test_engine_leaves_oracles_out(argv, modules, tmp_path):
     """A run in a fresh interpreter loads exactly the stages its task runs:
-    pt the vertex stage and the CLI, gw the GW stage too, and fit and
-    verify the certificates of ``rationality`` too.  No run loads the field
+    pt the vertex stage and the CLI, gw the GW stage too, fit the
+    certificates of ``rationality`` too, and verify also ``series``, for
+    the exceptional series of ``tilde_pt0``.  No run loads the field
     Q(t) of qrat, the oracles, symmfun (so the W and power-sum memo tables
     cannot fill), argparse, csv, or hashlib."""
     report = tmp_path / "report.out"
@@ -1149,6 +1170,13 @@ def test_package_root_leaves_rationality_out():
     """``import localvertex`` loads the root alone: no stage, so neither
     the engine nor the certificates."""
     assert loaded_modules("import localvertex") == ROOT
+
+
+def test_certificates_import_leaves_series_out():
+    """The fits read plain coefficient maps: importing the certificates
+    loads the kernel they share with the engine, and no ``series``."""
+    loaded = loaded_modules("import localvertex.rationality")
+    assert loaded == ["localvertex", "localvertex.qfield", "localvertex.rationality"]
 
 
 def test_cli_import_leaves_argparse_out():

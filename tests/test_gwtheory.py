@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exponent_search import find_exponent
-from helpers import canonical, qrat_series
+from helpers import canonical, gw_column, qrat_series
 from localvertex import cli, gwtheory, qfield, qrat
 from localvertex.gwtheory import (
     GWTable,
@@ -154,8 +154,9 @@ class TestGWClosedForms:
 
 class TestGWTable:
     def test_column(self, gw_table_r0):
-        col = gw_table_r0.column(0, 1)
-        assert col[3] == -8
+        """A column entry is read off ``value``, zero where none is stored."""
+        assert gw_table_r0.value(0, 1, 3) == -8
+        assert gw_table_r0.value(0, 1, gw_table_r0.j_max + 1) == 0
 
     def test_json_shape(self, gw_table_r0):
         doc = gw_table_r0.to_json()
@@ -296,13 +297,13 @@ class TestPolynomiality:
         j_lo = max(3, r - 1)
         for g in (0, 1):
             power, a = column_power(1, g), w_dot_beta(1, r)
-            assert certify_column(table.column(g, 1), power, a)[1] is True, g
+            assert certify_column(gw_column(table, g, 1, 12).coeffs, 12, power, a)[1] is True, g
             assert polynomiality_check(table, g, 1, j_lo, j_lo + 6)["passed"] is True, g
             for j in range(j_lo, j_lo + 7):
                 planted = GWTable(r, 1, 1, 12)
                 planted.entries = {**table.entries, (g, 1, j): table.value(g, 1, j) + 1}
                 with pytest.raises(FitError):
-                    certify_column(planted.column(g, 1), power, a)
+                    certify_column(gw_column(planted, g, 1, 12).coeffs, 12, power, a)
                 report = polynomiality_check(planted, g, 1, j_lo, j_lo + 6)
                 assert report["passed"] is False, (g, j)
 
@@ -310,10 +311,10 @@ class TestPolynomiality:
 class TestColumnRationality:
     def test_genus_columns_fit_and_unique_exponent(self, gw_table_r0):
         for g in range(4):
-            column = gw_table_r0.column(g, 1)
+            column = gw_column(gw_table_r0, g, 1, gw_table_r0.j_max)
             _, surplus, a = find_exponent(column, 2 + 2 * g, -8, 8)
             assert surplus >= 3 and a == -2
-            fit, holds = certify_column(column, 2 + 2 * g, a)
+            fit, holds = certify_column(column.coeffs, column.order, 2 + 2 * g, a)
             assert fit["surplus"] >= 3 and holds
 
 

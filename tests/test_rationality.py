@@ -22,7 +22,8 @@ from localvertex.vertex import z_ratio
 
 
 def geometric(order):
-    return TruncSeries(order, {d: 1 for d in range(order + 1)})
+    """1/(1-Q) through Q^order, as the map ``certify_column`` reads."""
+    return {d: 1 for d in range(order + 1)}
 
 
 def fit_entry(numerator, power, surplus, order):
@@ -43,21 +44,21 @@ ONE = {"0": {"num": 1, "den": 1}}
 
 class TestFit:
     def test_geometric(self):
-        fit, holds = certify_column(geometric(8), 1, -1, sign=-1)
+        fit, holds = certify_column(geometric(8), 8, 1, -1, sign=-1)
         assert fit["numerator"] == ONE
         assert fit["surplus"] == 7  # window [0, 1]
         assert holds  # Q^-1 f(1/Q) = -f(Q) for f = 1/(1-Q)
 
     def test_odd_numbers(self):
-        series = TruncSeries(8, {d: 2 * d + 1 for d in range(9)})  # (1+Q)/(1-Q)^2
-        fit, holds = certify_column(series, 2, -1)
+        series = {d: 2 * d + 1 for d in range(9)}  # (1+Q)/(1-Q)^2
+        fit, holds = certify_column(series, 8, 2, -1)
         assert fit["numerator"] == {"0": {"num": 1, "den": 1}, "1": {"num": 1, "den": 1}}
         assert holds
 
     def test_exponential_rejected(self):
         series = TruncSeries(8, {d: Fraction(1, factorial(d)) for d in range(9)})
         with pytest.raises(FitError):
-            certify_column(series, 2, 0)
+            certify_column(series.coeffs, series.order, 2, 0)
         with pytest.raises(FitError):
             find_exponent(series, 2)
 
@@ -70,22 +71,22 @@ class TestFit:
 
     def test_window_needs_surplus(self):
         # the window [0, 2] of exponent 1 needs order 5
-        assert certify_column(geometric(4), 1, 1) is None
-        assert certify_column(geometric(5), 1, 1) is not None
+        assert certify_column(geometric(4), 4, 1, 1) is None
+        assert certify_column(geometric(5), 5, 1, 1) is not None
 
     def test_expand_round_trip(self):
         series = TruncSeries(8, {d: (d + 1) * (d + 2) // 2 for d in range(9)})
         assert find_exponent(series, 3, sign=-1) == ({0: 1}, 5, -3)
-        fit, holds = certify_column(series, 3, -3, sign=-1)
+        fit, holds = certify_column(series.coeffs, series.order, 3, -3, sign=-1)
         assert fit["numerator"] == ONE and holds
 
     def test_zero_series(self):
         """The zero column reports surplus = order, and every exponent holds."""
-        assert certify_column(TruncSeries(25), 2, 17) == (fit_entry({}, 2, 25, 25), True)
+        assert certify_column({}, 25, 2, 17) == (fit_entry({}, 2, 25, 25), True)
         assert find_exponent(TruncSeries(6), 2) == ({}, 6, None)
 
     def test_to_json(self):
-        fit, _ = certify_column(geometric(8), 1, 0)
+        fit, _ = certify_column(geometric(8), 8, 1, 0)
         assert list(fit) == ["numerator", "denom_spec", "surplus", "order"]
         assert fit == {"numerator": ONE, "denom_spec": [[1, 1]], "surplus": 7, "order": 8}
 
@@ -93,21 +94,21 @@ class TestFit:
 class TestQFunctional:
     def test_li_minus_one_symmetric(self):
         series = TruncSeries(8, {d: d for d in range(9)})  # Q/(1-Q)^2
-        assert certify_column(series, 2, 0)[1]
+        assert certify_column(series.coeffs, 8, 2, 0)[1]
         assert find_exponent(series, 2, -4, 4)[2] == 0
 
     def test_antisymmetric(self):
-        series = TruncSeries(8, {0: 1, **{d: 2 for d in range(1, 9)}})  # (1+Q)/(1-Q)
-        assert certify_column(series, 1, 0, sign=-1)[1]
-        assert not certify_column(series, 1, 0)[1]
+        series = {0: 1, **{d: 2 for d in range(1, 9)}}  # (1+Q)/(1-Q)
+        assert certify_column(series, 8, 1, 0, sign=-1)[1]
+        assert not certify_column(series, 8, 1, 0)[1]
 
     def test_geometric_not_symmetric(self):
-        assert not certify_column(geometric(8), 1, 0)[1]
+        assert not certify_column(geometric(8), 8, 1, 0)[1]
 
     def test_monomial_exponent(self):
         series = TruncSeries(8, {2: 1})
         assert find_exponent(series, 0, -8, 8)[2] == 4
-        assert certify_column(series, 0, 4)[1]
+        assert certify_column(series.coeffs, 8, 0, 4)[1]
 
     def test_zero_rejected(self):
         assert find_exponent(TruncSeries(6), 1, -4, 4)[2] is None
@@ -250,7 +251,8 @@ class TestClosedForms:
                 assert got[0] == "fit" and got[1][:2] == expected[1]
         else:
             args = (series, power) + exponent
-            assert _outcome(certify_column, *args) == _outcome(_certified, *args)
+            got = _outcome(certify_column, series.coeffs, series.order, power, *exponent)
+            assert got == _outcome(_certified, *args)
 
     @given(numerators(), st.sampled_from(DENOMINATORS), st.sampled_from([1, -1]))
     @settings(max_examples=400, deadline=None)
@@ -276,20 +278,20 @@ class TestClosedForms:
         assert len(calls) == 1
 
     def test_negative_power(self):
-        """(1-Q)^2 over (1-Q)^(-2) is 1: the binomials of a negative power
-        run on past k = 2, as the oracle's geometric series does."""
+        """(1-Q)^2 over (1-Q)^(-2) is 1: the prefix sums of a negative power
+        run on through Q^order, as the oracle's geometric series does."""
         series = TruncSeries(8, {0: 1, 1: -2, 2: 1})
         assert find_exponent(series, -2)[0] == {0: 1}
         assert _outcome(find_exponent, series, -2)[1][:2] == fit_by_widening(series, -2)
         # Q^2 f(1/Q) = f(Q) for f = (1-Q)^2, in the window [0, 0]
-        got = certify_column(series, -2, 2)
+        got = certify_column(series.coeffs, 8, -2, 2)
         assert got == _certified(series, -2, 2, 1) == (fit_entry({0: 1}, -2, 8, 8), True)
 
     def test_negative_power_symmetry_is_exact(self):
         """(1-Q)^3/3 satisfies Q^3 f(1/Q) = -f(Q); the sign (-1)^(-3) must
         stay an int, or the palindromy compares 1/3 with a float."""
         series = TruncSeries(8, {0: Fraction(1, 3), 1: -1, 2: 1, 3: Fraction(-1, 3)})
-        fit, holds = certify_column(series, -3, 3, sign=-1)
+        fit, holds = certify_column(series.coeffs, 8, -3, 3, sign=-1)
         assert fit["numerator"] == {"0": {"num": 1, "den": 3}} and holds
         assert _certified(series, -3, 3, -1) == (fit, True)
 
@@ -297,7 +299,71 @@ class TestClosedForms:
         """The window text that the fit and verify reports carry."""
         text = r"^nonvanishing coefficient at Q\^1 outside window \[0, 0\]$"
         with pytest.raises(FitError, match=text):
-            certify_column(TruncSeries(8, {0: 1, 1: 2}), 0, 0)
+            certify_column({0: 1, 1: 2}, 8, 0, 0)
+
+
+def certify_by_binomials(column, order, power, a, sign=1):
+    """Oracle for ``certify_column``: the column cleared by one product in
+    the series ring with the binomials (-1)^k C(power, k), k <= order, of
+    (1-Q)^power, not by differences.  Same window, error text and
+    palindromy."""
+    hi = power + max(a, 0)
+    if order < hi + 3:
+        return None
+    # c_(k+1) = -c_k (power - k)/(k + 1) is exact, and for power < 0 runs
+    # on through the degrees the truncated product can reach
+    clearing, c = {}, 1
+    for k in range(order + 1):
+        clearing[k] = c
+        c = -c * (power - k) // (k + 1)
+    numerator = (TruncSeries(order, column) * TruncSeries(order, clearing)).coeffs
+    outside = [d for d in sorted(numerator) if not 0 <= d <= hi]
+    if outside:
+        raise FitError(
+            "nonvanishing coefficient at Q^%d outside window [0, %d]" % (outside[0], hi)
+        )
+    surplus = order - hi if numerator else order
+    return fit_entry(numerator, power, surplus, order), symmetric(numerator, power, a, sign)
+
+
+@st.composite
+def columns(draw):
+    """A column, its order, a power in -4..10, a weight and a sign.  In
+    half of the draws the column is a numerator over (1-Q)^power, Laurent
+    or palindromic at times, with terms past the order, so that it fits;
+    one coefficient is bent in half of the draws.  In half of the draws
+    the weight is the numerator's one candidate lowest + highest - power,
+    so the palindromy holds as well as fails, and in half the order
+    leaves the window its surplus."""
+    power = draw(st.integers(-4, 10))
+    num = draw(st.one_of(st.just({}), numerators()))
+    if num and draw(st.booleans()):
+        a = min(num) + max(num) - power
+    else:
+        a = draw(st.integers(-4, 4))
+    order = draw(st.integers(0, 20))
+    if draw(st.booleans()):
+        order = max(order, power + max(a, 0) + 3)
+    if draw(st.booleans()):
+        column = (TruncSeries(order + 2, num) * one_minus_q_power(-power, order + 2)).coeffs
+    else:
+        column = num
+    if draw(st.booleans()):
+        d = draw(st.integers(-2, order + 2))
+        column = {**column, d: column.get(d, 0) + draw(NONZERO)}
+    return column, order, power, a, draw(st.sampled_from([1, -1]))
+
+
+class TestDifferences:
+    """The exact differences against one product with the binomials."""
+
+    @given(columns())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_binomial_product(self, case):
+        column = case[0]
+        kept = dict(column)
+        assert _outcome(certify_column, *case) == _outcome(certify_by_binomials, *case)
+        assert column == kept  # the column is read, not cleared
 
 
 def invert_t_oracle(series):
@@ -362,23 +428,24 @@ class TestWeyl:
 class TestCertifyColumn:
     def test_skip_iff_no_surplus_beyond_window(self):
         # the numerator window is [0, power + max(a, 0)] = [0, 3]
-        assert certify_column(geometric(5), 1, 2) is None
-        fit, holds = certify_column(geometric(6), 1, 2)
+        assert certify_column(geometric(5), 5, 1, 2) is None
+        fit, holds = certify_column(geometric(6), 6, 1, 2)
         assert fit["denom_spec"] == [[1, 1]]
         assert not holds
 
     def test_power_zero_has_no_factor(self):
-        fit, holds = certify_column(TruncSeries(5, {1: 1}), 0, 2)
+        fit, holds = certify_column({1: 1}, 5, 0, 2)
         assert fit["denom_spec"] == []
         assert holds  # Q^2 (1/Q) = Q
 
     def test_not_rational_raises(self):
-        series = TruncSeries(8, {d: Fraction(1, factorial(d)) for d in range(9)})
+        series = {d: Fraction(1, factorial(d)) for d in range(9)}
         with pytest.raises(FitError):
-            certify_column(series, 2, 0)
+            certify_column(series, 8, 2, 0)
 
     @pytest.mark.parametrize("a, holds", [(-2, True), (-1, False), (0, False)])
     def test_r0_column_holds_only_at_its_weight(self, gw_table_r0, a, holds):
         """GW_{1, c + jb} on P1 x P1 is symmetric with weight w.c = -2 only."""
-        column = gw_table_r0.column(1, 1)
-        assert certify_column(column, column_power(1, 1), a)[1] is holds
+        order = gw_table_r0.j_max
+        column = {j: gw_table_r0.value(1, 1, j) for j in range(order + 1)}
+        assert certify_column(column, order, column_power(1, 1), a)[1] is holds

@@ -661,11 +661,17 @@ class TestKnownDenominators:
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_foreign_denominator_raises(self, m, monkeypatch):
-        """A planted hook (1 - q^(m+1)) that does not divide (q;q)_m^2 is fatal."""
+        """A planted hook (1 - q^(m+1)) that does not divide (q;q)_m^2 is
+        fatal in the S-build of a pair of class m: through z_ratio for
+        m >= 1, and for m = 0, whose z_ratio is 1 and fetches no pair, in
+        the build of (empty, empty) itself."""
         hooks = Partition.hooks
         monkeypatch.setattr(Partition, "hooks", lambda mu: hooks(mu) + [m + 1])
         with pytest.raises(VertexError, match="does not divide"):
-            z_ratio(1, m, 6, SCache())
+            if m:
+                z_ratio(1, m, 6, SCache())
+            else:
+                SCache().get(EMPTY, EMPTY, 6)
 
     def test_pt_assembles_only_its_class(self, monkeypatch):
         """pt_series(0, 6, .) reads the 65 S-ratios of |mu2| + |mu4| = 6,
@@ -690,6 +696,13 @@ class TestKnownDenominators:
         z_ratio(7, 4, 3, SCache())
         assert len(calls) == 5
         assert all(mu2.size == 0 for mu2, _, _ in calls)
+
+    def test_class_zero_fetches_no_pair(self, monkeypatch):
+        """Z_0/Z_0 = 1: z_ratio at m = 0 is the unit class series, and asks
+        the cache for no S-entry, not even (empty, empty)."""
+        monkeypatch.setattr(SCache, "get", lambda *args: pytest.fail("fetched %r" % (args,)))
+        for r in (0, 1, 2, 5):
+            assert z_ratio(r, 0, 9, SCache()) == (0, {0: [1]}, [1]), r
 
     def test_z_ratio_is_a_shift_and_a_sum(self, monkeypatch):
         """Each cofactor is divided once per sorted pair, in its S-build, at
