@@ -272,7 +272,7 @@ def run_verify(args, cache, report) -> int:
         }
         if args.all:
             for g in (0, 1):
-                entry = rat.polynomiality_check(table, g, 1, j_lo, j_lo + 6)
+                entry = rat.polynomiality_check(table, g, j_lo, j_lo + 6)
                 poly["r=%d,g=%d" % (r, g)] = entry
     checks["column_exponents"] = exponents
     if args.all:

@@ -23,7 +23,6 @@ from operator import mul
 
 # below this length of the shorter factor, schoolbook beats packing
 _KRONECKER_MIN = 6
-_WORD_MASK = (1 << 64) - 1
 
 
 # -- dense integer polynomials -----------------------------------------------
@@ -78,14 +77,11 @@ def _pack(p, m):
     """p(2^(64*m)), for coefficients of absolute value below 2^(64*m-1)."""
     n = len(p)
     if m == 1:
-        words = p
+        data = struct.pack(_struct_format(n, 1), *p)
     else:
-        words = [0] * (n * m)
-        words[::m] = [c >> (64 * m - 64) for c in p]
-        for j in range(1, m):
-            words[j::m] = [c >> (64 * (m - 1 - j)) & _WORD_MASK for c in p]
+        data = b"".join(c.to_bytes(8 * m, "big", signed=True) for c in p)
     half = _half_digits(n, m)
-    return (int.from_bytes(struct.pack(_struct_format(n, m), *words), "big") ^ half) - half
+    return (int.from_bytes(data, "big") ^ half) - half
 
 
 def _unpack(x, m, n):

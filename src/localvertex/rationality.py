@@ -9,7 +9,8 @@ series over (1-Q)^h): p exact differences clear it, and every
 coefficient beyond the numerator window must vanish; the count of
 vanishing surplus coefficients is the confidence certificate (>= 3 for
 an accepted fit).  Nothing is searched: the caller hands over the
-exponent a of Q^a f(1/Q) = +-f(Q) (the Weyl weight), and the window
+exponent a of the one functional equation Q^a f(1/Q) = (-1)^p f(Q) (the
+Weyl weight m(r-2) of a GW column, 0 in R_{0,0}), and the window
 [0, p + max(a, 0)] follows from it a priori.  The functional equation is
 checked on the numerator by exact palindromy, never on the truncation:
 Q -> 1/Q is ill-defined on a one-sided expansion.  Fits hold the
@@ -35,22 +36,24 @@ class FitError(ArithmeticError):
     """The series is not rational with the prescribed denominator."""
 
 
-def certify_column(column: dict, order: int, power: int, a: int, sign: int = 1):
-    """Fit column = num(Q)/(1-Q)^power and check Q^a f(1/Q) = sign * f(Q).
+def certify_column(column: dict, order: int, power: int, a: int):
+    """Fit column = num(Q)/(1-Q)^power and check Q^a f(1/Q) = (-1)^power f(Q).
 
     ``column`` is a {degree: value} map, read through ``order`` and left
     unchanged.  By the functional equation the numerator lies in degrees
     [0, power + max(a, 0)], so the fit takes that window a priori.  A copy
     is cleared in place by ``power`` backward differences c_d -= c_(d-1),
-    each the exact product with 1 - Q (|power| prefix sums for power < 0);
-    a coefficient outside the window raises FitError.  Substituting 1/Q
-    multiplies (1-Q)^power by (-1)^power Q^(-power), so the identity is
-    the palindromy num(Q) = sign * (-1)^power * Q^(a+power) * num(1/Q).
+    each the exact product with 1 - Q; a coefficient outside the window,
+    or a negative power, raises FitError.  Substituting 1/Q multiplies
+    (1-Q)^power by (-1)^power Q^(-power), so the identity is the
+    palindromy num_d = num_(a+power-d).
 
     Returns None when the order leaves no surplus of 3 beyond the window,
     else (fit, holds), ``fit`` the report entry {"numerator",
     "denom_spec", "surplus", "order"}; the zero column has surplus = order.
     """
+    if power < 0:
+        raise FitError("negative denominator power %d" % power)
     hi = power + max(a, 0)
     if order < hi + 3:
         return None
@@ -59,17 +62,13 @@ def certify_column(column: dict, order: int, power: int, a: int, sign: int = 1):
     for _ in range(power):
         for d in range(order, low, -1):
             cleared[d] -= cleared[d - 1]
-    for _ in range(-power):
-        for d in range(low + 1, order + 1):
-            cleared[d] += cleared[d - 1]
     numerator = {d: c for d, c in cleared.items() if c}  # ascending degrees
     outside = [d for d in numerator if not 0 <= d <= hi]
     if outside:
         raise FitError(
             "nonvanishing coefficient at Q^%d outside window [0, %d]" % (outside[0], hi)
         )
-    mirror = -sign if power % 2 else sign  # exact for power < 0 too
-    holds = all(c == mirror * numerator.get(a + power - d, 0) for d, c in numerator.items())
+    holds = all(c == numerator.get(a + power - d, 0) for d, c in numerator.items())
     fit = {
         "numerator": {
             str(d): {"num": c.numerator, "den": c.denominator}
@@ -163,7 +162,8 @@ def column_certificate(table, m: int, g: int, order: int):
 def verify_R(useries) -> dict:
     """Certify membership in R_{0,0}: each u-coefficient f_h, h up to the
     u-order of ``useries`` (``gwtheory.tilde_pt0``), is num(Q)/(1-Q)^h with
-    f_h(1/Q) = (-1)^h f_h(Q), by ``certify_column`` on its coefficient map.
+    f_h(1/Q) = (-1)^h f_h(Q), by ``certify_column`` at weight 0 on its
+    coefficient map; a row h < 0 fails its fit.
 
     Returns the report entry {"a": 0, "b": 0, "passed", "per_h"}, a and b
     naming the ring, with one row per h.  Fit failures are recorded in
@@ -177,7 +177,7 @@ def verify_R(useries) -> dict:
         if not coeff:
             continue
         try:
-            certified = certify_column(coeff.coeffs, coeff.order, h, 0, sign=-1 if h % 2 else 1)
+            certified = certify_column(coeff.coeffs, coeff.order, h, 0)
         except FitError as err:
             row.update(fit_ok=False, symmetry_ok=False, error=str(err))
             continue
@@ -194,22 +194,22 @@ def verify_R(useries) -> dict:
 # Eventual polynomiality in j
 
 
-def polynomiality_check(table, g: int, m: int, j_lo: int, j_hi: int):
-    """Check that j -> GW_{g, m*c + j*b} of ``table`` (a ``gwtheory.GWTable``)
-    is a polynomial of degree < column_power(m, g) across [j_lo, j_hi], via
+def polynomiality_check(table, g: int, j_lo: int, j_hi: int):
+    """Check that j -> GW_{g, c + j*b} of ``table`` (a ``gwtheory.GWTable``)
+    is a polynomial of degree < column_power(1, g) across [j_lo, j_hi], via
     vanishing finite differences.
 
-    Returns the report entry: the difference order, the window, the
-    detected polynomial degree and "passed".
+    Returns the report entry: the class (g, m = 1), the difference order,
+    the window, the detected polynomial degree and "passed".
     """
-    depth = column_power(m, g)
+    depth = column_power(1, g)
     length = j_hi - j_lo + 1
     if length < depth + 1:
         raise ValueError(
             "window of length %d too short for order-%d differences"
             % (length, depth)
         )
-    values = [table.value(g, m, j) for j in range(j_lo, j_hi + 1)]
+    values = [table.value(g, 1, j) for j in range(j_lo, j_hi + 1)]
     rows = [values]  # rows[k] holds the k-th differences
     while len(rows) < length:
         row = rows[-1]
@@ -217,7 +217,7 @@ def polynomiality_check(table, g: int, m: int, j_lo: int, j_hi: int):
     degree = max((k for k, row in enumerate(rows) if any(row)), default=None)
     return {
         "g": g,
-        "m": m,
+        "m": 1,
         "window": [j_lo, j_hi],
         "difference_order": depth,
         "max_nonvanishing_difference_order": degree,

@@ -1,11 +1,14 @@
 """The window and exponent searches that the engine does without.
 
 ``rationality.certify_column`` is handed the exponent a of
-Q^a f(1/Q) = sign f(Q), the Weyl weight, and takes its window from it.
-The tests find both from the series alone, to show that the weight is
-the only exponent that works.  ``find_exponent`` is that search in closed
-form; test_rationality checks it against the loops it replaces
-(``fit_by_widening`` and ``exponent_by_scan``).
+Q^a f(1/Q) = (-1)^p f(Q), f = num/(1-Q)^p, the Weyl weight, and takes its
+window from it.  The tests find both from the series alone, to show that
+the weight is the only exponent that works.  ``find_exponent`` is that
+search in closed form; test_rationality checks it against the loops it
+replaces (``fit_by_widening`` and ``exponent_by_scan``).  Here the sign
+of Q^a f(1/Q) = sign f(Q) stays free, and ``symmetric`` checks the
+identity on f, not the numerator's palindromy: the tests pass
+sign = (-1)^p to compare with ``certify_column``.
 """
 
 from localvertex.rationality import FitError

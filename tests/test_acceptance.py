@@ -152,5 +152,5 @@ def test_criterion_10_eventual_polynomiality(gw_table_r0, gw_table_r1):
     j in [3,9], for r in {0,1} and (g,m) in {(0,1),(1,1)}."""
     for table in (gw_table_r0, gw_table_r1):
         for g in (0, 1):
-            report = rat.polynomiality_check(table, g, 1, 3, 9)
+            report = rat.polynomiality_check(table, g, 3, 9)
             assert report["passed"], report

@@ -264,7 +264,7 @@ class TestVerify:
         assert calls == [(0, 1, 9, max(int(g_max), 1))]
         table = gw.gw_extract(0, 1, 9, 1)
         for g in (0, 1):
-            expected = rat.polynomiality_check(table, g, 1, 3, 9)
+            expected = rat.polynomiality_check(table, g, 3, 9)
             assert doc["checks"]["polynomiality"]["r=0,g=%d" % g] == expected
 
     @pytest.mark.parametrize(

@@ -214,18 +214,23 @@ class TestVerifyR:
         assert report["per_h"]["1"]["fit_ok"] and report["per_h"]["2"]["fit_ok"]
 
     def test_negative_h_is_exact(self):
-        """f_1 = (1+Q)/(3(1-Q)) satisfies f(1/Q) = -f(Q): the odd-h sign
-        (-1)^h must stay an int, or 1/3 meets a float.  In R_{0,0} a row
-        h = -1 has the empty numerator window [0, -1], so a nonzero f_(-1)
-        is recorded exactly as a failed fit."""
+        """f_1 = (1+Q)/(3(1-Q)) satisfies f(1/Q) = -f(Q), its numerator
+        1/3 + Q/3 a palindrome of exact Fractions.  R_{0,0} has no negative
+        power of (1-Q), so a nonzero f_(-1) is recorded as a failed fit."""
         f = TruncSeries(8, {0: Fraction(1, 3), **{d: Fraction(2, 3) for d in range(1, 9)}})
         report = verify_R(TruncSeries(1, {1: f}))
         assert report["per_h"]["1"]["fit"]["numerator"] == {
             "0": {"num": 1, "den": 3}, "1": {"num": 1, "den": 3},
         }
         assert report["passed"] is True
-        row = verify_R(TruncSeries(0, {-1: f}))["per_h"]["-1"]
-        assert row["error"] == "nonvanishing coefficient at Q^0 outside window [0, -1]"
+        report = verify_R(TruncSeries(0, {-1: f}))
+        assert report["passed"] is False
+        assert report["per_h"]["-1"] == {
+            "fit_ok": False,
+            "symmetry_ok": False,
+            "error": "negative denominator power -1",
+            "fit": None,
+        }
 
     def test_h0_row_has_no_denominator(self, tilde_series):
         row = verify_R(tilde_series)["per_h"]["0"]
@@ -255,7 +260,7 @@ class TestPolynomiality:
         table = GWTable(r=0, g_max=0, m_max=1, j_max=9)
         for j in range(10):
             table.entries[(0, 1, j)] = Fraction(7)
-        report = polynomiality_check(table, 0, 1, 2, 8)
+        report = polynomiality_check(table, 0, 2, 8)
         assert report["passed"] is True
         assert report["difference_order"] == 2
 
@@ -263,7 +268,7 @@ class TestPolynomiality:
         table = GWTable(r=0, g_max=0, m_max=1, j_max=9)
         for j in range(10):
             table.entries[(0, 1, j)] = Fraction(j**2)
-        report = polynomiality_check(table, 0, 1, 2, 8)
+        report = polynomiality_check(table, 0, 2, 8)
         assert report["passed"] is False
         assert report["max_nonvanishing_difference_order"] == 2
 
@@ -274,7 +279,7 @@ class TestPolynomiality:
         table = GWTable(r=0, g_max=0, m_max=1, j_max=len(values) - 1)
         for j, v in enumerate(values):
             table.entries[(0, 1, j)] = Fraction(v)
-        report = polynomiality_check(table, 0, 1, 0, len(values) - 1)
+        report = polynomiality_check(table, 0, 0, len(values) - 1)
         nonzero = [k for k in range(len(values)) if any(finite_differences(values, k))]
         assert report["max_nonvanishing_difference_order"] == max(nonzero, default=None)
         assert report["passed"] is not any(finite_differences(values, 2))
@@ -282,10 +287,10 @@ class TestPolynomiality:
     def test_short_window_rejected(self):
         table = GWTable(r=0, g_max=1, m_max=1, j_max=9)
         with pytest.raises(ValueError):
-            polynomiality_check(table, 1, 1, 3, 5)
+            polynomiality_check(table, 1, 3, 5)
 
     def test_genus_zero_section_r0(self, gw_table_r0):
-        assert polynomiality_check(gw_table_r0, 0, 1, 2, 8)["passed"] is True
+        assert polynomiality_check(gw_table_r0, 0, 2, 8)["passed"] is True
 
     @pytest.mark.parametrize("r", range(5))
     def test_certificate_implies_polynomiality(self, r):
@@ -298,13 +303,13 @@ class TestPolynomiality:
         for g in (0, 1):
             power, a = column_power(1, g), w_dot_beta(1, r)
             assert certify_column(gw_column(table, g, 1, 12).coeffs, 12, power, a)[1] is True, g
-            assert polynomiality_check(table, g, 1, j_lo, j_lo + 6)["passed"] is True, g
+            assert polynomiality_check(table, g, j_lo, j_lo + 6)["passed"] is True, g
             for j in range(j_lo, j_lo + 7):
                 planted = GWTable(r, 1, 1, 12)
                 planted.entries = {**table.entries, (g, 1, j): table.value(g, 1, j) + 1}
                 with pytest.raises(FitError):
                     certify_column(gw_column(planted, g, 1, 12).coeffs, 12, power, a)
-                report = polynomiality_check(planted, g, 1, j_lo, j_lo + 6)
+                report = polynomiality_check(planted, g, j_lo, j_lo + 6)
                 assert report["passed"] is False, (g, j)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import localvertex
-from localvertex.qfield import _add, _exquo, _mul, expansion
+from localvertex.qfield import _add, _exquo, _mul, _pack, _unpack, expansion
 from localvertex.qrat import QFieldError, QRat, _gcd, _gcd_prs
 
 T = QRat.t_power(1)
@@ -439,3 +439,25 @@ class TestKernelOracle:
         f, g = zz.mul(a, c), zz.mul(b, c)
         f, g = [x // math.gcd(*f) for x in f], [x // math.gcd(*g) for x in g]
         assert _gcd_prs(f, g) == tuple(zz.inner_gcd(f, g))
+
+
+@st.composite
+def _digit_rows(draw):
+    """m in 1..4 and a row of balanced base-2^(64m) digits, drawn often at
+    the bounds -2^(64m-1) and 2^(64m-1) - 1."""
+    m = draw(st.integers(1, 4))
+    lo, hi = -(1 << (64 * m - 1)), (1 << (64 * m - 1)) - 1
+    digit = st.one_of(st.sampled_from([lo, lo + 1, -1, 0, 1, hi - 1, hi]), st.integers(lo, hi))
+    return m, draw(st.lists(digit, min_size=1, max_size=12))
+
+
+class TestPacking:
+    """Kronecker packing, single- and multiword."""
+
+    @given(_digit_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, drawn):
+        m, p = drawn
+        x = _pack(p, m)
+        assert x == sum(c << (64 * m * k) for k, c in enumerate(reversed(p)))
+        assert _unpack(x, m, len(p)) == p

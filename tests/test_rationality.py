@@ -44,7 +44,7 @@ ONE = {"0": {"num": 1, "den": 1}}
 
 class TestFit:
     def test_geometric(self):
-        fit, holds = certify_column(geometric(8), 8, 1, -1, sign=-1)
+        fit, holds = certify_column(geometric(8), 8, 1, -1)
         assert fit["numerator"] == ONE
         assert fit["surplus"] == 7  # window [0, 1]
         assert holds  # Q^-1 f(1/Q) = -f(Q) for f = 1/(1-Q)
@@ -77,7 +77,7 @@ class TestFit:
     def test_expand_round_trip(self):
         series = TruncSeries(8, {d: (d + 1) * (d + 2) // 2 for d in range(9)})
         assert find_exponent(series, 3, sign=-1) == ({0: 1}, 5, -3)
-        fit, holds = certify_column(series.coeffs, series.order, 3, -3, sign=-1)
+        fit, holds = certify_column(series.coeffs, series.order, 3, -3)
         assert fit["numerator"] == ONE and holds
 
     def test_zero_series(self):
@@ -99,8 +99,7 @@ class TestQFunctional:
 
     def test_antisymmetric(self):
         series = {0: 1, **{d: 2 for d in range(1, 9)}}  # (1+Q)/(1-Q)
-        assert certify_column(series, 8, 1, 0, sign=-1)[1]
-        assert not certify_column(series, 8, 1, 0)[1]
+        assert certify_column(series, 8, 1, 0)[1]  # f(1/Q) = -f(Q)
 
     def test_geometric_not_symmetric(self):
         assert not certify_column(geometric(8), 8, 1, 0)[1]
@@ -181,7 +180,7 @@ COEFFS = st.one_of(st.just(0), NONZERO)
 def fit_cases(draw):
     """A series num/denominator (num Laurent, of small degree), sometimes
     with one coefficient bent, and either no exponent (the auto window) or
-    an exponent and sign for ``certify_column``.  In half of the exponent
+    an exponent for ``certify_column``.  In half of the exponent
     draws it is num's own lowest + highest - power, the one candidate,
     bent by -1, 0 or +1, at an order that leaves the fit its surplus, so
     the palindromy fails as well as holds."""
@@ -196,7 +195,7 @@ def fit_cases(draw):
             order = max(order, power + max(a, 0) + 3)
         else:
             a = draw(st.integers(-4, 11))
-        exponent = a, draw(st.sampled_from([1, -1]))
+        exponent = a
     series = TruncSeries(order, num) * one_minus_q_power(-power, order)
     if draw(st.booleans()):
         d = draw(st.integers(-2, order))
@@ -211,14 +210,15 @@ def _outcome(fit, *args):
         return "error", str(err)
 
 
-def _certified(series, power, a, sign):
+def _certified(series, power, a):
     """certify_column's outcome from the oracle: the fit in the window
-    [0, power + max(a, 0)] and the palindromy of its numerator."""
+    [0, power + max(a, 0)] and Q^a f(1/Q) = (-1)^power f(Q)."""
     fitted = fit_by_widening(series, power, (0, power + max(a, 0)))
     if fitted is None:
         return None
     numerator, surplus = fitted
-    return fit_entry(numerator, power, surplus, series.order), symmetric(numerator, power, a, sign)
+    holds = symmetric(numerator, power, a, (-1) ** power)
+    return fit_entry(numerator, power, surplus, series.order), holds
 
 
 @st.composite
@@ -250,9 +250,8 @@ class TestClosedForms:
             else:
                 assert got[0] == "fit" and got[1][:2] == expected[1]
         else:
-            args = (series, power) + exponent
-            got = _outcome(certify_column, series.coeffs, series.order, power, *exponent)
-            assert got == _outcome(_certified, *args)
+            got = _outcome(certify_column, series.coeffs, series.order, power, exponent)
+            assert got == _outcome(_certified, series, power, exponent)
 
     @given(numerators(), st.sampled_from(DENOMINATORS), st.sampled_from([1, -1]))
     @settings(max_examples=400, deadline=None)
@@ -277,23 +276,15 @@ class TestClosedForms:
         assert find_exponent(series, 2, 1, 8)[2] is None  # the candidate 0 is out of range
         assert len(calls) == 1
 
-    def test_negative_power(self):
-        """(1-Q)^2 over (1-Q)^(-2) is 1: the prefix sums of a negative power
-        run on through Q^order, as the oracle's geometric series does."""
-        series = TruncSeries(8, {0: 1, 1: -2, 2: 1})
-        assert find_exponent(series, -2)[0] == {0: 1}
-        assert _outcome(find_exponent, series, -2)[1][:2] == fit_by_widening(series, -2)
-        # Q^2 f(1/Q) = f(Q) for f = (1-Q)^2, in the window [0, 0]
-        got = certify_column(series.coeffs, 8, -2, 2)
-        assert got == _certified(series, -2, 2, 1) == (fit_entry({0: 1}, -2, 8, 8), True)
-
-    def test_negative_power_symmetry_is_exact(self):
-        """(1-Q)^3/3 satisfies Q^3 f(1/Q) = -f(Q); the sign (-1)^(-3) must
-        stay an int, or the palindromy compares 1/3 with a float."""
-        series = TruncSeries(8, {0: Fraction(1, 3), 1: -1, 2: 1, 3: Fraction(-1, 3)})
-        fit, holds = certify_column(series.coeffs, 8, -3, 3, sign=-1)
-        assert fit["numerator"] == {"0": {"num": 1, "den": 3}} and holds
-        assert _certified(series, -3, 3, -1) == (fit, True)
+    @pytest.mark.parametrize("power", [-1, -2, -3])
+    def test_negative_power_raises(self, power):
+        """(1-Q)^|power| is num/(1-Q)^power, but no certificate fits over a
+        negative power: it raises at any order, never certifies."""
+        column = one_minus_q_power(-power, 8).coeffs
+        with pytest.raises(FitError, match="^negative denominator power %d$" % power):
+            certify_column(column, 8, power, -power)
+        with pytest.raises(FitError):
+            certify_column({}, 0, power, 0)
 
     def test_window_messages(self):
         """The window text that the fit and verify reports carry."""
@@ -302,16 +293,15 @@ class TestClosedForms:
             certify_column({0: 1, 1: 2}, 8, 0, 0)
 
 
-def certify_by_binomials(column, order, power, a, sign=1):
+def certify_by_binomials(column, order, power, a):
     """Oracle for ``certify_column``: the column cleared by one product in
     the series ring with the binomials (-1)^k C(power, k), k <= order, of
-    (1-Q)^power, not by differences.  Same window, error text and
-    palindromy."""
+    (1-Q)^power, not by differences.  Same window and error text; the
+    functional equation Q^a f(1/Q) = (-1)^power f(Q) is checked on f."""
     hi = power + max(a, 0)
     if order < hi + 3:
         return None
-    # c_(k+1) = -c_k (power - k)/(k + 1) is exact, and for power < 0 runs
-    # on through the degrees the truncated product can reach
+    # c_(k+1) = -c_k (power - k)/(k + 1) is exact
     clearing, c = {}, 1
     for k in range(order + 1):
         clearing[k] = c
@@ -323,19 +313,19 @@ def certify_by_binomials(column, order, power, a, sign=1):
             "nonvanishing coefficient at Q^%d outside window [0, %d]" % (outside[0], hi)
         )
     surplus = order - hi if numerator else order
-    return fit_entry(numerator, power, surplus, order), symmetric(numerator, power, a, sign)
+    return fit_entry(numerator, power, surplus, order), symmetric(numerator, power, a, (-1) ** power)
 
 
 @st.composite
 def columns(draw):
-    """A column, its order, a power in -4..10, a weight and a sign.  In
-    half of the draws the column is a numerator over (1-Q)^power, Laurent
-    or palindromic at times, with terms past the order, so that it fits;
-    one coefficient is bent in half of the draws.  In half of the draws
-    the weight is the numerator's one candidate lowest + highest - power,
-    so the palindromy holds as well as fails, and in half the order
-    leaves the window its surplus."""
-    power = draw(st.integers(-4, 10))
+    """A column, its order, a power in 0..10 and a weight.  In half of
+    the draws the column is a numerator over (1-Q)^power, Laurent or
+    palindromic at times, with terms past the order, so that it fits; one
+    coefficient is bent in half of the draws.  In half of the draws the
+    weight is the numerator's one candidate lowest + highest - power, so
+    the palindromy holds as well as fails, and in half the order leaves
+    the window its surplus."""
+    power = draw(st.integers(0, 10))
     num = draw(st.one_of(st.just({}), numerators()))
     if num and draw(st.booleans()):
         a = min(num) + max(num) - power
@@ -351,7 +341,7 @@ def columns(draw):
     if draw(st.booleans()):
         d = draw(st.integers(-2, order + 2))
         column = {**column, d: column.get(d, 0) + draw(NONZERO)}
-    return column, order, power, a, draw(st.sampled_from([1, -1]))
+    return column, order, power, a
 
 
 class TestDifferences:
