@@ -67,10 +67,11 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> list:
 
     Each row X_n/q^(lo n) of ``_exp_rows``, e_i from ``e_coeffs``, has degree
     span n at most, span = max(i) - min(i), so span order + 1 coefficients
-    hold it.  W_mu^2 is q^(k(mu) + |mu| + 2 n(mu))/H_mu^2, read off the
-    diagram, H_mu = prod_hooks (1 - q^h); each X_n times the cofactor
-    ((q;q)_m/(H_mu H_nu))^2, divided at half degree once per build and
-    squared, is over (q;q)_m^2; a remainder raises VertexError.
+    hold it.  W_mu^2 is q^(sum_i mu_i^2)/H_mu^2, H_mu = prod_hooks (1 - q^h):
+    k(mu) + |mu| + 2 n(mu) = sum_i mu_i^2, as a box in column j >= 0 adds
+    2j + 1.  Each X_n times the cofactor ((q;q)_m/(H_mu H_nu))^2, divided at
+    half degree once per build and squared, is over (q;q)_m^2; a remainder
+    raises VertexError.
     """
     m = mu.size + nu.size
     cofactor = _exquo(_qq(m), reduce(_times_one_minus_q_power, mu.hooks() + nu.hooks(), [1]))
@@ -80,7 +81,7 @@ def s_ratio_squared(mu: Partition, nu: Partition, order: int) -> list:
     e = e_coeffs(mu, nu)
     lo = min(e, default=-1) + 1
     span = max(e, default=0) - min(e, default=0)
-    w = sum(p.kappa() + p.size + 2 * p.n_stat() for p in (mu, nu))
+    w = sum(part * part for p in (mu, nu) for part in p)
     out = [(w, cofactor)]
     for n, row in enumerate(_exp_rows(e, order, span * order + 1)[1:], 1):
         num = _strip(row[span * (order - n) :])
@@ -129,34 +130,27 @@ def _divide(total: int, n: int, words: int, width: int) -> tuple:
     return x, row
 
 
-def _contents(mu: Partition) -> dict:
-    """B_mu(q) = sum over the boxes (row i >= 1, column j >= 0) of q^(j-i)."""
-    b = {}
-    for i, part in enumerate(mu, 1):
-        for j in range(part):
-            b[j - i] = b.get(j - i, 0) + 1
-    return b
-
-
 def e_coeffs(mu: Partition, nu: Partition) -> dict:
     """The integer e_i with sum_i e_i q^i = (p_mu(q) p_nu(q) (1-q)^2 - 1)/(1-q)^2.
 
-    p_mu(q) = 1/(q-1) + (q-1) B_mu(q) with B_mu of ``_contents``, so
-    p_mu p_nu (1-q)^2 = (1 + (1-q)^2 B_mu)(1 + (1-q)^2 B_nu) and
-    e = B_mu + B_nu + (1-q)^2 B_mu B_nu, read off the Young diagrams.
+    p_mu(q) = 1/(q-1) + (q-1) B_mu(q), B_mu = sum of q^(j-i) over the boxes
+    (row i >= 1, column j >= 0), so p_mu p_nu (1-q)^2 = (1 + (1-q) C_mu)(1 +
+    (1-q) C_nu) with C_mu = (1-q) B_mu = sum_i (q^(-i) - q^(mu_i - i)), 2 l(mu)
+    terms, and e = B_mu + B_nu + C_mu C_nu: one walk over the boxes and one
+    product of two short lists.
     """
-    b_mu, b_nu = _contents(mu), _contents(nu)
-    product = {}
-    for i, c in b_mu.items():
-        for j, d in b_nu.items():
-            product[i + j] = product.get(i + j, 0) + c * d
     e = {}
-    for i, c in product.items():
-        for k, f in ((0, 1), (1, -2), (2, 1)):
-            e[i + k] = e.get(i + k, 0) + f * c
-    for b in (b_mu, b_nu):
-        for i, c in b.items():
-            e[i] = e.get(i, 0) + c
+    for p in (mu, nu):
+        for i, part in enumerate(p, 1):
+            for j in range(-i, part - i):
+                e[j] = e.get(j, 0) + 1
+    c_mu, c_nu = (
+        [(k, c) for i, part in enumerate(p, 1) for k, c in ((-i, 1), (part - i, -1))]
+        for p in (mu, nu)
+    )
+    for i, c in c_mu:
+        for j, d in c_nu:
+            e[i + j] = e.get(i + j, 0) + c * d
     return {i: c for i, c in sorted(e.items()) if c}
 
 

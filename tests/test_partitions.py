@@ -78,6 +78,12 @@ class TestStatistics:
         for mu in partitions_up_to(12):
             assert mu.kappa() % 2 == 0
 
+    def test_weight_is_sum_of_squared_parts(self):
+        """k(mu) + |mu| + 2 n(mu) = sum_i mu_i^2, the exponent of W_mu^2: a
+        box in column j >= 0 adds 2j + 1."""
+        for mu in partitions_up_to(20):
+            assert mu.kappa() + mu.size + 2 * mu.n_stat() == sum(p * p for p in mu), mu
+
     def test_kappa_conjugate_negates(self):
         for mu in partitions_up_to(10):
             assert mu.conjugate().kappa() == -mu.kappa()

@@ -1,6 +1,7 @@
 """Vertex sums, the S-series routes, partition functions, PT extraction."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -183,6 +184,26 @@ def clearing_route_e(mu, nu):
     return out
 
 
+def contents_route_e(mu, nu):
+    """The oracle: e = B_mu + B_nu + (1-q)^2 B_mu B_nu, the content
+    polynomials B convolved box by box, then times (1-q)^2, as {i: e_i}."""
+    b_mu, b_nu = (
+        Counter(j - i for i, part in enumerate(p, 1) for j in range(part)) for p in (mu, nu)
+    )
+    product = {}
+    for i, c in b_mu.items():
+        for j, d in b_nu.items():
+            product[i + j] = product.get(i + j, 0) + c * d
+    e = {}
+    for i, c in product.items():
+        for k, f in ((0, 1), (1, -2), (2, 1)):
+            e[i + k] = e.get(i + k, 0) + f * c
+    for b in (b_mu, b_nu):
+        for i, c in b.items():
+            e[i] = e.get(i, 0) + c
+    return {i: c for i, c in sorted(e.items()) if c}
+
+
 class TestClosedForm:
     def test_e_golden(self):
         assert e_coeffs(P(2, 1), P(1)) == {-3: 1, -1: 2, 1: 1}
@@ -198,6 +219,16 @@ class TestClosedForm:
         assert len(pairs) == 434
         for mu, nu in pairs:
             assert e_coeffs(mu, nu) == clearing_route_e(mu, nu), (mu, nu)
+
+    def test_e_matches_contents_route(self):
+        """The closed form B_mu + B_nu + C_mu C_nu against the content
+        convolution, on every ordered pair with |mu| + |nu| <= 14."""
+        parts = list(partitions_up_to(14))
+        pairs = [(mu, nu) for mu in parts for nu in parts if mu.size + nu.size <= 14]
+        assert len(pairs) == 7567
+        for mu, nu in pairs:
+            want = contents_route_e(mu, nu)
+            assert list(e_coeffs(mu, nu).items()) == list(want.items()), (mu, nu)
 
     def test_reads_no_power_sums(self, monkeypatch):
         def refuse(mu, k):
