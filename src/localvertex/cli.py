@@ -22,8 +22,6 @@ realness), 3 on a ``vertex.CacheError`` (an unreadable cache file, or
 a --cache-dir that cannot be created or written).
 """
 
-from __future__ import annotations
-
 import json
 import os
 import sys

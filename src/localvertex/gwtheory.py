@@ -22,8 +22,6 @@ This module certifies nothing: the certificates of its tables and series
 which it does not import.  Only ``tilde_pt0`` imports ``series``.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .qfield import _exquo, _mul, _neg, _strip, expansion

@@ -25,8 +25,6 @@ This is the only module on the engine side that imports ``symmfun``, and
 only the tests import this module: no CLI task does.
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 from math import comb

@@ -5,8 +5,6 @@ validated tuple: immutable, and equal to (and hashing like) the plain
 tuple of its parts, so it is safe to use as a cache key.
 """
 
-from __future__ import annotations
-
 from operator import index
 
 

@@ -15,8 +15,6 @@ are in ``qrat``, which serves the oracles (among them ``pt_series``) and
 ``symmfun``, in the tests only.
 """
 
-from __future__ import annotations
-
 import struct
 from fractions import Fraction
 from operator import mul

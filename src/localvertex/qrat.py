@@ -18,8 +18,6 @@ multiplication, with a primitive-PRS Euclid behind it; it uses only the
 standard library.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd
 

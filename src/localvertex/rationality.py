@@ -27,8 +27,6 @@ It imports neither ``vertex`` nor ``series``: it reads the PT rows ``pt``
 prints, and coefficient maps.  Only ``fit`` and ``verify`` import it.
 """
 
-from __future__ import annotations
-
 from .qfield import _trailing_zeros
 
 

@@ -11,8 +11,6 @@ stored degrees are <= order.  There is no complex coefficient type:
 ``gwtheory`` expands in x = iu over Fractions and applies i^h itself.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

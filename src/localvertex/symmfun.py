@@ -9,8 +9,6 @@ no CLI task fills its memo tables: the engine reads the same quantities
 off the Young diagrams.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 

@@ -28,8 +28,6 @@ the strip product at e_i = i + 1, by the recurrence of the S-ratios
 Z_m by convolving them with z_ratio's numerators.
 """
 
-from __future__ import annotations
-
 import json
 import os
 from functools import lru_cache, reduce

@@ -5,12 +5,16 @@ import ast
 import contextlib
 import csv
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import glob
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 
 import pytest
@@ -1044,15 +1048,16 @@ CERTIFY = sorted(FIT + ["localvertex.series"])
 
 
 def loaded_modules(code, *argv):
-    """The localvertex modules, and argparse, gettext, locale, csv and
-    hashlib if loaded, after ``code`` runs with ``argv`` in a fresh
-    interpreter; ``code`` may print lines of its own before the last."""
+    """The localvertex modules, and argparse, gettext, locale, csv,
+    hashlib and __future__ if loaded, after ``code`` runs with ``argv`` in a
+    fresh interpreter; ``code`` may print lines of its own before the last."""
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     code += (
         "\nprint(json.dumps(sorted(m for m in sys.modules "
-        "if m in ('localvertex', 'argparse', 'gettext', 'locale', 'csv', 'hashlib') "
+        "if m in ('localvertex', 'argparse', 'gettext', 'locale', 'csv', 'hashlib', "
+        "'__future__') "
         "or m.startswith('localvertex.'))))"
     )
     out = subprocess.run(
@@ -1079,7 +1084,8 @@ def test_engine_leaves_oracles_out(argv, modules, tmp_path):
     certificates of ``rationality`` too, and verify also ``series``, for
     the exceptional series of ``tilde_pt0``.  No run loads the field
     Q(t) of qrat, the oracles, symmfun (so the W and power-sum memo tables
-    cannot fill), argparse, csv, or hashlib."""
+    cannot fill), argparse, csv, hashlib, or ``__future__``: no module
+    defers its annotations."""
     report = tmp_path / "report.out"
     loaded = loaded_modules(
         "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0",
@@ -1237,3 +1243,28 @@ def test_package_imports_the_standard_library_only():
                 for name in names if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_every_annotation_resolves():
+    """No module defers its annotations, so each one is evaluated when its
+    ``def`` runs, and a name quoted for a later class must resolve too:
+    ``typing.get_type_hints`` resolves on every function and method that a
+    module of the package defines at its top level, memoised, static and
+    class methods and properties included.  The root defines none."""
+    checked = 0
+    for info in pkgutil.iter_modules(localvertex.__path__):
+        module = importlib.import_module("localvertex." + info.name)
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [vars(module)[node.name]]
+            elif isinstance(node, ast.ClassDef):
+                owner = vars(vars(module)[node.name])
+                defs = [owner[d.name] for d in node.body if isinstance(d, ast.FunctionDef)]
+            else:
+                continue
+            for obj in defs:
+                func = inspect.unwrap(getattr(obj, "fget", None) or getattr(obj, "__func__", obj))
+                assert inspect.isfunction(func), obj
+                typing.get_type_hints(func)
+                checked += 1
+    assert checked > 100, checked

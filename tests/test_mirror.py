@@ -1,4 +1,5 @@
-"""Genus 0 against an oracle from outside the vertex: the mirror's periods."""
+"""Against oracles from outside the vertex: the mirror's periods at genus 0,
+and local P^2's published Gopakumar-Vafa invariants at genus 0 and 1."""
 
 import pytest
 
@@ -6,6 +7,13 @@ from localvertex.gwtheory import gw_extract
 from mirror_periods import instanton_parts
 
 DEGREE = 7
+
+# local P^2's Gopakumar-Vafa invariants n^g_d, d = 1..7 (Chiang-Klemm-Yau-Zaslow
+# hep-th/9903053)
+LOCAL_P2 = {
+    0: [3, -6, 27, -192, 1695, -17064, 188454],
+    1: [0, 0, -10, 231, -4452, 80948, -1438086],
+}
 
 # the coefficient of q_b^d_b q_c^d_c in I_ab over GW_(0, d_c c + d_b b)
 FORMS = {
@@ -31,3 +39,21 @@ def test_genus_zero_from_mirror_periods(r, scache):
             if parts[name].get((d_b, d_c), 0) != form(d_b, d_c) * table.value(0, d_c, d_b)
         ]
         assert missed == [], (name, missed)
+
+
+def test_local_p2_through_the_blow_down(scache):
+    """F_1 is P^2 blown up at a point, and h = c + b its line class: the
+    classes d h = d c + d b do not see the blow-up, so there the engine's
+    r = 1 numbers are local P^2's.  Its GV invariants are peeled off
+    GW_0(dh) = sum_(k | d) n^0_(d/k)/k^3 and GW_1(dh) = sum_(k | d)
+    (n^1_(d/k) + n^0_(d/k)/12)/k, for d <= 7."""
+    table = gw_extract(1, DEGREE, DEGREE, 1, cache=scache)
+    n0, n1 = {}, {}
+    for d in range(1, DEGREE + 1):
+        covers = [k for k in range(2, d + 1) if d % k == 0]
+        n0[d] = table.value(0, d, d) - sum(n0[d // k] / k**3 for k in covers)
+        n1[d] = table.value(1, d, d) - n0[d] / 12 - sum(
+            (n1[d // k] + n0[d // k] / 12) / k for k in covers
+        )
+    assert list(n0.values()) == LOCAL_P2[0]
+    assert list(n1.values()) == LOCAL_P2[1]

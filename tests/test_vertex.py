@@ -306,6 +306,67 @@ class TestClosedForm:
             assert value == (w_one(mu) * w_one(nu)) ** 2, (mu, nu)
 
 
+def pair_term(r, mu2, mu4, q, Q):
+    """The pair's summand term_r(mu2, mu4) of Z_m/Z_0 at the rationals (q, Q),
+    built from ``e_coeffs``, ``kappa`` and ``hooks`` alone: (-1)^(rm)
+    q^(r(k2 - k4)/2) Q^(r|mu2|) q^w (H_mu2 H_mu4)^(-2) prod_i (1 - q^(i+1) Q)^(-2 e_i),
+    w = sum_i mu2_i^2 + sum_k mu4_k^2, H_mu = prod_hooks (1 - q^h)."""
+    m = mu2.size + mu4.size
+    value = (-1) ** (r * m) * q ** (r * (mu2.kappa() - mu4.kappa()) // 2) * Q ** (r * mu2.size)
+    value *= q ** sum(part * part for p in (mu2, mu4) for part in p)
+    for h in mu2.hooks() + mu4.hooks():
+        value /= (1 - q**h) ** 2
+    for i, c in e_coeffs(mu2, mu4).items():
+        value /= (1 - q ** (i + 1) * Q) ** (2 * c)
+    return value
+
+
+class TestDihedralGenerators:
+    """The paper's two generators act pair by pair on the vertex's integer
+    data: the spherical twist, the Weyl reflection Q -> 1/Q at weight
+    m(2 - r), maps (mu2, mu4) to (mu4^t, mu2^t), and the derived dual q -> 1/q
+    maps it to (mu2^t, mu4^t).  Their product is the swap that ``SCache``
+    shares, since the S-ratio is symmetric."""
+
+    def test_integer_identities(self):
+        """On every ordered pair with |mu| + |nu| <= 14: e(nu^t, mu^t)_j =
+        e(mu, nu)_(-j-2), k(mu) + k(nu) = 2 sum_i (i + 1) e_i(mu, nu), sum_i
+        e_i = |mu| + |nu|, and mu and mu^t have one hook multiset.  Together
+        these give both functional equations of each term."""
+        parts = list(partitions_up_to(14))
+        for mu in parts:
+            assert sorted(mu.hooks()) == sorted(mu.conjugate().hooks()), mu
+        pairs = [(mu, nu) for mu in parts for nu in parts if mu.size + nu.size <= 14]
+        assert len(pairs) == 7567
+        for mu, nu in pairs:
+            e = e_coeffs(mu, nu)
+            reflected = {-j - 2: c for j, c in e.items()}
+            assert e_coeffs(nu.conjugate(), mu.conjugate()) == reflected, (mu, nu)
+            assert mu.kappa() + nu.kappa() == 2 * sum((i + 1) * c for i, c in e.items()), (mu, nu)
+            assert sum(e.values()) == mu.size + nu.size, (mu, nu)
+
+    def test_functional_equations_at_a_rational_point(self):
+        """Exactly at (q, Q) = (3/7, 5/11), for r <= 4 and every ordered pair
+        with m = |mu2| + |mu4| <= 6: term_r(mu4^t, mu2^t)(q, Q) = Q^(-m(2-r))
+        term_r(mu2, mu4)(q, 1/Q) and term_r(mu2^t, mu4^t)(q, Q) =
+        term_r(mu2, mu4)(1/q, Q).  One point is evidence for the sums, the
+        integer identities above are the proof."""
+        q, Q = Fraction(3, 7), Fraction(5, 11)
+        terms = 0
+        for r in range(5):
+            for m in range(7):
+                for a in range(m + 1):
+                    for mu2 in partitions_of(a):
+                        for mu4 in partitions_of(m - a):
+                            t2, t4 = mu2.conjugate(), mu4.conjugate()
+                            assert pair_term(r, t4, t2, q, Q) == (
+                                Q ** (m * (r - 2)) * pair_term(r, mu2, mu4, q, 1 / Q)
+                            ), (r, mu2, mu4)
+                            assert pair_term(r, t2, t4, q, Q) == pair_term(r, mu2, mu4, 1 / q, Q)
+                            terms += 1
+        assert terms == 695
+
+
 class TestSCache:
     def test_memory_reuse_and_truncation(self):
         cache = SCache()
