@@ -5,7 +5,9 @@ machine-readable reports.  Each task takes only the flags it reads, and a
 report's "bounds" lists only the bounds its task reads.  JSON is the
 canonical output (exact rationals need num/den fields); CSV, offered by
 pt and gw only, is a lossy projection of their tables for spreadsheets,
-written by one writer (``_csv``) in the dialect of ``csv.writer``.
+in the dialect of ``csv.writer``.  A task only fills the report it is
+handed (pt and gw return their CSV rows); ``main`` alone writes it, by
+``_emit``, and turns it into the exit status.
 The S-series disk cache is used only where --cache-dir names it.  Each
 task imports its stages past ``vertex`` in its function: ``gw`` imports
 ``gwtheory``; ``fit`` and ``verify`` import it and ``rationality``, and
@@ -16,10 +18,10 @@ One reader, ``_read``, reads every command line (a task, then its flags,
 each ``--flag value`` or ``--flag=value``, and a bare ``--all``) from the
 ``TASK_FLAGS`` and ``FLAGS`` tables, and writes the help and usage errors.
 Exit status: 0 on success, 1 if a verification fails, 2 on a usage error
-(``_read``'s, or an ``OutputError``: an --out that cannot be written) or a
-``vertex.VertexError`` (an internal invariant: an exact division, or
-realness), 3 on a ``vertex.CacheError`` (an unreadable cache file, or
-a --cache-dir that cannot be created or written).
+(``_read``'s, or an ``OutputError``: a report or help text that cannot be
+written to --out or stdout) or a ``vertex.VertexError`` (an internal
+invariant: an exact division, or realness), 3 on a ``vertex.CacheError``
+(an unreadable cache file, or a --cache-dir that cannot be made or written).
 """
 
 import json
@@ -121,30 +123,44 @@ def _exit(task, error=None):
         rows = [(_word(flag), FLAGS[flag][2]) for flag in TASK_FLAGS[task][1].split()]
         words = " ".join("[%s]" % word for word, _ in rows)
     usage = "usage: %s [-h] %s\n" % (prog, words)
-    if error is not None:
-        sys.stderr.write("%s%s: error: %s\n" % (usage, prog, error))
-        raise SystemExit(2)
-    rows.append(("-h, --help", "show this help and exit"))
-    sys.stdout.write("%s\n%s\n\n%s" % (usage, heading, "".join("  %-22s %s\n" % r for r in rows)))
-    raise SystemExit(0)
+    if error is None:
+        rows.append(("-h, --help", "show this help and exit"))
+        try:
+            _write("%s\n%s\n\n%s" % (usage, heading, "".join("  %-22s %s\n" % r for r in rows)))
+            raise SystemExit(0)
+        except OutputError as err:
+            usage, error = "", err  # the help cannot be written: one line, no usage
+    sys.stderr.write("%s%s: error: %s\n" % (usage, prog, error))
+    raise SystemExit(2)
 
 
 class OutputError(Exception):
-    """The --out path cannot be written; a usage error."""
+    """A report or help text cannot be written, to --out or stdout; a usage error."""
 
 
-def _csv(rows) -> str:
-    """Rows of ints as CSV, byte for byte what ``csv.writer`` writes: no
-    field is quoted, and every line ends in CR LF."""
-    return "".join(",".join(map(str, row)) + "\r\n" for row in rows)
+def _write(text):
+    """Write ``text`` to stdout and flush it.  A failed write (a full disk, a
+    closed pipe) raises OutputError, and points stdout's descriptor at
+    devnull first: what stdout still holds then drains there at exit."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as err:
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError):
+            pass  # a stdout with no descriptor has nothing to drain
+        raise OutputError("cannot write stdout: %s" % (err.strerror or err))
 
 
-def _emit(args, document, csv_text=None):
-    """Write the report as JSON, or ``csv_text`` when one is given."""
-    if csv_text is None:
-        payload = json.dumps(document, indent=2, sort_keys=True) + "\n"
+def _emit(args, report, rows):
+    """Write the report to --out or stdout: as JSON, or under --format csv
+    as ``rows`` of ints, byte for byte what ``csv.writer`` writes (no field
+    is quoted, and every line ends in CR LF)."""
+    if getattr(args, "format", "json") == "csv":
+        payload = "".join(",".join(map(str, row)) + "\r\n" for row in rows)
     else:
-        payload = csv_text
+        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out is not None:
         try:
             with open(args.out, "w") as fh:
@@ -152,7 +168,7 @@ def _emit(args, document, csv_text=None):
         except OSError as err:
             raise OutputError("cannot write --out %s: %s" % (args.out, err.strerror or err))
     else:
-        sys.stdout.write(payload)
+        _write(payload)
 
 
 def _report(args) -> dict:
@@ -172,44 +188,32 @@ def _report(args) -> dict:
 # Tasks
 
 
-def run_pt(args, cache, report) -> int:
+def run_pt(args, cache, report) -> list:
     report["m"] = args.m
-    tables = {}
+    tables = report["tables"] = {}
+    rows = [["r", "m", "j", "n", "value"]]
     for r in args.r:
         ratio = vx.z_ratio(r, args.m, args.Q_order, cache)
-        rows = vx.pt_invariants(ratio, args.Q_order)
-        tables[str(r)] = [{"j": j, "n": n, "value": v} for j, n, v in rows]
-    report["tables"] = tables
-    csv_text = None
-    if args.format == "csv":
-        rows = [["r", "m", "j", "n", "value"]]
-        for r in args.r:
-            rows += [[r, args.m, e["j"], e["n"], e["value"]] for e in tables[str(r)]]
-        csv_text = _csv(rows)
-    _emit(args, report, csv_text)
-    return 0
+        invariants = vx.pt_invariants(ratio, args.Q_order)
+        tables[str(r)] = [{"j": j, "n": n, "value": v} for j, n, v in invariants]
+        rows += [[r, args.m, j, n, v] for j, n, v in invariants]
+    return rows
 
 
-def run_gw(args, cache, report) -> int:
+def run_gw(args, cache, report) -> list:
     from . import gwtheory as gw
 
     report["m_max"] = args.m_max
-    tables = report["tables"] = {
-        str(r): gw.gw_extract(r, args.m_max, args.Q_order, args.g_max, cache=cache).to_json()
-        for r in args.r
-    }
-    csv_text = None
-    if args.format == "csv":
-        rows = [["r", "g", "m", "j", "value_num", "value_den"]]
-        for r in args.r:
-            entries = tables[str(r)]["entries"]
-            rows += [[r, e["g"], e["m"], e["j"], e["num"], e["den"]] for e in entries]
-        csv_text = _csv(rows)
-    _emit(args, report, csv_text)
-    return 0
+    tables = report["tables"] = {}
+    rows = [["r", "g", "m", "j", "value_num", "value_den"]]
+    for r in args.r:
+        table = gw.gw_extract(r, args.m_max, args.Q_order, args.g_max, cache=cache).to_json()
+        tables[str(r)] = table
+        rows += [[r, e["g"], e["m"], e["j"], e["num"], e["den"]] for e in table["entries"]]
+    return rows
 
 
-def run_fit(args, cache, report) -> int:
+def run_fit(args, cache, report):
     from . import gwtheory as gw
     from . import rationality as rat
 
@@ -224,10 +228,10 @@ def run_fit(args, cache, report) -> int:
             entry["fit"] = fit
             per_genus[str(g)] = entry
     report["fits"] = fits
-    return _verdict(args, report, fits)
+    report["passed"] = _all_passed(fits)
 
 
-def run_verify(args, cache, report) -> int:
+def run_verify(args, cache, report):
     from . import gwtheory as gw
     from . import rationality as rat
 
@@ -277,15 +281,7 @@ def run_verify(args, cache, report) -> int:
         checks["polynomiality"] = poly
 
     report["checks"] = checks
-    return _verdict(args, report, checks)
-
-
-def _verdict(args, report, node) -> int:
-    """Set "passed" to whether every check under ``node`` passed, emit the
-    report, and return the exit status."""
-    report["passed"] = _all_passed(node)
-    _emit(args, report)
-    return 0 if report["passed"] else 1
+    report["passed"] = _all_passed(checks)
 
 
 def _all_passed(node) -> bool:
@@ -296,12 +292,7 @@ def _all_passed(node) -> bool:
     return True
 
 
-TASKS = {
-    "pt": run_pt,
-    "gw": run_gw,
-    "fit": run_fit,
-    "verify": run_verify,
-}
+TASKS = {"pt": run_pt, "gw": run_gw, "fit": run_fit, "verify": run_verify}
 
 
 def main(argv=None) -> int:
@@ -320,7 +311,9 @@ def main(argv=None) -> int:
             if os.path.isdir(args.out):
                 raise OutputError("cannot write --out %s: it is a directory" % args.out)
         # a --cache-dir that cannot be made fails here; one not writable, at its first store
-        return TASKS[args.task](args, vx.SCache(args.cache_dir), _report(args))
+        report = _report(args)
+        _emit(args, report, TASKS[args.task](args, vx.SCache(args.cache_dir), report))
+        return 1 if report.get("passed") is False else 0
     except OutputError as err:
         sys.stderr.write("localvertex %s: error: %s\n" % (args.task, err))
         return 2

@@ -217,7 +217,7 @@ class SCache:
             ):
                 raise ValueError
             return coeffs
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
             raise self._corrupt(path)
 
     def _store(self, mu, nu, coeffs):

@@ -4,6 +4,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import errno
 import hashlib
 import importlib
 import inspect
@@ -847,6 +848,72 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert str(tmp_path) in captured.err
+
+    @pytest.mark.parametrize(
+        "error", [OSError(errno.ENOSPC, "No space left on device"),
+                  BrokenPipeError(errno.EPIPE, "Broken pipe")], ids=["full", "pipe"],
+    )
+    @pytest.mark.parametrize("argv", [["pt", "--Q-order", "1"], ["--help"]], ids=["pt", "help"])
+    def test_unwritable_stdout_is_usage_error(self, capsys, argv, error):
+        """A report or help text that stdout cannot take (a full disk, a
+        closed pipe) exits 2 with one line on stderr, as an --out does."""
+
+        class Unwritable:
+            def write(self, text):
+                raise error
+
+            def flush(self):
+                pass
+
+        with contextlib.redirect_stdout(Unwritable()), pytest.raises(SystemExit) as exit_info:
+            sys.exit(main(argv))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.endswith(": error: cannot write stdout: %s\n" % error.strerror)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("sink", ["full", "pipe"])
+    @pytest.mark.parametrize("argv", [["pt", "--Q-order", "1"], ["--help"]], ids=["pt", "help"])
+    def test_unwritable_stdout_in_a_process(self, argv, sink):
+        """The same in a fresh interpreter, stdout on /dev/full or on a pipe
+        whose reader has closed: the interpreter's own flush of stdout at
+        exit adds no second error and does not change the status."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=src)
+        if sink == "full":
+            stdout = os.open("/dev/full", os.O_WRONLY)
+        else:
+            reader, stdout = os.pipe()
+            os.close(reader)
+        try:
+            run = subprocess.run([sys.executable, "-m", "localvertex.cli", *argv], env=env,
+                                 stdout=stdout, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(stdout)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.count("\n") == 1 and ": error: cannot write stdout: " in run.stderr
+
+    @pytest.mark.parametrize("argv", [
+        "pt --r 0 --m 1 --Q-order 2", "gw --r 0 --m-max 1 --Q-order 2 --g-max 1",
+        "fit --r 0 --m 1 --Q-order 6 --g-max 0", "verify --r 0 --m-max 1 --Q-order 4 --g-max 0",
+    ], ids=lambda argv: argv.split()[0])
+    def test_tasks_only_fill_the_report(self, capsys, argv):
+        """A task writes nothing and returns no exit status: it fills the
+        report it is handed, and pt and gw return their CSV rows, which
+        main alone writes."""
+        args = cli._read(argv.split())
+        report = cli._report(args)
+        before = set(report)
+        rows = cli.TASKS[args.task](args, vx.SCache(), report)
+        assert capsys.readouterr() == ("", "")
+        assert set(report) > before
+        if args.task == "pt":
+            assert len(rows) == 1 + len(report["tables"]["0"]) > 1
+        elif args.task == "gw":
+            assert len(rows) == 1 + len(report["tables"]["0"]["entries"]) > 1
+        else:
+            assert rows is None and report["passed"] is True
 
     def test_missing_task_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,9 +1,11 @@
 """Against oracles from outside the vertex: the mirror's periods at genus 0,
-and local P^2's published Gopakumar-Vafa invariants at genus 0 and 1."""
+and local P^2's published Gopakumar-Vafa invariants and one-parameter mirror
+at genus 0 and 1."""
 
 import pytest
 
 from localvertex.gwtheory import gw_extract
+from mirror_p2 import free_energies
 from mirror_periods import instanton_parts
 
 DEGREE = 7
@@ -57,3 +59,16 @@ def test_local_p2_through_the_blow_down(scache):
         )
     assert list(n0.values()) == LOCAL_P2[0]
     assert list(n1.values()) == LOCAL_P2[1]
+
+
+def test_local_p2_mirror(scache):
+    """Local P^2's one-parameter mirror, charges (-3; 1, 1, 1), against the
+    engine's r = 1 numbers in the classes d h = d c + d b, d <= 7: the Q^d
+    coefficient of the genus-0 instanton part is -6d GW_0(dh), and of the
+    genus-1 free energy GW_1(dh).  The mirror runs one order past the last
+    class, since z/Q loses one."""
+    table = gw_extract(1, DEGREE, DEGREE, 1, cache=scache)
+    genus_zero, genus_one = free_energies(DEGREE + 1)
+    degrees = range(1, DEGREE + 1)
+    assert [genus_zero[d] for d in degrees] == [-6 * d * table.value(0, d, d) for d in degrees]
+    assert [genus_one[d] for d in degrees] == [table.value(1, d, d) for d in degrees]

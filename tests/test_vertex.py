@@ -407,11 +407,13 @@ class TestSCache:
             "corrupt cache file: %s\ndelete %s or run without --cache-dir" % (path, path)
         )
 
-    def test_corrupt_file_reported(self, tmp_path):
+    # nested past json.load's recursion limit (Python 3.13 parses 1000 levels)
+    @pytest.mark.parametrize("text", ["not json", "[" * 100_000], ids=["text", "nested"])
+    def test_corrupt_file_reported(self, tmp_path, text):
         cache = SCache(str(tmp_path))
         cache.get(EMPTY, EMPTY, 2)
         (path,) = list(tmp_path.iterdir())
-        path.write_text("not json")
+        path.write_text(text)
         fresh = SCache(str(tmp_path))
         with pytest.raises(CacheError) as err:
             fresh.get(EMPTY, EMPTY, 2)
