@@ -6,7 +6,8 @@ is a namespace that loads no stage: import the stage you run.  A ``pt``
 run loads ``cli``, ``vertex``, ``qfield`` and ``partitions``; ``gw`` adds
 ``gwtheory``; ``fit`` adds the certificates, ``rationality``; ``verify``
 adds ``series`` too, for the exceptional series of ``tilde_pt0``.
-``qrat``, ``symmfun`` and ``oracles`` serve the test suite only.
+``qrat`` and ``symmfun`` serve the test suite only, and its oracles
+(``tests/oracles.py``) are not part of the package.
 """
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ task imports its stages past ``vertex`` in its function: ``gw`` imports
 ``gwtheory``; ``fit`` and ``verify`` import it and ``rationality``, and
 certify a GW genus column by ``rationality.column_certificate``: a fit
 over (1-Q)^(4m+2g-2) and the Weyl functional equation at weight m(r-2).
-No task imports the oracles: they run in the test suite only.
+No task imports the oracles: they sit beside the tests that run them.
 One reader, ``_read``, reads every command line (a task, then its flags,
 each ``--flag value`` or ``--flag=value``, and a bare ``--all``) from the
 ``TASK_FLAGS`` and ``FLAGS`` tables, and writes the help and usage errors.

@@ -11,8 +11,8 @@ q = 0 and, on integer x-polynomials of moments, for the u-expansions of
 integer numerator over a denominator known in advance, so this module,
 which uses only the standard library, is all the arithmetic those paths
 load.  The field Q(t) with t = q^(1/2), its canonical form and its gcd
-are in ``qrat``, which serves the oracles (among them ``pt_series``) and
-``symmfun``, in the tests only.
+are in ``qrat``, which serves the test suite's oracles (among them
+``pt_series``) and ``symmfun`` only.
 """
 
 import struct

@@ -1,10 +1,10 @@
 """Exact arithmetic in the field Q(t), with q = t**2, and its gcd.
 
-QRat values serve ``oracles.pt_series`` (one reduction per
-Q-coefficient), ``symmfun`` and the other oracles, which only the tests
-run; the PT and GW paths hold integer q-polynomials over known
-denominators and use only the kernel in ``qfield``, so nothing on those
-paths imports this module.  Half-integer powers of q are realized as odd powers of t, so a
+QRat values serve the test suite's oracles (``tests/oracles.py``, among
+them ``pt_series``, one reduction per Q-coefficient) and ``symmfun``; the
+PT and GW paths hold integer q-polynomials over known denominators and
+use only the kernel in ``qfield``, so nothing on those paths imports this
+module.  Half-integer powers of q are realized as odd powers of t, so a
 QRat is t^shift times a quotient of two integer polynomials in t.
 Values are kept in a canonical form (coprime numerator/denominator, no
 shared integer content, denominator with positive constant term) so

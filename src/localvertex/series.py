@@ -1,8 +1,8 @@
 """Truncated Laurent series with exact coefficients.
 
 The engine runs one series of this type, the nested exponential of
-``gwtheory.tilde_pt0``, which imports this module inside it; the oracles
-run the rest.  Coefficients may be ints, Fractions, nested TruncSeries
+``gwtheory.tilde_pt0``, which imports this module inside it; the test
+suite's oracles run the rest.  Coefficients may be ints, Fractions, nested TruncSeries
 or ``qrat.QRat`` values (not imported here), with ring arithmetic among
 themselves and with ints/Fractions; a scalar added to a series is an int
 or a Fraction.  The ring has sums, products and ``exp`` only: no series

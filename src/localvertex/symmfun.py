@@ -4,9 +4,9 @@ Principal Schur specializations s_mu(1, q, q^2, ...), power sums at the
 shifted points (q^(mu_1-1), q^(mu_2-2), ...), and the W functions built
 from them.  Everything returns an exact QRat; the heavy entries (the
 two-partition W values) are memoized because they dominate the vertex
-sums.  Only the oracles (``oracles``) and the tests use this module, so
-no CLI task fills its memo tables: the engine reads the same quantities
-off the Young diagrams.
+sums.  Only the tests and their oracles (``tests/oracles.py``) use this
+module, so no CLI task fills its memo tables: the engine reads the same
+quantities off the Young diagrams.
 """
 
 from fractions import Fraction

@@ -3,8 +3,8 @@
 The squared S-ratio (S_{mu,nu}/S_{empty,empty})^2 and its cache, the
 partition function of K_{F_r} and its PT invariants, all over the integer
 kernel of ``qfield``.  The oracles (other routes to S_{mu,nu}, the toric
-sum, Z_0 and Z_m whole, the PT series in Q(t)) are in ``oracles``; this
-module imports neither it nor ``qrat`` nor ``symmfun``.
+sum, Z_0 and Z_m whole, the PT series in Q(t)) sit beside the tests, in
+``tests/oracles.py``; this module imports neither ``qrat`` nor ``symmfun``.
 ``rationality.check_integrality`` certifies the rows of ``pt_invariants``.
 
 Summing out the two fiber legs turns the partition function into a sum

@@ -3,10 +3,10 @@ parts, the QRat values of the engine's integer class series, which the
 tests compare with the oracles' in Q(t), and a GW genus column as a
 truncated series."""
 
-from localvertex.oracles import _in_t
 from localvertex.partitions import Partition
 from localvertex.qrat import QRat
 from localvertex.series import TruncSeries
+from oracles import _in_t
 
 
 def P(*parts):

@@ -21,20 +21,21 @@ compare the two exactly:
   recurrence ``vertex._exp_rows`` (the S-ratios and Z_0 alike), and
   Li_{1-n}(Q) as rational functions.
 
-This is the only module on the engine side that imports ``symmfun``, and
-only the tests import this module: no CLI task does.
+The module sits beside the tests that run it, outside the installed
+package, so no CLI task can import it.  Apart from the tests, it is all
+that calls ``symmfun``.
 """
 
 import itertools
 from fractions import Fraction
 from math import comb
 
-from .partitions import Partition, partitions_of, partitions_up_to
-from .qfield import _add, _exquo, _mul
-from .qrat import QRat
-from .series import TruncSeries
-from .symmfun import p_shifted, w_one, w_two
-from .vertex import SCache, VertexError, _product, _times_one_minus_q_power, z_ratio
+from localvertex.partitions import Partition, partitions_of, partitions_up_to
+from localvertex.qfield import _add, _exquo, _mul
+from localvertex.qrat import QRat
+from localvertex.series import TruncSeries
+from localvertex.symmfun import p_shifted, w_one, w_two
+from localvertex.vertex import SCache, VertexError, _product, _times_one_minus_q_power, z_ratio
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ from fractions import Fraction
 
 from exponent_search import find_exponent
 from helpers import gw_column
-from localvertex import oracles
 from localvertex import rationality as rat
 from localvertex import vertex as vx
 from localvertex.partitions import partitions_up_to
-from localvertex.oracles import cyclo_product, polylog_neg
 from localvertex.qrat import QRat
 from localvertex.symmfun import w_two
+import oracles
+from oracles import cyclo_product, polylog_neg
 
 
 def _q_valuation_exceeds(a: QRat, bound: int) -> bool:

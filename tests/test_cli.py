@@ -1175,7 +1175,8 @@ def test_engine_leaves_oracles_out(argv, modules, tmp_path):
 def test_tasks_take_no_whole_z0_or_product(capsys, monkeypatch, argv):
     """pt and verify read Z_0 and Z_m in their q-windows: they never call
     the oracles that build them whole."""
-    from localvertex import oracles, vertex
+    import oracles
+    from localvertex import vertex
 
     def refuse(*args):
         raise AssertionError("a task built Z_0 or Z_m whole")
@@ -1245,6 +1246,16 @@ def test_package_root_leaves_rationality_out():
     assert loaded_modules("import localvertex") == ROOT
 
 
+def test_package_holds_the_engine_modules():
+    """The installed package is the engine, its certificates and the two
+    Q(t) modules the tests still read: the oracles sit beside the tests
+    that run them, in ``tests/oracles.py``."""
+    assert sorted(m.name for m in pkgutil.iter_modules(localvertex.__path__)) == [
+        "cli", "gwtheory", "partitions", "qfield", "qrat", "rationality", "series",
+        "symmfun", "vertex",
+    ]
+
+
 def test_certificates_import_leaves_series_out():
     """The fits read plain coefficient maps: importing the certificates
     loads the kernel they share with the engine, and no ``series``."""
@@ -1291,8 +1302,8 @@ def test_benchmark_import_path(tmp_path):
 def test_package_imports_the_standard_library_only():
     """pyproject declares no dependencies, and sympy is a test oracle only:
     every import in the package, inside functions too, is relative or names
-    a module of the standard library.  The runs above load no oracles, qrat
-    or symmfun, so they cannot show this for those modules."""
+    a module of the standard library.  The runs above load no qrat or
+    symmfun, so they cannot show this for those modules."""
     root = os.path.dirname(os.path.abspath(localvertex.__file__))
     outside = []
     for path in sorted(glob.glob(os.path.join(root, "**", "*.py"), recursive=True)):
@@ -1316,11 +1327,15 @@ def test_every_annotation_resolves():
     """No module defers its annotations, so each one is evaluated when its
     ``def`` runs, and a name quoted for a later class must resolve too:
     ``typing.get_type_hints`` resolves on every function and method that a
-    module of the package defines at its top level, memoised, static and
-    class methods and properties included.  The root defines none."""
+    module of the package, or the oracles beside the tests, defines at its
+    top level, memoised, static and class methods and properties included.
+    The root defines none."""
+    import oracles
+
     checked = 0
-    for info in pkgutil.iter_modules(localvertex.__path__):
-        module = importlib.import_module("localvertex." + info.name)
+    modules = [importlib.import_module("localvertex." + info.name)
+               for info in pkgutil.iter_modules(localvertex.__path__)]
+    for module in modules + [oracles]:
         for node in ast.parse(inspect.getsource(module)).body:
             if isinstance(node, ast.FunctionDef):
                 defs = [vars(module)[node.name]]

@@ -23,7 +23,6 @@ from localvertex.gwtheory import (
     tilde_pt0,
     u_expansions,
 )
-from localvertex.oracles import _exponent
 from localvertex.partitions import Partition
 from localvertex.qrat import QRat
 from localvertex.rationality import (
@@ -31,6 +30,7 @@ from localvertex.rationality import (
 )
 from localvertex.series import TruncSeries
 from localvertex.vertex import SCache, VertexError, z_ratio
+from oracles import _exponent
 
 ONE = QRat.one()
 Q = QRat.q_power(1)

@@ -4,6 +4,7 @@ at genus 0 and 1."""
 
 import pytest
 
+from gv_peel import gv_invariants
 from localvertex.gwtheory import gw_extract
 from mirror_p2 import free_energies
 from mirror_periods import instanton_parts
@@ -48,17 +49,10 @@ def test_local_p2_through_the_blow_down(scache):
     classes d h = d c + d b do not see the blow-up, so there the engine's
     r = 1 numbers are local P^2's.  Its GV invariants are peeled off
     GW_0(dh) = sum_(k | d) n^0_(d/k)/k^3 and GW_1(dh) = sum_(k | d)
-    (n^1_(d/k) + n^0_(d/k)/12)/k, for d <= 7."""
-    table = gw_extract(1, DEGREE, DEGREE, 1, cache=scache)
-    n0, n1 = {}, {}
-    for d in range(1, DEGREE + 1):
-        covers = [k for k in range(2, d + 1) if d % k == 0]
-        n0[d] = table.value(0, d, d) - sum(n0[d // k] / k**3 for k in covers)
-        n1[d] = table.value(1, d, d) - n0[d] / 12 - sum(
-            (n1[d // k] + n0[d // k] / 12) / k for k in covers
-        )
-    assert list(n0.values()) == LOCAL_P2[0]
-    assert list(n1.values()) == LOCAL_P2[1]
+    (n^1_(d/k) + n^0_(d/k)/12)/k, for d <= 7, by ``gv_invariants``."""
+    gv = gv_invariants(gw_extract(1, DEGREE, DEGREE, 1, cache=scache))
+    for g in (0, 1):
+        assert [gv[d, d][g] for d in range(1, DEGREE + 1)] == LOCAL_P2[g]
 
 
 def test_local_p2_mirror(scache):

@@ -16,9 +16,9 @@ from localvertex.rationality import (
     check_q_inversion,
     w_dot_beta,
 )
-from localvertex.oracles import pt_series
 from localvertex.series import TruncSeries
 from localvertex.vertex import z_ratio
+from oracles import pt_series
 
 
 def geometric(order):

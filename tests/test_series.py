@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from localvertex.gwtheory import _fibre
 from localvertex.partitions import Partition
-from localvertex.oracles import _exponent, cyclo_product, polylog_neg
 from localvertex.qrat import QRat
 from localvertex.series import SeriesError, TruncSeries
+from oracles import _exponent, cyclo_product, polylog_neg
 
 Q_VAR = QRat.q_power(1)
 

@@ -8,20 +8,7 @@ from math import comb
 import pytest
 
 from helpers import P, canonical, qrat_series
-from localvertex import oracles, symmfun, vertex
-from localvertex.oracles import (
-    ToricSurface,
-    _exponent,
-    _in_t,
-    cyclo_product,
-    pt_fractions,
-    pt_series,
-    s_closed,
-    s_direct,
-    s_product,
-    z0_series,
-    z_toric,
-)
+from localvertex import symmfun, vertex
 from localvertex.partitions import Partition, partitions_of, partitions_up_to
 from localvertex.qfield import _digit_words, _exquo, _mul, _strip, expansion
 from localvertex.qrat import QRat
@@ -38,6 +25,20 @@ from localvertex.vertex import (
     s_ratio_squared,
     z0_windows,
     z_ratio,
+)
+import oracles
+from oracles import (
+    ToricSurface,
+    _exponent,
+    _in_t,
+    cyclo_product,
+    pt_fractions,
+    pt_series,
+    s_closed,
+    s_direct,
+    s_product,
+    z0_series,
+    z_toric,
 )
 
 ONE = QRat.one()
