@@ -7,8 +7,8 @@ canonical output (exact rationals need num/den fields); CSV, offered by
 pt and gw only, is a lossy projection of their tables for spreadsheets,
 in the dialect of ``csv.writer``.  A task only fills the report it is
 handed (pt and gw return their CSV rows); ``main`` alone writes it, by
-``_emit``, and turns it into the exit status.
-The S-series disk cache is used only where --cache-dir names it.  Each
+``_emit``, and turns it into the exit status.  ``verify`` walks each surface
+once.  The S-series disk cache is used only where --cache-dir names it.  Each
 task imports its stages past ``vertex`` in its function: ``gw`` imports
 ``gwtheory``; ``fit`` and ``verify`` import it and ``rationality``, and
 certify a GW genus column by ``rationality.column_certificate``: a fit
@@ -235,52 +235,43 @@ def run_verify(args, cache, report):
     from . import gwtheory as gw
     from . import rationality as rat
 
-    checks = {}
-
-    # q -> 1/q invariance of the normalized PT series Z_m/Z_0, and
-    # integrality of the PT invariants pt prints, from one assembly per (r, m)
-    q_inversion = {}
-    integrality = {}
+    # one walk per surface r, each entry written straight into the report
+    checks = report["checks"] = {"q_inversion": {}, "integrality": {}, "column_exponents": {}}
+    if args.all:
+        checks["polynomiality"] = {}
     for r in args.r:
+        # q -> 1/q invariance of the normalized PT series Z_m/Z_0, and
+        # integrality of the PT invariants pt prints, from one assembly per m
         for m in range(args.m_max + 1):
             ratio = vx.z_ratio(r, m, args.Q_order, cache)
             key = "r=%d,m=%d" % (r, m)
             if m:
                 ok, witness = rat.check_q_inversion(ratio)
-                q_inversion[key] = {"passed": ok, "witness": witness}
+                checks["q_inversion"][key] = {"passed": ok, "witness": witness}
             rows = vx.pt_invariants(ratio, args.Q_order)
-            integrality[key] = {"passed": rat.check_integrality(rows)}
-    checks["q_inversion"] = q_inversion
-    checks["integrality"] = integrality
+            checks["integrality"][key] = {"passed": rat.check_integrality(rows)}
 
-    # membership of the modified exceptional series in R_{0,0}
-    tp = gw.tilde_pt0(args.Q_order, min(args.u_order, 6))
-    checks["exceptional_membership"] = rat.verify_R(tp)
-
-    # per-genus Weyl functional equation of the GW columns of class c + jb
-    # through Q^Q_order, weight w.c = r - 2; under --all, from the same table,
-    # their eventual polynomiality in j (g = 0, 1) from j = max(r-2, 0) + 1
-    # on, as the numerator over (1-Q)^p reaches degree p + max(r-2, 0)
-    exponents, poly = {}, {}
-    for r in args.r:
-        j_lo = max(3, r - 1)
+        # per-genus Weyl functional equation of the GW columns of class c + jb
+        # through Q^Q_order, weight w.c = r - 2; under --all, from the same table,
+        # their eventual polynomiality in j (g = 0, 1) from j = max(r-2, 0) + 1
+        # on, as the numerator over (1-Q)^p reaches degree p + max(r-2, 0)
+        j_lo = max(3, r - 1)  # the window checked, [j_lo, j_lo + 6], starts there or later
         order, g_max = args.Q_order, args.g_max
         if args.all:
             order, g_max = max(order, j_lo + 6), max(g_max, 1)
         table = gw.gw_extract(r, 1, order, g_max, cache=cache)
-        exponents["r=%d" % r] = {
+        checks["column_exponents"]["r=%d" % r] = {
             str(g): rat.column_certificate(table, 1, g, args.Q_order)[0]
             for g in range(args.g_max + 1)
         }
         if args.all:
             for g in (0, 1):
                 entry = rat.polynomiality_check(table, g, j_lo, j_lo + 6)
-                poly["r=%d,g=%d" % (r, g)] = entry
-    checks["column_exponents"] = exponents
-    if args.all:
-        checks["polynomiality"] = poly
+                checks["polynomiality"]["r=%d,g=%d" % (r, g)] = entry
 
-    report["checks"] = checks
+    # membership of the modified exceptional series in R_{0,0}, which no r changes
+    tp = gw.tilde_pt0(args.Q_order, min(args.u_order, 6))
+    checks["exceptional_membership"] = rat.verify_R(tp)
     report["passed"] = _all_passed(checks)
 
 

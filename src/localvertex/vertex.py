@@ -202,8 +202,6 @@ class SCache:
         if self.directory is None:
             return None
         path = self._path(mu, nu)
-        if not os.path.exists(path):
-            return None
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -217,6 +215,8 @@ class SCache:
             ):
                 raise ValueError
             return coeffs
+        except (FileNotFoundError, NotADirectoryError):
+            return None  # none was stored, or another process removed it since
         except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
             raise self._corrupt(path)
 

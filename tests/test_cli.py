@@ -305,6 +305,42 @@ class TestVerify:
         assert run(capsys, *argv.split())[0] == 0
         assert vx.z0_windows.cache_info().misses == 1
 
+    def test_report_merges_its_surfaces(self, capsys):
+        """A two-surface report is the merge of the one-surface reports:
+        each check keyed by r is the union of theirs, the exceptional
+        series is checked alike in all three, and passed is the AND.  At
+        r = 5 the polynomiality window, [4, 10], runs past the Q-order."""
+        base = ["verify", "--all", "--m-max", "2", "--Q-order", "9"]
+        both, r0, r5 = (
+            run_json(capsys, *base, *argv)[1]
+            for argv in (["--r", "0", "--r", "5"], ["--r", "0"], ["--r", "5"])
+        )
+        assert set(both["checks"]) == set(r0["checks"]) == set(r5["checks"]) == {
+            "q_inversion", "integrality", "column_exponents", "polynomiality",
+            "exceptional_membership",
+        }
+        for name, checks in both["checks"].items():
+            if name == "exceptional_membership":
+                assert checks == r0["checks"][name] == r5["checks"][name]
+            else:
+                assert checks == {**r0["checks"][name], **r5["checks"][name]}
+                assert not set(r0["checks"][name]) & set(r5["checks"][name])
+        assert both["checks"]["polynomiality"]["r=5,g=0"]["window"] == [4, 10]
+        assert both["passed"] is (r0["passed"] and r5["passed"])
+
+    def test_u_order_cap(self, capsys):
+        """verify checks the exceptional series at min(u-order, 6), while
+        bounds show the value given: --u-order 6 and 8 give equal checks, 5
+        does not."""
+        base = ["verify", "--m-max", "1", "--Q-order", "9"]
+        five, six, eight = (
+            run_json(capsys, *base, "--u-order", u)[1] for u in ("5", "6", "8")
+        )
+        assert six["checks"] == eight["checks"]
+        assert six["bounds"] != eight["bounds"]
+        assert eight["bounds"]["u_order"] == 8
+        assert five["checks"] != six["checks"]
+
     def test_polynomiality_window_follows_r(self, capsys):
         """The c + jb columns are polynomial in j from j = r - 1 on for
         r >= 5, so the window starts there: [4, 10] at r = 5."""

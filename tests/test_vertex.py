@@ -421,6 +421,12 @@ class TestSCache:
         assert str(err.value).splitlines()[-1] == "delete %s or run without --cache-dir" % path
         assert not isinstance(err.value, VertexError)
 
+    def test_file_removed_before_open_is_a_miss(self, tmp_path, monkeypatch):
+        """A file another process removes between a look and the open is
+        not there: a miss, not a corrupt file naming a path that is gone."""
+        monkeypatch.setattr(vertex.os.path, "exists", lambda path: True)
+        assert SCache(str(tmp_path))._load(EMPTY, P(1)) is None
+
     @pytest.mark.parametrize("bad", [7.9, True, "3"], ids=["float", "bool", "string"])
     @pytest.mark.parametrize("field", ["shift", "numerator"])
     def test_non_integer_entry_reported(self, tmp_path, field, bad):
