@@ -1,12 +1,24 @@
 """Helpers that several test modules share: a partition written by its
 parts, the QRat values of the engine's integer class series, which the
 tests compare with the oracles' in Q(t), and a GW genus column as a
-truncated series."""
+truncated series; and the scaffolding of the tests that watch the engine
+run: a fresh interpreter, the digest that pins an output, a stand-in that
+must not be called, and a recorder of calls."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import localvertex
 from localvertex.partitions import Partition
 from localvertex.qrat import QRat
 from localvertex.series import TruncSeries
 from oracles import _in_t
+
+# the directory that holds the package under test
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
 
 
 def P(*parts):
@@ -31,3 +43,46 @@ def gw_column(table, g, m, order):
     ``GWTable.value``; ``certify_column`` takes its ``coeffs`` and
     ``order``, and the exponent search of the tests the series."""
     return TruncSeries(order, {j: table.value(g, m, j) for j in range(order + 1)})
+
+
+def fresh_python(*args, **kwargs):
+    """``python *args`` in a fresh interpreter that finds the package in
+    ``SRC`` first on PYTHONPATH and writes no bytecode: the finished
+    ``subprocess.run``, its stdout and stderr captured as text unless
+    ``kwargs`` send them elsewhere."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *args], env=env, text=True, **kwargs)
+
+
+def digest(document):
+    """The sha256 that pins an output, as the benchmark's does: of the
+    bytes of ``document``, or of its canonical JSON (sorted keys, no
+    spaces)."""
+    if not isinstance(document, bytes):
+        document = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(document).hexdigest()
+
+
+def refuse(what):
+    """A stand-in that fails the test with ``what`` if it is ever called."""
+
+    def stub(*args, **kwargs):
+        raise AssertionError(what)
+
+    return stub
+
+
+def record_calls(monkeypatch, owner, name, pick=lambda *args, **kwargs: args):
+    """Patch ``owner.name`` to append ``pick`` of each call's arguments (by
+    default the positional ones) to the list returned, then run the call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def record(*args, **kwargs):
+        calls.append(pick(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, record)
+    return calls

@@ -5,7 +5,6 @@ import ast
 import contextlib
 import csv
 import errno
-import hashlib
 import importlib
 import inspect
 import io
@@ -13,7 +12,6 @@ import json
 import glob
 import os
 import pkgutil
-import subprocess
 import sys
 import typing
 from fractions import Fraction
@@ -22,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import localvertex
+from helpers import SRC, digest, fresh_python, record_calls, refuse
 from localvertex import cli
 from localvertex import gwtheory as gw
 from localvertex import rationality as rat
@@ -40,19 +39,6 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
-
-
-def count_gw_extract(monkeypatch):
-    """The arguments of every gw_extract call from now on."""
-    calls = []
-    extract = gw.gw_extract
-
-    def record(r, m_max, order, g_max, cache=None):
-        calls.append((r, m_max, order, g_max))
-        return extract(r, m_max, order, g_max, cache=cache)
-
-    monkeypatch.setattr(gw, "gw_extract", record)
-    return calls
 
 
 def csv_writer_text(rows):
@@ -100,46 +86,6 @@ class TestPT:
         assert out == ""
         assert json.loads(target.read_text())["task"] == "pt"
 
-    @pytest.mark.parametrize(
-        "fmt, digest",
-        [
-            ("json", "efc21601ac1112538e5ecad3dc82638dc20fb3fec05b3fd5bded90895dea81cd"),
-            ("csv", "2f88b14235e8fea108f93791ffc4ea260421962694fabc1174a453f41cd858ea"),
-        ],
-    )
-    def test_report_digest(self, tmp_path, fmt, digest):
-        """The pt report of --r 0 --r 1 --m 2 --Q-order 8 is pinned by the
-        sha256 of its canonical JSON, generated_at dropped, and of its CSV
-        bytes."""
-        out = tmp_path / "pt.out"
-        argv = ["pt", "--r", "0", "--r", "1", "--m", "2", "--Q-order", "8"]
-        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
-        payload = out.read_bytes()
-        if fmt == "json":
-            doc = json.loads(payload)
-            doc.pop("generated_at")
-            payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-        assert hashlib.sha256(payload).hexdigest() == digest
-
-    @pytest.mark.parametrize(
-        "fmt, digest",
-        [
-            ("json", "c7eb6f98e1a7efe851b81a10a5108d169ce70a02d218b57356f8b17f93d9fde4"),
-            ("csv", "5d46359ceaf219dce6329c822bada15453632e6b76d217570861628b07010e68"),
-        ],
-    )
-    def test_report_digest_q_order_14(self, tmp_path, fmt, digest):
-        """The pt report of --r 0 --r 2 --m 4 --Q-order 14, pinned as above:
-        rows past Q^8, read in their q-windows."""
-        out = tmp_path / "pt.out"
-        argv = ["pt", "--r", "0", "--r", "2", "--m", "4", "--Q-order", "14"]
-        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
-        payload = out.read_bytes()
-        if fmt == "json":
-            doc = json.loads(payload)
-            doc.pop("generated_at")
-            payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-        assert hashlib.sha256(payload).hexdigest() == digest
 
 
 class TestGW:
@@ -182,28 +128,6 @@ class TestGW:
         )
         assert code == 0
         assert out == "r,g,m,j,value_num,value_den\r\n0,0,0,1,-2,1\r\n"
-
-    @pytest.mark.parametrize(
-        "fmt, digest",
-        [
-            ("json", "7a47569a04effd8143ea3a13fa8b4f860ae875201c526a3676d439318563d3a2"),
-            ("csv", "72db8764621106fb8fbf254555897b7a8f7b21f77141459fcbd3ffe7ba58aaf7"),
-        ],
-    )
-    def test_report_digest(self, tmp_path, fmt, digest):
-        """The gw report of --r 0 --r 3 --m-max 3 --Q-order 10 --g-max 4, pole
-        orders and u-orders beyond the benchmark's m <= 2, is pinned by the
-        sha256 of its canonical JSON, generated_at dropped, and of its CSV
-        bytes."""
-        out = tmp_path / "gw.out"
-        argv = ["gw", "--r", "0", "--r", "3", "--m-max", "3", "--Q-order", "10", "--g-max", "4"]
-        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
-        payload = out.read_bytes()
-        if fmt == "json":
-            doc = json.loads(payload)
-            doc.pop("generated_at")
-            payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-        assert hashlib.sha256(payload).hexdigest() == digest
 
     def test_csv_matches_csv_writer(self, capsys, gw_table_r0, gw_table_r1):
         """The gw CSV is byte for byte what csv.writer writes for the rows of
@@ -260,7 +184,7 @@ class TestVerify:
     def test_polynomiality_at_q_order_9(self, capsys, monkeypatch, g_max):
         """The polynomiality check reads the column_exponents table, one
         gw_extract call, which --all takes to genus 1 also at g_max 0."""
-        calls = count_gw_extract(monkeypatch)
+        calls = record_calls(monkeypatch, gw, "gw_extract")
         code, doc = run_json(
             capsys, "verify", "--all", "--r", "0", "--m-max", "1",
             "--Q-order", "9", "--g-max", g_max,
@@ -271,32 +195,6 @@ class TestVerify:
         for g in (0, 1):
             expected = rat.polynomiality_check(table, g, 3, 9)
             assert doc["checks"]["polynomiality"]["r=0,g=%d" % g] == expected
-
-    @pytest.mark.parametrize(
-        "argv, tables, digest",
-        [
-            ("--r 5 --r 7 --m-max 1 --Q-order 9", 2,
-             "b51739e07046e24fa47bb9f4384cba819337440ca731391d6605c25d78588181"),
-            ("--r 0 --r 3 --m-max 1 --Q-order 6 --g-max 0", 2,
-             "5e4dd81b4ef0ffd9dbe40764a248ed14b9151061c4fead4d167e34c4668c5c2b"),
-            ("--r 0 --r 1 --m-max 1 --Q-order 8 --g-max 2", 2,
-             "45241e8915060494da3398aa0cfb965af1700cc9418ec20a6499433214a0692b"),
-            ("--r 6 --m-max 2 --Q-order 5 --g-max 3 --u-order 4", 1,
-             "04515c46c7705327141d98e58f727a8a07e90acc1b8f33bc436c7a41f39aaf21"),
-        ],
-        ids=["r5-r7", "q6-g0", "q8-g2", "r6-m2-q5"],
-    )
-    def test_report_digest(self, capsys, monkeypatch, argv, tables, digest):
-        """verify --all reports whose polynomiality window runs past the
-        Q-order, or whose g_max is 0 or 2, pinned by the sha256 of their
-        canonical JSON, generated_at dropped; each r extracts one GW table."""
-        calls = count_gw_extract(monkeypatch)
-        code, doc = run_json(capsys, "verify", "--all", *argv.split())
-        assert code == 0
-        assert len(calls) == tables
-        doc.pop("generated_at")
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_z0_windows_built_once(self, capsys, fresh_z0):
         """Every pt_invariants call of a run reads its windows from one held
@@ -451,11 +349,7 @@ class TestVerify:
         assert run(capsys, "pt", "--r", "0", "--m", "1", "--Q-order", "9", *cache_dir)[0] == 0
         filled = sorted(os.listdir(tmp_path))
         assert len(filled) == 1
-        stores = []
-        store = vx.SCache._store
-        monkeypatch.setattr(
-            vx.SCache, "_store", lambda self, *args: stores.append(args[:2]) or store(self, *args)
-        )
+        stores = record_calls(monkeypatch, vx.SCache, "_store")
         for r in ("0", "1", "2"):
             argv = ["verify", "--all", "--r", r, "--m-max", "1", "--Q-order", "9", *cache_dir]
             assert run(capsys, *argv)[0] == 0, r
@@ -517,11 +411,9 @@ class TestVerify:
         """An empty --cache-dir names no directory that can be created: exit 3
         and one line on stderr before any S-series is built, not a silent
         memory-only run."""
-
-        def refuse(*args):
-            raise AssertionError("an S-series was built before the cache error")
-
-        monkeypatch.setattr(vx, "s_ratio_squared", refuse)
+        monkeypatch.setattr(
+            vx, "s_ratio_squared", refuse("an S-series was built before the cache error")
+        )
         assert main(["pt", "--m", "1", "--Q-order", "1", "--cache-dir", ""]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -625,25 +517,6 @@ class TestFit:
             del entry["denominator_power"], entry["fit"]
             assert entry == expected["checks"]["column_exponents"]["r=" + r]["0"]
 
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (["--r", "0", "--m", "2", "--Q-order", "13"],
-             "47babb23ffafbcb4b74aa950ab84f4cf0a015b7e8a5f3d96efbe0903dffa8785"),
-            (["--r", "1", "--r", "3", "--m", "1", "--Q-order", "12"],
-             "df872e6011a589610d0b07b89be07a94d1f283c5d7bc9c93954e4eb1c702ecc8"),
-        ],
-        ids=["r0-m2", "r1-r3-m1"],
-    )
-    def test_report_digest(self, capsys, argv, digest):
-        """The whole fit report, generated_at dropped, is pinned by the
-        sha256 of its canonical JSON."""
-        code, doc = run_json(capsys, "fit", *argv)
-        assert code == 0
-        doc.pop("generated_at")
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
-
     def test_entry_is_verify_entry(self, capsys):
         """A fit entry is verify's column entry plus denominator_power and fit."""
         code, doc = run_json(
@@ -658,6 +531,61 @@ class TestFit:
             assert entry.pop("denominator_power") == rat.column_power(1, int(g))
             entry.pop("fit")
             assert entry == expected["checks"]["column_exponents"]["r=3"][g]
+
+
+# (argv, format, sha256 of the report, gw_extract calls): every report is
+# pinned by its CSV bytes or by its canonical JSON, generated_at dropped
+REPORTS = [
+    ("pt --r 0 --r 1 --m 2 --Q-order 8", "json",
+     "efc21601ac1112538e5ecad3dc82638dc20fb3fec05b3fd5bded90895dea81cd", 0),
+    ("pt --r 0 --r 1 --m 2 --Q-order 8", "csv",
+     "2f88b14235e8fea108f93791ffc4ea260421962694fabc1174a453f41cd858ea", 0),
+    # rows past Q^8, read in their q-windows
+    ("pt --r 0 --r 2 --m 4 --Q-order 14", "json",
+     "c7eb6f98e1a7efe851b81a10a5108d169ce70a02d218b57356f8b17f93d9fde4", 0),
+    ("pt --r 0 --r 2 --m 4 --Q-order 14", "csv",
+     "5d46359ceaf219dce6329c822bada15453632e6b76d217570861628b07010e68", 0),
+    # pole orders and u-orders beyond the benchmark's m <= 2
+    ("gw --r 0 --r 3 --m-max 3 --Q-order 10 --g-max 4", "json",
+     "7a47569a04effd8143ea3a13fa8b4f860ae875201c526a3676d439318563d3a2", 2),
+    ("gw --r 0 --r 3 --m-max 3 --Q-order 10 --g-max 4", "csv",
+     "72db8764621106fb8fbf254555897b7a8f7b21f77141459fcbd3ffe7ba58aaf7", 2),
+    # a polynomiality window past the Q-order, or g_max 0 or 2: each r
+    # extracts one GW table
+    ("verify --all --r 5 --r 7 --m-max 1 --Q-order 9", "json",
+     "b51739e07046e24fa47bb9f4384cba819337440ca731391d6605c25d78588181", 2),
+    ("verify --all --r 0 --r 3 --m-max 1 --Q-order 6 --g-max 0", "json",
+     "5e4dd81b4ef0ffd9dbe40764a248ed14b9151061c4fead4d167e34c4668c5c2b", 2),
+    ("verify --all --r 0 --r 1 --m-max 1 --Q-order 8 --g-max 2", "json",
+     "45241e8915060494da3398aa0cfb965af1700cc9418ec20a6499433214a0692b", 2),
+    ("verify --all --r 6 --m-max 2 --Q-order 5 --g-max 3 --u-order 4", "json",
+     "04515c46c7705327141d98e58f727a8a07e90acc1b8f33bc436c7a41f39aaf21", 1),
+    # m = 0 alone: an empty q_inversion, one integrality entry, and passed
+    ("verify --m-max 0 --Q-order 4", "json",
+     "b84f94e19a19f66ce5375b8cc6c6de08b2ef7f3bae9c4543a6a15367db2d0e3d", 1),
+    ("fit --r 0 --m 2 --Q-order 13", "json",
+     "47babb23ffafbcb4b74aa950ab84f4cf0a015b7e8a5f3d96efbe0903dffa8785", 1),
+    ("fit --r 1 --r 3 --m 1 --Q-order 12", "json",
+     "df872e6011a589610d0b07b89be07a94d1f283c5d7bc9c93954e4eb1c702ecc8", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, pinned, extracts", REPORTS, ids=["%s %s" % row[:2] for row in REPORTS]
+)
+def test_report_pin(monkeypatch, tmp_path, argv, fmt, pinned, extracts):
+    """Each report, written to --out, is the pinned one, from as many
+    gw_extract calls as the table says."""
+    calls = record_calls(monkeypatch, gw, "gw_extract")
+    out = tmp_path / "report.out"
+    argv = argv.split() + ["--out", str(out)] + (["--format", "csv"] if fmt == "csv" else [])
+    assert main(argv) == 0
+    payload = out.read_bytes()
+    if fmt == "json":
+        payload = json.loads(payload)
+        payload.pop("generated_at")
+    assert digest(payload) == pinned
+    assert len(calls) == extracts
 
 
 def non_negative(text):
@@ -716,70 +644,72 @@ def oracle(argv):
     return result
 
 
-NEGATIVE_FLAGS = [
-    ["pt", "--m", "-1"],
-    ["verify", "--m-max", "-1"],
-    ["gw", "--r", "-1"],
-    ["fit", "--Q-order", "-1"],
-    ["verify", "--u-order", "-1"],
-    ["gw", "--g-max", "-1"],
-]
-NON_INTEGERS = ["abc", "1.5", ""]
-DELETED_FLAGS = [
-    ["pt", "--u-order", "2"],
-    ["gw", "--u-order", "2"],
-    ["fit", "--u-order", "2"],
-    ["pt", "--g-max", "1"],
-    ["verify", "--format", "json"],
-    ["fit", "--format", "json"],
-    ["pt", "--m-max", "1"],
-    ["pt", "--all"],
-    ["gw", "--m", "1"],
-    ["gw", "--all"],
-    ["verify", "--m", "1"],
-    ["fit", "--m-max", "1"],
-    ["fit", "--all"],
-    ["pt", "--no-cache"],
-    ["gw", "--no-cache"],
-    ["verify", "--no-cache"],
-    ["fit", "--no-cache"],
-]
-# every argv that TestUsage expects to be a usage error, and three more
-USAGE_ERRORS = (
-    [["frobnicate"], ["pt", "--r", "-1", "--m", "0"], [], ["selftest"], ["fit", "--m", "0"]]
-    + [["verify", "--all=1"], ["pt", "--out", "-x"], ["gw", "--m-max"]]
-    + NEGATIVE_FLAGS
-    + [["gw", "--Q-order", value] for value in NON_INTEGERS]
-    + [[task, "--format", "csv"] for task in ("verify", "fit")]
-    + DELETED_FLAGS
+NEGATIVE = "must be an integer >= 0, got '-1'"
+# (argv, what the error line says): the usage errors of the reader, where a
+# flag that its task does not read, or the deleted --no-cache, is an
+# unrecognized argument ...
+READER_ERRORS = (
+    [(["frobnicate"], "invalid choice: 'frobnicate'"), ([], "arguments are required: task"),
+     (["selftest"], "invalid choice: 'selftest'"), (["fit", "--m", "0"], "fit needs --m >= 1"),
+     (["pt", "--r", "-1", "--m", "0"], NEGATIVE)]
+    + [(["gw", "--Q-order", value], "argument --Q-order: must be an integer >= 0, got %r" % value)
+       for value in ("abc", "1.5", "")]
+    + [(["pt", "--out", "-x"], "argument --out: expected one argument"),
+       (["gw", "--m-max"], "argument --m-max: expected one argument")]
+    + [(argv, NEGATIVE) for argv in [
+        ["pt", "--m", "-1"], ["verify", "--m-max", "-1"], ["gw", "--r", "-1"],
+        ["fit", "--Q-order", "-1"], ["verify", "--u-order", "-1"], ["gw", "--g-max", "-1"],
+    ]]
+    + [(argv, "unrecognized arguments: " + argv[1]) for argv in [
+        ["verify", "--all=1"], ["verify", "--format", "csv"], ["fit", "--format", "csv"],
+        ["pt", "--u-order", "2"], ["gw", "--u-order", "2"], ["fit", "--u-order", "2"],
+        ["pt", "--g-max", "1"], ["verify", "--format", "json"], ["fit", "--format", "json"],
+        ["pt", "--m-max", "1"], ["pt", "--all"], ["gw", "--m", "1"], ["gw", "--all"],
+        ["verify", "--m", "1"], ["fit", "--m-max", "1"], ["fit", "--all"],
+        ["pt", "--no-cache"], ["gw", "--no-cache"], ["verify", "--no-cache"],
+        ["fit", "--no-cache"],
+    ]]
 )
+# ... and those of main, an --out it cannot write, where {tmp} is a fresh directory
+MISSING = "{tmp}/missing/report.json"
+NO_DIRECTORY = "cannot write --out %s: no directory {tmp}/missing" % MISSING
+IS_DIRECTORY = "cannot write --out {tmp}: it is a directory"
+OUT_ERRORS = [
+    (["gw", "--out", MISSING], NO_DIRECTORY),
+    (["verify", "--out", MISSING], NO_DIRECTORY),
+    (["gw", "--Q-order", "2", "--g-max", "1", "--out", "{tmp}"], IS_DIRECTORY),
+    (["verify", "--Q-order", "2", "--g-max", "0", "--out", "{tmp}"], IS_DIRECTORY),
+    (["gw", "--m-max", "8", "--Q-order", "10", "--out", "{tmp}"], IS_DIRECTORY),
+    (["pt", "--m", "1", "--Q-order", "1", "--out", ""], "cannot write --out '': the path is empty"),
+]
+
+
+def spelled(rows):
+    """The argv of each row as a test id."""
+    return [" ".join(argv) or "(none)" for argv, _ in rows]
 
 
 class TestUsage:
-    def test_unknown_task(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
-
-    def test_negative_r_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["pt", "--r", "-1", "--m", "0"])
-
-    @pytest.mark.parametrize("argv", NEGATIVE_FLAGS)
-    def test_negative_flag_is_usage_error(self, capsys, argv):
+    @pytest.mark.parametrize(
+        "argv, message", READER_ERRORS + OUT_ERRORS, ids=spelled(READER_ERRORS + OUT_ERRORS)
+    )
+    def test_usage_error(self, capsys, monkeypatch, tmp_path, argv, message):
+        """Each usage error exits 2 before any task or gw_extract runs, with
+        stdout empty: on stderr the reader writes its usage line and the
+        error, and main an --out error on one line.  No message names a
+        private function of the reader."""
+        for task in cli.TASKS:
+            monkeypatch.setitem(cli.TASKS, task, refuse("%s ran before the usage error" % task))
+        monkeypatch.setattr(gw, "gw_extract", refuse("gw_extract ran before the usage error"))
         with pytest.raises(SystemExit) as exit_info:
-            main(argv)
+            sys.exit(main([word.format(tmp=tmp_path) for word in argv]))
         assert exit_info.value.code == 2
-        assert "must be an integer >= 0, got '-1'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", NON_INTEGERS)
-    def test_non_integer_flag_is_usage_error(self, capsys, value):
-        """A value that is not an integer gets the same message, which names
-        no private function of the parser."""
-        with pytest.raises(SystemExit) as exit_info:
-            main(["gw", "--Q-order", value])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --Q-order: must be an integer >= 0, got %r" % value in err
+        out, err = capsys.readouterr()
+        *usage, error = err.splitlines()
+        assert out == "" and message.format(tmp=tmp_path) in error
+        # the reader's errors follow its usage line; main's --out errors stand alone
+        assert len(usage) == (0 if message.startswith("cannot write --out") else 1)
+        assert all(line.startswith("usage: localvertex") for line in usage)
         assert "_non_negative" not in err
 
     @pytest.mark.parametrize(
@@ -800,90 +730,6 @@ class TestUsage:
             reports.append((code, doc))
         assert reports[0] == reports[1]
         assert list(reports[0][1]["tables"]) == ["1"]
-
-    @pytest.mark.parametrize("task", ["verify", "fit"])
-    def test_csv_only_on_table_tasks(self, capsys, monkeypatch, task):
-        """--format is a usage error off pt and gw, exit 2, before any work runs."""
-
-        def refuse(*_):
-            raise AssertionError("%s ran before the usage error" % task)
-
-        monkeypatch.setitem(cli.TASKS, task, refuse)
-        with pytest.raises(SystemExit) as exit_info:
-            main([task, "--format", "csv"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_fit_m0_is_usage_error(self, capsys, monkeypatch):
-        """fit --m 0 could never pass (its fiber columns are not rational),
-        so it is rejected, exit 2, before any work runs."""
-
-        def refuse(*_):
-            raise AssertionError("fit ran before the usage error")
-
-        monkeypatch.setitem(cli.TASKS, "fit", refuse)
-        with pytest.raises(SystemExit) as exit_info:
-            main(["fit", "--m", "0"])
-        assert exit_info.value.code == 2
-        assert "fit needs --m >= 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("task", ["gw", "verify"])
-    def test_out_without_directory_is_usage_error(self, capsys, monkeypatch, tmp_path, task):
-        """An --out whose directory is missing is rejected, exit 2 with one
-        line on stderr, before any work runs."""
-
-        def refuse(*_):
-            raise AssertionError("%s ran before the usage error" % task)
-
-        monkeypatch.setitem(cli.TASKS, task, refuse)
-        target = str(tmp_path / "missing" / "report.json")
-        assert main([task, "--out", target]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert target in captured.err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["gw", "--Q-order", "2", "--g-max", "1"], ["verify", "--Q-order", "2", "--g-max", "0"]],
-        ids=["gw", "verify"],
-    )
-    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
-        """An --out that cannot be opened (here a directory) exits 2 with one
-        line on stderr."""
-        assert main(argv + ["--out", str(tmp_path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert str(tmp_path) in captured.err
-
-    def test_empty_out_is_usage_error(self, capsys, monkeypatch):
-        """An empty --out names no file: exit 2 with one line on stderr before
-        any work runs, not a report on stdout."""
-
-        def refuse(*_):
-            raise AssertionError("pt ran before the usage error")
-
-        monkeypatch.setitem(cli.TASKS, "pt", refuse)
-        assert main(["pt", "--m", "1", "--Q-order", "1", "--out", ""]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert "--out ''" in captured.err
-
-    def test_out_directory_rejected_before_work(self, capsys, monkeypatch, tmp_path):
-        """An --out that names an existing directory exits 2 with one line on
-        stderr before the task computes anything."""
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("gw_extract ran before the usage error")
-
-        monkeypatch.setattr(gw, "gw_extract", refuse)
-        assert main(["gw", "--m-max", "8", "--Q-order", "10", "--out", str(tmp_path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert str(tmp_path) in captured.err
 
     @pytest.mark.parametrize(
         "error", [OSError(errno.ENOSPC, "No space left on device"),
@@ -915,16 +761,13 @@ class TestUsage:
         """The same in a fresh interpreter, stdout on /dev/full or on a pipe
         whose reader has closed: the interpreter's own flush of stdout at
         exit adds no second error and does not change the status."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=src)
         if sink == "full":
             stdout = os.open("/dev/full", os.O_WRONLY)
         else:
             reader, stdout = os.pipe()
             os.close(reader)
         try:
-            run = subprocess.run([sys.executable, "-m", "localvertex.cli", *argv], env=env,
-                                 stdout=stdout, stderr=subprocess.PIPE, text=True)
+            run = fresh_python("-m", "localvertex.cli", *argv, stdout=stdout)
         finally:
             os.close(stdout)
         assert run.returncode == 2, run.stderr
@@ -951,24 +794,6 @@ class TestUsage:
         else:
             assert rows is None and report["passed"] is True
 
-    def test_missing_task_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main([])
-
-    @pytest.mark.parametrize("argv", DELETED_FLAGS)
-    def test_deleted_flag_is_usage_error(self, capsys, monkeypatch, argv):
-        """Each flag its task does not read, and the deleted --no-cache, is
-        rejected, exit 2, before any work."""
-
-        def refuse(*_):
-            raise AssertionError("%s ran before the usage error" % argv[0])
-
-        monkeypatch.setitem(cli.TASKS, argv[0], refuse)
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
     def test_task_set_and_settable_values(self):
         """Four tasks and 27 settable values, counted on the reader's table
         and on the oracle built from it."""
@@ -983,20 +808,6 @@ class TestUsage:
             if action.dest != "help"
         ]
         assert len(settable) == 27
-
-    def test_selftest_is_unknown_task(self, capsys, monkeypatch):
-        """The oracles run in the test suite only: selftest is an unknown
-        task, exit 2, before any work runs."""
-
-        def refuse(*_):
-            raise AssertionError("a task ran before the usage error")
-
-        for task in list(cli.TASKS):
-            monkeypatch.setitem(cli.TASKS, task, refuse)
-        with pytest.raises(SystemExit) as exit_info:
-            main(["selftest"])
-        assert exit_info.value.code == 2
-        assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
     def test_benchmark_argv_parses(self, tmp_path):
         """The argv of the benchmark's cache fill and of its verify job."""
@@ -1088,10 +899,12 @@ class TestReader:
             assert error.startswith("localvertex") and ": error: " in error
             assert not isinstance(expected, dict) or argparse_reads_more(argv), expected
 
-    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "(none)")
+    @pytest.mark.parametrize(
+        "argv", [argv for argv, _ in READER_ERRORS], ids=spelled(READER_ERRORS)
+    )
     def test_declines_every_usage_error(self, argv):
-        """Every argv that TestUsage expects to be a usage error exits 2,
-        and so does the oracle."""
+        """Every argv that the reader rejects in TestUsage exits 2, and so
+        does the oracle."""
         with pytest.raises(SystemExit) as exit_info:
             cli._read(argv)
         assert exit_info.value.code == 2
@@ -1149,54 +962,87 @@ GW = sorted(PT + ["localvertex.gwtheory"])
 FIT = sorted(GW + ["localvertex.rationality"])
 CERTIFY = sorted(FIT + ["localvertex.series"])
 
+RUN = "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0"
 
-def loaded_modules(code, *argv):
-    """The localvertex modules, and argparse, gettext, locale, csv,
-    hashlib and __future__ if loaded, after ``code`` runs with ``argv`` in a
-    fresh interpreter; ``code`` may print lines of its own before the last."""
-    env = dict(os.environ)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    code += (
-        "\nprint(json.dumps(sorted(m for m in sys.modules "
-        "if m in ('localvertex', 'argparse', 'gettext', 'locale', 'csv', 'hashlib', "
-        "'__future__') "
-        "or m.startswith('localvertex.'))))"
+
+def exits(status):
+    """Code that runs cli.main, which must exit ``status`` as the help and
+    the usage errors do."""
+    return (
+        "from localvertex import cli\n"
+        "try:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == %d, exit.code\n"
+        "else:\n"
+        "    raise AssertionError('no exit')" % status
     )
-    out = subprocess.run(
-        [sys.executable, "-c", "import json, sys\n" + code, *argv],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(out.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize(
-    "argv, modules",
-    [
-        (["gw", "--r", "0", "--r", "1", "--m-max", "2", "--Q-order", "5", "--format", "csv"], GW),
-        (["pt", "--r", "1", "--m", "2", "--Q-order", "5"], PT),
-        (["verify", "--all", "--r", "1", "--m-max", "1", "--Q-order", "9", "--g-max", "1"],
-         CERTIFY),
-        (["fit", "--r", "0", "--m", "1", "--Q-order", "9", "--g-max", "1"], FIT),
-    ],
-    ids=["gw", "pt", "verify", "fit"],
+OUT = " --out {tmp}/report.out"
+FILES = " --cache-dir {tmp}/scache" + OUT
+# id: (code, argv, the watched modules loaded after it); {tmp} is a fresh
+# directory
+MODULE_SETS = {
+    "run-gw": (RUN, "gw --r 0 --r 1 --m-max 2 --Q-order 5 --format csv" + OUT, GW),
+    "run-pt": (RUN, "pt --r 1 --m 2 --Q-order 5" + OUT, PT),
+    "run-verify": (RUN, "verify --all --r 1 --m-max 1 --Q-order 9 --g-max 1" + OUT, CERTIFY),
+    "run-fit": (RUN, "fit --r 0 --m 1 --Q-order 9 --g-max 1" + OUT, FIT),
+    # a valid command line of each task, with a --cache-dir: read without
+    # argparse, and the cache names each file by its pair, with no hashlib
+    "cache-pt": (RUN, "pt --m 1 --Q-order 3" + FILES, PT),
+    "cache-pt-eq": (RUN, "pt --r=1 --m=1 --Q-order=3 --format=csv" + FILES, PT),
+    "cache-gw": (RUN, "gw --m-max 1 --Q-order 3 --g-max 1 --format json" + FILES, GW),
+    "cache-verify": (RUN, "verify --all --r 0 --m-max 1 --Q-order 9" + FILES, CERTIFY),
+    "cache-fit": (RUN, "fit --m 1 --Q-order 9 --g-max 1 --r 0 --r 0" + FILES, FIT),
+    # the control: the watch sees a module that is loaded
+    "cache-pt-hashlib": ("import hashlib\n" + RUN, "pt --m 1 --Q-order 3" + FILES,
+                         sorted(PT + ["hashlib"])),
+    # the reader writes the help and the usage errors itself
+    "help": (exits(0), "--help", PT),
+    "verify-help": (exits(0), "verify -h", PT),
+    "usage-error": (exits(2), "pt --m -1", PT),
+    # the root loads no stage; the certificates only the kernel they share
+    # with the engine; cli, for its task functions, the stage every task runs
+    "import-root": ("import localvertex", "", ROOT),
+    "import-rationality": (
+        "import localvertex.rationality", "",
+        ["localvertex", "localvertex.qfield", "localvertex.rationality"],
+    ),
+    "import-cli": ("import localvertex.cli", "", PT),
+    "import-gw": ("import localvertex.cli, localvertex.gwtheory", "", GW),
+    "import-fit": (
+        "import localvertex.cli, localvertex.gwtheory, localvertex.rationality", "", FIT
+    ),
+}
+WATCHED = (
+    "localvertex", "argparse", "gettext", "locale", "csv", "hashlib", "__future__", "sympy",
+    "dataclasses", "inspect",
 )
-def test_engine_leaves_oracles_out(argv, modules, tmp_path):
-    """A run in a fresh interpreter loads exactly the stages its task runs:
-    pt the vertex stage and the CLI, gw the GW stage too, fit the
+
+
+@pytest.mark.parametrize("code, argv, modules", list(MODULE_SETS.values()), ids=list(MODULE_SETS))
+def test_loaded_modules(tmp_path, code, argv, modules):
+    """In a fresh interpreter each entry point loads exactly the stages it
+    runs: pt the vertex stage and the CLI, gw the GW stage too, fit the
     certificates of ``rationality`` too, and verify also ``series``, for
-    the exceptional series of ``tilde_pt0``.  No run loads the field
-    Q(t) of qrat, the oracles, symmfun (so the W and power-sum memo tables
-    cannot fill), argparse, csv, hashlib, or ``__future__``: no module
-    defers its annotations."""
-    report = tmp_path / "report.out"
-    loaded = loaded_modules(
-        "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0",
-        *argv, "--out", str(report),
+    the exceptional series of ``tilde_pt0``.  No entry point loads the
+    field Q(t) of qrat, the oracles, symmfun (so the W and power-sum memo
+    tables cannot fill), argparse, gettext or locale (a command line is
+    read without argparse), csv, hashlib, ``__future__`` (no module defers
+    its annotations), sympy (the engine is stdlib only), or dataclasses and
+    inspect, which with ast, dis and tokenize would be the largest import
+    of a short job.  A run writes its report."""
+    watch = (
+        "\nprint(json.dumps(sorted(m for m in sys.modules "
+        "if m in %r or m.startswith('localvertex.'))))" % (WATCHED,)
     )
-    assert loaded == modules
-    assert "hashlib" not in loaded
-    assert report.read_text()
+    argv = [word.format(tmp=tmp_path) for word in argv.split()]
+    run = fresh_python("-c", "import json, sys\n" + code + watch, *argv)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == modules
+    if "--out" in argv:
+        assert (tmp_path / "report.out").read_text()
 
 
 @pytest.mark.parametrize(
@@ -1214,72 +1060,11 @@ def test_tasks_take_no_whole_z0_or_product(capsys, monkeypatch, argv):
     import oracles
     from localvertex import vertex
 
-    def refuse(*args):
-        raise AssertionError("a task built Z_0 or Z_m whole")
-
     for name in ("z0_series", "pt_fractions"):
         assert not hasattr(vertex, name), name
-        monkeypatch.setattr(oracles, name, refuse)
+        monkeypatch.setattr(oracles, name, refuse("a task built Z_0 or Z_m whole"))
     code, doc = run_json(capsys, *argv)
     assert code == 0 and doc.get("passed", True) is True
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["pt", "--r=1", "--m=1", "--Q-order=3", "--format=csv"],
-        ["gw", "--m-max", "1", "--Q-order", "3", "--g-max", "1", "--format", "json"],
-        ["verify", "--all", "--r", "0", "--m-max", "1", "--Q-order", "9"],
-        ["fit", "--m", "1", "--Q-order", "9", "--g-max", "1", "--r", "0", "--r", "0"],
-    ],
-    ids=["pt", "gw", "verify", "fit"],
-)
-def test_valid_run_loads_no_argparse(argv, tmp_path):
-    """A valid command line of each task, with a --cache-dir, is read
-    without argparse, so the run loads none of argparse, gettext or locale."""
-    loaded = loaded_modules(
-        "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0",
-        *argv, "--cache-dir", str(tmp_path / "scache"), "--out", str(tmp_path / "report.out"),
-    )
-    assert not {"argparse", "gettext", "locale"} & set(loaded), loaded
-
-
-@pytest.mark.parametrize(
-    "argv, status",
-    [(["--help"], 0), (["verify", "-h"], 0), (["pt", "--m", "-1"], 2)],
-    ids=["help", "verify-help", "usage-error"],
-)
-def test_messages_load_no_argparse(argv, status):
-    """Help and usage errors come from the reader too: they load none of
-    argparse, gettext or locale."""
-    loaded = loaded_modules(
-        "from localvertex import cli\n"
-        "try:\n"
-        "    cli.main(sys.argv[1:])\n"
-        "except SystemExit as exit:\n"
-        "    assert exit.code == %d, exit.code" % status,
-        *argv,
-    )
-    assert not {"argparse", "gettext", "locale"} & set(loaded), loaded
-
-
-def test_cache_dir_loads_no_hashlib(tmp_path):
-    """A --cache-dir names each file by its pair, so a pt or verify run with
-    one loads its task's modules exactly, and no hashlib.  The control: after
-    ``import hashlib`` the same pt run shows hashlib, so the watch sees it."""
-    run = "from localvertex import cli; assert cli.main(sys.argv[1:]) == 0"
-    files = "--cache-dir", str(tmp_path / "scache"), "--out", str(tmp_path / "report.json")
-    pt = ["pt", "--m", "1", "--Q-order", "3", *files]
-    assert loaded_modules(run, *pt) == PT
-    verify = ["verify", "--all", "--r", "0", "--m-max", "1", "--Q-order", "9", *files]
-    assert loaded_modules(run, *verify) == CERTIFY
-    assert loaded_modules("import hashlib\n" + run, *pt) == sorted(PT + ["hashlib"])
-
-
-def test_package_root_leaves_rationality_out():
-    """``import localvertex`` loads the root alone: no stage, so neither
-    the engine nor the certificates."""
-    assert loaded_modules("import localvertex") == ROOT
 
 
 def test_package_holds_the_engine_modules():
@@ -1292,19 +1077,6 @@ def test_package_holds_the_engine_modules():
     ]
 
 
-def test_certificates_import_leaves_series_out():
-    """The fits read plain coefficient maps: importing the certificates
-    loads the kernel they share with the engine, and no ``series``."""
-    loaded = loaded_modules("import localvertex.rationality")
-    assert loaded == ["localvertex", "localvertex.qfield", "localvertex.rationality"]
-
-
-def test_cli_import_leaves_argparse_out():
-    """Importing cli for its task functions parses no command line, and
-    loads only the stage that every task runs, as a pt run does."""
-    assert loaded_modules("import localvertex.cli") == PT
-
-
 def test_benchmark_import_path(tmp_path):
     """The benchmark's jobs import the package as ``bench/job.py`` does:
     ``import localvertex``, a check that it came from ``src``, then
@@ -1312,8 +1084,6 @@ def test_benchmark_import_path(tmp_path):
     runs ``bench/spans.py``'s ``install(localvertex)``.  All of it runs in a
     fresh interpreter without bytecode files, and a traced gw run still
     records the spans of its task and of the GW stage it imports."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=src)
     code = (
         "import os, sys\n"
         "sys.path.insert(0, 'bench')\n"
@@ -1327,10 +1097,9 @@ def test_benchmark_import_path(tmp_path):
         "calls = tracer.span_table()\n"
         "assert calls['cli.run_gw'] == 1 and calls['gwtheory.gw_extract'] == 1, calls\n"
     )
-    job = subprocess.run(
-        [sys.executable, "-c", code, "gw", "--Q-order", "2", "--g-max", "1",
-         "--out", str(tmp_path / "report.json")],
-        cwd=os.path.dirname(src), env=env, capture_output=True, text=True,
+    job = fresh_python(
+        "-c", code, "gw", "--Q-order", "2", "--g-max", "1", "--out", str(tmp_path / "report.json"),
+        cwd=os.path.dirname(SRC),
     )
     assert job.returncode == 0, job.stderr
 

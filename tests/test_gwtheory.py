@@ -1,10 +1,7 @@
 """q = e^(iu) expansion, GW extraction, ring membership, polynomiality."""
 
-import hashlib
 import json
 import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -12,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exponent_search import find_exponent
-from helpers import canonical, gw_column, qrat_series
+from helpers import canonical, digest, fresh_python, gw_column, qrat_series, record_calls, refuse
 from localvertex import cli, gwtheory, qfield, qrat
 from localvertex.gwtheory import (
     GWTable,
@@ -76,11 +73,7 @@ class TestUExpansion:
             "except ValueError as err:\n"
             "    print(err)\n" % den
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(gwtheory.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10,
-        )
+        out = fresh_python("-c", code, timeout=10)
         assert out.returncode == 0, out.stderr
         assert out.stdout == "u_expansions needs a nonzero denominator, got %r\n" % den
 
@@ -408,7 +401,7 @@ class TestQRatRoute:
         for shift, nums, den in logs.values():
             expected = {j: u_series(shift, num, den, 4) for j, num in nums.items()}
             assert u_expansions((shift, nums, den), 4) == expected
-        calls = count_moments(monkeypatch)
+        calls = record_calls(monkeypatch, gwtheory, "_moments", lambda poly, shift: poly)
         gw_extract(1, 2, 7, 3, cache=SCache())
         dens = [[1, -2, 1]] + [den for _, _, den in logs.values()]
         assert [poly for poly in calls if poly in dens] == dens
@@ -422,7 +415,7 @@ class TestQRatRoute:
     def test_fibre_read_once(self, monkeypatch, run):
         """log Z_0 is expanded once, whatever its Q-order: one read of its
         denominator, one of its numerator."""
-        calls = count_moments(monkeypatch)
+        calls = record_calls(monkeypatch, gwtheory, "_moments", lambda poly, shift: poly)
         run()
         assert calls == [[1, -2, 1], [2]]
 
@@ -442,10 +435,7 @@ class TestQRatRoute:
             gw_extract(0, 0, 5, 2)
 
     def test_takes_no_gcd(self, monkeypatch):
-        def refuse(f, g):
-            raise AssertionError("the GW path took a polynomial gcd")
-
-        monkeypatch.setattr(qrat, "_gcd", refuse)
+        monkeypatch.setattr(qrat, "_gcd", refuse("the GW path took a polynomial gcd"))
         table = gw_extract(1, 2, 6, 3, cache=SCache())
         assert table.value(0, 1, 2) == 5
         assert tilde_pt0(6, 4)[2][3] == Fraction(-3, 120)
@@ -455,37 +445,26 @@ class TestQRatRoute:
         output hashes, read from bench/reference.json."""
         pinned = pinned_hashes("gw_m2")
         assert sorted(pinned) == ["0", "1", "2"]
-        for r, digest in pinned.items():
-            assert sha256_json(gw_extract(int(r), 2, 7, 3).to_json()) == digest, r
+        for r, pin in pinned.items():
+            assert digest(gw_extract(int(r), 2, 7, 3).to_json()) == pin, r
 
     def test_benchmark_hashes_exceptional(self):
         """tilde_pt0(11, 6), by value, reproduces the pinned exceptional hash."""
         pinned = pinned_hashes("exceptional")
-        assert sha256_json(series_value(tilde_pt0(11, 6))) == pinned["tilde_pt0"]
+        assert digest(series_value(tilde_pt0(11, 6))) == pinned["tilde_pt0"]
 
     def test_benchmark_hashes_verify(self, tmp_path):
         """verify --all --r R --m-max 1 --Q-order 9 reproduces the pinned
         report hashes, with generated_at dropped."""
         pinned = pinned_hashes("verify")
         assert sorted(pinned) == ["0", "1", "2"]
-        for r, digest in pinned.items():
+        for r, pin in pinned.items():
             out = tmp_path / ("verify_%s.json" % r)
             argv = ["verify", "--all", "--r", r, "--m-max", "1", "--Q-order", "9"]
             assert cli.main(argv + ["--out", str(out)]) == 0, r
             report = json.loads(out.read_text())
             report.pop("generated_at")
-            assert sha256_json(report) == digest, r
-
-
-def count_moments(monkeypatch):
-    """The list of q-polynomials whose moments ``u_expansions`` reads from
-    now on, one entry per ``_moments`` call."""
-    calls = []
-    read = gwtheory._moments
-    monkeypatch.setattr(
-        gwtheory, "_moments", lambda poly, shift: calls.append(poly) or read(poly, shift)
-    )
-    return calls
+            assert digest(report) == pin, r
 
 
 def pinned_hashes(workload):
@@ -493,12 +472,6 @@ def pinned_hashes(workload):
     path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference.json")
     with open(path) as fh:
         return json.load(fh)[workload]
-
-
-def sha256_json(document):
-    """The benchmark's digest: sha256 of the canonical JSON."""
-    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def series_value(s):

@@ -1,6 +1,6 @@
 """Against oracles from outside the vertex: the mirror's periods at genus 0,
-and local P^2's published Gopakumar-Vafa invariants and one-parameter mirror
-at genus 0 and 1."""
+local P^2's published Gopakumar-Vafa invariants at genus 0 and 1, and at
+degree 4 through genus 5, and its one-parameter mirror at genus 0 and 1."""
 
 import pytest
 
@@ -11,11 +11,16 @@ from mirror_periods import instanton_parts
 
 DEGREE = 7
 
-# local P^2's Gopakumar-Vafa invariants n^g_d, d = 1..7 (Chiang-Klemm-Yau-Zaslow
-# hep-th/9903053)
+# local P^2's Gopakumar-Vafa invariants n^g_d (Chiang-Klemm-Yau-Zaslow
+# hep-th/9903053): d = 1..7 at genus 0 and 1, d = 1..4 above; n^3_4 = 15 is
+# the Katz-Klemm-Vafa top genus (-1)^14 (14 + 1), since dim |4h| = 14
 LOCAL_P2 = {
     0: [3, -6, 27, -192, 1695, -17064, 188454],
     1: [0, 0, -10, 231, -4452, 80948, -1438086],
+    2: [0, 0, 0, -102],
+    3: [0, 0, 0, 15],
+    4: [0, 0, 0, 0],
+    5: [0, 0, 0, 0],
 }
 
 # the coefficient of q_b^d_b q_c^d_c in I_ab over GW_(0, d_c c + d_b b)
@@ -49,10 +54,12 @@ def test_local_p2_through_the_blow_down(scache):
     classes d h = d c + d b do not see the blow-up, so there the engine's
     r = 1 numbers are local P^2's.  Its GV invariants are peeled off
     GW_0(dh) = sum_(k | d) n^0_(d/k)/k^3 and GW_1(dh) = sum_(k | d)
-    (n^1_(d/k) + n^0_(d/k)/12)/k, for d <= 7, by ``gv_invariants``."""
-    gv = gv_invariants(gw_extract(1, DEGREE, DEGREE, 1, cache=scache))
-    for g in (0, 1):
-        assert [gv[d, d][g] for d in range(1, DEGREE + 1)] == LOCAL_P2[g]
+    (n^1_(d/k) + n^0_(d/k)/12)/k, for d <= 7, by ``gv_invariants``, and
+    so are the higher genera through 5 for d <= 4."""
+    for degree, g_max in ((DEGREE, 1), (4, 5)):
+        gv = gv_invariants(gw_extract(1, degree, degree, g_max, cache=scache))
+        for g in range(g_max + 1):
+            assert [gv[d, d][g] for d in range(1, degree + 1)] == LOCAL_P2[g][:degree], g
 
 
 def test_local_p2_mirror(scache):

@@ -2,15 +2,11 @@
 
 import itertools
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import localvertex
 from localvertex.qfield import _add, _exquo, _mul, _pack, _unpack, expansion
 from localvertex.qrat import QFieldError, QRat, _gcd, _gcd_prs
 
@@ -308,39 +304,6 @@ class TestExpansionNonUnitDenominator:
         got = expansion(-3, [1, 2, 0, 0], [1, 0, -3], 5)
         assert got == (-1, [Fraction(-2, 3), Fraction(-1, 3), Fraction(-2, 9),
                             Fraction(-1, 9), Fraction(-2, 27)])
-
-
-def test_import_leaves_sympy_out():
-    """The kernel is stdlib only: importing the package and every stage a
-    task runs pulls in no sympy (the package root alone loads no stage)."""
-    env = dict(os.environ)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, localvertex.cli, localvertex.gwtheory, localvertex.rationality; "
-        "print(sorted(m for m in sys.modules if m.startswith('sympy')))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
-
-
-def test_import_leaves_dataclasses_out():
-    """Importing the CLI and the GW stage pulls in neither dataclasses nor
-    inspect, which with ast, dis and tokenize would be the largest import of
-    a short job."""
-    env = dict(os.environ)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(localvertex.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, localvertex.cli, localvertex.gwtheory; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")

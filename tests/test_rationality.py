@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import exponent_search
 from exponent_search import find_exponent, one_minus_q_power, symmetric
-from helpers import canonical
+from helpers import canonical, record_calls
 from localvertex.rationality import (
     FitError,
     certify_column,
@@ -265,11 +265,7 @@ class TestClosedForms:
         assert a == exponent_by_scan(num, power, -8, 8, sign)
 
     def test_exponent_checks_once(self, monkeypatch):
-        calls = []
-        original = exponent_search.symmetric
-        monkeypatch.setattr(
-            exponent_search, "symmetric", lambda *a: calls.append(a) or original(*a)
-        )
+        calls = record_calls(monkeypatch, exponent_search, "symmetric")
         series = TruncSeries(8, {d: d for d in range(9)})
         assert find_exponent(series, 2, -8, 8)[2] == 0
         assert len(calls) == 1

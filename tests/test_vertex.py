@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from helpers import P, canonical, qrat_series
+from helpers import P, canonical, qrat_series, record_calls, refuse
 from localvertex import symmfun, vertex
 from localvertex.partitions import Partition, partitions_of, partitions_up_to
 from localvertex.qfield import _digit_words, _exquo, _mul, _strip, expansion
@@ -75,11 +75,7 @@ class TestSRoutes:
     def test_product_reads_no_engine_exponents(self, monkeypatch):
         """s_product takes its a_i from p_mu p_nu (1-q)^2 in Q(t), not from
         the engine's e_i."""
-
-        def refuse(mu, nu):
-            raise AssertionError("s_product read vertex.e_coeffs")
-
-        monkeypatch.setattr(vertex, "e_coeffs", refuse)
+        monkeypatch.setattr(vertex, "e_coeffs", refuse("s_product read vertex.e_coeffs"))
         assert "e_coeffs" not in vars(oracles)
         assert s_product(P(2, 1), P(1), 3) == s_direct(P(2, 1), P(1), 3)
 
@@ -232,10 +228,7 @@ class TestClosedForm:
             assert list(e_coeffs(mu, nu).items()) == list(want.items()), (mu, nu)
 
     def test_reads_no_power_sums(self, monkeypatch):
-        def refuse(mu, k):
-            raise AssertionError("s_ratio_squared evaluated p_mu(q^k)")
-
-        monkeypatch.setattr(symmfun, "p_shifted", refuse)
+        monkeypatch.setattr(symmfun, "p_shifted", refuse("s_ratio_squared evaluated p_mu(q^k)"))
         assert "p_shifted" not in vars(vertex)
         assert s_ratio_squared(P(2, 1), P(1), 4)[4][1]
 
@@ -292,10 +285,7 @@ class TestClosedForm:
             s_ratio_squared(P(16), P(16), 24)
 
     def test_takes_no_series_exp(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("s_ratio_squared took a series exp")
-
-        monkeypatch.setattr(TruncSeries, "exp", refuse)
+        monkeypatch.setattr(TruncSeries, "exp", refuse("s_ratio_squared took a series exp"))
         assert s_ratio_squared(P(2, 1), P(1), 4)[4][1]
 
     def test_monomial_and_hooks(self):
@@ -491,7 +481,7 @@ class TestSCache:
     def test_pair_order_shares_one_entry(self, tmp_path, monkeypatch):
         """(mu, nu) and (nu, mu) give the same ratio, so SCache builds and
         stores the pair once."""
-        builds = recorded_builds(monkeypatch)
+        builds = record_calls(monkeypatch, vertex, "s_ratio_squared")
         cache = SCache(str(tmp_path))
         first = cache.get(P(2, 1), P(1), 4)
         assert cache.get(P(1), P(2, 1), 4) == first == s_ratio_squared(P(1), P(2, 1), 4)
@@ -520,12 +510,10 @@ class TestSCache:
         file is never opened and nothing is built."""
         cache = SCache(str(tmp_path))
         first = cache.get(P(2, 1), P(1), 4)
-        builds = recorded_builds(monkeypatch)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("SCache opened a file for a held entry")
-
-        monkeypatch.setattr(vertex, "open", refuse, raising=False)
+        builds = record_calls(monkeypatch, vertex, "s_ratio_squared")
+        monkeypatch.setattr(
+            vertex, "open", refuse("SCache opened a file for a held entry"), raising=False
+        )
         assert cache.get(P(1), P(2, 1), 4) == first
         assert cache.get(P(2, 1), P(1), 2) == first[:3]
         assert builds == []
@@ -536,7 +524,7 @@ class TestSCache:
         short = SCache(str(tmp_path))
         short.get(P(1), P(2, 1), 2)
         longer = SCache(str(tmp_path)).get(P(1), P(2, 1), 6)
-        builds = recorded_builds(monkeypatch)
+        builds = record_calls(monkeypatch, vertex, "s_ratio_squared")
         assert short.get(P(2, 1), P(1), 6) == longer
         assert short.get(P(1), P(2, 1), 5) == longer[:6]
         assert builds == []
@@ -546,22 +534,12 @@ class TestSCache:
         with the longer entry, which then serves a fresh cache."""
         SCache(str(tmp_path)).get(P(1), P(2, 1), 2)
         (path,) = list(tmp_path.iterdir())
-        builds = recorded_builds(monkeypatch)
+        builds = record_calls(monkeypatch, vertex, "s_ratio_squared")
         longer = SCache(str(tmp_path)).get(P(1), P(2, 1), 6)
         assert longer == s_ratio_squared(P(1), P(2, 1), 6) and len(builds) == 1
         assert json.loads(path.read_text())["coeffs"] == json.loads(json.dumps(longer))
         assert SCache(str(tmp_path)).get(P(1), P(2, 1), 6) == longer
         assert len(builds) == 1 and list(tmp_path.iterdir()) == [path]
-
-
-def recorded_builds(monkeypatch):
-    """The pairs of every s_ratio_squared build SCache runs, in order."""
-    builds = []
-    build = vertex.s_ratio_squared
-    monkeypatch.setattr(
-        vertex, "s_ratio_squared", lambda mu, nu, o: builds.append((mu, nu)) or build(mu, nu, o)
-    )
-    return builds
 
 
 class TestPartitionFunctions:
@@ -740,10 +718,7 @@ class TestKnownDenominators:
             assert any(c < 0 for row in masked for c in row), width
 
     def test_takes_no_series_exp(self, monkeypatch, scache):
-        def refuse(self):
-            raise AssertionError("Z_0 was built by a series exp")
-
-        monkeypatch.setattr(TruncSeries, "exp", refuse)
+        monkeypatch.setattr(TruncSeries, "exp", refuse("Z_0 was built by a series exp"))
         assert pt_series(1, 2, 5, cache=scache)[5]
         assert check_integrality(pt_rows(1, 2, 5, scache))
 
@@ -777,11 +752,7 @@ class TestKnownDenominators:
     def test_pt_assembles_only_its_class(self, monkeypatch):
         """pt_series(0, 6, .) reads the 65 S-ratios of |mu2| + |mu4| = 6,
         not the 139 of every m <= 6."""
-        calls = []
-        get = SCache.get
-        monkeypatch.setattr(
-            SCache, "get", lambda self, *args: calls.append(args) or get(self, *args)
-        )
+        calls = record_calls(monkeypatch, SCache, "get", lambda self, *args: args)
         pt_series(0, 6, 4)
         assert len(calls) == 65
         assert all(mu2.size + mu4.size == 6 for mu2, mu4, _ in calls)
@@ -789,11 +760,7 @@ class TestKnownDenominators:
     def test_fetches_only_pairs_below_the_order(self, monkeypatch):
         """z_ratio(7, 4, 3) reads only the 5 pairs of |mu2| = 0: every other
         pair starts at Q^(7|mu2|), past Q^3."""
-        calls = []
-        get = SCache.get
-        monkeypatch.setattr(
-            SCache, "get", lambda self, *args: calls.append(args) or get(self, *args)
-        )
+        calls = record_calls(monkeypatch, SCache, "get", lambda self, *args: args)
         z_ratio(7, 4, 3, SCache())
         assert len(calls) == 5
         assert all(mu2.size == 0 for mu2, _, _ in calls)
@@ -801,7 +768,7 @@ class TestKnownDenominators:
     def test_class_zero_fetches_no_pair(self, monkeypatch):
         """Z_0/Z_0 = 1: z_ratio at m = 0 is the unit class series, and asks
         the cache for no S-entry, not even (empty, empty)."""
-        monkeypatch.setattr(SCache, "get", lambda *args: pytest.fail("fetched %r" % (args,)))
+        monkeypatch.setattr(SCache, "get", refuse("z_ratio at m = 0 fetched an S-entry"))
         for r in (0, 1, 2, 5):
             assert z_ratio(r, 0, 9, SCache()) == (0, {0: [1]}, [1]), r
 
@@ -901,19 +868,6 @@ def plant_one_plus_q(monkeypatch):
     )
 
 
-def recorded_widths(monkeypatch):
-    """The widths of every z0_windows call, recorded in order."""
-    widths = []
-    build = vertex.z0_windows
-
-    def record(order, width):
-        widths.append(width)
-        return build(order, width)
-
-    monkeypatch.setattr(vertex, "z0_windows", record)
-    return widths
-
-
 class TestWindows:
     """Z_0 and Z_m read in their q-windows, against the oracles that build
     them whole, ``oracles.z0_series`` and ``oracles.pt_fractions``."""
@@ -974,7 +928,7 @@ class TestWindows:
         from q^1, and Z_0's with it, after the first build at 25."""
         dm = vertex._qq_squared(1)  # (1 - q)^2
         ratio = (0, {0: dm, 1: [1, -2, 1] + [0] * 28 + [-2, 0]}, dm)
-        widths = recorded_widths(monkeypatch)
+        widths = record_calls(monkeypatch, vertex, "z0_windows", lambda order, width: width)
         rows = pt_invariants(ratio, 3)
         assert [row for row in rows if row[0] == 1] == [(1, 30, 1)]
         assert rows == oracle_rows(ratio, 3)
@@ -987,7 +941,7 @@ class TestWindows:
         n5 = z0_series(5)[1][5]
         dm = vertex._qq_squared(5)
         ratio = (0, {0: dm, 5: [-c for c in n5]}, dm)
-        widths = recorded_widths(monkeypatch)
+        widths = record_calls(monkeypatch, vertex, "z0_windows", lambda order, width: width)
         rows = pt_invariants(ratio, 5)
         assert {j for j, _, _ in rows} == {0, 1, 2, 3, 4}
         assert widths == [25, 50, 100]
