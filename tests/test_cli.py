@@ -645,30 +645,48 @@ def oracle(argv):
 
 
 NEGATIVE = "must be an integer >= 0, got '-1'"
-# (argv, what the error line says): the usage errors of the reader, where a
-# flag that its task does not read, or the deleted --no-cache, is an
-# unrecognized argument ...
+NEGATIVE_FLAGS = [
+    ["pt", "--m", "-1"], ["verify", "--m-max", "-1"], ["gw", "--r", "-1"],
+    ["fit", "--Q-order", "-1"], ["verify", "--u-order", "-1"], ["gw", "--g-max", "-1"],
+]
+NON_INTEGERS = ["abc", "1.5", ""]
+CSV_OFF_TABLE = ["verify", "fit"]
+# flags a task does not read, and the deleted --no-cache
+UNREAD_FLAGS = [
+    ["pt", "--u-order", "2"], ["gw", "--u-order", "2"], ["fit", "--u-order", "2"],
+    ["pt", "--g-max", "1"], ["verify", "--format", "json"], ["fit", "--format", "json"],
+    ["pt", "--m-max", "1"], ["pt", "--all"], ["gw", "--m", "1"], ["gw", "--all"],
+    ["verify", "--m", "1"], ["fit", "--m-max", "1"], ["fit", "--all"],
+    ["pt", "--no-cache"], ["gw", "--no-cache"], ["verify", "--no-cache"],
+    ["fit", "--no-cache"],
+]
+
+
+def non_integer(value):
+    """The usage-error row of --Q-order ``value``."""
+    return ["gw", "--Q-order", value], "argument --Q-order: must be an integer >= 0, got %r" % value
+
+
+def unrecognized(argv):
+    """The usage-error row of an argv whose last word its task does not read."""
+    return argv, "unrecognized arguments: " + argv[1]
+
+
+# (argv, what the error line says): the usage errors of the reader ...
+OTHER_READER_ERRORS = [
+    (["frobnicate"], "invalid choice: 'frobnicate'"), ([], "arguments are required: task"),
+    (["selftest"], "invalid choice: 'selftest'"), (["fit", "--m", "0"], "fit needs --m >= 1"),
+    (["pt", "--r", "-1", "--m", "0"], NEGATIVE),
+    (["pt", "--out", "-x"], "argument --out: expected one argument"),
+    (["gw", "--m-max"], "argument --m-max: expected one argument"),
+    unrecognized(["verify", "--all=1"]),
+]
 READER_ERRORS = (
-    [(["frobnicate"], "invalid choice: 'frobnicate'"), ([], "arguments are required: task"),
-     (["selftest"], "invalid choice: 'selftest'"), (["fit", "--m", "0"], "fit needs --m >= 1"),
-     (["pt", "--r", "-1", "--m", "0"], NEGATIVE)]
-    + [(["gw", "--Q-order", value], "argument --Q-order: must be an integer >= 0, got %r" % value)
-       for value in ("abc", "1.5", "")]
-    + [(["pt", "--out", "-x"], "argument --out: expected one argument"),
-       (["gw", "--m-max"], "argument --m-max: expected one argument")]
-    + [(argv, NEGATIVE) for argv in [
-        ["pt", "--m", "-1"], ["verify", "--m-max", "-1"], ["gw", "--r", "-1"],
-        ["fit", "--Q-order", "-1"], ["verify", "--u-order", "-1"], ["gw", "--g-max", "-1"],
-    ]]
-    + [(argv, "unrecognized arguments: " + argv[1]) for argv in [
-        ["verify", "--all=1"], ["verify", "--format", "csv"], ["fit", "--format", "csv"],
-        ["pt", "--u-order", "2"], ["gw", "--u-order", "2"], ["fit", "--u-order", "2"],
-        ["pt", "--g-max", "1"], ["verify", "--format", "json"], ["fit", "--format", "json"],
-        ["pt", "--m-max", "1"], ["pt", "--all"], ["gw", "--m", "1"], ["gw", "--all"],
-        ["verify", "--m", "1"], ["fit", "--m-max", "1"], ["fit", "--all"],
-        ["pt", "--no-cache"], ["gw", "--no-cache"], ["verify", "--no-cache"],
-        ["fit", "--no-cache"],
-    ]]
+    OTHER_READER_ERRORS
+    + [non_integer(value) for value in NON_INTEGERS]
+    + [(argv, NEGATIVE) for argv in NEGATIVE_FLAGS]
+    + [unrecognized([task, "--format", "csv"]) for task in CSV_OFF_TABLE]
+    + [unrecognized(argv) for argv in UNREAD_FLAGS]
 )
 # ... and those of main, an --out it cannot write, where {tmp} is a fresh directory
 MISSING = "{tmp}/missing/report.json"
@@ -689,15 +707,14 @@ def spelled(rows):
     return [" ".join(argv) or "(none)" for argv, _ in rows]
 
 
-class TestUsage:
-    @pytest.mark.parametrize(
-        "argv, message", READER_ERRORS + OUT_ERRORS, ids=spelled(READER_ERRORS + OUT_ERRORS)
-    )
-    def test_usage_error(self, capsys, monkeypatch, tmp_path, argv, message):
-        """Each usage error exits 2 before any task or gw_extract runs, with
-        stdout empty: on stderr the reader writes its usage line and the
-        error, and main an --out error on one line.  No message names a
-        private function of the reader."""
+@pytest.fixture
+def usage_error(capsys, monkeypatch, tmp_path):
+    """The check of one usage error: it exits 2 before any task or
+    gw_extract runs, with stdout empty: on stderr the reader writes its
+    usage line and the error, and main an --out error on one line.  No
+    message names a private function of the reader."""
+
+    def check(argv, message):
         for task in cli.TASKS:
             monkeypatch.setitem(cli.TASKS, task, refuse("%s ran before the usage error" % task))
         monkeypatch.setattr(gw, "gw_extract", refuse("gw_extract ran before the usage error"))
@@ -711,6 +728,33 @@ class TestUsage:
         assert len(usage) == (0 if message.startswith("cannot write --out") else 1)
         assert all(line.startswith("usage: localvertex") for line in usage)
         assert "_non_negative" not in err
+
+    return check
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, message", OTHER_READER_ERRORS + OUT_ERRORS,
+        ids=spelled(OTHER_READER_ERRORS + OUT_ERRORS),
+    )
+    def test_usage_error(self, usage_error, argv, message):
+        usage_error(argv, message)
+
+    @pytest.mark.parametrize("argv", NEGATIVE_FLAGS)
+    def test_negative_flag_is_usage_error(self, usage_error, argv):
+        usage_error(argv, NEGATIVE)
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_non_integer_flag_is_usage_error(self, usage_error, value):
+        usage_error(*non_integer(value))
+
+    @pytest.mark.parametrize("task", CSV_OFF_TABLE)
+    def test_csv_only_on_table_tasks(self, usage_error, task):
+        usage_error(*unrecognized([task, "--format", "csv"]))
+
+    @pytest.mark.parametrize("argv", UNREAD_FLAGS)
+    def test_deleted_flag_is_usage_error(self, usage_error, argv):
+        usage_error(*unrecognized(argv))
 
     @pytest.mark.parametrize(
         "argv",
