@@ -1,4 +1,5 @@
-"""Gopakumar-Vafa invariants peeled off a GW table, over Fractions.
+"""Gopakumar-Vafa invariants peeled off a GW table, over Fractions, or off
+a one-parameter partition function, over ``qrat.QRat``.
 
 The GV form of the GW free energy of a Calabi-Yau threefold,
 
@@ -10,10 +11,18 @@ peeled before beta, are subtracted, and what is left is
 sum_g n^g_beta (2 sin(u/2))^(2g-2), whose g-th term starts at u^(2g-2),
 so n^0, n^1, ... follow triangularly.  The n^g_beta are rationals here:
 that they are integers is what the tests certify.
+
+In q = e^(iu), (2 sin(u/2))^2 = s = 2 - q - 1/q, so a partition function
+Z = exp(sum_beta sum_k sum_g n^g_beta (1/k) s(q^k)^(g-1) Q^(k beta)) is
+peeled with no u-expansion: log Z class by class, the multiple covers
+subtracted, and s f_beta = sum_g n^g_beta s^g read at q = 1 (s = 0) and
+divided by s, exactly, one genus at a time.
 """
 
 from fractions import Fraction
 from math import factorial, gcd
+
+from localvertex.qrat import QRat
 
 
 def sine_power(e: int, order: int) -> list:
@@ -58,4 +67,36 @@ def gv_invariants(table) -> dict:
             for h in range(g_max + 1):
                 ns.append(rest[h] - sum(ns[g] * powers[g][h - g] for g in range(h)))
             gv[m, j] = ns
+    return gv
+
+
+def _at_power(x, k):
+    """x(q^k) for a QRat x: t -> t^k."""
+
+    def spread(p):
+        out = [0] * (k * (len(p) - 1) + 1)
+        out[::k] = p
+        return out
+
+    return QRat(k * x.shift, spread(x.num), spread(x.den))
+
+
+def gv_from_partition_function(z) -> dict:
+    """{d: [n^0_d, .., n^g_d]}, g the top genus, for d = 1 .. len(z) - 1,
+    from z = [Z_0 = 1, Z_1, ..], the QRat coefficients of Q^d of a
+    one-parameter partition function.  s f_d, and each quotient by s of it
+    less its value at q = 1, must be a Laurent polynomial in q."""
+    s = QRat.from_int(2) - QRat.q_power(1) - QRat.q_power(-1)
+    log, f, gv = [QRat.zero()], {}, {}
+    for d in range(1, len(z)):
+        # d L_d = d Z_d - sum_(k < d) k L_k Z_(d-k), L = log Z
+        log.append(z[d] - sum((log[k] * k * z[d - k] for k in range(1, d)), QRat.zero()) / d)
+        f[d] = log[d] - sum(
+            (_at_power(f[d // k], k) / k for k in range(2, d + 1) if d % k == 0), QRat.zero()
+        )
+        rest, gv[d] = f[d] * s, []
+        while rest:
+            assert rest.den == [1], (d, len(gv[d]), rest)
+            gv[d].append(sum(rest.num))
+            rest = (rest - gv[d][-1]) / s
     return gv

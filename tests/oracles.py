@@ -10,7 +10,8 @@ compare the two exactly:
   ``vertex.s_ratio_squared`` is the finite product of their squared
   ratios, its numerators over (q;q)_m^2, m = |mu| + |nu|.
 - The general N-leg toric vertex sum (``z_toric``, over ``ToricSurface``)
-  against the Hirzebruch partition function.
+  against the Hirzebruch partition function, and on local P^2's own
+  triangle against the engine's F_1 numbers in the classes d(c + b).
 - ``z0_series`` and ``pt_fractions``: Z_0 and Z_m = Z_0 (Z_m/Z_0) whole,
   as integer numerators over (q;q)_J^2 (q;q)_m^2, against the q-windows
   of ``vertex.z0_windows`` and ``vertex.pt_invariants``.
@@ -126,6 +127,13 @@ class ToricSurface:
             divisor_classes=((0, 1), (1, r), (0, 1), (1, 0)),
             self_intersections=(0, r, 0, -r),
         )
+
+    @classmethod
+    def projective_plane(cls) -> "ToricSurface":
+        """P^2 with D_1 = D_2 = D_3 = h, h^2 = 1, h written c + b: F_1 is P^2
+        blown up at a point, and its class c + b is the pull-back of h, so
+        the classes (d, d) of ``z_toric`` read dh."""
+        return cls(((1, 1),) * 3, (1, 1, 1))
 
 
 def z_toric(surface: ToricSurface, c_bound: int, b_bound: int) -> dict:

@@ -1,15 +1,18 @@
 """The geometry of the surfaces, checked on the engine's GW tables: the
 Gopakumar-Vafa invariants peeled off them are integers that obey
 Castelnuovo's bound and the Katz-Klemm-Vafa top genus and match the
-published ones, and F_0's two rulings and the deformation of F_2 to F_0,
+published ones and, in F_1's classes d(c + b), those of local P^2's own
+toric triangle; and F_0's two rulings and the deformation of F_2 to F_0,
 the geometry behind the Weyl symmetry, hold class by class."""
 
 from fractions import Fraction
 
 import pytest
 
-from gv_peel import gv_invariants, sine_power
+from gv_peel import gv_from_partition_function, gv_invariants, sine_power
 from localvertex.gwtheory import gw_extract
+from localvertex.qrat import QRat
+from oracles import ToricSurface, z_toric
 
 G_MAX = 5
 
@@ -92,6 +95,24 @@ def test_published_invariants(gv, r):
     """The peeled invariants are the published ones, and vanish above."""
     for (m, j), golden in GOLDEN[r].items():
         assert gv[r][m, j] == golden + [0] * (G_MAX + 1 - len(golden)), (m, j)
+
+
+def test_local_p2_from_its_triangle(scache):
+    """Local P^2's own toric diagram, a triangle of three two-leg vertices
+    (Aganagic-Klemm-Marino-Vafa hep-th/0305132), summed by ``z_toric`` in
+    Q(t), shares no code with the engine's strip formula.  Its GV
+    invariants, peeled off log Z over QRat, are the ones ``gv_invariants``
+    peels off the engine's r = 1 numbers in the classes dh = dc + db, at
+    every genus g <= 16 and degree d <= 7, each vanishing above the
+    arithmetic genus (d - 1)(d - 2)/2 of a plane curve of degree d."""
+    z = z_toric(ToricSurface.projective_plane(), 7, 7)
+    triangle = gv_from_partition_function([z.get((d, d), QRat.zero()) for d in range(8)])
+    engine = gv_invariants(gw_extract(1, 7, 7, 16, cache=scache))
+    for d in range(1, 8):
+        assert len(triangle[d]) == (d - 1) * (d - 2) // 2 + 1, d
+        assert triangle[d] + [0] * (17 - len(triangle[d])) == engine[d, d], d
+    assert triangle[5] == [1695, -4452, 5430, -3672, 1386, -270, 21]
+    assert [triangle[d][-1] for d in (5, 6, 7)] == [21, -28, -36]
 
 
 def test_f0_exchanges_its_rulings(scache):

@@ -1,13 +1,16 @@
 """Against oracles from outside the vertex: the mirror's periods at genus 0,
 local P^2's published Gopakumar-Vafa invariants at genus 0 and 1, and at
-degree 4 through genus 5, and its one-parameter mirror at genus 0 and 1."""
+degree 4 through genus 5, and its one-parameter mirror at genus 0 and 1,
+run by the same GKZ solver as F_0's and F_1's periods."""
+
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from gv_peel import gv_invariants
 from localvertex.gwtheory import gw_extract
-from mirror_p2 import free_energies
-from mirror_periods import instanton_parts
+from mirror_periods import LOCAL_P2_CHARGES, charges, frobenius, local_p2_free_energies, solve
 
 DEGREE = 7
 
@@ -23,12 +26,13 @@ LOCAL_P2 = {
     5: [0, 0, 0, 0],
 }
 
-# the coefficient of q_b^d_b q_c^d_c in I_ab over GW_(0, d_c c + d_b b)
+# the coefficient of q_b^d_b q_c^d_c in I_ab over GW_(0, d_c c + d_b b),
+# keyed (a, b) with b = 0 and c = 1
 FORMS = {
-    0: {"bb": lambda d_b, d_c: -4 * d_c, "bc": lambda d_b, d_c: -2 * (d_b + d_c),
-        "cc": lambda d_b, d_c: -4 * d_b},
-    1: {"bb": lambda d_b, d_c: -4 * d_c, "bc": lambda d_b, d_c: d_c - 2 * d_b,
-        "cc": lambda d_b, d_c: 2 * d_c - 2 * d_b},
+    0: {(0, 0): lambda d_b, d_c: -4 * d_c, (0, 1): lambda d_b, d_c: -2 * (d_b + d_c),
+        (1, 1): lambda d_b, d_c: -4 * d_b},
+    1: {(0, 0): lambda d_b, d_c: -4 * d_c, (0, 1): lambda d_b, d_c: d_c - 2 * d_b,
+        (1, 1): lambda d_b, d_c: 2 * d_c - 2 * d_b},
 }
 
 
@@ -37,7 +41,7 @@ def test_genus_zero_from_mirror_periods(r, scache):
     """I_bb, I_bc and I_cc of the GKZ periods of F_r are their linear forms
     times the engine's GW_(0, class), at every class of total degree <= 7."""
     table = gw_extract(r, DEGREE, DEGREE, 0, cache=scache)
-    parts = instanton_parts(r, DEGREE)
+    parts = solve(charges(r), DEGREE)[1]
     classes = [(d_b, d_c) for d_b in range(DEGREE + 1) for d_c in range(DEGREE + 1 - d_b)]
     classes.remove((0, 0))
     assert len(classes) == 35
@@ -69,7 +73,24 @@ def test_local_p2_mirror(scache):
     genus-1 free energy GW_1(dh).  The mirror runs one order past the last
     class, since z/Q loses one."""
     table = gw_extract(1, DEGREE, DEGREE, 1, cache=scache)
-    genus_zero, genus_one = free_energies(DEGREE + 1)
+    genus_zero, genus_one = local_p2_free_energies(DEGREE + 1)
     degrees = range(1, DEGREE + 1)
     assert [genus_zero[d] for d in degrees] == [-6 * d * table.value(0, d, d) for d in degrees]
     assert [genus_one[d] for d in degrees] == [table.value(1, d, d) for d in degrees]
+
+
+def test_local_p2_frobenius_closed_forms():
+    """The one GKZ solver on the charge vector (-3; 1, 1, 1) gives local
+    P^2's Frobenius series in closed form for n <= 8: S_n = 3 (-1)^n
+    (3n - 1)!/(n!)^3 and T_n = 6 S_n (H_(3n-1) - H_n), H_k the k-th
+    harmonic number."""
+    (s,), t = frobenius(LOCAL_P2_CHARGES, 8)
+
+    def harmonic(k):
+        return sum(Fraction(1, i) for i in range(1, k + 1))
+
+    degrees = range(1, 9)
+    closed = [Fraction(3 * (-1) ** n * factorial(3 * n - 1), factorial(n) ** 3) for n in degrees]
+    assert [(s[n,], t[0, 0][n,]) for n in degrees] == [
+        (s_n, 6 * s_n * (harmonic(3 * n - 1) - harmonic(n))) for n, s_n in zip(degrees, closed)
+    ]

@@ -1,6 +1,7 @@
 """Vertex sums, the S-series routes, partition functions, PT extraction."""
 
 import json
+import os
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -412,10 +413,28 @@ class TestSCache:
         assert not isinstance(err.value, VertexError)
 
     def test_file_removed_before_open_is_a_miss(self, tmp_path, monkeypatch):
-        """A file another process removes between a look and the open is
-        not there: a miss, not a corrupt file naming a path that is gone."""
-        monkeypatch.setattr(vertex.os.path, "exists", lambda path: True)
+        """A file another process removes just before the open is not there:
+        a miss, not a corrupt file naming a path that is gone, and the entry
+        is built and stored again, the same bytes."""
+        SCache(str(tmp_path)).get(P(1), EMPTY, 3)
+        (path,) = list(tmp_path.iterdir())
+        stored = path.read_text()
+
+        def removed_before_open(name, mode="r", *args, **kwargs):
+            if mode != "r":
+                return open(name, mode, *args, **kwargs)
+            os.remove(name)
+            raise FileNotFoundError(name)
+
+        monkeypatch.setattr(vertex, "open", removed_before_open, raising=False)
         assert SCache(str(tmp_path))._load(EMPTY, P(1)) is None
+        assert not path.exists()
+        path.write_text(stored)
+        builds = record_calls(monkeypatch, vertex, "s_ratio_squared")
+        series = SCache(str(tmp_path)).get(P(1), EMPTY, 3)
+        assert builds == [(EMPTY, P(1), 3)]
+        assert path.read_text() == stored
+        assert series == vertex.s_ratio_squared(EMPTY, P(1), 3)
 
     @pytest.mark.parametrize("bad", [7.9, True, "3"], ids=["float", "bool", "string"])
     @pytest.mark.parametrize("field", ["shift", "numerator"])
@@ -895,10 +914,12 @@ class TestWindows:
         assert z0_windows.cache_info().misses == 4
 
     def test_bounds_behind_the_windows(self):
-        """The two bounds on Z_0's windows: N_n = (q;q)_n^2 [Q^n] Z_0 has
-        degree n^2 at most, the widening bound of pt_invariants; and Z_0 at
-        Q = 1 is below 2^7 at q = 1/2, so 2^(e + 7) bounds its q^e
-        coefficient."""
+        """Two bounds on Z_0: N_n = (q;q)_n^2 [Q^n] Z_0 has degree n^2 at
+        most, the bound past which pt_invariants stops widening a window;
+        and Z_0 at Q = 1 is below 2^7 at q = 1/2, so 2^(e + 7) bounds its
+        q^e coefficient.  Only the first is behind the windows: ``_exp_rows``
+        sizes its digits from the exponents e alone, so the second checks
+        the window values of z0_windows against a bound of its own."""
         for n in range(13):
             assert len(z0_series(n)[1][n]) - 1 <= n * n, n
         at_half = 1.0
