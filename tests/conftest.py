@@ -30,9 +30,9 @@ def gw_table_r1(scache):
 
 
 @pytest.fixture(scope="session")
-def tilde_series(scache):
+def tilde_series():
     """The modified exceptional series at Q-order 12, u-order 6."""
-    return gw.tilde_pt0(12, 6, cache=scache)
+    return gw.tilde_pt0(12, 6)
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
 """Helpers that several test modules share: a partition written by its
 parts, the QRat values of the engine's integer class series, which the
-tests compare with the oracles' in Q(t), and a GW genus column as a
-truncated series; and the scaffolding of the tests that watch the engine
-run: a fresh interpreter, the digest that pins an output, a stand-in that
-must not be called, and a recorder of calls."""
+tests compare with the oracles' in Q(t), a GW genus column and the
+weights at which ``certify_column`` certifies one; and the scaffolding of
+the tests that watch the engine run: a fresh interpreter, the digest that
+pins an output, a stand-in that must not be called, and a recorder of
+calls."""
 
 import hashlib
 import json
@@ -14,6 +15,7 @@ import sys
 import localvertex
 from localvertex.partitions import Partition
 from localvertex.qrat import QRat
+from localvertex.rationality import FitError, certify_column
 from localvertex.series import TruncSeries
 from oracles import _in_t
 
@@ -39,10 +41,24 @@ def qrat_series(series, order):
 
 def gw_column(table, g, m, order):
     """The GW column sum_j GW_{g, m*c + j*b} Q^j of ``table`` through
-    Q^order, as ``rationality.column_certificate`` reads it off
-    ``GWTable.value``; ``certify_column`` takes its ``coeffs`` and
-    ``order``, and the exponent search of the tests the series."""
-    return TruncSeries(order, {j: table.value(g, m, j) for j in range(order + 1)})
+    Q^order, the {j: value} map ``rationality.column_certificate`` reads
+    off ``GWTable.value`` and hands to ``certify_column``."""
+    return {j: table.value(g, m, j) for j in range(order + 1)}
+
+
+def certified_weights(column, order, power):
+    """Every a in [-8, 8] at which ``certify_column(column, order, power, a)``
+    certifies: it returns a fit and the palindromy holds.  A FitError or a
+    None (no surplus beyond the window) is not a certificate."""
+    weights = []
+    for a in range(-8, 9):
+        try:
+            certified = certify_column(column, order, power, a)
+        except FitError:
+            continue
+        if certified is not None and certified[1]:
+            weights.append(a)
+    return weights
 
 
 def fresh_python(*args, **kwargs):

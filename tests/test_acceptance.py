@@ -8,8 +8,7 @@ import os
 
 from fractions import Fraction
 
-from exponent_search import find_exponent
-from helpers import gw_column
+from helpers import certified_weights, gw_column
 from localvertex import rationality as rat
 from localvertex import vertex as vx
 from localvertex.partitions import partitions_up_to
@@ -84,24 +83,21 @@ def test_criterion_05_genus_columns_r0(gw_table_r0):
     for g in (0, 1, 2):
         column = gw_column(gw_table_r0, g, 1, 10)  # cut at Q^10
         # f(1/Q) = Q^2 f(Q) reads Q^(-2) f(1/Q) = f(Q) in the template
-        # Q^a f(1/Q) = f(Q); a = -2 = K_W . c is the unique solution
-        fit, holds = rat.certify_column(column.coeffs, 10, 2 + 2 * g, -2)
-        assert fit["surplus"] >= 3 and holds, g
-        _, surplus, a = find_exponent(column, 2 + 2 * g, -8, 8)
-        assert surplus >= 3 and a == -2, g
+        # Q^a f(1/Q) = f(Q); of a in [-8, 8], only a = -2 = K_W . c certifies
+        assert certified_weights(column, 10, 2 + 2 * g) == [-2], g
 
 
 def test_criterion_06_exponent_resolution_r1(gw_table_r1):
-    """For r = 1, m = 1: the search finds a unique exponent per genus.
-    Record, per genus, how it compares with the two candidate weights
-    m(2-r) = 1 and 2m = 2 (as Q-powers moved to the f(1/Q) side), and
-    check the record against the checked-in exponent_resolution.json."""
+    """For r = 1, m = 1: the scan over [-8, 8] certifies a unique exponent
+    per genus.  Record, per genus, how it compares with the two candidate
+    weights m(2-r) = 1 and 2m = 2 (as Q-powers moved to the f(1/Q) side),
+    and check the record against the checked-in exponent_resolution.json."""
     record = {"r": 1, "m": 1, "per_genus": {}}
     for g in range(4):
         column = gw_column(gw_table_r1, g, 1, gw_table_r1.j_max)
-        a = find_exponent(column, 2 + 2 * g, -8, 8)[2]
-        assert a is not None, g
-        assert rat.certify_column(column.coeffs, column.order, 2 + 2 * g, a)[1], g
+        weights = certified_weights(column, gw_table_r1.j_max, 2 + 2 * g)
+        assert len(weights) == 1, (g, weights)
+        (a,) = weights
         # template Q^a f(1/Q) = f(Q); weight w means f(1/Q) = Q^w f(Q)
         weight = -a
         record["per_genus"][g] = {

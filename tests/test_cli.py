@@ -356,37 +356,25 @@ class TestVerify:
         assert stores == []
         assert sorted(os.listdir(tmp_path)) == filled
 
-    def test_corrupt_cache_exits_3(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: "not json",
+            # JSON numbers that int() would read as 7 and 1 into a different PT table
+            lambda doc: json.dumps({**doc, "coeffs": [[1, [7.9]], doc["coeffs"][1]]}),
+            lambda doc: json.dumps({**doc, "coeffs": [doc["coeffs"][0], [1, [True]]]}),
+            lambda doc: json.dumps({**doc, "nu": [2]}),  # another pair than the name's
+        ],
+        ids=["not-json", "numerator-7.9", "numerator-true", "other-pair"],
+    )
+    def test_corrupt_cache_exits_3(self, capsys, tmp_path, corrupt):
+        """A cache file that is not the entry its name promises exits 3, with
+        the file to delete, and prints no report."""
         argv = ["pt", "--m", "1", "--Q-order", "1", "--cache-dir", str(tmp_path)]
         assert run(capsys, *argv)[0] == 0
-        for path in tmp_path.iterdir():
-            path.write_text("not json")
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert str(tmp_path) in err
-
-    def test_non_integer_cache_entry_exits_3(self, capsys, tmp_path):
-        """Cached numerators holding 7.9 and true are corrupt, not read as 7
-        and 1 into a different PT table."""
-        argv = ["pt", "--r", "0", "--m", "1", "--Q-order", "3", "--cache-dir", str(tmp_path)]
-        assert run(capsys, *argv)[0] == 0
-        (path,) = list(tmp_path.iterdir())
-        doc = json.loads(path.read_text())
-        doc["coeffs"][1][1][0] = 7.9
-        doc["coeffs"][2][1][0] = True
-        path.write_text(json.dumps(doc))
-        assert main(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "corrupt cache file" in captured.err
-
-    def test_other_pair_cache_entry_exits_3(self, capsys, tmp_path):
-        """A file whose document names another pair than the file's name is
-        corrupt: exit 3, with the file to delete."""
-        argv = ["pt", "--r", "0", "--m", "1", "--Q-order", "3", "--cache-dir", str(tmp_path)]
-        assert run(capsys, *argv)[0] == 0
-        (path,) = list(tmp_path.iterdir())
-        path.write_text(json.dumps({**json.loads(path.read_text()), "nu": [2]}))
+        assert os.listdir(tmp_path) == ["s_-1.json"]
+        path = tmp_path / "s_-1.json"
+        path.write_text(corrupt(json.loads(path.read_text())))
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

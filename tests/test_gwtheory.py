@@ -8,8 +8,10 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exponent_search import find_exponent
-from helpers import canonical, digest, fresh_python, gw_column, qrat_series, record_calls, refuse
+from helpers import (
+    canonical, certified_weights, digest, fresh_python, gw_column, qrat_series, record_calls,
+    refuse,
+)
 from localvertex import cli, gwtheory, qfield, qrat
 from localvertex.gwtheory import (
     GWTable,
@@ -295,28 +297,31 @@ class TestPolynomiality:
         j_lo = max(3, r - 1)
         for g in (0, 1):
             power, a = column_power(1, g), w_dot_beta(1, r)
-            assert certify_column(gw_column(table, g, 1, 12).coeffs, 12, power, a)[1] is True, g
+            assert certify_column(gw_column(table, g, 1, 12), 12, power, a)[1] is True, g
             assert polynomiality_check(table, g, j_lo, j_lo + 6)["passed"] is True, g
             for j in range(j_lo, j_lo + 7):
                 planted = GWTable(r, 1, 1, 12)
                 planted.entries = {**table.entries, (g, 1, j): table.value(g, 1, j) + 1}
                 with pytest.raises(FitError):
-                    certify_column(gw_column(planted, g, 1, 12).coeffs, 12, power, a)
+                    certify_column(gw_column(planted, g, 1, 12), 12, power, a)
                 report = polynomiality_check(planted, g, j_lo, j_lo + 6)
                 assert report["passed"] is False, (g, j)
 
 
 class TestColumnRationality:
     def test_genus_columns_fit_and_unique_exponent(self, gw_table_r0):
+        """Of a in [-8, 8], each column through genus 3 certifies only at
+        its Weyl weight w.c = -2."""
+        order = gw_table_r0.j_max
         for g in range(4):
-            column = gw_column(gw_table_r0, g, 1, gw_table_r0.j_max)
-            _, surplus, a = find_exponent(column, 2 + 2 * g, -8, 8)
-            assert surplus >= 3 and a == -2
-            fit, holds = certify_column(column.coeffs, column.order, 2 + 2 * g, a)
-            assert fit["surplus"] >= 3 and holds
+            column = gw_column(gw_table_r0, g, 1, order)
+            assert certified_weights(column, order, column_power(1, g)) == [-2], g
 
 
-def qrat_z_ratios(r, m_max, order):
+def engine_z_ratios_in_qrat(r, m_max, order):
+    """The engine's ``z_ratio`` for m <= m_max read into QRat, the input of
+    the QRat GW route: that route checks ``log_z`` and ``u_expansions``,
+    not ``z_ratio`` (``test_vertex.py::qrat_z_ratios`` does, pair by pair)."""
     cache = SCache()
     return {m: qrat_series(z_ratio(r, m, order, cache), order) for m in range(m_max + 1)}
 
@@ -357,7 +362,7 @@ def qrat_log_z(r, m_max, order):
     m L_m = m x_m - sum_{k<m} k L_k x_{m-k} in QRat."""
     logs = {0: qrat_log_z0(order)}
     if m_max >= 1:
-        x = qrat_z_ratios(r, m_max, order)
+        x = engine_z_ratios_in_qrat(r, m_max, order)
         for m in range(1, m_max + 1):
             logs[m] = x[m]
             for k in range(1, m):
@@ -449,9 +454,10 @@ class TestQRatRoute:
             assert digest(gw_extract(int(r), 2, 7, 3).to_json()) == pin, r
 
     def test_benchmark_hashes_exceptional(self):
-        """tilde_pt0(11, 6), by value, reproduces the pinned exceptional hash."""
+        """tilde_pt0(11, 6), called as bench/job.py calls it, reproduces the
+        pinned exceptional hash by value."""
         pinned = pinned_hashes("exceptional")
-        assert digest(series_value(tilde_pt0(11, 6))) == pinned["tilde_pt0"]
+        assert digest(series_value(tilde_pt0(11, 6, cache=SCache()))) == pinned["tilde_pt0"]
 
     def test_benchmark_hashes_verify(self, tmp_path):
         """verify --all --r R --m-max 1 --Q-order 9 reproduces the pinned
@@ -486,7 +492,7 @@ def series_value(s):
 def log_z_by_powers(r, m_max, order):
     """Oracle for ``log_z``: log(1 + X) = sum_n (-1)^(n+1) X^n / n, with the
     powers of X = sum_{m>=1} x_m Q_c^m convolved in Q_c and cut at Q_c^m_max."""
-    x = qrat_z_ratios(r, m_max, order)
+    x = engine_z_ratios_in_qrat(r, m_max, order)
     del x[0]
     acc = {m: TruncSeries(order) for m in range(1, m_max + 1)}
     power = dict(x)

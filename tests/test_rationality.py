@@ -6,9 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import exponent_search
-from exponent_search import find_exponent, one_minus_q_power, symmetric
-from helpers import canonical, record_calls
+from helpers import canonical, certified_weights, gw_column
 from localvertex.rationality import (
     FitError,
     certify_column,
@@ -54,20 +52,13 @@ class TestFit:
         fit, holds = certify_column(series, 8, 2, -1)
         assert fit["numerator"] == {"0": {"num": 1, "den": 1}, "1": {"num": 1, "den": 1}}
         assert holds
+        assert certified_weights(series, 8, 2) == [-1]
 
     def test_exponential_rejected(self):
-        series = TruncSeries(8, {d: Fraction(1, factorial(d)) for d in range(9)})
+        series = {d: Fraction(1, factorial(d)) for d in range(9)}
         with pytest.raises(FitError):
-            certify_column(series.coeffs, series.order, 2, 0)
-        with pytest.raises(FitError):
-            find_exponent(series, 2)
-
-    def test_auto_window(self):
-        series = TruncSeries(9, {d: 2 * d + 1 for d in range(10)})
-        numerator, surplus, a = find_exponent(series, 2)
-        assert numerator == {0: 1, 1: 1}
-        assert surplus == 7  # auto window [0, 2]
-        assert a == -1
+            certify_column(series, 8, 2, 0)
+        assert certified_weights(series, 8, 2) == []
 
     def test_window_needs_surplus(self):
         # the window [0, 2] of exponent 1 needs order 5
@@ -75,15 +66,16 @@ class TestFit:
         assert certify_column(geometric(5), 5, 1, 1) is not None
 
     def test_expand_round_trip(self):
-        series = TruncSeries(8, {d: (d + 1) * (d + 2) // 2 for d in range(9)})
-        assert find_exponent(series, 3, sign=-1) == ({0: 1}, 5, -3)
-        fit, holds = certify_column(series.coeffs, series.order, 3, -3)
-        assert fit["numerator"] == ONE and holds
+        series = {d: (d + 1) * (d + 2) // 2 for d in range(9)}  # 1/(1-Q)^3
+        fit, holds = certify_column(series, 8, 3, -3)
+        assert fit["numerator"] == ONE and fit["surplus"] == 5 and holds
+        assert certified_weights(series, 8, 3) == [-3]
 
     def test_zero_series(self):
         """The zero column reports surplus = order, and every exponent holds."""
         assert certify_column({}, 25, 2, 17) == (fit_entry({}, 2, 25, 25), True)
-        assert find_exponent(TruncSeries(6), 2) == ({}, 6, None)
+        # every a whose window [0, 2 + max(a, 0)] leaves Q^6 a surplus of 3
+        assert certified_weights({}, 6, 2) == list(range(-8, 2))
 
     def test_to_json(self):
         fit, _ = certify_column(geometric(8), 8, 1, 0)
@@ -93,9 +85,9 @@ class TestFit:
 
 class TestQFunctional:
     def test_li_minus_one_symmetric(self):
-        series = TruncSeries(8, {d: d for d in range(9)})  # Q/(1-Q)^2
-        assert certify_column(series.coeffs, 8, 2, 0)[1]
-        assert find_exponent(series, 2, -4, 4)[2] == 0
+        series = {d: d for d in range(9)}  # Q/(1-Q)^2
+        assert certify_column(series, 8, 2, 0)[1]
+        assert certified_weights(series, 8, 2) == [0]
 
     def test_antisymmetric(self):
         series = {0: 1, **{d: 2 for d in range(1, 9)}}  # (1+Q)/(1-Q)
@@ -105,172 +97,23 @@ class TestQFunctional:
         assert not certify_column(geometric(8), 8, 1, 0)[1]
 
     def test_monomial_exponent(self):
-        series = TruncSeries(8, {2: 1})
-        assert find_exponent(series, 0, -8, 8)[2] == 4
-        assert certify_column(series.coeffs, 8, 0, 4)[1]
-
-    def test_zero_rejected(self):
-        assert find_exponent(TruncSeries(6), 1, -4, 4)[2] is None
+        """Q^2 over (1-Q)^0 certifies only at a = 4."""
+        assert certify_column({2: 1}, 8, 0, 4)[1]
+        assert certified_weights({2: 1}, 8, 0) == [4]
 
 
-def fit_by_widening(series, power, window=None):
-    """Oracle for ``certify_column`` (given a window) and for the auto
-    window of ``find_exponent`` (without one): the series cleared by
-    repeated products, not the binomials, and the auto window as a search.
-    Returns (numerator, surplus); None when a given window leaves no
-    surplus of 3.  The auto window starts at [min(valuation, 0), power]
-    and its top is moved to each offending degree while a surplus of 3
-    remains within the order of the cleared series."""
-    cleared = series * one_minus_q_power(power, series.order)
-    degrees = cleared.degrees()
-
-    def attempt(lo, hi, order):
-        for d in degrees:
-            if not lo <= d <= hi:
-                raise _Offending(
-                    "nonvanishing coefficient at Q^%d outside window [%d, %d]"
-                    % (d, lo, hi),
-                    d,
-                )
-        return dict(cleared.coeffs), (order - hi if degrees else order)
-
-    if window is not None:
-        lo, hi = window
-        if series.order < hi + 3:
-            return None
-        return attempt(lo, hi, series.order)
-    if not degrees:
-        return {}, cleared.order
-    lo = min(degrees[0], 0)
-    hi = max(lo + power, degrees[0])
-    last_error = None
-    while cleared.order - hi >= 3:
-        try:
-            return attempt(lo, hi, cleared.order)
-        except _Offending as err:
-            last_error = err
-            hi = max(hi + 1, err.degree)
-    raise last_error or FitError("no admissible window leaves a surplus of 3")
-
-
-class _Offending(FitError):
-    def __init__(self, message, degree):
-        super().__init__(message)
-        self.degree = degree
-
-
-def exponent_by_scan(numerator, power, lo, hi, sign=1):
-    """Oracle for ``find_exponent``: every a in [lo, hi] tried in turn."""
-    if not numerator:
-        return None
-    found = None
-    for a in range(lo, hi + 1):
-        if symmetric(numerator, power, a, sign):
-            assert found is None, "multiple exponents"
-            found = a
-    return found
-
-
-DENOMINATORS = [0, 1, 2, 3]
-NONZERO = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4)])
-COEFFS = st.one_of(st.just(0), NONZERO)
-
-
-@st.composite
-def fit_cases(draw):
-    """A series num/denominator (num Laurent, of small degree), sometimes
-    with one coefficient bent, and either no exponent (the auto window) or
-    an exponent for ``certify_column``.  In half of the exponent
-    draws it is num's own lowest + highest - power, the one candidate,
-    bent by -1, 0 or +1, at an order that leaves the fit its surplus, so
-    the palindromy fails as well as holds."""
-    order = draw(st.integers(0, 14))
-    power = draw(st.sampled_from(DENOMINATORS))
-    num = draw(st.dictionaries(st.integers(-2, 9), COEFFS, max_size=5))
-    exponent = None
-    if draw(st.booleans()):
-        degrees = [d for d, c in num.items() if c]
-        if degrees and draw(st.booleans()):
-            a = min(degrees) + max(degrees) - power + draw(st.integers(-1, 1))
-            order = max(order, power + max(a, 0) + 3)
-        else:
-            a = draw(st.integers(-4, 11))
-        exponent = a
-    series = TruncSeries(order, num) * one_minus_q_power(-power, order)
-    if draw(st.booleans()):
-        d = draw(st.integers(-2, order))
-        series = series + TruncSeries(order, {d: draw(COEFFS)})
-    return series, power, exponent
-
-
-def _outcome(fit, *args):
-    try:
-        return "fit", fit(*args)
-    except FitError as err:
-        return "error", str(err)
-
-
-def _certified(series, power, a):
-    """certify_column's outcome from the oracle: the fit in the window
-    [0, power + max(a, 0)] and Q^a f(1/Q) = (-1)^power f(Q)."""
-    fitted = fit_by_widening(series, power, (0, power + max(a, 0)))
-    if fitted is None:
-        return None
-    numerator, surplus = fitted
-    holds = symmetric(numerator, power, a, (-1) ** power)
-    return fit_entry(numerator, power, surplus, series.order), holds
-
-
-@st.composite
-def numerators(draw):
-    """A nonzero numerator, palindromic with sign +-1 about its centre in
-    half of the draws."""
-    num = draw(st.dictionaries(st.integers(-3, 8), NONZERO, min_size=1, max_size=5))
-    if draw(st.booleans()):
-        lo, hi = min(num), max(num)
-        sign = draw(st.sampled_from([1, -1]))
-        num = {**num, **{lo + hi - d: sign * c for d, c in num.items()}}
-        num = {d: c for d, c in num.items() if c}
-    return num
+def one_minus_q_power(power, order):
+    """(1-Q)^power through Q^order by repeated products: with 1 - Q for
+    power >= 0, with the geometric series sum_k Q^k for power < 0."""
+    step = {0: 1, 1: -1} if power >= 0 else dict.fromkeys(range(order + 1), 1)
+    result = TruncSeries.one(order)
+    for _ in range(abs(power)):
+        result = result * TruncSeries(order, step)
+    return result
 
 
 class TestClosedForms:
-    """The a priori window and the closed-form exponent against the
-    searches they replace."""
-
-    @given(fit_cases())
-    @settings(max_examples=400, deadline=None)
-    def test_fit_matches_widening_loop(self, case):
-        series, power, exponent = case
-        if exponent is None:
-            got = _outcome(find_exponent, series, power)
-            expected = _outcome(fit_by_widening, series, power)
-            if expected[0] == "error":
-                assert got[0] == "error"  # only the text may differ
-            else:
-                assert got[0] == "fit" and got[1][:2] == expected[1]
-        else:
-            got = _outcome(certify_column, series.coeffs, series.order, power, exponent)
-            assert got == _outcome(_certified, series, power, exponent)
-
-    @given(numerators(), st.sampled_from(DENOMINATORS), st.sampled_from([1, -1]))
-    @settings(max_examples=400, deadline=None)
-    def test_exponent_matches_scan(self, num, power, sign):
-        """The numerator over (1-Q)^power through Q^20: the fit recovers it
-        (a Laurent one too, within the order the products know), and the
-        one candidate exponent is the scan's."""
-        series = TruncSeries(20, num) * one_minus_q_power(-power, 20)
-        numerator, surplus, a = find_exponent(series, power, -8, 8, sign)
-        assert numerator == num and surplus >= 3
-        assert a == exponent_by_scan(num, power, -8, 8, sign)
-
-    def test_exponent_checks_once(self, monkeypatch):
-        calls = record_calls(monkeypatch, exponent_search, "symmetric")
-        series = TruncSeries(8, {d: d for d in range(9)})
-        assert find_exponent(series, 2, -8, 8)[2] == 0
-        assert len(calls) == 1
-        assert find_exponent(series, 2, 1, 8)[2] is None  # the candidate 0 is out of range
-        assert len(calls) == 1
+    """What the a priori window refuses, with the text the reports carry."""
 
     @pytest.mark.parametrize("power", [-1, -2, -3])
     def test_negative_power_raises(self, power):
@@ -287,6 +130,13 @@ class TestClosedForms:
         text = r"^nonvanishing coefficient at Q\^1 outside window \[0, 0\]$"
         with pytest.raises(FitError, match=text):
             certify_column({0: 1, 1: 2}, 8, 0, 0)
+
+
+def symmetric(numerator, power, a, sign):
+    """Q^a f(1/Q) = sign f(Q) for f = numerator / (1-Q)^power: 1/Q turns
+    (1-Q)^power into (-1)^power Q^(-power) (1-Q)^power."""
+    mirror = -sign if power % 2 else sign
+    return numerator == {a + power - d: mirror * c for d, c in numerator.items()}
 
 
 def certify_by_binomials(column, order, power, a):
@@ -312,32 +162,58 @@ def certify_by_binomials(column, order, power, a):
     return fit_entry(numerator, power, surplus, order), symmetric(numerator, power, a, (-1) ** power)
 
 
+NONZERO = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4)])
+COEFFS = st.one_of(st.just(0), NONZERO)
+
+
+@st.composite
+def numerators(draw):
+    """A nonzero numerator, palindromic with sign +-1 about its centre in
+    half of the draws."""
+    num = draw(st.dictionaries(st.integers(-3, 9), NONZERO, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        lo, hi = min(num), max(num)
+        sign = draw(st.sampled_from([1, -1]))
+        num = {**num, **{lo + hi - d: sign * c for d, c in num.items()}}
+        num = {d: c for d, c in num.items() if c}
+    return num
+
+
 @st.composite
 def columns(draw):
-    """A column, its order, a power in 0..10 and a weight.  In half of
-    the draws the column is a numerator over (1-Q)^power, Laurent or
-    palindromic at times, with terms past the order, so that it fits; one
-    coefficient is bent in half of the draws.  In half of the draws the
-    weight is the numerator's one candidate lowest + highest - power, so
-    the palindromy holds as well as fails, and in half the order leaves
-    the window its surplus."""
+    """A column, its order, a power in 0..10 and a weight in -4..11.  In
+    half of the draws the column is a numerator over (1-Q)^power, Laurent
+    or palindromic at times, cut at the order or up to two terms past it,
+    so that it fits; in half a coefficient, possibly an explicit zero, is
+    added in.  In half of the draws the weight is the numerator's one
+    candidate lowest + highest - power, bent by -1, 0 or +1, so the
+    palindromy holds as well as fails, and in half the order leaves the
+    window its surplus."""
     power = draw(st.integers(0, 10))
     num = draw(st.one_of(st.just({}), numerators()))
     if num and draw(st.booleans()):
-        a = min(num) + max(num) - power
+        a = min(num) + max(num) - power + draw(st.integers(-1, 1))
     else:
-        a = draw(st.integers(-4, 4))
+        a = draw(st.integers(-4, 11))
     order = draw(st.integers(0, 20))
     if draw(st.booleans()):
         order = max(order, power + max(a, 0) + 3)
     if draw(st.booleans()):
-        column = (TruncSeries(order + 2, num) * one_minus_q_power(-power, order + 2)).coeffs
+        top = order + draw(st.integers(0, 2))
+        column = (TruncSeries(top, num) * one_minus_q_power(-power, top)).coeffs
     else:
         column = num
     if draw(st.booleans()):
         d = draw(st.integers(-2, order + 2))
-        column = {**column, d: column.get(d, 0) + draw(NONZERO)}
+        column = {**column, d: column.get(d, 0) + draw(COEFFS)}
     return column, order, power, a
+
+
+def _outcome(fit, *args):
+    try:
+        return "fit", fit(*args)
+    except FitError as err:
+        return "error", str(err)
 
 
 class TestDifferences:
@@ -433,5 +309,5 @@ class TestCertifyColumn:
     def test_r0_column_holds_only_at_its_weight(self, gw_table_r0, a, holds):
         """GW_{1, c + jb} on P1 x P1 is symmetric with weight w.c = -2 only."""
         order = gw_table_r0.j_max
-        column = {j: gw_table_r0.value(1, 1, j) for j in range(order + 1)}
+        column = gw_column(gw_table_r0, 1, 1, order)
         assert certify_column(column, order, column_power(1, 1), a)[1] is holds
