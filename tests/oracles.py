@@ -27,13 +27,14 @@ package, so no CLI task can import it.  Apart from the tests, it is all
 that calls ``symmfun``.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb
 
 from localvertex.partitions import Partition, partitions_of, partitions_up_to
-from localvertex.qfield import _add, _exquo, _mul
-from localvertex.qrat import QRat
+from localvertex.qfield import _add, _exquo, _mul, _neg
+from localvertex.qrat import QRat, _gcd, _shift_poly
 from localvertex.series import TruncSeries
 from localvertex.symmfun import p_shifted, w_one, w_two
 from localvertex.vertex import SCache, VertexError, _product, _times_one_minus_q_power, z_ratio
@@ -76,9 +77,16 @@ def s_closed(mu: Partition, nu: Partition, order: int) -> TruncSeries:
     return _exponent(mu, nu, order).exp() * (w_one(mu) * w_one(nu))
 
 
+def cleared_power_sums(mu: Partition, nu: Partition) -> QRat:
+    """p_mu(q) p_nu(q) (1-q)^2, a Laurent polynomial in q: the sum_i a_i q^i
+    of ``s_product``'s factors, and 1 + (1-q)^2 sum_i e_i q^i for the
+    engine's exponents e_i of ``vertex.e_coeffs``."""
+    return p_shifted(mu, 1) * p_shifted(nu, 1) * (QRat.one() - QRat.q_power(1)) ** 2
+
+
 def s_product(mu: Partition, nu: Partition, order: int) -> TruncSeries:
     """S_{mu,nu} via the infinite product over (1 - q^(j+i) Q)^(-j a_i), with
-    sum_i a_i q^i = p_mu(q) p_nu(q) (1-q)^2, read off ``symmfun.p_shifted``.
+    sum_i a_i q^i = p_mu(q) p_nu(q) (1-q)^2 of ``cleared_power_sums``.
 
     Truncating the product in j is not exact in q (every factor touches
     every Q-degree), so the j-product is resummed in closed form:
@@ -88,7 +96,7 @@ def s_product(mu: Partition, nu: Partition, order: int) -> TruncSeries:
 
     The a_i enter linearly in the exponent (exp of a_i times the log).
     """
-    cleared = p_shifted(mu, 1) * p_shifted(nu, 1) * (QRat.one() - QRat.q_power(1)) ** 2
+    cleared = cleared_power_sums(mu, nu)
     # a Laurent polynomial in q = t^2: its even t-coefficients, ascending
     a = {cleared.shift // 2 + k: c for k, c in enumerate(cleared.num[::-2]) if c}
     arg = TruncSeries(order)
@@ -141,27 +149,48 @@ def z_toric(surface: ToricSurface, c_bound: int, b_bound: int) -> dict:
 
     Returns a map (m, n) -> QRat for the coefficient of Q_c^m Q^n.  Used
     as a cross-check of pt_series on the Hirzebruch preset; the raw
-    product-sum is exponential in N and meant for small bounds only.
+    product-sum is exponential in N and meant for small bounds only.  Each
+    term is a product of W's taken with no gcd; the terms of a degree are
+    summed over each denominator they share, then over the lcm of those
+    few, and the sum is reduced once.
     """
     classes = surface.divisor_classes
     if not all(any(cls) for cls in classes):
         raise ValueError("divisor with zero class; degree bound impossible")
     bounds = (c_bound, b_bound)
     limits = [min(bound // x for bound, x in zip(bounds, cls) if x) for cls in classes]
-    out = {}
+    sums = {}  # degree -> {den: the sum of the terms over den, unreduced}
     for sizes in itertools.product(*(range(k + 1) for k in limits)):
         degree = tuple(sum(s * cls[k] for s, cls in zip(sizes, classes)) for k in (0, 1))
         if degree[0] > c_bound or degree[1] > b_bound:
             continue
         for chosen in itertools.product(*map(partitions_of, sizes)):
-            value = QRat.one()
+            shift, num, den = 0, [1], [1]
             for i, mu in enumerate(chosen):
                 sj = surface.self_intersections[i]
-                sign = -1 if (sj * mu.size) % 2 else 1
-                value = value * sign * QRat.t_power(mu.kappa() * sj)
-                value = value * w_two(mu, chosen[(i + 1) % len(chosen)])
-            out[degree] = out.get(degree, QRat.zero()) + value
-    return out
+                w = w_two(mu, chosen[(i + 1) % len(chosen)])
+                shift += mu.kappa() * sj + w.shift
+                num, den = _mul(num, w.num), _mul(den, w.den)
+                if (sj * mu.size) % 2:
+                    num = _neg(num)
+            over = sums.setdefault(degree, {})
+            over[tuple(den)] = _plus(over.get(tuple(den)), (shift, num, den))
+    return {degree: QRat(*functools.reduce(_plus, over.values())) for degree, over in sums.items()}
+
+
+def _plus(a, b):
+    """a + b for fractions (shift, num, den) in t, a = None being the empty
+    sum: over den(a), widened to lcm(den(a), den(b)) only when den(b) does
+    not divide it, and not reduced."""
+    if a is None:
+        return b
+    (sa, na, da), (sb, nb, db) = a, b
+    cofactor = _exquo(da, db)
+    if cofactor is None:
+        _, cofactor, widen = _gcd(da, db)
+        na, da = _mul(na, widen), _mul(da, widen)
+    low = min(sa, sb)
+    return low, _add(_shift_poly(na, sa - low), _shift_poly(_mul(nb, cofactor), sb - low)), da
 
 
 def _in_t(p):

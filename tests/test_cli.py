@@ -1077,36 +1077,18 @@ def test_loaded_modules(tmp_path, code, argv, modules):
         assert (tmp_path / "report.out").read_text()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["pt", "--r", "0", "--r", "1", "--m", "2", "--Q-order", "8"],
-        ["verify", "--r", "1", "--m-max", "2", "--Q-order", "6", "--u-order", "2",
-         "--g-max", "1"],
-    ],
-    ids=["pt", "verify"],
-)
-def test_tasks_take_no_whole_z0_or_product(capsys, monkeypatch, argv):
-    """pt and verify read Z_0 and Z_m in their q-windows: they never call
-    the oracles that build them whole."""
-    import oracles
-    from localvertex import vertex
-
-    for name in ("z0_series", "pt_fractions"):
-        assert not hasattr(vertex, name), name
-        monkeypatch.setattr(oracles, name, refuse("a task built Z_0 or Z_m whole"))
-    code, doc = run_json(capsys, *argv)
-    assert code == 0 and doc.get("passed", True) is True
-
-
 def test_package_holds_the_engine_modules():
     """The installed package is the engine, its certificates and the two
     Q(t) modules the tests still read: the oracles sit beside the tests
-    that run them, in ``tests/oracles.py``."""
+    that run them, in ``tests/oracles.py``, and the vertex stage holds no
+    route that builds Z_0 or Z_m whole, so the tasks read them in their
+    q-windows."""
     assert sorted(m.name for m in pkgutil.iter_modules(localvertex.__path__)) == [
         "cli", "gwtheory", "partitions", "qfield", "qrat", "rationality", "series",
         "symmfun", "vertex",
     ]
+    for name in ("z0_series", "pt_fractions"):
+        assert not hasattr(vx, name), name
 
 
 def test_benchmark_import_path(tmp_path):

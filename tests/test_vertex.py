@@ -9,13 +9,13 @@ from math import comb
 import pytest
 
 from helpers import P, canonical, qrat_series, record_calls, refuse
-from localvertex import symmfun, vertex
+from localvertex import vertex
 from localvertex.partitions import Partition, partitions_of, partitions_up_to
 from localvertex.qfield import _digit_words, _exquo, _mul, _strip, expansion
 from localvertex.qrat import QRat
 from localvertex.rationality import check_integrality
 from localvertex.series import TruncSeries
-from localvertex.symmfun import p_shifted, w_one
+from localvertex.symmfun import w_one
 from localvertex.vertex import (
     PT_Q_TERMS,
     CacheError,
@@ -62,17 +62,6 @@ class TestSRoutes:
             for nu in partitions_up_to(2):
                 assert s_closed(mu, nu, 2)[0] == w_one(mu) * w_one(nu)
 
-    def test_closed_matches_direct_example(self):
-        assert s_closed(P(1), EMPTY, 3) == s_direct(P(1), EMPTY, 3)
-
-    def test_triple_agreement_small(self):
-        parts = list(partitions_up_to(2))
-        for mu in parts:
-            for nu in parts:
-                direct = s_direct(mu, nu, 4)
-                assert s_closed(mu, nu, 4) == direct
-                assert s_product(mu, nu, 4) == direct
-
     def test_product_reads_no_engine_exponents(self, monkeypatch):
         """s_product takes its a_i from p_mu p_nu (1-q)^2 in Q(t), not from
         the engine's e_i."""
@@ -93,11 +82,6 @@ def exp_route_ratio_squared(mu, nu, order):
     diff = _exponent(mu, nu, order) - _exponent(EMPTY, EMPTY, order)
     w = w_one(mu) * w_one(nu)
     return (diff * 2).exp() * (w * w)
-
-
-def exp_route_z0(order):
-    """The oracle: Z_0 = exp(log Z_0) with log Z_0 = 2 A_{empty,empty}."""
-    return (_exponent(EMPTY, EMPTY, order) * 2).exp()
 
 
 def ratio_series(mu, nu, order):
@@ -168,9 +152,7 @@ def times_cofactor(mu, nu, coeffs):
 
 def clearing_route_e(mu, nu):
     """The oracle: (p_mu(q) p_nu(q) (1-q)^2 - 1)/(1-q)^2 in QRat, as {i: e_i}."""
-    one_minus_q = ONE - Q
-    cleared = p_shifted(mu, 1) * p_shifted(nu, 1) * one_minus_q**2
-    e = (cleared - ONE) / one_minus_q**2
+    e = (oracles.cleared_power_sums(mu, nu) - ONE) / (ONE - Q) ** 2
     assert e.den == [1]
     degree = len(e.num) - 1
     out = {}
@@ -228,12 +210,8 @@ class TestClosedForm:
             want = contents_route_e(mu, nu)
             assert list(e_coeffs(mu, nu).items()) == list(want.items()), (mu, nu)
 
-    def test_reads_no_power_sums(self, monkeypatch):
-        monkeypatch.setattr(symmfun, "p_shifted", refuse("s_ratio_squared evaluated p_mu(q^k)"))
-        assert "p_shifted" not in vars(vertex)
-        assert s_ratio_squared(P(2, 1), P(1), 4)[4][1]
-
     def test_bit_identical_to_exp_route(self):
+        """At Q-orders 3 and 12: the order sizes the packed digits."""
         pairs = [
             (mu, nu)
             for mu in partitions_up_to(4)
@@ -241,9 +219,11 @@ class TestClosedForm:
             if mu.size + nu.size <= 4
         ]
         assert len(pairs) == 38
-        for mu, nu in pairs:
-            got = ratio_series(mu, nu, 12)
-            assert _bits(got) == _bits(exp_route_ratio_squared(mu, nu, 12)), (mu, nu)
+        for order in (3, 12):
+            for mu, nu in pairs:
+                got = ratio_series(mu, nu, order)
+                want = exp_route_ratio_squared(mu, nu, order)
+                assert _bits(got) == _bits(want), (order, mu, nu)
 
     def test_bit_identical_to_dict_route(self):
         pairs = [
@@ -284,10 +264,6 @@ class TestClosedForm:
         monkeypatch.setattr(vertex, "_digit_words", lambda bound: digit_words(bound) - 1)
         with pytest.raises(VertexError, match="is not divisible by n"):
             s_ratio_squared(P(16), P(16), 24)
-
-    def test_takes_no_series_exp(self, monkeypatch):
-        monkeypatch.setattr(TruncSeries, "exp", refuse("s_ratio_squared took a series exp"))
-        assert s_ratio_squared(P(2, 1), P(1), 4)[4][1]
 
     def test_monomial_and_hooks(self):
         """(W_mu W_nu)^2 = q^w cofactor/(q;q)_m^2, w read off the diagrams and
@@ -562,12 +538,6 @@ class TestSCache:
 
 
 class TestPartitionFunctions:
-    def test_m0_is_s_squared(self, scache):
-        s = s_closed(EMPTY, EMPTY, 5)
-        for r in (0, 1, 2):
-            got = pt_series(r, 0, 5, cache=scache)
-            assert got == s * s
-
     def test_toric_agreement_r0(self, scache):
         _assert_toric_agreement(0, 1, 3, scache)
 
@@ -577,12 +547,6 @@ class TestPartitionFunctions:
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_toric_agreement_m2(self, r, scache):
         _assert_toric_agreement(r, 2, 2, scache)
-
-    def test_ratio_squared_matches_s_closed(self):
-        s0 = s_closed(EMPTY, EMPTY, 3)
-        for mu, nu in ((P(1), EMPTY), (P(2), P(1)), (P(1, 1), P(1))):
-            s = s_closed(mu, nu, 3)
-            assert ratio_series(mu, nu, 3) * s0 * s0 == s * s
 
     def test_toric_zero_bounds(self):
         got = z_toric(ToricSurface.hirzebruch(0), 0, 0)
@@ -622,16 +586,13 @@ class TestPT:
         assert lowest == 4  # q^2
         assert coeffs == [Fraction(3), 0, Fraction(8), 0]
 
-    def test_integrality(self, scache):
-        for r, m in ((0, 0), (1, 1)):
-            assert check_integrality(pt_rows(r, m, 4, scache))
-
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_pt_series_is_z_hirzebruch_entry(self, r, scache):
         """pt_series(r, m) for m <= 3 at Q-order 9 is, bit for bit, the m-th
-        entry of Z of K_{F_r} assembled once as the oracle exp(log Z_0)
-        times z_ratio."""
-        z0 = exp_route_z0(9)
+        entry of Z of K_{F_r} assembled once as the oracle Z_0 = S_{empty,empty}^2
+        (W_empty = 1) times z_ratio."""
+        s = s_closed(EMPTY, EMPTY, 9)
+        z0 = s * s
         ratios = qrat_z_ratios(r, 3, 9, scache)
         for m in range(4):
             assert _bits(pt_series(r, m, 9, cache=scache)) == _bits(z0 * ratios[m]), m
@@ -690,14 +651,16 @@ def oracle_rows(ratio, order):
 class TestKnownDenominators:
     def test_z0_bit_identical_to_exp_route(self):
         """Every Q^n coefficient of z0_series(13), and the last of each
-        z0_series(n), canonicalises to the exp route's, bit for bit."""
+        z0_series(n), canonicalises to the exp route's S_{empty,empty}^2, bit
+        for bit."""
         shift, nums, den = z0_series(13)
-        oracle = exp_route_z0(13)
+        s = s_closed(EMPTY, EMPTY, 13)
+        oracle = s * s
         assert shift == 0 and sorted(nums) == list(range(14))
         assert den == vertex._qq_squared(13)
         for n in range(14):
             _, short, short_den = z0_series(n)
-            want = oracle[n] if n else ONE  # the exp route stores 1 as an int
+            want = oracle[n]
             for got in (canonical((0, nums[n], den)), canonical((0, short[n], short_den))):
                 assert (got.shift, got.num, got.den) == (want.shift, want.num, want.den), n
 
@@ -862,21 +825,6 @@ class TestKnownDenominators:
         assert (low, window) == (1, [3, 0, -3, 0])
         assert check_integrality(pt_invariants((-2, {0: fraction[1]}, fraction[2]), 0))
 
-    @pytest.mark.parametrize("r", [0, 1, 3])
-    def test_pt_invariants_match_canonical_window(self, r, scache):
-        """pt_invariants against the rows read off the canonical series."""
-        for m in range(3):
-            rows = []
-            series = pt_series(r, m, 6, cache=scache)
-            for j in series.degrees():
-                lowest, coeffs = series.coeffs[j].t_expansion(2 * 24 + 2)
-                for pos, c in enumerate(coeffs):
-                    if c:
-                        n = (lowest + pos) // 2
-                        assert (lowest + pos) % 2 == 0 and c.denominator == 1
-                        rows.append((j, n, int(c) if n % 2 == 0 else -int(c)))
-            assert pt_rows(r, m, 6, scache) == rows
-
 
 def plant_one_plus_q(monkeypatch):
     """n R_n in ``vertex._exp_rows``, so every a_k, times a stray (1 + q)."""
@@ -932,12 +880,22 @@ class TestWindows:
     @pytest.mark.parametrize("r", range(6))
     def test_bit_identical_to_oracle_route(self, r, scache):
         """pt_invariants of the window route is the oracle route's, row for
-        row and bit for bit, for m <= 4 and Q-orders 4, 8 and 12."""
-        for order in (4, 8, 12):
+        row and bit for bit, for m <= 4 and Q-orders 4, 6, 8 and 12."""
+        for order in (4, 6, 8, 12):
             for m in range(5):
                 ratio = z_ratio(r, m, order, scache)
                 rows = pt_invariants(ratio, order)
                 assert rows == oracle_rows(ratio, order), (m, order)
+
+    def test_row_windows_start_at_the_valuation(self, scache):
+        """The two windows that the ``pt_invariants`` docstring states, each
+        row PT_Q_TERMS + 1 = 25 slots n from its valuation at Q-order 3: at
+        j = 0, n = 6..30 for r = 0, m = 6; at every j, n = -26..-2 for r = 7,
+        m = 4."""
+        rows = pt_invariants(z_ratio(0, 6, 3, scache), 3)
+        assert [n for j, n, _ in rows if j == 0] == list(range(6, 31))
+        rows = pt_invariants(z_ratio(7, 4, 3, scache), 3)
+        assert [(j, n) for j, n, _ in rows] == [(j, n) for j in range(4) for n in range(-26, -1)]
 
     def test_bit_identical_at_q_order_24(self, scache):
         ratio = z_ratio(0, 6, 24, scache)
