@@ -323,23 +323,14 @@ class TestVerify:
         }
         assert cli._all_passed(checks)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "--all", "--r", "0", "--m-max", "1", "--Q-order", "9"],
-            ["fit", "--r", "0", "--m", "2", "--Q-order", "13"],
-        ],
-        ids=["verify", "fit"],
-    )
-    def test_certificates_take_no_power_or_inverse(self, capsys, argv):
+    def test_certificates_take_no_power_or_inverse(self):
         """The fits clear (1-Q)^p by exact differences: the series ring has no
-        power or inverse to take, and QRat no inverse alias for it."""
+        power or inverse to take, and QRat no inverse alias for it.  The
+        verify and fit runs that certify without them are pinned by
+        ``test_report_pin`` and the benchmark's verify hashes."""
         for name in ("inverse", "pow_int", "__pow__"):
             assert not hasattr(TruncSeries, name), name
         assert not hasattr(QRat, "inverse")
-        code, doc = run_json(capsys, *argv)
-        assert code == 0
-        assert doc["passed"] is True
 
     def test_warm_verify_stores_nothing(self, capsys, monkeypatch, tmp_path):
         """Z_0/Z_0 = 1 asks the cache for no S-entry: after the pt run that
@@ -360,12 +351,23 @@ class TestVerify:
         "corrupt",
         [
             lambda doc: "not json",
-            # JSON numbers that int() would read as 7 and 1 into a different PT table
+            lambda doc: "[" * 100_000,  # nested past json.load's recursion limit
+            # JSON values that int() would read as 7, 1 and 3 into a different PT table
             lambda doc: json.dumps({**doc, "coeffs": [[1, [7.9]], doc["coeffs"][1]]}),
             lambda doc: json.dumps({**doc, "coeffs": [doc["coeffs"][0], [1, [True]]]}),
-            lambda doc: json.dumps({**doc, "nu": [2]}),  # another pair than the name's
+            lambda doc: json.dumps({**doc, "coeffs": [[1, ["3"]], doc["coeffs"][1]]}),
+            lambda doc: json.dumps({**doc, "coeffs": [[7.9, [1]], doc["coeffs"][1]]}),
+            lambda doc: json.dumps({**doc, "coeffs": [doc["coeffs"][0], [True, [2]]]}),
+            lambda doc: json.dumps({**doc, "coeffs": [["3", [1]], doc["coeffs"][1]]}),
+            # another pair than the name's, the name's pair unsorted, or none
+            lambda doc: json.dumps({**doc, "nu": [2]}),
+            lambda doc: json.dumps({**doc, "mu": [1], "nu": []}),
+            lambda doc: json.dumps({**doc, "mu": None}),
         ],
-        ids=["not-json", "numerator-7.9", "numerator-true", "other-pair"],
+        ids=[
+            "not-json", "nested", "numerator-7.9", "numerator-true", "numerator-string",
+            "shift-7.9", "shift-true", "shift-string", "other-pair", "swapped", "none",
+        ],
     )
     def test_corrupt_cache_exits_3(self, capsys, tmp_path, corrupt):
         """A cache file that is not the entry its name promises exits 3, with
@@ -385,15 +387,18 @@ class TestVerify:
     @pytest.mark.parametrize("task", ["gw", "verify"])
     def test_unusable_cache_dir_exits_3(self, capsys, tmp_path, task):
         """A --cache-dir under a regular file cannot be created: exit 3 and
-        one line on stderr, not a traceback with the exit 1 of a failed check."""
+        one line on stderr that names it and another way to run, not a
+        traceback with the exit 1 of a failed check."""
         blocker = tmp_path / "file"
         blocker.write_text("")
         directory = str(blocker / "sub")
         assert main([task, "--Q-order", "2", "--cache-dir", directory]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert directory in captured.err
+        assert captured.err == (
+            "cannot write cache directory %r: %s; name another or run without --cache-dir\n"
+            % (directory, os.strerror(errno.ENOTDIR))
+        )
 
     def test_empty_cache_dir_exits_3(self, capsys, monkeypatch):
         """An empty --cache-dir names no directory that can be created: exit 3

@@ -336,57 +336,17 @@ class TestDihedralGenerators:
 
 
 class TestSCache:
-    def test_memory_reuse_and_truncation(self):
-        cache = SCache()
-        full = cache.get(P(1), EMPTY, 5)
-        short = cache.get(P(1), EMPTY, 3)
-        assert len(full) == 6 and short == full[:4]
-
-    def test_disk_round_trip(self, tmp_path):
-        first = SCache(str(tmp_path))
-        series = first.get(P(1), EMPTY, 4)
-        second = SCache(str(tmp_path))
-        assert second.get(P(1), EMPTY, 4) == series
-        assert second.get(P(1), EMPTY, 2) == series[:3]
-
     def test_file_name_pinned(self, tmp_path):
         """A file is named by its sorted pair, "_" between the parts and "-"
-        between the partitions, with no format version in it."""
+        between the partitions, with no format version in it; the entry of
+        (empty, empty) is the ratio 1."""
         cache = SCache(str(tmp_path))
         for mu, nu in [(P(2, 1), P(1)), (P(1), EMPTY), (EMPTY, EMPTY), (P(12), P(3, 1, 1))]:
             cache.get(mu, nu, 2)
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             "s_-.json", "s_-1.json", "s_1-2_1.json", "s_3_1_1-12.json"
         ]
-
-    @pytest.mark.parametrize(
-        "pair", [{"nu": [1, 1, 1]}, {"mu": [2, 1], "nu": [1]}, {"mu": None}],
-        ids=["other", "swapped", "none"],
-    )
-    def test_other_pair_reported(self, tmp_path, pair):
-        """A document must name the pair its file is named for; one naming
-        another, the same pair unsorted, or none is corrupt."""
-        SCache(str(tmp_path)).get(P(1), P(2, 1), 3)
-        (path,) = list(tmp_path.iterdir())
-        path.write_text(json.dumps({**json.loads(path.read_text()), **pair}))
-        with pytest.raises(CacheError) as err:
-            SCache(str(tmp_path)).get(P(2, 1), P(1), 3)
-        assert str(err.value) == (
-            "corrupt cache file: %s\ndelete %s or run without --cache-dir" % (path, path)
-        )
-
-    # nested past json.load's recursion limit (Python 3.13 parses 1000 levels)
-    @pytest.mark.parametrize("text", ["not json", "[" * 100_000], ids=["text", "nested"])
-    def test_corrupt_file_reported(self, tmp_path, text):
-        cache = SCache(str(tmp_path))
-        cache.get(EMPTY, EMPTY, 2)
-        (path,) = list(tmp_path.iterdir())
-        path.write_text(text)
-        fresh = SCache(str(tmp_path))
-        with pytest.raises(CacheError) as err:
-            fresh.get(EMPTY, EMPTY, 2)
-        assert str(err.value).splitlines()[-1] == "delete %s or run without --cache-dir" % path
-        assert not isinstance(err.value, VertexError)
+        assert cache.get(EMPTY, EMPTY, 2) == [(0, [1]), (0, []), (0, [])]
 
     def test_file_removed_before_open_is_a_miss(self, tmp_path, monkeypatch):
         """A file another process removes just before the open is not there:
@@ -411,34 +371,6 @@ class TestSCache:
         assert builds == [(EMPTY, P(1), 3)]
         assert path.read_text() == stored
         assert series == vertex.s_ratio_squared(EMPTY, P(1), 3)
-
-    @pytest.mark.parametrize("bad", [7.9, True, "3"], ids=["float", "bool", "string"])
-    @pytest.mark.parametrize("field", ["shift", "numerator"])
-    def test_non_integer_entry_reported(self, tmp_path, field, bad):
-        """Only JSON integers are read: int() would turn 7.9, true and "3"
-        into other numbers and a different table."""
-        SCache(str(tmp_path)).get(P(1), EMPTY, 3)
-        (path,) = list(tmp_path.iterdir())
-        doc = json.loads(path.read_text())
-        shift, num = doc["coeffs"][1]
-        assert num
-        if field == "shift":
-            doc["coeffs"][1][0] = bad
-        else:
-            num[0] = bad
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CacheError) as err:
-            SCache(str(tmp_path)).get(P(1), EMPTY, 3)
-        assert str(err.value).splitlines()[-1] == "delete %s or run without --cache-dir" % path
-        assert "corrupt cache file" in str(err.value)
-
-    def test_directory_under_a_file_reported(self, tmp_path):
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        with pytest.raises(CacheError) as err:
-            SCache(str(blocker / "sub"))
-        assert str(err.value).endswith("; name another or run without --cache-dir")
-        assert str(blocker / "sub") in str(err.value)
 
     def test_failed_store_reported(self, tmp_path):
         """A cache directory that stops being writable after it was made."""
@@ -468,20 +400,17 @@ class TestSCache:
         )
         assert [p.name for p in tmp_path.iterdir() if ".tmp." in p.name] == []
 
-    def test_stores_ratio_squared(self, tmp_path):
-        cache = SCache(str(tmp_path))
-        assert cache.get(P(1), EMPTY, 3) == s_ratio_squared(P(1), EMPTY, 3)
-        assert cache.get(EMPTY, EMPTY, 3) == [(0, [1]), (0, []), (0, []), (0, [])]
-
     def test_pair_order_shares_one_entry(self, tmp_path, monkeypatch):
         """(mu, nu) and (nu, mu) give the same ratio, so SCache builds and
-        stores the pair once."""
+        stores the pair once; a fresh cache reads it back from the file."""
         builds = record_calls(monkeypatch, vertex, "s_ratio_squared")
         cache = SCache(str(tmp_path))
         first = cache.get(P(2, 1), P(1), 4)
         assert cache.get(P(1), P(2, 1), 4) == first == s_ratio_squared(P(1), P(2, 1), 4)
         assert len(builds) == 1 and len(list(tmp_path.iterdir())) == 1
-        assert SCache(str(tmp_path)).get(P(1), P(2, 1), 3) == first[:4]
+        fresh = SCache(str(tmp_path))
+        assert fresh.get(P(1), P(2, 1), 4) == first
+        assert fresh.get(P(2, 1), P(1), 3) == first[:4]
         assert len(builds) == 1
 
     @pytest.mark.parametrize("version", [2, 3])
@@ -505,6 +434,7 @@ class TestSCache:
         file is never opened and nothing is built."""
         cache = SCache(str(tmp_path))
         first = cache.get(P(2, 1), P(1), 4)
+        assert len(first) == 5
         builds = record_calls(monkeypatch, vertex, "s_ratio_squared")
         monkeypatch.setattr(
             vertex, "open", refuse("SCache opened a file for a held entry"), raising=False
@@ -671,16 +601,11 @@ class TestKnownDenominators:
         assert vertex._qq_squared(2) == qq
         assert z0_series(2) == (0, {0: qq, 1: [2, 0, -4, 0, 2, 0], 2: [3, 2, 3, 0, 0]}, qq)
 
-    def test_inexact_division_raises(self, monkeypatch, fresh_z0):
-        """n Y_n must be divisible by n digit by digit: a stray factor
-        (1 + q) in every step a_k of Z_0's recurrence breaks it at n = 3 (the
-        steps have even coefficients, so n = 2 divides)."""
-        plant_one_plus_q(monkeypatch)
-        with pytest.raises(VertexError, match="n = 3"):
-            z0_windows(4, PT_Q_TERMS + 1)
-
     def test_inexact_division_raises_in_s_build(self, monkeypatch):
-        """The same stray (1 + q) in the steps of an S-ratio's recurrence."""
+        """n R_n must be divisible by n digit by digit: a stray factor
+        (1 + q) in every step a_k of an S-ratio's recurrence breaks it at
+        n = 3 (the steps have even coefficients, so n = 2 divides).  Z_0's
+        recurrence is the CLI's ``pt-inexact-division`` row."""
         plant_one_plus_q(monkeypatch)
         with pytest.raises(VertexError, match="n = 3"):
             s_ratio_squared(P(2, 1), P(1), 4)
@@ -698,11 +623,6 @@ class TestKnownDenominators:
             masked = vertex._exp_rows(e, order, width)
             assert masked == [row[-width:] for row in whole], width
             assert any(c < 0 for row in masked for c in row), width
-
-    def test_takes_no_series_exp(self, monkeypatch, scache):
-        monkeypatch.setattr(TruncSeries, "exp", refuse("Z_0 was built by a series exp"))
-        assert pt_series(1, 2, 5, cache=scache)[5]
-        assert check_integrality(pt_rows(1, 2, 5, scache))
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_ratio_denominators_divide_qq_squared(self, r, scache):
