@@ -159,17 +159,24 @@ class TestVerify:
         assert doc["checks"]["q_inversion"]["r=0,m=1"]["passed"] is True
         assert doc["checks"]["exceptional_membership"]["passed"] is True
 
-    def test_determinism(self, capsys, tmp_path):
-        argv = [
-            "verify", "--r", "0", "--m-max", "1",
-            "--Q-order", "6", "--u-order", "2", "--g-max", "1",
-        ]
+    def test_determinism(self, capsys, monkeypatch, tmp_path):
+        """A report reads alike without a cache, cold (filling it) and warm
+        (reading it back, building no S-series), but for generated_at.
+        r = 5's GW table runs to Q^10, so the cold run stores entries at a
+        longer order than the integrality check asks for."""
+        argv = "verify --all --r 0 --r 1 --r 5 --m-max 2 --Q-order 9".split()
+        cache_dir = "--cache-dir", str(tmp_path)
         first = run_json(capsys, *argv)[1]
-        second = run_json(capsys, *argv, "--cache-dir", str(tmp_path))[1]
-        third = run_json(capsys, *argv, "--cache-dir", str(tmp_path))[1]
+        second = run_json(capsys, *argv, *cache_dir)[1]
+        stored = {len(json.loads(path.read_text())["coeffs"]) - 1 for path in tmp_path.iterdir()}
+        assert stored == {9, 10}
+        builds = record_calls(monkeypatch, vx, "s_ratio_squared")
+        third = run_json(capsys, *argv, *cache_dir)[1]
+        assert builds == []
         for doc in (first, second, third):
             doc.pop("generated_at")
         assert first == second == third
+        assert first["passed"] is True
 
     def test_q_order_8_skips_unfittable_degree(self, capsys):
         code, doc = run_json(
@@ -1030,10 +1037,14 @@ FILES = " --cache-dir {tmp}/scache" + OUT
 # id: (code, argv, the watched modules loaded after it); {tmp} is a fresh
 # directory
 MODULE_SETS = {
-    "run-gw": (RUN, "gw --r 0 --r 1 --m-max 2 --Q-order 5 --format csv" + OUT, GW),
-    "run-pt": (RUN, "pt --r 1 --m 2 --Q-order 5" + OUT, PT),
+    # local P^2's classes d(c + b), d <= 7, at genus 0 and 1: the only run past
+    # m = 5, and the only gw run past m = 2
+    "run-gw": (RUN, "gw --r 1 --m-max 7 --Q-order 7 --g-max 1 --format csv" + OUT, GW),
+    # at m = 5, e_coeffs multiplies two C_mu lists of more than one part each
+    "run-pt": (RUN, "pt --r 2 --m 5 --Q-order 6" + OUT, PT),
     "run-verify": (RUN, "verify --all --r 1 --m-max 1 --Q-order 9 --g-max 1" + OUT, CERTIFY),
-    "run-fit": (RUN, "fit --r 0 --m 1 --Q-order 9 --g-max 1" + OUT, FIT),
+    # the palindromy at a positive weight, a + p odd: a = m(r - 2) = 1
+    "run-fit": (RUN, "fit --r 3 --m 1 --Q-order 12 --g-max 3" + OUT, FIT),
     # a valid command line of each task, with a --cache-dir: read without
     # argparse, and the cache names each file by its pair, with no hashlib
     "cache-pt": (RUN, "pt --m 1 --Q-order 3" + FILES, PT),
@@ -1069,24 +1080,30 @@ WATCHED = (
 
 @pytest.mark.parametrize("code, argv, modules", list(MODULE_SETS.values()), ids=list(MODULE_SETS))
 def test_loaded_modules(tmp_path, code, argv, modules):
-    """In a fresh interpreter each entry point loads exactly the stages it
-    runs: pt the vertex stage and the CLI, gw the GW stage too, fit the
-    certificates of ``rationality`` too, and verify also ``series``, for
-    the exceptional series of ``tilde_pt0``.  No entry point loads the
+    """In a fresh interpreter in dev mode with warnings as errors, each
+    entry point loads exactly the stages it runs: pt the vertex stage and
+    the CLI, gw the GW stage too, fit the certificates of ``rationality``
+    too, and verify also ``series``, for the exceptional series of
+    ``tilde_pt0``.  No entry point loads the
     field Q(t) of qrat, the oracles, symmfun (so the W and power-sum memo
     tables cannot fill), argparse, gettext or locale (a command line is
     read without argparse), csv, hashlib, ``__future__`` (no module defers
     its annotations), sympy (the engine is stdlib only), or dataclasses and
     inspect, which with ast, dis and tokenize would be the largest import
-    of a short job.  A run writes its report."""
+    of a short job.  A run writes its report.  A warning raised as an
+    error fails the entry point, but a ResourceWarning for a file left open
+    is only printed when the file is collected, so every entry point but
+    the usage error must also leave stderr empty."""
     watch = (
         "\nprint(json.dumps(sorted(m for m in sys.modules "
         "if m in %r or m.startswith('localvertex.'))))" % (WATCHED,)
     )
     argv = [word.format(tmp=tmp_path) for word in argv.split()]
-    run = fresh_python("-c", "import json, sys\n" + code + watch, *argv)
+    run = fresh_python("-X", "dev", "-W", "error", "-c", "import json, sys\n" + code + watch, *argv)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1]) == modules
+    if code != exits(2):
+        assert run.stderr == ""
     if "--out" in argv:
         assert (tmp_path / "report.out").read_text()
 

@@ -289,6 +289,39 @@ class TestExpansionNonUnitDenominator:
                             Fraction(-1, 9), Fraction(-2, 27)])
 
 
+@st.composite
+def _digit_rows(draw):
+    """m in 1..4 and a row of balanced base-2^(64m) digits, drawn often at
+    the bounds -2^(64m-1) and 2^(64m-1) - 1."""
+    m = draw(st.integers(1, 4))
+    lo, hi = -(1 << (64 * m - 1)), (1 << (64 * m - 1)) - 1
+    digit = st.one_of(st.sampled_from([lo, lo + 1, -1, 0, 1, hi - 1, hi]), st.integers(lo, hi))
+    return m, draw(st.lists(digit, min_size=1, max_size=12))
+
+
+class TestPacking:
+    """Kronecker packing, single- and multiword."""
+
+    @given(_digit_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, drawn):
+        m, p = drawn
+        x = _pack(p, m)
+        assert x == sum(c << (64 * m * k) for k, c in enumerate(reversed(p)))
+        assert _unpack(x, m, len(p)) == p
+
+    def test_mul_at_the_digit_boundary(self):
+        """Equal signs add up: a coefficient of f*g reaches min(len(f),
+        len(g)) times the product of the norms, past one 64-bit word here,
+        and the digits must hold it.  Each product against the schoolbook's."""
+        for f in ([2**31 - 1] * 8, [2**31] * 6, [-(2**31)] * 6, [3037000499] * 6):
+            schoolbook = [0] * (2 * len(f) - 1)
+            for i, a in enumerate(f):
+                for j, b in enumerate(f):
+                    schoolbook[i + j] += a * b
+            assert _mul(f, f) == schoolbook, f[0]
+
+
 @pytest.fixture(scope="module")
 def zz():
     """sympy's dense arithmetic over ZZ, the oracle for the kernel."""
@@ -385,25 +418,3 @@ class TestKernelOracle:
         f, g = zz.mul(a, c), zz.mul(b, c)
         f, g = [x // math.gcd(*f) for x in f], [x // math.gcd(*g) for x in g]
         assert _gcd_prs(f, g) == tuple(zz.inner_gcd(f, g))
-
-
-@st.composite
-def _digit_rows(draw):
-    """m in 1..4 and a row of balanced base-2^(64m) digits, drawn often at
-    the bounds -2^(64m-1) and 2^(64m-1) - 1."""
-    m = draw(st.integers(1, 4))
-    lo, hi = -(1 << (64 * m - 1)), (1 << (64 * m - 1)) - 1
-    digit = st.one_of(st.sampled_from([lo, lo + 1, -1, 0, 1, hi - 1, hi]), st.integers(lo, hi))
-    return m, draw(st.lists(digit, min_size=1, max_size=12))
-
-
-class TestPacking:
-    """Kronecker packing, single- and multiword."""
-
-    @given(_digit_rows())
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip(self, drawn):
-        m, p = drawn
-        x = _pack(p, m)
-        assert x == sum(c << (64 * m * k) for k, c in enumerate(reversed(p)))
-        assert _unpack(x, m, len(p)) == p
