@@ -24,8 +24,8 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# what the suite reads: a copy of src/ alone fails test_benchmark_import_path
-TREE = ["src", "tests", "bench", "pyproject.toml", "exponent_resolution.json"]
+# what the suite reads: a copy of src/ alone fails test_benchmark.py
+TREE = ["src", "tests", "bench", "BENCHMARK.json", "pyproject.toml", "exponent_resolution.json"]
 
 MUTANTS = [
     ("z_ratio's framing shift r(kappa_2 - kappa_4) without the /2",
@@ -48,6 +48,30 @@ MUTANTS = [
      "src/localvertex/rationality.py",
      "if order < hi + 3:",
      "if order < hi + 2:"),
+    ("w_dot_beta moved by +1",
+     "src/localvertex/rationality.py",
+     "return m * (r_surface - 2)",
+     "return m * (r_surface - 2) + 1"),
+    ("_divide without its remainder test",
+     "src/localvertex/vertex.py",
+     "if rem or n * _norm(row)",
+     "if n * _norm(row)"),
+    ("_divide with its remainder test only",
+     "src/localvertex/vertex.py",
+     "if rem or n * _norm(row) >= 1 << 64 * words - 1:",
+     "if rem:"),
+    ("_load without the type check of a shift",
+     "src/localvertex/vertex.py",
+     "type(shift) is int and ",
+     ""),
+    ("_load's except without RecursionError",
+     "src/localvertex/vertex.py",
+     "AttributeError, RecursionError)",
+     "AttributeError)"),
+    ("e_coeffs subtracts C_mu C_nu",
+     "src/localvertex/vertex.py",
+     "e[i + j] = e.get(i + j, 0) + c * d",
+     "e[i + j] = e.get(i + j, 0) - c * d"),
 ]
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import localvertex
-from helpers import SRC, digest, fresh_python, record_calls, refuse
+from helpers import digest, fresh_python, record_calls, refuse
 from localvertex import cli
 from localvertex import gwtheory as gw
 from localvertex import rationality as rat
@@ -445,8 +445,15 @@ class TestVerify:
                     divide(total * (1 + (1 << 64 * words)), n, words, width),
                 "n X_n is not divisible by n = 3",
             ),
+            (
+                ["pt", "--m", "1", "--Q-order", "2"], vx, "_divide",
+                # n X_n + 1: a remainder that the norm test does not see
+                lambda total, n, words, width, divide=vx._divide:
+                    divide(total + 1, n, words, width),
+                "n X_n is not divisible by n = 2",
+            ),
         ],
-        ids=["gw-u-pole", "pt-inexact-division"],
+        ids=["gw-u-pole", "pt-inexact-division", "pt-remainder"],
     )
     def test_internal_invariant_exits_2(
         self, capsys, monkeypatch, tmp_path, fresh_z0, argv, module, name, planted, message
@@ -862,27 +869,6 @@ class TestUsage:
         ]
         assert len(settable) == 27
 
-    def test_benchmark_argv_parses(self, tmp_path):
-        """The argv of the benchmark's cache fill and of its verify job."""
-        directory, report = str(tmp_path / "scache"), str(tmp_path / "report.json")
-        fill_argv = [
-            "pt", "--r", "0", "--m", "1", "--Q-order", "9",
-            "--cache-dir", directory, "--out", report,
-        ]
-        fill = ORACLE.parse_args(fill_argv)
-        assert (fill.task, fill.r, fill.m, fill.Q_order) == ("pt", [0], 1, 9)
-        assert (fill.cache_dir, fill.out, fill.format) == (directory, report, "json")
-        job_argv = [
-            "verify", "--all", "--r", "2", "--m-max", "1", "--Q-order", "9",
-            "--cache-dir", directory, "--out", report,
-        ]
-        job = ORACLE.parse_args(job_argv)
-        assert (job.task, job.all, job.r, job.m_max, job.Q_order) == ("verify", True, [2], 1, 9)
-        assert (job.cache_dir, job.out) == (directory, report)
-        # the reader reads both as the oracle does
-        assert vars(cli._read(fill_argv)) == vars(fill)
-        assert vars(cli._read(job_argv)) == vars(job)
-
 
 TASK_TOKENS = ["pt", "gw", "verify", "fit", "selftest"]
 FLAG_TOKENS = sorted(cli.FLAGS) + ["--no-cache", "--Q", "-h", "--he", "--"]
@@ -972,8 +958,13 @@ class TestReader:
             ["verify", "--all", "--r", "0", "--r", "1", "--r", "0", "--m-max", "1",
              "--Q-order", "9", "--u-order", "8"],
             ["pt", "--m", "2", "--m", "3", "--out=", "--format", "json", "--format", "csv"],
+            # the benchmark's cache fill and its verify job
+            ["pt", "--r", "0", "--m", "1", "--Q-order", "9", "--cache-dir", "scache",
+             "--out", "report.json"],
+            ["verify", "--all", "--r", "2", "--m-max", "1", "--Q-order", "9",
+             "--cache-dir", "scache", "--out", "report.json"],
         ],
-        ids=["gw", "pt", "fit", "verify", "repeated"],
+        ids=["gw", "pt", "fit", "verify", "repeated", "bench-fill", "bench-verify"],
     )
     def test_reads_plain_command_lines(self, argv):
         """Repeated --r appends, any other repeated flag keeps its last value."""
@@ -1120,33 +1111,6 @@ def test_package_holds_the_engine_modules():
     ]
     for name in ("z0_series", "pt_fractions"):
         assert not hasattr(vx, name), name
-
-
-def test_benchmark_import_path(tmp_path):
-    """The benchmark's jobs import the package as ``bench/job.py`` does:
-    ``import localvertex``, a check that it came from ``src``, then
-    ``from localvertex import cli, gwtheory, vertex``; a traced job also
-    runs ``bench/spans.py``'s ``install(localvertex)``.  All of it runs in a
-    fresh interpreter without bytecode files, and a traced gw run still
-    records the spans of its task and of the GW stage it imports."""
-    code = (
-        "import os, sys\n"
-        "sys.path.insert(0, 'bench')\n"
-        "import localvertex\n"
-        "source = os.path.join(os.getcwd(), 'src', 'localvertex')\n"
-        "assert os.path.dirname(os.path.abspath(localvertex.__file__)) == source\n"
-        "from localvertex import cli, gwtheory, vertex\n"
-        "import spans\n"
-        "tracer = spans.install(localvertex)\n"
-        "assert cli.main(sys.argv[1:]) == 0\n"
-        "calls = tracer.span_table()\n"
-        "assert calls['cli.run_gw'] == 1 and calls['gwtheory.gw_extract'] == 1, calls\n"
-    )
-    job = fresh_python(
-        "-c", code, "gw", "--Q-order", "2", "--g-max", "1", "--out", str(tmp_path / "report.json"),
-        cwd=os.path.dirname(SRC),
-    )
-    assert job.returncode == 0, job.stderr
 
 
 def test_package_imports_the_standard_library_only():

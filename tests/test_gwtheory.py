@@ -1,7 +1,5 @@
 """q = e^(iu) expansion, GW extraction, ring membership, polynomiality."""
 
-import json
-import os
 from fractions import Fraction
 from math import comb, factorial
 
@@ -9,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    canonical, certified_weights, digest, fresh_python, gw_column, qrat_series, record_calls,
+    canonical, certified_weights, fresh_python, gw_column, qrat_series, record_calls,
 )
-from localvertex import cli, gwtheory, qfield
+from localvertex import gwtheory, qfield
 from localvertex.gwtheory import (
     GWTable,
     _fibre,
@@ -433,49 +431,6 @@ class TestQRatRoute:
         monkeypatch.setattr(gwtheory, "_fibre", lambda u: {**fibre(u), 1: Fraction(1, 2)})
         with pytest.raises(VertexError, match="odd u-power u\\^1 at Q_c\\^0"):
             gw_extract(0, 0, 5, 2)
-
-    def test_benchmark_hashes(self):
-        """gw_extract(r, 2, 7, 3) reproduces the benchmark's pinned gw_m2
-        output hashes, read from bench/reference.json."""
-        pinned = pinned_hashes("gw_m2")
-        assert sorted(pinned) == ["0", "1", "2"]
-        for r, pin in pinned.items():
-            assert digest(gw_extract(int(r), 2, 7, 3).to_json()) == pin, r
-
-    def test_benchmark_hashes_exceptional(self):
-        """tilde_pt0(11, 6), called as bench/job.py calls it, reproduces the
-        pinned exceptional hash by value."""
-        pinned = pinned_hashes("exceptional")
-        assert digest(series_value(tilde_pt0(11, 6, cache=SCache()))) == pinned["tilde_pt0"]
-
-    def test_benchmark_hashes_verify(self, tmp_path):
-        """verify --all --r R --m-max 1 --Q-order 9 reproduces the pinned
-        report hashes, with generated_at dropped."""
-        pinned = pinned_hashes("verify")
-        assert sorted(pinned) == ["0", "1", "2"]
-        for r, pin in pinned.items():
-            out = tmp_path / ("verify_%s.json" % r)
-            argv = ["verify", "--all", "--r", r, "--m-max", "1", "--Q-order", "9"]
-            assert cli.main(argv + ["--out", str(out)]) == 0, r
-            report = json.loads(out.read_text())
-            report.pop("generated_at")
-            assert digest(report) == pin, r
-
-
-def pinned_hashes(workload):
-    """The output hashes bench/reference.json pins for one workload."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference.json")
-    with open(path) as fh:
-        return json.load(fh)[workload]
-
-
-def series_value(s):
-    """A (nested) series by value, as the benchmark hashes it: order and
-    stored coefficients, each scalar as [re_num, re_den, im_num, im_den]."""
-    if isinstance(s, TruncSeries):
-        return {"order": s.order, "coeffs": {str(d): series_value(c) for d, c in s.coeffs.items()}}
-    c = Fraction(s)
-    return [c.numerator, c.denominator, 0, 1]
 
 
 class TestLogZ:

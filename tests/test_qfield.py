@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from localvertex.qfield import _add, _exquo, _mul, _pack, _unpack, expansion
 from localvertex.qrat import QFieldError, QRat, _gcd, _gcd_prs
@@ -397,8 +397,9 @@ class TestKernelOracle:
         assert _gcd(f, g) == tuple(zz.inner_gcd(f, g))
         assert _gcd(f, g)[0] == zz.gcd(f, g)
 
+    # shrinking a failure here took minutes: report the first example found
     @given(_cyclotomic_pairs())
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, phases=set(Phase) - {Phase.shrink})
     def test_cyclotomic_products(self, zz, drawn):
         common, only_f, only_g, extra = drawn
         shared = _cyclotomic_product(zz, common, 180)
