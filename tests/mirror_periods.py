@@ -41,7 +41,7 @@ def _unit(a, k):
     return tuple(int(i == a) for i in range(k))
 
 
-def _times(x, y, order):
+def times(x, y, order):
     """x y, cut at total degree ``order``."""
     out = {}
     for i, a in x.items():
@@ -68,7 +68,7 @@ def _exp(x, k, order):
     theta_x = {n: sum(n) * c for n, c in x.items()}
     y = {(0,) * k: Fraction(1)}
     for d in range(1, order + 1):
-        y.update((n, Fraction(c, d)) for n, c in _times(theta_x, y, d).items() if sum(n) == d)
+        y.update((n, Fraction(c, d)) for n, c in times(theta_x, y, d).items() if sum(n) == d)
     return y
 
 
@@ -77,7 +77,7 @@ def _log(f, k, order):
     theta y, y = log(f), as in ``_exp``."""
     y = {}
     for d in range(1, order + 1):
-        lower = _times({n: sum(n) * c for n, c in y.items()}, f, d)
+        lower = times({n: sum(n) * c for n, c in y.items()}, f, d)
         for n in _classes(k, d):
             if sum(n) == d:
                 y[n] = f.get(n, 0) - Fraction(lower.get(n, 0), d)
@@ -108,8 +108,8 @@ def frobenius(charges, order):
         for column in zip(*charges):
             a_i = {unit: l for unit, l in zip(units, column) if l}  # A_i = l_i.rho
             c0, c1, c2 = _gamma_factor(sum(map(int.__mul__, column, n)))
-            factor = _combine([(c0, {zero: 1}), (c1, a_i), (c2, _times(a_i, a_i, 2))])
-            ratio = _times(ratio, factor, 2)
+            factor = _combine([(c0, {zero: 1}), (c1, a_i), (c2, times(a_i, a_i, 2))])
+            ratio = times(ratio, factor, 2)
         # w|0 = 1: every class but 0 has a negative N_i
         assert ratio.get(zero, 0) == (n == zero), n
         for a, unit in enumerate(units):
@@ -125,7 +125,7 @@ def _monomials(z, order):
     out = {(0,) * k: {(0,) * k: Fraction(1)}}
     for n in _classes(k, order)[1:]:
         a = max(i for i, m in enumerate(n) if m)
-        out[n] = _times(out[tuple(map(int.__sub__, n, _unit(a, k)))], z[a], order)
+        out[n] = times(out[tuple(map(int.__sub__, n, _unit(a, k)))], z[a], order)
     return out
 
 
@@ -142,7 +142,7 @@ def mirror_map(s, order):
     for degree in range(2, order + 1):
         monomials = _monomials(z, degree - 1)
         z = [
-            _times(q_a, _exp(_combine([(-1, _compose(s_a, monomials))]), k, degree - 1), degree)
+            times(q_a, _exp(_combine([(-1, _compose(s_a, monomials))]), k, degree - 1), degree)
             for q_a, s_a in zip(q, s)
         ]
     return z
@@ -156,7 +156,7 @@ def solve(charges, order):
     monomials = _monomials(z, order)
     s_q = [_compose(s_a, monomials) for s_a in s]
     return z, {
-        (a, b): _combine([(1, _compose(t_ab, monomials)), (-1, _times(s_q[a], s_q[b], order))])
+        (a, b): _combine([(1, _compose(t_ab, monomials)), (-1, times(s_q[a], s_q[b], order))])
         for (a, b), t_ab in t.items()
     }
 

@@ -11,13 +11,17 @@ temporary directory, runs the suite there once unmutated, then once per
 row on a fresh copy with that row applied, each time with
 ``python -m pytest -x -q -p no:cacheprovider`` and without
 ``test_mutants.py``, and prints each row's
-first failing test and time.  It exits 1 if the unmutated suite fails, if
-a row's old text is missing, or if a mutant passes.  A change that deletes
-or weakens a test runs it and states that every row still fails.
+first failing test and time as soon as the row has run.  A mutated run
+that outlasts HANG_FACTOR times the unmutated run is killed with every
+process it started, and its row is caught by a hang.  It exits 1 if the
+unmutated suite fails, if a row's old text is missing, or if a mutant
+passes.  A change that deletes or weakens a test runs it and states that
+every row still fails.
 """
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -26,6 +30,10 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # what the suite reads: a copy of src/ alone fails test_benchmark.py
 TREE = ["src", "tests", "bench", "BENCHMARK.json", "pyproject.toml", "exponent_resolution.json"]
+# a mutated run stops at its first failure, so it ends well inside twice
+# the unmutated run unless it hangs
+HANG_FACTOR = 2
+HANG = "by a hang, killed at the limit"
 
 MUTANTS = [
     ("z_ratio's framing shift r(kappa_2 - kappa_4) without the /2",
@@ -72,12 +80,17 @@ MUTANTS = [
      "src/localvertex/vertex.py",
      "e[i + j] = e.get(i + j, 0) + c * d",
      "e[i + j] = e.get(i + j, 0) - c * d"),
+    ("pt_invariants widens a cancelling row without its + 1",
+     "src/localvertex/vertex.py",
+     "width = zeros + PT_Q_TERMS + 1 if num else 2 * width",
+     "width = zeros + PT_Q_TERMS if num else 2 * width"),
 ]
 
 
-def run_suite(mutant=None):
+def run_suite(mutant=None, limit=None):
     """Copy the tree, apply ``mutant`` (a row, or None), run the suite with
-    -x: (passed, first failing test or None, seconds)."""
+    -x for at most ``limit`` seconds (None: no limit): (passed, first
+    failing test, or HANG if it was killed at the limit, or None, seconds)."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in TREE:
             source, target = os.path.join(ROOT, name), os.path.join(tmp, name)
@@ -93,25 +106,40 @@ def run_suite(mutant=None):
                 fh.write(text.replace(old, new))
         env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"), PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
-        # test_mutants.py would fail on the row's own edit: the old text is gone
-        run = subprocess.run(
+        # test_mutants.py would fail on the row's own edit: the old text is gone;
+        # a session of its own lets a hang be killed with the interpreters it started
+        with subprocess.Popen(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
              "--ignore", os.path.join("tests", "test_mutants.py")],
             cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
+            start_new_session=True,
+        ) as run:
+            try:
+                out, _ = run.communicate(timeout=limit)
+            except BaseException as error:
+                # a hang, or this script interrupted: no process of the run outlives it
+                os.killpg(run.pid, signal.SIGKILL)
+                run.communicate()
+                if not isinstance(error, subprocess.TimeoutExpired):
+                    raise
+                return False, HANG, time.perf_counter() - start
         seconds = time.perf_counter() - start
     # "FAILED <node id> - <message>"; a node id may hold spaces in its brackets
-    failed = [line.split(" ", 1)[1].split(" - ", 1)[0] for line in run.stdout.splitlines()
+    failed = [line.split(" ", 1)[1].split(" - ", 1)[0] for line in out.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
     return run.returncode == 0, failed[0] if failed else None, seconds
 
 
 def main():
+    # each row's line shows as the row ends, also in a file or a pipe
+    sys.stdout.reconfigure(line_buffering=True)
     status = 0
     passed, failed, seconds = run_suite()
     print("unmutated: %s in %.1f s" % ("passes" if passed else "FAILS, first " + str(failed), seconds))
     if not passed:
         return 1
+    limit = HANG_FACTOR * seconds
+    print("a mutated run is killed after %.1f s" % limit)
     for mutant in MUTANTS:
         name, path, old, _ = mutant
         with open(os.path.join(ROOT, path)) as fh:
@@ -120,7 +148,7 @@ def main():
             print("%s: its old text occurs %d times in %s" % (name, count, path))
             status = 1
             continue
-        passed, failed, seconds = run_suite(mutant)
+        passed, failed, seconds = run_suite(mutant, limit)
         print("%s: %s in %.1f s" % (name, "PASSES" if passed else "fails " + str(failed), seconds))
         status |= passed
     return status
