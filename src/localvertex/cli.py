@@ -147,7 +147,11 @@ def _write(text):
         sys.stdout.flush()
     except OSError as err:
         try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         except (AttributeError, OSError):
             pass  # a stdout with no descriptor has nothing to drain
         raise OutputError("cannot write stdout: %s" % (err.strerror or err))
@@ -194,7 +198,7 @@ def run_pt(args, cache, report) -> list:
     rows = [["r", "m", "j", "n", "value"]]
     for r in args.r:
         ratio = vx.z_ratio(r, args.m, args.Q_order, cache)
-        invariants = vx.pt_invariants(ratio, args.Q_order)
+        invariants = vx.pt_invariants(ratio, args.Q_order, cache=cache)
         tables[str(r)] = [{"j": j, "n": n, "value": v} for j, n, v in invariants]
         rows += [[r, args.m, j, n, v] for j, n, v in invariants]
     return rows
@@ -248,7 +252,7 @@ def run_verify(args, cache, report):
             if m:
                 ok, witness = rat.check_q_inversion(ratio)
                 checks["q_inversion"][key] = {"passed": ok, "witness": witness}
-            rows = vx.pt_invariants(ratio, args.Q_order)
+            rows = vx.pt_invariants(ratio, args.Q_order, cache=cache)
             checks["integrality"][key] = {"passed": rat.check_integrality(rows)}
 
         # per-genus Weyl functional equation of the GW columns of class c + jb

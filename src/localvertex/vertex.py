@@ -23,14 +23,15 @@ coefficients left out; ``_aligned`` sums q-numerators by Q-degree.
 (q;q)_|mu|, so each S-entry is held over (q;q)_m^2.  PT numbers are
 read in a window of PT_Q_TERMS + 1 q-coefficients per Q^j row, and
 ``pt_invariants`` builds Z_m = Z_0 (Z_m/Z_0) in those windows only: Z_0,
-the strip product at e_i = i + 1, by the recurrence of the S-ratios
-(``z0_windows``, one table held at a time, its rows as built), each row of
-Z_m by convolving them with z_ratio's numerators.
+the strip product at e_i = i + 1, by the recurrence of the S-ratios, its
+rows as built and held in the run's ``SCache`` beside the S-entries, and
+each row of Z_m by convolving them with z_ratio's numerators.  The module
+keeps no state: every table of a run lives in the cache it passes.
 """
 
 import json
 import os
-from functools import lru_cache, reduce
+from functools import reduce
 from math import comb
 
 from .partitions import Partition, partitions_of
@@ -168,11 +169,14 @@ class SCache:
     (mu, nu) and (nu, mu) share one build, one cofactor and one file.  Disk
     entries are one JSON document per sorted pair, in a file named for it;
     concurrent writers of one pair write the same bytes: writes are idempotent.
+    Beside the S-entries it holds Z_0's q-windows, which ``pt_invariants``
+    reads, keyed by (order, width) and never written to disk.
     """
 
     def __init__(self, directory=None):
         self.directory = directory
         self._mem = {}
+        self._z0 = {}
         if directory is not None:
             try:
                 os.makedirs(directory, exist_ok=True)
@@ -196,6 +200,16 @@ class SCache:
                     self._store(mu, nu, coeffs)
             self._mem[(mu, nu)] = coeffs
         return coeffs[: order + 1]
+
+    def _z0_table(self, order: int, width: int) -> list:
+        """The ``width`` lowest coefficients of Y_n = q^(-n) [Q^n] Z_0, n <=
+        order, highest first, as ``_exp_rows`` builds and sizes them: Z_0 =
+        prod_j (1 - q^j Q)^(-2j) is its strip product at e_i = i + 1, no i >=
+        width reaching the window.  Built once per (order, width)."""
+        key = order, width
+        if key not in self._z0:
+            self._z0[key] = _exp_rows({i: i + 1 for i in range(width)}, order, width)
+        return self._z0[key]
 
     def _load(self, mu, nu):
         """The disk entry, or None: no directory, no file, or another format."""
@@ -328,26 +342,17 @@ def _qq_squared(n):
     return reduce(_times_one_minus_q_power, range(1, n + 1), _qq(n))
 
 
-@lru_cache(maxsize=1)
-def z0_windows(order: int, width: int) -> list:
-    """The ``width`` lowest coefficients of Y_n = q^(-n) [Q^n] Z_0, n <= order,
-    highest first, as ``_exp_rows`` builds and sizes them: Z_0 = prod_j (1 -
-    q^j Q)^(-2j) is its strip product at e_i = i + 1, no i >= width reaching
-    the window.  The one table held, which callers must not change, is the
-    last built: a task reads one."""
-    return _exp_rows({i: i + 1 for i in range(width)}, order, width)
-
-
-def pt_invariants(ratio: tuple, order: int) -> list:
+def pt_invariants(ratio: tuple, order: int, cache: SCache = None) -> list:
     """Individual integers PT_{mc+jb, n} of Z_m = Z_0 * ratio as (j, n,
     value) rows, ratio the class series z_ratio(r, m, order, ...) and
     ``order`` its Q-order.  n is the Euler characteristic slot and the
     value, an integer as den(0) = 1, carries the (-q)^n sign.  Each Q^j
     row covers PT_Q_TERMS + 1 slots n from its valuation, so for r = 0,
     m = 6 and Q-order 3 it has n = 6..30 at j = 0, and for r = 7, m = 4,
-    n = -26..-2.
+    n = -26..-2.  Z_0's windows are read from ``cache``; without it the
+    call builds in a fresh ``SCache``.
 
-    Each term q^a Y_a num_b of row j = a + b, Y_a from ``z0_windows``,
+    Each term q^a Y_a num_b of row j = a + b, Y_a from Z_0's windows,
     starts at its own valuation, the row at the lowest; windows and
     numerators are highest first, so a term's lowest n digits are its last
     n.  A row whose low terms cancel widens its window, and Z_0's, until
@@ -361,14 +366,13 @@ def pt_invariants(ratio: tuple, order: int) -> list:
     for b, num in nums.items():
         zeros = _trailing_zeros(num)
         cut[b] = zeros, num[: len(num) - zeros]
-    z0 = z0_windows(order, PT_Q_TERMS + 1)
+    cache = cache or SCache()
     for j in range(order + 1):
         terms = [(a, a + cut[j - a][0], cut[j - a][1]) for a in range(j + 1) if j - a in cut]
         low = min((v for _, v, _ in terms), default=0)
         width = PT_Q_TERMS + 1
         while terms:
-            if width > len(z0[0]):
-                z0 = z0_windows(order, width)
+            z0 = cache._z0_table(order, width)
             total = []  # sum_a q^(a - low) Y_a num_b, highest first
             for a, v, num in terms:
                 n = width - (v - low)

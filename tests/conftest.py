@@ -34,11 +34,3 @@ def tilde_series():
     """The modified exceptional series at Q-order 12, u-order 6."""
     return gw.tilde_pt0(12, 6)
 
-
-@pytest.fixture
-def fresh_z0():
-    """No held Z_0 table before or after the test: a planted build runs,
-    and no table it leaves reaches a later test."""
-    vx.z0_windows.cache_clear()
-    yield
-    vx.z0_windows.cache_clear()

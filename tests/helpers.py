@@ -3,8 +3,8 @@ parts, the QRat values of the engine's integer class series, which the
 tests compare with the oracles' in Q(t), a GW genus column and the
 weights at which ``certify_column`` certifies one; and the scaffolding of
 the tests that watch the engine run: a fresh interpreter, the digest that
-pins an output, a stand-in that must not be called, and a recorder of
-calls."""
+pins an output, a stand-in that must not be called, a recorder of calls
+and one of the Z_0 tables built."""
 
 import hashlib
 import json
@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import localvertex
+from localvertex import vertex
 from localvertex.partitions import Partition
 from localvertex.qrat import QRat
 from localvertex.rationality import FitError, certify_column
@@ -102,3 +103,19 @@ def record_calls(monkeypatch, owner, name, pick=lambda *args, **kwargs: args):
 
     monkeypatch.setattr(owner, name, record)
     return calls
+
+
+def record_z0_builds(monkeypatch):
+    """Patch ``vertex._exp_rows`` to append (order, width) of each Z_0 table
+    it builds, its strip product at e_i = i + 1 for i < width, to the list
+    returned; an S-ratio's build is not recorded."""
+    builds = []
+    exp_rows = vertex._exp_rows
+
+    def record(e, order, width):
+        if e == {i: i + 1 for i in range(width)}:
+            builds.append((order, width))
+        return exp_rows(e, order, width)
+
+    monkeypatch.setattr(vertex, "_exp_rows", record)
+    return builds

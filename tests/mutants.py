@@ -28,8 +28,10 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# what the suite reads: a copy of src/ alone fails test_benchmark.py
-TREE = ["src", "tests", "bench", "BENCHMARK.json", "pyproject.toml", "exponent_resolution.json"]
+# what the suite reads: a copy of src/ alone fails test_benchmark.py, and
+# one without .github the check of CI's -k terms in test_cli.py
+TREE = ["src", "tests", "bench", ".github", "BENCHMARK.json", "pyproject.toml",
+        "exponent_resolution.json"]
 # a mutated run stops at its first failure, so it ends well inside twice
 # the unmutated run unless it hangs
 HANG_FACTOR = 2
@@ -84,6 +86,10 @@ MUTANTS = [
      "src/localvertex/vertex.py",
      "width = zeros + PT_Q_TERMS + 1 if num else 2 * width",
      "width = zeros + PT_Q_TERMS if num else 2 * width"),
+    ("SCache keys Z_0's table by order alone, so a widened row reads the narrow one",
+     "src/localvertex/vertex.py",
+     "key = order, width",
+     "key = order"),
 ]
 
 

@@ -14,7 +14,7 @@ compare the two exactly:
   triangle against the engine's F_1 numbers in the classes d(c + b).
 - ``z0_series`` and ``pt_fractions``: Z_0 and Z_m = Z_0 (Z_m/Z_0) whole,
   as integer numerators over (q;q)_J^2 (q;q)_m^2, against the q-windows
-  of ``vertex.z0_windows`` and ``vertex.pt_invariants``.
+  that ``vertex.SCache`` holds of Z_0 and those of ``vertex.pt_invariants``.
 - ``pt_series``: the PT series as canonical QRat values, against the
   exp route of log Z_0 and ``z_toric``.
 - ``cyclo_product`` and ``polylog_neg``: products of (1 - q^k Q) factors,

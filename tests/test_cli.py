@@ -12,6 +12,7 @@ import json
 import glob
 import os
 import pkgutil
+import re
 import sys
 import typing
 from fractions import Fraction
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import localvertex
-from helpers import digest, fresh_python, record_calls, refuse
+from helpers import digest, fresh_python, record_calls, record_z0_builds, refuse
 from localvertex import cli
 from localvertex import gwtheory as gw
 from localvertex import rationality as rat
@@ -203,12 +204,16 @@ class TestVerify:
             expected = rat.polynomiality_check(table, g, 3, 9)
             assert doc["checks"]["polynomiality"]["r=0,g=%d" % g] == expected
 
-    def test_z0_windows_built_once(self, capsys, fresh_z0):
-        """Every pt_invariants call of a run reads its windows from one held
-        table of Z_0: one build for five surfaces and three classes."""
+    def test_z0_built_once_per_run(self, capsys, monkeypatch):
+        """Every pt_invariants call of a run reads Z_0's windows from the
+        run's SCache: one build for five surfaces and three classes, and
+        one more for a second run."""
+        builds = record_z0_builds(monkeypatch)
         argv = "verify --all --r 0 --r 1 --r 2 --r 3 --r 4 --m-max 2 --Q-order 9"
         assert run(capsys, *argv.split())[0] == 0
-        assert vx.z0_windows.cache_info().misses == 1
+        assert builds == [(9, 25)]
+        assert run(capsys, *argv.split())[0] == 0
+        assert builds == [(9, 25)] * 2
 
     def test_report_merges_its_surfaces(self, capsys):
         """A two-surface report is the merge of the one-surface reports:
@@ -314,8 +319,8 @@ class TestVerify:
         rows pt_invariants returns at m = 1 fails that entry, and only it."""
         pt_invariants = vx.pt_invariants
 
-        def planted(ratio, order):
-            rows = pt_invariants(ratio, order)
+        def planted(ratio, order, cache=None):
+            rows = pt_invariants(ratio, order, cache)
             if ratio[2] != [1]:  # (q;q)_1^2, so m = 1
                 j, n, _ = rows[0]
                 rows[0] = (j, n, Fraction(1, 2))
@@ -456,7 +461,7 @@ class TestVerify:
         ids=["gw-u-pole", "pt-inexact-division", "pt-remainder"],
     )
     def test_internal_invariant_exits_2(
-        self, capsys, monkeypatch, tmp_path, fresh_z0, argv, module, name, planted, message
+        self, capsys, monkeypatch, tmp_path, argv, module, name, planted, message
     ):
         """A tripped internal invariant, a VertexError, exits 2
         with one line on stderr and writes no report."""
@@ -833,6 +838,22 @@ class TestUsage:
         assert run.returncode == 2, run.stderr
         assert run.stderr.count("\n") == 1 and ": error: cannot write stdout: " in run.stderr
 
+    @pytest.mark.skipif(
+        not os.path.exists("/dev/full") or not os.path.isdir("/proc/self/fd"),
+        reason="needs /dev/full and /proc/self/fd",
+    )
+    def test_unwritable_stdout_leaves_no_descriptor(self, capsys):
+        """Pointing stdout's descriptor at devnull after a failed write
+        closes the descriptor it opened there: a run in this process with
+        stdout on /dev/full leaves as many descriptors open as it found."""
+        with open("/dev/full", "w") as full:
+            before = len(os.listdir("/proc/self/fd"))
+            with contextlib.redirect_stdout(full):
+                assert main(["pt", "--Q-order", "1"]) == 2
+            assert len(os.listdir("/proc/self/fd")) == before
+        err = capsys.readouterr().err
+        assert err.endswith(": error: cannot write stdout: No space left on device\n")
+
     @pytest.mark.parametrize("argv", [
         "pt --r 0 --m 1 --Q-order 2", "gw --r 0 --m-max 1 --Q-order 2 --g-max 1",
         "fit --r 0 --m 1 --Q-order 6 --g-max 0", "verify --r 0 --m-max 1 --Q-order 4 --g-max 0",
@@ -1164,3 +1185,18 @@ def test_every_annotation_resolves():
                 typing.get_type_hints(func)
                 checked += 1
     assert checked > 100, checked
+
+
+def test_ci_selects_tests_by_live_names():
+    """The CI step that runs this file against the installed package picks
+    its tests by ``-k`` terms joined by "or": each term is part of the
+    name of a test here, so a renamed test cannot leave the step unseen."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, ".github", "workflows", "tier1.yml")) as fh:
+        (expression,) = re.findall(r'tests/test_cli\.py -k "([^"]*)"', fh.read())
+    names = [node.name for node in ast.walk(ast.parse(inspect.getsource(sys.modules[__name__])))
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")]
+    terms = expression.split(" or ")
+    assert len(terms) > 1
+    for term in terms:
+        assert any(term in name for name in names), term

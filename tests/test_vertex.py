@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from helpers import P, canonical, qrat_series, record_calls, refuse
+from helpers import P, canonical, qrat_series, record_calls, record_z0_builds, refuse
 from localvertex import vertex
 from localvertex.partitions import Partition, partitions_of, partitions_up_to
 from localvertex.qfield import _digit_words, _exquo, _mul, _strip, expansion
@@ -24,7 +24,6 @@ from localvertex.vertex import (
     e_coeffs,
     pt_invariants,
     s_ratio_squared,
-    z0_windows,
     z_ratio,
 )
 import oracles
@@ -558,7 +557,7 @@ def canonical_integrality(series, t_terms=40):
 
 def pt_rows(r, m, order, cache):
     """The rows ``pt_invariants`` reads off Z_m, assembled as ``pt`` does."""
-    return pt_invariants(z_ratio(r, m, order, cache), order)
+    return pt_invariants(z_ratio(r, m, order, cache), order, cache)
 
 
 def whole_rows(series):
@@ -715,7 +714,7 @@ class TestKnownDenominators:
             fractions = pt_fractions(ratio, z0)
             series = qrat_series(fractions, 9)
             assert check_integrality(whole_rows(fractions)) == canonical_integrality(series)
-            assert check_integrality(pt_invariants(ratio, 9)) is True
+            assert check_integrality(pt_invariants(ratio, 9, scache)) is True
             shift, nums, den = fractions
             for j, num in nums.items():
                 low, window = expansion(shift, num, den, 20)
@@ -765,21 +764,23 @@ class TestWindows:
         from q^n."""
         for order in (0, 1, 6, 13):
             _, nums, den = z0_series(order)
-            windows = z0_windows(order, width)
+            windows = SCache()._z0_table(order, width)
             assert len(windows) == order + 1
             for n, window in enumerate(windows):
                 assert expansion(0, nums[n], den, width) == (n, window[::-1]), (order, n)
 
-    def test_held_table_is_built_once(self, fresh_z0):
-        """z0_windows holds the last table it built: a repeated (order,
-        width) builds nothing, and each table is the windows of z0_series,
-        highest first."""
-        calls = [(3, 30), (3, 30), (6, 10), (6, 10), (6, 10), (0, 1), (3, 30)]
+    def test_cache_holds_each_table(self, monkeypatch):
+        """An SCache builds Z_0's windows once per (order, width): a repeated
+        pair builds nothing, another width at the same order builds its own
+        table, and each table is the windows of z0_series, highest first."""
+        builds = record_z0_builds(monkeypatch)
+        cache = SCache()
+        calls = [(3, 30), (3, 30), (6, 10), (3, 10), (6, 10), (0, 1), (3, 30), (3, 10)]
         for order, width in calls:
             _, nums, den = z0_series(order)
             want = [expansion(0, nums[n], den, width)[1][::-1] for n in range(order + 1)]
-            assert z0_windows(order, width) == want, (order, width)
-        assert z0_windows.cache_info().misses == 4
+            assert cache._z0_table(order, width) == want, (order, width)
+        assert builds == [(3, 30), (6, 10), (3, 10), (0, 1)]
 
     def test_bounds_behind_the_windows(self):
         """Two bounds on Z_0: N_n = (q;q)_n^2 [Q^n] Z_0 has degree n^2 at
@@ -787,14 +788,14 @@ class TestWindows:
         and Z_0 at Q = 1 is below 2^7 at q = 1/2, so 2^(e + 7) bounds its
         q^e coefficient.  Only the first is behind the windows: ``_exp_rows``
         sizes its digits from the exponents e alone, so the second checks
-        the window values of z0_windows against a bound of its own."""
+        the window values of Z_0's table against a bound of its own."""
         for n in range(13):
             assert len(z0_series(n)[1][n]) - 1 <= n * n, n
         at_half = 1.0
         for j in range(1, 80):
             at_half *= (1 - 0.5**j) ** (-2 * j)
         assert at_half < 101
-        for n, window in enumerate(z0_windows(12, 40)):
+        for n, window in enumerate(SCache()._z0_table(12, 40)):
             assert all(0 <= c < 2 ** (n + i + 7) for i, c in enumerate(window[::-1])), n
 
     @pytest.mark.parametrize("r", range(6))
@@ -804,7 +805,7 @@ class TestWindows:
         for order in (4, 6, 8, 12):
             for m in range(5):
                 ratio = z_ratio(r, m, order, scache)
-                rows = pt_invariants(ratio, order)
+                rows = pt_invariants(ratio, order, scache)
                 assert rows == oracle_rows(ratio, order), (m, order)
 
     def test_row_windows_start_at_the_valuation(self, scache):
@@ -812,14 +813,14 @@ class TestWindows:
         row PT_Q_TERMS + 1 = 25 slots n from its valuation at Q-order 3: at
         j = 0, n = 6..30 for r = 0, m = 6; at every j, n = -26..-2 for r = 7,
         m = 4."""
-        rows = pt_invariants(z_ratio(0, 6, 3, scache), 3)
+        rows = pt_invariants(z_ratio(0, 6, 3, scache), 3, scache)
         assert [n for j, n, _ in rows if j == 0] == list(range(6, 31))
-        rows = pt_invariants(z_ratio(7, 4, 3, scache), 3)
+        rows = pt_invariants(z_ratio(7, 4, 3, scache), 3, scache)
         assert [(j, n) for j, n, _ in rows] == [(j, n) for j in range(4) for n in range(-26, -1)]
 
     def test_bit_identical_at_q_order_24(self, scache):
         ratio = z_ratio(0, 6, 24, scache)
-        assert pt_invariants(ratio, 24) == oracle_rows(ratio, 24)
+        assert pt_invariants(ratio, 24, scache) == oracle_rows(ratio, 24)
 
     def test_cancelling_row_widens(self, monkeypatch):
         """Z_0 (1 + (q^30 - 2q/(1-q)^2) Q): the low terms of the Q^1 row
@@ -827,11 +828,11 @@ class TestWindows:
         from q^1, and Z_0's with it, after the first build at 25."""
         dm = vertex._qq_squared(1)  # (1 - q)^2
         ratio = (0, {0: dm, 1: [1, -2, 1] + [0] * 28 + [-2, 0]}, dm)
-        widths = record_calls(monkeypatch, vertex, "z0_windows", lambda order, width: width)
+        builds = record_z0_builds(monkeypatch)
         rows = pt_invariants(ratio, 3)
         assert [row for row in rows if row[0] == 1] == [(1, 30, 1)]
         assert rows == oracle_rows(ratio, 3)
-        assert widths == [25, 50, 54]
+        assert builds == [(3, 25), (3, 50), (3, 54)]
 
     def test_zero_row_stops_widening(self, monkeypatch):
         """Z_0 (1 - N_5/(q;q)_5^2 Q^5): the two live terms of the Q^5 row
@@ -840,8 +841,8 @@ class TestWindows:
         n5 = z0_series(5)[1][5]
         dm = vertex._qq_squared(5)
         ratio = (0, {0: dm, 5: [-c for c in n5]}, dm)
-        widths = record_calls(monkeypatch, vertex, "z0_windows", lambda order, width: width)
+        builds = record_z0_builds(monkeypatch)
         rows = pt_invariants(ratio, 5)
         assert {j for j, _, _ in rows} == {0, 1, 2, 3, 4}
-        assert widths == [25, 50, 100]
+        assert builds == [(5, 25), (5, 50), (5, 100)]
         assert rows == oracle_rows(ratio, 5)
