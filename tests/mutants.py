@@ -90,6 +90,11 @@ MUTANTS = [
      "src/localvertex/vertex.py",
      "key = order, width",
      "key = order"),
+    # _write catches OSError too: the next line picks _emit's --out write
+    ("_emit catches ValueError where it caught OSError",
+     "src/localvertex/cli.py",
+     'except OSError as err:\n            raise OutputError("cannot write --out',
+     'except ValueError as err:\n            raise OutputError("cannot write --out'),
 ]
 
 

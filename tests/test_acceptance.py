@@ -76,15 +76,17 @@ def test_criterion_04_q_inversion(scache):
 
 
 def test_criterion_05_genus_columns_r0(gw_table_r0):
-    """For r = 0, m = 1, g in {0,1,2}: the column sum_j GW_{g,c+jb} Q^j
-    fits p(Q)/(1-Q)^(2+2g) with surplus >= 3 and satisfies the weight-2
-    functional equation f(1/Q) = Q^2 f(Q), the Weyl symmetry of weight
-    |K_W . c| = 2 on P1 x P1."""
-    for g in (0, 1, 2):
-        column = gw_column(gw_table_r0, g, 1, 10)  # cut at Q^10
-        # f(1/Q) = Q^2 f(Q) reads Q^(-2) f(1/Q) = f(Q) in the template
-        # Q^a f(1/Q) = f(Q); of a in [-8, 8], only a = -2 = K_W . c certifies
-        assert certified_weights(column, 10, 2 + 2 * g) == [-2], g
+    """For r = 0, m = 1, g in {0,1,2} cut at Q^10, and g in {0,1,2,3} cut
+    at Q^13: the column sum_j GW_{g,c+jb} Q^j fits p(Q)/(1-Q)^(2+2g) with
+    surplus >= 3 and satisfies the weight-2 functional equation
+    f(1/Q) = Q^2 f(Q), the Weyl symmetry of weight |K_W . c| = 2 on
+    P1 x P1, and at no other weight."""
+    for order, g_max in ((10, 2), (13, 3)):
+        for g in range(g_max + 1):
+            column = gw_column(gw_table_r0, g, 1, order)
+            # f(1/Q) = Q^2 f(Q) reads Q^(-2) f(1/Q) = f(Q) in the template
+            # Q^a f(1/Q) = f(Q); of a in [-8, 8], only a = -2 = K_W . c certifies
+            assert certified_weights(column, order, 2 + 2 * g) == [-2], (order, g)
 
 
 def test_criterion_06_exponent_resolution_r1(gw_table_r1):
@@ -120,10 +122,12 @@ def test_criterion_06_exponent_resolution_r1(gw_table_r1):
 
 def test_criterion_07_exceptional_membership(tilde_series):
     """The modified exceptional series at Q-order 12 lies in R_{0,0}
-    through u^6, with the u^-2, u^-1, u^1 coefficients exactly zero."""
-    assert all(h >= 0 and h % 2 == 0 for h in tilde_series.degrees())
+    through u^6: its nonzero coefficients are u^0, u^2, u^4 and u^6 (no
+    pole, no odd power), and verify_R certifies every h from 0 to 6."""
+    assert tilde_series.degrees() == [0, 2, 4, 6]
     report = rat.verify_R(tilde_series)
-    assert report["passed"], report
+    assert report["passed"] is True, report
+    assert set(report["per_h"]) == {str(h) for h in range(7)}
 
 
 def test_criterion_08_polylog_identities():
@@ -145,8 +149,10 @@ def test_criterion_09_fiber_class_closed_forms(gw_table_r0):
 
 def test_criterion_10_eventual_polynomiality(gw_table_r0, gw_table_r1):
     """Order 4m+2g-2 finite differences of j -> GW_{g,mc+jb} vanish on
-    j in [3,9], for r in {0,1} and (g,m) in {(0,1),(1,1)}."""
+    j in [3,9], for r in {0,1} and (g,m) in {(0,1),(1,1)}, and on j in
+    [2,8] for r = 0, (g,m) = (0,1)."""
     for table in (gw_table_r0, gw_table_r1):
         for g in (0, 1):
             report = rat.polynomiality_check(table, g, 3, 9)
             assert report["passed"], report
+    assert rat.polynomiality_check(gw_table_r0, 0, 2, 8)["passed"] is True

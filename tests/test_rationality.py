@@ -7,14 +7,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import canonical, certified_weights, gw_column
-from localvertex.rationality import (
-    FitError,
-    certify_column,
-    column_power,
-    check_q_inversion,
-    w_dot_beta,
-)
+from helpers import canonical, certified_weights
+from localvertex.rationality import FitError, certify_column, check_q_inversion
 from localvertex.series import TruncSeries
 from localvertex.vertex import z_ratio
 from oracles import pt_series
@@ -278,12 +272,6 @@ class TestNormalizedPT:
         assert canonical((shift, nums[0], den)) == pt_series(0, 1, 4, cache=scache)[0]
 
 
-class TestWeyl:
-    def test_pairing(self):
-        assert w_dot_beta(1, 0) == -2
-        assert w_dot_beta(1, 1) == -1
-
-
 class TestCertifyColumn:
     def test_skip_iff_no_surplus_beyond_window(self):
         # the numerator window is [0, power + max(a, 0)] = [0, 3]
@@ -301,10 +289,3 @@ class TestCertifyColumn:
         series = {d: Fraction(1, factorial(d)) for d in range(9)}
         with pytest.raises(FitError):
             certify_column(series, 8, 2, 0)
-
-    @pytest.mark.parametrize("a, holds", [(-2, True), (-1, False), (0, False)])
-    def test_r0_column_holds_only_at_its_weight(self, gw_table_r0, a, holds):
-        """GW_{1, c + jb} on P1 x P1 is symmetric with weight w.c = -2 only."""
-        order = gw_table_r0.j_max
-        column = gw_column(gw_table_r0, 1, 1, order)
-        assert certify_column(column, order, column_power(1, 1), a)[1] is holds

@@ -477,6 +477,15 @@ class TestPartitionFunctions:
     def test_toric_agreement_m2(self, r, scache):
         _assert_toric_agreement(r, 2, 2, scache)
 
+    def test_plus_widens_to_the_lcm(self):
+        """z_toric's sum of two fractions, 1/(t - 1) + 1/(t + 1): t + 1 does
+        not divide t - 1, so the sum widens to their lcm t^2 - 1, and it is
+        the sum in QRat."""
+        a, b = (0, [1], [1, -1]), (0, [1], [1, 1])
+        total = oracles._plus(a, b)
+        assert total == (0, [2, 0], [1, 0, -1])
+        assert QRat(*total) == QRat(*a) + QRat(*b)
+
     def test_toric_zero_bounds(self):
         got = z_toric(ToricSurface.hirzebruch(0), 0, 0)
         assert got == {(0, 0): ONE}
