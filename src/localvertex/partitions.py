@@ -23,9 +23,6 @@ class Partition(tuple):
                 raise ValueError("parts must be weakly decreasing: %r" % (parts,))
         return super().__new__(cls, parts)
 
-    def __repr__(self):
-        return "Partition(%s)" % (list(self),)
-
     @property
     def size(self) -> int:
         """Total number of boxes, |mu|."""

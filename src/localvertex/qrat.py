@@ -8,7 +8,7 @@ module.  Half-integer powers of q are realized as odd powers of t, so a
 QRat is t^shift times a quotient of two integer polynomials in t.
 Values are kept in a canonical form (coprime numerator/denominator, no
 shared integer content, denominator with positive constant term) so
-that equality is structural and values can serve as cache keys.
+that equality is structural; QRat is not hashable.
 Division is by ``reciprocal``; no series over QRat is inverted, since
 ``series.TruncSeries`` offers only sums, products and ``exp``.
 
@@ -143,11 +143,7 @@ class QRat:
 
     __slots__ = ("shift", "num", "den")
 
-    def __init__(self, shift=0, num=None, den=None, _canonical=False):
-        if num is None:
-            num = []
-        if den is None:
-            den = _ONE
+    def __init__(self, shift, num, den, _canonical=False):
         if _canonical:
             self.shift, self.num, self.den = shift, num, den
             return
@@ -201,8 +197,6 @@ class QRat:
     @classmethod
     def from_rational(cls, x):
         x = Fraction(x)
-        if not x:
-            return cls.zero()
         return cls(0, [x.numerator], [x.denominator])
 
     @classmethod
@@ -298,9 +292,6 @@ class QRat:
             return NotImplemented
         return self * other.reciprocal()
 
-    def __rtruediv__(self, other):
-        return QRat._coerce(other) * self.reciprocal()
-
     def __pow__(self, k: int):
         if k == 0:
             return QRat.one()
@@ -319,9 +310,6 @@ class QRat:
             and self.num == other.num
             and self.den == other.den
         )
-
-    def __hash__(self):
-        return hash((self.shift, tuple(self.num), tuple(self.den)))
 
     # -- substitutions -----------------------------------------------------
 

@@ -75,13 +75,8 @@ class TruncSeries:
     def __sub__(self, other):
         return self + -other
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
-            if not other:
-                return TruncSeries(self.order)
             return TruncSeries(
                 self.order, {d: c * other for d, c in self.coeffs.items()}
             )

@@ -91,14 +91,6 @@ class TestGW:
         entries = doc["tables"]["0"]["entries"]
         assert {"g": 0, "m": 0, "j": 1, "num": -2, "den": 1} in entries
 
-    def test_csv_shape(self, capsys):
-        code, out = run(
-            capsys, "gw", "--r", "0", "--m-max", "0", "--Q-order", "1", "--g-max", "0",
-            "--format", "csv",
-        )
-        assert code == 0
-        assert out == "r,g,m,j,value_num,value_den\r\n0,0,0,1,-2,1\r\n"
-
     def test_csv_matches_csv_writer(self, capsys, gw_table_r0, gw_table_r1):
         """The gw CSV is byte for byte what csv.writer writes for the rows of
         the tables: one header for two surfaces, each row led by its r."""
@@ -414,16 +406,6 @@ class TestFit:
         genus0 = doc["fits"]["0"]["0"]
         assert genus0["exponent"] == -2
         assert genus0["fit"]["numerator"] == {"0": {"num": -2, "den": 1}}
-
-    def test_m2_columns(self, capsys):
-        """Class 2c + jb: denominator (1-Q)^(6+2g), exponent w.(2c) = -4."""
-        code, doc = run_json(
-            capsys, "fit", "--r", "0", "--m", "2", "--Q-order", "13", "--g-max", "2"
-        )
-        assert code == 0
-        for g, entry in doc["fits"]["0"].items():
-            assert entry["denominator_power"] == 6 + 2 * int(g)
-            assert entry["exponent"] == -4
 
     def test_insufficient_order_is_skipped(self, capsys):
         code, doc = run_json(
@@ -984,26 +966,21 @@ def exits(status):
     )
 
 
-OUT = " --out {tmp}/report.out"
-FILES = " --cache-dir {tmp}/scache" + OUT
+FILES = " --cache-dir {tmp}/scache --out {tmp}/report.out"
 # id: (code, argv, the watched modules loaded after it); {tmp} is a fresh
-# directory
+# directory.  Every run has a --cache-dir: the cache names each file by its
+# pair, with no hashlib
 MODULE_SETS = {
     # local P^2's classes d(c + b), d <= 7, at genus 0 and 1: the only run past
     # m = 5, and the only gw run past m = 2
-    "run-gw": (RUN, "gw --r 1 --m-max 7 --Q-order 7 --g-max 1 --format csv" + OUT, GW),
+    "run-gw": (RUN, "gw --r 1 --m-max 7 --Q-order 7 --g-max 1 --format csv" + FILES, GW),
     # at m = 5, e_coeffs multiplies two C_mu lists of more than one part each
-    "run-pt": (RUN, "pt --r 2 --m 5 --Q-order 6" + OUT, PT),
-    "run-verify": (RUN, "verify --all --r 1 --m-max 1 --Q-order 9 --g-max 1" + OUT, CERTIFY),
+    "run-pt": (RUN, "pt --r 2 --m 5 --Q-order 6" + FILES, PT),
+    "run-verify": (RUN, "verify --all --r 1 --m-max 1 --Q-order 9 --g-max 1" + FILES, CERTIFY),
     # the palindromy at a positive weight, a + p odd: a = m(r - 2) = 1
-    "run-fit": (RUN, "fit --r 3 --m 1 --Q-order 12 --g-max 3" + OUT, FIT),
-    # a valid command line of each task, with a --cache-dir: read without
-    # argparse, and the cache names each file by its pair, with no hashlib
-    "cache-pt": (RUN, "pt --m 1 --Q-order 3" + FILES, PT),
+    "run-fit": (RUN, "fit --r 3 --m 1 --Q-order 12 --g-max 3" + FILES, FIT),
+    # the = form of every flag is read without argparse too
     "cache-pt-eq": (RUN, "pt --r=1 --m=1 --Q-order=3 --format=csv" + FILES, PT),
-    "cache-gw": (RUN, "gw --m-max 1 --Q-order 3 --g-max 1 --format json" + FILES, GW),
-    "cache-verify": (RUN, "verify --all --r 0 --m-max 1 --Q-order 9" + FILES, CERTIFY),
-    "cache-fit": (RUN, "fit --m 1 --Q-order 9 --g-max 1 --r 0 --r 0" + FILES, FIT),
     # the control: the watch sees a module that is loaded
     "cache-pt-hashlib": ("import hashlib\n" + RUN, "pt --m 1 --Q-order 3" + FILES,
                          sorted(PT + ["hashlib"])),
@@ -1011,17 +988,13 @@ MODULE_SETS = {
     "help": (exits(0), "--help", PT),
     "verify-help": (exits(0), "verify -h", PT),
     "usage-error": (exits(2), "pt --m -1", PT),
-    # the root loads no stage; the certificates only the kernel they share
-    # with the engine; cli, for its task functions, the stage every task runs
+    # the root loads no stage, and the certificates only the kernel they
+    # share with the engine; an import of cli and the stages its task runs is
+    # a prefix of that task's run, so the run rows bound it
     "import-root": ("import localvertex", "", ROOT),
     "import-rationality": (
         "import localvertex.rationality", "",
         ["localvertex", "localvertex.qfield", "localvertex.rationality"],
-    ),
-    "import-cli": ("import localvertex.cli", "", PT),
-    "import-gw": ("import localvertex.cli, localvertex.gwtheory", "", GW),
-    "import-fit": (
-        "import localvertex.cli, localvertex.gwtheory, localvertex.rationality", "", FIT
     ),
 }
 WATCHED = (
@@ -1042,7 +1015,8 @@ def test_loaded_modules(tmp_path, code, argv, modules):
     read without argparse), csv, hashlib, ``__future__`` (no module defers
     its annotations), sympy (the engine is stdlib only), or dataclasses and
     inspect, which with ast, dis and tokenize would be the largest import
-    of a short job.  A run writes its report.  A warning raised as an
+    of a short job.  Each run fills a --cache-dir, whose files are named
+    without hashlib, and writes its report.  A warning raised as an
     error fails the entry point, but a ResourceWarning for a file left open
     is only printed when the file is collected, so every entry point but
     the usage error must also leave stderr empty."""

@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import canonical, fresh_python, gw_column, qrat_series, record_calls
+from helpers import canonical, digest, fresh_python, gw_column, qrat_series, record_calls
 from localvertex import gwtheory, qfield
 from localvertex.gwtheory import (
     GWTable,
@@ -144,6 +144,15 @@ class TestGWTable:
         doc = gw_table_r0.to_json()
         assert doc["r"] == 0
         assert {"g", "m", "j", "num", "den"} <= set(doc["entries"][0])
+
+    def test_frontier_digest_m10(self):
+        """The r = 0 table through m = 10, Q^10 and genus 3, from a fresh
+        S-cache, is pinned bit for bit: the only table past m = 7 that the
+        suite reads, so a change to the engine's cost must keep it."""
+        table = gw_extract(0, 10, 10, 3, cache=SCache())
+        assert digest(table.to_json()) == (
+            "e9f06246881b69310e3fee462666517b9990e5164411284ce0fb07b366ddda01"
+        )
 
     @pytest.mark.parametrize("m_max", [0, 1])
     def test_rejects_negative_r(self, m_max):

@@ -25,19 +25,16 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Partition([bad, 1])
 
-    def test_immutable(self):
-        p = P(2, 1)
-        with pytest.raises(AttributeError):
-            setattr(p, "parts", (3,))
-        with pytest.raises(AttributeError):
-            p.extra = 1
-
     def test_object_setattr_cannot_rewrite(self):
-        """A partition keys the S-cache: rewriting one would move its hash."""
+        """A partition keys the S-cache: rewriting one would move its hash.
+        It has no slot and no instance dict, so neither ``object.__setattr__``
+        nor a plain assignment can give it an attribute."""
         p = P(2, 1)
         before = hash(p)
         with pytest.raises(AttributeError):
             object.__setattr__(p, "parts", (5,))
+        with pytest.raises(AttributeError):
+            p.extra = 1
         assert hash(p) == before and p == P(2, 1)
 
     def test_hashable_and_equal(self):
@@ -98,13 +95,6 @@ class TestStatistics:
 
 
 class TestEnumeration:
-    def test_zero(self):
-        assert list(partitions_of(0)) == [P()]
-
-    def test_counts(self):
-        assert len(list(partitions_of(4))) == 5
-        assert len(list(partitions_of(8))) == 22
-
     def test_counts_against_pentagonal(self):
         """p(0..20) against the coefficients of prod_k 1/(1 - x^k)."""
         counts = product_coefficients(20)

@@ -110,6 +110,8 @@ class TestFieldAxioms:
     def test_division_by_zero(self):
         with pytest.raises(QFieldError):
             ONE / ZERO
+        with pytest.raises(QFieldError, match="zero denominator"):
+            QRat(0, [1], [0, 0])
 
     def test_pow(self):
         assert (ONE - Q) ** 2 == (ONE - Q) * (ONE - Q)

@@ -92,6 +92,7 @@ class TestRing:
         a = series_of(3, 1)
         with pytest.raises(SeriesError):
             a[4]
+        assert a != series_of(4, 1)
 
     def test_inverse_round_trip(self):
         """A (1 - q^k Q)^e factor times its inverse, the binomial series of
